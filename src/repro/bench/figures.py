@@ -747,8 +747,8 @@ def run_batching() -> List[ExperimentRow]:
     sizes.
 
     x-axis: the strategy layer's ``batch_size`` (pending records per
-    multiget flush). ``B=1`` is the unbatched code path; every larger
-    batch amortises the KV store's fixed per-request cost
+    multiget flush). ``B=1`` fetches each key by a single lookup; every
+    larger batch amortises the KV store's fixed per-request cost
     (``C_req + B*C_key`` instead of ``B*T_j``) and one network latency
     per batch, so simulated lookup time must fall monotonically with
     the batch size for every strategy. Outputs are verified identical

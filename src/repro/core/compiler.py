@@ -107,13 +107,15 @@ class _StageBuilder:
         self,
         iconf: IndexJobConf,
         cluster: Cluster,
+        cache_capacity: int = 1024,
         batch_size: int = 1,
         reuse=None,
         build=None,
     ):
         self.iconf = iconf
         self.cluster = cluster
-        self.batch_size = max(1, int(batch_size))
+        self.cache_capacity = cache_capacity
+        self.batch_size = batch_size
         self.reuse = reuse
         self.build = build
         self.stages: List[StageSpec] = []
@@ -167,6 +169,15 @@ class _StageBuilder:
         self._reset_stage()
 
     # ------------------------------------------------------------------
+    def _lookup_stage(self, cls, op, op_id, j, stats_acc, **tiers):
+        """The one place a lookup stage (``LookupFn`` or
+        ``GroupLookupReducer``) is built: every one gets the run's
+        batching knob and its reuse / build handles."""
+        return cls(
+            op, op_id, j, stats_acc, batch_size=self.batch_size,
+            reuse=self.reuse, build=self.build, **tiers,
+        )
+
     def emit_operator(
         self,
         op_id: str,
@@ -174,7 +185,6 @@ class _StageBuilder:
         plan: AccessPlan,
         stats_acc: Optional[OperatorStatsAccumulator],
         op_stats: Optional[OperatorStats],
-        cache_capacity: int,
         boundary_override: Optional[str],
     ) -> None:
         op_plan = plan.operators[op_id]
@@ -189,7 +199,7 @@ class _StageBuilder:
                     strategy, op_stats, is_last, boundary_override
                 )
                 consumed_post = self._cut_shuffle(
-                    op_id, op, j, strategy, boundary, stats_acc, cache_capacity, is_last
+                    op_id, op, j, strategy, boundary, stats_acc, is_last
                 )
                 post_emitted = post_emitted or consumed_post
             else:
@@ -197,19 +207,11 @@ class _StageBuilder:
                 # the lookup cache; the build gate inside LookupFn sends
                 # uncovered keys down the scan-assisted path.
                 self.append(
-                    LookupFn(
-                        op,
-                        op_id,
-                        j,
-                        stats=stats_acc,
-                        use_cache=(
-                            strategy in (Strategy.CACHE, Strategy.PARTIAL)
-                        ),
-                        cache_capacity=cache_capacity,
+                    self._lookup_stage(
+                        LookupFn, op, op_id, j, stats_acc,
+                        use_cache=strategy in (Strategy.CACHE, Strategy.PARTIAL),
+                        cache_capacity=self.cache_capacity,
                         record_sidx=is_last,
-                        batch_size=self.batch_size,
-                        reuse=self.reuse,
-                        build=self.build,
                     )
                 )
         if not post_emitted:
@@ -223,7 +225,6 @@ class _StageBuilder:
         strategy: Strategy,
         boundary: str,
         stats_acc,
-        cache_capacity: int,
         is_last: bool,
     ) -> bool:
         """Insert the shuffling job for index ``j``. Returns True when
@@ -248,17 +249,9 @@ class _StageBuilder:
             self.close_stage(label=f"shuffle-{op_id}.{j}", is_shuffle=True)
             self._current_read_constraint = scheme
             self.map_chain.append(
-                LookupFn(
-                    op,
-                    op_id,
-                    j,
-                    stats=stats_acc,
-                    dedup_adjacent=True,
-                    assume_local=True,
-                    record_sidx=is_last,
-                    batch_size=self.batch_size,
-                    reuse=self.reuse,
-                    build=self.build,
+                self._lookup_stage(
+                    LookupFn, op, op_id, j, stats_acc,
+                    dedup_adjacent=True, assume_local=True, record_sidx=is_last,
                 )
             )
             return False
@@ -270,35 +263,19 @@ class _StageBuilder:
             self.reducer = CarrierMaterializeReducer()
             self.close_stage(label=f"shuffle-{op_id}.{j}", is_shuffle=True)
             self.map_chain.append(
-                LookupFn(
-                    op,
-                    op_id,
-                    j,
-                    stats=stats_acc,
-                    dedup_adjacent=True,
-                    record_sidx=is_last,
-                    batch_size=self.batch_size,
-                    reuse=self.reuse,
-                    build=self.build,
+                self._lookup_stage(
+                    LookupFn, op, op_id, j, stats_acc,
+                    dedup_adjacent=True, record_sidx=is_last,
                 )
             )
             return False
-        if boundary == "idx":
-            self.reducer = GroupLookupReducer(
-                op, op_id, j, stats_acc, batch_size=self.batch_size,
-                reuse=self.reuse, build=self.build,
-            )
-            self.close_stage(label=f"shuffle-{op_id}.{j}", is_shuffle=True)
-            return False
+        if boundary not in ("idx", "post"):
+            raise PlanningError(f"unknown job boundary {boundary!r}")
+        self.reducer = self._lookup_stage(GroupLookupReducer, op, op_id, j, stats_acc)
         if boundary == "post":
-            self.reducer = GroupLookupReducer(
-                op, op_id, j, stats_acc, batch_size=self.batch_size,
-                reuse=self.reuse, build=self.build,
-            )
             self.reduce_post.append(PostProcessFn(op, op_id, stats_acc))
-            self.close_stage(label=f"shuffle-{op_id}.{j}", is_shuffle=True)
-            return True
-        raise PlanningError(f"unknown job boundary {boundary!r}")
+        self.close_stage(label=f"shuffle-{op_id}.{j}", is_shuffle=True)
+        return boundary == "post"
 
     # ------------------------------------------------------------------
     def emit_mapper(self, smap_accumulators: List[OperatorStatsAccumulator]) -> None:
@@ -362,7 +339,8 @@ def compile_plan(
     stats_registry = stats_registry or {}
     op_stats = op_stats or {}
     builder = _StageBuilder(
-        iconf, cluster, batch_size=batch_size, reuse=reuse, build=build
+        iconf, cluster, cache_capacity, batch_size=batch_size, reuse=reuse,
+        build=build,
     )
 
     placed = iconf.placed_operators()
@@ -374,7 +352,6 @@ def compile_plan(
             plan,
             stats_registry.get(op_id),
             op_stats.get(op_id),
-            cache_capacity,
             boundary_override,
         )
 

@@ -166,13 +166,13 @@ class ReuseStore:
     def note_deferred_hit(self) -> None:
         """Count a probe known to hit without consulting the store.
 
-        The batched lookup path uses this for a key already pending in
-        the current batch: the equivalent unbatched stream would have
-        fetched, admitted, and then hit that key by now, so the deferred
-        hit keeps batched and unbatched ``reuse.*`` counters identical
+        The lookup pipeline uses this for a key already waiting in the
+        current batch: at ``batch_size=1`` the key would have been
+        fetched, admitted, and then hit by now, so the deferred hit
+        keeps ``reuse.*`` counters independent of ``batch_size``
         (exactly true under ``"always"`` admission; cost-aware rejection
-        makes the unbatched stream refetch instead, a divergence batching
-        inherently cannot see).
+        makes the ``batch_size=1`` stream refetch instead, a divergence
+        batching inherently cannot see).
         """
         self.counts.probes += 1
         self.counts.hits += 1

@@ -118,7 +118,7 @@ class EFindRunner:
         self.cluster = cluster
         self.dfs = dfs
         self.fault_plan = fault_plan
-        self.batch_size = max(1, int(batch_size))
+        self.batch_size = batch_size
         # Cross-job lookup-result reuse: a ReuseSession (or bare
         # ReuseStore) whose state outlives each job this runner runs.
         self.reuse = reuse
@@ -368,18 +368,7 @@ class EFindRunner:
         boundary_override: Optional[str],
         start_time: float,
     ) -> EFindJobResult:
-        stages = compile_plan(
-            iconf,
-            plan,
-            self.cluster,
-            registry,
-            op_stats,
-            self.cache_capacity,
-            boundary_override,
-            batch_size=self.batch_size,
-            reuse=self._reuse_store,
-            build=self.build,
-        )
+        stages = self._compile(iconf, plan, registry, op_stats, boundary_override)
         self._assign_paths(iconf, stages, tag="a")
         stages[0].conf.input_paths = list(iconf.input_paths)
 
@@ -394,41 +383,29 @@ class EFindRunner:
         cell: Dict[str, Any] = {}
         audit = self.obs.audit if self.obs is not None else None
 
-        def check_map(runs, total_tasks) -> bool:
-            decision = evaluate_replan(
-                iconf, plan, registry, env, "map",
-                self.variance_threshold, self.plan_change_overhead,
-                scale=(total_tasks - len(runs)) / max(1, len(runs)),
-                cache_capacity=self.cache_capacity,
-                audit=audit, now=max(r.end for r in runs),
-                reuse=self._reuse_store, num_hosts=self.cluster.num_nodes,
-                build=self.build,
-            )
-            if decision is not None:
-                cell["decision"], cell["phase"] = decision, "map"
-                return True
-            return False
+        def abort_check(phase: str):
+            def check(runs, total_tasks) -> bool:
+                decision = evaluate_replan(
+                    iconf, plan, registry, env, phase,
+                    self.variance_threshold, self.plan_change_overhead,
+                    scale=(total_tasks - len(runs)) / max(1, len(runs)),
+                    cache_capacity=self.cache_capacity,
+                    audit=audit, now=max(r.end for r in runs),
+                    reuse=self._reuse_store, num_hosts=self.cluster.num_nodes,
+                    build=self.build,
+                )
+                if decision is not None:
+                    cell["decision"], cell["phase"] = decision, phase
+                    return True
+                return False
 
-        def check_reduce(runs, total_tasks) -> bool:
-            decision = evaluate_replan(
-                iconf, plan, registry, env, "reduce",
-                self.variance_threshold, self.plan_change_overhead,
-                scale=(total_tasks - len(runs)) / max(1, len(runs)),
-                cache_capacity=self.cache_capacity,
-                audit=audit, now=max(r.end for r in runs),
-                reuse=self._reuse_store, num_hosts=self.cluster.num_nodes,
-                build=self.build,
-            )
-            if decision is not None:
-                cell["decision"], cell["phase"] = decision, "reduce"
-                return True
-            return False
+            return check
 
         first = self.job_runner.run(
             stages[0].conf,
             start_time=start_time,
-            abort_check_map=check_map,
-            abort_check_reduce=check_reduce,
+            abort_check_map=abort_check("map"),
+            abort_check_reduce=abort_check("reduce"),
         )
         if not first.aborted:
             return self._package(iconf, plan, plan, [first], start_time)
@@ -443,6 +420,18 @@ class EFindRunner:
         )
 
     # ------------------------------------------------------------------
+    def _compile(
+        self, iconf, plan, registry, op_stats, boundary_override=None,
+        start_at: str = "head",
+    ) -> List[StageSpec]:
+        """Compile ``plan`` with this runner's lookup-stage settings
+        (cache capacity, batching knob, reuse store, build session)."""
+        return compile_plan(
+            iconf, plan, self.cluster, registry, op_stats, self.cache_capacity,
+            boundary_override, start_at, batch_size=self.batch_size,
+            reuse=self._reuse_store, build=self.build,
+        )
+
     def _resume_after_map_abort(
         self, iconf, old_plan, decision, registry, first: JobResult, start_time
     ) -> EFindJobResult:
@@ -450,11 +439,7 @@ class EFindRunner:
         remaining splits under the new plan, and have the new plan's
         reduce fetch both."""
         new_plan = decision.new_plan
-        stages = compile_plan(
-            iconf, new_plan, self.cluster, registry, decision.fresh_stats,
-            self.cache_capacity, batch_size=self.batch_size,
-            reuse=self._reuse_store, build=self.build,
-        )
+        stages = self._compile(iconf, new_plan, registry, decision.fresh_stats)
         self._assign_paths(iconf, stages, tag="b")
 
         old_outputs: List[Record] = []
@@ -499,10 +484,8 @@ class EFindRunner:
         output directly; the remaining partitions' reduce inputs are
         re-reduced under the new (tail-operator) plan and merged."""
         new_plan = decision.new_plan
-        stages = compile_plan(
-            iconf, new_plan, self.cluster, registry, decision.fresh_stats,
-            self.cache_capacity, start_at="reduce", batch_size=self.batch_size,
-            reuse=self._reuse_store, build=self.build,
+        stages = self._compile(
+            iconf, new_plan, registry, decision.fresh_stats, start_at="reduce"
         )
         self._assign_paths(iconf, stages, tag="c")
 

@@ -16,12 +16,9 @@ costs ``T_j``; from anywhere else it additionally pays the network
 transfer ``(Sik + Siv)/BW``. Cache-strategy lookups pay a ``T_cache``
 probe first and the full cost only on a miss.
 
-Cache hierarchy. Within a task the dedup memo is probed first, then the
-node-local LRU (cache strategy only), then -- when a
-:class:`repro.core.reuse.ReuseStore` is attached -- the cross-job reuse
-tier, and only then the index itself. Reuse probes charge zero
-simulated time, so a cold store leaves every charge identical to a run
-without one.
+Every lookup stage resolves its keys through one :class:`LookupPipeline`
+(tier walk, fetch, accounting); the stages differ in the tiers they
+enable and in how they emit.
 """
 
 from __future__ import annotations
@@ -105,197 +102,37 @@ class PreProcessFn(ChainedFunction):
         return f"pre[{self.operator_id}]"
 
 
-class _BuildGate:
-    """Shared partial-index plumbing for the lookup stages.
-
-    Host classes set ``self.build`` (a
-    :class:`repro.indices.build.BuildSession` or None) and provide
-    ``self.accessor``, ``self.index_id``, and ``self.stats``. With no
-    session attached every method is a no-op and the lookup paths are
-    bit-identical to the pre-build-subsystem ones.
-
-    A key the partial index does not cover yet cannot take the indexed
-    path at all: it is served by a *scan-assisted lookup* -- the store
-    scans the unindexed partition remainder, costing
-    ``scan_multiplier * T_j`` -- and bypasses the LRU cache, the
-    ReuseStore, and the adjacent-dedup memo (none of which exist on a
-    scan path). Coverage checks themselves charge zero simulated time.
-    """
-
-    build = None
-
-    def _build_uncovered(self, ik, ctx) -> bool:
-        """True when ``ik`` must scan; also records the per-task
-        coverage observation either way."""
-        if self.build is None:
-            return False
-        covered = self.build.covered(self.accessor.name, ik)
-        if covered:
-            ctx.counters.increment("build", "indexed_lookups")
-            if self.stats is not None:
-                sample = self.stats.sample_for(ctx.task_id)
-                j = self.index_id
-                sample.build_covered[j] = sample.build_covered.get(j, 0) + 1
-        return not covered
-
-    def _scan_fetch(self, ik, ctx) -> List[Any]:
-        """Serve an uncovered key by scan: same values, same fault
-        semantics, ``scan_multiplier * T_j`` service time."""
-        tm = ctx.time_model
-        t0 = ctx.charged_time
-        values = self.accessor.lookup(ik, ctx)
-        tj_scan = (
-            self.accessor.service_time()
-            * self.build.scan_multiplier(self.accessor.name)
-        )
-        local = ctx.node.hostname in self.accessor.hosts_for_key(ik)
-        if local:
-            ctx.charge(tm.local_lookup_time(tj_scan))
-        else:
-            ctx.charge(
-                tm.remote_lookup_time(sizeof(ik), sizeof(tuple(values)), tj_scan)
-            )
-        ctx.counters.increment("build", "unindexed_lookups")
-        ctx.counters.increment("build", "scan_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "build.scan_lookup",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_DETAIL,
-                index=self.index_id,
-                local=local,
-            )
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
-            j = self.index_id
-            sample.build_scanned[j] = sample.build_scanned.get(j, 0) + 1
-            sample.build_scan_tj_total[j] = (
-                sample.build_scan_tj_total.get(j, 0.0) + tj_scan
-            )
-        return values
+_NO_MEMO = object()
 
 
-class _ReuseTier:
-    """Shared cross-job ReuseStore plumbing for the lookup stages.
+class LookupPipeline:
+    """The lookup path of one index, shared by every strategy.
 
-    Host classes set ``self.reuse`` (a
-    :class:`repro.core.reuse.ReuseStore` or None) and provide
-    ``self.accessor``, ``self.index_id``, ``self.stats``, and
-    ``self._fetch``. Probes charge **zero** simulated time: with a cold
-    or invalidated store the enabled path charges exactly what the
-    disabled path does, so reuse can only elide fetches, never add cost.
-    """
+    A key walks the tiers in front of the index, in this order, and is
+    fetched only when none of them holds it:
 
-    reuse = None
+    1. *build gate* (``build``, a ``BuildSession``): a key the partial
+       index does not cover yet is served by a scan-assisted lookup at
+       ``scan_multiplier * T_j`` and touches no other tier -- it has no
+       indexed entry for a memo or cache to hold;
+    2. *adjacent-dedup memo* (``dedup_adjacent``): after a
+       re-partitioning shuffle equal keys arrive adjacently;
+    3. *node-local LRU* (``use_cache``; one per machine, ``T_cache`` per
+       probe) or, for the baseline, a keys-only *shadow* (``shadow``)
+       that estimates the miss ratio R without saving any work;
+    4. *cross-job ReuseStore* (``reuse``): probes charge zero simulated
+       time, so a cold store charges exactly what no store does;
+    5. the index, through :meth:`fetch` -- the only place a lookup is
+       charged and counted.
 
-    def _reuse_probe(self, ik, ctx):
-        """Probe the cross-job store; the values tuple on a hit, else
-        None (misses and stale drops both fetch)."""
-        if self.reuse is None:
-            return None
-        hit, values, stale = self.reuse.probe(ctx.node.hostname, self.accessor, ik)
-        ctx.counters.increment("reuse", "probes")
-        if stale:
-            ctx.counters.increment("reuse", "stale_drops")
-        ctx.counters.increment("reuse", "hits" if hit else "misses")
-        self._record_reuse_stats(ctx, hit)
-        if ctx.trace is not None:
-            ctx.trace.charged_instant(
-                "reuse.probe",
-                "cache",
-                ctx.charged_time,
-                DEPTH_DETAIL,
-                hit=hit,
-                index=self.index_id,
-            )
-        return values if hit else None
-
-    def _reuse_pending_hit(self, ctx):
-        """Batched-path parity shim: a key already pending in this batch
-        would, on the unbatched path, have been fetched and admitted by
-        now -- its reuse probe would hit. Record that deferred hit so
-        batched and unbatched ``reuse.*`` counters agree."""
-        if self.reuse is None:
-            return
-        self.reuse.note_deferred_hit()
-        ctx.counters.increment("reuse", "probes")
-        ctx.counters.increment("reuse", "hits")
-        self._record_reuse_stats(ctx, True)
-        if ctx.trace is not None:
-            ctx.trace.charged_instant(
-                "reuse.probe",
-                "cache",
-                ctx.charged_time,
-                DEPTH_DETAIL,
-                hit=True,
-                index=self.index_id,
-                pending=True,
-            )
-
-    def _reuse_admit(self, ik, ctx, values, cost):
-        if self.reuse is None:
-            return
-        admitted, evicted = self.reuse.admit(
-            ctx.node.hostname, self.accessor, ik, tuple(values), cost
-        )
-        ctx.counters.increment("reuse", "admitted" if admitted else "rejected")
-        if evicted:
-            ctx.counters.increment("reuse", "evicted", evicted)
-
-    def _reuse_admit_cost(self, batched_keys: int = 0) -> float:
-        """Refetch-cost estimate the cost-aware admission gates on:
-        ``T_j`` for single lookups, the amortised ``C_req/B + C_key``
-        for a key fetched by a multiget of B keys."""
-        if batched_keys and self.accessor.supports_batch:
-            return (
-                self.accessor.batch_request_overhead() / batched_keys
-                + self.accessor.batch_key_time()
-            )
-        return self.accessor.service_time()
-
-    def _reuse_or_fetch(self, ik, ctx) -> List[Any]:
-        """The unbatched fetch path with the reuse tier in front."""
-        values = self._reuse_probe(ik, ctx)
-        if values is not None:
-            return list(values)
-        values = self._fetch(ik, ctx)
-        self._reuse_admit(ik, ctx, values, self._reuse_admit_cost())
-        return values
-
-    def _record_reuse_stats(self, ctx, hit: bool) -> None:
-        if self.stats is None:
-            return
-        sample = self.stats.sample_for(ctx.task_id)
-        j = self.index_id
-        sample.reuse_probes[j] = sample.reuse_probes.get(j, 0) + 1
-        if hit:
-            sample.reuse_hits[j] = sample.reuse_hits.get(j, 0) + 1
-
-
-class LookupFn(_BuildGate, _ReuseTier, ChainedFunction):
-    """Performs one index's lookups inline (baseline / cache / the
-    post-shuffle leg of re-partitioning and index locality).
-
-    Modes:
-
-    * ``use_cache=False``: the baseline strategy -- every key pays a
-      lookup; a *shadow* cache estimates the miss ratio R for the
-      optimizer without saving any work.
-    * ``use_cache=True``: the lookup cache strategy -- one node-local
-      LRU (shared by the node's tasks, as in the paper's per-machine
-      cache).
-    * ``dedup_adjacent=True``: after a re-partitioning shuffle, records
-      with equal keys arrive adjacently; a one-entry memo removes the
-      duplicates the shuffle created.
-    * ``assume_local=True``: index-locality -- the task runs on a node
-      hosting the key's partition, so lookups cost ``T_j`` only.
-    * ``batch_size > 1``: accumulate records whose keys miss the cache
-      (hits are still served and emitted immediately) and resolve the
-      pending keys with one :meth:`IndexAccessor.lookup_batch` per
-      ``batch_size`` records, amortising the per-request lookup cost.
-      ``batch_size=1`` (the default) takes the exact unbatched path.
+    ``batch_size`` decides only *when* the fetch is issued and whether
+    it may be a multiget. At 1 each missing key is fetched at once by a
+    single ``IndexAccessor.lookup``. Above 1 missing keys wait (hits
+    still resolve immediately) until ``batch_size`` records are parked,
+    then one ``lookup_batch`` resolves them all; a probe of a key that
+    is already waiting records the hit it would have seen had the key
+    been fetched on arrival, so ``cache.*``/``reuse.*`` counters and
+    the statistics samples do not depend on ``batch_size``.
     """
 
     def __init__(
@@ -303,164 +140,298 @@ class LookupFn(_BuildGate, _ReuseTier, ChainedFunction):
         operator: IndexOperator,
         operator_id: str,
         index_id: int,
-        stats: Optional[OperatorStatsAccumulator] = None,
+        stats: Optional[OperatorStatsAccumulator],
+        batch_size: int,
+        reuse,
+        build,
         use_cache: bool = False,
+        shadow: bool = False,
         cache_capacity: int = 1024,
         dedup_adjacent: bool = False,
         assume_local: bool = False,
-        record_sidx: bool = False,
-        batch_size: int = 1,
-        reuse=None,
-        build=None,
+        walk_span: bool = False,
     ):
-        self.operator = operator
         self.operator_id = operator_id
         self.index_id = index_id
         self.accessor: IndexAccessor = operator.accessors[index_id]
         self.stats = stats
-        self.use_cache = use_cache
-        self.cache_capacity = cache_capacity
-        self.dedup_adjacent = dedup_adjacent
-        self.assume_local = assume_local
-        self.record_sidx = record_sidx
+        # The one clamp of the knob: runner and compiler pass it through.
         self.batch_size = max(1, int(batch_size))
         self.reuse = reuse
         self.build = build
-        self._node_caches: dict = {}
-        self._node_shadows: dict = {}
+        self.use_cache = use_cache
+        self.shadow = shadow
+        self.dedup_adjacent = dedup_adjacent
+        self.assume_local = assume_local
+        # Trace shape only: at batch_size 1 a key's ``lookup`` op span
+        # covers its whole walk (map-side stages, whose probes charge
+        # time) or the fetch alone (reduce side: nothing charged before).
+        self.walk_span = walk_span
+        self.cache_capacity = cache_capacity
+        self._node_caches: dict = {}  # hostname -> LRUCache | ShadowCache
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop per-task state. The runtime shares one stage instance
+        across task attempts, so a retried task must not inherit the
+        crashed attempt's memo or its parked records."""
         self._memo_key: Any = _NO_MEMO
         self._memo_values: Tuple[Any, ...] = ()
-        self._pending_records: list = []
-        self._pending_keys: list = []
-        self._pending_key_set: set = set()
-        self._batch_prev_ik: Any = _NO_MEMO
+        self._prev_ik: Any = _NO_MEMO
+        self._pending: dict = {}  # waiting keys, in arrival order
+        self._parked: list = []
 
-    def start(self, ctx):
-        self._memo_key = _NO_MEMO
-        self._memo_values = ()
-        self._pending_records = []
-        self._pending_keys = []
-        self._pending_key_set = set()
-        self._batch_prev_ik = _NO_MEMO
-
-    def process(self, key, value, collector, ctx):
-        if self.batch_size == 1:
-            v1, ikl, ivl = open_carrier(value)
-            keys = ikl[self.index_id]
-            results = tuple(tuple(self._lookup(ik, ctx)) for ik in keys)
-            self._emit(key, v1, ikl, ivl, results, collector, ctx)
-            return
-
-        v1, ikl, ivl = open_carrier(value)
-        keys = ikl[self.index_id]
-        slots = []
-        needs_fetch = False
-        for ik in keys:
-            resolved = self._probe_without_fetch(ik, ctx)
-            if resolved is None:
-                slots.append(("fetch", ik))
-                needs_fetch = True
-                if ik not in self._pending_key_set:
-                    self._pending_key_set.add(ik)
-                    self._pending_keys.append(ik)
-            else:
-                slots.append(("hit", resolved))
-        if not needs_fetch:
-            # Every key was served from the cache / dedup memo (or the
-            # record has none): emit right away, no batching delay.
-            results = tuple(s[1] for s in slots)
-            self._emit(key, v1, ikl, ivl, results, collector, ctx)
-            return
-        self._pending_records.append((key, v1, ikl, ivl, slots))
-        if len(self._pending_records) >= self.batch_size:
-            self._flush(collector, ctx)
-
-    def finish(self, collector, ctx):
-        if self.batch_size > 1 and self._pending_records:
-            ctx.counters.increment("batch", "flushes_on_finish")
-            self._flush(collector, ctx)
-
-    def _emit(self, key, v1, ikl, ivl, results, collector, ctx):
-        new_ivl = tuple(
-            results if j == self.index_id else ivl[j] for j in range(len(ivl))
-        )
-        carrier = make_carrier(v1, ikl, new_ivl)
-        collector.collect(key, carrier)
-        if self.stats is not None and self.record_sidx:
-            self.stats.sample_for(ctx.task_id).sidx_bytes += sizeof_pair(key, carrier)
-
-    # ------------------------------------------------------------------
-    def _lookup(self, ik: Any, ctx: TaskContext) -> List[Any]:
-        if ctx.trace is None:
-            return self._lookup_impl(ik, ctx)
+    def lookup(self, ik: Any, ctx: TaskContext) -> Optional[Tuple[Any, ...]]:
+        """Resolve ``ik`` to its value tuple; None (``batch_size > 1``
+        only) when the key now waits for the next :meth:`drain`."""
         t0 = ctx.charged_time
-        values = self._lookup_impl(ik, ctx)
-        ctx.trace.charged_span(
-            "lookup",
-            "op",
-            t0,
-            ctx.charged_time,
-            DEPTH_OP,
-            op=self.operator_id,
-            index=self.index_id,
-        )
+        values = self.probe(ik, ctx)
+        if values is None:
+            if self.batch_size > 1:
+                self._pending[ik] = None
+                return None
+            values = self.fetch((ik,), ctx, multiget=False)[ik]
+        if ctx.trace is not None and self.walk_span and self.batch_size == 1:
+            ctx.trace.charged_span(
+                "lookup", "op", t0, ctx.charged_time, DEPTH_OP,
+                op=self.operator_id, index=self.index_id,
+            )
         return values
 
-    def _lookup_impl(self, ik: Any, ctx: TaskContext) -> List[Any]:
-        if self._build_uncovered(ik, ctx):
-            # Scans stay invisible to the memo and caches: the key has
-            # no indexed entry for them to hold.
-            return self._scan_fetch(ik, ctx)
-        tm = ctx.time_model
-        if self.dedup_adjacent:
-            if ik == self._memo_key:
-                return list(self._memo_values)
+    def park(self, waiter: Any) -> bool:
+        """Hold a record (or reduce group) whose keys are waiting; True
+        once ``batch_size`` of them are parked and a drain is due."""
+        self._parked.append(waiter)
+        return len(self._parked) >= self.batch_size
 
+    def drain(self, ctx: TaskContext, finishing: bool = False):
+        """Resolve every waiting key with one multiget. Returns the
+        ``{ik: values}`` results and the parked waiters, in arrival
+        order."""
+        if not self._parked:
+            return {}, []
+        if finishing:
+            ctx.counters.increment("batch", "flushes_on_finish")
+        keys, parked = list(self._pending), self._parked
+        self._pending, self._parked = {}, []
+        return self.fetch(keys, ctx, multiget=True, records=len(parked)), parked
+
+    def probe(self, ik: Any, ctx: TaskContext) -> Optional[Tuple[Any, ...]]:
+        """Walk the tiers in front of the index: the value tuple when
+        one of them (or a scan) resolves ``ik``, None when it must be
+        fetched. Charges and statistics do not depend on whether the
+        fetch then happens now or at the next drain."""
+        if self.build is not None and self._uncovered(ik, ctx):
+            # Scans resolve at once and leave the memo (and what counts
+            # as the previous arrival) untouched.
+            return self._scan(ik, ctx)
+        prev, self._prev_ik = self._prev_ik, ik
+        pending = ik in self._pending
+        if self.dedup_adjacent and ik == prev:
+            # The memo holds the previous arrival, so only an *adjacent*
+            # duplicate may consult it. (While prev's fetch is still
+            # waiting the memo lags behind ``prev`` -- gating on ``prev``
+            # keeps a stale memo key from faking adjacency.)
+            if ik == self._memo_key:
+                return self._memo_values
+            if pending:
+                # Adjacent duplicate of a waiting key: the memo would
+                # serve it without probing anything, so record nothing
+                # and charge nothing; the drain resolves its slot.
+                return None
         if self.use_cache:
-            cache = self._node_caches.setdefault(
-                ctx.node.hostname, LRUCache(self.cache_capacity)
-            )
+            tm = ctx.time_model
+            cache = self._node_cache(ctx)
             ctx.charge(tm.cache_probe_time)
-            hit, cached = cache.get(ik)
+            # A waiting key would be in the LRU by now had it been
+            # fetched on arrival: record that hit, resolve at the drain.
+            hit, cached = (True, None) if pending else cache.get(ik)
             self._record_cache_stats(ctx, hit)
             if ctx.trace is not None:
                 ctx.trace.charged_span(
-                    "cache.probe",
-                    "cache",
-                    ctx.charged_time - tm.cache_probe_time,
-                    ctx.charged_time,
-                    DEPTH_DETAIL,
-                    hit=hit,
+                    "cache.probe", "cache",
+                    ctx.charged_time - tm.cache_probe_time, ctx.charged_time,
+                    DEPTH_DETAIL, hit=hit, **({"pending": True} if pending else {}),
                 )
+            if pending:
+                return None
             if hit:
-                if self.dedup_adjacent:
-                    self._memo_key = ik
-                    self._memo_values = tuple(cached)
-                return list(cached)
-            # Insert only after a *successful* fetch (or a validated
-            # reuse hit): a terminal lookup failure must not poison the
-            # shared node-local LRU (and a retried task would otherwise
-            # see the bogus entry).
-            values = self._reuse_or_fetch(ik, ctx)
-            cache.put(ik, tuple(values))
-        else:
-            if not self.dedup_adjacent:
-                # Baseline: a keys-only shadow cache estimates R
-                # (Section 4.2) without saving any lookups. The
-                # post-shuffle dedup leg skips this: its grouped key
-                # stream is not representative of the original one.
-                shadow = self._node_shadows.setdefault(
-                    ctx.node.hostname, ShadowCache(self.cache_capacity)
-                )
-                would_hit = shadow.probe(ik)
-                if shadow.warmed:
-                    self._record_cache_stats(ctx, would_hit)
-            values = self._reuse_or_fetch(ik, ctx)
+                return self._remember(ik, tuple(cached))
+        elif self.shadow:
+            # Baseline: the shadow estimates R (Section 4.2). The
+            # post-shuffle dedup leg and the reduce side have none:
+            # their grouped key stream is not representative of the
+            # original one.
+            shadow = self._node_cache(ctx)
+            would_hit = shadow.probe(ik)
+            if shadow.warmed:
+                self._record_cache_stats(ctx, would_hit)
+        if self.reuse is None:
+            return None
+        # ``pending`` can only still be set on the LRU-less walk, where
+        # the store is the tier that would hold the waiting key.
+        values = self._reuse_probe(ik, ctx, pending)
+        if values is None:
+            return None
+        if self.use_cache:
+            # Insert only after a validated reuse hit (or, in fetch, a
+            # *successful* fetch): a terminal lookup failure must not
+            # poison the shared node-local LRU -- a retried task would
+            # otherwise see the bogus entry.
+            cache.put(ik, values)
+        return self._remember(ik, values)
 
+    def _remember(self, ik: Any, values: Tuple[Any, ...]) -> Tuple[Any, ...]:
         if self.dedup_adjacent:
             self._memo_key = ik
-            self._memo_values = tuple(values)
+            self._memo_values = values
         return values
+
+    def _node_cache(self, ctx: TaskContext):
+        host = ctx.node.hostname
+        cache = self._node_caches.get(host)
+        if cache is None:
+            cls = LRUCache if self.use_cache else ShadowCache
+            cache = self._node_caches[host] = cls(self.cache_capacity)
+        return cache
+
+    # ------------------------------------------------------------------
+    # The fetch: the one charge / count / sample site
+    # ------------------------------------------------------------------
+    def fetch(self, keys, ctx: TaskContext, multiget: bool, records: int = 1):
+        """Fetch ``keys`` from the index; returns ``{ik: values}``.
+        ``multiget=False`` is the single lookup of one key (callers
+        pass one at a time); ``multiget=True`` is one ``lookup_batch``
+        request for all of them.
+
+        Charging: keys are split into local and remote (the
+        re-partitioning and index-locality legs batch within their
+        local partition, so locality is never broken). A multiget on an
+        index with a native one is charged the amortised
+        ``C_req + B*C_key`` per group and a single network latency;
+        single lookups, and the loop an index without native multiget
+        falls back to, pay ``T_j`` (plus the transfer when remote) per
+        key.
+        """
+        tm = ctx.time_model
+        accessor = self.accessor
+        t0 = ctx.charged_time
+        if multiget:
+            value_lists = accessor.lookup_batch(keys, ctx)
+        else:
+            value_lists = [accessor.lookup(ik, ctx) for ik in keys]
+        results = {ik: tuple(vs) for ik, vs in zip(keys, value_lists)}
+        tj = accessor.service_time()
+        native = multiget and accessor.supports_batch
+
+        local_keys: List[Any] = []
+        remote_keys: List[Any] = []
+        for ik in keys:
+            (local_keys if self._is_local(ik, ctx) else remote_keys).append(ik)
+
+        if multiget:
+            ctx.counters.increment("batch", "batches_issued")
+            ctx.counters.increment("batch", "keys_batched", len(keys))
+        if native:
+            batch_time = accessor.batch_service_time
+            if local_keys:
+                ctx.charge(tm.local_batch_lookup_time(batch_time(len(local_keys))))
+            if remote_keys:
+                ctx.charge(
+                    tm.remote_batch_lookup_time(
+                        sum(map(sizeof, remote_keys)),
+                        sum(sizeof(results[ik]) for ik in remote_keys),
+                        batch_time(len(remote_keys)),
+                    )
+                )
+        else:
+            for ik in local_keys:
+                self._charge_single(ik, results[ik], tj, True, ctx)
+            for ik in remote_keys:
+                self._charge_single(ik, results[ik], tj, False, ctx)
+
+        ctx.counters.increment("lookup", "fetches", len(keys))
+        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
+        if ctx.trace is not None:
+            where = {"op": self.operator_id, "index": self.index_id}
+            if multiget:
+                ctx.trace.charged_span(
+                    "lookup.batch", "op", t0, ctx.charged_time, DEPTH_OP, **where,
+                    keys=len(keys), records=records, native=accessor.supports_batch,
+                )
+            else:
+                local = not remote_keys
+                if not self.walk_span:
+                    ctx.trace.charged_span(
+                        "lookup", "op", t0, ctx.charged_time, DEPTH_OP,
+                        **where, local=local,
+                    )
+                ctx.trace.charged_span(
+                    "index.fetch", "op", t0, ctx.charged_time, DEPTH_DETAIL,
+                    index=self.index_id, local=local,
+                )
+
+        if self.stats is not None:
+            sample = self.stats.sample_for(ctx.task_id)
+            j = self.index_id
+            n = len(keys)
+            sample.lookups[j] = sample.lookups.get(j, 0) + n
+            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * n
+            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + n
+            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sum(
+                map(sizeof, results.values())
+            )
+            if native:
+                groups = (1 if local_keys else 0) + (1 if remote_keys else 0)
+                sample.batches[j] = sample.batches.get(j, 0) + groups
+                sample.batch_keys[j] = sample.batch_keys.get(j, 0) + n
+                sample.c_req_total[j] = (
+                    sample.c_req_total.get(j, 0.0)
+                    + groups * accessor.batch_request_overhead()
+                )
+                sample.c_key_total[j] = (
+                    sample.c_key_total.get(j, 0.0) + n * accessor.batch_key_time()
+                )
+
+        if self.reuse is not None:
+            # Refetch-cost estimate the cost-aware admission gates on:
+            # T_j for a single lookup, the amortised C_req/B + C_key for
+            # a key fetched by a native multiget of B keys.
+            cost = tj
+            if native:
+                cost = (
+                    accessor.batch_request_overhead() / len(keys)
+                    + accessor.batch_key_time()
+                )
+            for ik in keys:
+                admitted, evicted = self.reuse.admit(
+                    ctx.node.hostname, accessor, ik, results[ik], cost
+                )
+                ctx.counters.increment(
+                    "reuse", "admitted" if admitted else "rejected"
+                )
+                if evicted:
+                    ctx.counters.increment("reuse", "evicted", evicted)
+        if self.use_cache:
+            cache = self._node_cache(ctx)
+            for ik in keys:
+                cache.put(ik, results[ik])
+        if self.dedup_adjacent and self._prev_ik in results:
+            # The memo holds the *last arrival's* key. When that arrival
+            # resolved at probe time the memo is already current; only a
+            # last arrival that had to be fetched is installed here.
+            self._memo_key = self._prev_ik
+            self._memo_values = results[self._prev_ik]
+        return results
+
+    def _charge_single(self, ik, values, tj: float, local: bool, ctx) -> None:
+        """One single lookup: ``tj`` at the index, plus the key/result
+        transfer ``(Sik + Siv)/BW`` when it is served remotely."""
+        tm = ctx.time_model
+        if local:
+            ctx.charge(tm.local_lookup_time(tj))
+        else:
+            ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(values), tj))
 
     def _is_local(self, ik: Any, ctx: TaskContext) -> bool:
         local = self.assume_local or (
@@ -479,41 +450,9 @@ class LookupFn(_BuildGate, _ReuseTier, ChainedFunction):
                     ctx.counters.increment("fault", "locality_fallbacks")
         return local
 
-    def _fetch(self, ik: Any, ctx: TaskContext) -> List[Any]:
-        tm = ctx.time_model
-        t0 = ctx.charged_time
-        values = self.accessor.lookup(ik, ctx)
-        tj = self.accessor.service_time()
-        local = self._is_local(ik, ctx)
-        if local:
-            ctx.charge(tm.local_lookup_time(tj))
-        else:
-            ctx.charge(
-                tm.remote_lookup_time(sizeof(ik), sizeof(tuple(values)), tj)
-            )
-        ctx.counters.increment("lookup", "fetches")
-        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "index.fetch",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_DETAIL,
-                index=self.index_id,
-                local=local,
-            )
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
-            j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + 1
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + 1
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sizeof(
-                tuple(values)
-            )
-        return values
-
+    # ------------------------------------------------------------------
+    # Tier plumbing: statistics, reuse probe, build gate
+    # ------------------------------------------------------------------
     def _record_cache_stats(self, ctx, hit: bool) -> None:
         if self.stats is None:
             return
@@ -523,231 +462,165 @@ class LookupFn(_BuildGate, _ReuseTier, ChainedFunction):
         if not hit:
             sample.cache_misses[j] = sample.cache_misses.get(j, 0) + 1
 
-    # ------------------------------------------------------------------
-    # Batched path (batch_size > 1)
-    # ------------------------------------------------------------------
-    def _probe_without_fetch(self, ik: Any, ctx: TaskContext):
-        """The cache/shadow/memo/reuse half of :meth:`_lookup`: returns
-        the resolved value tuple on a hit, None when the key must be
-        fetched. Probe charges and cache statistics are identical to
-        the unbatched path; only the fetch itself is deferred.
-
-        A key already pending in the current batch records the hit the
-        unbatched path would see (the LRU / reuse store would hold it by
-        now) but still resolves from the flush results -- without this,
-        a duplicate inside one unflushed batch counted as a miss and
-        batched/unbatched cache counters diverged."""
-        if self._build_uncovered(ik, ctx):
-            # Uncovered keys never batch: the scan resolves immediately
-            # and, as on the unbatched path, leaves the memo and
-            # ``_batch_prev_ik`` untouched.
-            return tuple(self._scan_fetch(ik, ctx))
-        tm = ctx.time_model
-        prev = self._batch_prev_ik
-        self._batch_prev_ik = ik
-        if self.dedup_adjacent and ik == prev:
-            # On the unbatched path the memo always holds the previous
-            # arrival, so only an *adjacent* duplicate may consult it.
-            # (Here the memo can lag behind ``prev`` while prev's fetch
-            # is still pending -- gating on ``prev`` keeps a stale memo
-            # key from faking adjacency.)
-            if ik == self._memo_key:
-                return self._memo_values
-            if ik in self._pending_key_set:
-                # Adjacent duplicate of a pending key: the memo would
-                # serve it without probing anything, so record nothing
-                # and charge nothing; the flush results resolve its slot.
-                return None
-        if self.use_cache:
-            cache = self._node_caches.setdefault(
-                ctx.node.hostname, LRUCache(self.cache_capacity)
-            )
-            ctx.charge(tm.cache_probe_time)
-            if ik in self._pending_key_set:
-                self._record_cache_stats(ctx, True)
-                if ctx.trace is not None:
-                    ctx.trace.charged_span(
-                        "cache.probe",
-                        "cache",
-                        ctx.charged_time - tm.cache_probe_time,
-                        ctx.charged_time,
-                        DEPTH_DETAIL,
-                        hit=True,
-                        pending=True,
-                    )
-                return None
-            hit, cached = cache.get(ik)
-            self._record_cache_stats(ctx, hit)
-            if ctx.trace is not None:
-                ctx.trace.charged_span(
-                    "cache.probe",
-                    "cache",
-                    ctx.charged_time - tm.cache_probe_time,
-                    ctx.charged_time,
-                    DEPTH_DETAIL,
-                    hit=hit,
-                )
-            if hit:
-                if self.dedup_adjacent:
-                    self._memo_key = ik
-                    self._memo_values = tuple(cached)
-                return tuple(cached)
-            values = self._reuse_probe(ik, ctx)
-            if values is not None:
-                cache.put(ik, tuple(values))
-                if self.dedup_adjacent:
-                    self._memo_key = ik
-                    self._memo_values = tuple(values)
-                return tuple(values)
-            return None
-        if not self.dedup_adjacent:
-            shadow = self._node_shadows.setdefault(
-                ctx.node.hostname, ShadowCache(self.cache_capacity)
-            )
-            would_hit = shadow.probe(ik)
-            if shadow.warmed:
-                self._record_cache_stats(ctx, would_hit)
-        if ik in self._pending_key_set:
-            self._reuse_pending_hit(ctx)
-            return None
-        values = self._reuse_probe(ik, ctx)
-        if values is not None:
-            if self.dedup_adjacent:
-                self._memo_key = ik
-                self._memo_values = tuple(values)
-            return tuple(values)
-        return None
-
-    def _flush(self, collector, ctx: TaskContext) -> None:
-        """Resolve all pending keys with one multiget and emit the
-        pending records, in arrival order.
-
-        Charging: local and remote keys are split exactly as in
-        :meth:`_fetch` (the re-partitioning and index-locality legs
-        batch within their local partition, so locality is never
-        broken). An index with a native multiget is charged the
-        amortised ``C_req + B*C_key`` per group and a single network
-        latency; the loop fallback pays the same per-key cost as
-        unbatched lookups.
-        """
-        if not self._pending_records:
-            return
-        tm = ctx.time_model
-        t0 = ctx.charged_time
-        keys = self._pending_keys
-        records = self._pending_records
-        self._pending_records = []
-        self._pending_keys = []
-        self._pending_key_set = set()
-
-        value_lists = self.accessor.lookup_batch(keys, ctx)
-        results = {ik: tuple(vs) for ik, vs in zip(keys, value_lists)}
-        tj = self.accessor.service_time()
-
-        local_keys: List[Any] = []
-        remote_keys: List[Any] = []
-        for ik in keys:
-            (local_keys if self._is_local(ik, ctx) else remote_keys).append(ik)
-
-        ctx.counters.increment("batch", "batches_issued")
-        ctx.counters.increment("batch", "keys_batched", len(keys))
-
-        if self.accessor.supports_batch:
-            if local_keys:
-                ctx.charge(
-                    tm.local_batch_lookup_time(
-                        self.accessor.batch_service_time(len(local_keys))
-                    )
-                )
-            if remote_keys:
-                ctx.charge(
-                    tm.remote_batch_lookup_time(
-                        sum(sizeof(ik) for ik in remote_keys),
-                        sum(sizeof(results[ik]) for ik in remote_keys),
-                        self.accessor.batch_service_time(len(remote_keys)),
-                    )
-                )
+    def _reuse_probe(self, ik, ctx, pending: bool = False):
+        """Probe the cross-job store; the value tuple on a hit, else
+        None (misses and stale drops both fetch). A ``pending`` key --
+        already waiting for the next drain -- would have been fetched
+        and admitted by now had it not waited: record that deferred hit
+        without touching the store's entries, and leave the key to the
+        drain."""
+        if pending:
+            self.reuse.note_deferred_hit()
+            hit, values, stale = True, None, False
         else:
-            # No native multiget: the fallback is a loop, charged
-            # exactly like the equivalent sequence of single lookups.
-            for ik in local_keys:
-                ctx.charge(tm.local_lookup_time(tj))
-            for ik in remote_keys:
-                ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(results[ik]), tj))
-
-        ctx.counters.increment("lookup", "fetches", len(keys))
-        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "lookup.batch",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_OP,
-                op=self.operator_id,
-                index=self.index_id,
-                keys=len(keys),
-                records=len(records),
-                native=self.accessor.supports_batch,
+            hit, values, stale = self.reuse.probe(
+                ctx.node.hostname, self.accessor, ik
             )
-
+        ctx.counters.increment("reuse", "probes")
+        if stale:
+            ctx.counters.increment("reuse", "stale_drops")
+        ctx.counters.increment("reuse", "hits" if hit else "misses")
         if self.stats is not None:
             sample = self.stats.sample_for(ctx.task_id)
             j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + len(keys)
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * len(keys)
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + len(keys)
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sum(
-                sizeof(results[ik]) for ik in keys
+            sample.reuse_probes[j] = sample.reuse_probes.get(j, 0) + 1
+            if hit:
+                sample.reuse_hits[j] = sample.reuse_hits.get(j, 0) + 1
+        if ctx.trace is not None:
+            ctx.trace.charged_instant(
+                "reuse.probe", "cache", ctx.charged_time, DEPTH_DETAIL,
+                hit=hit, index=self.index_id, **({"pending": True} if pending else {}),
             )
-            if self.accessor.supports_batch:
-                groups = (1 if local_keys else 0) + (1 if remote_keys else 0)
-                sample.batches[j] = sample.batches.get(j, 0) + groups
-                sample.batch_keys[j] = sample.batch_keys.get(j, 0) + len(keys)
-                sample.c_req_total[j] = (
-                    sample.c_req_total.get(j, 0.0)
-                    + groups * self.accessor.batch_request_overhead()
-                )
-                sample.c_key_total[j] = (
-                    sample.c_key_total.get(j, 0.0)
-                    + len(keys) * self.accessor.batch_key_time()
-                )
+        return tuple(values) if hit and not pending else None
 
-        if self.reuse is not None:
-            admit_cost = self._reuse_admit_cost(len(keys))
-            for ik in keys:
-                self._reuse_admit(ik, ctx, results[ik], admit_cost)
-        if self.use_cache:
-            cache = self._node_caches.setdefault(
-                ctx.node.hostname, LRUCache(self.cache_capacity)
-            )
-            for ik in keys:
-                cache.put(ik, results[ik])
-        if self.dedup_adjacent and self._batch_prev_ik in results:
-            # The memo mirrors the unbatched path: it holds the *last
-            # arrival's* key. When that arrival resolved at probe time
-            # the memo is already current; only a pending last arrival
-            # needs its flush result installed here.
-            self._memo_key = self._batch_prev_ik
-            self._memo_values = results[self._batch_prev_ik]
+    def _uncovered(self, ik, ctx) -> bool:
+        """True when the partial index does not cover ``ik`` yet; also
+        records the per-task coverage observation either way. Coverage
+        checks charge zero simulated time."""
+        covered = self.build.covered(self.accessor.name, ik)
+        if covered:
+            ctx.counters.increment("build", "indexed_lookups")
+            if self.stats is not None:
+                sample = self.stats.sample_for(ctx.task_id)
+                j = self.index_id
+                sample.build_covered[j] = sample.build_covered.get(j, 0) + 1
+        return not covered
 
-        for out_key, v1, ikl, ivl, slots in records:
-            rec_results = tuple(
-                s[1] if s[0] == "hit" else results[s[1]] for s in slots
+    def _scan(self, ik, ctx) -> Tuple[Any, ...]:
+        """Serve an uncovered key by scanning the unindexed partition
+        remainder: same values, same fault semantics,
+        ``scan_multiplier * T_j`` service time."""
+        t0 = ctx.charged_time
+        values = tuple(self.accessor.lookup(ik, ctx))
+        tj_scan = (
+            self.accessor.service_time()
+            * self.build.scan_multiplier(self.accessor.name)
+        )
+        local = ctx.node.hostname in self.accessor.hosts_for_key(ik)
+        self._charge_single(ik, values, tj_scan, local, ctx)
+        ctx.counters.increment("build", "unindexed_lookups")
+        ctx.counters.increment("build", "scan_seconds", ctx.charged_time - t0)
+        if ctx.trace is not None:
+            ctx.trace.charged_span(
+                "build.scan_lookup", "op", t0, ctx.charged_time, DEPTH_DETAIL,
+                index=self.index_id, local=local,
             )
-            self._emit(out_key, v1, ikl, ivl, rec_results, collector, ctx)
+        if self.stats is not None:
+            sample = self.stats.sample_for(ctx.task_id)
+            j = self.index_id
+            sample.build_scanned[j] = sample.build_scanned.get(j, 0) + 1
+            sample.build_scan_tj_total[j] = (
+                sample.build_scan_tj_total.get(j, 0.0) + tj_scan
+            )
+        return values
+
+
+class LookupFn(ChainedFunction):
+    """One index's lookups inline in a map or reduce-post chain: the
+    baseline and cache strategies, and the post-shuffle leg of
+    re-partitioning and index locality. A thin shell over
+    :class:`LookupPipeline`; the flags choose its tiers:
+
+    * ``use_cache``: the node-local LRU (cache strategy); off, the
+      baseline -- every key pays a lookup, a shadow cache estimates R.
+    * ``dedup_adjacent``: the one-entry memo that removes the
+      duplicates a re-partitioning shuffle made adjacent.
+    * ``assume_local``: index locality -- the task runs on a node
+      hosting the key's partition, so lookups cost ``T_j`` only.
+
+    A record whose keys all resolve is emitted immediately; one with a
+    waiting key is parked and emitted, in arrival order, at the drain.
+    """
+
+    def __init__(
+        self,
+        operator: IndexOperator,
+        operator_id: str,
+        index_id: int,
+        stats: Optional[OperatorStatsAccumulator] = None,
+        use_cache: bool = False,
+        cache_capacity: int = 1024,
+        dedup_adjacent: bool = False,
+        assume_local: bool = False,
+        record_sidx: bool = False,
+        batch_size: int = 1,
+        reuse=None,
+        build=None,
+    ):
+        self.operator_id = operator_id
+        self.index_id = index_id
+        self.stats = stats
+        self.record_sidx = record_sidx
+        self.pipeline = LookupPipeline(
+            operator, operator_id, index_id, stats, batch_size, reuse, build,
+            use_cache=use_cache, shadow=not use_cache and not dedup_adjacent,
+            cache_capacity=cache_capacity, dedup_adjacent=dedup_adjacent,
+            assume_local=assume_local, walk_span=True,
+        )
+
+    def start(self, ctx):
+        self.pipeline.reset()
+
+    def process(self, key, value, collector, ctx):
+        v1, ikl, ivl = open_carrier(value)
+        lookup = self.pipeline.lookup
+        results = [lookup(ik, ctx) for ik in ikl[self.index_id]]
+        if None not in results:
+            # Every key resolved (or the record has none): emit right
+            # away, no batching delay.
+            self._emit(key, v1, ikl, ivl, tuple(results), collector, ctx)
+        elif self.pipeline.park((key, v1, ikl, ivl, results)):
+            self._drain(collector, ctx)
+
+    def finish(self, collector, ctx):
+        self._drain(collector, ctx, finishing=True)
+
+    def _drain(self, collector, ctx, finishing: bool = False):
+        fetched, parked = self.pipeline.drain(ctx, finishing)
+        for key, v1, ikl, ivl, results in parked:
+            filled = tuple(
+                fetched[ik] if values is None else values
+                for ik, values in zip(ikl[self.index_id], results)
+            )
+            self._emit(key, v1, ikl, ivl, filled, collector, ctx)
+
+    def _emit(self, key, v1, ikl, ivl, results, collector, ctx):
+        new_ivl = tuple(
+            results if j == self.index_id else ivl[j] for j in range(len(ivl))
+        )
+        carrier = make_carrier(v1, ikl, new_ivl)
+        collector.collect(key, carrier)
+        if self.stats is not None and self.record_sidx:
+            self.stats.sample_for(ctx.task_id).sidx_bytes += sizeof_pair(key, carrier)
 
     @property
     def name(self) -> str:
-        mode = "cache" if self.use_cache else "base"
-        if self.assume_local:
+        mode = "cache" if self.pipeline.use_cache else "base"
+        if self.pipeline.assume_local:
             mode = "idxloc"
-        elif self.dedup_adjacent:
+        elif self.pipeline.dedup_adjacent:
             mode = "repart"
         return f"idx[{self.operator_id}.{self.index_id}:{mode}]"
-
-
-_NO_MEMO = object()
 
 
 class PostProcessFn(ChainedFunction):
@@ -807,15 +680,14 @@ class KeyByIkFn(ChainedFunction):
         return f"keyby[{self.operator_id}.{self.index_id}]"
 
 
-class GroupLookupReducer(_BuildGate, _ReuseTier, Reducer):
+class GroupLookupReducer(Reducer):
     """Reduce side of a shuffle job with the boundary *after* the
     lookup: one lookup per distinct key, results fanned back out to
-    every carrier of the group.
-
-    With ``batch_size > 1``, consecutive reduce groups accumulate and
-    their (distinct, co-partitioned) keys are resolved with one
-    multiget per ``batch_size`` groups; ``batch_size=1`` is the exact
-    unbatched path.
+    every carrier of the group. A thin shell over
+    :class:`LookupPipeline` with only the build gate and the ReuseStore
+    in front of the index (the shuffle already grouped the duplicates a
+    memo or cache would catch); with ``batch_size > 1`` whole groups
+    park until one multiget resolves ``batch_size`` of them.
     """
 
     def __init__(
@@ -828,55 +700,35 @@ class GroupLookupReducer(_BuildGate, _ReuseTier, Reducer):
         reuse=None,
         build=None,
     ):
-        self.operator = operator
         self.operator_id = operator_id
         self.index_id = index_id
-        self.accessor = operator.accessors[index_id]
-        self.stats = stats
-        self.batch_size = max(1, int(batch_size))
-        self.reuse = reuse
-        self.build = build
-        self._pending_groups: list = []
+        self.pipeline = LookupPipeline(
+            operator, operator_id, index_id, stats, batch_size, reuse, build
+        )
 
     def start(self, ctx):
-        self._pending_groups = []
+        self.pipeline.reset()
 
     def reduce(self, ik, carriers, collector, ctx):
-        if ik is not None and self._build_uncovered(ik, ctx):
-            # One scan per distinct key (the shuffle already grouped the
-            # duplicates); uncovered groups never batch.
-            values = self._scan_fetch(ik, ctx)
-            self._emit_group(ik, carriers, (tuple(values),), collector)
-            return
-        if self.batch_size == 1:
-            if ik is None:
-                results: Tuple[Any, ...] = ()
-            else:
-                values = self._reuse_or_fetch(ik, ctx)
-                results = (tuple(values),)
-            self._emit_group(ik, carriers, results, collector)
-            return
         if ik is None:
             # Keyless records need no lookup: emit straight through.
-            self._emit_group(ik, carriers, (), collector)
+            self._emit_group(carriers, (), collector)
             return
-        reused = self._reuse_probe(ik, ctx)
-        if reused is not None:
-            # Reuse hit: emit the group immediately, exactly as a cache
-            # hit would on the map side. With a cold store this branch
-            # never fires, so batching order is unchanged.
-            self._emit_group(ik, carriers, (tuple(reused),), collector)
-            return
-        self._pending_groups.append((ik, list(carriers)))
-        if len(self._pending_groups) >= self.batch_size:
-            self._flush(collector, ctx)
+        values = self.pipeline.lookup(ik, ctx)
+        if values is not None:
+            self._emit_group(carriers, (values,), collector)
+        elif self.pipeline.park((ik, list(carriers))):
+            self._drain(collector, ctx)
 
     def finish(self, collector, ctx):
-        if self.batch_size > 1 and self._pending_groups:
-            ctx.counters.increment("batch", "flushes_on_finish")
-            self._flush(collector, ctx)
+        self._drain(collector, ctx, finishing=True)
 
-    def _emit_group(self, ik, carriers, results, collector):
+    def _drain(self, collector, ctx, finishing: bool = False):
+        results, parked = self.pipeline.drain(ctx, finishing)
+        for ik, carriers in parked:
+            self._emit_group(carriers, (results[ik],), collector)
+
+    def _emit_group(self, carriers, results, collector):
         for original_key, value in carriers:
             v1, ikl, ivl = open_carrier(value)
             per_record = results if ikl[self.index_id] else ()
@@ -885,143 +737,6 @@ class GroupLookupReducer(_BuildGate, _ReuseTier, Reducer):
                 for j in range(len(ivl))
             )
             collector.collect(original_key, make_carrier(v1, ikl, new_ivl))
-
-    def _flush(self, collector, ctx) -> None:
-        if not self._pending_groups:
-            return
-        tm = ctx.time_model
-        t0 = ctx.charged_time
-        groups = self._pending_groups
-        self._pending_groups = []
-
-        keys: List[Any] = []
-        seen: set = set()
-        for ik, _ in groups:
-            if ik not in seen:
-                seen.add(ik)
-                keys.append(ik)
-        value_lists = self.accessor.lookup_batch(keys, ctx)
-        results = {ik: tuple(vs) for ik, vs in zip(keys, value_lists)}
-        tj = self.accessor.service_time()
-
-        local_keys: List[Any] = []
-        remote_keys: List[Any] = []
-        for ik in keys:
-            if ctx.node.hostname in self.accessor.hosts_for_key(ik):
-                local_keys.append(ik)
-            else:
-                remote_keys.append(ik)
-
-        ctx.counters.increment("batch", "batches_issued")
-        ctx.counters.increment("batch", "keys_batched", len(keys))
-
-        if self.accessor.supports_batch:
-            if local_keys:
-                ctx.charge(
-                    tm.local_batch_lookup_time(
-                        self.accessor.batch_service_time(len(local_keys))
-                    )
-                )
-            if remote_keys:
-                ctx.charge(
-                    tm.remote_batch_lookup_time(
-                        sum(sizeof(ik) for ik in remote_keys),
-                        sum(sizeof(results[ik]) for ik in remote_keys),
-                        self.accessor.batch_service_time(len(remote_keys)),
-                    )
-                )
-        else:
-            for ik in local_keys:
-                ctx.charge(tm.local_lookup_time(tj))
-            for ik in remote_keys:
-                ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(results[ik]), tj))
-
-        ctx.counters.increment("lookup", "fetches", len(keys))
-        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "lookup.batch",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_OP,
-                op=self.operator_id,
-                index=self.index_id,
-                keys=len(keys),
-                records=len(groups),
-                native=self.accessor.supports_batch,
-            )
-
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
-            j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + len(keys)
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * len(keys)
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + len(keys)
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sum(
-                sizeof(results[ik]) for ik in keys
-            )
-            if self.accessor.supports_batch:
-                ngroups = (1 if local_keys else 0) + (1 if remote_keys else 0)
-                sample.batches[j] = sample.batches.get(j, 0) + ngroups
-                sample.batch_keys[j] = sample.batch_keys.get(j, 0) + len(keys)
-                sample.c_req_total[j] = (
-                    sample.c_req_total.get(j, 0.0)
-                    + ngroups * self.accessor.batch_request_overhead()
-                )
-                sample.c_key_total[j] = (
-                    sample.c_key_total.get(j, 0.0)
-                    + len(keys) * self.accessor.batch_key_time()
-                )
-
-        if self.reuse is not None:
-            admit_cost = self._reuse_admit_cost(len(keys))
-            for ik in keys:
-                self._reuse_admit(ik, ctx, results[ik], admit_cost)
-
-        for ik, carriers in groups:
-            self._emit_group(ik, carriers, (results[ik],), collector)
-
-    def _fetch(self, ik, ctx) -> List[Any]:
-        tm = ctx.time_model
-        t0 = ctx.charged_time
-        values = self.accessor.lookup(ik, ctx)
-        tj = self.accessor.service_time()
-        local = ctx.node.hostname in self.accessor.hosts_for_key(ik)
-        if local:
-            ctx.charge(tm.local_lookup_time(tj))
-        else:
-            ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(tuple(values)), tj))
-        ctx.counters.increment("lookup", "fetches")
-        ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            ctx.trace.charged_span(
-                "lookup",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_OP,
-                op=self.operator_id,
-                index=self.index_id,
-                local=local,
-            )
-            ctx.trace.charged_span(
-                "index.fetch",
-                "op",
-                t0,
-                ctx.charged_time,
-                DEPTH_DETAIL,
-                index=self.index_id,
-                local=local,
-            )
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
-            j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + 1
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + 1
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sizeof(tuple(values))
-        return values
 
     @property
     def name(self) -> str:

@@ -48,6 +48,10 @@ def carrier_for(key):
 
 
 class TestStartResetsPerTaskState:
+    """Every check goes through what a task can observe -- fetches the
+    index served and records emitted -- so the private layout of the
+    per-task state is free to change."""
+
     def test_memo_dropped_between_attempts(self, op, index, ctx):
         fn = LookupFn(op, "op0", 0, dedup_adjacent=True)
         fn.start(ctx)
@@ -58,36 +62,45 @@ class TestStartResetsPerTaskState:
 
         # The runtime retries the task: same instance, fresh start().
         fn.start(ctx)
-        assert fn._memo_values == ()
         fn.process(*carrier_for("k3"), col, ctx)
         # The retry must refetch: its memo cannot carry over from the
         # crashed attempt.
         assert index.lookups_served == 2
+        assert [c[3] for _, c in col.records] == [(((3,),),)] * 3
 
-    def test_memo_key_reset_to_sentinel(self, op, ctx):
-        # The sentinel must not compare equal to any real ik -- in
-        # particular not to None, which is a legal lookup key.
+    def test_memo_key_reset_to_sentinel(self, ctx):
+        # The empty memo must not compare equal to any real ik -- in
+        # particular not to None, which is a legal lookup key. Were it
+        # to, the first None-keyed record of an attempt would be served
+        # the empty memo's () without ever reaching the index.
+        index = MappingIndex("m", {None: ["n"], "k3": [3]}, service_time=1e-3)
+        op = IndexOperator("unit-op").add_index(IndexAccessor(index))
         fn = LookupFn(op, "op0", 0, dedup_adjacent=True)
-        fn.start(ctx)
-        assert fn._memo_key is not None
-        assert fn._memo_key != None  # noqa: E711 -- the comparison IS the test
+        for attempt in (1, 2):
+            fn.start(ctx)
+            col = OutputCollector()
+            fn.process(*carrier_for(None), col, ctx)
+            assert index.lookups_served == 2 * attempt - 1
+            assert col.records[0][1][3] == ((("n",),),)
+            fn.process(*carrier_for("k3"), col, ctx)  # leave a real memo
 
-    def test_pending_batch_dropped_between_attempts(self, op, ctx):
+    def test_pending_batch_dropped_between_attempts(self, op, index, ctx):
         fn = LookupFn(op, "op0", 0, batch_size=4)
         fn.start(ctx)
         col = OutputCollector()
         fn.process(*carrier_for("k1"), col, ctx)
         fn.process(*carrier_for("k2"), col, ctx)
         assert col.records == []  # buffered, not yet flushed
+        assert index.lookups_served == 0
 
         fn.start(ctx)  # retry: the crashed attempt's buffer must vanish
-        fn.process(*carrier_for("k1"), col, ctx)
-        fn.process(*carrier_for("k2"), col, ctx)
+        fn.process(*carrier_for("k3"), col, ctx)
+        fn.process(*carrier_for("k4"), col, ctx)
         fn.finish(col, ctx)
-        # Exactly the retry's two records -- nothing replayed from the
-        # first attempt's pending buffer.
-        assert len(col.records) == 2
-        assert sorted(k for k, _ in col.records) == ["k1", "k2"]
+        # Exactly the retry's two records and the retry's two keys --
+        # nothing replayed (or fetched) from the first attempt's buffer.
+        assert sorted(k for k, _ in col.records) == ["k3", "k4"]
+        assert (index.batches_served, index.lookups_served) == (1, 2)
 
 
 class FirstCityOperator(IndexOperator):

@@ -130,6 +130,41 @@ class TestLookupFnModes:
         _v1, _ikl, ivl = open_carrier(col.records[0][1])
         assert ivl == (((),),)
 
+    def test_batch_size_one_never_multigets(self, op, ctx):
+        # Pinned: batch_size=1 means "fetch each missing key at once
+        # with a single lookup", not "a batch that drains per record".
+        # On a native-multiget index the latter would turn this record's
+        # three lookups into one C_req + 3*C_key request and move
+        # simulated time.
+        index = op.accessors[0].index
+        tm = ctx.time_model
+        carrier = make_carrier("v", (("k1", "k2", "k3"),), (None,))
+
+        fn = LookupFn(op, "op0", 0, assume_local=True, batch_size=1)
+        fn.start(ctx)
+        col = OutputCollector()
+        fn.process("r", carrier, col, ctx)
+        fn.finish(col, ctx)
+        assert ctx.charged_time == pytest.approx(3 * tm.local_lookup_time(1e-3))
+        assert ctx.counters.get("lookup", "fetches") == 3
+        assert ctx.counters.group("batch") == {}
+        assert (index.lookups_served, index.batches_served) == (3, 0)
+
+        ctx4 = TaskContext(ctx.node, tm, task_id="t1")
+        fn4 = LookupFn(op, "op0", 0, assume_local=True, batch_size=4)
+        fn4.start(ctx4)
+        col4 = OutputCollector()
+        fn4.process("r", carrier, col4, ctx4)
+        fn4.finish(col4, ctx4)
+        assert ctx4.charged_time == pytest.approx(
+            tm.local_batch_lookup_time(index.batch_service_time(3))
+        )
+        assert ctx4.counters.get("lookup", "fetches") == 3
+        assert ctx4.counters.get("batch", "batches_issued") == 1
+        assert ctx4.counters.get("batch", "keys_batched") == 3
+        assert (index.lookups_served, index.batches_served) == (6, 1)
+        assert col4.records == col.records
+
     def test_record_with_no_keys_skips_lookup(self, op, ctx):
         fn = LookupFn(op, "op0", 0)
         col = OutputCollector()

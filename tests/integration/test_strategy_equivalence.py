@@ -160,7 +160,7 @@ def test_equivalence_and_counter_consistency(
         assert all(v == 0.0 for v in faults.values())
 
     # batch.* consistency. batch_size=1 must not even create the
-    # counter group (it is the unbatched code path); batched runs must
+    # counter group (it never issues a multiget); batched runs must
     # fill every multiget with >= 1 key and <= batch_size records'
     # worth of keys, and cannot finish-flush more often than they flush.
     if batch_size == 1:
@@ -178,7 +178,7 @@ def test_equivalence_and_counter_consistency(
 def test_batch_size_one_is_bit_identical(workload, mode):
     """batch_size=1 (the default) and an explicit batch_size=1 runner
     agree exactly -- same output *order*, same simulated time to the
-    bit, same counters -- because both take the pre-batching code path.
+    bit, same counters.
     """
     cluster, dfs, make_job, _ = fresh_env(workload, fault=False)
     default_runner = EFindRunner(cluster, dfs)

@@ -1,10 +1,12 @@
-"""Property-based tests (hypothesis): batched and unbatched lookup
-strategies agree on every cache-related observable.
+"""Property-based tests (hypothesis): the lookup pipeline records the
+same cache-related observables whatever its ``batch_size``.
 
-For any key stream, running ``LookupFn`` with ``batch_size > 1`` must
-record exactly the counters, statistics samples, and reuse-store state
-that the unbatched path records -- across the whole cache hierarchy:
-the adjacent-duplicate memo, the node-local LRU, and the cross-job
+For any stream -- single-key records, records with 0-3 keys including
+in-record duplicates, or reduce groups -- running ``LookupFn`` /
+``GroupLookupReducer`` with ``batch_size > 1`` must record exactly the
+counters, statistics samples, and reuse-store state that
+``batch_size=1`` records -- across the whole cache hierarchy: the
+adjacent-duplicate memo, the node-local LRU, and the cross-job
 ReuseStore tier. (The equivalence holds under the store's "always"
 admission policy; cost-aware admission may legitimately diverge because
 batching amortises the per-key refetch cost it gates on.)
@@ -17,7 +19,7 @@ from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
 from repro.core.reuse import ReuseStore
 from repro.core.statistics import OperatorStatsAccumulator
-from repro.core.strategy import LookupFn, make_carrier
+from repro.core.strategy import GroupLookupReducer, LookupFn, make_carrier
 from repro.indices.base import MappingIndex
 from repro.mapreduce.api import OutputCollector, TaskContext
 from repro.simcluster.cluster import Cluster
@@ -27,13 +29,20 @@ KEY_DOMAIN = [f"k{i:02d}" for i in range(20)]
 
 # Repeats matter (they exercise memo, LRU, and reuse hits); ghosts miss
 # the index entirely (empty results must still be admitted and reused).
-key_lists = st.lists(
-    st.one_of(
-        st.sampled_from(KEY_DOMAIN),
-        st.sampled_from(["ghost0", "ghost1"]),
-    ),
-    max_size=48,
+a_key = st.one_of(
+    st.sampled_from(KEY_DOMAIN), st.sampled_from(["ghost0", "ghost1"])
 )
+key_lists = st.lists(a_key, max_size=48)
+
+# Records carrying 0-3 keys for the index; a small domain makes
+# in-record duplicates (adjacent and not) common.
+multi_key_records = st.lists(
+    st.lists(a_key, max_size=3).map(tuple), max_size=32
+)
+
+# A reduce task's group stream: distinct keys (the shuffle grouped the
+# duplicates), plus possibly the keyless group.
+group_keys = st.lists(st.one_of(st.none(), a_key), max_size=32, unique=True)
 
 batch_sizes = st.sampled_from([2, 3, 4, 7])
 
@@ -44,9 +53,11 @@ def make_ctx(task_id="prop-parity"):
 
 
 def run_stream(keys, batch_size, use_cache=False, dedup=False, store=None,
-               warm_keys=()):
-    """Drive one LookupFn over ``keys``; returns (ctx, stats sample,
-    sorted output records, store)."""
+               warm_keys=(), reducer=False):
+    """Drive one LookupFn over ``keys`` -- one record per element, which
+    is a key or a tuple of keys -- or, with ``reducer``, one
+    GroupLookupReducer over them as two-carrier groups; returns (ctx,
+    stats sample, sorted output records, store)."""
     index = MappingIndex(
         "parity", {k: [f"{k}-v"] for k in KEY_DOMAIN}, service_time=1e-3
     )
@@ -62,16 +73,30 @@ def run_stream(keys, batch_size, use_cache=False, dedup=False, store=None,
             warm.process(key, make_carrier("v", ((key,),), (None,)), wcol, wctx)
         warm.finish(wcol, wctx)
     acc = OperatorStatsAccumulator("op", 1, 2, 1024)
-    fn = LookupFn(
-        op, "op", 0, stats=acc, use_cache=use_cache, dedup_adjacent=dedup,
-        batch_size=batch_size, reuse=store,
-    )
     ctx = make_ctx()
-    fn.start(ctx)
     col = OutputCollector()
-    for key in keys:
-        fn.process(key, make_carrier("v", ((key,),), (None,)), col, ctx)
-    fn.finish(col, ctx)
+    if reducer:
+        red = GroupLookupReducer(
+            op, "op", 0, stats=acc, batch_size=batch_size, reuse=store
+        )
+        red.start(ctx)
+        for i, ik in enumerate(keys):
+            iks = () if ik is None else (ik,)
+            carriers = [
+                ((i, n), make_carrier("v", (iks,), (None,))) for n in range(2)
+            ]
+            red.reduce(ik, carriers, col, ctx)
+        red.finish(col, ctx)
+    else:
+        fn = LookupFn(
+            op, "op", 0, stats=acc, use_cache=use_cache, dedup_adjacent=dedup,
+            batch_size=batch_size, reuse=store,
+        )
+        fn.start(ctx)
+        for i, key in enumerate(keys):
+            iks = key if isinstance(key, tuple) else (key,)
+            fn.process((i, key), make_carrier("v", (iks,), (None,)), col, ctx)
+        fn.finish(col, ctx)
     return ctx, acc.sample_for("prop-parity"), sorted(col.records), store
 
 
@@ -82,15 +107,22 @@ def assert_parity(keys, batch_size, **kwargs):
     assert out_b == out_u
 
     # The whole cache.* counter group -- probes, hits, misses -- and the
-    # reuse.* group must agree between the two execution shapes.
+    # reuse.* group must agree between the two execution shapes. With a
+    # store in front of the index, so must the number of keys fetched
+    # (lookup.fetch_seconds legitimately differs: a multiget amortises).
     assert ctx_b.counters.group("cache") == ctx_u.counters.group("cache")
     assert ctx_b.counters.group("reuse") == ctx_u.counters.group("reuse")
+    assert ctx_b.counters.get("lookup", "fetches") == ctx_u.counters.get(
+        "lookup", "fetches"
+    )
 
     # IndexStats samples: per-index cache and reuse tallies.
     assert sample_b.cache_probes == sample_u.cache_probes
     assert sample_b.cache_misses == sample_u.cache_misses
     assert sample_b.reuse_probes == sample_u.reuse_probes
     assert sample_b.reuse_hits == sample_u.reuse_hits
+    assert sample_b.lookups == sample_u.lookups
+    assert sample_b.siv_bytes == sample_u.siv_bytes
 
     # The ReuseStore tier itself ends up in the same state: identical
     # lifetime counts and identical occupancy.
@@ -130,3 +162,24 @@ class TestBatchedUnbatchedParity:
             keys, batch_size, use_cache=True, dedup=True,
             warm_keys=KEY_DOMAIN[1::2],
         )
+
+    @given(records=multi_key_records, batch_size=batch_sizes)
+    @settings(max_examples=40, deadline=None)
+    def test_multi_key_records_full_hierarchy(self, records, batch_size):
+        # 0-3 keys per record, in-record duplicates included: at B=1 a
+        # record's second copy of a key finds it already fetched; at
+        # B>1 it finds it waiting in the same batch.
+        assert_parity(
+            records, batch_size, use_cache=True, dedup=True,
+            warm_keys=KEY_DOMAIN[1::2],
+        )
+
+    @given(records=multi_key_records, batch_size=batch_sizes)
+    @settings(max_examples=40, deadline=None)
+    def test_multi_key_records_baseline(self, records, batch_size):
+        assert_parity(records, batch_size)
+
+    @given(keys=group_keys, batch_size=st.sampled_from([2, 3, 7]))
+    @settings(max_examples=40, deadline=None)
+    def test_group_lookup_reducer(self, keys, batch_size):
+        assert_parity(keys, batch_size, reducer=True, warm_keys=KEY_DOMAIN[::2])
