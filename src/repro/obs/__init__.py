@@ -19,8 +19,13 @@ Layout:
   change).
 * :mod:`repro.obs.export`  -- Chrome ``trace_event`` JSON + JSONL
   exporters and the trace validator.
-* :mod:`repro.obs.report`  -- the ``python -m repro.obs report``
-  summarizer (critical path, slowest lookups, re-plan timeline).
+* :mod:`repro.obs.analysis` -- offline analytics over the exported
+  artifacts; ``python -m repro.obs.analysis report`` is the one command
+  that reads a trace (critical path, stragglers, drift, slowest
+  lookups, re-plan timeline), all over one span tree
+  (:func:`repro.obs.analysis.loader.build_forest`).
+* :mod:`repro.obs.live`    -- the telemetry bus, rolling aggregators and
+  SLO rule engine of a ``--live`` run.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""CLI: ``python -m repro.obs {report,validate,live} <trace-file-or-dir>``.
+"""CLI: ``python -m repro.obs {validate,live} <trace-file-or-dir>``.
 
-``report`` prints the per-phase critical path, slowest lookups,
-re-plan timeline, and (for live runs) the SLO alert timeline of each
-exported trace; ``validate`` structurally checks traces (exit 1 on
-problems) and is what the CI traced-bench step runs; ``live`` replays
-a traced run tick-by-tick through the telemetry bus, printing a
-progress frame per tick and the resulting alert timeline (asserting it
-against the recorded ``alerts.jsonl`` when present).
+``validate`` structurally checks traces (exit 1 on problems) and is
+what the CI traced-bench step runs; ``live`` replays a traced run
+tick-by-tick through the telemetry bus, printing a progress frame per
+tick and the resulting alert timeline (asserting it against the
+recorded ``alerts.jsonl`` when present). Reading a trace -- why was
+this run slow -- is ``python -m repro.obs.analysis report``.
 
 Artifact problems -- a missing or empty trace directory, a truncated
 or partially written export -- exit 2 with a one-line reason instead
@@ -26,7 +25,6 @@ from repro.obs.analysis.loader import (
     load_json_file,
 )
 from repro.obs.export import max_event_depth, validate_chrome_trace
-from repro.obs.report import build_report
 
 
 def _trace_files(path: str) -> list:
@@ -48,10 +46,6 @@ def main(argv=None) -> int:
         prog="python -m repro.obs", description=__doc__
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_report = sub.add_parser("report", help="summarize exported traces")
-    p_report.add_argument("path", help="a *.trace.json file or a directory")
-    p_report.add_argument("--top-k", type=int, default=10)
 
     p_validate = sub.add_parser(
         "validate", help="structurally validate exported traces"
@@ -97,17 +91,6 @@ def main(argv=None) -> int:
             return 2
         for line in lines:
             print(line)
-        return 0
-
-    if args.command == "report":
-        try:
-            files = _trace_files(args.path)
-            for path in files:
-                print(build_report(path, top_k=args.top_k))
-                print()
-        except TraceArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         return 0
 
     # validate

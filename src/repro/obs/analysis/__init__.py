@@ -6,7 +6,9 @@ answers "where did the simulated time go, was the cost model right, and
 did this change make anything slower":
 
 * :mod:`repro.obs.analysis.loader`        -- robust artifact loading
-  (trace/audit/metrics triples, with clear errors on partial exports);
+  (trace/audit/metrics triples, with clear errors on partial exports)
+  and the one span tree every analysis below walks
+  (``build_forest``: job -> stage -> phase -> wave -> task nodes);
 * :mod:`repro.obs.analysis.critical_path` -- per-job critical-path
   extraction with exact 100% time accounting, per-phase attribution
   (compute vs lookup vs shuffle vs io), and what-if wave slack;

@@ -2,7 +2,9 @@
 
 Subcommands::
 
-    report        TRACE [--json]   critical path + stragglers + drift
+    report        TRACE [--json]   critical path + stragglers + drift, then
+                                   slowest lookups, re-plan timeline and
+                                   (live runs) the SLO alert summary
     critical-path TRACE [--json]   per-job critical path only
     stragglers    TRACE [--json]   per-phase straggler/skew profile only
     drift         TRACE [--json]   cost-model drift only
@@ -24,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.obs.analysis import critical_path as cp
 from repro.obs.analysis import diff as df
@@ -36,140 +38,119 @@ from repro.obs.analysis.loader import (
     TraceArtifacts,
     load_artifacts,
 )
+from repro.obs.live.engine import summary_lines
 
 
-def _analyze(artifact: TraceArtifacts) -> dict:
-    """Everything the full report knows about one artifact, as JSON."""
-    return {
-        "base": artifact.base,
-        "trace": artifact.trace_path,
-        "dropped_detail": artifact.dropped_detail,
-        "critical_paths": [
-            p.to_dict()
-            for p in cp.critical_paths(
-                artifact.spans, alerts=artifact.alert_rows
-            )
-        ],
-        "stragglers": [
-            p.to_dict()
-            for p in st.phase_profiles(
-                artifact.spans, alerts=artifact.alert_rows
-            )
-        ],
-        "drift": [d.to_dict() for d in dr.job_drift(artifact)],
-        "alerts": list(artifact.alert_rows),
-    }
+class Section(NamedTuple):
+    """One per-artifact analysis, declared once for both the full
+    report and its own subcommand."""
+
+    command: str  # subcommand name
+    key: str  # key in the full report's JSON
+    title: Optional[str]  # heading in the full text report (None: flush)
+    compute: Callable[[TraceArtifacts], list]  # -> rows with to_dict()
+    render: Callable[[list], List[str]]
 
 
-def _print_critical_path(artifact: TraceArtifacts) -> None:
-    for path in cp.critical_paths(artifact.spans, alerts=artifact.alert_rows):
-        for line in cp.render(path):
-            print(line)
+SECTIONS = (
+    Section(
+        "critical-path", "critical_paths", None,
+        lambda a: cp.critical_paths(a.spans, alerts=a.alert_rows),
+        lambda paths: [line for path in paths for line in cp.render(path)],
+    ),
+    Section(
+        "stragglers", "stragglers", None,
+        lambda a: st.phase_profiles(a.spans, alerts=a.alert_rows),
+        st.render,
+    ),
+    Section("drift", "drift", "cost-model drift", dr.job_drift, dr.render),
+)
 
 
-def _print_stragglers(artifact: TraceArtifacts) -> None:
-    for line in st.render(
-        st.phase_profiles(artifact.spans, alerts=artifact.alert_rows)
-    ):
-        print(line)
+def _dicts(rows: list) -> List[dict]:
+    return [row.to_dict() for row in rows]
 
 
-def _print_drift(artifacts: List[TraceArtifacts]) -> None:
+def _dump(doc: dict) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _print(lines: List[str], title: Optional[str] = None) -> None:
+    if title is not None:
+        print(f"{title}:")
+    for line in lines:
+        print(f"  {line}" if title is not None else line)
+
+
+def _equivalence_lines(artifacts: List[TraceArtifacts]) -> List[str]:
     equivalence = dr.executed_equivalence(artifacts)
-    for artifact in artifacts:
-        print(f"--- {artifact.base} ---")
-        for line in dr.render(dr.job_drift(artifact)):
-            print(line)
-    if equivalence:
-        for line in dr.render([], equivalence):
-            print(line)
+    return dr.render([], equivalence) if equivalence else []
 
 
 def cmd_report(args) -> int:
     artifacts = load_artifacts(args.trace)
     if args.json:
-        doc = {
-            "artifacts": [_analyze(a) for a in artifacts],
-            "executed_equivalence": [
-                e.to_dict() for e in dr.executed_equivalence(artifacts)
-            ],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _dump(
+            {
+                "artifacts": [
+                    {
+                        "base": a.base,
+                        "trace": a.trace_path,
+                        "dropped_detail": a.dropped_detail,
+                        "alerts": list(a.alert_rows),
+                        **{s.key: _dicts(s.compute(a)) for s in SECTIONS},
+                    }
+                    for a in artifacts
+                ],
+                "executed_equivalence": _dicts(
+                    dr.executed_equivalence(artifacts)
+                ),
+            }
+        )
         return 0
     for artifact in artifacts:
         print(f"=== {artifact.base} ===")
-        _print_critical_path(artifact)
-        _print_stragglers(artifact)
-        print("cost-model drift:")
-        for line in dr.render(dr.job_drift(artifact)):
-            print(f"  {line}")
-    equivalence = dr.executed_equivalence(artifacts)
-    if equivalence:
-        for line in dr.render([], equivalence):
-            print(line)
+        for section in SECTIONS:
+            _print(section.render(section.compute(artifact)), section.title)
+        _print(st.slowest_lookups(artifact.spans), "slowest lookups")
+        _print(dr.replan_timeline(artifact.audit_rows), "re-plan timeline")
+        if artifact.alert_rows:
+            _print(summary_lines(artifact.alert_rows), "SLO alerts")
+    _print(_equivalence_lines(artifacts))
     return 0
 
 
-def cmd_critical_path(args) -> int:
+def cmd_section(args) -> int:
+    """One section on its own. ``drift`` is the cross-artifact one: it
+    also reports executed-equivalence over the whole directory."""
+    (section,) = [s for s in SECTIONS if s.command == args.cmd]
+    across = section.command == "drift"
     artifacts = load_artifacts(args.trace)
     if args.json:
-        doc = {
-            a.base: [
-                p.to_dict()
-                for p in cp.critical_paths(a.spans, alerts=a.alert_rows)
-            ]
-            for a in artifacts
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        doc = {a.base: _dicts(section.compute(a)) for a in artifacts}
+        if across:
+            doc = {
+                "jobs": doc,
+                "executed_equivalence": _dicts(
+                    dr.executed_equivalence(artifacts)
+                ),
+            }
+        _dump(doc)
         return 0
     for artifact in artifacts:
-        print(f"=== {artifact.base} ===")
-        _print_critical_path(artifact)
-    return 0
-
-
-def cmd_stragglers(args) -> int:
-    artifacts = load_artifacts(args.trace)
-    if args.json:
-        doc = {
-            a.base: [
-                p.to_dict()
-                for p in st.phase_profiles(a.spans, alerts=a.alert_rows)
-            ]
-            for a in artifacts
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    for artifact in artifacts:
-        print(f"=== {artifact.base} ===")
-        _print_stragglers(artifact)
-    return 0
-
-
-def cmd_drift(args) -> int:
-    artifacts = load_artifacts(args.trace)
-    if args.json:
-        doc = {
-            "jobs": {
-                a.base: [d.to_dict() for d in dr.job_drift(a)] for a in artifacts
-            },
-            "executed_equivalence": [
-                e.to_dict() for e in dr.executed_equivalence(artifacts)
-            ],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    _print_drift(artifacts)
+        print(f"--- {artifact.base} ---" if across else f"=== {artifact.base} ===")
+        _print(section.render(section.compute(artifact)))
+    if across:
+        _print(_equivalence_lines(artifacts))
     return 0
 
 
 def cmd_diff(args) -> int:
     result = df.diff_paths(args.old, args.new)
     if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+        _dump(result.to_dict())
     else:
-        for line in df.render(result, top=args.top):
-            print(line)
+        _print(df.render(result, top=args.top))
     return 0 if result.identical else 1
 
 
@@ -203,15 +184,15 @@ def cmd_regress(args) -> int:
         doc = report.to_dict()
         if trace_diff is not None:
             doc["trace_diff"] = trace_diff.to_dict()
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _dump(doc)
     else:
-        for line in rg.render(report, verbose=args.verbose):
-            print(line)
+        _print(rg.render(report, verbose=args.verbose))
         if trace_diff is not None:
             print()
-            print("root cause (trace diff old -> new):")
-            for line in df.render(trace_diff, top=args.top):
-                print(f"  {line}")
+            _print(
+                df.render(trace_diff, top=args.top),
+                "root cause (trace diff old -> new)",
+            )
     return 0 if report.ok else 1
 
 
@@ -228,10 +209,13 @@ def main(argv=None) -> int:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(func=func)
 
-    trace_cmd("report", cmd_report, "critical path + stragglers + drift")
-    trace_cmd("critical-path", cmd_critical_path, "per-job critical path")
-    trace_cmd("stragglers", cmd_stragglers, "per-phase straggler/skew profile")
-    trace_cmd("drift", cmd_drift, "cost-model drift detection")
+    trace_cmd(
+        "report", cmd_report,
+        "every section below + slowest lookups, re-plan timeline, SLO alerts",
+    )
+    trace_cmd("critical-path", cmd_section, "per-job critical path")
+    trace_cmd("stragglers", cmd_section, "per-phase straggler/skew profile")
+    trace_cmd("drift", cmd_section, "cost-model drift detection")
 
     p = sub.add_parser(
         "diff",

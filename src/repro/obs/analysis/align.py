@@ -3,28 +3,10 @@
 The diff tool (:mod:`repro.obs.analysis.diff`) needs to compare "the
 same" piece of work across two runs whose absolute timestamps have
 nothing in common. Identity therefore never involves time across runs:
-
-========  =====================================================
-level      identity within its parent
-========  =====================================================
-job        EFind job name + occurrence (start-order rank among
-           same-named jobs)
-stage      JobConf name with the owning job's prefix stripped
-           (``""`` for the main stage, ``"/shuffle-head0.0"`` for
-           extra-job stages) + occurrence -- a dynamic replan
-           re-runs the main stage under the same name, so the
-           second attempt is occurrence 1
-phase      kind (``map`` / ``reduce``) + occurrence
-wave       wave index (``args.wave``)
-task       task id with the stage conf prefix stripped
-           (``m0007`` / ``r0003``), the span name (``task`` vs
-           ``task.crash`` vs ``task.killed``) + occurrence
-========  =====================================================
-
-Within one run, parent/child assignment does use time containment --
-that is how the exporter encodes nesting for replanned stages that
-share a conf name (see :mod:`repro.obs.analysis.critical_path`), and it
-is a fact about one artifact, not a cross-run comparison.
+the two span trees (:func:`repro.obs.analysis.loader.build_forest`) are
+matched by node ``ident`` only -- job/stage/phase names, wave and task
+indices, occurrence ranks (see the identity table there). Time
+containment is used only *within* one run, to build its tree.
 
 Job names usually differ between the two runs of a diff (bench job
 names embed the variant label, e.g. ``slow-off-cache`` vs
@@ -39,46 +21,10 @@ independent of the order spans appear in the artifact files.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.trace import (
-    DEPTH_JOB,
-    DEPTH_PHASE,
-    DEPTH_STAGE,
-    DEPTH_TASK,
-    DEPTH_WAVE,
-)
-
-_EPS = 1e-9
-
-#: Levels in hierarchy order (``run`` is the synthetic root).
-LEVELS = ("run", "job", "stage", "phase", "wave", "task")
-
-
-@dataclass
-class SpanNode:
-    """One identified span in one run's hierarchy."""
-
-    level: str
-    ident: Tuple  # identity key within the parent (stable across runs)
-    label: str  # display name, taken from this run
-    start: float
-    end: float
-    args: dict = field(default_factory=dict)
-    name: str = ""  # raw span name (``task`` vs ``task.crash`` ...)
-    track: str = ""
-    children: List["SpanNode"] = field(default_factory=list)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+from repro.obs.analysis.loader import SpanNode, build_forest
 
 
 @dataclass
@@ -107,197 +53,6 @@ class AlignedNode:
                 return f"{self.old.label} -> {self.new.label}"
             return self.old.label
         return (self.old or self.new).label
-
-
-def _job_of(span: dict) -> str:
-    return str(span["args"].get("job", span["name"]))
-
-
-def _contained(span: dict, start: float, end: float) -> bool:
-    return (
-        span["start"] >= start - _EPS
-        and span["start"] + span["dur"] <= end + _EPS
-    )
-
-
-def _with_occurrence(
-    level: str, keyed: List[Tuple[Tuple, dict, str]], track_key: bool = False
-) -> List[SpanNode]:
-    """Turn (partial key, span, label) triples -- already sorted in
-    start order -- into nodes whose ident carries an occurrence rank,
-    so repeated identities (replanned stages, crash attempts sharing a
-    task id) stay distinct and order-stable."""
-    counts: Dict[Tuple, int] = {}
-    nodes: List[SpanNode] = []
-    for partial, span, label in keyed:
-        occ = counts.get(partial, 0)
-        counts[partial] = occ + 1
-        nodes.append(
-            SpanNode(
-                level=level,
-                ident=partial + (occ,),
-                label=label,
-                start=span["start"],
-                end=span["start"] + span["dur"],
-                args=span.get("args", {}),
-                name=str(span.get("name", "")),
-                track=str(span.get("track", "")),
-            )
-        )
-    return nodes
-
-
-# ----------------------------------------------------------------------
-# Forest construction (one run)
-# ----------------------------------------------------------------------
-def build_forest(spans: List[dict]) -> List[SpanNode]:
-    """The identified job/stage/phase/wave/task hierarchy of one run.
-
-    Sorting keys are total (time, then names, then track), so the
-    result does not depend on the order of ``spans``.
-    """
-    by_depth: Dict[int, List[dict]] = {}
-    for span in spans:
-        by_depth.setdefault(span["depth"], []).append(span)
-
-    jobs = sorted(
-        by_depth.get(DEPTH_JOB, ()), key=lambda s: (s["start"], _job_of(s))
-    )
-    job_nodes = _with_occurrence(
-        "job", [((_job_of(s),), s, _job_of(s)) for s in jobs]
-    )
-    for job_span, job_node in zip(jobs, job_nodes):
-        job_node.children = _build_stages(job_node, by_depth)
-    return job_nodes
-
-
-def stage_suffix(stage_conf: str, job: str) -> str:
-    """A stage JobConf name relative to its owning EFind job (``""``
-    for the main stage)."""
-    if stage_conf == job:
-        return ""
-    if stage_conf.startswith(job + "/"):
-        return stage_conf[len(job):]
-    return stage_conf
-
-
-def _build_stages(job: SpanNode, by_depth) -> List[SpanNode]:
-    job_name = job.label
-    stages = sorted(
-        (
-            s
-            for s in by_depth.get(DEPTH_STAGE, ())
-            if _job_of(s) == job_name or _job_of(s).startswith(job_name + "/")
-        ),
-        key=lambda s: (s["start"], _job_of(s)),
-    )
-    nodes = _with_occurrence(
-        "stage",
-        [((stage_suffix(_job_of(s), job_name),), s, _job_of(s)) for s in stages],
-    )
-    for stage_span, stage_node in zip(stages, nodes):
-        stage_node.children = _build_phases(stage_node, by_depth)
-    return nodes
-
-
-def _build_phases(stage: SpanNode, by_depth) -> List[SpanNode]:
-    stage_conf = stage.label
-    phases = sorted(
-        (
-            s
-            for s in by_depth.get(DEPTH_PHASE, ())
-            if _job_of(s) == stage_conf
-            and _contained(s, stage.start, stage.end)
-        ),
-        key=lambda s: (s["start"], str(s["args"].get("kind", s["name"]))),
-    )
-    nodes = _with_occurrence(
-        "phase",
-        [
-            ((str(s["args"].get("kind", s["name"])),), s,
-             str(s["args"].get("kind", s["name"])))
-            for s in phases
-        ],
-    )
-    for phase_span, phase_node in zip(phases, nodes):
-        phase_node.children = _build_waves(stage_conf, phase_node, by_depth)
-    return nodes
-
-
-def _task_wave(span: dict) -> Optional[int]:
-    wave = span["args"].get("wave")
-    return int(wave) if wave is not None else None
-
-
-def _build_waves(
-    stage_conf: str, phase: SpanNode, by_depth
-) -> List[SpanNode]:
-    kind = phase.ident[0]
-    match = re.compile(re.escape(stage_conf) + r"-[mr]\d+$").match
-    tasks = sorted(
-        (
-            s
-            for s in by_depth.get(DEPTH_TASK, ())
-            if match(str(s["args"].get("task", "")))
-            and s["args"].get("kind") == kind
-            and _contained(s, phase.start, phase.end)
-        ),
-        key=lambda s: (
-            s["start"],
-            str(s["args"].get("task", "")),
-            str(s.get("name", "")),
-            str(s.get("track", "")),
-        ),
-    )
-    wave_spans = {
-        _task_wave(s): s
-        for s in by_depth.get(DEPTH_WAVE, ())
-        if _job_of(s) == stage_conf
-        and s["args"].get("kind") == kind
-        and _contained(s, phase.start, phase.end)
-    }
-    by_wave: Dict[Optional[int], List[dict]] = {}
-    for task in tasks:
-        by_wave.setdefault(_task_wave(task), []).append(task)
-
-    nodes: List[SpanNode] = []
-    for wave in sorted(by_wave, key=lambda w: (w is None, w)):
-        batch = by_wave[wave]
-        wave_span = wave_spans.get(wave)
-        if wave_span is not None:
-            start = wave_span["start"]
-            end = wave_span["start"] + wave_span["dur"]
-            args = wave_span.get("args", {})
-        else:
-            # A wave whose every attempt crashed/was killed emits no
-            # wave span; synthesize the envelope from its task spans.
-            start = min(t["start"] for t in batch)
-            end = max(t["start"] + t["dur"] for t in batch)
-            args = {}
-        node = SpanNode(
-            level="wave",
-            ident=(wave,),
-            label=f"{kind}.wave{wave}",
-            start=start,
-            end=end,
-            args=args,
-        )
-        node.children = _with_occurrence(
-            "task",
-            [
-                (
-                    (
-                        str(t["args"].get("task", ""))[len(stage_conf) + 1:],
-                        str(t.get("name", "")),
-                    ),
-                    t,
-                    str(t["args"].get("task", "")),
-                )
-                for t in batch
-            ],
-        )
-        nodes.append(node)
-    return nodes
 
 
 # ----------------------------------------------------------------------

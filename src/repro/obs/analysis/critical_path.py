@@ -22,31 +22,18 @@ duration -- the headroom straggler mitigation could recover.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs.trace import (
-    DEPTH_JOB,
-    DEPTH_PHASE,
-    DEPTH_STAGE,
-    DEPTH_TASK,
+from repro.obs.analysis.loader import (
+    OP_BUCKETS,
+    SpanNode,
+    build_forest,
+    op_totals,
 )
+from repro.obs.metrics import median
 
 _EPS = 1e-9
-
-#: Top-level op-span names -> attribution bucket. Nested detail names
-#: (cache.probe, index.fetch, ...) are excluded: they overlap their
-#: parent lookup span and would double-count.
-ATTRIBUTION_BUCKETS = {
-    "dfs.read": "io",
-    "dfs.store": "io",
-    "map.spill": "io",
-    "shuffle.fetch": "shuffle",
-    "shuffle.merge": "shuffle",
-    "lookup": "lookup",
-    "lookup.batch": "lookup",
-}
 
 
 @dataclass
@@ -172,94 +159,44 @@ class JobCriticalPath:
 
 
 # ----------------------------------------------------------------------
-def _stage_job_of(span: dict) -> str:
-    return str(span["args"].get("job", span["name"]))
-
-
-def _stages_of_job(spans: List[dict], job: str) -> List[dict]:
-    """Stage spans belong to EFind job ``J`` when their JobConf name is
-    ``J`` itself or ``J/<stage label>`` (the compiler's naming)."""
-    out = []
-    for s in spans:
-        if s["depth"] != DEPTH_STAGE:
-            continue
-        stage_job = _stage_job_of(s)
-        if stage_job == job or stage_job.startswith(job + "/"):
-            out.append(s)
-    return sorted(out, key=lambda s: (s["start"], _stage_job_of(s)))
-
-
-def _task_matcher(stage_job: str):
-    """Task ids of one stage: ``<stage conf name>-m0007`` / ``-r0003``.
-    Exact-shape matching, so sibling stages whose labels share a prefix
-    never collide."""
-    return re.compile(re.escape(stage_job) + r"-[mr]\d+$").match
-
-
-def _task_attribution(task: dict) -> Dict[str, float]:
-    """Bucketed seconds for one task span, exact via ``op_totals``;
-    the uninstrumented remainder (startup, chain CPU, sort) is
-    ``compute``."""
+def _task_attribution(task: SpanNode) -> Dict[str, float]:
+    """Bucketed seconds for one task node, exact via ``op_totals``;
+    the uninstrumented remainder (startup, chain CPU, sort -- and, on
+    the path, the build piggyback) is ``compute``."""
     out: Dict[str, float] = {}
     attributed = 0.0
-    for name, entry in task["args"].get("op_totals", {}).items():
-        bucket = ATTRIBUTION_BUCKETS.get(name)
-        if bucket is None:
-            continue  # nested detail (cache.probe, index.fetch, retries)
-        seconds = float(entry[1])
+    for name, (_count, seconds) in op_totals(task).items():
+        bucket = OP_BUCKETS.get(name)
+        if bucket is None or bucket == "build":
+            continue
         out[bucket] = out.get(bucket, 0.0) + seconds
         attributed += seconds
-    out["compute"] = max(0.0, task["dur"] - attributed)
+    out["compute"] = max(0.0, task.dur - attributed)
     return out
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _walk_phase(
-    phase: dict,
-    stage_job: str,
-    tasks: List[dict],
-    segments: List[PathSegment],
+    stage: SpanNode, phase: SpanNode, segments: List[PathSegment]
 ) -> PhaseSummary:
     """Append the phase's critical chain to ``segments`` (tiling
     ``[phase.start, phase.end]`` exactly) and summarize it."""
-    kind = phase["args"].get("kind", phase["name"])
-    match = _task_matcher(stage_job)
-    cursor = phase["start"]
-    phase_end = phase["start"] + phase["dur"]
-    # Task ids repeat across a replanned job's stage attempts, so the
-    # phase's time window must constrain the match too (see
-    # job_critical_path on why containment is safe here).
-    mine = [
-        t
-        for t in tasks
-        if match(str(t["args"].get("task", "")))
-        and t["args"].get("kind") == kind
-        and t["start"] >= phase["start"] - _EPS
-        and t["start"] + t["dur"] <= phase_end + _EPS
-    ]
+    kind = phase.ident[0]
+    cursor = phase.start
+    mine = [task for wave in phase.children for task in wave.children]
     attribution: Dict[str, float] = {}
     on_path = 0
     if mine:
         # The phase ends when its last slot finishes; that slot's tasks
         # (and crashed attempts) are the binding chain.
-        last = max(mine, key=lambda t: (t["start"] + t["dur"], t["track"]))
+        last = max(mine, key=lambda t: (t.end, t.track))
         chain = sorted(
-            (t for t in mine if t["track"] == last["track"]),
-            key=lambda t: t["start"],
+            (t for t in mine if t.track == last.track), key=lambda t: t.start
         )
         for t in chain:
-            if t["start"] > cursor + _EPS:
+            if t.start > cursor + _EPS:
                 seg = PathSegment(
-                    "slot.idle", "slot idle", cursor, t["start"],
-                    stage=stage_job, phase=kind, track=last["track"],
+                    "slot.idle", "slot idle", cursor, t.start,
+                    stage=stage.label, phase=kind, track=last.track,
                 )
                 segments.append(seg)
                 attribution["slot.idle"] = (
@@ -269,21 +206,21 @@ def _walk_phase(
             # occupied their slot until the crash/kill, so they tile as
             # their own segment kinds rather than as normal tasks.
             seg_kind = (
-                t["name"] if t["name"] in ("task.crash", "task.killed") else "task"
+                t.name if t.name in ("task.crash", "task.killed") else "task"
             )
             seg = PathSegment(
                 seg_kind,
-                str(t["args"].get("task", t["name"])),
-                t["start"],
-                t["start"] + t["dur"],
-                stage=stage_job,
+                t.label or t.name,
+                t.start,
+                t.end,
+                stage=stage.label,
                 phase=kind,
-                wave=t["args"].get("wave"),
-                track=t["track"],
+                wave=t.args.get("wave"),
+                track=t.track,
                 attribution=(
                     _task_attribution(t)
                     if seg_kind == "task"
-                    else {seg_kind: t["dur"]}
+                    else {seg_kind: t.dur}
                 ),
             )
             segments.append(seg)
@@ -291,35 +228,32 @@ def _walk_phase(
             for bucket, seconds in seg.attribution.items():
                 attribution[bucket] = attribution.get(bucket, 0.0) + seconds
             cursor = seg.end
-    if phase_end > cursor + _EPS:
+    if phase.end > cursor + _EPS:
         seg = PathSegment(
-            "phase.tail", f"{kind} tail", cursor, phase_end,
-            stage=stage_job, phase=kind,
+            "phase.tail", f"{kind} tail", cursor, phase.end,
+            stage=stage.label, phase=kind,
         )
         segments.append(seg)
         attribution["phase.tail"] = (
             attribution.get("phase.tail", 0.0) + seg.duration
         )
 
-    by_wave: Dict[int, List[float]] = {}
-    for t in mine:
-        # Only completed attempts enter the wave-slack stats: a crashed
-        # attempt or a killed speculative copy would double-count its
-        # logical task (whose winning attempt is already here).
-        if t["name"] != "task":
-            continue
-        by_wave.setdefault(int(t["args"].get("wave", 0)), []).append(t["dur"])
-    slack = {
-        wave: max(durs) - _median(durs) for wave, durs in sorted(by_wave.items())
-    }
+    # Only completed attempts enter the wave-slack stats: a crashed
+    # attempt or a killed speculative copy would double-count its
+    # logical task (whose winning attempt is already here).
+    slack = {}
+    for wave in phase.children:
+        durs = [t.dur for t in wave.children if t.name == "task"]
+        if durs:
+            slack[wave.ident[0]] = max(durs) - median(durs)
     return PhaseSummary(
-        stage=stage_job,
+        stage=stage.label,
         kind=kind,
-        start=phase["start"],
-        end=phase_end,
+        start=phase.start,
+        end=phase.end,
         tasks_on_path=on_path,
         tasks_total=len(mine),
-        waves=len(by_wave),
+        waves=len(slack),
         attribution=attribution,
         whatif_wave_slack=slack,
     )
@@ -341,72 +275,50 @@ def _annotate_alerts(
 
 
 def job_critical_path(
-    spans: List[dict], job_span: dict, alerts: Optional[List[dict]] = None
+    job: SpanNode, alerts: Optional[List[dict]] = None
 ) -> JobCriticalPath:
-    """The critical path of one depth-0 job span, optionally annotated
-    with a live run's SLO alert timeline."""
-    job = str(job_span["args"].get("job", job_span["name"]))
-    t0 = job_span["start"]
-    t1 = job_span["start"] + job_span["dur"]
+    """The critical path of one job node, optionally annotated with a
+    live run's SLO alert timeline."""
     segments: List[PathSegment] = []
     phases_out: List[PhaseSummary] = []
-    all_tasks = [s for s in spans if s["depth"] == DEPTH_TASK]
-    cursor = t0
-    for stage in _stages_of_job(spans, job):
-        stage_job = _stage_job_of(stage)
-        stage_end = stage["start"] + stage["dur"]
-        if stage["start"] > cursor + _EPS:
+    cursor = job.start
+    for stage in job.children:
+        if stage.start > cursor + _EPS:
             segments.append(
                 PathSegment("driver.gap", "between stages", cursor,
-                            stage["start"], stage=stage_job)
+                            stage.start, stage=stage.label)
             )
-            cursor = stage["start"]
-        # A replanned job re-runs a stage under the same conf name, so
-        # name match alone is ambiguous; attempts of one job are
-        # sequential, so containment in *this* stage span disambiguates.
-        phases = sorted(
-            (
-                s
-                for s in spans
-                if s["depth"] == DEPTH_PHASE
-                and _stage_job_of(s) == stage_job
-                and s["start"] >= stage["start"] - _EPS
-                and s["start"] + s["dur"] <= stage_end + _EPS
-            ),
-            key=lambda s: s["start"],
-        )
-        if not phases:
+            cursor = stage.start
+        if not stage.children:
             segments.append(
-                PathSegment("stage", stage_job, cursor, stage_end,
-                            stage=stage_job)
+                PathSegment("stage", stage.label, cursor, stage.end,
+                            stage=stage.label)
             )
-            cursor = stage_end
+            cursor = stage.end
             continue
-        for phase in phases:
-            if phase["start"] > cursor + _EPS:
+        for phase in stage.children:
+            if phase.start > cursor + _EPS:
                 segments.append(
                     PathSegment(
                         "startup", "job startup / phase gap", cursor,
-                        phase["start"], stage=stage_job,
-                        phase=phase["args"].get("kind", ""),
+                        phase.start, stage=stage.label, phase=phase.ident[0],
                     )
                 )
-                cursor = phase["start"]
-            phases_out.append(
-                _walk_phase(phase, stage_job, all_tasks, segments)
-            )
-            cursor = phase["start"] + phase["dur"]
-        if stage_end > cursor + _EPS:
+                cursor = phase.start
+            phases_out.append(_walk_phase(stage, phase, segments))
+            cursor = phase.end
+        if stage.end > cursor + _EPS:
             segments.append(
-                PathSegment("stage.tail", "stage tail", cursor, stage_end,
-                            stage=stage_job)
+                PathSegment("stage.tail", "stage tail", cursor, stage.end,
+                            stage=stage.label)
             )
-            cursor = stage_end
-    if t1 > cursor + _EPS:
-        segments.append(PathSegment("driver.tail", "job tail", cursor, t1))
+            cursor = stage.end
+    if job.end > cursor + _EPS:
+        segments.append(PathSegment("driver.tail", "job tail", cursor, job.end))
     _annotate_alerts(segments, alerts)
     return JobCriticalPath(
-        job=job, start=t0, end=t1, segments=segments, phases=phases_out
+        job=job.label, start=job.start, end=job.end,
+        segments=segments, phases=phases_out,
     )
 
 
@@ -415,11 +327,7 @@ def critical_paths(
 ) -> List[JobCriticalPath]:
     """One :class:`JobCriticalPath` per depth-0 job span, in start
     order (ties broken by job name for determinism)."""
-    jobs = sorted(
-        (s for s in spans if s["depth"] == DEPTH_JOB),
-        key=lambda s: (s["start"], str(s["args"].get("job", s["name"]))),
-    )
-    return [job_critical_path(spans, j, alerts=alerts) for j in jobs]
+    return [job_critical_path(j, alerts=alerts) for j in build_forest(spans)]
 
 
 # ----------------------------------------------------------------------

@@ -59,26 +59,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.analysis.align import (
-    AlignedNode,
+from repro.obs.analysis.align import AlignedNode, align_forests, job_name_map
+from repro.obs.analysis.loader import (
+    OP_BUCKETS,
     SpanNode,
-    align_forests,
-    job_name_map,
+    TraceArtifacts,
+    build_forest,
+    load_artifacts,
+    op_totals,
 )
-from repro.obs.analysis.critical_path import ATTRIBUTION_BUCKETS
-from repro.obs.analysis.loader import TraceArtifacts, load_artifacts
 
 _EPS = 1e-9
-
-#: Task-span ``op_totals`` names that charge non-overlapping task time
-#: (the :data:`ATTRIBUTION_BUCKETS` ops plus the build piggyback).
-#: Nested detail (``cache.probe``, ``index.fetch``, ``build.scan_lookup``)
-#: overlaps its parent lookup span and is excluded from the exact
-#: decomposition.
-TOP_LEVEL_OPS = frozenset(ATTRIBUTION_BUCKETS) | {"build.increment"}
-
-#: Work-delta bucket per top-level op (``build.increment`` -> build).
-OP_BUCKETS = dict(ATTRIBUTION_BUCKETS, **{"build.increment": "build"})
 
 
 # ----------------------------------------------------------------------
@@ -494,12 +485,12 @@ def _window_pieces(
 
 
 def _op_seconds(task: SpanNode) -> Dict[str, float]:
-    """Exact top-level op seconds of one task span (from op_totals)."""
-    out: Dict[str, float] = {}
-    for name, entry in task.args.get("op_totals", {}).items():
-        if name in TOP_LEVEL_OPS:
-            out[name] = float(entry[1])
-    return out
+    """Exact top-level op seconds of one task node."""
+    return {
+        name: seconds
+        for name, (_count, seconds) in op_totals(task).items()
+        if name in OP_BUCKETS
+    }
 
 
 def _task_display(key: Tuple) -> str:
@@ -783,11 +774,8 @@ def _phase_work_sides(node: SpanNode) -> Tuple[int, Dict[str, float]]:
                 continue
             tasks += 1
             attributed = 0.0
-            for op, entry in task.args.get("op_totals", {}).items():
-                bucket = OP_BUCKETS.get(op)
-                if bucket is None:
-                    continue
-                seconds = float(entry[1])
+            for op, seconds in _op_seconds(task).items():
+                bucket = OP_BUCKETS[op]
                 buckets[bucket] = buckets.get(bucket, 0.0) + seconds
                 attributed += seconds
             buckets["compute"] = (
@@ -1112,9 +1100,7 @@ def _pair_artifact_sets(
 
 
 def _job_seconds(artifact: TraceArtifacts) -> float:
-    from repro.obs.trace import DEPTH_JOB
-
-    return sum(s["dur"] for s in artifact.spans if s["depth"] == DEPTH_JOB)
+    return sum(job.dur for job in build_forest(artifact.spans))
 
 
 def diff_sets(

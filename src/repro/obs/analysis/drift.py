@@ -21,6 +21,10 @@ Three independent checks over one traced run (or a directory of them):
   priced. A Dynamic/Optimized run measurably slower than the cheapest
   forced variant is flagged: the chosen plan was not the cheapest
   executed-equivalent.
+
+:func:`replan_timeline` renders the audit log itself -- every
+evaluation, verdict and applied plan change, in order -- as a trailing
+section of ``python -m repro.obs.analysis report``.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.costmodel import CostEnv, Placement, Strategy, strategy_cost
 from repro.core.statistics import IndexStats, OperatorStats
-from repro.obs.analysis.loader import TraceArtifacts
-from repro.obs.trace import DEPTH_DETAIL, DEPTH_JOB, DEPTH_OP
+from repro.obs.analysis.loader import TraceArtifacts, build_forest
+from repro.obs.trace import DEPTH_DETAIL, DEPTH_OP
 
 #: Terms whose sampled value can be joined against a trace measurement.
 MEASURED_TERMS = ("tj", "miss_ratio")
@@ -388,16 +392,16 @@ def job_drift(artifact: TraceArtifacts) -> List[JobDrift]:
 # Executed-equivalence over a bench trace directory
 # ----------------------------------------------------------------------
 def _job_time(artifact: TraceArtifacts) -> Optional[float]:
-    """Simulated duration of the artifact's primary job: the depth-0
-    span whose job name matches the export base (the Optimized trace
-    also contains the profiling job), else the last-ending one."""
-    jobs = [s for s in artifact.spans if s["depth"] == DEPTH_JOB]
+    """Simulated duration of the artifact's primary job: the job node
+    whose name matches the export base (the Optimized trace also
+    contains the profiling job), else the last-ending one."""
+    jobs = build_forest(artifact.spans)
     if not jobs:
         return None
-    for s in jobs:
-        if str(s["args"].get("job", "")) == artifact.base:
-            return s["dur"]
-    return max(jobs, key=lambda s: s["start"] + s["dur"])["dur"]
+    for job in jobs:
+        if job.label == artifact.base:
+            return job.dur
+    return max(jobs, key=lambda job: job.end).dur
 
 
 def split_row_mode(base: str) -> Optional[Tuple[str, str]]:
@@ -496,4 +500,40 @@ def render(
                 f"  {e.row}: {e.chosen_mode} vs cheapest forced "
                 f"{e.cheapest_mode} ({e.excess:+.1%}){flag}  [{times}]"
             )
+    return lines
+
+
+def replan_timeline(audit_rows: List[dict]) -> List[str]:
+    """Every Algorithm-1 evaluation in the audit log, in order, with
+    verdicts and applied plan changes."""
+    if not audit_rows:
+        return ["no adaptive evaluations in audit log"]
+    evaluations = [r for r in audit_rows if r.get("verdict") != "note"]
+    notes = [r for r in audit_rows if r.get("verdict") == "note"]
+    lines = [f"{len(evaluations)} adaptive evaluation(s):"]
+    for row in notes:
+        payload = row.get("note") or {}
+        pairs = ", ".join(f"{k}={v}" for k, v in sorted(payload.items()))
+        lines.append(
+            f"  note {row.get('note_kind')} {row.get('job')}"
+            f" {row.get('phase')}@t={row.get('sim_time', 0.0):.3f}s"
+            + (f": {pairs}" if pairs else "")
+        )
+    for row in evaluations:
+        imp = row.get("improvement")
+        detail = f" gain={imp:.3f}s" if isinstance(imp, (int, float)) else ""
+        applied = " [applied]" if row.get("applied") else ""
+        lines.append(
+            f"  #{row.get('seq')} {row.get('job')} {row.get('phase')}"
+            f"@t={row.get('sim_time', 0.0):.3f}s: {row.get('verdict')}"
+            f"{detail}{applied}"
+        )
+        if row.get("verdict") == "replan" and row.get("new_plan"):
+            lines.append(
+                f"      {row.get('current_plan')} -> {row.get('new_plan')}"
+            )
+        reuse = row.get("reuse") or {}
+        if reuse:
+            pairs = ", ".join(f"{k}={v}" for k, v in sorted(reuse.items()))
+            lines.append(f"      reuse: {pairs}")
     return lines

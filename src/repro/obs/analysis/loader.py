@@ -13,6 +13,36 @@ The loader finds and parses those sets, raising
 of a traceback when a directory is empty, an export was interrupted
 mid-write, or a file is not the format its name claims. Every analysis
 tool and the ``python -m repro.obs`` CLI go through it.
+
+It also builds the one span tree every analysis walks:
+:func:`build_forest` turns a run's flat span list into identified
+job -> stage -> phase -> wave -> task :class:`SpanNode`\\ s. Nothing else
+under :mod:`repro.obs` decides which stage attempt, phase or wave a
+task span belongs to.
+
+========  =====================================================
+level      identity within its parent
+========  =====================================================
+job        EFind job name + occurrence (start-order rank among
+           same-named jobs)
+stage      JobConf name with the owning job's prefix stripped
+           (``""`` for the main stage, ``"/shuffle-head0.0"`` for
+           extra-job stages) + occurrence -- a dynamic replan
+           re-runs the main stage under the same name, so the
+           second attempt is occurrence 1
+phase      kind (``map`` / ``reduce``) + occurrence
+wave       wave index (``args.wave``)
+task       task id with the stage conf prefix stripped
+           (``m0007`` / ``r0003``), the span name (``task`` vs
+           ``task.crash`` vs ``task.killed``) + occurrence
+========  =====================================================
+
+Names alone are ambiguous within one run: a replanned job re-runs a
+stage under the same conf name (so task ids repeat across its
+attempts), and an Optimized trace holds a profiling job and the
+optimized job overlapping from t=0. Parent/child assignment therefore
+uses names *and* time containment -- attempts of one job are
+sequential, so containment in the parent span disambiguates.
 """
 
 from __future__ import annotations
@@ -22,6 +52,17 @@ import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs.trace import (
+    DEPTH_JOB,
+    DEPTH_OP,
+    DEPTH_PHASE,
+    DEPTH_STAGE,
+    DEPTH_TASK,
+    DEPTH_WAVE,
+)
+
+_EPS = 1e-9
 
 
 class TraceArtifactError(Exception):
@@ -243,3 +284,287 @@ def load_artifacts(path: str) -> List[TraceArtifacts]:
             f"run, and with --trace pointing here?)"
         )
     return [load_one(f) for f in files]
+
+
+# ----------------------------------------------------------------------
+# The span tree (one run)
+# ----------------------------------------------------------------------
+#: Top-level op-span names -> work bucket. These ops charge
+#: non-overlapping task time; nested detail (``cache.probe``,
+#: ``index.fetch``, ``build.scan_lookup``, retries) overlaps its parent
+#: lookup span and is absent so that nothing double-counts.
+OP_BUCKETS = {
+    "dfs.read": "io",
+    "dfs.store": "io",
+    "map.spill": "io",
+    "shuffle.fetch": "shuffle",
+    "shuffle.merge": "shuffle",
+    "lookup": "lookup",
+    "lookup.batch": "lookup",
+    "build.increment": "build",
+}
+
+#: Op spans that carry a task's input volume in ``args.bytes``.
+_INPUT_OPS = ("dfs.read", "shuffle.fetch")
+
+
+@dataclass
+class SpanNode:
+    """One identified span in one run's hierarchy."""
+
+    level: str  # job | stage | phase | wave | task
+    ident: Tuple  # identity key within the parent (stable across runs)
+    label: str  # display name, taken from this run
+    start: float
+    end: float
+    #: The exported span duration. ``end - start`` (:attr:`duration`,
+    #: what tiles a timeline) can differ from it in the last bit;
+    #: per-task statistics are taken over the exported value.
+    dur: float
+    args: dict = field(default_factory=dict)
+    name: str = ""  # raw span name (``task`` vs ``task.crash`` ...)
+    track: str = ""
+    #: Task nodes: bytes moved by the task's own ``dfs.read`` /
+    #: ``shuffle.fetch`` op spans (None when it recorded neither).
+    input_bytes: Optional[float] = None
+    children: List["SpanNode"] = field(default_factory=list)
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
+def op_totals(task: SpanNode) -> Dict[str, Tuple[float, float]]:
+    """Exact per-op-name ``(count, seconds)`` of one task node, from the
+    never-capped ``op_totals`` aggregates on its span."""
+    return {
+        name: (float(entry[0]), float(entry[1]))
+        for name, entry in task.args.get("op_totals", {}).items()
+    }
+
+
+def task_stage(task_id: str) -> str:
+    """The stage conf name inside a task id (``<stage conf>-m0007``);
+    ``"?"`` for an id without the separator."""
+    stage, sep, _index = task_id.rpartition("-")
+    return stage if sep else "?"
+
+
+def stage_suffix(stage_conf: str, job: str) -> str:
+    """A stage JobConf name relative to its owning EFind job (``""``
+    for the main stage)."""
+    if stage_conf == job:
+        return ""
+    if stage_conf.startswith(job + "/"):
+        return stage_conf[len(job):]
+    return stage_conf
+
+
+def _job_of(span: dict) -> str:
+    return str(span["args"].get("job", span["name"]))
+
+
+def _task_id(span: dict) -> str:
+    return str(span["args"].get("task", ""))
+
+
+def _contained(span: dict, start: float, end: float) -> bool:
+    return (
+        span["start"] >= start - _EPS
+        and span["start"] + span["dur"] <= end + _EPS
+    )
+
+
+def _with_occurrence(
+    level: str, keyed: List[Tuple[Tuple, dict, str]]
+) -> List[SpanNode]:
+    """Turn (partial key, span, label) triples -- already sorted in
+    start order -- into nodes whose ident carries an occurrence rank,
+    so repeated identities (replanned stages, crash attempts sharing a
+    task id) stay distinct and order-stable."""
+    counts: Dict[Tuple, int] = {}
+    nodes: List[SpanNode] = []
+    for partial, span, label in keyed:
+        occ = counts.get(partial, 0)
+        counts[partial] = occ + 1
+        nodes.append(
+            SpanNode(
+                level=level,
+                ident=partial + (occ,),
+                label=label,
+                start=span["start"],
+                end=span["start"] + span["dur"],
+                dur=span["dur"],
+                args=span.get("args", {}),
+                name=str(span.get("name", "")),
+                track=str(span.get("track", "")),
+            )
+        )
+    return nodes
+
+
+class _Buckets:
+    """One run's spans, bucketed once for the tree build: by depth,
+    task attempts by (stage conf, kind), and input ops by (task id,
+    track) -- so a phase scans only its own stage's attempts."""
+
+    def __init__(self, spans: List[dict]):
+        self.by_depth: Dict[int, List[dict]] = {}
+        self.tasks: Dict[Tuple, List[dict]] = {}
+        self.input_ops: Dict[Tuple, List[dict]] = {}
+        for span in spans:
+            self.by_depth.setdefault(span["depth"], []).append(span)
+        for task in self.by_depth.get(DEPTH_TASK, ()):
+            key = (task_stage(_task_id(task)), task["args"].get("kind"))
+            self.tasks.setdefault(key, []).append(task)
+        for op in self.by_depth.get(DEPTH_OP, ()):
+            if op["name"] in _INPUT_OPS:
+                key = (_task_id(op), str(op.get("track", "")))
+                self.input_ops.setdefault(key, []).append(op)
+
+
+def build_forest(spans: List[dict]) -> List[SpanNode]:
+    """The identified job/stage/phase/wave/task hierarchy of one run.
+
+    Sorting keys are total (time, then names, then track), so the
+    result does not depend on the order of ``spans``.
+    """
+    buckets = _Buckets(spans)
+    jobs = sorted(
+        buckets.by_depth.get(DEPTH_JOB, ()),
+        key=lambda s: (s["start"], _job_of(s)),
+    )
+    job_nodes = _with_occurrence(
+        "job", [((_job_of(s),), s, _job_of(s)) for s in jobs]
+    )
+    for job_node in job_nodes:
+        job_node.children = _build_stages(job_node, buckets)
+    return job_nodes
+
+
+def _build_stages(job: SpanNode, buckets: _Buckets) -> List[SpanNode]:
+    """Stage spans belong to EFind job ``J`` when their JobConf name is
+    ``J`` itself or ``J/<stage label>`` (the compiler's naming)."""
+    job_name = job.label
+    stages = sorted(
+        (
+            s
+            for s in buckets.by_depth.get(DEPTH_STAGE, ())
+            if _job_of(s) == job_name or _job_of(s).startswith(job_name + "/")
+        ),
+        key=lambda s: (s["start"], _job_of(s)),
+    )
+    nodes = _with_occurrence(
+        "stage",
+        [((stage_suffix(_job_of(s), job_name),), s, _job_of(s)) for s in stages],
+    )
+    for stage_node in nodes:
+        stage_node.children = _build_phases(stage_node, buckets)
+    return nodes
+
+
+def _build_phases(stage: SpanNode, buckets: _Buckets) -> List[SpanNode]:
+    stage_conf = stage.label
+    phases = sorted(
+        (
+            s
+            for s in buckets.by_depth.get(DEPTH_PHASE, ())
+            if _job_of(s) == stage_conf
+            and _contained(s, stage.start, stage.end)
+        ),
+        key=lambda s: (s["start"], str(s["args"].get("kind", s["name"]))),
+    )
+    nodes = _with_occurrence(
+        "phase",
+        [
+            ((str(s["args"].get("kind", s["name"])),), s,
+             str(s["args"].get("kind", s["name"])))
+            for s in phases
+        ],
+    )
+    for phase_node in nodes:
+        phase_node.children = _build_waves(stage_conf, phase_node, buckets)
+    return nodes
+
+
+def _task_wave(span: dict) -> int:
+    return int(span["args"].get("wave", 0))
+
+
+def _build_waves(
+    stage_conf: str, phase: SpanNode, buckets: _Buckets
+) -> List[SpanNode]:
+    kind = phase.ident[0]
+    tasks = sorted(
+        (
+            s
+            for s in buckets.tasks.get((stage_conf, kind), ())
+            if _contained(s, phase.start, phase.end)
+        ),
+        key=lambda s: (
+            s["start"],
+            _task_id(s),
+            str(s.get("name", "")),
+            str(s.get("track", "")),
+        ),
+    )
+    wave_spans = {
+        _task_wave(s): s
+        for s in buckets.by_depth.get(DEPTH_WAVE, ())
+        if _job_of(s) == stage_conf
+        and s["args"].get("kind") == kind
+        and _contained(s, phase.start, phase.end)
+    }
+    by_wave: Dict[int, List[dict]] = {}
+    for task in tasks:
+        by_wave.setdefault(_task_wave(task), []).append(task)
+
+    nodes: List[SpanNode] = []
+    for wave in sorted(by_wave):
+        batch = by_wave[wave]
+        wave_span = wave_spans.get(wave)
+        if wave_span is not None:
+            start = wave_span["start"]
+            end = wave_span["start"] + wave_span["dur"]
+            dur = wave_span["dur"]
+            args = wave_span.get("args", {})
+        else:
+            # A wave whose every attempt crashed/was killed emits no
+            # wave span; synthesize the envelope from its task spans.
+            start = min(t["start"] for t in batch)
+            end = max(t["start"] + t["dur"] for t in batch)
+            dur = end - start
+            args = {}
+        node = SpanNode(
+            level="wave",
+            ident=(wave,),
+            label=f"{kind}.wave{wave}",
+            start=start,
+            end=end,
+            dur=dur,
+            args=args,
+        )
+        node.children = _with_occurrence(
+            "task",
+            [
+                (
+                    (_task_id(t)[len(stage_conf) + 1:], str(t.get("name", ""))),
+                    t,
+                    _task_id(t),
+                )
+                for t in batch
+            ],
+        )
+        for task in node.children:
+            # Task ids repeat across a replanned job's stage attempts,
+            # so an input op is the task's own only inside its window
+            # on its slot's track.
+            reads = [
+                float(op["args"].get("bytes", 0.0))
+                for op in buckets.input_ops.get((task.label, task.track), ())
+                if task.start - _EPS <= op["start"] <= task.end + _EPS
+            ]
+            if reads:
+                task.input_bytes = sum(reads)
+        nodes.append(node)
+    return nodes

@@ -18,6 +18,12 @@ span, not a slow ``task`` span -- the straggle never materialised. When
 its *projected* duration would have crossed the threshold, the profile
 reports it with cause ``mitigated-by-speculation``, so a speculation-on
 trace still explains where the tail went.
+
+Phases come from the run's span tree
+(:func:`repro.obs.analysis.loader.build_forest`), one profile per phase
+node: a dynamically replanned stage's aborted attempt and its re-run
+share a conf name and task ids but ran under different plans, so they
+are profiled apart (``attempt`` 0 and 1).
 """
 
 from __future__ import annotations
@@ -26,12 +32,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.trace import DEPTH_OP, DEPTH_TASK
+from repro.obs.analysis.loader import SpanNode, build_forest, op_totals
+from repro.obs.metrics import median
 
 #: A task is flagged when its duration exceeds threshold x wave median.
 DEFAULT_STRAGGLER_THRESHOLD = 1.5
 
-_INPUT_OPS = {"map": "dfs.read", "reduce": "shuffle.fetch"}
+#: How many of the slowest lookup spans the report lists.
+SLOWEST_LOOKUPS = 10
 
 
 def gini(values: List[float]) -> float:
@@ -55,15 +63,6 @@ def coefficient_of_variation(values: List[float]) -> float:
         return 0.0
     var = sum((v - mean) ** 2 for v in values) / n
     return var**0.5 / mean
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -126,17 +125,20 @@ class Straggler:
 class PhaseProfile:
     stage: str
     kind: str  # "map" | "reduce"
+    #: The stage node's occurrence rank: 0 for a stage's only run, 1 for
+    #: the re-run a dynamic replan starts under the same conf name.
+    attempt: int
     tasks: int
     waves: List[WaveProfile]
     input_gini: float
     input_cv: float
-    input_bytes: Dict[str, float]  # task id -> input bytes
     stragglers: List[Straggler]
 
     def to_dict(self) -> dict:
         return {
             "stage": self.stage,
             "kind": self.kind,
+            "attempt": self.attempt,
             "tasks": self.tasks,
             "waves": [w.to_dict() for w in self.waves],
             "input_gini": self.input_gini,
@@ -146,66 +148,58 @@ class PhaseProfile:
 
 
 # ----------------------------------------------------------------------
-def _op_seconds(task: dict) -> Dict[str, float]:
-    return {
-        name: float(entry[1])
-        for name, entry in task["args"].get("op_totals", {}).items()
-    }
+_NO_OP = (0.0, 0.0)
 
 
-def _op_counts(task: dict) -> Dict[str, float]:
-    return {
-        name: float(entry[0])
-        for name, entry in task["args"].get("op_totals", {}).items()
-    }
+def _count(totals: Dict[str, Tuple[float, float]], name: str) -> float:
+    return totals.get(name, _NO_OP)[0]
+
+
+def _seconds(totals: Dict[str, Tuple[float, float]], name: str) -> float:
+    return totals.get(name, _NO_OP)[1]
 
 
 def _attribute_cause(
-    task: dict,
-    peers: List[dict],
-    input_bytes: Dict[str, float],
+    task: SpanNode, peers: List[SpanNode]
 ) -> Tuple[str, Dict[str, Tuple[float, float]]]:
     """Name the dominant reason one task ran long, by comparing its
     exact op aggregates against the median of its wave peers."""
-    mine_s = _op_seconds(task)
-    mine_c = _op_counts(task)
-    peer_s = [_op_seconds(p) for p in peers]
-    peer_c = [_op_counts(p) for p in peers]
+    mine = op_totals(task)
+    peer_totals = [op_totals(p) for p in peers]
 
-    def med_s(name: str) -> float:
-        return _median([p.get(name, 0.0) for p in peer_s]) if peer_s else 0.0
-
-    def med_c(name: str) -> float:
-        return _median([p.get(name, 0.0) for p in peer_c]) if peer_c else 0.0
+    def med(pick, name: str) -> float:
+        if not peer_totals:
+            return 0.0
+        return median([pick(totals, name) for totals in peer_totals])
 
     evidence: Dict[str, Tuple[float, float]] = {}
     # Hard signals first: fault retries dominate any timing comparison.
-    retries = mine_c.get("lookup.retry", 0.0)
+    retries = _count(mine, "lookup.retry")
     if retries > 0:
-        evidence["lookup.retry.count"] = (retries, med_c("lookup.retry"))
+        evidence["lookup.retry.count"] = (retries, med(_count, "lookup.retry"))
         return "fault-retries", evidence
 
-    lookup_mine = mine_s.get("lookup", 0.0) + mine_s.get("lookup.batch", 0.0)
-    lookup_med = med_s("lookup") + med_s("lookup.batch")
-    shuffle_mine = mine_s.get("shuffle.fetch", 0.0) + mine_s.get(
-        "shuffle.merge", 0.0
+    lookup_mine = _seconds(mine, "lookup") + _seconds(mine, "lookup.batch")
+    lookup_med = med(_seconds, "lookup") + med(_seconds, "lookup.batch")
+    shuffle_mine = _seconds(mine, "shuffle.fetch") + _seconds(
+        mine, "shuffle.merge"
     )
-    shuffle_med = med_s("shuffle.fetch") + med_s("shuffle.merge")
-    read_mine = mine_s.get("dfs.read", 0.0)
-    read_med = med_s("dfs.read")
-    attributed_mine = lookup_mine + shuffle_mine + read_mine + mine_s.get(
-        "map.spill", 0.0
-    ) + mine_s.get("dfs.store", 0.0)
-    compute_mine = max(0.0, task["dur"] - attributed_mine)
+    shuffle_med = med(_seconds, "shuffle.fetch") + med(_seconds, "shuffle.merge")
+    read_mine = _seconds(mine, "dfs.read")
+    read_med = med(_seconds, "dfs.read")
+    attributed_mine = lookup_mine + shuffle_mine + read_mine + _seconds(
+        mine, "map.spill"
+    ) + _seconds(mine, "dfs.store")
+    compute_mine = max(0.0, task.dur - attributed_mine)
     peer_computes = []
-    for p, ps in zip(peers, peer_s):
+    for p, totals in zip(peers, peer_totals):
         attributed = sum(
-            ps.get(n, 0.0)
+            _seconds(totals, n)
             for n in ("lookup", "lookup.batch", "shuffle.fetch",
                       "shuffle.merge", "dfs.read", "map.spill", "dfs.store")
         )
-        peer_computes.append(max(0.0, p["dur"] - attributed))
-    compute_med = _median(peer_computes) if peer_computes else 0.0
+        peer_computes.append(max(0.0, p.dur - attributed))
+    compute_med = median(peer_computes) if peer_computes else 0.0
 
     excesses = {
         "lookup": lookup_mine - lookup_med,
@@ -219,28 +213,24 @@ def _attribute_cause(
 
     if cause == "lookup":
         evidence["lookup.seconds"] = (lookup_mine, lookup_med)
-        fetches = mine_c.get("index.fetch", 0.0)
-        fetch_med = med_c("index.fetch")
+        fetches = _count(mine, "index.fetch")
+        fetch_med = med(_count, "index.fetch")
         evidence["index.fetch.count"] = (fetches, fetch_med)
         # Many more cache misses than peers -> the lookup excess is a
         # cache-miss burst, not a slow index. Only meaningful when the
         # task actually probed a cache: a baseline-strategy task has
         # zero probes, so its excess fetches are plain lookup volume,
         # not misses.
-        probes = mine_c.get("cache.probe", 0.0)
+        probes = _count(mine, "cache.probe")
         if probes > 0 and fetch_med > 0 and fetches > 1.5 * fetch_med:
-            evidence["cache.probe.count"] = (probes, med_c("cache.probe"))
+            evidence["cache.probe.count"] = (probes, med(_count, "cache.probe"))
             return "cache-miss-burst", evidence
         return "slow-lookups", evidence
     if cause == "shuffle":
         evidence["shuffle.seconds"] = (shuffle_mine, shuffle_med)
-        task_id = str(task["args"].get("task", ""))
-        mine_bytes = input_bytes.get(task_id, 0.0)
-        peer_bytes = [
-            input_bytes.get(str(p["args"].get("task", "")), 0.0) for p in peers
-        ]
+        peer_bytes = [p.input_bytes or 0.0 for p in peers]
         evidence["input.bytes"] = (
-            mine_bytes, _median(peer_bytes) if peer_bytes else 0.0
+            task.input_bytes or 0.0, median(peer_bytes) if peer_bytes else 0.0
         )
         return "partition-skew", evidence
     if cause == "input-read":
@@ -250,16 +240,109 @@ def _attribute_cause(
     return "slow-compute", evidence
 
 
-def _span_alert_labels(
-    span: dict, alerts: Optional[List[dict]]
-) -> List[str]:
-    """Live SLO alert labels overlapping one task span's interval."""
+def _alert_labels(task: SpanNode, alerts: Optional[List[dict]]) -> List[str]:
+    """Live SLO alert labels overlapping one task node's interval."""
     if not alerts:
         return []
     from repro.obs.live.engine import alert_labels, overlapping_alerts
 
-    return alert_labels(
-        overlapping_alerts(alerts, span["start"], span["start"] + span["dur"])
+    return alert_labels(overlapping_alerts(alerts, task.start, task.end))
+
+
+def _by_task_id(tasks) -> List[SpanNode]:
+    return sorted(tasks, key=lambda t: t.label)
+
+
+def _profile_phase(
+    stage: SpanNode,
+    phase: SpanNode,
+    straggler_threshold: float,
+    alerts: Optional[List[dict]],
+) -> Optional[PhaseProfile]:
+    """One phase node's profile (None when no attempt completed)."""
+    waves = []
+    members: List[SpanNode] = []
+    stragglers: List[Straggler] = []
+    for wave in phase.children:
+        batch = _by_task_id(t for t in wave.children if t.name == "task")
+        if not batch:
+            continue
+        members.extend(batch)
+        durs = [t.dur for t in batch]
+        wave_median = median(durs)
+        waves.append(
+            WaveProfile(
+                wave=wave.ident[0],
+                tasks=len(batch),
+                mean=sum(durs) / len(durs),
+                median=wave_median,
+                p95=_percentile(durs, 0.95),
+                max=max(durs),
+                cv=coefficient_of_variation(durs),
+            )
+        )
+        if len(batch) < 2 or wave_median <= 0:
+            continue
+        for t in batch:
+            if t.dur <= straggler_threshold * wave_median:
+                continue
+            cause, evidence = _attribute_cause(
+                t, [p for p in batch if p is not t]
+            )
+            stragglers.append(
+                Straggler(
+                    task=t.label,
+                    track=t.track,
+                    wave=wave.ident[0],
+                    duration=t.dur,
+                    wave_median=wave_median,
+                    slowdown=t.dur / wave_median,
+                    cause=cause,
+                    evidence=evidence,
+                    alerts=_alert_labels(t, alerts),
+                )
+            )
+        # Killed primaries never ran to completion; judge their
+        # *projected* duration against the wave of completed peers
+        # (which includes the winning backup's attempt).
+        for t in _by_task_id(
+            t
+            for t in wave.children
+            if t.name == "task.killed" and t.args.get("role") == "primary"
+        ):
+            projected = float(t.args.get("projected_dur", 0.0))
+            if projected <= straggler_threshold * wave_median:
+                continue
+            stragglers.append(
+                Straggler(
+                    task=t.label,
+                    track=t.track,
+                    wave=wave.ident[0],
+                    duration=projected,
+                    wave_median=wave_median,
+                    slowdown=projected / wave_median,
+                    cause="mitigated-by-speculation",
+                    evidence={"projected.seconds": (projected, wave_median)},
+                    alerts=_alert_labels(t, alerts),
+                )
+            )
+    if not waves:
+        return None
+    stragglers.sort(key=lambda s: (-s.slowdown, s.task))
+    phase_inputs = [
+        t.input_bytes
+        for t in _by_task_id(members)
+        if t.input_bytes is not None
+    ]
+    return PhaseProfile(
+        stage=stage.label,
+        kind=phase.ident[0],
+        attempt=stage.ident[1],
+        tasks=len(members),
+        waves=waves,
+        input_gini=gini(phase_inputs),
+        input_cv=coefficient_of_variation(phase_inputs),
+        stragglers=stragglers,
     )
 
 
@@ -268,140 +351,22 @@ def phase_profiles(
     straggler_threshold: float = DEFAULT_STRAGGLER_THRESHOLD,
     alerts: Optional[List[dict]] = None,
 ) -> List[PhaseProfile]:
-    """Profile every (stage, phase kind) with task attempts in the
-    trace, in deterministic (stage, kind) order; each flagged straggler
-    is annotated with the live SLO alerts that overlapped it when an
-    alert timeline is given."""
-    tasks = [
-        s for s in spans if s["depth"] == DEPTH_TASK and s["name"] == "task"
-    ]
-    killed_primaries = [
-        s
-        for s in spans
-        if s["depth"] == DEPTH_TASK
-        and s["name"] == "task.killed"
-        and s["args"].get("role") == "primary"
-    ]
-    input_bytes: Dict[str, float] = {}
-    for s in spans:
-        if s["depth"] == DEPTH_OP and s["name"] in ("dfs.read", "shuffle.fetch"):
-            task_id = str(s["args"].get("task", ""))
-            if task_id:
-                input_bytes[task_id] = input_bytes.get(task_id, 0.0) + float(
-                    s["args"].get("bytes", 0.0)
+    """Profile every phase node of the run's span tree that completed
+    a task, in deterministic (stage, kind, attempt) order -- a replanned
+    stage's attempts ran under different plans and are never pooled.
+    Each flagged straggler is annotated with the live SLO alerts that
+    overlapped it when an alert timeline is given."""
+    profiles = []
+    for job in build_forest(spans):
+        for stage in job.children:
+            for phase in stage.children:
+                profile = _profile_phase(
+                    stage, phase, straggler_threshold, alerts
                 )
-
-    groups: Dict[Tuple[str, str], List[dict]] = {}
-    for t in tasks:
-        task_id = str(t["args"].get("task", ""))
-        # task ids look like "<stage conf name>-m0007"
-        stage = task_id.rsplit("-", 1)[0] if "-" in task_id else "?"
-        kind = str(t["args"].get("kind", "?"))
-        groups.setdefault((stage, kind), []).append(t)
-    killed_groups: Dict[Tuple[str, str], List[dict]] = {}
-    for t in killed_primaries:
-        task_id = str(t["args"].get("task", ""))
-        stage = task_id.rsplit("-", 1)[0] if "-" in task_id else "?"
-        kind = str(t["args"].get("kind", "?"))
-        killed_groups.setdefault((stage, kind), []).append(t)
-
-    out: List[PhaseProfile] = []
-    for (stage, kind), members in sorted(groups.items()):
-        by_wave: Dict[int, List[dict]] = {}
-        for t in members:
-            by_wave.setdefault(int(t["args"].get("wave", 0)), []).append(t)
-        waves = []
-        stragglers: List[Straggler] = []
-        wave_medians: Dict[int, float] = {}
-        for wave, batch in sorted(by_wave.items()):
-            durs = [t["dur"] for t in batch]
-            if len(batch) >= 2:
-                wave_medians[wave] = _median(durs)
-            waves.append(
-                WaveProfile(
-                    wave=wave,
-                    tasks=len(batch),
-                    mean=sum(durs) / len(durs),
-                    median=_median(durs),
-                    p95=_percentile(durs, 0.95),
-                    max=max(durs),
-                    cv=coefficient_of_variation(durs),
-                )
-            )
-            if len(batch) < 2:
-                continue
-            wave_median = _median(durs)
-            if wave_median <= 0:
-                continue
-            for t in sorted(
-                batch, key=lambda t: str(t["args"].get("task", ""))
-            ):
-                if t["dur"] <= straggler_threshold * wave_median:
-                    continue
-                peers = [p for p in batch if p is not t]
-                cause, evidence = _attribute_cause(t, peers, input_bytes)
-                stragglers.append(
-                    Straggler(
-                        task=str(t["args"].get("task", "?")),
-                        track=t["track"],
-                        wave=wave,
-                        duration=t["dur"],
-                        wave_median=wave_median,
-                        slowdown=t["dur"] / wave_median,
-                        cause=cause,
-                        evidence=evidence,
-                        alerts=_span_alert_labels(t, alerts),
-                    )
-                )
-        # Killed primaries never ran to completion; judge their
-        # *projected* duration against the wave of completed peers
-        # (which includes the winning backup's attempt).
-        for t in sorted(
-            killed_groups.get((stage, kind), ()),
-            key=lambda t: str(t["args"].get("task", "")),
-        ):
-            wave = int(t["args"].get("wave", 0))
-            wave_median = wave_medians.get(wave, 0.0)
-            projected = float(t["args"].get("projected_dur", 0.0))
-            if wave_median <= 0 or projected <= straggler_threshold * wave_median:
-                continue
-            stragglers.append(
-                Straggler(
-                    task=str(t["args"].get("task", "?")),
-                    track=t["track"],
-                    wave=wave,
-                    duration=projected,
-                    wave_median=wave_median,
-                    slowdown=projected / wave_median,
-                    cause="mitigated-by-speculation",
-                    evidence={"projected.seconds": (projected, wave_median)},
-                    alerts=_span_alert_labels(t, alerts),
-                )
-            )
-        stragglers.sort(key=lambda s: (-s.slowdown, s.task))
-        phase_inputs = [
-            input_bytes[str(t["args"].get("task", ""))]
-            for t in members
-            if str(t["args"].get("task", "")) in input_bytes
-        ]
-        out.append(
-            PhaseProfile(
-                stage=stage,
-                kind=kind,
-                tasks=len(members),
-                waves=waves,
-                input_gini=gini(phase_inputs),
-                input_cv=coefficient_of_variation(phase_inputs),
-                input_bytes={
-                    str(t["args"].get("task", "")): input_bytes.get(
-                        str(t["args"].get("task", "")), 0.0
-                    )
-                    for t in members
-                },
-                stragglers=stragglers,
-            )
-        )
-    return out
+                if profile is not None:
+                    profiles.append(profile)
+    profiles.sort(key=lambda p: (p.stage, p.kind, p.attempt))
+    return profiles
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +375,9 @@ def render(profiles: List[PhaseProfile], top_k: int = 5) -> List[str]:
         return ["no task spans in trace"]
     lines: List[str] = []
     for p in profiles:
+        rerun = f" [attempt {p.attempt}]" if p.attempt else ""
         lines.append(
-            f"{p.stage} {p.kind}: {p.tasks} task(s), "
+            f"{p.stage} {p.kind}{rerun}: {p.tasks} task(s), "
             f"input skew gini={p.input_gini:.3f} cv={p.input_cv:.3f}"
         )
         for w in p.waves:
@@ -433,4 +399,30 @@ def render(profiles: List[PhaseProfile], top_k: int = 5) -> List[str]:
                 )
         else:
             lines.append("  no stragglers flagged")
+    return lines
+
+
+def slowest_lookups(spans: List[dict]) -> List[str]:
+    """The run's slowest ``lookup`` / ``lookup.batch`` / ``index.fetch``
+    spans by simulated duration (subject to the per-task detail cap)."""
+    lookups = [
+        s for s in spans if s["name"] in ("lookup", "lookup.batch", "index.fetch")
+    ]
+    if not lookups:
+        return ["no lookup spans in trace (detail may be capped or untraced)"]
+    lookups.sort(key=lambda s: s["dur"], reverse=True)
+    lines = [
+        f"top {min(SLOWEST_LOOKUPS, len(lookups))} of {len(lookups)} "
+        f"lookup span(s):"
+    ]
+    for s in lookups[:SLOWEST_LOOKUPS]:
+        extras = ", ".join(
+            f"{k}={v}"
+            for k, v in sorted(s["args"].items())
+            if k not in ("depth",)
+        )
+        lines.append(
+            f"  {s['name']} {s['dur'] * 1e3:.3f}ms @ t={s['start']:.3f}s"
+            f" on {s['track']}" + (f" ({extras})" if extras else "")
+        )
     return lines

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.obs.analysis.loader import task_stage
 from repro.obs.live import bus as busmod
 
 #: Metrics shown in the one-line frame, in display order.
@@ -50,8 +51,7 @@ class LiveSnapshot:
         if event.kind == busmod.KIND_SPAN:
             args = event.payload.get("args", {})
             if event.name == "task":
-                task_id = str(args.get("task", ""))
-                stage = task_id.rsplit("-", 1)[0] if "-" in task_id else "?"
+                stage = task_stage(str(args.get("task", "")))
                 key = (stage, str(args.get("kind", "?")))
                 self.tasks_done[key] = self.tasks_done.get(key, 0) + 1
             elif event.name == "task.crash":

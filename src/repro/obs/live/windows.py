@@ -43,7 +43,8 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.live import bus as busmod
-from repro.obs.metrics import Histogram
+from repro.obs.analysis.loader import task_stage
+from repro.obs.metrics import Histogram, median
 
 #: Default trailing window width (simulated seconds). The simulated
 #: benches run for single-digit seconds, so one second spans a few task
@@ -100,15 +101,6 @@ class RollingWindow:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 class LiveAggregators:
@@ -192,8 +184,7 @@ class LiveAggregators:
         name = event.name
         if name == "task":
             kind = str(args.get("kind", "?"))
-            task_id = str(args.get("task", ""))
-            stage = task_id.rsplit("-", 1)[0] if "-" in task_id else "?"
+            stage = task_stage(str(args.get("task", "")))
             wave = int(args.get("wave", 0))
             self._wave_tasks.setdefault((stage, kind, wave), []).append(
                 event.ts - event.start
@@ -221,7 +212,7 @@ class LiveAggregators:
             stage = str(args.get("job", "?"))
             wave = int(args.get("wave", 0))
             durs = self._wave_tasks.pop((stage, kind, wave), [])
-            ratio = max(durs) / _median(durs) if len(durs) >= 2 else 1.0
+            ratio = max(durs) / median(durs) if len(durs) >= 2 else 1.0
             self._emit(
                 "straggler_ratio", event.ts, ratio,
                 {"stage": stage, "kind": kind, "wave": wave, "tasks": len(durs)},

@@ -22,6 +22,18 @@ DEFAULT_LATENCY_BUCKETS_S = (
 )
 
 
+def median(values: Sequence[float]) -> float:
+    """Middle value (mean of the two middle values for an even count)
+    -- the one median every wave/peer comparison under
+    :mod:`repro.obs` uses, offline and live."""
+    ordered = sorted(values)
+    n = len(ordered)
+    mid = n // 2
+    if n % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 class Counter:
     """A monotonically increasing value."""
 

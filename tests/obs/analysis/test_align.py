@@ -9,12 +9,8 @@ labels differ, and (c) the whole thing is independent of span order.
 
 import random
 
-from repro.obs.analysis.align import (
-    align_forests,
-    build_forest,
-    job_name_map,
-    stage_suffix,
-)
+from repro.obs.analysis.align import align_forests, job_name_map
+from repro.obs.analysis.loader import build_forest, stage_suffix
 from repro.obs.trace import (
     DEPTH_JOB,
     DEPTH_PHASE,
@@ -33,7 +29,7 @@ def span(name, depth, track, start, dur, **args):
     }
 
 
-def small_run(job="j", task_durs=(0.5, 0.4), extra_stage=False):
+def small_run(job="j", task_durs=(0.5, 0.4), extra_stage=False, slot=0):
     """One job, its main stage, a map phase, one wave of tasks -- the
     exporter's span schema in miniature."""
     spans = []
@@ -41,7 +37,7 @@ def small_run(job="j", task_durs=(0.5, 0.4), extra_stage=False):
     for i, dur in enumerate(task_durs):
         spans.append(
             span(
-                "task", DEPTH_TASK, f"node{i:02d}/map0", 0.1, dur,
+                "task", DEPTH_TASK, f"node{i:02d}/map{slot}", 0.1, dur,
                 task=f"{job}-m{i:04d}", kind="map", wave=0, attempt=0,
                 op_totals={"lookup": [10, dur / 4]},
             )
@@ -105,6 +101,33 @@ class TestForest:
                 s["dur"] = 1.5
         (jb,) = build_forest(spans)
         assert [s.ident for s in jb.children] == [("", 0), ("", 1)]
+
+    def test_overlapping_jobs_share_no_task(self):
+        # An Optimized trace: the profiling job and the optimized job
+        # both start at t=0, on disjoint slot tracks. Time containment
+        # alone would hand each phase both jobs' tasks.
+        spans = small_run("q-profile", task_durs=(0.5, 0.4, 0.3)) + small_run(
+            "q-optimized", task_durs=(0.2, 0.1), slot=1
+        )
+        forest = build_forest(spans)
+        tasks = {
+            jb.label: [
+                t
+                for stage in jb.children
+                for phase in stage.children
+                for wave in phase.children
+                for t in wave.children
+            ]
+            for jb in forest
+        }
+        assert {job: len(ts) for job, ts in tasks.items()} == {
+            "q-optimized": 2, "q-profile": 3,
+        }
+        placed = [t.label for ts in tasks.values() for t in ts]
+        wanted = [
+            s["args"]["task"] for s in spans if s["depth"] == DEPTH_TASK
+        ]
+        assert sorted(placed) == sorted(wanted)  # none shared, none dropped
 
     def test_order_independent(self):
         spans = small_run(extra_stage=True)

@@ -79,7 +79,7 @@ class TestCliErrors:
     """Both CLIs exit non-zero with one-line reasons on bad input."""
 
     def test_obs_report_missing_dir(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.analysis.__main__ import main
 
         rc = main(["report", str(tmp_path / "nope")])
         assert rc == 2
@@ -88,7 +88,7 @@ class TestCliErrors:
         assert "Traceback" not in err
 
     def test_obs_report_empty_dir(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.analysis.__main__ import main
 
         rc = main(["report", str(tmp_path)])
         assert rc == 2
@@ -113,7 +113,7 @@ class TestCliErrors:
         assert "ok.trace.json: ok" in out.replace(str(tmp_path) + "/", "")
 
     def test_obs_report_partial_trace_fails_clearly(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
+        from repro.obs.analysis.__main__ import main
 
         (tmp_path / "partial.trace.json").write_text('{"traceEvents": [')
         rc = main(["report", str(tmp_path)])

@@ -21,7 +21,15 @@ from repro.obs.analysis.stragglers import (
     phase_profiles,
     render,
 )
-from repro.obs.trace import DEPTH_OP, DEPTH_TASK, slot_track
+from repro.obs.trace import (
+    DEPTH_JOB,
+    DEPTH_OP,
+    DEPTH_PHASE,
+    DEPTH_STAGE,
+    DEPTH_TASK,
+    DRIVER_TRACK,
+    slot_track,
+)
 from repro.simcluster.cluster import Cluster
 from repro.simcluster.faults import FaultPlan
 
@@ -56,6 +64,25 @@ def _task(stage, idx, kind, wave, track, start, dur, op_totals=None, name="task"
     }
 
 
+def _profiles(task_spans, stage="j"):
+    """``phase_profiles`` over hand-built task spans, wrapped in the
+    enclosing job/stage/phase spans every real export has."""
+    def driver(name, depth, **args):
+        return {
+            "name": name, "cat": "job", "track": DRIVER_TRACK, "start": 0.0,
+            "dur": 10.0, "depth": depth, "args": dict(args, job=stage),
+        }
+
+    kinds = sorted(
+        {s["args"]["kind"] for s in task_spans if s["depth"] == DEPTH_TASK}
+    )
+    return phase_profiles(
+        task_spans
+        + [driver(f"efind:{stage}", DEPTH_JOB), driver(stage, DEPTH_STAGE)]
+        + [driver(kind, DEPTH_PHASE, kind=kind) for kind in kinds]
+    )
+
+
 class TestCauseAttribution:
     def _wave(self, slow_totals, slow_dur=1.0):
         spans = [
@@ -70,7 +97,7 @@ class TestCauseAttribution:
         return spans
 
     def _one_straggler(self, spans):
-        (profile,) = phase_profiles(spans)
+        (profile,) = _profiles(spans)
         assert len(profile.stragglers) == 1
         return profile.stragglers[0]
 
@@ -157,7 +184,7 @@ class TestCauseAttribution:
             "start": 0.0, "dur": 0.9, "depth": DEPTH_OP,
             "args": {"task": "j-r0009", "bytes": 9000.0},
         })
-        (profile,) = phase_profiles(spans)
+        (profile,) = _profiles(spans)
         (s,) = profile.stragglers
         assert s.cause == "partition-skew"
         assert s.evidence["input.bytes"] == (9000.0, 1000.0)
@@ -169,7 +196,7 @@ class TestCauseAttribution:
             _task("j", 5, "map", 0, slot_track("n5", "map", 0), 0.0, 5.0,
                   name="task.crash")
         )
-        (profile,) = phase_profiles(spans)
+        (profile,) = _profiles(spans)
         assert profile.tasks == 5  # the crash span is excluded
 
 
@@ -202,7 +229,7 @@ class TestSpeculationMitigation:
         spans.append(
             _killed("j", 9, "map", 0, slot_track("n9", "map", 0), 1.0)
         )
-        (profile,) = phase_profiles(spans)
+        (profile,) = _profiles(spans)
         (s,) = profile.stragglers
         assert s.cause == "mitigated-by-speculation"
         assert s.duration == 1.0  # the projected, not the killed stub
@@ -214,7 +241,7 @@ class TestSpeculationMitigation:
         spans.append(
             _killed("j", 9, "map", 0, slot_track("n9", "map", 0), 0.25)
         )
-        (profile,) = phase_profiles(spans)
+        (profile,) = _profiles(spans)
         assert profile.stragglers == []
 
     def test_killed_backup_spans_ignored(self):
@@ -225,7 +252,7 @@ class TestSpeculationMitigation:
             _killed("j", 9, "map", 0, slot_track("n9", "map", 0), 5.0,
                     role="backup")
         )
-        (profile,) = phase_profiles(spans)
+        (profile,) = _profiles(spans)
         assert profile.stragglers == []
 
     def test_killed_primary_needs_completed_wave_peers(self):
@@ -235,7 +262,7 @@ class TestSpeculationMitigation:
         spans.append(
             _killed("j", 9, "map", 0, slot_track("n9", "map", 0), 5.0)
         )
-        (profile,) = phase_profiles(spans)
+        (profile,) = _profiles(spans)
         assert profile.stragglers == []
 
 
@@ -334,6 +361,38 @@ class TestRealRun:
             assert 0.0 <= p.input_gini < 1.0
         text = "\n".join(render(profiles))
         assert "wave 0" in text
+
+    def test_replanned_run_profiled_per_stage_attempt(self, tmp_path):
+        """A dynamic replan aborts the main stage after its first wave
+        and re-runs the rest under a new plan and the same conf name.
+        Pooled by task id, the clean-cluster Fig. 11(b) Q3 run reads as
+        one 66-task map phase whose "wave 0" mixes 24 baseline-plan
+        with 24 cache-plan tasks -- 20 bogus slow-lookups stragglers."""
+        from repro.bench.harness import bench_cluster
+        from repro.workloads import tpch
+
+        cluster = bench_cluster()
+        dfs = DistributedFileSystem(cluster, block_size=12 * 1024)
+        data = tpch.generate(tpch.TpchConfig(sf=0.002))
+        tpch.write_lineitem(dfs, "/in/lineitem", data)
+        indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
+        obs = Observability()
+        result = EFindRunner(cluster, dfs, obs=obs).run(
+            tpch.make_q3_job("q3-dyn", "/in/lineitem", "/out/q3-dyn", indexes),
+            mode="dynamic",
+        )
+        assert result.replanned
+        obs.export(str(tmp_path), "q3-dyn")
+        (artifact,) = load_artifacts(str(tmp_path))
+        profiles = phase_profiles(artifact.spans)
+        slots = {
+            "map": cluster.total_map_slots,
+            "reduce": cluster.total_reduce_slots,
+        }
+        for p in profiles:
+            assert all(w.tasks <= slots[p.kind] for w in p.waves), (p.stage, p.kind)
+        assert [p.attempt for p in profiles if p.kind == "map"] == [0, 1]
+        assert [s.task for p in profiles for s in p.stragglers] == []
 
     def test_deterministic(self, efind_env, tmp_path):
         results = []

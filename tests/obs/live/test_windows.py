@@ -7,8 +7,8 @@ from repro.obs.live.windows import (
     DEFAULT_WINDOW_S,
     LiveAggregators,
     RollingWindow,
-    _median,
 )
+from repro.obs.metrics import median
 
 
 class TestRollingWindow:
@@ -55,9 +55,9 @@ class TestRollingWindow:
 
 
 def test_median():
-    assert _median([3.0]) == 3.0
-    assert _median([1.0, 3.0]) == 2.0
-    assert _median([5.0, 1.0, 3.0]) == 3.0
+    assert median([3.0]) == 3.0
+    assert median([1.0, 3.0]) == 2.0
+    assert median([5.0, 1.0, 3.0]) == 3.0
 
 
 def _task_span(bus, task, kind, start, end, wave=0):

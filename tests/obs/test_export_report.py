@@ -1,4 +1,5 @@
-"""Tests for the Chrome-trace exporter, validator, and report tool."""
+"""Tests for the Chrome-trace exporter, validator, and the sections
+``python -m repro.obs.analysis report`` prints for one export."""
 
 import json
 
@@ -10,14 +11,10 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.report import (
-    build_report,
-    find_trace_files,
-    load_trace,
-    phase_critical_paths,
-    replan_timeline,
-    slowest_lookups,
-)
+from repro.obs.analysis.__main__ import main as analysis_main
+from repro.obs.analysis.drift import replan_timeline
+from repro.obs.analysis.loader import find_trace_files, load_json_file
+from repro.obs.analysis.stragglers import slowest_lookups
 from repro.obs.trace import (
     DEPTH_JOB,
     DEPTH_OP,
@@ -28,6 +25,12 @@ from repro.obs.trace import (
     Tracer,
     slot_track,
 )
+
+
+def build_report(trace_path, capsys) -> str:
+    """What ``python -m repro.obs.analysis report TRACE`` prints."""
+    assert analysis_main(["report", trace_path]) == 0
+    return capsys.readouterr().out
 
 
 def small_tracer() -> Tracer:
@@ -178,18 +181,18 @@ class TestAlertBands:
         assert rows[0]["cleared_at"] == 1.8
         assert rows[1]["cleared_at"] is None  # open band stays open
 
-    def test_report_joins_alerts(self, tmp_path):
+    def test_report_joins_alerts(self, tmp_path, capsys):
         trace_path = str(tmp_path / "j.trace.json")
         write_chrome_trace(small_tracer(), trace_path, alerts=ALERT_ROWS)
         write_jsonl(ALERT_ROWS, str(tmp_path / "j.alerts.jsonl"))
-        report = build_report(trace_path)
+        report = build_report(trace_path, capsys)
         assert "SLO alerts" in report
         assert "wave-straggler" in report
         assert "[ALERT" in report  # critical-path lines annotated
 
 
 class TestReport:
-    def test_round_trip_and_sections(self, tmp_path):
+    def test_round_trip_and_sections(self, tmp_path, capsys):
         trace_path = str(tmp_path / "j.trace.json")
         write_chrome_trace(small_tracer(), trace_path)
         write_jsonl(
@@ -204,15 +207,14 @@ class TestReport:
             str(tmp_path / "j.audit.jsonl"),
         )
         assert find_trace_files(str(tmp_path)) == [trace_path]
-        report = build_report(trace_path)
-        assert "per-phase critical path" in report
+        report = build_report(trace_path, capsys)
+        assert "job j: 3.000s simulated, 3.000s accounted (100.0%)" in report
         # the critical chain is the slowest task of the only wave (2s)
-        assert "critical chain 2.000s" in report
+        assert "+2.000s task j-m1 wave 0" in report
         assert "lookup 200.000ms" in report
         assert "replan" in report and "cutover=mid-map" in report
 
     def test_sections_degrade_gracefully(self):
-        assert phase_critical_paths([]) == ["no phase spans in trace"]
         assert slowest_lookups([]) == [
             "no lookup spans in trace (detail may be capped or untraced)"
         ]
@@ -225,7 +227,7 @@ class TestObservabilityExport:
         obs.tracer.span("efind:j", "job", DRIVER_TRACK, 0.0, 1.0, DEPTH_JOB)
         paths = obs.export(str(tmp_path), "j")
         assert set(paths) == {"trace", "audit", "metrics"}
-        payload = load_trace(paths["trace"])
+        payload = load_json_file(paths["trace"], "trace")
         assert validate_chrome_trace(payload) == []
         with open(paths["metrics"], encoding="utf-8") as fh:
             metrics = json.load(fh)
@@ -239,5 +241,5 @@ class TestObservabilityExport:
         with open(paths["alerts"], encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh]
         assert rows == ALERT_ROWS
-        payload = load_trace(paths["trace"])
+        payload = load_json_file(paths["trace"], "trace")
         assert validate_chrome_trace(payload) == []

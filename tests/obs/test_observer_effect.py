@@ -241,11 +241,12 @@ class TestTpchQ3Acceptance:
                 "mid-map", "mid-reduce",
             )
 
-    def test_export_round_trips(self, q3_traced, tmp_path):
+    def test_export_round_trips(self, q3_traced, tmp_path, capsys):
         obs, _result = q3_traced
         paths = obs.export(str(tmp_path), "q3")
-        from repro.obs.report import build_report
+        from repro.obs.analysis.__main__ import main
 
-        report = build_report(paths["trace"])
-        assert "per-phase critical path" in report
+        assert main(["report", paths["trace"]]) == 0
+        report = capsys.readouterr().out
+        assert "job q3-traced: " in report and "task(s) on path" in report
         assert "adaptive evaluation" in report
