@@ -14,7 +14,7 @@ Acceptance criteria for the build tier:
 from conftest import record_table
 
 from repro.bench.figures import BUILD_Q3_MODES, run_build_q3
-from repro.bench.harness import format_build_table, format_table
+from repro.bench.harness import format_counter_table, format_table
 
 
 def check_shape(rows):
@@ -40,19 +40,19 @@ def check_shape(rows):
     # coverage; each warming job charges the same incremental build
     # cost; the inert full-coverage session builds nothing.
     scans = [
-        by_label[label].build["Dynamic"].get("unindexed_lookups", 0)
+        by_label[label].counters["build"]["Dynamic"].get("unindexed_lookups", 0)
         for label in trajectory
     ]
     assert scans[0] > scans[1] > scans[2] > scans[3] == 0
     for label in ("cold", "warm-1", "warm-2"):
-        build = by_label[label].build["Dynamic"]
+        build = by_label[label].counters["build"]["Dynamic"]
         assert build["records_indexed"] > 0
         assert build["build_seconds"] > 0
         assert build["scan_seconds"] > 0
-    full = by_label["full"].build["Dynamic"]
+    full = by_label["full"].counters["build"]["Dynamic"]
     assert full.get("records_indexed", 0) == 0
     assert full.get("scan_seconds", 0.0) == 0.0
-    assert prebuilt.build["Dynamic"] == {}
+    assert prebuilt.counters["build"]["Dynamic"] == {}
 
     # Bit-identical outputs across all phases (run_build_q3 already
     # raises on divergence; re-assert so the benchmark is
@@ -75,8 +75,8 @@ def test_build_q3(benchmark):
                     modes=BUILD_Q3_MODES,
                     x_label="build state",
                 ),
-                format_build_table(
-                    "Build  build.* counter totals", rows, modes=BUILD_Q3_MODES
+                format_counter_table(
+                    "Build  build.* counter totals", rows, "build", BUILD_Q3_MODES
                 ),
             ]
         ),

@@ -11,7 +11,7 @@ rather than the faults simply never firing.
 from conftest import record_table
 
 from repro.bench.figures import FAULT_MODES as MODES, FAULT_RATES, run_fault_recovery
-from repro.bench.harness import format_fault_table, format_table
+from repro.bench.harness import format_counter_table, format_table
 
 
 # workload construction lives in repro.bench.figures.run_fault_recovery
@@ -21,7 +21,7 @@ def check_shape(rows):
     clean = rows[0]
     assert clean.label.startswith("0%")
     for mode in MODES:
-        totals = clean.faults[mode]
+        totals = clean.counters["faults"][mode]
         assert all(v == 0 for v in totals.values()), (
             f"clean run must inject nothing, got {totals} for {mode}"
         )
@@ -36,8 +36,8 @@ def check_shape(rows):
                 f"{mode} should be strictly slower under faults ({row.label})"
             )
             # ...and the counters prove the faults actually fired.
-            assert row.faults[mode]["lookups_retried"] > 0, (mode, row.label)
-            assert row.faults[mode]["failovers"] > 0, (mode, row.label)
+            assert row.counters["faults"][mode]["lookups_retried"] > 0, (mode, row.label)
+            assert row.counters["faults"][mode]["failovers"] > 0, (mode, row.label)
 
 
 def test_fault_recovery(benchmark):
@@ -53,7 +53,7 @@ def test_fault_recovery(benchmark):
             x_label="failure rate",
         )
         + "\n\n"
-        + format_fault_table(
-            "Fault recovery  fault.* counter totals", rows, modes=MODES
+        + format_counter_table(
+            "Fault recovery  fault.* counter totals", rows, "faults", MODES
         ),
     )

@@ -15,7 +15,7 @@ Acceptance criteria for the reuse tier:
 from conftest import record_table
 
 from repro.bench.figures import REUSE_Q3_MODES, run_reuse_q3
-from repro.bench.harness import format_reuse_table, format_table
+from repro.bench.harness import format_counter_table, format_table
 
 
 def check_shape(rows):
@@ -45,16 +45,16 @@ def check_shape(rows):
     # Counter shape: the cold run admits everything it misses; the warm
     # run actually hits; the invalidated run drops every entry as stale
     # and falls back to fetching (then re-admits).
-    cold = by_label["cold"].reuse["Cache"]
+    cold = by_label["cold"].counters["reuse"]["Cache"]
     assert cold["misses"] == cold["probes"] > 0
     assert cold["admitted"] == cold["misses"]
     assert cold.get("hits", 0) == 0
 
-    warm_counts = warm.reuse["Cache"]
+    warm_counts = warm.counters["reuse"]["Cache"]
     assert warm_counts["hits"] > 0
     assert warm_counts["hits"] + warm_counts["misses"] == warm_counts["probes"]
 
-    stale = by_label["invalidated"].reuse["Cache"]
+    stale = by_label["invalidated"].counters["reuse"]["Cache"]
     assert stale["stale_drops"] == stale["probes"] > 0
     assert stale.get("hits", 0) == 0
 
@@ -79,8 +79,8 @@ def test_reuse_q3(benchmark):
                     modes=REUSE_Q3_MODES,
                     x_label="store state",
                 ),
-                format_reuse_table(
-                    "Reuse  reuse.* counter totals", rows, modes=REUSE_Q3_MODES
+                format_counter_table(
+                    "Reuse  reuse.* counter totals", rows, "reuse", REUSE_Q3_MODES
                 ),
             ]
         ),

@@ -16,11 +16,7 @@ Acceptance criteria for the speculation tier:
 from conftest import record_table
 
 from repro.bench.figures import SPEC_Q3_MODES, run_spec_q3
-from repro.bench.harness import (
-    format_route_table,
-    format_spec_table,
-    format_table,
-)
+from repro.bench.harness import format_counter_table, format_table
 
 
 def check_shape(rows):
@@ -44,7 +40,7 @@ def check_shape(rows):
     assert clean_on.times["Cache"] == clean_off.times["Cache"], (
         "speculation-on must not change a clean run's simulated time"
     )
-    assert not clean_on.spec["Cache"], (
+    assert not clean_on.counters["spec"]["Cache"], (
         "a clean run must launch no backups"
     )
 
@@ -52,19 +48,19 @@ def check_shape(rows):
     assert routed.times["Cache"] == slow_on.times["Cache"], (
         "replica routing is bookkeeping only; it must not change time"
     )
-    assert routed.route["Cache"]["keys"] > 0
-    assert routed.route["Cache"]["batches"] > 0
+    assert routed.counters["route"]["Cache"]["keys"] > 0
+    assert routed.counters["route"]["Cache"]["batches"] > 0
 
     # Counter shape: every launched backup either wins or is killed,
     # and here the x4 straggle makes every candidate a winner.
-    spec = slow_on.spec["Cache"]
+    spec = slow_on.counters["spec"]["Cache"]
     assert spec["backups_launched"] > 0
     assert spec["backups_launched"] == (
         spec.get("backups_won", 0) + spec.get("backups_lost", 0)
     )
     assert spec.get("primaries_killed", 0) == spec.get("backups_won", 0)
     assert spec.get("saved_seconds", 0.0) > 0.0
-    assert spec == routed.spec["Cache"]
+    assert spec == routed.counters["spec"]["Cache"]
 
     # Bit-identical outputs across all configurations (run_spec_q3
     # already raises on divergence; re-assert so the benchmark is
@@ -87,14 +83,16 @@ def test_spec_q3(benchmark):
                     modes=SPEC_Q3_MODES,
                     x_label="config",
                 ),
-                format_spec_table(
+                format_counter_table(
                     "Speculation  spec.* counter totals",
                     rows,
+                    "spec",
                     modes=SPEC_Q3_MODES,
                 ),
-                format_route_table(
+                format_counter_table(
                     "Speculation  route.* counter totals",
                     rows,
+                    "route",
                     modes=SPEC_Q3_MODES,
                 ),
             ]

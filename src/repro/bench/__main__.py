@@ -15,15 +15,7 @@ import sys
 import time
 
 from repro.bench import figures
-from repro.bench.harness import (
-    format_batch_table,
-    format_build_table,
-    format_fault_table,
-    format_reuse_table,
-    format_route_table,
-    format_spec_table,
-    format_table,
-)
+from repro.bench.harness import format_counter_table, format_table
 
 
 def _table_fig12(rows) -> str:
@@ -157,9 +149,10 @@ EXPERIMENTS = {
                     modes=figures.BATCH_MODES,
                     x_label="batch size",
                 ),
-                format_batch_table(
+                format_counter_table(
                     "Batching  batch.* counter totals",
                     rows,
+                    "batches",
                     modes=figures.BATCH_MODES,
                 ),
             ]
@@ -176,9 +169,10 @@ EXPERIMENTS = {
                     modes=figures.REUSE_Q3_MODES,
                     x_label="store state",
                 ),
-                format_reuse_table(
+                format_counter_table(
                     "Reuse  reuse.* counter totals",
                     rows,
+                    "reuse",
                     modes=figures.REUSE_Q3_MODES,
                 ),
             ]
@@ -195,9 +189,10 @@ EXPERIMENTS = {
                     modes=figures.BUILD_Q3_MODES,
                     x_label="build state",
                 ),
-                format_build_table(
+                format_counter_table(
                     "Build  build.* counter totals",
                     rows,
+                    "build",
                     modes=figures.BUILD_Q3_MODES,
                 ),
             ]
@@ -214,14 +209,16 @@ EXPERIMENTS = {
                     modes=figures.SPEC_Q3_MODES,
                     x_label="config",
                 ),
-                format_spec_table(
+                format_counter_table(
                     "Speculation  spec.* counter totals",
                     rows,
+                    "spec",
                     modes=figures.SPEC_Q3_MODES,
                 ),
-                format_route_table(
+                format_counter_table(
                     "Speculation  route.* counter totals",
                     rows,
+                    "route",
                     modes=figures.SPEC_Q3_MODES,
                 ),
             ]
@@ -238,9 +235,10 @@ EXPERIMENTS = {
                     modes=figures.FAULT_MODES,
                     x_label="failure rate",
                 ),
-                format_fault_table(
+                format_counter_table(
                     "Fault recovery  fault.* counter totals",
                     rows,
+                    "faults",
                     modes=figures.FAULT_MODES,
                 ),
             ]

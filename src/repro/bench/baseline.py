@@ -62,34 +62,18 @@ def baseline_filename(suite: str) -> str:
 
 def serialize_row(row: ExperimentRow) -> dict:
     """One figure row as comparable JSON: simulated seconds per mode
-    plus the deterministic fault/batch/reuse/spec/route/build counter
-    groups (empty groups are dropped -- clean runs record no fault
-    counters at all, runs without a reuse session record no reuse
-    counters, runs without speculation or routing record neither of
-    those, and runs without a build session record no build
-    counters)."""
+    plus the deterministic counter totals of every feature that ran,
+    under its ``FEATURE_COUNTERS`` key (empty groups are dropped --
+    clean runs record no fault counters at all, runs without a reuse
+    session no reuse counters, and so on)."""
     out: dict = {
         "label": row.label,
         "times": {mode: row.times[mode] for mode in sorted(row.times)},
     }
-    faults = {m: g for m, g in sorted(row.faults.items()) if g}
-    if faults:
-        out["faults"] = faults
-    batches = {m: g for m, g in sorted(row.batches.items()) if g}
-    if batches:
-        out["batches"] = batches
-    reuse = {m: g for m, g in sorted(row.reuse.items()) if g}
-    if reuse:
-        out["reuse"] = reuse
-    spec = {m: g for m, g in sorted(row.spec.items()) if g}
-    if spec:
-        out["spec"] = spec
-    route = {m: g for m, g in sorted(row.route.items()) if g}
-    if route:
-        out["route"] = route
-    build = {m: g for m, g in sorted(row.build.items()) if g}
-    if build:
-        out["build"] = build
+    for key, by_mode in row.counters.items():
+        totals = {m: g for m, g in sorted(by_mode.items()) if g}
+        if totals:
+            out[key] = totals
     return out
 
 

@@ -28,8 +28,8 @@ from repro.core.costmodel import Strategy
 from repro.core.ejobconf import IndexJobConf
 from repro.core.runner import EFindJobResult, EFindRunner
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.mapreduce.counters import FEATURE_COUNTERS, feature_totals
 from repro.simcluster.cluster import Cluster
-from repro.simcluster.faults import FaultPlan
 from repro.simcluster.timemodel import TimeModel
 
 ALL_MODES = ("Base", "Cache", "Repart", "Idxloc", "Optimized", "Dynamic")
@@ -69,14 +69,12 @@ class ExperimentRow:
     label: str
     times: Dict[str, float] = field(default_factory=dict)
     details: Dict[str, EFindJobResult] = field(default_factory=dict)
-    faults: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    """Per-variant ``fault.*`` counter totals (empty on clean runs)."""
-    batches: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    """Per-variant ``batch.*`` counter totals, with the derived
-    ``mean_fill`` (empty on unbatched runs)."""
-    reuse: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    """Per-variant ``reuse.*`` counter totals (empty when no reuse
-    session is attached)."""
+    counters: Dict[str, Dict[str, Dict[str, float]]] = field(
+        default_factory=lambda: {key: {} for key in FEATURE_COUNTERS}
+    )
+    """Per-feature, per-variant counter totals:
+    ``counters[key][mode]`` for every ``FEATURE_COUNTERS`` key (the
+    inner dict is empty when the run did not use the feature)."""
     trace_wall: Dict[str, Dict[str, float]] = field(default_factory=dict)
     """Per-variant wall-clock seconds of the untraced (``off``) and
     traced (``on``) executions plus the derived ``overhead`` delta.
@@ -84,15 +82,6 @@ class ExperimentRow:
     trace_paths: Dict[str, Dict[str, str]] = field(default_factory=dict)
     """Per-variant exported artifact paths (``trace`` / ``audit`` /
     ``metrics``), keyed like :attr:`trace_wall`."""
-    spec: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    """Per-variant ``spec.*`` counter totals (empty unless speculation
-    is enabled)."""
-    route: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    """Per-variant ``route.*`` counter totals (empty unless a replica
-    route policy is set)."""
-    build: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    """Per-variant ``build.*`` counter totals (empty unless a build
-    session is attached)."""
     alerts: Dict[str, List[dict]] = field(default_factory=dict)
     """Per-variant live SLO alert rows from the traced re-run (only
     populated with ``--trace`` + ``--live``; an empty list means the
@@ -111,40 +100,25 @@ def run_all_modes(
     label: str = "",
     verify_outputs: bool = True,
     skip: Sequence[str] = (),
-    cache_capacity: int = 1024,
     forced_boundary: Optional[str] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    batch_size: int = 1,
-    reuse=None,
-    speculation_factor: Optional[float] = None,
-    route_policy: Optional[str] = None,
-    build=None,
+    **runner_kwargs,
 ) -> ExperimentRow:
     """Run the requested variants and return their simulated times.
 
     ``job_factory`` builds a fresh IndexJobConf per variant (operators
     hold per-run state such as caches, so they must not be shared).
     ``skip`` lists modes that do not apply (e.g. Idxloc when the index
-    exposes no partition scheme). ``cache_capacity`` applies to every
-    variant (the paper fixes 1024 entries; scaled-down experiments may
-    scale it with their key domains). ``fault_plan`` (optional) runs
-    every variant under the same injected faults; the per-variant
-    ``fault.*`` counter totals land in ``row.faults``. ``reuse``
-    (optional) is a :class:`repro.core.reuse.ReuseSession` or
-    :class:`~repro.core.reuse.ReuseStore` shared by every variant's
-    runners, so lookup results persist across the jobs of one
-    experiment; per-variant ``reuse.*`` counter totals land in
-    ``row.reuse``. ``speculation_factor`` (optional) enables backup
-    tasks for wave stragglers on every variant (``spec.*`` totals land
-    in ``row.spec``); ``route_policy`` (optional) attaches replica-
-    aware lookup routing (``route.*`` totals land in ``row.route``).
-    Both leave every variant's output bit-identical to a run without
-    them. ``build`` (optional) is a
-    :class:`repro.indices.build.BuildSession` shared by every variant's
-    runners: incremental index builds piggyback on the map tasks and
-    coverage persists across the jobs of one experiment (``build.*``
-    totals land in ``row.build``). Outputs stay identical; only
-    simulated time moves (scan-assisted lookups and build charges).
+    exposes no partition scheme).
+
+    ``runner_kwargs`` are :class:`EFindRunner` keywords
+    (``cache_capacity``, ``fault_plan``, ``batch_size``, ``reuse``,
+    ``speculation_factor``, ``route_policy``, ``build``, ...) applied to
+    every variant's runners; an unknown one raises ``TypeError``. A
+    ``reuse`` session or ``build`` session is shared by all of them, so
+    lookup results and index coverage persist across the jobs of one
+    experiment. Every feature leaves the variants' outputs identical;
+    its counter totals land in ``row.counters`` (see
+    ``FEATURE_COUNTERS``).
 
     When a trace directory is set (``repro.obs.config.set_trace_dir``,
     i.e. ``python -m repro.bench --trace <dir>``), every variant runs
@@ -163,7 +137,11 @@ def run_all_modes(
     row = ExperimentRow(label=label)
     reference: Optional[list] = None
     trace_dir = get_trace_dir()
-    reuse_store = reuse_store_of(reuse)
+    reuse_store = reuse_store_of(runner_kwargs.get("reuse"))
+    build = runner_kwargs.get("build")
+
+    def make_runner(catalog=None, obs=None) -> EFindRunner:
+        return EFindRunner(cluster, dfs, catalog=catalog, obs=obs, **runner_kwargs)
 
     def execute(mode: str, obs=None) -> EFindJobResult:
         """Run one variant on fresh runners (operators and catalogs are
@@ -172,63 +150,15 @@ def run_all_modes(
         if mode == "Optimized":
             # Profiling run with the baseline collects "sufficient
             # statistics"; only the optimized run's time is reported.
-            profiler = EFindRunner(
-                cluster,
-                dfs,
-                cache_capacity=cache_capacity,
-                fault_plan=fault_plan,
-                batch_size=batch_size,
-                reuse=reuse_store,
-                speculation_factor=speculation_factor,
-                route_policy=route_policy,
-                build=build,
-                obs=obs,
-            )
+            profiler = make_runner(obs=obs)
             profiler.run(
                 job_factory(f"{label or 'job'}-profile"),
                 mode="forced",
                 forced_strategy=Strategy.BASELINE,
             )
-            runner = EFindRunner(
-                cluster,
-                dfs,
-                catalog=profiler.catalog,
-                cache_capacity=cache_capacity,
-                fault_plan=fault_plan,
-                batch_size=batch_size,
-                reuse=reuse_store,
-                speculation_factor=speculation_factor,
-                route_policy=route_policy,
-                build=build,
-                obs=obs,
-            )
-            return runner.run(job, mode="static")
+            return make_runner(profiler.catalog, obs).run(job, mode="static")
         if mode == "Dynamic":
-            runner = EFindRunner(
-                cluster,
-                dfs,
-                cache_capacity=cache_capacity,
-                fault_plan=fault_plan,
-                batch_size=batch_size,
-                reuse=reuse_store,
-                speculation_factor=speculation_factor,
-                route_policy=route_policy,
-                build=build,
-                obs=obs,
-            )
-            return runner.run(job, mode="dynamic")
-        runner = EFindRunner(
-            cluster,
-            dfs,
-            cache_capacity=cache_capacity,
-            fault_plan=fault_plan,
-            batch_size=batch_size,
-            reuse=reuse_store,
-            speculation_factor=speculation_factor,
-            route_policy=route_policy,
-            build=build,
-            obs=obs,
-        )
+            return make_runner(obs=obs).run(job, mode="dynamic")
         strategy = {
             "Base": Strategy.BASELINE,
             "Cache": Strategy.CACHE,
@@ -237,7 +167,7 @@ def run_all_modes(
         }[mode]
         # Forced runs have no statistics to choose a job boundary
         # from; ``forced_boundary`` supplies the sensible one.
-        return runner.run(
+        return make_runner(obs=obs).run(
             job,
             mode="forced",
             forced_strategy=strategy,
@@ -259,12 +189,8 @@ def run_all_modes(
         wall_off = time.perf_counter() - started
         row.times[mode] = result.sim_time
         row.details[mode] = result
-        row.faults[mode] = result.counters.group("fault")
-        row.batches[mode] = batch_totals(result.counters)
-        row.reuse[mode] = result.counters.group("reuse")
-        row.spec[mode] = result.counters.group("spec")
-        row.route[mode] = result.counters.group("route")
-        row.build[mode] = result.counters.group("build")
+        for key, feature in FEATURE_COUNTERS.items():
+            row.counters[key][mode] = feature_totals(result.counters, feature.group)
         if trace_dir is not None:
             if reuse_store is not None:
                 post_snap = reuse_store.snapshot()
@@ -348,17 +274,6 @@ def _traced_rerun(
     }
 
 
-def batch_totals(counters) -> Dict[str, float]:
-    """The ``batch.*`` counter totals plus the derived ``mean_fill``
-    (keys per issued multiget). Counters merge additively across tasks,
-    so the mean must be derived here rather than counted."""
-    totals = counters.group("batch")
-    issued = totals.get("batches_issued", 0.0)
-    if issued:
-        totals["mean_fill"] = totals.get("keys_batched", 0.0) / issued
-    return totals
-
-
 def _equivalent(a, b) -> bool:
     """Structural equality with float tolerance (different plans sum
     floating-point aggregates in different orders)."""
@@ -376,217 +291,31 @@ def speedup(row: ExperimentRow, over: str, under: str) -> float:
     return row.times[over] / row.times[under]
 
 
-FAULT_COUNTER_NAMES = (
-    "lookups_retried",
-    "lookups_failed",
-    "failovers",
-    "locality_fallbacks",
-    "tasks_retried",
-)
-
-
-def format_fault_table(
+def format_counter_table(
     title: str,
     rows: List[ExperimentRow],
+    key: str,
     modes: Sequence[str] = ALL_MODES,
 ) -> str:
-    """Render the ``fault.*`` counter totals, one line per (row, mode)."""
-    present = [m for m in modes if any(m in r.faults for r in rows)]
-    widths = [max(8, len(n)) for n in FAULT_COUNTER_NAMES]
+    """Render one feature's counter totals (``FEATURE_COUNTERS[key]``):
+    one line per (row, mode) that ran, a counter the run never touched
+    printing 0."""
+    feature = FEATURE_COUNTERS[key]
+    present = [m for m in modes if any(m in r.counters[key] for r in rows)]
+    widths = [max(8, len(n)) for n in feature.columns]
     header = (
         f"{'config':>12s} | {'mode':>9s} | "
-        + " | ".join(f"{n:>{w}s}" for n, w in zip(FAULT_COUNTER_NAMES, widths))
+        + " | ".join(f"{n:>{w}s}" for n, w in zip(feature.columns, widths))
     )
     lines = [title, "-" * len(header), header, "-" * len(header)]
     for row in rows:
         for mode in present:
-            if mode not in row.faults:
+            if mode not in row.counters[key]:
                 continue
-            counters = row.faults[mode]
+            totals = row.counters[key][mode]
             cells = " | ".join(
-                f"{counters.get(n, 0.0):{w}g}"
-                for n, w in zip(FAULT_COUNTER_NAMES, widths)
-            )
-            lines.append(f"{row.label:>12s} | {mode:>9s} | {cells}")
-    lines.append("-" * len(header))
-    return "\n".join(lines)
-
-
-BATCH_COUNTER_NAMES = (
-    "batches_issued",
-    "keys_batched",
-    "mean_fill",
-    "flushes_on_finish",
-)
-
-
-def format_batch_table(
-    title: str,
-    rows: List[ExperimentRow],
-    modes: Sequence[str] = ALL_MODES,
-) -> str:
-    """Render the ``batch.*`` counter totals, one line per (row, mode)."""
-    present = [m for m in modes if any(m in r.batches for r in rows)]
-    widths = [max(8, len(n)) for n in BATCH_COUNTER_NAMES]
-    header = (
-        f"{'config':>12s} | {'mode':>9s} | "
-        + " | ".join(f"{n:>{w}s}" for n, w in zip(BATCH_COUNTER_NAMES, widths))
-    )
-    lines = [title, "-" * len(header), header, "-" * len(header)]
-    for row in rows:
-        for mode in present:
-            if mode not in row.batches:
-                continue
-            counters = row.batches[mode]
-            cells = " | ".join(
-                f"{counters.get(n, 0.0):{w}.4g}"
-                for n, w in zip(BATCH_COUNTER_NAMES, widths)
-            )
-            lines.append(f"{row.label:>12s} | {mode:>9s} | {cells}")
-    lines.append("-" * len(header))
-    return "\n".join(lines)
-
-
-REUSE_COUNTER_NAMES = (
-    "probes",
-    "hits",
-    "misses",
-    "stale_drops",
-    "admitted",
-    "rejected",
-    "evicted",
-)
-
-
-def format_reuse_table(
-    title: str,
-    rows: List[ExperimentRow],
-    modes: Sequence[str] = ALL_MODES,
-) -> str:
-    """Render the ``reuse.*`` counter totals, one line per (row, mode)."""
-    present = [m for m in modes if any(r.reuse.get(m) for r in rows)]
-    widths = [max(8, len(n)) for n in REUSE_COUNTER_NAMES]
-    header = (
-        f"{'config':>12s} | {'mode':>9s} | "
-        + " | ".join(f"{n:>{w}s}" for n, w in zip(REUSE_COUNTER_NAMES, widths))
-    )
-    lines = [title, "-" * len(header), header, "-" * len(header)]
-    for row in rows:
-        for mode in present:
-            if not row.reuse.get(mode):
-                continue
-            counters = row.reuse[mode]
-            cells = " | ".join(
-                f"{counters.get(n, 0.0):{w}g}"
-                for n, w in zip(REUSE_COUNTER_NAMES, widths)
-            )
-            lines.append(f"{row.label:>12s} | {mode:>9s} | {cells}")
-    lines.append("-" * len(header))
-    return "\n".join(lines)
-
-
-SPEC_COUNTER_NAMES = (
-    "candidates",
-    "backups_launched",
-    "backups_won",
-    "backups_lost",
-    "saved_seconds",
-    "wasted_seconds",
-)
-
-
-def format_spec_table(
-    title: str,
-    rows: List[ExperimentRow],
-    modes: Sequence[str] = ALL_MODES,
-) -> str:
-    """Render the ``spec.*`` counter totals, one line per (row, mode)."""
-    present = [m for m in modes if any(r.spec.get(m) for r in rows)]
-    widths = [max(8, len(n)) for n in SPEC_COUNTER_NAMES]
-    header = (
-        f"{'config':>12s} | {'mode':>9s} | "
-        + " | ".join(f"{n:>{w}s}" for n, w in zip(SPEC_COUNTER_NAMES, widths))
-    )
-    lines = [title, "-" * len(header), header, "-" * len(header)]
-    for row in rows:
-        for mode in present:
-            if not row.spec.get(mode):
-                continue
-            counters = row.spec[mode]
-            cells = " | ".join(
-                f"{counters.get(n, 0.0):{w}.4g}"
-                for n, w in zip(SPEC_COUNTER_NAMES, widths)
-            )
-            lines.append(f"{row.label:>12s} | {mode:>9s} | {cells}")
-    lines.append("-" * len(header))
-    return "\n".join(lines)
-
-
-ROUTE_COUNTER_NAMES = (
-    "batches",
-    "keys",
-    "hot_spread",
-    "rebalanced",
-)
-
-
-def format_route_table(
-    title: str,
-    rows: List[ExperimentRow],
-    modes: Sequence[str] = ALL_MODES,
-) -> str:
-    """Render the ``route.*`` counter totals, one line per (row, mode)."""
-    present = [m for m in modes if any(r.route.get(m) for r in rows)]
-    widths = [max(8, len(n)) for n in ROUTE_COUNTER_NAMES]
-    header = (
-        f"{'config':>12s} | {'mode':>9s} | "
-        + " | ".join(f"{n:>{w}s}" for n, w in zip(ROUTE_COUNTER_NAMES, widths))
-    )
-    lines = [title, "-" * len(header), header, "-" * len(header)]
-    for row in rows:
-        for mode in present:
-            if not row.route.get(mode):
-                continue
-            counters = row.route[mode]
-            cells = " | ".join(
-                f"{counters.get(n, 0.0):{w}g}"
-                for n, w in zip(ROUTE_COUNTER_NAMES, widths)
-            )
-            lines.append(f"{row.label:>12s} | {mode:>9s} | {cells}")
-    lines.append("-" * len(header))
-    return "\n".join(lines)
-
-
-BUILD_COUNTER_NAMES = (
-    "indexed_lookups",
-    "unindexed_lookups",
-    "records_indexed",
-    "build_seconds",
-    "scan_seconds",
-)
-
-
-def format_build_table(
-    title: str,
-    rows: List[ExperimentRow],
-    modes: Sequence[str] = ALL_MODES,
-) -> str:
-    """Render the ``build.*`` counter totals, one line per (row, mode)."""
-    present = [m for m in modes if any(r.build.get(m) for r in rows)]
-    widths = [max(8, len(n)) for n in BUILD_COUNTER_NAMES]
-    header = (
-        f"{'config':>12s} | {'mode':>9s} | "
-        + " | ".join(f"{n:>{w}s}" for n, w in zip(BUILD_COUNTER_NAMES, widths))
-    )
-    lines = [title, "-" * len(header), header, "-" * len(header)]
-    for row in rows:
-        for mode in present:
-            if not row.build.get(mode):
-                continue
-            counters = row.build[mode]
-            cells = " | ".join(
-                f"{counters.get(n, 0.0):{w}.4g}"
-                for n, w in zip(BUILD_COUNTER_NAMES, widths)
+                f"{totals.get(n, 0.0):{w}{feature.cell}}"
+                for n, w in zip(feature.columns, widths)
             )
             lines.append(f"{row.label:>12s} | {mode:>9s} | {cells}")
     lines.append("-" * len(header))

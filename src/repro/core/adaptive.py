@@ -23,6 +23,7 @@ from repro.core.ejobconf import IndexJobConf
 from repro.core.optimizer import optimize_operator, plan_cost
 from repro.core.plan import AccessPlan, OperatorPlan
 from repro.core.statistics import OperatorStats, OperatorStatsAccumulator
+from repro.core.strategy import LookupSettings
 from repro.obs.audit import (
     VERDICT_NO_IMPROVEMENT,
     VERDICT_NO_OPERATORS,
@@ -80,29 +81,27 @@ def evaluate_replan(
     variance_threshold: float = DEFAULT_VARIANCE_THRESHOLD,
     plan_change_cost: float = 0.0,
     scale: float = 1.0,
-    cache_capacity: int = 1024,
+    settings: LookupSettings = LookupSettings(),
     audit=None,
     now: float = 0.0,
-    reuse=None,
     num_hosts: int = 1,
-    build=None,
 ) -> Optional[ReplanDecision]:
     """Algorithm 1: return a better plan, or None to keep running.
 
-    ``reuse`` (a :class:`repro.core.reuse.ReuseStore`, optional) seeds
-    each index's reuse-hit prior from warm-store occupancy: instead of
-    the pessimistic "no cross-job hits" default, the planner prices the
-    fetch terms of Equations 1-4 down by the fraction of the key set
-    the store already holds (``num_hosts`` normalises per-host
+    ``settings`` are the run's lookup settings. Its reuse store (if
+    any) seeds each index's reuse-hit prior from warm-store occupancy:
+    instead of the pessimistic "no cross-job hits" default, the planner
+    prices the fetch terms of Equations 1-4 down by the fraction of the
+    key set the store already holds (``num_hosts`` normalises per-host
     occupancy). The seed only fills in when the run has not yet probed
     the store itself; observed hit ratios always win.
 
-    ``build`` (a :class:`repro.indices.build.BuildSession`, optional)
-    overrides each index's sampled build coverage with the catalog's
-    authoritative value and attaches the job's accrued build debt: the
-    first-wave sample only sees the keys it happened to look up, while
-    the manager knows exactly which buckets are committed. The debt is
-    strategy-invariant, so it is audited but never priced.
+    Its build session (if any) overrides each index's sampled build
+    coverage with the catalog's authoritative value and attaches the
+    job's accrued build debt: the first-wave sample only sees the keys
+    it happened to look up, while the manager knows exactly which
+    buckets are committed. The debt is strategy-invariant, so it is
+    audited but never priced.
 
     ``scale`` extrapolates the sampled input volume to the *remaining*
     work (remaining tasks / sampled tasks): a plan change only pays off
@@ -138,6 +137,7 @@ def evaluate_replan(
             **kw,
         )
 
+    reuse, build = settings.reuse, settings.build
     op_ids = relevant_operator_ids(iconf, phase)
     if not op_ids:
         record(VERDICT_NO_OPERATORS, gate=[])
@@ -184,7 +184,7 @@ def evaluate_replan(
         for j, idx in stats.per_index.items():
             # The whole-job key volume changes the compulsory-miss bound.
             idx.miss_ratio = idx.capacity_bounded_miss_ratio(
-                stats.n1, cache_capacity
+                stats.n1, settings.cache_capacity
             )
             if reuse is not None and j < len(op.accessors):
                 idx.reuse_seed = reuse.seeded_hit_ratio(

@@ -35,6 +35,7 @@ from repro.core.strategy import (
     GroupLookupReducer,
     KeyByIkFn,
     LookupFn,
+    LookupSettings,
     PostProcessFn,
     PreProcessFn,
     RecordMeter,
@@ -103,21 +104,10 @@ class _SmapMeter:
 
 
 class _StageBuilder:
-    def __init__(
-        self,
-        iconf: IndexJobConf,
-        cluster: Cluster,
-        cache_capacity: int = 1024,
-        batch_size: int = 1,
-        reuse=None,
-        build=None,
-    ):
+    def __init__(self, iconf: IndexJobConf, cluster: Cluster, settings: LookupSettings):
         self.iconf = iconf
         self.cluster = cluster
-        self.cache_capacity = cache_capacity
-        self.batch_size = batch_size
-        self.reuse = reuse
-        self.build = build
+        self.settings = settings
         self.stages: List[StageSpec] = []
         self.shuffle_parallelism = max(
             cluster.num_nodes, min(32, cluster.total_reduce_slots)
@@ -172,11 +162,8 @@ class _StageBuilder:
     def _lookup_stage(self, cls, op, op_id, j, stats_acc, **tiers):
         """The one place a lookup stage (``LookupFn`` or
         ``GroupLookupReducer``) is built: every one gets the run's
-        batching knob and its reuse / build handles."""
-        return cls(
-            op, op_id, j, stats_acc, batch_size=self.batch_size,
-            reuse=self.reuse, build=self.build, **tiers,
-        )
+        lookup settings."""
+        return cls(op, op_id, j, stats_acc, self.settings, **tiers)
 
     def emit_operator(
         self,
@@ -210,7 +197,6 @@ class _StageBuilder:
                     self._lookup_stage(
                         LookupFn, op, op_id, j, stats_acc,
                         use_cache=strategy in (Strategy.CACHE, Strategy.PARTIAL),
-                        cache_capacity=self.cache_capacity,
                         record_sidx=is_last,
                     )
                 )
@@ -314,12 +300,9 @@ def compile_plan(
     cluster: Cluster,
     stats_registry: Optional[Dict[str, OperatorStatsAccumulator]] = None,
     op_stats: Optional[Dict[str, OperatorStats]] = None,
-    cache_capacity: int = 1024,
+    settings: LookupSettings = LookupSettings(),
     boundary_override: Optional[str] = None,
     start_at: str = "head",
-    batch_size: int = 1,
-    reuse=None,
-    build=None,
 ) -> List[StageSpec]:
     """Compile ``iconf`` under ``plan`` into physical stages.
 
@@ -327,21 +310,15 @@ def compile_plan(
     operators -- used when resuming an aborted job mid-reduce (the map
     side is already done and its outputs are fed in directly).
 
-    ``reuse`` (a :class:`repro.core.reuse.ReuseStore`, optional) is
-    threaded into every lookup stage so results persist across the jobs
-    compiled against the same store.
-
-    ``build`` (a :class:`repro.indices.build.BuildSession`, optional)
-    is threaded into every lookup stage (uncovered keys take the
-    scan-assisted path) and its incremental builder is prepended to the
-    first stage's map chain so builds piggyback on the input scan.
+    ``settings`` is handed to every lookup stage: results persist in
+    its reuse store across the jobs compiled against it, and keys its
+    build session does not cover yet take the scan-assisted path. The
+    session's incremental builder is prepended to the first stage's map
+    chain so builds piggyback on the input scan.
     """
     stats_registry = stats_registry or {}
     op_stats = op_stats or {}
-    builder = _StageBuilder(
-        iconf, cluster, cache_capacity, batch_size=batch_size, reuse=reuse,
-        build=build,
-    )
+    builder = _StageBuilder(iconf, cluster, settings)
 
     placed = iconf.placed_operators()
 
@@ -356,11 +333,11 @@ def compile_plan(
         )
 
     if start_at == "head":
-        if build is not None:
+        if settings.build is not None:
             # The piggyback builder sees the raw input stream before any
             # operator stage; a mid-reduce resume never re-reads the
             # input, so it gets no builder.
-            builder.map_chain.append(build.builder_fn())
+            builder.map_chain.append(settings.build.builder_fn())
         smap_accs = [
             stats_registry[op_id]
             for op_id, placement, _ in placed

@@ -22,6 +22,7 @@ from repro.core.ejobconf import IndexJobConf
 from repro.core.optimizer import plan_cost
 from repro.core.plan import AccessPlan
 from repro.core.statistics import OperatorStats
+from repro.mapreduce.counters import FEATURE_COUNTERS, feature_totals
 from repro.simcluster.cluster import Cluster
 
 _STRATEGY_LABEL = {
@@ -140,22 +141,16 @@ def explain(
 
 
 def _runtime_lines(result) -> list:
-    """The post-run section: fault/batch counter groups and the
+    """The post-run section: every feature's counter group and the
     adaptive audit records collected during the run."""
     lines = ["runtime:"]
-    for group in ("fault", "batch", "build"):
-        totals = result.counters.group(group)
-        if group == "batch" and totals.get("batches_issued"):
-            # Counters merge additively across tasks; the mean batch
-            # fill is derived here, as in the bench tables.
-            totals["mean_fill"] = (
-                totals.get("keys_batched", 0.0) / totals["batches_issued"]
-            )
+    for feature in FEATURE_COUNTERS.values():
+        totals = feature_totals(result.counters, feature.group)
         if totals:
             pairs = ", ".join(f"{k}={v:g}" for k, v in sorted(totals.items()))
-            lines.append(f"  {group}.*: {pairs}")
+            lines.append(f"  {feature.group}.*: {pairs}")
         else:
-            lines.append(f"  {group}.*: none")
+            lines.append(f"  {feature.group}.*: none")
     lines.extend(_build_coverage_lines(result))
     audit = getattr(result, "audit", None) or []
     if audit:

@@ -31,6 +31,7 @@ from repro.core.statistics import (
     OperatorStatsAccumulator,
     StatisticsCatalog,
 )
+from repro.core.strategy import LookupSettings
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.splits import InputSplit
 from repro.indices.routing import ReplicaRouter
@@ -118,16 +119,15 @@ class EFindRunner:
         self.cluster = cluster
         self.dfs = dfs
         self.fault_plan = fault_plan
-        self.batch_size = batch_size
-        # Cross-job lookup-result reuse: a ReuseSession (or bare
-        # ReuseStore) whose state outlives each job this runner runs.
-        self.reuse = reuse
-        self._reuse_store = reuse_store_of(reuse)
-        # Adaptive in-job index construction: a BuildSession
-        # (repro.indices.build) whose catalog outlives each job. None
+        # What every lookup stage of every job shares. ``reuse``: a
+        # ReuseSession (or bare ReuseStore) whose state outlives each
+        # job this runner runs. ``build``: a BuildSession
+        # (repro.indices.build) whose catalog outlives each job; None
         # (the default) leaves every build gate short-circuited and
         # execution bit-identical to the pre-build runner.
-        self.build = build
+        self.settings = LookupSettings(
+            cache_capacity, batch_size, reuse_store_of(reuse), build
+        )
         # repro.obs.Observability (or None): tracing + metrics + the
         # adaptive audit log. Purely passive -- simulated results are
         # identical with or without it.
@@ -141,9 +141,8 @@ class EFindRunner:
         self.speculation = speculation
         self.route_policy = route_policy
         self._routers: Dict[str, ReplicaRouter] = {}
-        warm_hosts = (
-            self._reuse_store.warm_hosts if self._reuse_store is not None else None
-        )
+        store = self.settings.reuse
+        warm_hosts = store.warm_hosts if store is not None else None
         self.job_runner = JobRunner(
             cluster,
             dfs,
@@ -153,7 +152,6 @@ class EFindRunner:
             warm_hosts=warm_hosts,
         )
         self.catalog = catalog if catalog is not None else StatisticsCatalog()
-        self.cache_capacity = cache_capacity
         self.variance_threshold = variance_threshold
         tm = cluster.time_model
         self.plan_change_overhead = (
@@ -198,7 +196,7 @@ class EFindRunner:
         specs = iconf.operator_specs()
         registry = {
             op_id: OperatorStatsAccumulator(
-                op_id, m, self.cluster.num_nodes, self.cache_capacity
+                op_id, m, self.cluster.num_nodes, self.settings.cache_capacity
             )
             for op_id, (_, m) in specs.items()
         }
@@ -225,10 +223,11 @@ class EFindRunner:
         audit_start = (
             len(self.obs.audit.records) if self.obs is not None else 0
         )
-        if self.build is not None:
+        build = self.settings.build
+        if build is not None:
             # Freeze per-index build fractions for this job; coverage
             # itself only advances at the commit below.
-            self.build.begin_job()
+            build.begin_job()
         result = self._execute(
             iconf,
             the_plan,
@@ -238,8 +237,8 @@ class EFindRunner:
             boundary_override=boundary_override,
             start_time=start_time,
         )
-        if self.build is not None:
-            self.build.commit_job()
+        if build is not None:
+            build.commit_job()
         if update_catalog:
             self._update_catalog(iconf, registry, result)
         if self.obs is not None:
@@ -267,6 +266,7 @@ class EFindRunner:
         capable index, keyed by index name so load state accumulates
         across this runner's jobs (an index shared between jobs keeps
         balancing against its real cumulative load)."""
+        build = self.settings.build
         for _, _, op in iconf.placed_operators():
             for accessor in op.accessors:
                 index = getattr(accessor, "index", None)
@@ -277,15 +277,10 @@ class EFindRunner:
                 router = self._routers.setdefault(
                     index.name, ReplicaRouter(policy=self.route_policy)
                 )
-                if (
-                    self.build is not None
-                    and index.name in getattr(self.build, "targets", ())
-                ):
+                if build is not None and index.name in getattr(build, "targets", ()):
                     # HAIL per-replica layouts: prefer replicas whose
                     # clustered layout covers the query key.
-                    router.set_layout_preference(
-                        self.build.layout_preference(index.name)
-                    )
+                    router.set_layout_preference(build.layout_preference(index.name))
                 index.set_router(router)
 
     # ------------------------------------------------------------------
@@ -306,15 +301,16 @@ class EFindRunner:
         Coverage sampled by a previous run is stale by construction --
         the commit at that job's end advanced it -- so planning always
         prices against what the manager says is built *now*."""
-        if self.build is None:
+        build = self.settings.build
+        if build is None:
             return stats
         per_index = dict(stats.per_index)
         for j, accessor in enumerate(op.accessors):
             idx = per_index.get(j, IndexStats())
             per_index[j] = replace(
                 idx,
-                build_coverage=self.build.coverage(accessor.name),
-                build_debt=self.build.job_debt(accessor.name),
+                build_coverage=build.coverage(accessor.name),
+                build_debt=build.job_debt(accessor.name),
             )
         return replace(stats, per_index=per_index)
 
@@ -389,10 +385,9 @@ class EFindRunner:
                     iconf, plan, registry, env, phase,
                     self.variance_threshold, self.plan_change_overhead,
                     scale=(total_tasks - len(runs)) / max(1, len(runs)),
-                    cache_capacity=self.cache_capacity,
+                    settings=self.settings,
                     audit=audit, now=max(r.end for r in runs),
-                    reuse=self._reuse_store, num_hosts=self.cluster.num_nodes,
-                    build=self.build,
+                    num_hosts=self.cluster.num_nodes,
                 )
                 if decision is not None:
                     cell["decision"], cell["phase"] = decision, phase
@@ -424,12 +419,10 @@ class EFindRunner:
         self, iconf, plan, registry, op_stats, boundary_override=None,
         start_at: str = "head",
     ) -> List[StageSpec]:
-        """Compile ``plan`` with this runner's lookup-stage settings
-        (cache capacity, batching knob, reuse store, build session)."""
+        """Compile ``plan`` with this runner's lookup settings."""
         return compile_plan(
-            iconf, plan, self.cluster, registry, op_stats, self.cache_capacity,
-            boundary_override, start_at, batch_size=self.batch_size,
-            reuse=self._reuse_store, build=self.build,
+            iconf, plan, self.cluster, registry, op_stats, self.settings,
+            boundary_override, start_at,
         )
 
     def _resume_after_map_abort(

@@ -23,6 +23,7 @@ enable and in how they emit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.common.sizing import sizeof, sizeof_pair
@@ -105,6 +106,24 @@ class PreProcessFn(ChainedFunction):
 _NO_MEMO = object()
 
 
+@dataclass(frozen=True)
+class LookupSettings:
+    """The run-wide settings every lookup stage of a run shares. Built
+    once in ``EFindRunner.__init__`` and handed whole through compiler,
+    stages and pipeline (and to Algorithm 1), so a new run feature is
+    one field here rather than a keyword in every layer between."""
+
+    #: Entries per node-local lookup cache (the paper fixes 1024).
+    cache_capacity: int = 1024
+    #: Records parked per multiget; 1 fetches every missing key at once.
+    batch_size: int = 1
+    #: Cross-job :class:`repro.core.reuse.ReuseStore`, or None.
+    reuse: Any = None
+    #: :class:`repro.indices.build.BuildSession` of an index still being
+    #: built in-job, or None.
+    build: Any = None
+
+
 class LookupPipeline:
     """The lookup path of one index, shared by every strategy.
 
@@ -141,12 +160,9 @@ class LookupPipeline:
         operator_id: str,
         index_id: int,
         stats: Optional[OperatorStatsAccumulator],
-        batch_size: int,
-        reuse,
-        build,
+        settings: LookupSettings,
         use_cache: bool = False,
         shadow: bool = False,
-        cache_capacity: int = 1024,
         dedup_adjacent: bool = False,
         assume_local: bool = False,
         walk_span: bool = False,
@@ -156,9 +172,9 @@ class LookupPipeline:
         self.accessor: IndexAccessor = operator.accessors[index_id]
         self.stats = stats
         # The one clamp of the knob: runner and compiler pass it through.
-        self.batch_size = max(1, int(batch_size))
-        self.reuse = reuse
-        self.build = build
+        self.batch_size = max(1, int(settings.batch_size))
+        self.reuse = settings.reuse
+        self.build = settings.build
         self.use_cache = use_cache
         self.shadow = shadow
         self.dedup_adjacent = dedup_adjacent
@@ -167,7 +183,7 @@ class LookupPipeline:
         # covers its whole walk (map-side stages, whose probes charge
         # time) or the fetch alone (reduce side: nothing charged before).
         self.walk_span = walk_span
-        self.cache_capacity = cache_capacity
+        self.cache_capacity = settings.cache_capacity
         self._node_caches: dict = {}  # hostname -> LRUCache | ShadowCache
         self.reset()
 
@@ -558,24 +574,21 @@ class LookupFn(ChainedFunction):
         operator_id: str,
         index_id: int,
         stats: Optional[OperatorStatsAccumulator] = None,
+        settings: LookupSettings = LookupSettings(),
         use_cache: bool = False,
-        cache_capacity: int = 1024,
         dedup_adjacent: bool = False,
         assume_local: bool = False,
         record_sidx: bool = False,
-        batch_size: int = 1,
-        reuse=None,
-        build=None,
     ):
         self.operator_id = operator_id
         self.index_id = index_id
         self.stats = stats
         self.record_sidx = record_sidx
         self.pipeline = LookupPipeline(
-            operator, operator_id, index_id, stats, batch_size, reuse, build,
+            operator, operator_id, index_id, stats, settings,
             use_cache=use_cache, shadow=not use_cache and not dedup_adjacent,
-            cache_capacity=cache_capacity, dedup_adjacent=dedup_adjacent,
-            assume_local=assume_local, walk_span=True,
+            dedup_adjacent=dedup_adjacent, assume_local=assume_local,
+            walk_span=True,
         )
 
     def start(self, ctx):
@@ -696,15 +709,11 @@ class GroupLookupReducer(Reducer):
         operator_id: str,
         index_id: int,
         stats: Optional[OperatorStatsAccumulator] = None,
-        batch_size: int = 1,
-        reuse=None,
-        build=None,
+        settings: LookupSettings = LookupSettings(),
     ):
         self.operator_id = operator_id
         self.index_id = index_id
-        self.pipeline = LookupPipeline(
-            operator, operator_id, index_id, stats, batch_size, reuse, build
-        )
+        self.pipeline = LookupPipeline(operator, operator_id, index_id, stats, settings)
 
     def start(self, ctx):
         self.pipeline.reset()

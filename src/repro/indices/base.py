@@ -175,14 +175,20 @@ class IndexService:
         """
         return [self.lookup(key, ctx) for key in keys]
 
-    def _native_lookup_batch(self, keys: List[Any], ctx=None) -> List[List[Any]]:
-        """Shared body for native multiget overrides: serve every key
-        through the same per-key fault/retry path as :meth:`lookup`,
-        but account the request as one batch. The amortised *time* of a
-        native batch is charged by the caller (the strategy layer) via
-        :meth:`batch_service_time`."""
+    def _native_lookup_batch(
+        self, keys: List[Any], ctx=None, requests: int = 1
+    ) -> List[List[Any]]:
+        """Shared body for native multiget overrides, and the one place
+        a multiget is accounted: serve every key through the same
+        per-key fault/retry path as :meth:`lookup`, but count the call
+        as ``requests`` batches (the host sub-requests it fanned out
+        to). An empty multiget serves and counts nothing. The amortised
+        *time* of a native batch is charged by the caller (the strategy
+        layer) via :meth:`batch_service_time`."""
+        if not keys:
+            return []
         self.lookups_served += len(keys)
-        self.batches_served += 1
+        self.batches_served += requests
         self.keys_batched += len(keys)
         return [self._serve_with_retries(key, ctx) for key in keys]
 
@@ -353,8 +359,6 @@ class MappingIndex(IndexService):
         return [values]
 
     def lookup_batch(self, keys: List[Any], ctx=None) -> List[List[Any]]:
-        if not keys:
-            return []
         return self._native_lookup_batch(keys, ctx)
 
     def __len__(self) -> int:

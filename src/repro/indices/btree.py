@@ -388,16 +388,12 @@ class DistributedBTree(IndexService):
         hot-range spreading) and counts the per-host sub-requests it
         creates; routing never changes the values served or the time
         charged."""
-        if not keys:
-            return []
-        if self.router is not None:
+        requests = 1
+        if self.router is not None and keys:
             decision = self.router.assign(keys, self._locate)
             self.router.charge(ctx, decision)
-            self.lookups_served += len(keys)
-            self.keys_batched += len(keys)
-            self.batches_served += len(decision.groups)
-            return [self._serve_with_retries(key, ctx) for key in keys]
-        return self._native_lookup_batch(keys, ctx)
+            requests = len(decision.groups)
+        return self._native_lookup_batch(keys, ctx, requests)
 
     def range_scan(self, low: Any, high: Any) -> List[Tuple[Any, Any]]:
         first = self._scheme.partition_of(low)

@@ -53,8 +53,6 @@ class InvertedIndex(IndexService):
     def lookup_batch(self, keys: List[Any], ctx=None) -> List[List[Any]]:
         """Native multi-term lookup: the postings store serves the whole
         term list in one request."""
-        if not keys:
-            return []
         return self._native_lookup_batch(keys, ctx)
 
     def document_frequency(self, term: str) -> int:

@@ -180,27 +180,18 @@ class DistributedKVStore(IndexService):
         choice; routing changes only the host grouping and ``route.*``
         counters, never the values served or the time charged.
         """
-        if not keys:
-            return []
-        if self.router is not None:
+        if self.router is not None and keys:
             decision = self.router.assign(keys, self._locate)
             self.router.charge(ctx, decision)
-            num_requests = len(decision.groups)
+            groups = decision.groups
         else:
-            order: Dict[str, List[int]] = {}
-            for i, key in enumerate(keys):
-                replicas, live = self._locate(key)
-                order.setdefault(live[0] if live else replicas[0], []).append(i)
-            num_requests = len(order)
-        self.lookups_served += len(keys)
-        self.keys_batched += len(keys)
-        self.batches_served += num_requests
+            groups = self.multiget_plan(keys)
         # Keys are served in their original order regardless of the
         # grouping: per-key fault decisions are (key, attempt)-pure and
         # outage probes are per-partition, so this matches the grouped
         # serve order bit-for-bit while keeping routed and unrouted
         # paths trivially identical.
-        return [self._serve_with_retries(key, ctx) for key in keys]
+        return self._native_lookup_batch(keys, ctx, requests=len(groups))
 
     @property
     def partition_scheme(self) -> PartitionScheme:

@@ -15,7 +15,7 @@ takes the last writer's value for gauge keys instead of adding.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, NamedTuple, Set, Tuple
 
 
 class Counters:
@@ -81,3 +81,88 @@ class Counters:
         clone = Counters()
         clone.merge(self)
         return clone
+
+
+class FeatureCounters(NamedTuple):
+    """The counter group one run feature emits, and how it is shown."""
+
+    group: str
+    """Counter group name (``fault`` in ``fault.lookups_retried``)."""
+    columns: Tuple[str, ...]
+    """The counters printed as table columns, in order."""
+    cell: str
+    """Format spec of one table cell, after the width."""
+
+
+#: The one list of run features that emit counters, keyed by the name
+#: their totals are recorded under in a bench row and in
+#: ``BENCH_*.json``. The harness, the baseline writer, the CLI tables
+#: and EXPLAIN ANALYZE all iterate this; a new feature is one row here.
+FEATURE_COUNTERS: Dict[str, FeatureCounters] = {
+    "faults": FeatureCounters(
+        "fault",
+        (
+            "lookups_retried",
+            "lookups_failed",
+            "failovers",
+            "locality_fallbacks",
+            "tasks_retried",
+        ),
+        "g",
+    ),
+    "batches": FeatureCounters(
+        "batch",
+        ("batches_issued", "keys_batched", "mean_fill", "flushes_on_finish"),
+        ".4g",
+    ),
+    "reuse": FeatureCounters(
+        "reuse",
+        (
+            "probes",
+            "hits",
+            "misses",
+            "stale_drops",
+            "admitted",
+            "rejected",
+            "evicted",
+        ),
+        "g",
+    ),
+    "spec": FeatureCounters(
+        "spec",
+        (
+            "candidates",
+            "backups_launched",
+            "backups_won",
+            "backups_lost",
+            "saved_seconds",
+            "wasted_seconds",
+        ),
+        ".4g",
+    ),
+    "route": FeatureCounters(
+        "route", ("batches", "keys", "hot_spread", "rebalanced"), "g"
+    ),
+    "build": FeatureCounters(
+        "build",
+        (
+            "indexed_lookups",
+            "unindexed_lookups",
+            "records_indexed",
+            "build_seconds",
+            "scan_seconds",
+        ),
+        ".4g",
+    ),
+}
+
+
+def feature_totals(counters: Counters, group: str) -> Dict[str, float]:
+    """One group's totals plus its derived column: ``batch.mean_fill``
+    (keys per issued multiget). Counters merge additively across tasks,
+    so the mean must be derived from the totals rather than counted."""
+    totals = counters.group(group)
+    issued = totals.get("batches_issued", 0.0) if group == "batch" else 0.0
+    if issued:
+        totals["mean_fill"] = totals.get("keys_batched", 0.0) / issued
+    return totals

@@ -402,8 +402,21 @@ class JobRunner:
         job_start = start_time + tm.job_startup_time
         counters = Counters()
 
-        map_runs, remaining, map_end, map_spec = self._run_map_phase(
-            conf, splits, job_start, abort_check_map
+        def map_hosts(split):
+            if conf.map_host_constraint is None:
+                return split.hosts, None
+            return split.hosts, conf.map_host_constraint(split.index)
+
+        map_runs, remaining, map_end, map_spec = self._run_phase(
+            conf,
+            "map",
+            splits,
+            lambda split: lambda node, attempt: self._execute_map_task(
+                conf, split, node, tm, attempt
+            ),
+            map_hosts,
+            job_start,
+            abort_check_map,
         )
         for run in map_runs:
             counters.merge(run.counters)
@@ -442,8 +455,19 @@ class JobRunner:
                 output_path=conf.output_path,
             )
 
-        reduce_runs, remaining_parts, job_end, reduce_spec = self._run_reduce_phase(
-            conf, map_runs, map_end, abort_check_reduce
+        side_buckets = partition_records(
+            conf.side_reduce_inputs, conf.partitioner, conf.num_reduce_tasks
+        )
+        reduce_runs, remaining_parts, job_end, reduce_spec = self._run_phase(
+            conf,
+            "reduce",
+            list(range(conf.num_reduce_tasks)),
+            lambda p: lambda node, attempt: self._execute_reduce_task(
+                conf, p, map_runs, node, tm, side_buckets[p], attempt
+            ),
+            lambda p: (None, None),
+            map_end,
+            abort_check_reduce,
         )
         for run in reduce_runs:
             counters.merge(run.counters)
@@ -558,36 +582,43 @@ class JobRunner:
             )
 
     # ------------------------------------------------------------------
-    # Map phase
+    # The phase protocol, shared by map and reduce
     # ------------------------------------------------------------------
-    def _run_map_phase(
+    def _run_phase(
         self,
         conf: JobConf,
-        splits: List[InputSplit],
-        job_start: float,
+        kind: str,
+        items: list,
+        make_task: Callable[[Any], Callable[[Any, int], TaskRun]],
+        hosts_of: Callable[[Any], Tuple[Any, Any]],
+        floor: float,
         abort_check: Optional[AbortCheck],
-    ) -> Tuple[List[TaskRun], List[InputSplit], float, Optional[Counters]]:
-        tm = self.cluster.time_model
-        scheduler = self._scheduler("map", job_start)
+    ) -> Tuple[List[TaskRun], list, float, Optional[Counters]]:
+        """Run one task per item (split or partition) of a phase that
+        starts at ``floor``: ``make_task(item)`` is the attempt body,
+        ``hosts_of(item)`` its (preferred, allowed) hosts.
+        ``abort_check`` is consulted once, when the first wave
+        completes; on True the un-started items come back as the second
+        result. Returns (runs, remaining items, phase end, ``spec.*``
+        counters or None)."""
+        scheduler = self._scheduler(kind, floor)
         engine = self._speculation_engine(scheduler)
         runs: List[TaskRun] = []
-        first_wave = min(scheduler.num_slots, len(splits))
+        first_wave = min(scheduler.num_slots, len(items))
         checked = abort_check is None
+        remaining: list = []
+        aborted = False
 
-        for i, split in enumerate(splits):
-            allowed = None
-            if conf.map_host_constraint is not None:
-                allowed = conf.map_host_constraint(split.index)
+        for i, item in enumerate(items):
+            preferred, allowed = hosts_of(item)
             # Host-constrained tasks (index-locality lookups) are never
             # speculated: their per-host lookup charges cannot be
             # re-modelled on a backup host.
             defer = engine is not None and allowed is None
             run = self._run_attempts(
                 scheduler,
-                lambda node, attempt, split=split: self._execute_map_task(
-                    conf, split, node, tm, attempt
-                ),
-                preferred_hosts=split.hosts,
+                make_task(item),
+                preferred_hosts=preferred,
                 allowed_hosts=allowed,
                 defer_trace=defer,
             )
@@ -597,30 +628,26 @@ class JobRunner:
 
             if not checked and len(runs) == first_wave:
                 checked = True
-                if abort_check(runs, len(splits)):
-                    # Seal pending waves first: a won backup rescues the
-                    # straggler before the resume point is computed.
-                    spec_counters = (
-                        self._finish_speculation(engine, conf, "map")
-                        if engine is not None
-                        else None
-                    )
-                    remaining = splits[i + 1 :]
-                    return (
-                        runs,
-                        list(remaining),
-                        max(r.end for r in runs),
-                        spec_counters,
-                    )
+                if abort_check(runs, len(items)):
+                    aborted, remaining = True, list(items[i + 1 :])
+                    break
 
+        # Seal pending waves before the end is computed: on an abort a
+        # won backup rescues the straggler ahead of the resume point.
         spec_counters = (
-            self._finish_speculation(engine, conf, "map")
+            self._finish_speculation(engine, conf, kind)
             if engine is not None
             else None
         )
-        map_end = scheduler.makespan(floor=job_start)
-        return runs, [], map_end, spec_counters
+        if aborted:
+            end = max(r.end for r in runs)
+        else:
+            end = scheduler.makespan(floor=floor)
+        return runs, remaining, end, spec_counters
 
+    # ------------------------------------------------------------------
+    # Map tasks
+    # ------------------------------------------------------------------
     def _execute_map_task(self, conf, split, node, tm, attempt: int = 0) -> TaskRun:
         ctx = TaskContext(
             node, tm, task_id=f"{conf.name}-m{split.index:04d}", attempt=attempt
@@ -737,67 +764,8 @@ class JobRunner:
         return combined, combine_time
 
     # ------------------------------------------------------------------
-    # Reduce phase
+    # Reduce tasks
     # ------------------------------------------------------------------
-    def _run_reduce_phase(
-        self,
-        conf: JobConf,
-        map_runs: List[TaskRun],
-        map_end: float,
-        abort_check: Optional[AbortCheck],
-    ) -> Tuple[List[TaskRun], List[int], float, Optional[Counters]]:
-        tm = self.cluster.time_model
-        scheduler = self._scheduler("reduce", map_end)
-        engine = self._speculation_engine(scheduler)
-        runs: List[TaskRun] = []
-        partitions = list(range(conf.num_reduce_tasks))
-        first_wave = min(scheduler.num_slots, len(partitions))
-        checked = abort_check is None
-        side_buckets = partition_records(
-            conf.side_reduce_inputs, conf.partitioner, conf.num_reduce_tasks
-        )
-
-        for i, partition in enumerate(partitions):
-            run = self._run_attempts(
-                scheduler,
-                lambda node, attempt, partition=partition: self._execute_reduce_task(
-                    conf,
-                    partition,
-                    map_runs,
-                    node,
-                    tm,
-                    side_buckets[partition],
-                    attempt,
-                ),
-                defer_trace=engine is not None,
-            )
-            runs.append(run)
-            if engine is not None:
-                engine.observe(run, run._spec_slot)
-
-            if not checked and len(runs) == first_wave:
-                checked = True
-                if abort_check(runs, len(partitions)):
-                    spec_counters = (
-                        self._finish_speculation(engine, conf, "reduce")
-                        if engine is not None
-                        else None
-                    )
-                    remaining = partitions[i + 1 :]
-                    return (
-                        runs,
-                        list(remaining),
-                        max(r.end for r in runs),
-                        spec_counters,
-                    )
-
-        spec_counters = (
-            self._finish_speculation(engine, conf, "reduce")
-            if engine is not None
-            else None
-        )
-        return runs, [], scheduler.makespan(floor=map_end), spec_counters
-
     def reduce_input_for(
         self, map_runs: Sequence[TaskRun], partition: int
     ) -> List[Record]:

@@ -140,6 +140,19 @@ def _exceeds(old: float, new: float, tol: Tolerances) -> bool:
     return abs(new - old) > max(tol.abs_tol, tol.rel_tol * abs(old))
 
 
+def _counter_groups(row: dict) -> set:
+    """Keys of a baseline row that hold ``{mode: {name: value}}``
+    counter totals -- whatever they are called, so a counter group
+    added to the baseline files is compared without being listed here."""
+    return {
+        key
+        for key, value in row.items()
+        if key not in ("label", "times")
+        and isinstance(value, dict)
+        and all(isinstance(v, dict) for v in value.values())
+    }
+
+
 def compare(old: dict, new: dict, tolerances: Tolerances) -> RegressionReport:
     """Compare two loaded baseline documents."""
     deltas: List[Delta] = []
@@ -195,7 +208,7 @@ def compare(old: dict, new: dict, tolerances: Tolerances) -> RegressionReport:
                 else:
                     status = "improvement"
                 add(experiment, label, mode, "time", o, n, status)
-            for group in ("faults", "batches", "reuse", "spec", "route", "build"):
+            for group in sorted(_counter_groups(old_row) | _counter_groups(new_row)):
                 old_group = old_row.get(group, {})
                 new_group = new_row.get(group, {})
                 for mode in sorted(set(old_group) | set(new_group)):

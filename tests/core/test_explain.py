@@ -62,3 +62,43 @@ class TestExplain:
         plan = forced_plan(job.operator_specs(), Strategy.BASELINE)
         text = explain(job, plan=plan, cluster=efind_env.cluster)
         assert "[tail]" in text
+
+
+def runtime_line(text, group):
+    (line,) = [ln for ln in text.splitlines() if ln.startswith(f"  {group}.*:")]
+    return line
+
+
+class TestExplainAnalyze:
+    """The runtime section lists every feature's counter group."""
+
+    def test_reuse_warm_run_shows_reuse_line(self, efind_env):
+        from repro.core.reuse import ReuseStore
+
+        runner = efind_env.runner(reuse=ReuseStore())
+        for name in ("ea-cold", "ea-warm"):
+            result = runner.run(
+                efind_env.make_job(name), mode="forced", forced_strategy=Strategy.CACHE
+            )
+        text = explain(efind_env.make_job("ea"), runner=runner, result=result)
+        assert "hits=" in runtime_line(text, "reuse")
+        assert runtime_line(text, "spec") == "  spec.*: none"
+
+    def test_spec_routed_run_shows_spec_and_route_lines(self, efind_env):
+        from repro.simcluster.faults import FaultPlan
+
+        slow = efind_env.cluster.nodes[1].hostname
+        runner = efind_env.runner(
+            fault_plan=FaultPlan(seed=7, straggler_factors={slow: 4.0}),
+            batch_size=16,
+            speculation_factor=1.5,
+            route_policy="least-loaded",
+        )
+        result = runner.run(
+            efind_env.make_job("ea-spec"), mode="forced", forced_strategy=Strategy.CACHE
+        )
+        text = explain(efind_env.make_job("ea"), runner=runner, result=result)
+        assert "candidates=" in runtime_line(text, "spec")
+        assert "keys=" in runtime_line(text, "route")
+        # mean_fill comes from the shared derivation, not a private copy
+        assert "mean_fill=" in runtime_line(text, "batch")

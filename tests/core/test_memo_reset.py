@@ -17,7 +17,7 @@ from repro.core.accessor import IndexAccessor
 from repro.core.ejobconf import IndexJobConf
 from repro.core.operator import IndexOperator
 from repro.core.runner import EFindRunner
-from repro.core.strategy import LookupFn, make_carrier
+from repro.core.strategy import LookupFn, LookupSettings, make_carrier
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.indices.base import MappingIndex
 from repro.indices.kvstore import DistributedKVStore
@@ -85,7 +85,7 @@ class TestStartResetsPerTaskState:
             fn.process(*carrier_for("k3"), col, ctx)  # leave a real memo
 
     def test_pending_batch_dropped_between_attempts(self, op, index, ctx):
-        fn = LookupFn(op, "op0", 0, batch_size=4)
+        fn = LookupFn(op, "op0", 0, settings=LookupSettings(batch_size=4))
         fn.start(ctx)
         col = OutputCollector()
         fn.process(*carrier_for("k1"), col, ctx)

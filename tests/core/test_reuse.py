@@ -16,7 +16,12 @@ from repro.core.reuse import (
     ReuseStore,
     reuse_store_of,
 )
-from repro.core.strategy import GroupLookupReducer, LookupFn, make_carrier
+from repro.core.strategy import (
+    GroupLookupReducer,
+    LookupFn,
+    LookupSettings,
+    make_carrier,
+)
 from repro.indices.base import MappingIndex
 from repro.indices.dynamic import DynamicComputedIndex
 from repro.indices.kvstore import DistributedKVStore
@@ -334,7 +339,8 @@ class TestStrategyIntegration:
 
     def fresh_fn(self, kv, store, **kwargs):
         op = IndexOperator("op").add_index(IndexAccessor(kv))
-        return LookupFn(op, "op", 0, reuse=store, **kwargs), op
+        settings = LookupSettings(reuse=store)
+        return LookupFn(op, "op", 0, settings=settings, **kwargs), op
 
     def test_second_job_skips_fetch_and_charges_nothing(self, cluster, kv):
         store = ReuseStore()
@@ -401,7 +407,7 @@ class TestStrategyIntegration:
 
         def fresh_reducer():
             op = IndexOperator("op").add_index(IndexAccessor(kv))
-            return GroupLookupReducer(op, "op", 0, reuse=store)
+            return GroupLookupReducer(op, "op", 0, settings=LookupSettings(reuse=store))
 
         carriers = [("o", make_carrier("v", (("k4",),), (None,)))]
         red1 = fresh_reducer()

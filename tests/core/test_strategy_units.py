@@ -10,6 +10,7 @@ from repro.core.strategy import (
     GroupLookupReducer,
     KeyByIkFn,
     LookupFn,
+    LookupSettings,
     PostProcessFn,
     PreProcessFn,
     RecordMeter,
@@ -140,7 +141,9 @@ class TestLookupFnModes:
         tm = ctx.time_model
         carrier = make_carrier("v", (("k1", "k2", "k3"),), (None,))
 
-        fn = LookupFn(op, "op0", 0, assume_local=True, batch_size=1)
+        fn = LookupFn(
+            op, "op0", 0, assume_local=True, settings=LookupSettings(batch_size=1)
+        )
         fn.start(ctx)
         col = OutputCollector()
         fn.process("r", carrier, col, ctx)
@@ -151,7 +154,9 @@ class TestLookupFnModes:
         assert (index.lookups_served, index.batches_served) == (3, 0)
 
         ctx4 = TaskContext(ctx.node, tm, task_id="t1")
-        fn4 = LookupFn(op, "op0", 0, assume_local=True, batch_size=4)
+        fn4 = LookupFn(
+            op, "op0", 0, assume_local=True, settings=LookupSettings(batch_size=4)
+        )
         fn4.start(ctx4)
         col4 = OutputCollector()
         fn4.process("r", carrier, col4, ctx4)

@@ -111,6 +111,20 @@ class TestCompare:
         assert failure.status == "counter-drift"
         assert failure.quantity == "faults.lookups_retried"
 
+    def test_unlisted_counter_group_drift_fails(self):
+        """Any ``{mode: {name: value}}`` key of a row is a counter
+        group, whatever it is called; scalar keys are not."""
+        old, new = q3_doc(), q3_doc()
+        old["experiments"]["fig11b"]["rows"][0].update(
+            foo={"Base": {"bar": 1.0}}, note=1.0
+        )
+        new["experiments"]["fig11b"]["rows"][0].update(
+            foo={"Base": {"bar": 2.0}}, note=2.0
+        )
+        (failure,) = compare(old, new, Tolerances()).failures
+        assert failure.status == "counter-drift"
+        assert failure.quantity == "foo.bar"
+
     def test_tolerance_absorbs_small_drift(self):
         old, new = q3_doc(), q3_doc()
         new["experiments"]["fig11b"]["rows"][0]["times"]["Base"] *= 1.04

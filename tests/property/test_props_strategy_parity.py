@@ -19,7 +19,12 @@ from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
 from repro.core.reuse import ReuseStore
 from repro.core.statistics import OperatorStatsAccumulator
-from repro.core.strategy import GroupLookupReducer, LookupFn, make_carrier
+from repro.core.strategy import (
+    GroupLookupReducer,
+    LookupFn,
+    LookupSettings,
+    make_carrier,
+)
 from repro.indices.base import MappingIndex
 from repro.mapreduce.api import OutputCollector, TaskContext
 from repro.simcluster.cluster import Cluster
@@ -65,7 +70,7 @@ def run_stream(keys, batch_size, use_cache=False, dedup=False, store=None,
     if store is None:
         store = ReuseStore()  # default policy: admission="always"
     if warm_keys:
-        warm = LookupFn(op, "op", 0, reuse=store)
+        warm = LookupFn(op, "op", 0, settings=LookupSettings(reuse=store))
         wctx = make_ctx("prop-warmer")
         warm.start(wctx)
         wcol = OutputCollector()
@@ -77,7 +82,8 @@ def run_stream(keys, batch_size, use_cache=False, dedup=False, store=None,
     col = OutputCollector()
     if reducer:
         red = GroupLookupReducer(
-            op, "op", 0, stats=acc, batch_size=batch_size, reuse=store
+            op, "op", 0, stats=acc,
+            settings=LookupSettings(batch_size=batch_size, reuse=store),
         )
         red.start(ctx)
         for i, ik in enumerate(keys):
@@ -90,7 +96,7 @@ def run_stream(keys, batch_size, use_cache=False, dedup=False, store=None,
     else:
         fn = LookupFn(
             op, "op", 0, stats=acc, use_cache=use_cache, dedup_adjacent=dedup,
-            batch_size=batch_size, reuse=store,
+            settings=LookupSettings(batch_size=batch_size, reuse=store),
         )
         fn.start(ctx)
         for i, key in enumerate(keys):
