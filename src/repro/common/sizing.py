@@ -18,6 +18,15 @@ The model approximates a compact binary encoding:
 
 Anything else falls back to the UTF-8 size of ``repr(value)``, so unknown
 types degrade gracefully instead of raising mid-job.
+
+:func:`sizeof` sits on every boundary a record crosses, so it first
+dispatches on the *exact* type of the value -- the plain tuples, lists,
+strings and numbers records are made of -- and sizes the leaves of a
+container inside the loop, without a call. Every other value (subclasses
+such as ``IntEnum`` or a namedtuple, ``bytes``, sets, dicts,
+``wire_size()`` objects, unknown types) takes the ``isinstance`` ladder
+below it, which is the model's definition: the two agree on every value
+(DESIGN.md section 5.12).
 """
 
 from __future__ import annotations
@@ -30,6 +39,27 @@ _NUMBER_SIZE = 8
 
 def sizeof(value: Any) -> int:
     """Return the estimated serialized size of ``value`` in bytes."""
+    kind = type(value)
+    if kind is tuple or kind is list:
+        total = _CONTAINER_HEADER
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                total += len(item) if item.isascii() else _utf8_len(item)
+            elif kind is int or kind is float:
+                total += _NUMBER_SIZE
+            elif item is None or kind is bool:
+                total += 1
+            else:
+                total += sizeof(item)
+        return total
+    if kind is str:
+        return len(value) if value.isascii() else _utf8_len(value)
+    if kind is int or kind is float:
+        return _NUMBER_SIZE
+
+    # The ladder: the model itself, for every type the dispatch above
+    # does not name exactly.
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):
@@ -37,7 +67,7 @@ def sizeof(value: Any) -> int:
     if isinstance(value, str):
         if value.isascii():
             return len(value)
-        return len(value.encode("utf-8"))
+        return _utf8_len(value)
     if isinstance(value, (bytes, bytearray)):
         return len(value)
     if isinstance(value, (tuple, list)):
@@ -51,7 +81,13 @@ def sizeof(value: Any) -> int:
     wire_size = getattr(value, "wire_size", None)
     if callable(wire_size):
         return int(wire_size())
-    return len(repr(value).encode("utf-8"))
+    return _utf8_len(repr(value))
+
+
+def _utf8_len(text: str) -> int:
+    # ``surrogatepass``: a lone surrogate (3 bytes) must not raise
+    # mid-job; no valid string encodes differently under it.
+    return len(text.encode("utf-8", "surrogatepass"))
 
 
 def sizeof_pair(key: Any, value: Any) -> int:
@@ -61,4 +97,7 @@ def sizeof_pair(key: Any, value: Any) -> int:
 
 def sizeof_records(records) -> int:
     """Total size of an iterable of ``(key, value)`` pairs."""
-    return sum(sizeof_pair(k, v) for k, v in records)
+    total = 0
+    for key, value in records:
+        total += sizeof(key) + sizeof(value)
+    return total

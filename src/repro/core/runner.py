@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import PlanningError
-from repro.common.sizing import sizeof_pair
 from repro.core.adaptive import (
     DEFAULT_VARIANCE_THRESHOLD,
     ReplanDecision,
@@ -32,7 +31,7 @@ from repro.core.statistics import (
     StatisticsCatalog,
 )
 from repro.core.strategy import LookupSettings
-from repro.dfs.filesystem import DistributedFileSystem
+from repro.dfs.filesystem import DistributedFileSystem, chunk_records
 from repro.dfs.splits import InputSplit
 from repro.indices.routing import ReplicaRouter
 from repro.mapreduce.counters import Counters
@@ -573,23 +572,12 @@ class EFindRunner:
     def _records_to_splits(self, records: List[Record]) -> List[InputSplit]:
         """Chunk in-memory records into synthetic splits (used when
         resuming an aborted reduce phase)."""
-        target = self.dfs.block_size
-        splits: List[InputSplit] = []
-        current: List[Record] = []
-        size = 0
-        for record in records:
-            current.append(record)
-            size += sizeof_pair(*record)
-            if size >= target:
-                splits.append(
-                    InputSplit("<memory>", len(splits), current, size, hosts=[])
-                )
-                current, size = [], 0
-        if current or not splits:
-            splits.append(
-                InputSplit("<memory>", len(splits), current, size, hosts=[])
+        return [
+            InputSplit("<memory>", index, chunk, size, hosts=[])
+            for index, (chunk, size) in enumerate(
+                chunk_records(records, self.dfs.block_size)
             )
-        return splits
+        ]
 
     # ------------------------------------------------------------------
     def _assign_paths(self, iconf, stages: List[StageSpec], tag: str) -> None:

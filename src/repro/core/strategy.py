@@ -79,21 +79,21 @@ class PreProcessFn(ChainedFunction):
         index_input = IndexInput(m)
         out_key, out_value = self.operator.pre_process(key, value, index_input)
         ikl = index_input.as_tuple()
-        carrier = make_carrier(out_value, ikl, (None,) * m)
-        collector.collect(out_key, carrier)
+        before_bytes = collector.bytes
+        collector.collect(out_key, make_carrier(out_value, ikl, (None,) * m))
 
         if self.stats is not None:
             sample = self.stats.sample_for(ctx.task_id)
             sample.n1 += 1
             sample.s1_bytes += sizeof_pair(key, value)
-            sample.spre_bytes += sizeof_pair(out_key, carrier)
+            sample.spre_bytes += collector.bytes - before_bytes
             for j in range(m):
                 keys = ikl[j]
                 if not keys:
                     continue
                 sample.nik[j] = sample.nik.get(j, 0) + len(keys)
                 sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + sum(
-                    sizeof(ik) for ik in keys
+                    map(sizeof, keys)
                 )
                 for ik in keys:
                     self.stats.add_key_to_sketch(j, ik)
@@ -344,6 +344,12 @@ class LookupPipeline:
         remote_keys: List[Any] = []
         for ik in keys:
             (local_keys if self._is_local(ik, ctx) else remote_keys).append(ik)
+        # Each result is sized once, for the transfer charge and the Siv
+        # sample alike; without statistics only what crosses the network.
+        siv = {
+            ik: sizeof(results[ik])
+            for ik in (results if self.stats is not None else remote_keys)
+        }
 
         if multiget:
             ctx.counters.increment("batch", "batches_issued")
@@ -356,15 +362,15 @@ class LookupPipeline:
                 ctx.charge(
                     tm.remote_batch_lookup_time(
                         sum(map(sizeof, remote_keys)),
-                        sum(sizeof(results[ik]) for ik in remote_keys),
+                        sum(siv[ik] for ik in remote_keys),
                         batch_time(len(remote_keys)),
                     )
                 )
         else:
             for ik in local_keys:
-                self._charge_single(ik, results[ik], tj, True, ctx)
+                self._charge_single(ik, None, tj, True, ctx)
             for ik in remote_keys:
-                self._charge_single(ik, results[ik], tj, False, ctx)
+                self._charge_single(ik, siv[ik], tj, False, ctx)
 
         ctx.counters.increment("lookup", "fetches", len(keys))
         ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
@@ -394,9 +400,7 @@ class LookupPipeline:
             sample.lookups[j] = sample.lookups.get(j, 0) + n
             sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * n
             sample.tj_samples[j] = sample.tj_samples.get(j, 0) + n
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sum(
-                map(sizeof, results.values())
-            )
+            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sum(siv.values())
             if native:
                 groups = (1 if local_keys else 0) + (1 if remote_keys else 0)
                 sample.batches[j] = sample.batches.get(j, 0) + groups
@@ -440,14 +444,15 @@ class LookupPipeline:
             self._memo_values = results[self._prev_ik]
         return results
 
-    def _charge_single(self, ik, values, tj: float, local: bool, ctx) -> None:
+    def _charge_single(self, ik, siv, tj: float, local: bool, ctx) -> None:
         """One single lookup: ``tj`` at the index, plus the key/result
-        transfer ``(Sik + Siv)/BW`` when it is served remotely."""
+        transfer ``(Sik + Siv)/BW`` when it is served remotely (``siv``,
+        the result's size, is read only then)."""
         tm = ctx.time_model
         if local:
             ctx.charge(tm.local_lookup_time(tj))
         else:
-            ctx.charge(tm.remote_lookup_time(sizeof(ik), sizeof(values), tj))
+            ctx.charge(tm.remote_lookup_time(sizeof(ik), siv, tj))
 
     def _is_local(self, ik: Any, ctx: TaskContext) -> bool:
         local = self.assume_local or (
@@ -533,7 +538,9 @@ class LookupPipeline:
             * self.build.scan_multiplier(self.accessor.name)
         )
         local = ctx.node.hostname in self.accessor.hosts_for_key(ik)
-        self._charge_single(ik, values, tj_scan, local, ctx)
+        self._charge_single(
+            ik, None if local else sizeof(values), tj_scan, local, ctx
+        )
         ctx.counters.increment("build", "unindexed_lookups")
         ctx.counters.increment("build", "scan_seconds", ctx.charged_time - t0)
         if ctx.trace is not None:
@@ -621,10 +628,12 @@ class LookupFn(ChainedFunction):
         new_ivl = tuple(
             results if j == self.index_id else ivl[j] for j in range(len(ivl))
         )
-        carrier = make_carrier(v1, ikl, new_ivl)
-        collector.collect(key, carrier)
+        before_bytes = collector.bytes
+        collector.collect(key, make_carrier(v1, ikl, new_ivl))
         if self.stats is not None and self.record_sidx:
-            self.stats.sample_for(ctx.task_id).sidx_bytes += sizeof_pair(key, carrier)
+            self.stats.sample_for(ctx.task_id).sidx_bytes += (
+                collector.bytes - before_bytes
+            )
 
     @property
     def name(self) -> str:
@@ -797,8 +806,9 @@ class RecordMeter(ChainedFunction):
 
     def process(self, key, value, collector, ctx):
         self._count += 1
-        self._bytes += sizeof_pair(key, value)
+        before_bytes = collector.bytes
         collector.collect(key, value)
+        self._bytes += collector.bytes - before_bytes
 
     def finish(self, collector, ctx):
         self._on_batch(self._count, self._bytes)

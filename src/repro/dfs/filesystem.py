@@ -11,7 +11,7 @@ number of map tasks in several waves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DataFlowError
 from repro.common.sizing import sizeof_pair
@@ -55,6 +55,25 @@ class FileMeta:
         return sum(b.size_bytes for b in self.blocks)
 
 
+def chunk_records(
+    records: Iterable[Record], target_bytes: int
+) -> Iterator[Tuple[List[Record], int]]:
+    """Chunk records greedily into ``(records, size_bytes)`` pieces: a
+    chunk closes once it holds at least ``target_bytes`` estimated
+    bytes. No records yield one empty chunk."""
+    current: List[Record] = []
+    current_bytes = 0
+    first = True
+    for record in records:
+        current.append(record)
+        current_bytes += sizeof_pair(*record)
+        if current_bytes >= target_bytes:
+            yield current, current_bytes
+            current, current_bytes, first = [], 0, False
+    if current or first:
+        yield current, current_bytes
+
+
 class DistributedFileSystem:
     """An in-memory HDFS stand-in bound to a :class:`Cluster`."""
 
@@ -79,22 +98,14 @@ class DistributedFileSystem:
     ) -> FileMeta:
         """Create (or overwrite) ``path`` with the given records.
 
-        Records are chunked greedily: a block closes once it holds at
-        least ``block_size`` estimated bytes.
+        Records are chunked greedily (:func:`chunk_records`): a block
+        closes once it holds at least ``block_size`` estimated bytes.
         """
         block_size = block_size or self.block_size
         replication = replication or self.cluster.time_model.dfs_replication
         meta = FileMeta(path=path)
-        current: List[Record] = []
-        current_bytes = 0
-        for record in records:
-            current.append(record)
-            current_bytes += sizeof_pair(*record)
-            if current_bytes >= block_size:
-                self._seal_block(meta, current, current_bytes, replication)
-                current, current_bytes = [], 0
-        if current or not meta.blocks:
-            self._seal_block(meta, current, current_bytes, replication)
+        for block_records, size_bytes in chunk_records(records, block_size):
+            self._seal_block(meta, block_records, size_bytes, replication)
         self._files[path] = meta
         return meta
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Sequence, Tuple
 
+from repro.common.sizing import sizeof_records
 from repro.mapreduce.api import ChainedFunction, OutputCollector, TaskContext
 
 Record = Tuple[Any, Any]
@@ -29,15 +30,30 @@ def run_chain(
     buffering of chained Hadoop functions and lets ``finish`` implement
     buffered operators.
     """
-    current: List[Record] = list(records)
+    return run_chain_collected(stages, records, ctx).records
+
+
+def run_chain_collected(
+    stages: Sequence[ChainedFunction],
+    records: Iterable[Record],
+    ctx: TaskContext,
+) -> OutputCollector:
+    """:func:`run_chain`, handing back the last stage's collector
+    rather than its records alone: its ``bytes`` is the size of the
+    chain's output, summed as the pairs were emitted, so a task does not
+    walk its output a second time. An empty chain emits its input.
+    """
+    collector = OutputCollector()
+    collector.records = list(records)
+    if not stages:
+        collector.bytes = sizeof_records(collector.records)
     for stage in stages:
-        collector = OutputCollector()
+        current, collector = collector.records, OutputCollector()
         stage.start(ctx)
         for key, value in current:
             stage.process(key, value, collector, ctx)
         stage.finish(collector, ctx)
-        current = collector.records
-    return current
+    return collector
 
 
 def chain_name(stages: Sequence[ChainedFunction]) -> str:

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DataFlowError, TaskCrashError
-from repro.common.sizing import sizeof_records
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.splits import InputSplit
 from repro.mapreduce.api import OutputCollector, TaskContext
-from repro.mapreduce.chain import run_chain
+from repro.mapreduce.chain import run_chain_collected
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.jobconf import JobConf
 from repro.mapreduce.scheduler import SlotScheduler
@@ -682,8 +681,8 @@ class JobRunner:
                 local=local,
             )
             ctx.trace = buffer
-        output = run_chain(conf.map_chain, split.records, ctx)
-        out_bytes = sizeof_records(output)
+        collector = run_chain_collected(conf.map_chain, split.records, ctx)
+        output, out_bytes = collector.records, collector.bytes
         cpu = tm.cpu_time(len(split.records), split.size_bytes)
 
         if conf.num_reduce_tasks > 0:
@@ -840,10 +839,11 @@ class JobRunner:
         for key, values in groups:
             reducer.reduce(key, values, collector, ctx)
         reducer.finish(collector, ctx)
-        output = collector.records
         if conf.reduce_post_chain:
-            output = run_chain(conf.reduce_post_chain, output, ctx)
-        out_bytes = sizeof_records(output)
+            collector = run_chain_collected(
+                conf.reduce_post_chain, collector.records, ctx
+            )
+        output, out_bytes = collector.records, collector.bytes
 
         cpu = tm.cpu_time(len(records), in_bytes)
         store = tm.dfs_store_time(out_bytes) if conf.materialize_output else 0.0

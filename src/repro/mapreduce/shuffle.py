@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.common.sizing import sizeof_pair
+from repro.common.sizing import sizeof_records
 from repro.mapreduce.api import Partitioner
 
 Record = Tuple[Any, Any]
@@ -39,4 +39,6 @@ def group_by_key(records: Sequence[Record]) -> List[Tuple[Any, List[Any]]]:
 
 
 def bucket_bytes(bucket: Sequence[Record]) -> int:
-    return sum(sizeof_pair(k, v) for k, v in bucket)
+    """Size of one shuffle bucket (:func:`sizeof_records` by the name
+    the shuffle's callers use)."""
+    return sizeof_records(bucket)

@@ -75,7 +75,7 @@ class TraceArtifacts:
 
     base: str  # export base name, e.g. "Q3-dynamic"
     trace_path: str
-    payload: dict  # raw Chrome trace JSON
+    payload: dict  # raw Chrome trace JSON, minus its ``traceEvents``
     spans: List[dict] = field(default_factory=list)
     instants: List[dict] = field(default_factory=list)
     audit_rows: List[dict] = field(default_factory=list)
@@ -259,6 +259,10 @@ def load_one(trace_path: str) -> TraceArtifacts:
         if os.path.exists(alerts_path)
         else extract_alerts(payload)
     )
+    # Everything read back from the raw event list now lives in
+    # spans/instants/alert_rows; it is the bulk of an artifact, so let it
+    # go rather than hold two copies of every run under analysis.
+    payload.pop("traceEvents")
     return TraceArtifacts(
         base=base,
         trace_path=trace_path,

@@ -27,6 +27,13 @@ class TestScalars:
     def test_unicode_string_is_utf8_length(self):
         assert sizeof("héllo") == len("héllo".encode("utf-8"))
 
+    def test_lone_surrogate_does_not_raise(self):
+        # "unknown types degrade gracefully instead of raising mid-job":
+        # strict UTF-8 refuses a lone surrogate; it sizes as 3 bytes.
+        assert sizeof("\ud800") == 3
+        assert sizeof(("a\udfffb", 1)) == 4 + 5 + 8
+        assert sizeof_pair("\ud800", "é") == 3 + 2
+
     def test_bytes_is_its_length(self):
         assert sizeof(b"\x00\x01\x02") == 3
         assert sizeof(bytearray(10)) == 10

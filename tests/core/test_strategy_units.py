@@ -22,6 +22,7 @@ from repro.core.strategy import (
 from repro.indices.base import MappingIndex
 from repro.indices.partitioning import HashPartitionScheme, round_robin_placements
 from repro.mapreduce.api import OutputCollector, TaskContext
+from repro.mapreduce.chain import run_chain
 from repro.simcluster.cluster import Cluster
 from repro.simcluster.timemodel import TimeModel
 
@@ -278,3 +279,62 @@ class TestRecordMeter:
         assert seen["n"] == 2
         assert seen["b"] == 2 * (1 + 4)
         assert len(col.records) == 2
+
+
+class CountedValue:
+    """A 100-byte value that counts how often it is sized, through the
+    documented ``wire_size()`` hook alone."""
+
+    def __init__(self):
+        self.walks = 0
+
+    def wire_size(self):
+        self.walks += 1
+        return 100
+
+
+class TestWalkBudget:
+    """Each site that needs a pair's size walks the pair once: the
+    stage's collector sizes what is emitted, and the Table-1 samples
+    read that number instead of walking the pair again."""
+
+    def test_one_walk_per_stage_plus_s1(self, op, ctx):
+        acc = OperatorStatsAccumulator("op0", 1, 2)
+        seen = {}
+        chain = [
+            PreProcessFn(op, "op0", acc),
+            LookupFn(op, "op0", 0, acc, record_sidx=True),
+            PostProcessFn(op, "op0", acc),
+            RecordMeter(lambda n, b: seen.update(n=n, b=b)),
+        ]
+        value = CountedValue()
+        ((key, (out_value, results)),) = run_chain(chain, [("k5", value)], ctx)
+        assert (key, results) == ("k5", (5,)) and out_value is value
+        # S1 on the way in, then one collector per stage.
+        assert value.walks <= 1 + len(chain)
+        sample = acc.sample_for("t0")
+        assert sample.s1_bytes == 102
+        assert sample.spre_bytes == 124
+        assert sample.sidx_bytes == 139
+        assert sample.spost_bytes == 118
+        assert seen == {"n": 1, "b": 118}
+
+    @pytest.mark.parametrize("multiget", [False, True])
+    def test_fetched_result_sized_once_for_charge_and_siv(self, ctx, multiget):
+        result = CountedValue()
+        index = MappingIndex("m", {"k": [result]}, service_time=1e-3)
+        op = IndexOperator("unit-op").add_index(IndexAccessor(index))
+        acc = OperatorStatsAccumulator("op0", 1, 2)
+        pipeline = LookupFn(op, "op0", 0, acc).pipeline
+        # No partition scheme: the lookup is remote, so the result's
+        # size feeds both the transfer charge and the Siv sample.
+        fetched = pipeline.fetch(["k"], ctx, multiget=multiget)
+        assert fetched == {"k": (result,)}
+        assert result.walks == 1
+        assert acc.sample_for("t0").siv_bytes[0] == 4 + 100
+        tm, accessor = ctx.time_model, op.accessors[0]
+        assert ctx.charged_time == (
+            tm.remote_batch_lookup_time(1, 104, accessor.batch_service_time(1))
+            if multiget
+            else tm.remote_lookup_time(1, 104, accessor.service_time())
+        )

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import DataFlowError
-from repro.mapreduce.api import FnMapper, FnReducer, IdentityMapper
+from repro.common.sizing import sizeof_records
+from repro.mapreduce.api import FnMapper, FnReducer, IdentityMapper, IdentityReducer
 from repro.mapreduce.jobconf import JobConf
 from repro.mapreduce.runtime import JobRunner
 
@@ -95,6 +96,52 @@ class TestMapOnlyJob:
         conf = wordcount_conf(reducer=None, num_reduce_tasks=0)
         res = loaded.run(conf)
         assert all(not r.buckets for r in res.map_runs)
+
+
+class TestOutputBytes:
+    """A task's ``output_bytes`` is what its last collector summed while
+    the pairs were emitted -- equal to sizing the output afresh, without
+    walking it a second time."""
+
+    def test_equals_sizing_the_output(self, loaded):
+        res = loaded.run(wordcount_conf())
+        for run in res.map_runs + res.reduce_runs:
+            assert run.output_bytes == sizeof_records(run.output) > 0
+
+    def test_empty_map_chain_and_reduce_post_chain(self, loaded):
+        conf = wordcount_conf(
+            map_chain=[],
+            reducer=IdentityReducer(),
+            reduce_post_chain=[IdentityMapper()],
+        )
+        res = loaded.run(conf)
+        assert sum(r.output_records for r in res.reduce_runs) == 2000
+        for run in res.map_runs + res.reduce_runs:
+            assert run.output_bytes == sizeof_records(run.output) > 0
+
+    def test_map_output_not_walked_again(self, cluster, dfs):
+        class Counted:
+            walks = 0
+
+            def wire_size(self):
+                Counted.walks += 1
+                return 50
+
+        dfs.write("/in", [(i, Counted()) for i in range(40)])
+        conf = JobConf(
+            name="walks",
+            input_paths=["/in"],
+            output_path="/out",
+            map_chain=[IdentityMapper()],
+            num_reduce_tasks=0,
+            materialize_output=False,
+        )
+        Counted.walks = 0
+        res = JobRunner(cluster, dfs).run(conf)
+        assert Counted.walks == 40  # the one collector of the chain
+        for run in res.map_runs:
+            assert run.output_bytes == sizeof_records(run.output)
+        assert sum(r.output_bytes for r in res.map_runs) == 40 * (8 + 50)
 
 
 class TestValidation:

@@ -49,6 +49,11 @@ class TestAlertPrecedence:
         assert row["rule"] == "wave-straggler"
         assert row["fired_at"] == 0.1
         assert row["cleared_at"] == 0.4
+        # The raw event list is let go only after spans and the alert
+        # fallback were read from it; otherData stays readable.
+        assert "traceEvents" not in artifact.payload
+        assert [s["name"] for s in artifact.spans] == ["efind:j"]
+        assert artifact.dropped_detail == 0
 
     def test_both_absent_yields_no_alerts(self, tmp_path):
         export(tmp_path, alerts=None)

@@ -1,11 +1,13 @@
 """Property-based tests on the core data structures (hypothesis)."""
 
+import collections
+import enum
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.sizing import sizeof
+from repro.common.sizing import sizeof, sizeof_pair, sizeof_records
 from repro.core.cache import LRUCache
 from repro.core.statistics import FMSketch
 from repro.indices.btree import BTree
@@ -16,12 +18,119 @@ from repro.mapreduce.shuffle import group_by_key, partition_records
 keys = st.one_of(st.integers(), st.text(max_size=12))
 
 
+def ladder_sizeof(value):
+    """The wire-size model as one ``isinstance`` ladder -- the whole of
+    ``sizeof`` before it dispatched on exact types, kept here verbatim
+    (recursing into itself, never into ``sizeof``) as the oracle the
+    fast path must equal. ``surrogatepass`` is the one edit: it changes
+    no valid string's size and lets lone surrogates be generated."""
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        if value.isascii():
+            return len(value)
+        return len(value.encode("utf-8", "surrogatepass"))
+    if isinstance(value, (bytes, bytearray)):
+        return len(value)
+    if isinstance(value, (tuple, list)):
+        return 4 + sum(ladder_sizeof(item) for item in value)
+    if isinstance(value, (set, frozenset)):
+        return 4 + sum(ladder_sizeof(item) for item in value)
+    if isinstance(value, dict):
+        return 4 + sum(
+            ladder_sizeof(k) + ladder_sizeof(v) for k, v in value.items()
+        )
+    wire_size = getattr(value, "wire_size", None)
+    if callable(wire_size):
+        return int(wire_size())
+    return len(repr(value).encode("utf-8", "surrogatepass"))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class Tagged(str):
+    """A ``str`` subclass: exact-type dispatch must not claim it."""
+
+
+Point = collections.namedtuple("Point", "x y")
+
+
+class Blob:
+    """Reports its own size through the documented hook."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def wire_size(self):
+        return self.size
+
+
+class Opaque:
+    """No hook: sized by the ``repr`` fallback."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+# Everything exact-type dispatch could get wrong sits next to the plain
+# leaves it handles inline: bool (1, not 8) and IntEnum (8) beside int,
+# a str subclass and non-ASCII / lone-surrogate text beside str.
+any_text = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
+hashable_leaves = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    any_text,
+    st.sampled_from(list(Colour)),
+    any_text.map(Tagged),
+    st.binary(max_size=8),
+)
+leaves = st.one_of(
+    hashable_leaves,
+    st.binary(max_size=8).map(bytearray),
+    st.integers(0, 10**6).map(Blob),
+    any_text.map(Opaque),
+)
+
+
+def containers(children):
+    items = st.lists(children, max_size=4)
+    pairs = st.lists(st.tuples(hashable_leaves, children), max_size=3)
+    return st.one_of(
+        items,
+        items.map(tuple),
+        st.tuples(children, children).map(lambda xy: Point(*xy)),
+        st.lists(hashable_leaves, max_size=4).map(set),
+        st.lists(hashable_leaves, max_size=4).map(frozenset),
+        pairs.map(dict),
+        pairs.map(collections.OrderedDict),
+        pairs.map(lambda kvs: collections.defaultdict(list, kvs)),
+    )
+
+
+values = st.recursive(leaves, containers, max_leaves=16)
+
+
+def nested(depth, leaf):
+    """``leaf`` under ``depth`` alternating tuple / list levels, with
+    inline leaves beside it at every level."""
+    value = leaf
+    for level in range(depth):
+        value = (level, value, "x") if level % 2 else [value, None, True]
+    return value
+
+
 class TestSizeofProperties:
-    @given(st.recursive(
-        st.one_of(st.integers(), st.text(max_size=8), st.booleans(), st.none()),
-        lambda children: st.lists(children, max_size=4).map(tuple),
-        max_leaves=12,
-    ))
+    @given(values)
     def test_always_nonnegative_int(self, value):
         size = sizeof(value)
         assert isinstance(size, int)
@@ -30,6 +139,31 @@ class TestSizeofProperties:
     @given(st.lists(st.integers(), max_size=20))
     def test_superset_never_smaller(self, items):
         assert sizeof(tuple(items) + (1,)) > sizeof(tuple(items))
+
+    @given(values)
+    def test_fast_path_equals_ladder(self, value):
+        assert sizeof(value) == ladder_sizeof(value)
+
+    @given(st.integers(min_value=4, max_value=9), values)
+    def test_fast_path_equals_ladder_when_deeply_nested(self, depth, leaf):
+        value = nested(depth, leaf)
+        assert sizeof(value) == ladder_sizeof(value)
+
+    @given(st.lists(st.tuples(values, values), max_size=5))
+    def test_pair_and_record_sums_equal_ladder(self, records):
+        sizes = [ladder_sizeof(k) + ladder_sizeof(v) for k, v in records]
+        assert [sizeof_pair(k, v) for k, v in records] == sizes
+        assert sizeof_records(records) == sum(sizes)
+
+    def test_cases_exact_type_dispatch_can_get_wrong(self):
+        assert sizeof((True, 1)) == 4 + 1 + 8
+        assert sizeof([Colour.RED]) == 4 + 8
+        assert sizeof((Point(1, "ab"),)) == 4 + (4 + 8 + 2)
+        assert sizeof((Tagged("h\u00e9"),)) == 4 + 3
+        assert sizeof((b"abc", bytearray(2))) == 4 + 3 + 2
+        assert sizeof(({1, 2}, frozenset(["a"]))) == 4 + (4 + 16) + (4 + 1)
+        assert sizeof((collections.OrderedDict(a=1),)) == 4 + (4 + 1 + 8)
+        assert sizeof((Blob(123), Opaque("x" * 7))) == 4 + 123 + 7
 
 
 class TestStableHashProperties:
