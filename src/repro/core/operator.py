@@ -23,6 +23,17 @@ from repro.core.accessor import IndexAccessor
 from repro.mapreduce.api import OutputCollector
 
 
+def _bad_index_id(index_id: int, num_indices: int) -> IndexError:
+    """The error for an index id outside ``range(num_indices)``. The
+    wrappers check explicitly: a negative id would otherwise count from
+    the end and file a key under -- or read results from -- the wrong
+    index."""
+    return IndexError(
+        f"index id {index_id} is out of range for an operator with "
+        f"{num_indices} attached indices"
+    )
+
+
 class IndexInput:
     """Collects per-record lookup keys: one key list per attached index.
 
@@ -34,14 +45,18 @@ class IndexInput:
         self._keys: List[List[Any]] = [[] for _ in range(num_indices)]
 
     def put(self, index_id: int, ik: Any) -> None:
+        if not 0 <= index_id < len(self._keys):
+            raise _bad_index_id(index_id, len(self._keys))
         self._keys[index_id].append(ik)
 
     def keys(self, index_id: int) -> List[Any]:
+        if not 0 <= index_id < len(self._keys):
+            raise _bad_index_id(index_id, len(self._keys))
         return list(self._keys[index_id])
 
     def as_tuple(self) -> Tuple[Tuple[Any, ...], ...]:
         """Immutable wire form carried through the dataflow."""
-        return tuple(tuple(ks) for ks in self._keys)
+        return tuple(map(tuple, self._keys))
 
     @property
     def num_indices(self) -> int:
@@ -49,11 +64,20 @@ class IndexInput:
 
 
 class IndexValues:
-    """Results of one index for one record, aligned with its key list."""
+    """Results of one index for one record, aligned with its key list.
+
+    A read-only view: tuple arguments -- the carrier's own -- are kept
+    as they are, anything else is snapshotted, and every accessor hands
+    out a fresh list.
+    """
 
     def __init__(self, keys: Sequence[Any], value_lists: Sequence[Sequence[Any]]):
-        self._keys = list(keys)
-        self._value_lists = [list(vs) for vs in value_lists]
+        self._keys = tuple(keys)
+        self._value_lists = (
+            value_lists
+            if type(value_lists) is tuple
+            else tuple(map(tuple, value_lists))
+        )
 
     def get_all(self) -> List[Any]:
         """Flattened values across all keys (the paper's ``getAll()``)."""
@@ -72,24 +96,28 @@ class IndexValues:
 
 
 class IndexOutput:
-    """All attached indices' results for one record."""
+    """All attached indices' results for one record: a view over the
+    carrier's key and result tuples, opened per index on request."""
 
     def __init__(
         self,
         iklists: Sequence[Sequence[Any]],
         ivlists: Sequence[Optional[Sequence[Sequence[Any]]]],
     ):
-        self._values = [
-            IndexValues(keys, value_lists if value_lists is not None else [])
-            for keys, value_lists in zip(iklists, ivlists)
-        ]
+        self._iklists = tuple(iklists)
+        self._ivlists = tuple(ivlists)
 
     def get(self, index_id: int) -> IndexValues:
-        return self._values[index_id]
+        if not 0 <= index_id < len(self._iklists):
+            raise _bad_index_id(index_id, len(self._iklists))
+        value_lists = self._ivlists[index_id]
+        return IndexValues(
+            self._iklists[index_id], value_lists if value_lists is not None else ()
+        )
 
     @property
     def num_indices(self) -> int:
-        return len(self._values)
+        return len(self._iklists)
 
 
 class IndexOperator:

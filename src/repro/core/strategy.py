@@ -42,6 +42,14 @@ from repro.obs.trace import DEPTH_DETAIL, DEPTH_OP
 
 _CARRIER_TAG = "EFc"
 
+# The fixed parts of a carrier's wire size, asked of the model rather
+# than spelled out here: a stage that only re-wraps a pair computes the
+# size of what it emits from these and the sizes of the parts that
+# changed, instead of walking the whole pair again (DESIGN.md 5.12).
+_HEADER_BYTES = sizeof(())  # an empty container
+_CARRIER_BYTES = sizeof((_CARRIER_TAG,))  # the carrier's own header + tag
+_NONE_BYTES = sizeof(None)  # a result slot no lookup has filled yet
+
 
 def make_carrier(v1: Any, ikl: tuple, ivl: tuple) -> tuple:
     return (_CARRIER_TAG, v1, ikl, ivl)
@@ -52,9 +60,11 @@ def is_carrier(value: Any) -> bool:
 
 
 def open_carrier(value: Any) -> Tuple[Any, tuple, tuple]:
-    if not is_carrier(value):
-        raise TypeError(f"expected an EFind carrier record, got {value!r}")
-    return value[1], value[2], value[3]
+    if isinstance(value, tuple) and len(value) == 4:
+        tag, v1, ikl, ivl = value
+        if tag == _CARRIER_TAG:
+            return v1, ikl, ivl
+    raise TypeError(f"expected an EFind carrier record, got {value!r}")
 
 
 class PreProcessFn(ChainedFunction):
@@ -73,30 +83,67 @@ class PreProcessFn(ChainedFunction):
         self.operator = operator
         self.operator_id = operator_id
         self.stats = stats
+        self._ctx: Optional[TaskContext] = None
+
+    def start(self, ctx):
+        self._ctx = None
+
+    def _bind(self, ctx: TaskContext) -> None:
+        """Resolve, once per task attempt, what does not change from
+        record to record. The runtime shares one stage instance across
+        attempts, so an attempt is told by its context (``process`` may
+        also be called without ``start``). The sample is opened on the
+        first record's statistics, where ``sample_for`` always was, so
+        the accumulator's samples keep their order."""
+        self._ctx = ctx
+        self._m = self.operator.num_indices
+        self._no_values = (None,) * self._m
+        # All of a fresh carrier pair but (k1, v1) and the key tuples.
+        self._fixed_bytes = _CARRIER_BYTES + _HEADER_BYTES + sizeof(self._no_values)
+        self._sample = None
 
     def process(self, key, value, collector, ctx):
-        m = self.operator.num_indices
-        index_input = IndexInput(m)
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        index_input = IndexInput(self._m)
         out_key, out_value = self.operator.pre_process(key, value, index_input)
         ikl = index_input.as_tuple()
-        before_bytes = collector.bytes
-        collector.collect(out_key, make_carrier(out_value, ikl, (None,) * m))
+        stats = self.stats
 
-        if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
+        # The carrier pair is sized from its parts: S1 stands for
+        # (k1, v1) when pre_process handed the very objects back, and
+        # each index's key tuple is sized once, for the carrier and for
+        # Sik alike.
+        unchanged = out_key is key and out_value is value
+        s1 = ctx.input_bytes
+        if s1 is None and (unchanged or stats is not None):
+            s1 = sizeof_pair(key, value)
+        key_bytes = list(map(sizeof, ikl))  # header + Sik_j each
+        nbytes = (
+            (s1 if unchanged else sizeof_pair(out_key, out_value))
+            + self._fixed_bytes
+            + sum(key_bytes)
+        )
+        collector.collect(
+            out_key, make_carrier(out_value, ikl, self._no_values), nbytes
+        )
+
+        if stats is not None:
+            sample = self._sample
+            if sample is None:
+                sample = self._sample = stats.sample_for(ctx.task_id)
             sample.n1 += 1
-            sample.s1_bytes += sizeof_pair(key, value)
-            sample.spre_bytes += collector.bytes - before_bytes
-            for j in range(m):
-                keys = ikl[j]
+            sample.s1_bytes += s1
+            sample.spre_bytes += nbytes
+            for j, keys in enumerate(ikl):
                 if not keys:
                     continue
                 sample.nik[j] = sample.nik.get(j, 0) + len(keys)
-                sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + sum(
-                    map(sizeof, keys)
+                sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + (
+                    key_bytes[j] - _HEADER_BYTES
                 )
                 for ik in keys:
-                    self.stats.add_key_to_sketch(j, ik)
+                    stats.add_key_to_sketch(j, ik)
 
     @property
     def name(self) -> str:
@@ -196,6 +243,36 @@ class LookupPipeline:
         self._prev_ik: Any = _NO_MEMO
         self._pending: dict = {}  # waiting keys, in arrival order
         self._parked: list = []
+        self._ctx: Optional[TaskContext] = None  # the attempt bound, if any
+
+    def _bind(self, ctx: TaskContext) -> None:
+        """Resolve, on a task attempt's first probe or fetch, what stays
+        the same for all of its lookups: its host and that host's LRU or
+        shadow. An attempt is told by its context, not its task id -- a
+        retry runs through the same stage instances, maybe on another
+        node -- and ``process`` may be called without ``start``."""
+        self._ctx = ctx
+        self._host = host = ctx.node.hostname
+        self._sample = None
+        self._cache = None
+        if self.use_cache or self.shadow:
+            cache = self._node_caches.get(host)
+            if cache is None:
+                cls = LRUCache if self.use_cache else ShadowCache
+                cache = self._node_caches[host] = cls(self.cache_capacity)
+            self._cache = cache
+
+    def task_sample(self, ctx: TaskContext):
+        """The running attempt's ``TaskSample`` (statistics attached
+        only). It is looked up in the accumulator on the attempt's first
+        statistic -- where ``sample_for`` always was called, so samples
+        are created in the order they always were -- and then kept."""
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        sample = self._sample
+        if sample is None:
+            sample = self._sample = self.stats.sample_for(ctx.task_id)
+        return sample
 
     def lookup(self, ik: Any, ctx: TaskContext) -> Optional[Tuple[Any, ...]]:
         """Resolve ``ik`` to its value tuple; None (``batch_size > 1``
@@ -237,6 +314,8 @@ class LookupPipeline:
         one of them (or a scan) resolves ``ik``, None when it must be
         fetched. Charges and statistics do not depend on whether the
         fetch then happens now or at the next drain."""
+        if ctx is not self._ctx:
+            self._bind(ctx)
         if self.build is not None and self._uncovered(ik, ctx):
             # Scans resolve at once and leave the memo (and what counts
             # as the previous arrival) untouched.
@@ -257,7 +336,7 @@ class LookupPipeline:
                 return None
         if self.use_cache:
             tm = ctx.time_model
-            cache = self._node_cache(ctx)
+            cache = self._cache
             ctx.charge(tm.cache_probe_time)
             # A waiting key would be in the LRU by now had it been
             # fetched on arrival: record that hit, resolve at the drain.
@@ -278,7 +357,7 @@ class LookupPipeline:
             # post-shuffle dedup leg and the reduce side have none:
             # their grouped key stream is not representative of the
             # original one.
-            shadow = self._node_cache(ctx)
+            shadow = self._cache
             would_hit = shadow.probe(ik)
             if shadow.warmed:
                 self._record_cache_stats(ctx, would_hit)
@@ -303,14 +382,6 @@ class LookupPipeline:
             self._memo_values = values
         return values
 
-    def _node_cache(self, ctx: TaskContext):
-        host = ctx.node.hostname
-        cache = self._node_caches.get(host)
-        if cache is None:
-            cls = LRUCache if self.use_cache else ShadowCache
-            cache = self._node_caches[host] = cls(self.cache_capacity)
-        return cache
-
     # ------------------------------------------------------------------
     # The fetch: the one charge / count / sample site
     # ------------------------------------------------------------------
@@ -329,6 +400,8 @@ class LookupPipeline:
         falls back to, pay ``T_j`` (plus the transfer when remote) per
         key.
         """
+        if ctx is not self._ctx:
+            self._bind(ctx)
         tm = ctx.time_model
         accessor = self.accessor
         t0 = ctx.charged_time
@@ -394,7 +467,7 @@ class LookupPipeline:
                 )
 
         if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
+            sample = self._sample or self.task_sample(ctx)
             j = self.index_id
             n = len(keys)
             sample.lookups[j] = sample.lookups.get(j, 0) + n
@@ -425,7 +498,7 @@ class LookupPipeline:
                 )
             for ik in keys:
                 admitted, evicted = self.reuse.admit(
-                    ctx.node.hostname, accessor, ik, results[ik], cost
+                    self._host, accessor, ik, results[ik], cost
                 )
                 ctx.counters.increment(
                     "reuse", "admitted" if admitted else "rejected"
@@ -433,7 +506,7 @@ class LookupPipeline:
                 if evicted:
                     ctx.counters.increment("reuse", "evicted", evicted)
         if self.use_cache:
-            cache = self._node_cache(ctx)
+            cache = self._cache
             for ik in keys:
                 cache.put(ik, results[ik])
         if self.dedup_adjacent and self._prev_ik in results:
@@ -456,7 +529,7 @@ class LookupPipeline:
 
     def _is_local(self, ik: Any, ctx: TaskContext) -> bool:
         local = self.assume_local or (
-            ctx.node.hostname in self.accessor.hosts_for_key(ik)
+            self._host in self.accessor.hosts_for_key(ik)
         )
         if local and self.assume_local:
             # Index locality scheduled this task onto a replica host,
@@ -466,7 +539,7 @@ class LookupPipeline:
             plan = getattr(self.accessor.index, "fault_plan", None)
             if plan is not None and plan.dead_hosts:
                 hosts = self.accessor.hosts_for_key(ik)
-                if hosts and ctx.node.hostname not in hosts:
+                if hosts and self._host not in hosts:
                     local = False
                     ctx.counters.increment("fault", "locality_fallbacks")
         return local
@@ -477,7 +550,7 @@ class LookupPipeline:
     def _record_cache_stats(self, ctx, hit: bool) -> None:
         if self.stats is None:
             return
-        sample = self.stats.sample_for(ctx.task_id)
+        sample = self._sample or self.task_sample(ctx)
         j = self.index_id
         sample.cache_probes[j] = sample.cache_probes.get(j, 0) + 1
         if not hit:
@@ -494,15 +567,13 @@ class LookupPipeline:
             self.reuse.note_deferred_hit()
             hit, values, stale = True, None, False
         else:
-            hit, values, stale = self.reuse.probe(
-                ctx.node.hostname, self.accessor, ik
-            )
+            hit, values, stale = self.reuse.probe(self._host, self.accessor, ik)
         ctx.counters.increment("reuse", "probes")
         if stale:
             ctx.counters.increment("reuse", "stale_drops")
         ctx.counters.increment("reuse", "hits" if hit else "misses")
         if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
+            sample = self._sample or self.task_sample(ctx)
             j = self.index_id
             sample.reuse_probes[j] = sample.reuse_probes.get(j, 0) + 1
             if hit:
@@ -522,7 +593,7 @@ class LookupPipeline:
         if covered:
             ctx.counters.increment("build", "indexed_lookups")
             if self.stats is not None:
-                sample = self.stats.sample_for(ctx.task_id)
+                sample = self._sample or self.task_sample(ctx)
                 j = self.index_id
                 sample.build_covered[j] = sample.build_covered.get(j, 0) + 1
         return not covered
@@ -537,7 +608,7 @@ class LookupPipeline:
             self.accessor.service_time()
             * self.build.scan_multiplier(self.accessor.name)
         )
-        local = ctx.node.hostname in self.accessor.hosts_for_key(ik)
+        local = self._host in self.accessor.hosts_for_key(ik)
         self._charge_single(
             ik, None if local else sizeof(values), tj_scan, local, ctx
         )
@@ -549,7 +620,7 @@ class LookupPipeline:
                 index=self.index_id, local=local,
             )
         if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
+            sample = self._sample or self.task_sample(ctx)
             j = self.index_id
             sample.build_scanned[j] = sample.build_scanned.get(j, 0) + 1
             sample.build_scan_tj_total[j] = (
@@ -608,8 +679,10 @@ class LookupFn(ChainedFunction):
         if None not in results:
             # Every key resolved (or the record has none): emit right
             # away, no batching delay.
-            self._emit(key, v1, ikl, ivl, tuple(results), collector, ctx)
-        elif self.pipeline.park((key, v1, ikl, ivl, results)):
+            self._emit(
+                key, v1, ikl, ivl, tuple(results), ctx.input_bytes, collector, ctx
+            )
+        elif self.pipeline.park((key, v1, ikl, ivl, results, ctx.input_bytes)):
             self._drain(collector, ctx)
 
     def finish(self, collector, ctx):
@@ -617,21 +690,29 @@ class LookupFn(ChainedFunction):
 
     def _drain(self, collector, ctx, finishing: bool = False):
         fetched, parked = self.pipeline.drain(ctx, finishing)
-        for key, v1, ikl, ivl, results in parked:
+        for key, v1, ikl, ivl, results, in_bytes in parked:
             filled = tuple(
                 fetched[ik] if values is None else values
                 for ik, values in zip(ikl[self.index_id], results)
             )
-            self._emit(key, v1, ikl, ivl, filled, collector, ctx)
+            self._emit(key, v1, ikl, ivl, filled, in_bytes, collector, ctx)
 
-    def _emit(self, key, v1, ikl, ivl, results, collector, ctx):
-        new_ivl = tuple(
-            results if j == self.index_id else ivl[j] for j in range(len(ivl))
-        )
+    def _emit(self, key, v1, ikl, ivl, results, in_bytes, collector, ctx):
+        """Emit the record with this index's slot filled. ``in_bytes``
+        is the size the record arrived with (None when unknown): the
+        pair going out differs from it by that one slot."""
+        j = self.index_id
+        nbytes = None
+        if in_bytes is not None:
+            old = ivl[j]
+            nbytes = in_bytes + sizeof(results) - (
+                _NONE_BYTES if old is None else sizeof(old)
+            )
+        new_ivl = ivl[:j] + (results,) + ivl[j + 1 :]
         before_bytes = collector.bytes
-        collector.collect(key, make_carrier(v1, ikl, new_ivl))
+        collector.collect(key, make_carrier(v1, ikl, new_ivl), nbytes)
         if self.stats is not None and self.record_sidx:
-            self.stats.sample_for(ctx.task_id).sidx_bytes += (
+            self.pipeline.task_sample(ctx).sidx_bytes += (
                 collector.bytes - before_bytes
             )
 
@@ -657,6 +738,17 @@ class PostProcessFn(ChainedFunction):
         self.operator = operator
         self.operator_id = operator_id
         self.stats = stats
+        self._ctx: Optional[TaskContext] = None
+
+    def start(self, ctx):
+        self._ctx = None
+
+    def _bind(self, ctx: TaskContext):
+        """The attempt's sample, looked up once per task attempt (told
+        by its context: stage instances are shared across attempts)."""
+        self._ctx = ctx
+        self._sample = self.stats.sample_for(ctx.task_id)
+        return self._sample
 
     def process(self, key, value, collector, ctx):
         v1, ikl, ivl = open_carrier(value)
@@ -664,7 +756,7 @@ class PostProcessFn(ChainedFunction):
         before_bytes = collector.bytes
         self.operator.post_process(key, v1, index_output, collector)
         if self.stats is not None:
-            sample = self.stats.sample_for(ctx.task_id)
+            sample = self._sample if ctx is self._ctx else self._bind(ctx)
             sample.spost_bytes += collector.bytes - before_bytes
 
     @property
@@ -695,7 +787,11 @@ class KeyByIkFn(ChainedFunction):
                 f"{self.index_id} of {self.operator_id}; got {len(keys)}"
             )
         ik = keys[0] if keys else None
-        collector.collect(ik, (key, value))
+        nbytes = ctx.input_bytes
+        if nbytes is not None:
+            # The arriving pair, wrapped in a tuple, under the new key.
+            nbytes += sizeof(ik) + _HEADER_BYTES
+        collector.collect(ik, (key, value), nbytes)
 
     @property
     def name(self) -> str:
@@ -749,11 +845,9 @@ class GroupLookupReducer(Reducer):
     def _emit_group(self, carriers, results, collector):
         for original_key, value in carriers:
             v1, ikl, ivl = open_carrier(value)
-            per_record = results if ikl[self.index_id] else ()
-            new_ivl = tuple(
-                per_record if j == self.index_id else ivl[j]
-                for j in range(len(ivl))
-            )
+            j = self.index_id
+            per_record = results if ikl[j] else ()
+            new_ivl = ivl[:j] + (per_record,) + ivl[j + 1 :]
             collector.collect(original_key, make_carrier(v1, ikl, new_ivl))
 
     @property
@@ -807,7 +901,7 @@ class RecordMeter(ChainedFunction):
     def process(self, key, value, collector, ctx):
         self._count += 1
         before_bytes = collector.bytes
-        collector.collect(key, value)
+        collector.collect(key, value, ctx.input_bytes)
         self._bytes += collector.bytes - before_bytes
 
     def finish(self, collector, ctx):

@@ -12,11 +12,11 @@ Beckmann et al. 1990) with best-first kNN search;
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.common.errors import IndexLookupError
 from repro.indices.base import IndexService
 from repro.indices.partitioning import PartitionScheme, round_robin_placements
 from repro.simcluster.cluster import Cluster
@@ -374,23 +374,74 @@ class RStarTree:
     # ------------------------------------------------------------------
     def knn(self, point: Point, k: int) -> List[Tuple[float, Any]]:
         """The ``k`` nearest payloads to ``point`` as ``(distance, payload)``,
-        nearest first. Best-first search over node MBRs."""
+        nearest first; ties in distance come out in the order the search
+        met them. ``point`` must be finite (a NaN compares false with
+        everything and would return arbitrary payloads).
+
+        Best-first search over node MBRs on a heap of
+        ``(dist2, seq, child, payload)``. This is the index's hot loop,
+        so ``Rect.min_dist2`` is inlined -- a leaf entry's rectangle is
+        its point, an inner one's needs two comparisons per axis -- and
+        an entry that could never be popped is not pushed: once ``k``
+        points are queued, anything at least as far as the farthest of
+        the ``k`` nearest of them has ``k`` entries with a strictly
+        smaller ``(dist2, seq)`` ahead of it, and the search stops after
+        ``k`` points. ``seq`` still advances for every entry *seen*, so
+        the pushed ones keep the tie-break rank they would have had.
+        """
         if self._size == 0 or k <= 0:
             return []
-        counter = itertools.count()
-        heap = [(0.0, next(counter), self.root, None)]
+        px, py = point
+        push, pop = heapq.heappush, heapq.heappop
+        seq = 0
+        heap = [(0.0, seq, self.root, None)]
+        # Max-heap (negated) of the k smallest point dist2 pushed so
+        # far; ``bound`` is the largest of them once there are k.
+        nearest: List[float] = []
+        bound = math.inf
         out: List[Tuple[float, Any]] = []
         while heap and len(out) < k:
-            dist2, _, node, payload = heapq.heappop(heap)
+            dist2, _, node, payload = pop(heap)
             if node is None:
                 out.append((math.sqrt(dist2), payload))
                 continue
-            for e in node.entries:
-                d2 = e.rect.min_dist2(point)
-                if node.leaf:
-                    heapq.heappush(heap, (d2, next(counter), None, e.payload))
-                else:
-                    heapq.heappush(heap, (d2, next(counter), e.child, None))
+            if node.leaf:
+                for e in node.entries:
+                    seq += 1
+                    rect = e.rect
+                    dx = rect.xmin - px
+                    dy = rect.ymin - py
+                    d2 = dx * dx + dy * dy
+                    if d2 >= bound and len(nearest) == k:
+                        continue
+                    push(heap, (d2, seq, None, e.payload))
+                    if len(nearest) < k:
+                        push(nearest, -d2)
+                        if len(nearest) == k:
+                            bound = -nearest[0]
+                    else:
+                        heapq.heapreplace(nearest, -d2)
+                        bound = -nearest[0]
+            else:
+                for e in node.entries:
+                    seq += 1
+                    rect = e.rect
+                    if px < rect.xmin:
+                        dx = rect.xmin - px
+                    elif px > rect.xmax:
+                        dx = px - rect.xmax
+                    else:
+                        dx = 0.0
+                    if py < rect.ymin:
+                        dy = rect.ymin - py
+                    elif py > rect.ymax:
+                        dy = py - rect.ymax
+                    else:
+                        dy = 0.0
+                    d2 = dx * dx + dy * dy
+                    if d2 >= bound and len(nearest) == k:
+                        continue
+                    push(heap, (d2, seq, e.child, None))
         return out
 
     def range_search(self, rect: Rect) -> List[Any]:
@@ -521,7 +572,13 @@ class _GridScheme(PartitionScheme):
 
 def _as_point(key: Any) -> Point:
     if isinstance(key, tuple) and len(key) == 2:
-        return (float(key[0]), float(key[1]))
+        point = (float(key[0]), float(key[1]))
+        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+            # No grid cell, and no distance order, for NaN or infinity.
+            raise IndexLookupError(
+                f"malformed request: spatial index keys must be finite, got {key!r}"
+            )
+        return point
     raise TypeError(f"spatial index keys must be (x, y) tuples, got {key!r}")
 
 

@@ -20,15 +20,25 @@ Record = Tuple[Any, Any]
 
 
 class OutputCollector:
-    """Collects ``(key, value)`` emissions from one chain stage."""
+    """Collects ``(key, value)`` emissions from one chain stage.
+
+    ``sizes[i]`` is the wire size of ``records[i]`` and ``bytes`` their
+    sum. An emitter that already knows ``sizeof_pair(key, value)`` --
+    it computed the pair from parts it sized -- passes it as ``nbytes``
+    and the pair is not walked; anyone else passes nothing.
+    """
 
     def __init__(self) -> None:
         self.records: List[Record] = []
+        self.sizes: List[int] = []
         self.bytes: int = 0
 
-    def collect(self, key: Any, value: Any) -> None:
+    def collect(self, key: Any, value: Any, nbytes: Optional[int] = None) -> None:
+        if nbytes is None:
+            nbytes = sizeof_pair(key, value)
         self.records.append((key, value))
-        self.bytes += sizeof_pair(key, value)
+        self.sizes.append(nbytes)
+        self.bytes += nbytes
 
 
 class TaskContext:
@@ -53,6 +63,10 @@ class TaskContext:
         self.counters = Counters()
         self.charged_time: float = 0.0
         self.state: dict = {}
+        # Wire size of the pair the running chain stage is processing,
+        # when the stage before it recorded one (``OutputCollector.sizes``);
+        # None for records read from a split and outside ``run_chain``.
+        self.input_bytes: Optional[int] = None
         # Per-task trace buffer (repro.obs.trace.TaskTraceBuffer), set by
         # the runtime only when tracing is on; chain stages must guard
         # with `if ctx.trace is not None` so the default path stays free.

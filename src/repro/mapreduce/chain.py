@@ -9,9 +9,10 @@ ChainMapper semantics, which the EFind baseline strategy uses to splice
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Tuple
+import itertools
+from typing import Any, Iterable, List, Sequence, Tuple, Union
 
-from repro.common.sizing import sizeof_records
+from repro.common.errors import DataFlowError
 from repro.mapreduce.api import ChainedFunction, OutputCollector, TaskContext
 
 Record = Tuple[Any, Any]
@@ -35,24 +36,53 @@ def run_chain(
 
 def run_chain_collected(
     stages: Sequence[ChainedFunction],
-    records: Iterable[Record],
+    records: Union[Iterable[Record], OutputCollector],
     ctx: TaskContext,
 ) -> OutputCollector:
     """:func:`run_chain`, handing back the last stage's collector
     rather than its records alone: its ``bytes`` is the size of the
     chain's output, summed as the pairs were emitted, so a task does not
     walk its output a second time. An empty chain emits its input.
+
+    Sizes travel down the chain beside the pairs: while a stage
+    processes ``records[i]`` of the collector before it,
+    ``ctx.input_bytes`` is that collector's ``sizes[i]``, so a stage
+    that only re-wraps its input can compute what it emits instead of
+    walking it. ``records`` may itself be a collector (a reducer's, fed
+    to the reduce-post chain); for a plain record list the first stage
+    sees ``ctx.input_bytes is None``.
     """
-    collector = OutputCollector()
-    collector.records = list(records)
-    if not stages:
-        collector.bytes = sizeof_records(collector.records)
-    for stage in stages:
-        current, collector = collector.records, OutputCollector()
-        stage.start(ctx)
-        for key, value in current:
-            stage.process(key, value, collector, ctx)
-        stage.finish(collector, ctx)
+    if isinstance(records, OutputCollector):
+        collector, sizes = records, records.sizes
+    else:
+        collector, sizes = OutputCollector(), None
+        if stages:
+            collector.records = list(records)
+        else:
+            for key, value in records:
+                collector.collect(key, value)
+    try:
+        for stage in stages:
+            current, collector = collector.records, OutputCollector()
+            if sizes is None:
+                # Records read from a split: no one has sized them yet.
+                sizes = itertools.repeat(None)
+            elif len(sizes) != len(current):
+                # zip() below would silently drop the surplus records.
+                raise DataFlowError(
+                    f"the collector feeding {stage.name} holds {len(current)} "
+                    f"records but {len(sizes)} sizes; emit through collect(), "
+                    f"never by appending to records"
+                )
+            stage.start(ctx)
+            for (key, value), nbytes in zip(current, sizes):
+                ctx.input_bytes = nbytes
+                stage.process(key, value, collector, ctx)
+            ctx.input_bytes = None
+            stage.finish(collector, ctx)
+            sizes = collector.sizes
+    finally:
+        ctx.input_bytes = None
     return collector
 
 

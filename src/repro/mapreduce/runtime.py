@@ -840,9 +840,7 @@ class JobRunner:
             reducer.reduce(key, values, collector, ctx)
         reducer.finish(collector, ctx)
         if conf.reduce_post_chain:
-            collector = run_chain_collected(
-                conf.reduce_post_chain, collector.records, ctx
-            )
+            collector = run_chain_collected(conf.reduce_post_chain, collector, ctx)
         output, out_bytes = collector.records, collector.bytes
 
         cpu = tm.cpu_time(len(records), in_bytes)

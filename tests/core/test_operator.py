@@ -37,6 +37,17 @@ class TestIndexInput:
         with pytest.raises(IndexError):
             IndexInput(1).put(5, "a")
 
+    @pytest.mark.parametrize("index_id", [-1, -2, 2, 5])
+    def test_ids_outside_range_rejected_by_name(self, index_id):
+        """A negative id must not count from the end: ``put(-1, ik)``
+        used to file the key under the *last* index."""
+        ii = IndexInput(2)
+        with pytest.raises(IndexError, match=rf"index id {index_id} .* 2 attached"):
+            ii.put(index_id, "a")
+        with pytest.raises(IndexError, match=rf"index id {index_id} .* 2 attached"):
+            ii.keys(index_id)
+        assert ii.as_tuple() == ((), ())
+
 
 class TestIndexValues:
     def test_get_all_flattens(self):
@@ -67,6 +78,32 @@ class TestIndexOutput:
     def test_none_value_lists_treated_empty(self):
         out = IndexOutput((("a",),), (None,))
         assert out.get(0).get_all() == []
+
+    @pytest.mark.parametrize("index_id", [-1, 2])
+    def test_get_outside_range_rejected_by_name(self, index_id):
+        out = IndexOutput((("a",), ("x",)), (((1,),), ((2,),)))
+        with pytest.raises(IndexError, match=rf"index id {index_id} .* 2 attached"):
+            out.get(index_id)
+
+    def test_views_share_the_carrier_tuples_and_hand_out_copies(self):
+        """No per-record copy of what is already immutable, and nothing
+        a caller does to what it is handed reaches the carrier."""
+        ikl, ivl = (("a", "b"),), (((1, 2), (3,)),)
+        values = IndexOutput(ikl, ivl).get(0)
+        assert values._keys is ikl[0] and values._value_lists is ivl[0]
+        values.get_all().append("evil")
+        values.for_key(0).append("evil")
+        values.keys.append("evil")
+        assert (values.get_all(), values.for_key(0)) == ([1, 2, 3], [1, 2])
+        assert values.keys == ["a", "b"] and len(values) == 2
+
+    def test_non_tuple_arguments_are_snapshotted(self):
+        keys, value_lists = ["k"], [[1]]
+        values = IndexValues(keys, value_lists)
+        keys.append("z")
+        value_lists[0].append(2)
+        value_lists.append([3])
+        assert (values.keys, values.get_all(), len(values)) == (["k"], [1], 1)
 
 
 class TestIndexOperatorDefaults:

@@ -1,5 +1,9 @@
 """Unit tests for the individual strategy chained-functions."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.core.accessor import IndexAccessor
@@ -294,11 +298,15 @@ class CountedValue:
 
 
 class TestWalkBudget:
-    """Each site that needs a pair's size walks the pair once: the
-    stage's collector sizes what is emitted, and the Table-1 samples
-    read that number instead of walking the pair again."""
+    """A pair is walked once per chain: S1 sizes it on the way in, the
+    stages that only re-wrap it compute what they emit from that size
+    and the parts they add, and the Table-1 samples read those numbers
+    instead of walking the pair again."""
 
     def test_one_walk_per_stage_plus_s1(self, op, ctx):
+        # (The id predates sizes travelling beside the pairs, when the
+        # budget was one walk per stage; it is kept so the test stays
+        # the same test.)
         acc = OperatorStatsAccumulator("op0", 1, 2)
         seen = {}
         chain = [
@@ -310,8 +318,8 @@ class TestWalkBudget:
         value = CountedValue()
         ((key, (out_value, results)),) = run_chain(chain, [("k5", value)], ctx)
         assert (key, results) == ("k5", (5,)) and out_value is value
-        # S1 on the way in, then one collector per stage.
-        assert value.walks <= 1 + len(chain)
+        # S1 on the way in, and the new pair post_process emits.
+        assert value.walks <= 2
         sample = acc.sample_for("t0")
         assert sample.s1_bytes == 102
         assert sample.spre_bytes == 124
@@ -338,3 +346,77 @@ class TestWalkBudget:
             if multiget
             else tm.remote_lookup_time(1, 104, accessor.service_time())
         )
+
+
+class TestPerAttemptState:
+    """What a stage resolves once per task attempt -- its sample, its
+    node's LRU -- belongs to that attempt alone."""
+
+    def test_retried_attempt_gets_its_own_sample_and_node_cache(self, op):
+        """The runtime reuses stage instances across attempts; what a
+        stage resolves once per attempt is told by the attempt's
+        context, so nothing of a finished attempt leaks into the next:
+        not its sample, not its node's LRU -- with or without
+        ``start()`` in between."""
+        acc = OperatorStatsAccumulator("op0", 1, 2)
+        chain = [
+            PreProcessFn(op, "op0", acc),
+            LookupFn(op, "op0", 0, acc, use_cache=True, record_sidx=True),
+            PostProcessFn(op, "op0", acc),
+        ]
+        nodes = Cluster(num_nodes=2).nodes
+        records = [("k1", "v"), ("k1", "v"), ("k2", "v")]
+
+        def attempt(task_id, node, number, via_run_chain=True):
+            ctx = TaskContext(node, TimeModel(), task_id=task_id, attempt=number)
+            if via_run_chain:
+                return ctx, run_chain(chain, records, ctx)
+            fed = records
+            for stage in chain:  # process() alone, never start()
+                col = OutputCollector()
+                for key, value in fed:
+                    stage.process(key, value, col, ctx)
+                fed = col.records
+            return ctx, fed
+
+        first_ctx, first_out = attempt("t0", nodes[0], 0)
+        # Another task's retry lands on the other node: a cold LRU
+        # there, and a sample of its own.
+        retry_ctx, retry_out = attempt("t1", nodes[1], 1)
+        assert retry_out == first_out
+        s0, s1 = acc.sample_for("t0"), acc.sample_for("t1")
+        assert s0 is not s1 and s0 == dataclasses.replace(s1, task_id="t0")
+        assert (s0.n1, s0.cache_probes[0], s0.cache_misses[0]) == (3, 3, 2)
+        assert s0.spost_bytes > 0 and s0.sidx_bytes > s0.spre_bytes > s0.s1_bytes
+        assert first_ctx.counters.get("lookup", "fetches") == 2
+        assert retry_ctx.counters.get("lookup", "fetches") == 2
+        # Back on either node its LRU is warm -- also for a caller that
+        # drives process() without start(), right after an attempt of
+        # the other task on the other node.
+        for task_id, node, sample in (("t0", nodes[0], s0), ("t1", nodes[1], s1)):
+            again_ctx, again_out = attempt(task_id, node, 2, via_run_chain=False)
+            assert again_out == first_out
+            assert again_ctx.counters.get("lookup", "fetches") == 0
+            assert (sample.n1, sample.cache_probes[0], sample.cache_misses[0]) == (
+                6, 6, 2,
+            )
+        assert s0 == dataclasses.replace(s1, task_id="t0")
+        assert acc.num_samples == 2
+
+    def test_start_drops_the_finished_attempts_context(self, op):
+        acc = OperatorStatsAccumulator("op0", 1, 2)
+        chain = [
+            PreProcessFn(op, "op0", acc),
+            LookupFn(op, "op0", 0, acc, use_cache=True, record_sidx=True),
+            PostProcessFn(op, "op0", acc),
+        ]
+        node = Cluster(num_nodes=1).nodes[0]
+        ctx = TaskContext(node, TimeModel(), task_id="t0")
+        run_chain(chain, [("k1", "v")], ctx)
+        finished = weakref.ref(ctx)  # and with it ctx.trace, its buffer
+        del ctx
+        next_ctx = TaskContext(node, TimeModel(), task_id="t1")
+        for stage in chain:
+            stage.start(next_ctx)
+        gc.collect()
+        assert finished() is None

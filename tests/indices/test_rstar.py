@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from repro.common.errors import IndexLookupError
 from repro.indices.rstar import GridRStarForest, Rect, RStarTree
+from repro.workloads.knn import exact_knn
 
 
 def random_points(n, seed=0, lo=0.0, hi=1.0):
@@ -119,6 +121,31 @@ class TestKnn:
             assert d == pytest.approx(math.dist(p, q))
 
 
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_distances_equal_exact_knn(self, bulk):
+        """Against ground truth that never touches the tree
+        (``knn.reference_knnj`` queries the index under test): the k
+        distances are those of the brute-force k nearest."""
+        points = random_points(700, seed=4)
+        if bulk:
+            tree = RStarTree.bulk_load(points, max_entries=8)
+        else:
+            tree = RStarTree(max_entries=8)
+            for p, pid in points:
+                tree.insert(p, pid)
+        by_id = {pid: p for p, pid in points}
+
+        def distance(pid, q):
+            dx, dy = by_id[pid][0] - q[0], by_id[pid][1] - q[1]
+            return math.sqrt(dx * dx + dy * dy)
+
+        rng = random.Random(6)
+        queries = [(rng.random(), rng.random()) for _ in range(40)]
+        for q in queries + [(-3.0, 0.5), points[17][0]]:
+            want = [(distance(pid, q), pid) for pid in exact_knn(q, points, 10)]
+            assert tree.knn(q, 10) == want
+
+
 class TestRangeSearch:
     def test_finds_all_inside(self):
         points = random_points(300, seed=4)
@@ -173,6 +200,17 @@ class TestGridRStarForest:
     def test_rejects_bad_key(self, forest):
         with pytest.raises(TypeError):
             forest.lookup("not-a-point")
+
+    @pytest.mark.parametrize(
+        "key", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, math.nan)]
+    )
+    def test_rejects_non_finite_key(self, forest, key):
+        # Not the bare ValueError/OverflowError of int(nan)/int(inf) in
+        # the grid arithmetic, and never k arbitrary payloads.
+        with pytest.raises(IndexLookupError, match="malformed request"):
+            forest.lookup(key)
+        with pytest.raises(IndexLookupError, match="malformed request"):
+            forest.partition_scheme.partition_of(key)
 
     def test_rejects_empty(self, cluster):
         with pytest.raises(ValueError):

@@ -35,6 +35,23 @@ class TestOutputCollector:
         c.collect("ab", 1)
         assert c.bytes == 2 + 8
 
+    def test_one_size_per_record(self):
+        c = OutputCollector()
+        c.collect("ab", 1)
+        c.collect("k", (1, "xyz"))
+        assert c.sizes == [10, 1 + 4 + 8 + 3]
+        assert c.bytes == sum(c.sizes)
+
+    def test_passed_size_is_taken_and_the_pair_not_walked(self):
+        class Unsizable:
+            def wire_size(self):
+                raise AssertionError("walked")
+
+        c = OutputCollector()
+        c.collect("k", Unsizable(), 41)
+        c.collect("ab", 1)
+        assert (c.sizes, c.bytes) == ([41, 10], 51)
+
 
 class TestTaskContext:
     def test_charge_accumulates(self, ctx):
@@ -48,6 +65,9 @@ class TestTaskContext:
 
     def test_counters_start_empty(self, ctx):
         assert len(ctx.counters) == 0
+
+    def test_input_size_unknown_outside_a_chain(self, ctx):
+        assert ctx.input_bytes is None
 
 
 class TestAdapters:

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.common.errors import DataFlowError
-from repro.common.sizing import sizeof_records
-from repro.mapreduce.api import FnMapper, FnReducer, IdentityMapper, IdentityReducer
+from repro.common.sizing import sizeof_pair, sizeof_records
+from repro.mapreduce.api import (
+    ChainedFunction,
+    FnMapper,
+    FnReducer,
+    IdentityMapper,
+    IdentityReducer,
+)
 from repro.mapreduce.jobconf import JobConf
 from repro.mapreduce.runtime import JobRunner
 
@@ -116,6 +122,30 @@ class TestOutputBytes:
         )
         res = loaded.run(conf)
         assert sum(r.output_records for r in res.reduce_runs) == 2000
+        for run in res.map_runs + res.reduce_runs:
+            assert run.output_bytes == sizeof_records(run.output) > 0
+
+    def test_sizes_reach_the_stages_of_map_and_reduce_post_chains(self, loaded):
+        """Split records arrive unsized; from the first collector on --
+        the reducer's included -- each stage is told its input's size."""
+        seen = {"map-head": [], "map-tail": [], "reduce-post": []}
+
+        class Probe(ChainedFunction):
+            def __init__(self, where):
+                self.where = where
+
+            def process(self, key, value, collector, ctx):
+                seen[self.where].append((ctx.input_bytes, sizeof_pair(key, value)))
+                collector.collect(key, value, ctx.input_bytes)
+
+        conf = wordcount_conf()
+        conf.map_chain = [Probe("map-head"), *conf.map_chain, Probe("map-tail")]
+        conf.reduce_post_chain = [Probe("reduce-post")]
+        res = loaded.run(conf)
+        assert len(seen["map-head"]) == 2000 and len(seen["map-tail"]) == 8000
+        assert all(known is None for known, _ in seen["map-head"])
+        for where in ("map-tail", "reduce-post"):
+            assert seen[where] and all(known == walked for known, walked in seen[where])
         for run in res.map_runs + res.reduce_runs:
             assert run.output_bytes == sizeof_records(run.output) > 0
 

@@ -2,9 +2,11 @@
 
 import collections
 import enum
+import heapq
+import itertools
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.common.sizing import sizeof, sizeof_pair, sizeof_records
@@ -299,10 +301,75 @@ class TestBTreeProperties:
         assert got == want
 
 
+def best_first_knn(tree, point, k):
+    """``RStarTree.knn`` as it was before its loop was inlined and
+    pruned, kept here verbatim (``self`` -> ``tree``) as the oracle the
+    kernel must equal: every entry of every visited node is measured
+    with ``Rect.min_dist2`` and pushed."""
+    if tree._size == 0 or k <= 0:
+        return []
+    counter = itertools.count()
+    heap = [(0.0, next(counter), tree.root, None)]
+    out = []
+    while heap and len(out) < k:
+        dist2, _, node, payload = heapq.heappop(heap)
+        if node is None:
+            out.append((math.sqrt(dist2), payload))
+            continue
+        for e in node.entries:
+            d2 = e.rect.min_dist2(point)
+            if node.leaf:
+                heapq.heappush(heap, (d2, next(counter), None, e.payload))
+            else:
+                heapq.heappush(heap, (d2, next(counter), e.child, None))
+    return out
+
+
 class TestRStarProperties:
     coords = st.floats(
         min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
     )
+    # A small integer lattice makes duplicate points, equidistant ties
+    # and collinear runs the common case rather than the rare one; the
+    # wide floats reach squared distances that overflow to ``inf``
+    # (bulk-loaded trees only: ``insert`` squares with ``** 2``, which
+    # raises OverflowError past 1e154 -- not this kernel's business).
+    lattice = st.integers(-4, 4).map(float)
+    point_sets = st.one_of(
+        st.lists(st.tuples(lattice, lattice), max_size=150),
+        st.lists(st.tuples(lattice, st.just(1.0)), max_size=60),
+        st.lists(st.tuples(coords, coords), max_size=150),
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=40,
+        ),
+    )
+
+    @given(
+        point_sets,
+        st.one_of(st.tuples(lattice, lattice), st.tuples(coords, coords)),
+        st.sampled_from([4, 6, 16]),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_knn_equals_unpruned_best_first(self, points, query, fanout, bulk):
+        pairs = [(p, i) for i, p in enumerate(points)]
+        if bulk:
+            tree = RStarTree.bulk_load(pairs, max_entries=fanout)
+        else:
+            assume(all(abs(c) <= 1e100 for p in points for c in p))
+            tree = RStarTree(max_entries=fanout)
+            for p, i in pairs:
+                tree.insert(p, i)
+        for k in (1, 10, len(points) + 3):
+            got = tree.knn(query, k)
+            # Same payloads in the same order (ties included) at the
+            # very same doubles.
+            assert got == best_first_knn(tree, query, k)
+            assert len(got) == min(k, len(points))
 
     @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=120))
     @settings(max_examples=25, deadline=None)
