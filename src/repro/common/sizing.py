@@ -31,7 +31,9 @@ below it, which is the model's definition: the two agree on every value
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional, Sequence
+
+from repro.common.errors import DataFlowError
 
 _CONTAINER_HEADER = 4
 _NUMBER_SIZE = 8
@@ -101,3 +103,25 @@ def sizeof_records(records) -> int:
     for key, value in records:
         total += sizeof(key) + sizeof(value)
     return total
+
+
+def record_sizes(
+    records: Sequence, sizes: Optional[Sequence[int]], what: str, *args: Any
+) -> Sequence[int]:
+    """One size per record, at a seam where a record list changes hands.
+
+    ``sizes`` are the ints whoever made ``records`` recorded beside them
+    (a collector, a block): they are handed on as they are, after a
+    count check -- a list that disagrees with its records is refused,
+    never ``zip``-truncated. ``None`` is a bare record list nobody has
+    sized yet: it is walked here, once (DESIGN.md section 5.12).
+    ``what % args`` names the records in the error, formatted only then.
+    """
+    if sizes is None:
+        return [sizeof(key) + sizeof(value) for key, value in records]
+    if len(sizes) != len(records):
+        raise DataFlowError(
+            f"{what % args}: {len(records)} records but {len(sizes)} sizes; "
+            f"sizes travel beside their records, one int per pair"
+        )
+    return sizes

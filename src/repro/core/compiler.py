@@ -228,7 +228,7 @@ class _StageBuilder:
                     f"index {j} of {op_id} exposes no partition scheme; "
                     "index locality is not applicable"
                 )
-            self.reducer = CarrierMaterializeReducer()
+            self.reducer = CarrierMaterializeReducer(j)
             self.num_reduce_tasks = scheme.num_partitions
             self.partitioner = SchemePartitioner(scheme)
             self.output_per_partition = True
@@ -246,7 +246,7 @@ class _StageBuilder:
         self.num_reduce_tasks = self.shuffle_parallelism
         self.partitioner = HashPartitioner()
         if boundary == "pre":
-            self.reducer = CarrierMaterializeReducer()
+            self.reducer = CarrierMaterializeReducer(j)
             self.close_stage(label=f"shuffle-{op_id}.{j}", is_shuffle=True)
             self.map_chain.append(
                 self._lookup_stage(

@@ -435,12 +435,15 @@ class EFindRunner:
         self._assign_paths(iconf, stages, tag="b")
 
         old_outputs: List[Record] = []
+        old_sizes: List[int] = []
         for run in first.map_runs:
             old_outputs.extend(run.output)
+            old_sizes.extend(run.output_sizes)
 
         final_conf = stages[-1].conf
         if final_conf.reducer is not None:
             final_conf.side_reduce_inputs = old_outputs
+            final_conf.side_reduce_sizes = old_sizes
 
         results = self._run_stages(
             stages,
@@ -450,7 +453,9 @@ class EFindRunner:
         output = list(results[-1].output)
         if final_conf.reducer is None:
             output = old_outputs + output
-            self.dfs.write(iconf.output_path, output)
+            self.dfs.write(
+                iconf.output_path, output, sizes=old_sizes + results[-1].output_sizes
+            )
 
         packaged = self._package(
             iconf, old_plan, new_plan, [first] + results, start_time
@@ -482,14 +487,24 @@ class EFindRunner:
         self._assign_paths(iconf, stages, tag="c")
 
         pending: List[Record] = []
+        pending_sizes: List[int] = []
         for p in first.remaining_partitions:
-            pending.extend(self.job_runner.reduce_input_for(first.map_runs, p))
+            records, sizes = self.job_runner.sized_reduce_input(first.map_runs, p)
+            pending.extend(records)
+            pending_sizes.extend(sizes)
 
         results = self._run_stages(
-            stages, start_time=first.end_time, first_records=pending
+            stages,
+            start_time=first.end_time,
+            first_records=pending,
+            first_sizes=pending_sizes,
         )
         output = list(first.output) + list(results[-1].output)
-        self.dfs.write(iconf.output_path, output)
+        self.dfs.write(
+            iconf.output_path,
+            output,
+            sizes=first.output_sizes + results[-1].output_sizes,
+        )
 
         packaged = self._package(
             iconf, old_plan, new_plan, [first] + results, start_time
@@ -516,6 +531,7 @@ class EFindRunner:
         start_time: float,
         first_splits: Optional[List[InputSplit]] = None,
         first_records: Optional[List[Record]] = None,
+        first_sizes: Optional[List[int]] = None,
     ) -> List[JobResult]:
         t = start_time
         results: List[JobResult] = []
@@ -527,7 +543,7 @@ class EFindRunner:
                     splits = first_splits
                     conf.input_paths = ["<resume:splits>"]
                 elif first_records is not None:
-                    splits = self._records_to_splits(first_records)
+                    splits = self._records_to_splits(first_records, first_sizes)
                     conf.input_paths = ["<resume:records>"]
             else:
                 prev = stages[i - 1]
@@ -569,13 +585,16 @@ class EFindRunner:
         stage.conf.map_host_constraint = lambda i: constraint.get(i)
         return splits
 
-    def _records_to_splits(self, records: List[Record]) -> List[InputSplit]:
+    def _records_to_splits(
+        self, records: List[Record], sizes: List[int]
+    ) -> List[InputSplit]:
         """Chunk in-memory records into synthetic splits (used when
-        resuming an aborted reduce phase)."""
+        resuming an aborted reduce phase); ``sizes`` are the sizes the
+        shuffle buckets held for them."""
         return [
-            InputSplit("<memory>", index, chunk, size, hosts=[])
-            for index, (chunk, size) in enumerate(
-                chunk_records(records, self.dfs.block_size)
+            InputSplit("<memory>", index, chunk, size, hosts=[], sizes=chunk_sizes)
+            for index, (chunk, chunk_sizes, size) in enumerate(
+                chunk_records(records, self.dfs.block_size, sizes)
             )
         ]
 

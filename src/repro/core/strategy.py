@@ -23,6 +23,7 @@ enable and in how they emit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -789,13 +790,24 @@ class KeyByIkFn(ChainedFunction):
         ik = keys[0] if keys else None
         nbytes = ctx.input_bytes
         if nbytes is not None:
-            # The arriving pair, wrapped in a tuple, under the new key.
+            # The arriving pair, wrapped in a tuple, under the new key
+            # (what ``_shuffle_wrap_bytes`` takes off again).
             nbytes += sizeof(ik) + _HEADER_BYTES
         collector.collect(ik, (key, value), nbytes)
 
     @property
     def name(self) -> str:
         return f"keyby[{self.operator_id}.{self.index_id}]"
+
+
+def _shuffle_wrap_bytes(keys: tuple) -> int:
+    """What :class:`KeyByIkFn` added to a pair it shuffled under
+    ``keys`` (one index's key tuple of the pair's carrier): the shuffle
+    key, and the header of the tuple that wraps the original pair. The
+    key is read from the carrier, not taken from the reduce group: keys
+    that compare equal (``True == 1``) share a group without sharing a
+    size."""
+    return (sizeof(keys[0]) if keys else _NONE_BYTES) + _HEADER_BYTES
 
 
 class GroupLookupReducer(Reducer):
@@ -824,14 +836,15 @@ class GroupLookupReducer(Reducer):
         self.pipeline.reset()
 
     def reduce(self, ik, carriers, collector, ctx):
+        sizes = ctx.group_bytes
         if ik is None:
             # Keyless records need no lookup: emit straight through.
-            self._emit_group(carriers, (), collector)
+            self._emit_group(carriers, sizes, (), collector)
             return
         values = self.pipeline.lookup(ik, ctx)
         if values is not None:
-            self._emit_group(carriers, (values,), collector)
-        elif self.pipeline.park((ik, list(carriers))):
+            self._emit_group(carriers, sizes, (values,), collector)
+        elif self.pipeline.park((ik, list(carriers), sizes)):
             self._drain(collector, ctx)
 
     def finish(self, collector, ctx):
@@ -839,16 +852,32 @@ class GroupLookupReducer(Reducer):
 
     def _drain(self, collector, ctx, finishing: bool = False):
         results, parked = self.pipeline.drain(ctx, finishing)
-        for ik, carriers in parked:
-            self._emit_group(carriers, (results[ik],), collector)
+        for ik, carriers, sizes in parked:
+            self._emit_group(carriers, sizes, (results[ik],), collector)
 
-    def _emit_group(self, carriers, results, collector):
-        for original_key, value in carriers:
+    def _emit_group(self, carriers, sizes, results, collector):
+        """Emit the group's carriers under their original keys, this
+        index's slot filled. ``sizes`` are the sizes the shuffled pairs
+        ``(ik, (k1, carrier))`` arrived with (None when unknown): each
+        pair going out is its shuffled pair less the shuffle key and the
+        wrapper ``KeyByIkFn`` put around it, with that one slot changed."""
+        j = self.index_id
+        if sizes is None:
+            sizes = itertools.repeat(None)
+        else:
+            filled_bytes = sizeof(results)
+        for (original_key, value), nbytes in zip(carriers, sizes):
             v1, ikl, ivl = open_carrier(value)
-            j = self.index_id
-            per_record = results if ikl[j] else ()
-            new_ivl = ivl[:j] + (per_record,) + ivl[j + 1 :]
-            collector.collect(original_key, make_carrier(v1, ikl, new_ivl))
+            keys = ikl[j]
+            if nbytes is not None:
+                old = ivl[j]
+                nbytes += (
+                    (filled_bytes if keys else _HEADER_BYTES)
+                    - (_NONE_BYTES if old is None else sizeof(old))
+                    - _shuffle_wrap_bytes(keys)
+                )
+            new_ivl = ivl[:j] + (results if keys else (),) + ivl[j + 1 :]
+            collector.collect(original_key, make_carrier(v1, ikl, new_ivl), nbytes)
 
     @property
     def name(self) -> str:
@@ -859,11 +888,22 @@ class CarrierMaterializeReducer(Reducer):
     """Reduce side of a shuffle job with the boundary *before* the
     lookup: just materialise the grouped carriers (duplicate keys end up
     adjacent, so the next stage's ``LookupFn(dedup_adjacent=True)``
-    removes the redundancy)."""
+    removes the redundancy). ``index_id`` names the index whose key the
+    carriers were shuffled under, which is all that separates a pair
+    going out from the shuffled pair it arrived in."""
+
+    def __init__(self, index_id: int):
+        self.index_id = index_id
 
     def reduce(self, ik, carriers, collector, ctx):
-        for original_key, value in carriers:
-            collector.collect(original_key, value)
+        sizes = ctx.group_bytes
+        if sizes is None:
+            sizes = itertools.repeat(None)
+        for (original_key, value), nbytes in zip(carriers, sizes):
+            if nbytes is not None:
+                _, ikl, _ = open_carrier(value)
+                nbytes -= _shuffle_wrap_bytes(ikl[self.index_id])
+            collector.collect(original_key, value, nbytes)
 
     @property
     def name(self) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DataFlowError
-from repro.common.sizing import sizeof_pair
+from repro.common.sizing import record_sizes
 from repro.common.units import MB
 from repro.mapreduce.api import stable_hash
 from repro.simcluster.cluster import Cluster
@@ -37,6 +37,14 @@ class Block:
     #: block carries. Descriptive metadata only -- read by tests and
     #: inspection tools, never by the time model.
     layouts: Dict[str, str] = field(default_factory=dict)
+    #: ``sizes[i]`` is the wire size of ``records[i]``: the ints
+    #: ``size_bytes`` is the sum of, kept so that no job reading the
+    #: block walks its records again. None on a block built by hand.
+    sizes: Optional[List[int]] = None
+
+    def __post_init__(self) -> None:
+        if self.sizes is not None:
+            record_sizes(self.records, self.sizes, "block %s", self.index)
 
 
 @dataclass
@@ -56,22 +64,27 @@ class FileMeta:
 
 
 def chunk_records(
-    records: Iterable[Record], target_bytes: int
-) -> Iterator[Tuple[List[Record], int]]:
-    """Chunk records greedily into ``(records, size_bytes)`` pieces: a
-    chunk closes once it holds at least ``target_bytes`` estimated
-    bytes. No records yield one empty chunk."""
-    current: List[Record] = []
+    records: Iterable[Record],
+    target_bytes: int,
+    sizes: Optional[Sequence[int]] = None,
+) -> Iterator[Tuple[List[Record], List[int], int]]:
+    """Chunk records greedily into ``(records, sizes, size_bytes)``
+    pieces: a chunk closes once it holds at least ``target_bytes``
+    estimated bytes. No records yield one empty chunk. ``sizes`` are the
+    records' sizes when the caller kept them; records that arrive
+    without are walked here, once."""
+    if not isinstance(records, list):
+        records = list(records)
+    sizes = record_sizes(records, sizes, "chunk_records")
+    start = 0
     current_bytes = 0
-    first = True
-    for record in records:
-        current.append(record)
-        current_bytes += sizeof_pair(*record)
+    for end, nbytes in enumerate(sizes, 1):
+        current_bytes += nbytes
         if current_bytes >= target_bytes:
-            yield current, current_bytes
-            current, current_bytes, first = [], 0, False
-    if current or first:
-        yield current, current_bytes
+            yield records[start:end], list(sizes[start:end]), current_bytes
+            start, current_bytes = end, 0
+    if start < len(records) or start == 0:
+        yield records[start:], list(sizes[start:]), current_bytes
 
 
 class DistributedFileSystem:
@@ -95,17 +108,27 @@ class DistributedFileSystem:
         records: Iterable[Record],
         block_size: Optional[int] = None,
         replication: Optional[int] = None,
+        sizes: Optional[Sequence[int]] = None,
     ) -> FileMeta:
         """Create (or overwrite) ``path`` with the given records.
 
         Records are chunked greedily (:func:`chunk_records`): a block
         closes once it holds at least ``block_size`` estimated bytes.
+        ``sizes`` -- one int per record, ``sizeof_pair`` of it -- spares
+        the walk when the writer already has them (a job writing its
+        tasks' output); the blocks keep them either way.
         """
-        block_size = block_size or self.block_size
-        replication = replication or self.cluster.time_model.dfs_replication
+        if block_size is None:
+            block_size = self.block_size
+        elif block_size <= 0:
+            raise ValueError("block_size must be positive")
+        if replication is None:
+            replication = self.cluster.time_model.dfs_replication
+        elif replication <= 0:
+            raise ValueError("replication must be positive")
         meta = FileMeta(path=path)
-        for block_records, size_bytes in chunk_records(records, block_size):
-            self._seal_block(meta, block_records, size_bytes, replication)
+        for chunk, chunk_sizes, size_bytes in chunk_records(records, block_size, sizes):
+            self._seal_block(meta, chunk, chunk_sizes, size_bytes, replication)
         self._files[path] = meta
         return meta
 
@@ -113,6 +136,7 @@ class DistributedFileSystem:
         self,
         meta: FileMeta,
         records: List[Record],
+        sizes: List[int],
         size_bytes: int,
         replication: int,
     ) -> None:
@@ -126,7 +150,13 @@ class DistributedFileSystem:
             )
         ]
         meta.blocks.append(
-            Block(index=index, records=records, size_bytes=size_bytes, hosts=hosts)
+            Block(
+                index=index,
+                records=records,
+                size_bytes=size_bytes,
+                hosts=hosts,
+                sizes=sizes,
+            )
         )
 
     def annotate_layouts(self, path: str, fn) -> None:
@@ -179,6 +209,7 @@ class DistributedFileSystem:
                 records=b.records,
                 size_bytes=b.size_bytes,
                 hosts=list(b.hosts),
+                sizes=b.sizes,
             )
             for b in meta.blocks
         ]
@@ -216,10 +247,12 @@ def _coalesce(splits: List[InputSplit], max_splits: int) -> List[InputSplit]:
     for start in range(0, len(splits), per_group):
         group = splits[start : start + per_group]
         records: List[Record] = []
+        sizes: List[int] = []
         hosts: List[str] = []
         size = 0
         for s in group:
             records.extend(s.records)
+            sizes.extend(record_sizes(s.records, s.sizes, "split %s#%s", s.path, s.index))
             size += s.size_bytes
             for h in s.hosts:
                 if h not in hosts:
@@ -231,6 +264,7 @@ def _coalesce(splits: List[InputSplit], max_splits: int) -> List[InputSplit]:
                 records=records,
                 size_bytes=size,
                 hosts=hosts,
+                sizes=sizes,
             )
         )
     return merged

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
+
+from repro.common.sizing import record_sizes
 
 Record = Tuple[Any, Any]
 
@@ -14,6 +16,10 @@ class InputSplit:
 
     ``hosts`` are the hostnames holding a replica of the underlying
     block; the scheduler prefers to run the map task on one of them.
+    ``sizes[i]`` is the wire size of ``records[i]`` -- the ints
+    ``size_bytes`` is the sum of, handed over by the blocks the split
+    was cut from; None on a split built by hand from bare records,
+    whose pairs the map chain then sizes as it meets them.
     """
 
     path: str
@@ -21,6 +27,11 @@ class InputSplit:
     records: List[Record]
     size_bytes: int
     hosts: List[str] = field(default_factory=list)
+    sizes: Optional[List[int]] = None
+
+    def __post_init__(self) -> None:
+        if self.sizes is not None:
+            record_sizes(self.records, self.sizes, "split %s#%s", self.path, self.index)
 
     def __len__(self) -> int:
         return len(self.records)

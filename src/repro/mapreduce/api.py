@@ -65,8 +65,14 @@ class TaskContext:
         self.state: dict = {}
         # Wire size of the pair the running chain stage is processing,
         # when the stage before it recorded one (``OutputCollector.sizes``);
-        # None for records read from a split and outside ``run_chain``.
+        # None for a bare record list and outside ``run_chain``.
         self.input_bytes: Optional[int] = None
+        # The same for a reducer: while the reduce task runs
+        # ``reduce(key, values, ...)``, ``group_bytes[i]`` is the wire
+        # size of the shuffled pair ``values[i]`` arrived in -- under its
+        # own key, which equals ``key`` but need not be ``key``. None
+        # outside the reduce task's loop (in ``finish``, in a combiner).
+        self.group_bytes: Optional[List[int]] = None
         # Per-task trace buffer (repro.obs.trace.TaskTraceBuffer), set by
         # the runtime only when tracing is on; chain stages must guard
         # with `if ctx.trace is not None` so the default path stays free.

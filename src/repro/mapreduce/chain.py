@@ -10,9 +10,10 @@ ChainMapper semantics, which the EFind baseline strategy uses to splice
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import DataFlowError
+from repro.common.sizing import record_sizes
 from repro.mapreduce.api import ChainedFunction, OutputCollector, TaskContext
 
 Record = Tuple[Any, Any]
@@ -38,6 +39,7 @@ def run_chain_collected(
     stages: Sequence[ChainedFunction],
     records: Union[Iterable[Record], OutputCollector],
     ctx: TaskContext,
+    sizes: Optional[Sequence[int]] = None,
 ) -> OutputCollector:
     """:func:`run_chain`, handing back the last stage's collector
     rather than its records alone: its ``bytes`` is the size of the
@@ -49,28 +51,30 @@ def run_chain_collected(
     ``ctx.input_bytes`` is that collector's ``sizes[i]``, so a stage
     that only re-wraps its input can compute what it emits instead of
     walking it. ``records`` may itself be a collector (a reducer's, fed
-    to the reduce-post chain); for a plain record list the first stage
-    sees ``ctx.input_bytes is None``.
+    to the reduce-post chain), or a record list with the ``sizes`` kept
+    beside it (a split's); for a bare record list the first stage sees
+    ``ctx.input_bytes is None``.
     """
     if isinstance(records, OutputCollector):
         collector, sizes = records, records.sizes
     else:
-        collector, sizes = OutputCollector(), None
-        if stages:
-            collector.records = list(records)
-        else:
-            for key, value in records:
-                collector.collect(key, value)
+        collector = OutputCollector()
+        collector.records = list(records)
+        if not stages:
+            collector.sizes = list(
+                record_sizes(collector.records, sizes, "the input of an empty chain")
+            )
+            collector.bytes = sum(collector.sizes)
     try:
         for stage in stages:
             current, collector = collector.records, OutputCollector()
             if sizes is None:
-                # Records read from a split: no one has sized them yet.
+                # A bare record list: no one has sized its pairs yet.
                 sizes = itertools.repeat(None)
             elif len(sizes) != len(current):
                 # zip() below would silently drop the surplus records.
                 raise DataFlowError(
-                    f"the collector feeding {stage.name} holds {len(current)} "
+                    f"the input of {stage.name} holds {len(current)} "
                     f"records but {len(sizes)} sizes; emit through collect(), "
                     f"never by appending to records"
                 )

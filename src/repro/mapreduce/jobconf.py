@@ -26,6 +26,12 @@ class JobConf:
     ``map_host_constraint``, when set, restricts which hosts each map
     task may run on (keyed by the task's split index) -- the hook used by
     the index-locality strategy (Section 3.4).
+
+    ``side_reduce_inputs`` are records shuffled into the reduce phase
+    beside the map output (a resumed job's already-mapped records);
+    ``side_reduce_sizes``, when whoever made them kept their sizes, is
+    one int per record -- else the job sizes them once, as it starts its
+    reduce phase.
     """
 
     name: str
@@ -42,6 +48,7 @@ class JobConf:
     materialize_output: bool = True
     output_per_partition: bool = False
     side_reduce_inputs: List = field(default_factory=list)
+    side_reduce_sizes: Optional[List[int]] = None
 
     def validate(self) -> None:
         if not self.input_paths:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DataFlowError, TaskCrashError
+from repro.common.sizing import record_sizes
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.splits import InputSplit
 from repro.mapreduce.api import OutputCollector, TaskContext
@@ -30,7 +31,7 @@ from repro.mapreduce.chain import run_chain_collected
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.jobconf import JobConf
 from repro.mapreduce.scheduler import SlotScheduler
-from repro.mapreduce.shuffle import bucket_bytes, group_by_key, partition_records
+from repro.mapreduce.shuffle import group_by_key, group_sized, partition_sized
 from repro.mapreduce.speculation import SpeculationConfig, SpeculationEngine
 from repro.obs.trace import (
     DEPTH_OP,
@@ -53,7 +54,16 @@ AbortCheck = Callable[[List["TaskRun"], int], bool]
 @dataclass
 class TaskRun:
     """Record of one executed task (the adaptive optimizer reads these
-    per-task counters to compute sample variance)."""
+    per-task counters to compute sample variance).
+
+    ``output_sizes`` and ``bucket_sizes`` hold one int per record of
+    ``output`` and of each of ``buckets`` -- the sizes the task's
+    collector recorded, whose sum ``output_bytes`` is -- so that whoever
+    takes the records next (a reduce task, the DFS, a resumed job) does
+    not walk them again. Once the job has returned they are None,
+    except where a resume of an aborted job reads them (see
+    :meth:`JobRunner._drop_consumed_sizes`).
+    """
 
     task_id: str
     kind: str
@@ -71,6 +81,8 @@ class TaskRun:
     partition: int = -1
     output: List[Record] = field(default_factory=list)
     buckets: List[List[Record]] = field(default_factory=list)
+    output_sizes: Optional[List[int]] = None
+    bucket_sizes: Optional[List[List[int]]] = None
     # Pending TaskTraceBuffer; consumed (and cleared) once the scheduler
     # commit reveals the attempt's absolute start time.
     trace: Optional[Any] = None
@@ -78,7 +90,8 @@ class TaskRun:
 
 @dataclass
 class JobResult:
-    """Outcome of (a possibly aborted run of) one MapReduce job."""
+    """Outcome of (a possibly aborted run of) one MapReduce job.
+    ``output_sizes[i]`` is the wire size of ``output[i]``."""
 
     job_name: str
     output: List[Record]
@@ -92,6 +105,7 @@ class JobResult:
     remaining_partitions: List[int] = field(default_factory=list)
     map_phase_end: float = 0.0
     output_path: str = ""
+    output_sizes: List[int] = field(default_factory=list)
 
     @property
     def sim_time(self) -> float:
@@ -382,6 +396,7 @@ class JobRunner:
         result = self._run_inner(
             conf, start_time, splits, abort_check_map, abort_check_reduce
         )
+        self._drop_consumed_sizes(result)
         if self._tracer is not None:
             self._emit_job_spans(result)
         return result
@@ -437,12 +452,10 @@ class JobRunner:
             )
 
         if conf.num_reduce_tasks == 0:
-            output = []
-            for run in map_runs:
-                output.extend(run.output)
+            output, output_sizes = self._gather_output(map_runs)
             end = map_end
             if conf.materialize_output:
-                self.dfs.write(conf.output_path, output)
+                self.dfs.write(conf.output_path, output, sizes=output_sizes)
             return JobResult(
                 job_name=conf.name,
                 output=output,
@@ -452,17 +465,23 @@ class JobRunner:
                 map_runs=map_runs,
                 map_phase_end=map_end,
                 output_path=conf.output_path,
+                output_sizes=output_sizes,
             )
 
-        side_buckets = partition_records(
-            conf.side_reduce_inputs, conf.partitioner, conf.num_reduce_tasks
+        side_buckets, side_sizes = partition_sized(
+            conf.side_reduce_inputs,
+            record_sizes(
+                conf.side_reduce_inputs, conf.side_reduce_sizes, "side_reduce_inputs"
+            ),
+            conf.partitioner,
+            conf.num_reduce_tasks,
         )
         reduce_runs, remaining_parts, job_end, reduce_spec = self._run_phase(
             conf,
             "reduce",
             list(range(conf.num_reduce_tasks)),
             lambda p: lambda node, attempt: self._execute_reduce_task(
-                conf, p, map_runs, node, tm, side_buckets[p], attempt
+                conf, p, map_runs, node, tm, side_buckets[p], side_sizes[p], attempt
             ),
             lambda p: (None, None),
             map_end,
@@ -473,9 +492,9 @@ class JobRunner:
         if reduce_spec is not None:
             counters.merge(reduce_spec)
 
-        output: List[Record] = []
-        for run in sorted(reduce_runs, key=lambda r: r.partition):
-            output.extend(run.output)
+        output, output_sizes = self._gather_output(
+            sorted(reduce_runs, key=lambda r: r.partition)
+        )
 
         if remaining_parts:
             return JobResult(
@@ -490,6 +509,7 @@ class JobRunner:
                 remaining_partitions=remaining_parts,
                 map_phase_end=map_end,
                 output_path=conf.output_path,
+                output_sizes=output_sizes,
             )
 
         if conf.materialize_output:
@@ -498,9 +518,10 @@ class JobRunner:
                     self.dfs.write(
                         self.partition_path(conf.output_path, run.partition),
                         run.output,
+                        sizes=run.output_sizes,
                     )
             else:
-                self.dfs.write(conf.output_path, output)
+                self.dfs.write(conf.output_path, output, sizes=output_sizes)
         return JobResult(
             job_name=conf.name,
             output=output,
@@ -511,7 +532,34 @@ class JobRunner:
             reduce_runs=reduce_runs,
             map_phase_end=map_end,
             output_path=conf.output_path,
+            output_sizes=output_sizes,
         )
+
+    @staticmethod
+    def _drop_consumed_sizes(result: JobResult) -> None:
+        """Let go of the per-task sizes nobody can ask for once the job
+        has returned. ``JobResult.output_sizes`` holds what the tasks of
+        the last phase recorded, so only a resume reads a ``TaskRun``'s
+        sizes again: after a mid-map abort the finished map tasks'
+        ``output`` re-enters the new plan (Figure 10(a)), after a
+        mid-reduce abort the pending partitions' buckets do (10(b))."""
+        for run in result.map_runs:
+            if result.aborted_phase != "map":
+                run.output_sizes = None
+            if result.aborted_phase != "reduce":
+                run.bucket_sizes = None
+        for run in result.reduce_runs:
+            run.output_sizes = None
+
+    @staticmethod
+    def _gather_output(runs: Sequence[TaskRun]) -> Tuple[List[Record], List[int]]:
+        """The tasks' outputs, and the sizes beside them, end to end."""
+        output: List[Record] = []
+        output_sizes: List[int] = []
+        for run in runs:
+            output.extend(run.output)
+            output_sizes.extend(run.output_sizes)
+        return output, output_sizes
 
     @staticmethod
     def partition_path(output_path: str, partition: int) -> str:
@@ -681,20 +729,24 @@ class JobRunner:
                 local=local,
             )
             ctx.trace = buffer
-        collector = run_chain_collected(conf.map_chain, split.records, ctx)
+        collector = run_chain_collected(
+            conf.map_chain, split.records, ctx, split.sizes
+        )
         output, out_bytes = collector.records, collector.bytes
         cpu = tm.cpu_time(len(split.records), split.size_bytes)
 
         if conf.num_reduce_tasks > 0:
-            buckets = partition_records(output, conf.partitioner, conf.num_reduce_tasks)
+            buckets, bucket_sizes = partition_sized(
+                output, collector.sizes, conf.partitioner, conf.num_reduce_tasks
+            )
             spill = tm.disk_write_time(out_bytes) + len(output) * tm.sort_cpu_per_record
             if conf.combiner is not None:
-                buckets, combine_time = self._combine_buckets(
+                buckets, bucket_sizes, combine_time = self._combine_buckets(
                     conf, buckets, ctx, tm
                 )
                 spill += combine_time
         else:
-            buckets = []
+            buckets, bucket_sizes = [], None
             spill = 0.0
 
         duration = tm.task_startup_time + read_time + cpu + ctx.charged_time + spill
@@ -728,6 +780,8 @@ class JobRunner:
             split_index=split.index,
             output=output,
             buckets=buckets,
+            output_sizes=collector.sizes,
+            bucket_sizes=bucket_sizes,
             trace=buffer,
         )
         # DFS-read profile for speculation: a backup copy on another
@@ -742,9 +796,11 @@ class JobRunner:
         """Run the map-side combiner on each partition bucket (Hadoop's
         combiner: a reducer applied before the shuffle to shrink it).
 
-        Returns the combined buckets plus their simulated cost.
+        Returns the combined buckets, the sizes of their records and
+        the simulated cost.
         """
         combined: List[List[Record]] = []
+        combined_sizes: List[List[int]] = []
         total_in = 0
         for bucket in buckets:
             groups = group_by_key(bucket)
@@ -754,13 +810,14 @@ class JobRunner:
                 conf.combiner.reduce(key, values, collector, ctx)
             conf.combiner.finish(collector, ctx)
             combined.append(collector.records)
+            combined_sizes.append(collector.sizes)
             total_in += len(bucket)
         combine_time = total_in * tm.sort_cpu_per_record + tm.cpu_time(total_in)
         ctx.counters.increment("task", "combine_input_records", total_in)
         ctx.counters.increment(
             "task", "combine_output_records", sum(len(b) for b in combined)
         )
-        return combined, combine_time
+        return combined, combined_sizes, combine_time
 
     # ------------------------------------------------------------------
     # Reduce tasks
@@ -769,7 +826,16 @@ class JobRunner:
         self, map_runs: Sequence[TaskRun], partition: int
     ) -> List[Record]:
         """All records destined to one reduce partition."""
+        return self.sized_reduce_input(map_runs, partition)[0]
+
+    def sized_reduce_input(
+        self, map_runs: Sequence[TaskRun], partition: int
+    ) -> Tuple[List[Record], List[int]]:
+        """All records destined to one reduce partition, and the sizes
+        their map tasks' collectors recorded for them (a bucket whose
+        sizes are gone -- its job ran to its end -- is walked)."""
         records: List[Record] = []
+        sizes: List[int] = []
         for run in map_runs:
             if run.buckets:
                 if partition >= len(run.buckets):
@@ -779,18 +845,32 @@ class JobRunner:
                         f"requested; a resumed job is mixing map runs from "
                         f"plans with different reduce-task counts"
                     )
-                records.extend(run.buckets[partition])
-        return records
+                bucket = run.buckets[partition]
+                records.extend(bucket)
+                if run.bucket_sizes is None:
+                    sizes.extend(record_sizes(bucket, None, "shuffle bucket"))
+                else:
+                    sizes.extend(run.bucket_sizes[partition])
+        return records, sizes
 
     def _execute_reduce_task(
-        self, conf, partition, map_runs, node, tm, side_records=(), attempt: int = 0
+        self,
+        conf,
+        partition,
+        map_runs,
+        node,
+        tm,
+        side_records=(),
+        side_sizes=(),
+        attempt: int = 0,
     ) -> TaskRun:
         ctx = TaskContext(
             node, tm, task_id=f"{conf.name}-r{partition:04d}", attempt=attempt
         )
-        records = self.reduce_input_for(map_runs, partition)
+        records, sizes = self.sized_reduce_input(map_runs, partition)
         records.extend(side_records)
-        in_bytes = bucket_bytes(records)
+        sizes.extend(side_sizes)
+        in_bytes = sum(sizes)
         # Shuffle transfer: on average (N-1)/N of the input crosses the
         # network; the remainder is node-local map output.
         remote_fraction = max(0.0, 1.0 - 1.0 / self.cluster.num_nodes)
@@ -832,12 +912,14 @@ class JobRunner:
                 )
             ctx.trace = buffer
 
-        groups = group_by_key(records)
         collector = OutputCollector()
         reducer = conf.reducer
         reducer.start(ctx)
+        groups, sizes_of = group_sized(records, sizes)
         for key, values in groups:
+            ctx.group_bytes = sizes_of[key]
             reducer.reduce(key, values, collector, ctx)
+        ctx.group_bytes = None
         reducer.finish(collector, ctx)
         if conf.reduce_post_chain:
             collector = run_chain_collected(conf.reduce_post_chain, collector, ctx)
@@ -877,5 +959,6 @@ class JobRunner:
             output_bytes=out_bytes,
             partition=partition,
             output=output,
+            output_sizes=collector.sizes,
             trace=buffer,
         )

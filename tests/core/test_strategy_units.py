@@ -251,7 +251,7 @@ class TestGroupLookupReducer:
 
 class TestMaterializeReducer:
     def test_passthrough_preserves_grouping(self, ctx):
-        red = CarrierMaterializeReducer()
+        red = CarrierMaterializeReducer(0)
         col = OutputCollector()
         red.reduce("ik", [("a", 1), ("b", 2)], col, ctx)
         assert col.records == [("a", 1), ("b", 2)]

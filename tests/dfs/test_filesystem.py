@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.errors import DataFlowError
-from repro.dfs.filesystem import DistributedFileSystem
+from repro.common.sizing import sizeof_pair
+from repro.dfs.filesystem import Block, DistributedFileSystem
+from repro.dfs.splits import InputSplit
 from repro.simcluster.cluster import Cluster
 
 
@@ -127,3 +129,73 @@ class TestSplits:
         merged = fs.splits("/f", max_splits=1)
         assert len(merged) == 1
         assert len(merged[0].hosts) >= 3
+
+
+class TestWriteOverrides:
+    """The per-call overrides get the constructor's validation."""
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_nonpositive_block_size_rejected(self, fs, block_size):
+        # Regression: -1 silently sealed one block per record (and 0
+        # silently meant "the default").
+        with pytest.raises(ValueError, match="block_size must be positive"):
+            fs.write("/f", records(10), block_size=block_size)
+        assert not fs.exists("/f")
+
+    @pytest.mark.parametrize("replication", [0, -2])
+    def test_nonpositive_replication_rejected(self, fs, replication):
+        # Regression: -2 sealed blocks with hosts == [] -- a file that
+        # lives nowhere.
+        with pytest.raises(ValueError, match="replication must be positive"):
+            fs.write("/f", records(10), replication=replication)
+        assert not fs.exists("/f")
+
+    def test_positive_overrides_still_apply(self, fs):
+        meta = fs.write("/f", records(100), block_size=10**6, replication=2)
+        assert len(meta.blocks) == 1 and len(meta.blocks[0].hosts) == 2
+
+
+class TestSizesBesideRecords:
+    """A block keeps the size of each record it holds -- the ints its
+    ``size_bytes`` is the sum of -- and hands them to its splits."""
+
+    def test_blocks_and_splits_carry_the_walked_sizes(self, fs):
+        data = [(i, "v" * (i % 90)) for i in range(300)]
+        meta = fs.write("/f", data)
+        assert len(meta.blocks) > 3
+        for block, split in zip(meta.blocks, fs.splits("/f")):
+            assert block.sizes == [sizeof_pair(*r) for r in block.records]
+            assert block.size_bytes == sum(block.sizes)
+            assert split.sizes == block.sizes and split.records == block.records
+
+    def test_given_sizes_are_kept_and_chunk_the_same_blocks(self, fs):
+        data = [(i, "v" * (i % 90)) for i in range(300)]
+        walked = fs.write("/walked", data)
+        given = fs.write("/given", data, sizes=[sizeof_pair(*r) for r in data])
+        assert [(b.records, b.sizes, b.size_bytes) for b in given.blocks] == [
+            (b.records, b.sizes, b.size_bytes) for b in walked.blocks
+        ]
+
+    def test_coalesced_splits_concatenate_sizes(self, fs):
+        fs.write("/f", records(200))
+        for split in fs.splits("/f", max_splits=3):
+            assert split.sizes == [sizeof_pair(*r) for r in split.records]
+            assert split.size_bytes == sum(split.sizes)
+        merged = fs.splits_for(["/f", "/f"], max_splits=2)
+        assert sum(len(s.sizes) for s in merged) == 400
+
+    def test_write_refuses_sizes_that_do_not_match_its_records(self, fs):
+        with pytest.raises(DataFlowError, match="10 records but 9 sizes"):
+            fs.write("/f", records(10), sizes=[48] * 9)
+        with pytest.raises(DataFlowError, match="10 records but 11 sizes"):
+            fs.write("/f", records(10), sizes=[48] * 11)
+        assert not fs.exists("/f")
+
+    def test_hand_built_split_and_block_refuse_mismatched_sizes(self):
+        with pytest.raises(DataFlowError, match="/f#0.*2 records but 1 sizes"):
+            InputSplit("/f", 0, [(1, "a"), (2, "b")], 18, sizes=[9])
+        with pytest.raises(DataFlowError, match="block 3.*1 records but 2 sizes"):
+            Block(index=3, records=[(1, "a")], size_bytes=9, hosts=[], sizes=[9, 9])
+        # Bare records stay legal: the map chain sizes them as it goes.
+        assert InputSplit("/f", 0, [(1, "a")], 9).sizes is None
+        assert Block(index=0, records=[(1, "a")], size_bytes=9, hosts=[]).sizes is None

@@ -126,8 +126,9 @@ class TestOutputBytes:
             assert run.output_bytes == sizeof_records(run.output) > 0
 
     def test_sizes_reach_the_stages_of_map_and_reduce_post_chains(self, loaded):
-        """Split records arrive unsized; from the first collector on --
-        the reducer's included -- each stage is told its input's size."""
+        """Split records arrive with the sizes their blocks kept; from
+        there on -- the reducer's collector included -- each stage is
+        told its input's size."""
         seen = {"map-head": [], "map-tail": [], "reduce-post": []}
 
         class Probe(ChainedFunction):
@@ -143,8 +144,7 @@ class TestOutputBytes:
         conf.reduce_post_chain = [Probe("reduce-post")]
         res = loaded.run(conf)
         assert len(seen["map-head"]) == 2000 and len(seen["map-tail"]) == 8000
-        assert all(known is None for known, _ in seen["map-head"])
-        for where in ("map-tail", "reduce-post"):
+        for where in ("map-head", "map-tail", "reduce-post"):
             assert seen[where] and all(known == walked for known, walked in seen[where])
         for run in res.map_runs + res.reduce_runs:
             assert run.output_bytes == sizeof_records(run.output) > 0
@@ -172,6 +172,82 @@ class TestOutputBytes:
         for run in res.map_runs:
             assert run.output_bytes == sizeof_records(run.output)
         assert sum(r.output_bytes for r in res.map_runs) == 40 * (8 + 50)
+
+
+class TestSizesOutliveTheTask:
+    """A task's record lists keep the sizes its collector recorded for
+    as long as someone can still ask for them (DESIGN.md 5.12)."""
+
+    @staticmethod
+    def walked(records):
+        return [sizeof_pair(*record) for record in records]
+
+    def test_reduce_input_bytes_is_the_sum_of_the_bucket_sizes(self, loaded):
+        execute = loaded._execute_reduce_task
+        partitions_checked = []
+
+        def spy(conf, partition, map_runs, *rest):
+            for run in map_runs:
+                assert run.bucket_sizes[partition] == self.walked(
+                    run.buckets[partition]
+                )
+            partitions_checked.append(partition)
+            return execute(conf, partition, map_runs, *rest)
+
+        loaded._execute_reduce_task = spy
+        res = loaded.run(wordcount_conf())
+        assert partitions_checked == [0, 1, 2]
+        for run in res.reduce_runs:
+            assert run.input_bytes == sizeof_records(
+                loaded.reduce_input_for(res.map_runs, run.partition)
+            )
+        assert res.output_sizes == self.walked(res.output)
+
+    def test_a_finished_job_drops_what_no_one_can_ask_for(self, loaded):
+        res = loaded.run(wordcount_conf())
+        assert res.output_sizes == self.walked(res.output)
+        for run in res.map_runs:
+            assert run.buckets and run.output
+            assert run.output_sizes is None and run.bucket_sizes is None
+        assert all(run.output_sizes is None for run in res.reduce_runs)
+
+    def test_map_abort_keeps_output_sizes_for_the_resume(self, loaded):
+        res = loaded.run(wordcount_conf(), abort_check_map=lambda runs, total: True)
+        assert res.aborted_phase == "map"
+        for run in res.map_runs:
+            assert run.output_sizes == self.walked(run.output)
+            assert run.bucket_sizes is None  # the resume re-partitions output
+
+    def test_reduce_abort_keeps_bucket_sizes_for_the_resume(self, loaded):
+        res = loaded.run(
+            wordcount_conf(num_reduce_tasks=12),
+            abort_check_reduce=lambda runs, total: True,
+        )
+        assert res.aborted_phase == "reduce" and res.remaining_partitions
+        for p in res.remaining_partitions:
+            records, sizes = loaded.sized_reduce_input(res.map_runs, p)
+            assert sizes == self.walked(records)
+        for run in res.map_runs:
+            assert all(
+                sizes == self.walked(bucket)
+                for bucket, sizes in zip(run.buckets, run.bucket_sizes)
+            )
+        assert res.output_sizes == self.walked(res.output)
+
+    def test_map_only_output_reaches_the_dfs_sized(self, loaded, dfs):
+        res = loaded.run(wordcount_conf(reducer=None, num_reduce_tasks=0))
+        assert res.output_sizes == self.walked(res.output)
+        for block in dfs.meta("/out").blocks:
+            assert block.sizes == self.walked(block.records)
+            assert block.size_bytes == sum(block.sizes)
+
+    def test_combined_buckets_carry_the_combiners_sizes(self, loaded):
+        conf = wordcount_conf(combiner=wordcount_conf().reducer, num_reduce_tasks=12)
+        res = loaded.run(conf, abort_check_reduce=lambda runs, total: True)
+        assert res.counters.get("task", "combine_input_records") == 8000
+        for run in res.map_runs:
+            for bucket, sizes in zip(run.buckets, run.bucket_sizes):
+                assert sizes == self.walked(bucket)
 
 
 class TestValidation:
@@ -261,6 +337,29 @@ class TestSideReduceInputs:
         conf = wordcount_conf(side_reduce_inputs=[("alpha", 1)] * 50)
         res = loaded.run(conf)
         assert dict(res.output)["alpha"] == 2050
+
+    def test_side_sizes_stand_in_for_the_walk(self, loaded):
+        side = [("alpha", 1)] * 50
+        bare = loaded.run(wordcount_conf(side_reduce_inputs=side))
+        sized = loaded.run(
+            wordcount_conf(
+                side_reduce_inputs=side,
+                side_reduce_sizes=[sizeof_pair(*r) for r in side],
+            )
+        )
+        assert sized.output == bare.output and sized.end_time == bare.end_time
+        assert sized.counters.get("task", "reduce_input_bytes") == bare.counters.get(
+            "task", "reduce_input_bytes"
+        )
+
+    def test_side_sizes_must_match_side_records(self, loaded):
+        conf = wordcount_conf(
+            side_reduce_inputs=[("alpha", 1)] * 50, side_reduce_sizes=[13] * 49
+        )
+        with pytest.raises(
+            DataFlowError, match="side_reduce_inputs: 50 records but 49 sizes"
+        ):
+            loaded.run(conf)
 
     def test_side_inputs_require_reducer(self, loaded):
         conf = wordcount_conf(
