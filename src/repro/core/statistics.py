@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.mapreduce.api import stable_hash
 
@@ -260,7 +260,12 @@ class OperatorStatsAccumulator:
             self._samples[sample.task_id] = sample
 
     def add_key_to_sketch(self, index_id: int, key: Any) -> None:
-        self.fm[index_id].add(key)
+        self.sketch_adder(index_id)(key)
+
+    def sketch_adder(self, index_id: int) -> Callable[[Any], None]:
+        """What adds a lookup key to one index's sketch, for a caller
+        with a stream of keys to add."""
+        return self.fm[index_id].add
 
     def record_map_output(self, inputs: int, output_bytes: float) -> None:
         self.smap_inputs_total += inputs

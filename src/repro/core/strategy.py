@@ -27,16 +27,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.common.sizing import sizeof, sizeof_pair
+from repro.common.errors import DataFlowError
+from repro.common.sizing import record_sizes, sizeof, sizeof_pair
 from repro.core.accessor import IndexAccessor
 from repro.core.cache import LRUCache, ShadowCache
 from repro.core.operator import IndexInput, IndexOperator, IndexOutput
 from repro.core.statistics import OperatorStatsAccumulator
 from repro.mapreduce.api import (
-    ChainedFunction,
     OutputCollector,
     Partitioner,
     Reducer,
+    StreamStage,
     TaskContext,
 )
 from repro.obs.trace import DEPTH_DETAIL, DEPTH_OP
@@ -68,7 +69,7 @@ def open_carrier(value: Any) -> Tuple[Any, tuple, tuple]:
     raise TypeError(f"expected an EFind carrier record, got {value!r}")
 
 
-class PreProcessFn(ChainedFunction):
+class PreProcessFn(StreamStage):
     """Runs ``IndexOperator.pre_process`` and wraps records in carriers.
 
     Also the collection point for the preProcess counters of Section 4.2
@@ -84,67 +85,80 @@ class PreProcessFn(ChainedFunction):
         self.operator = operator
         self.operator_id = operator_id
         self.stats = stats
-        self._ctx: Optional[TaskContext] = None
 
-    def start(self, ctx):
-        self._ctx = None
-
-    def _bind(self, ctx: TaskContext) -> None:
-        """Resolve, once per task attempt, what does not change from
-        record to record. The runtime shares one stage instance across
-        attempts, so an attempt is told by its context (``process`` may
-        also be called without ``start``). The sample is opened on the
-        first record's statistics, where ``sample_for`` always was, so
-        the accumulator's samples keep their order."""
-        self._ctx = ctx
-        self._m = self.operator.num_indices
-        self._no_values = (None,) * self._m
+    def consume(self, records, sizes, collector, ctx):
+        if not records:
+            return  # an empty split binds nothing and opens no sample
+        pre_process = self.operator.pre_process
+        m = self.operator.num_indices
+        no_values = (None,) * m
         # All of a fresh carrier pair but (k1, v1) and the key tuples.
-        self._fixed_bytes = _CARRIER_BYTES + _HEADER_BYTES + sizeof(self._no_values)
-        self._sample = None
-
-    def process(self, key, value, collector, ctx):
-        if ctx is not self._ctx:
-            self._bind(ctx)
-        index_input = IndexInput(self._m)
-        out_key, out_value = self.operator.pre_process(key, value, index_input)
-        ikl = index_input.as_tuple()
+        fixed_bytes = _CARRIER_BYTES + _HEADER_BYTES + sizeof(no_values)
         stats = self.stats
-
-        # The carrier pair is sized from its parts: S1 stands for
-        # (k1, v1) when pre_process handed the very objects back, and
-        # each index's key tuple is sized once, for the carrier and for
-        # Sik alike.
-        unchanged = out_key is key and out_value is value
-        s1 = ctx.input_bytes
-        if s1 is None and (unchanged or stats is not None):
-            s1 = sizeof_pair(key, value)
-        key_bytes = list(map(sizeof, ikl))  # header + Sik_j each
-        nbytes = (
-            (s1 if unchanged else sizeof_pair(out_key, out_value))
-            + self._fixed_bytes
-            + sum(key_bytes)
-        )
-        collector.collect(
-            out_key, make_carrier(out_value, ikl, self._no_values), nbytes
-        )
-
         if stats is not None:
-            sample = self._sample
-            if sample is None:
-                sample = self._sample = stats.sample_for(ctx.task_id)
-            sample.n1 += 1
-            sample.s1_bytes += s1
-            sample.spre_bytes += nbytes
-            for j, keys in enumerate(ikl):
-                if not keys:
-                    continue
-                sample.nik[j] = sample.nik.get(j, 0) + len(keys)
-                sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + (
-                    key_bytes[j] - _HEADER_BYTES
+            # Exact integers, summed here and added to the sample once;
+            # the sketches are OR-ed into, so they take each key as it comes.
+            s1_total = 0
+            nik, sik = [0] * m, [0] * m
+            add_to_sketch = [stats.sketch_adder(j) for j in range(m)]
+        out_records: List[tuple] = []
+        out_sizes: List[int] = []
+        try:
+            for (key, value), s1 in zip(
+                records, itertools.repeat(None) if sizes is None else sizes
+            ):
+                index_input = IndexInput(m)
+                returned = pre_process(key, value, index_input)
+                if (
+                    type(returned) is not tuple
+                    and not isinstance(returned, (tuple, list))
+                ) or len(returned) != 2:
+                    raise DataFlowError(
+                        f"pre_process of {self.operator_id} must return the "
+                        f"(key, value) pair to carry on; for input key {key!r} "
+                        f"it returned {returned!r}"
+                    )
+                out_key, out_value = returned
+                ikl = index_input.as_tuple()
+
+                # The carrier pair is sized from its parts: S1 stands for
+                # (k1, v1) when pre_process handed the very objects back,
+                # and each index's key tuple is sized once, for the
+                # carrier and for Sik alike.
+                unchanged = out_key is key and out_value is value
+                if s1 is None and (unchanged or stats is not None):
+                    s1 = sizeof_pair(key, value)
+                nbytes = (
+                    s1 if unchanged else sizeof_pair(out_key, out_value)
+                ) + fixed_bytes
+                for j, keys in enumerate(ikl):
+                    if not keys:
+                        nbytes += _HEADER_BYTES  # sizeof(())
+                        continue
+                    key_bytes = sizeof(keys)  # header + Sik_j
+                    nbytes += key_bytes
+                    if stats is not None:
+                        nik[j] += len(keys)
+                        sik[j] += key_bytes - _HEADER_BYTES
+                        for ik in keys:
+                            add_to_sketch[j](ik)
+                if stats is not None:
+                    s1_total += s1
+                out_records.append(
+                    (out_key, (_CARRIER_TAG, out_value, ikl, no_values))
                 )
-                for ik in keys:
-                    stats.add_key_to_sketch(j, ik)
+                out_sizes.append(nbytes)
+        finally:
+            collector.extend(out_records, out_sizes)
+            if stats is not None and out_records:
+                sample = stats.sample_for(ctx.task_id)
+                sample.n1 += len(out_records)
+                sample.s1_bytes += s1_total
+                sample.spre_bytes += sum(out_sizes)
+                for j in range(m):
+                    if nik[j]:
+                        sample.nik[j] = sample.nik.get(j, 0) + nik[j]
+                        sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + sik[j]
 
     @property
     def name(self) -> str:
@@ -189,8 +203,9 @@ class LookupPipeline:
        that estimates the miss ratio R without saving any work;
     4. *cross-job ReuseStore* (``reuse``): probes charge zero simulated
        time, so a cold store charges exactly what no store does;
-    5. the index, through :meth:`fetch` -- the only place a lookup is
-       charged and counted.
+    5. the index, through :meth:`fetch_one` (one key) or :meth:`fetch`
+       (a multiget) -- the only places a lookup is charged, and
+       :meth:`_settle` behind both the only one where it is counted.
 
     ``batch_size`` decides only *when* the fetch is issued and whether
     it may be a multiget. At 1 each missing key is fetched at once by a
@@ -284,7 +299,7 @@ class LookupPipeline:
             if self.batch_size > 1:
                 self._pending[ik] = None
                 return None
-            values = self.fetch((ik,), ctx, multiget=False)[ik]
+            values = self.fetch_one(ik, ctx)
         if ctx.trace is not None and self.walk_span and self.batch_size == 1:
             ctx.trace.charged_span(
                 "lookup", "op", t0, ctx.charged_time, DEPTH_OP,
@@ -308,7 +323,7 @@ class LookupPipeline:
             ctx.counters.increment("batch", "flushes_on_finish")
         keys, parked = list(self._pending), self._parked
         self._pending, self._parked = {}, []
-        return self.fetch(keys, ctx, multiget=True, records=len(parked)), parked
+        return self.fetch(keys, ctx, records=len(parked)), parked
 
     def probe(self, ik: Any, ctx: TaskContext) -> Optional[Tuple[Any, ...]]:
         """Walk the tiers in front of the index: the value tuple when
@@ -386,33 +401,49 @@ class LookupPipeline:
     # ------------------------------------------------------------------
     # The fetch: the one charge / count / sample site
     # ------------------------------------------------------------------
-    def fetch(self, keys, ctx: TaskContext, multiget: bool, records: int = 1):
-        """Fetch ``keys`` from the index; returns ``{ik: values}``.
-        ``multiget=False`` is the single lookup of one key (callers
-        pass one at a time); ``multiget=True`` is one ``lookup_batch``
-        request for all of them.
+    def fetch_one(self, ik: Any, ctx: TaskContext) -> Tuple[Any, ...]:
+        """Fetch ``ik`` with a single ``IndexAccessor.lookup``: ``T_j``
+        at the index, plus the key/result transfer ``(Sik + Siv)/BW``
+        when it is served remotely. The result is sized once, for the
+        transfer charge and the Siv sample alike; without statistics
+        only when it crosses the network."""
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        accessor = self.accessor
+        t0 = ctx.charged_time
+        values = tuple(accessor.lookup(ik, ctx))
+        tj = accessor.service_time()
+        local = self._is_local(ik, ctx)
+        siv = sizeof(values) if self.stats is not None or not local else 0
+        if local:
+            ctx.charge(ctx.time_model.local_lookup_time(tj))
+        else:
+            ctx.charge(ctx.time_model.remote_lookup_time(sizeof(ik), siv, tj))
+        self._settle(ctx, t0, ((ik, values),), tj, siv, local=local)
+        return values
+
+    def fetch(self, keys, ctx: TaskContext, records: int = 1):
+        """Fetch ``keys`` from the index with one ``lookup_batch``
+        request for all of them, on behalf of ``records`` parked
+        records; returns ``{ik: values}``.
 
         Charging: keys are split into local and remote (the
         re-partitioning and index-locality legs batch within their
         local partition, so locality is never broken). A multiget on an
         index with a native one is charged the amortised
-        ``C_req + B*C_key`` per group and a single network latency;
-        single lookups, and the loop an index without native multiget
-        falls back to, pay ``T_j`` (plus the transfer when remote) per
-        key.
+        ``C_req + B*C_key`` per group and a single network latency; the
+        loop an index without native multiget falls back to pays what
+        single lookups pay, per key.
         """
         if ctx is not self._ctx:
             self._bind(ctx)
         tm = ctx.time_model
         accessor = self.accessor
         t0 = ctx.charged_time
-        if multiget:
-            value_lists = accessor.lookup_batch(keys, ctx)
-        else:
-            value_lists = [accessor.lookup(ik, ctx) for ik in keys]
-        results = {ik: tuple(vs) for ik, vs in zip(keys, value_lists)}
+        results = {
+            ik: tuple(vs) for ik, vs in zip(keys, accessor.lookup_batch(keys, ctx))
+        }
         tj = accessor.service_time()
-        native = multiget and accessor.supports_batch
 
         local_keys: List[Any] = []
         remote_keys: List[Any] = []
@@ -425,10 +456,11 @@ class LookupPipeline:
             for ik in (results if self.stats is not None else remote_keys)
         }
 
-        if multiget:
-            ctx.counters.increment("batch", "batches_issued")
-            ctx.counters.increment("batch", "keys_batched", len(keys))
-        if native:
+        ctx.counters.increment("batch", "batches_issued")
+        ctx.counters.increment("batch", "keys_batched", len(keys))
+        groups = None  # key groups charged as native multigets
+        if accessor.supports_batch:
+            groups = (1 if local_keys else 0) + (1 if remote_keys else 0)
             batch_time = accessor.batch_service_time
             if local_keys:
                 ctx.charge(tm.local_batch_lookup_time(batch_time(len(local_keys))))
@@ -442,21 +474,40 @@ class LookupPipeline:
                 )
         else:
             for ik in local_keys:
-                self._charge_single(ik, None, tj, True, ctx)
+                ctx.charge(tm.local_lookup_time(tj))
             for ik in remote_keys:
-                self._charge_single(ik, siv[ik], tj, False, ctx)
+                ctx.charge(tm.remote_lookup_time(sizeof(ik), siv[ik], tj))
+        self._settle(
+            ctx, t0, [(ik, results[ik]) for ik in keys], tj, sum(siv.values()),
+            records=records, groups=groups,
+        )
+        return results
 
-        ctx.counters.increment("lookup", "fetches", len(keys))
+    def _settle(
+        self, ctx, t0: float, fetched, tj: float, siv_total: int,
+        local: bool = False, records: Optional[int] = None,
+        groups: Optional[int] = None,
+    ) -> None:
+        """What follows the index's answer, the same for a single lookup
+        (``records`` None; ``local`` says where it was served) and a
+        multiget for ``records`` parked records (``groups`` key groups
+        charged as native multigets, None on an index without one):
+        counters, trace spans, the Table-1 sample, reuse admission, LRU
+        insert, adjacent-dedup memo. ``fetched`` holds the ``(ik,
+        values)`` pairs, ``siv_total`` the summed size of their values
+        (read with statistics attached only)."""
+        accessor = self.accessor
+        n = len(fetched)
+        ctx.counters.increment("lookup", "fetches", n)
         ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
         if ctx.trace is not None:
             where = {"op": self.operator_id, "index": self.index_id}
-            if multiget:
+            if records is not None:
                 ctx.trace.charged_span(
                     "lookup.batch", "op", t0, ctx.charged_time, DEPTH_OP, **where,
-                    keys=len(keys), records=records, native=accessor.supports_batch,
+                    keys=n, records=records, native=accessor.supports_batch,
                 )
             else:
-                local = not remote_keys
                 if not self.walk_span:
                     ctx.trace.charged_span(
                         "lookup", "op", t0, ctx.charged_time, DEPTH_OP,
@@ -470,13 +521,11 @@ class LookupPipeline:
         if self.stats is not None:
             sample = self._sample or self.task_sample(ctx)
             j = self.index_id
-            n = len(keys)
             sample.lookups[j] = sample.lookups.get(j, 0) + n
             sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * n
             sample.tj_samples[j] = sample.tj_samples.get(j, 0) + n
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + sum(siv.values())
-            if native:
-                groups = (1 if local_keys else 0) + (1 if remote_keys else 0)
+            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + siv_total
+            if groups is not None:
                 sample.batches[j] = sample.batches.get(j, 0) + groups
                 sample.batch_keys[j] = sample.batch_keys.get(j, 0) + n
                 sample.c_req_total[j] = (
@@ -492,14 +541,11 @@ class LookupPipeline:
             # T_j for a single lookup, the amortised C_req/B + C_key for
             # a key fetched by a native multiget of B keys.
             cost = tj
-            if native:
-                cost = (
-                    accessor.batch_request_overhead() / len(keys)
-                    + accessor.batch_key_time()
-                )
-            for ik in keys:
+            if groups is not None:
+                cost = accessor.batch_request_overhead() / n + accessor.batch_key_time()
+            for ik, values in fetched:
                 admitted, evicted = self.reuse.admit(
-                    self._host, accessor, ik, results[ik], cost
+                    self._host, accessor, ik, values, cost
                 )
                 ctx.counters.increment(
                     "reuse", "admitted" if admitted else "rejected"
@@ -508,25 +554,17 @@ class LookupPipeline:
                     ctx.counters.increment("reuse", "evicted", evicted)
         if self.use_cache:
             cache = self._cache
-            for ik in keys:
-                cache.put(ik, results[ik])
-        if self.dedup_adjacent and self._prev_ik in results:
+            for ik, values in fetched:
+                cache.put(ik, values)
+        if self.dedup_adjacent:
             # The memo holds the *last arrival's* key. When that arrival
             # resolved at probe time the memo is already current; only a
             # last arrival that had to be fetched is installed here.
-            self._memo_key = self._prev_ik
-            self._memo_values = results[self._prev_ik]
-        return results
-
-    def _charge_single(self, ik, siv, tj: float, local: bool, ctx) -> None:
-        """One single lookup: ``tj`` at the index, plus the key/result
-        transfer ``(Sik + Siv)/BW`` when it is served remotely (``siv``,
-        the result's size, is read only then)."""
-        tm = ctx.time_model
-        if local:
-            ctx.charge(tm.local_lookup_time(tj))
-        else:
-            ctx.charge(tm.remote_lookup_time(sizeof(ik), siv, tj))
+            prev = self._prev_ik
+            for ik, values in fetched:
+                if ik is prev or ik == prev:
+                    self._memo_key, self._memo_values = prev, values
+                    break
 
     def _is_local(self, ik: Any, ctx: TaskContext) -> bool:
         local = self.assume_local or (
@@ -610,9 +648,12 @@ class LookupPipeline:
             * self.build.scan_multiplier(self.accessor.name)
         )
         local = self._host in self.accessor.hosts_for_key(ik)
-        self._charge_single(
-            ik, None if local else sizeof(values), tj_scan, local, ctx
-        )
+        if local:
+            ctx.charge(ctx.time_model.local_lookup_time(tj_scan))
+        else:
+            ctx.charge(
+                ctx.time_model.remote_lookup_time(sizeof(ik), sizeof(values), tj_scan)
+            )
         ctx.counters.increment("build", "unindexed_lookups")
         ctx.counters.increment("build", "scan_seconds", ctx.charged_time - t0)
         if ctx.trace is not None:
@@ -630,7 +671,7 @@ class LookupPipeline:
         return values
 
 
-class LookupFn(ChainedFunction):
+class LookupFn(StreamStage):
     """One index's lookups inline in a map or reduce-post chain: the
     baseline and cache strategies, and the post-shuffle leg of
     re-partitioning and index locality. A thin shell over
@@ -673,49 +714,82 @@ class LookupFn(ChainedFunction):
     def start(self, ctx):
         self.pipeline.reset()
 
-    def process(self, key, value, collector, ctx):
-        v1, ikl, ivl = open_carrier(value)
-        lookup = self.pipeline.lookup
-        results = [lookup(ik, ctx) for ik in ikl[self.index_id]]
-        if None not in results:
-            # Every key resolved (or the record has none): emit right
-            # away, no batching delay.
-            self._emit(
-                key, v1, ikl, ivl, tuple(results), ctx.input_bytes, collector, ctx
-            )
-        elif self.pipeline.park((key, v1, ikl, ivl, results, ctx.input_bytes)):
-            self._drain(collector, ctx)
+    def consume(self, records, sizes, collector, ctx):
+        j, tag = self.index_id, _CARRIER_TAG
+        pipeline = self.pipeline
+        lookup, emit, ctx_per_key = pipeline.lookup, self._emit, itertools.repeat(ctx)
+        out_records: List[tuple] = []
+        out_sizes: List[int] = []
+        try:
+            for (key, value), in_bytes in zip(
+                records, itertools.repeat(None) if sizes is None else sizes
+            ):
+                if type(value) is not tuple or len(value) != 4 or value[0] != tag:
+                    open_carrier(value)  # raises, but for a carrier-shaped subclass
+                _, v1, ikl, ivl = value
+                keys = ikl[j]
+                if not keys:
+                    results = ()  # nothing to ask the pipeline
+                else:
+                    results = tuple(map(lookup, keys, ctx_per_key))
+                    if None in results:
+                        # A key waits for the next multiget: park the
+                        # record, its input size with it. A drain emits,
+                        # so what was emitted before it goes out first.
+                        if pipeline.park((key, v1, ikl, ivl, results, in_bytes)):
+                            self._hand_over(out_records, out_sizes, collector, ctx)
+                            self._drain(collector, ctx)
+                        continue
+                # Every key resolved: emit right away, no batching delay.
+                emit(out_records, out_sizes, key, v1, ikl, ivl, results, in_bytes)
+        finally:
+            self._hand_over(out_records, out_sizes, collector, ctx)
 
     def finish(self, collector, ctx):
         self._drain(collector, ctx, finishing=True)
 
     def _drain(self, collector, ctx, finishing: bool = False):
         fetched, parked = self.pipeline.drain(ctx, finishing)
+        out_records: List[tuple] = []
+        out_sizes: List[int] = []
         for key, v1, ikl, ivl, results, in_bytes in parked:
             filled = tuple(
                 fetched[ik] if values is None else values
                 for ik, values in zip(ikl[self.index_id], results)
             )
-            self._emit(key, v1, ikl, ivl, filled, in_bytes, collector, ctx)
+            self._emit(out_records, out_sizes, key, v1, ikl, ivl, filled, in_bytes)
+        self._hand_over(out_records, out_sizes, collector, ctx)
 
-    def _emit(self, key, v1, ikl, ivl, results, in_bytes, collector, ctx):
-        """Emit the record with this index's slot filled. ``in_bytes``
-        is the size the record arrived with (None when unknown): the
-        pair going out differs from it by that one slot."""
-        j = self.index_id
-        nbytes = None
-        if in_bytes is not None:
-            old = ivl[j]
-            nbytes = in_bytes + sizeof(results) - (
-                _NONE_BYTES if old is None else sizeof(old)
-            )
-        new_ivl = ivl[:j] + (results,) + ivl[j + 1 :]
+    def _hand_over(self, out_records, out_sizes, collector, ctx):
+        """Give the collector the pairs emitted so far (and empty the
+        two lists), bringing Sidx up to date with it."""
+        if not out_records:
+            return
         before_bytes = collector.bytes
-        collector.collect(key, make_carrier(v1, ikl, new_ivl), nbytes)
+        collector.extend(out_records, out_sizes)
+        out_records.clear()
+        out_sizes.clear()
         if self.stats is not None and self.record_sidx:
             self.pipeline.task_sample(ctx).sidx_bytes += (
                 collector.bytes - before_bytes
             )
+
+    def _emit(self, out_records, out_sizes, key, v1, ikl, ivl, results, in_bytes):
+        """Append the record with this index's slot filled, and its
+        size. ``in_bytes`` is the size the record arrived with (None
+        when unknown, and the pair is walked): the pair going out
+        differs from it by that one slot."""
+        j = self.index_id
+        carrier = (_CARRIER_TAG, v1, ikl, ivl[:j] + (results,) + ivl[j + 1 :])
+        if in_bytes is None:
+            out_sizes.append(sizeof_pair(key, carrier))
+        else:
+            old = ivl[j]
+            out_sizes.append(
+                in_bytes + sizeof(results)
+                - (_NONE_BYTES if old is None else sizeof(old))
+            )
+        out_records.append((key, carrier))
 
     @property
     def name(self) -> str:
@@ -727,7 +801,7 @@ class LookupFn(ChainedFunction):
         return f"idx[{self.operator_id}.{self.index_id}:{mode}]"
 
 
-class PostProcessFn(ChainedFunction):
+class PostProcessFn(StreamStage):
     """Runs ``IndexOperator.post_process`` and unwraps carriers."""
 
     def __init__(
@@ -739,33 +813,33 @@ class PostProcessFn(ChainedFunction):
         self.operator = operator
         self.operator_id = operator_id
         self.stats = stats
-        self._ctx: Optional[TaskContext] = None
 
-    def start(self, ctx):
-        self._ctx = None
-
-    def _bind(self, ctx: TaskContext):
-        """The attempt's sample, looked up once per task attempt (told
-        by its context: stage instances are shared across attempts)."""
-        self._ctx = ctx
-        self._sample = self.stats.sample_for(ctx.task_id)
-        return self._sample
-
-    def process(self, key, value, collector, ctx):
-        v1, ikl, ivl = open_carrier(value)
-        index_output = IndexOutput(ikl, ivl)
+    def consume(self, records, sizes, collector, ctx):
+        post_process, tag = self.operator.post_process, _CARRIER_TAG
         before_bytes = collector.bytes
-        self.operator.post_process(key, v1, index_output, collector)
-        if self.stats is not None:
-            sample = self._sample if ctx is self._ctx else self._bind(ctx)
-            sample.spost_bytes += collector.bytes - before_bytes
+        done_bytes = None  # ``collector.bytes`` after the last whole record
+        try:
+            for key, value in records:
+                if type(value) is not tuple or len(value) != 4 or value[0] != tag:
+                    open_carrier(value)  # raises, but for a carrier-shaped subclass
+                post_process(key, value[1], IndexOutput(value[2], value[3]), collector)
+                done_bytes = collector.bytes
+        finally:
+            if self.stats is not None and done_bytes is not None:
+                # The user's post_process emits through ``collect``, so
+                # ``bytes`` is current throughout; only it emits
+                # meanwhile, so Spost is the delta across the records
+                # it got through. No such record, no sample.
+                self.stats.sample_for(ctx.task_id).spost_bytes += (
+                    done_bytes - before_bytes
+                )
 
     @property
     def name(self) -> str:
         return f"post[{self.operator_id}]"
 
 
-class KeyByIkFn(ChainedFunction):
+class KeyByIkFn(StreamStage):
     """Re-keys carriers by one index's lookup key: the map side of a
     re-partitioning shuffle job (Section 3.3).
 
@@ -779,21 +853,36 @@ class KeyByIkFn(ChainedFunction):
         self.operator_id = operator_id
         self.index_id = index_id
 
-    def process(self, key, value, collector, ctx):
-        _, ikl, _ = open_carrier(value)
-        keys = ikl[self.index_id]
-        if len(keys) > 1:
-            raise ValueError(
-                f"re-partitioning requires <= 1 key per record for index "
-                f"{self.index_id} of {self.operator_id}; got {len(keys)}"
-            )
-        ik = keys[0] if keys else None
-        nbytes = ctx.input_bytes
-        if nbytes is not None:
-            # The arriving pair, wrapped in a tuple, under the new key
-            # (what ``_shuffle_wrap_bytes`` takes off again).
-            nbytes += sizeof(ik) + _HEADER_BYTES
-        collector.collect(ik, (key, value), nbytes)
+    def consume(self, records, sizes, collector, ctx):
+        j, tag = self.index_id, _CARRIER_TAG
+        out_records: List[tuple] = []
+        out_sizes: List[int] = []
+        try:
+            for record, nbytes in zip(
+                records, itertools.repeat(None) if sizes is None else sizes
+            ):
+                value = record[1]
+                if type(value) is not tuple or len(value) != 4 or value[0] != tag:
+                    open_carrier(value)  # raises, but for a carrier-shaped subclass
+                keys = value[2][j]
+                if len(keys) > 1:
+                    raise ValueError(
+                        f"re-partitioning requires <= 1 key per record for index "
+                        f"{j} of {self.operator_id}; got {len(keys)}"
+                    )
+                ik = keys[0] if keys else None
+                # The arriving pair -- the tuple itself, not a copy --
+                # under the new key: its size grows by the key and the
+                # header of that tuple (what ``_shuffle_wrap_bytes``
+                # takes off again).
+                out_records.append((ik, record))
+                out_sizes.append(
+                    sizeof_pair(ik, record)
+                    if nbytes is None
+                    else nbytes + sizeof(ik) + _HEADER_BYTES
+                )
+        finally:
+            collector.extend(out_records, out_sizes)
 
     @property
     def name(self) -> str:
@@ -924,7 +1013,7 @@ class SchemePartitioner(Partitioner):
         return p % num_partitions
 
 
-class RecordMeter(ChainedFunction):
+class RecordMeter(StreamStage):
     """Pass-through stage that reports record/byte flow to a callback;
     used to measure the original Map's output size (``Smap``)."""
 
@@ -938,10 +1027,12 @@ class RecordMeter(ChainedFunction):
         self._count = 0
         self._bytes = 0.0
 
-    def process(self, key, value, collector, ctx):
-        self._count += 1
+    def consume(self, records, sizes, collector, ctx):
         before_bytes = collector.bytes
-        collector.collect(key, value, ctx.input_bytes)
+        collector.extend(
+            records, record_sizes(records, sizes, "the input of %s", self._label)
+        )
+        self._count += len(records)
         self._bytes += collector.bytes - before_bytes
 
     def finish(self, collector, ctx):

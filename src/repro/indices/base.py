@@ -253,8 +253,10 @@ class IndexService:
     def set_service_time(self, service_time: float) -> None:
         """Adjust ``T_j`` (benchmarks model hotter/busier indices by
         raising the service time of the most-probed index)."""
-        if service_time < 0:
-            raise ValueError("service time cannot be negative")
+        if not service_time >= 0:  # negative, or NaN
+            raise ValueError(
+                f"service time cannot be negative or NaN: {service_time!r}"
+            )
         self._service_time = service_time
 
     def set_router(self, router) -> "IndexService":

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.common.sizing import record_sizes
 from repro.indices.base import IndexService
 from repro.indices.build.manager import (
     DEFAULT_NUM_BUCKETS,
     IndexManager,
 )
 from repro.indices.build.model import BuildCostModel
-from repro.mapreduce.api import ChainedFunction, OutputCollector, TaskContext
+from repro.mapreduce.api import OutputCollector, StreamStage, TaskContext
 from repro.obs.trace import DEPTH_DETAIL
 
 #: Default slice of every map split folded into each building index per
@@ -162,15 +163,16 @@ class BuildSession:
         self._in_job = False
 
 
-class IndexBuilderFn(ChainedFunction):
+class IndexBuilderFn(StreamStage):
     """Pass-through map stage that piggybacks incremental builds.
 
-    Records flow through unmodified (the builder must never perturb the
-    job's dataflow -- LIAH's zero-overhead contract); ``finish`` charges
-    the frozen per-job fraction of the split through the build cost
-    model and books the ``build.*`` counters. When every target is fully
-    covered the frozen fractions are all zero and the stage charges
-    nothing, so a finished build is indistinguishable from no builder.
+    Records flow through unmodified, with the sizes they came with (the
+    builder must never perturb the job's dataflow -- LIAH's zero-overhead
+    contract); ``finish`` charges the frozen per-job fraction of the
+    split through the build cost model and books the ``build.*``
+    counters. When every target is fully covered the frozen fractions
+    are all zero and the stage charges nothing, so a finished build is
+    indistinguishable from no builder.
     """
 
     def __init__(self, session: BuildSession) -> None:
@@ -180,11 +182,11 @@ class IndexBuilderFn(ChainedFunction):
     def start(self, ctx: TaskContext) -> None:
         self._records = 0
 
-    def process(
-        self, key: Any, value: Any, collector: OutputCollector, ctx: TaskContext
-    ) -> None:
-        self._records += 1
-        collector.collect(key, value)
+    def consume(self, records, sizes, collector, ctx) -> None:
+        collector.extend(
+            records, record_sizes(records, sizes, "the input of %s", self.name)
+        )
+        self._records += len(records)
 
     def finish(self, collector: OutputCollector, ctx: TaskContext) -> None:
         session = self.session

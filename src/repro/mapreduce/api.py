@@ -9,8 +9,10 @@ feature the paper builds the baseline strategy on (Section 3.1).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+import itertools
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common.errors import DataFlowError
 from repro.common.sizing import sizeof_pair
 from repro.mapreduce.counters import Counters
 from repro.simcluster.node import Node
@@ -25,7 +27,9 @@ class OutputCollector:
     ``sizes[i]`` is the wire size of ``records[i]`` and ``bytes`` their
     sum. An emitter that already knows ``sizeof_pair(key, value)`` --
     it computed the pair from parts it sized -- passes it as ``nbytes``
-    and the pair is not walked; anyone else passes nothing.
+    and the pair is not walked; anyone else passes nothing. A stage that
+    computed the sizes of a whole run of pairs hands them over at once
+    with :meth:`extend`.
     """
 
     def __init__(self) -> None:
@@ -39,6 +43,18 @@ class OutputCollector:
         self.records.append((key, value))
         self.sizes.append(nbytes)
         self.bytes += nbytes
+
+    def extend(self, records: Sequence[Record], sizes: Sequence[int]) -> None:
+        """``collect(key, value, nbytes)`` for every pair of ``records``
+        with its size in ``sizes``, in order. There is no walking form:
+        ``sizes[i]`` must be ``sizeof_pair(*records[i])``."""
+        if len(records) != len(sizes):
+            raise DataFlowError(
+                f"cannot collect {len(records)} records with {len(sizes)} sizes"
+            )
+        self.records.extend(records)
+        self.sizes.extend(sizes)
+        self.bytes += sum(sizes)
 
 
 class TaskContext:
@@ -63,9 +79,10 @@ class TaskContext:
         self.counters = Counters()
         self.charged_time: float = 0.0
         self.state: dict = {}
-        # Wire size of the pair the running chain stage is processing,
-        # when the stage before it recorded one (``OutputCollector.sizes``);
-        # None for a bare record list and outside ``run_chain``.
+        # Wire size of the pair a chain stage's ``process`` is being shown
+        # by the default ``ChainedFunction.run``, when the stage before it
+        # recorded one (``OutputCollector.sizes``); None for a bare record
+        # list, outside ``run_chain``, and in a stage that overrides ``run``.
         self.input_bytes: Optional[int] = None
         # The same for a reducer: while the reduce task runs
         # ``reduce(key, values, ...)``, ``group_bytes[i]`` is the wire
@@ -80,8 +97,8 @@ class TaskContext:
 
     def charge(self, seconds: float) -> None:
         """Add ``seconds`` of simulated time to this task."""
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
+        if not seconds >= 0:  # negative, or NaN
+            raise ValueError(f"cannot charge negative time or NaN: {seconds!r}")
         self.charged_time += seconds
 
 
@@ -89,8 +106,41 @@ class ChainedFunction:
     """One stage of a task chain.
 
     Subclasses override :meth:`process`; ``start``/``finish`` bracket the
-    stream (``finish`` may emit, e.g. for buffering stages).
+    stream (``finish`` may emit, e.g. for buffering stages). A chain
+    hands a stage its task's whole stream through :meth:`run`, whose
+    default drives those three; a stage with per-record overhead worth
+    hoisting overrides it.
     """
+
+    def run(
+        self,
+        records: Sequence[Record],
+        sizes: Optional[Sequence[int]],
+        collector: OutputCollector,
+        ctx: TaskContext,
+    ) -> None:
+        """Consume one task attempt's stream: ``records``, with
+        ``sizes[i]`` the recorded wire size of ``records[i]`` (the two
+        are equally long) or ``sizes`` None when nobody has sized them.
+
+        The default is ``start``, ``process`` per record with that
+        record's size as ``ctx.input_bytes``, ``finish``;
+        ``ctx.input_bytes`` is None during ``start`` and ``finish``,
+        afterwards, and when the stage raises. An override must emit
+        what that sequence would, in the same order, and charge
+        ``ctx`` in the same order.
+        """
+        self.start(ctx)
+        process = self.process
+        try:
+            for (key, value), nbytes in zip(
+                records, itertools.repeat(None) if sizes is None else sizes
+            ):
+                ctx.input_bytes = nbytes
+                process(key, value, collector, ctx)
+        finally:
+            ctx.input_bytes = None
+        self.finish(collector, ctx)
 
     def start(self, ctx: TaskContext) -> None:
         """Called once before the first record."""
@@ -106,6 +156,36 @@ class ChainedFunction:
     @property
     def name(self) -> str:
         return type(self).__name__
+
+
+class StreamStage(ChainedFunction):
+    """A stage written as one loop over its task's stream (DESIGN.md
+    5.13): subclasses write :meth:`consume`, where everything a task
+    attempt fixes is resolved above the loop, and ``process`` is that
+    same loop over a one-record stream -- one body per stage."""
+
+    def consume(
+        self,
+        records: Sequence[Record],
+        sizes: Optional[Sequence[int]],
+        collector: OutputCollector,
+        ctx: TaskContext,
+    ) -> None:
+        """Process ``records`` (``sizes`` as for ``run``: one int per
+        record, or None when nobody has sized them); called between
+        ``start`` and ``finish``, any number of times."""
+        raise NotImplementedError
+
+    def run(self, records, sizes, collector, ctx):
+        self.start(ctx)
+        self.consume(records, sizes, collector, ctx)
+        self.finish(collector, ctx)
+
+    def process(self, key, value, collector, ctx):
+        nbytes = ctx.input_bytes
+        self.consume(
+            ((key, value),), None if nbytes is None else (nbytes,), collector, ctx
+        )
 
 
 class Mapper(ChainedFunction):
@@ -229,6 +309,21 @@ class FnPartitioner(Partitioner):
 
 def stable_hash(value: Any) -> int:
     """A process-stable, type-aware non-negative hash."""
+    # Exact-type dispatch for what lookup and shuffle keys are made of;
+    # every other value takes the ladder below, which is the definition
+    # (an exact ``int`` is no ``bool``, an exact ``tuple`` no ``str``, so
+    # the rung the ladder would reach is fixed by the type alone).
+    kind = type(value)
+    if kind is int:
+        return value & 0x7FFFFFFF
+    if kind is tuple:
+        h = 1
+        for item in value:
+            if type(item) is int:
+                h = (h * 31 + (item & 0x7FFFFFFF)) & 0x7FFFFFFF
+            else:
+                h = (h * 31 + stable_hash(item)) & 0x7FFFFFFF
+        return h
     if isinstance(value, str):
         h = 2166136261
         for ch in value:

@@ -9,7 +9,6 @@ ChainMapper semantics, which the EFind baseline strategy uses to splice
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import DataFlowError
@@ -46,14 +45,15 @@ def run_chain_collected(
     chain's output, summed as the pairs were emitted, so a task does not
     walk its output a second time. An empty chain emits its input.
 
-    Sizes travel down the chain beside the pairs: while a stage
-    processes ``records[i]`` of the collector before it,
-    ``ctx.input_bytes`` is that collector's ``sizes[i]``, so a stage
-    that only re-wraps its input can compute what it emits instead of
-    walking it. ``records`` may itself be a collector (a reducer's, fed
-    to the reduce-post chain), or a record list with the ``sizes`` kept
-    beside it (a split's); for a bare record list the first stage sees
-    ``ctx.input_bytes is None``.
+    Sizes travel down the chain beside the pairs: each stage is handed
+    the records of the collector before it together with that
+    collector's ``sizes`` (:meth:`ChainedFunction.run`, whose default
+    shows a ``process`` each record's size as ``ctx.input_bytes``), so a
+    stage that only re-wraps its input can compute what it emits instead
+    of walking it. ``records`` may itself be a collector (a reducer's,
+    fed to the reduce-post chain), or a record list with the ``sizes``
+    kept beside it (a split's); a bare record list reaches the first
+    stage with ``sizes`` None.
     """
     if isinstance(records, OutputCollector):
         collector, sizes = records, records.sizes
@@ -68,22 +68,14 @@ def run_chain_collected(
     try:
         for stage in stages:
             current, collector = collector.records, OutputCollector()
-            if sizes is None:
-                # A bare record list: no one has sized its pairs yet.
-                sizes = itertools.repeat(None)
-            elif len(sizes) != len(current):
-                # zip() below would silently drop the surplus records.
+            if sizes is not None and len(sizes) != len(current):
+                # Pairing them up would silently drop the surplus records.
                 raise DataFlowError(
                     f"the input of {stage.name} holds {len(current)} "
                     f"records but {len(sizes)} sizes; emit through collect(), "
                     f"never by appending to records"
                 )
-            stage.start(ctx)
-            for (key, value), nbytes in zip(current, sizes):
-                ctx.input_bytes = nbytes
-                stage.process(key, value, collector, ctx)
-            ctx.input_bytes = None
-            stage.finish(collector, ctx)
+            stage.run(current, sizes, collector, ctx)
             sizes = collector.sizes
     finally:
         ctx.input_bytes = None

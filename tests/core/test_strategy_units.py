@@ -1,11 +1,13 @@
 """Unit tests for the individual strategy chained-functions."""
 
+import collections
 import dataclasses
 import gc
 import weakref
 
 import pytest
 
+from repro.common.errors import DataFlowError
 from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
 from repro.core.statistics import OperatorStatsAccumulator
@@ -14,6 +16,7 @@ from repro.core.strategy import (
     GroupLookupReducer,
     KeyByIkFn,
     LookupFn,
+    LookupPipeline,
     LookupSettings,
     PostProcessFn,
     PreProcessFn,
@@ -77,6 +80,63 @@ class TestPreProcessFn(object):
         assert sample.n1 == 10
         assert sample.nik[0] == 10
         assert sample.spre_bytes > 0
+
+
+class TestPreProcessReturnIsChecked:
+    """``pre_process`` must hand back the pair to carry on."""
+
+    def test_forgotten_return_names_operator_and_record(self, op, ctx):
+        class Forgetful(IndexOperator):
+            def pre_process(self, key, value, index_input):
+                index_input.put(0, key)  # ... and no ``return key, value``
+
+        forgetful = Forgetful("f").add_index(op.accessors[0])
+        col = OutputCollector()
+        with pytest.raises(DataFlowError, match=r"pre_process of op7 .*'k5'.*None"):
+            run_chain([PreProcessFn(forgetful, "op7")], [("k5", 2)], ctx)
+        with pytest.raises(DataFlowError, match="op7"):
+            PreProcessFn(forgetful, "op7").process("k5", 2, col, ctx)
+        assert col.records == [] and ctx.input_bytes is None
+
+    @pytest.mark.parametrize(
+        "returned", ["ab", ("k", "v", "w"), ("k",), {"k": 1, "v": 2}, b"kv", 7]
+    )
+    def test_anything_but_a_pair_is_refused_not_unpacked(self, op, ctx, returned):
+        # The string "ab" used to be unpacked into key 'a', value 'b'.
+        class Returns(IndexOperator):
+            def pre_process(self, key, value, index_input):
+                return returned
+
+        fn = PreProcessFn(Returns("r").add_index(op.accessors[0]), "op0")
+        col = OutputCollector()
+        with pytest.raises(DataFlowError, match="op0.*'k5'"):
+            fn.process("k5", "payload", col, ctx)
+        assert (col.records, col.sizes, col.bytes) == ([], [], 0)
+
+    def test_a_failing_record_leaves_the_collector_consistent(self, op, ctx):
+        class SecondFails(IndexOperator):
+            def pre_process(self, key, value, index_input):
+                return (key, value) if value else None
+
+        acc = OperatorStatsAccumulator("op0", 1, 2)
+        fn = PreProcessFn(SecondFails("s").add_index(op.accessors[0]), "op0", acc)
+        col = OutputCollector()
+        with pytest.raises(DataFlowError):
+            fn.run([("a", 1), ("b", 0), ("c", 1)], [9, 9, 9], col, ctx)
+        assert [k for k, _ in col.records] == ["a"]
+        assert len(col.sizes) == 1 and col.bytes == sum(col.sizes)
+        assert acc.sample_for("t0").n1 == 1
+
+    def test_a_list_pair_is_still_a_pair(self, op, ctx):
+        class ReturnsList(IndexOperator):
+            def pre_process(self, key, value, index_input):
+                return [key, value]
+
+        col = OutputCollector()
+        PreProcessFn(ReturnsList("l").add_index(op.accessors[0]), "op0").process(
+            "k5", "payload", col, ctx
+        )
+        assert col.records == [("k5", make_carrier("payload", ((),), (None,)))]
 
 
 class TestLookupFnModes:
@@ -336,7 +396,10 @@ class TestWalkBudget:
         pipeline = LookupFn(op, "op0", 0, acc).pipeline
         # No partition scheme: the lookup is remote, so the result's
         # size feeds both the transfer charge and the Siv sample.
-        fetched = pipeline.fetch(["k"], ctx, multiget=multiget)
+        if multiget:
+            fetched = pipeline.fetch(["k"], ctx)
+        else:
+            fetched = {"k": pipeline.fetch_one("k", ctx)}
         assert fetched == {"k": (result,)}
         assert result.walks == 1
         assert acc.sample_for("t0").siv_bytes[0] == 4 + 100
@@ -346,6 +409,66 @@ class TestWalkBudget:
             if multiget
             else tm.remote_lookup_time(1, 104, accessor.service_time())
         )
+
+
+    def test_a_parked_record_is_not_walked_at_the_drain(self, op, ctx):
+        """A record waiting for a multiget keeps the size it arrived
+        with: the drain computes what it emits as an immediate emit
+        does."""
+        chain = [
+            PreProcessFn(op, "op0"),
+            LookupFn(op, "op0", 0, settings=LookupSettings(batch_size=3)),
+        ]
+        values = [CountedValue() for _ in range(7)]  # two drains + finish
+        records = [(f"k{i}", value) for i, value in enumerate(values)]
+        out = run_chain(chain, records, ctx)
+        assert [key for key, _ in out] == [key for key, _ in records]
+        assert ctx.counters.get("batch", "batches_issued") == 3
+        assert [value.walks for value in values] == [1] * 7  # S1 alone
+
+
+class TestCallBudget:
+    """One loop per stage per task: what a task attempt fixes is looked
+    up per attempt, not per record (DESIGN.md 5.13)."""
+
+    @pytest.mark.parametrize("use_cache", [False, True])
+    def test_per_attempt_lookups_do_not_grow_with_the_stream(
+        self, op, monkeypatch, use_cache
+    ):
+        calls = collections.Counter()
+
+        def counted(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(LookupPipeline, "_bind")
+        counted(LookupPipeline, "task_sample")
+        counted(OperatorStatsAccumulator, "sample_for")
+
+        def task(task_id, num_records):
+            acc = OperatorStatsAccumulator("op0", 1, 2)
+            chain = [
+                PreProcessFn(op, "op0", acc),
+                LookupFn(op, "op0", 0, acc, use_cache=use_cache, record_sidx=True),
+                PostProcessFn(op, "op0", acc),
+            ]
+            ctx = TaskContext(
+                Cluster(num_nodes=2).nodes[0], TimeModel(), task_id=task_id
+            )
+            calls.clear()
+            out = run_chain(chain, [(f"k{i % 50}", i) for i in range(num_records)], ctx)
+            assert len(out) == num_records and acc.sample_for(task_id).n1 == num_records
+            return dict(calls)
+
+        small, large = task("t0", 20), task("t1", 200)
+        assert small == large
+        assert large["_bind"] == 1
+        assert large["task_sample"] <= 3 and large["sample_for"] <= 5
 
 
 class TestPerAttemptState:

@@ -22,6 +22,7 @@ from repro.indices.build import (
     run_bulk_build,
 )
 from repro.indices.kvstore import DistributedKVStore
+from repro.mapreduce.api import OutputCollector
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.runtime import JobRunner
 from repro.simcluster.cluster import Cluster
@@ -34,6 +35,7 @@ class _Ctx:
         self.charged_time = 0.0
         self.counters = Counters()
         self.trace = None
+        self.input_bytes = None  # nobody has sized the records
 
     def charge(self, seconds):
         assert seconds >= 0
@@ -46,6 +48,10 @@ class _Collector:
 
     def collect(self, key, value):
         self.items.append((key, value))
+
+    def extend(self, records, sizes):
+        assert len(records) == len(sizes)
+        self.items.extend(records)
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +286,24 @@ class TestIndexBuilderFn:
         for k, v in records:
             fn.process(k, v, out, ctx)
         assert out.items == records
+
+    def test_process_hands_on_the_size_it_was_shown(self, cluster):
+        """``process`` is the stream loop over one record: the size the
+        chain shows it as ``ctx.input_bytes`` goes on beside the pair,
+        which is not walked again."""
+        kv = _kv(cluster)
+        session = BuildSession({kv.name: kv})
+        session.begin_job()
+        fn = session.builder_fn()
+        ctx, out = _Ctx(), OutputCollector()
+        fn.start(ctx)
+        ctx.input_bytes = 77  # no walk of ("k", "v") finds that
+        fn.process("k", "v", out, ctx)
+        ctx.input_bytes = None
+        fn.process("k", "v", out, ctx)
+        assert out.records == [("k", "v"), ("k", "v")]
+        assert out.sizes == [77, 2] and out.bytes == 79
+        assert fn._records == 2
 
     def test_finish_charges_frozen_fraction(self, cluster):
         kv = _kv(cluster)

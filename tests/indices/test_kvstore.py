@@ -122,6 +122,15 @@ class TestAccounting:
         assert kv.num_keys == 1
         assert len(kv) == 2
 
+    def test_set_service_time_rejects_negative_and_nan(self, cluster):
+        kv = DistributedKVStore("s", cluster, service_time=2e-3)
+        for bad in (-1e-3, float("nan")):
+            with pytest.raises(ValueError):
+                kv.set_service_time(bad)
+        assert kv.service_time() == 2e-3
+        kv.set_service_time(0.0)
+        assert kv.service_time() == 0.0
+
     def test_service_time_default_and_custom(self, cluster):
         assert DistributedKVStore("d", cluster).service_time() == pytest.approx(0.5e-3)
         assert DistributedKVStore(

@@ -14,6 +14,7 @@ from repro.core.ejobconf import IndexJobConf
 from repro.core.operator import IndexOperator
 from repro.core.runner import EFindRunner
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.indices.build import BuildSession
 from repro.indices.kvstore import DistributedKVStore
 from repro.simcluster.cluster import Cluster
 
@@ -83,6 +84,24 @@ class TestWalkBudget:
             assert len(result.output) == NUM_RECORDS
             assert result.stats["head0"].s1 == pytest.approx(s1 / NUM_RECORDS)
         assert CountedValue.walks == NUM_RECORDS
+
+    def test_a_build_session_does_not_bring_a_walk_per_record(self, env):
+        """The ``IndexBuilderFn`` a build session prepends to the map
+        chain is a pass-through: it hands the split's sizes on. (It used
+        to collect without them, so the first stage walked every input
+        record again and S1 had nothing to read: 120 walks per job.)"""
+        runner, make_job = env
+        kv = make_job("probe").head_operators[0].accessors[0].index
+        built = EFindRunner(
+            runner.cluster, runner.dfs, build=BuildSession({kv.name: kv})
+        )
+        for k in range(2):  # building, then built further
+            result = built.run(
+                make_job(f"build{k}"), mode="forced", forced_strategy=Strategy.CACHE
+            )
+            assert len(result.output) == NUM_RECORDS
+            assert result.counters.get("build", "records_indexed") > 0
+        assert CountedValue.walks == NUM_RECORDS  # still the write's alone
 
     @pytest.mark.parametrize(
         "strategy, boundary, stages",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import DataFlowError
 from repro.mapreduce.api import (
     FnMapper,
     FnPartitioner,
@@ -53,6 +54,23 @@ class TestOutputCollector:
         assert (c.sizes, c.bytes) == ([41, 10], 51)
 
 
+class TestCollectorExtend:
+    def test_extend_is_collect_with_the_size_for_every_pair(self):
+        c = OutputCollector()
+        c.collect("ab", 1)
+        c.extend([("k", "v"), ("k2", None)], [2, 3])
+        c.extend((), ())
+        assert c.records == [("ab", 1), ("k", "v"), ("k2", None)]
+        assert (c.sizes, c.bytes) == ([10, 2, 3], 15)
+
+    def test_extend_refuses_mismatched_lengths(self):
+        c = OutputCollector()
+        c.collect("ab", 1)
+        with pytest.raises(DataFlowError, match="2 records with 1 sizes"):
+            c.extend([("k", "v"), ("k2", None)], [2])
+        assert (c.records, c.sizes, c.bytes) == ([("ab", 1)], [10], 10)
+
+
 class TestTaskContext:
     def test_charge_accumulates(self, ctx):
         ctx.charge(0.5)
@@ -62,6 +80,19 @@ class TestTaskContext:
     def test_charge_rejects_negative(self, ctx):
         with pytest.raises(ValueError):
             ctx.charge(-1)
+
+    def test_charge_rejects_nan(self, ctx):
+        # NaN passes a ``< 0`` test and would turn the task's duration,
+        # and through it the job's makespan, into NaN without a word.
+        ctx.charge(0.25)
+        with pytest.raises(ValueError, match="nan"):
+            ctx.charge(float("nan"))
+        assert ctx.charged_time == 0.25
+
+    def test_charge_of_zero_passes(self, ctx):
+        ctx.charge(0.0)
+        ctx.charge(0)
+        assert ctx.charged_time == 0.0
 
     def test_counters_start_empty(self, ctx):
         assert len(ctx.counters) == 0

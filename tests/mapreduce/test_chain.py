@@ -3,8 +3,13 @@
 import pytest
 
 from repro.common.errors import DataFlowError
-from repro.common.sizing import sizeof_pair
-from repro.mapreduce.api import ChainedFunction, OutputCollector, TaskContext
+from repro.common.sizing import record_sizes, sizeof_pair
+from repro.mapreduce.api import (
+    ChainedFunction,
+    OutputCollector,
+    StreamStage,
+    TaskContext,
+)
 from repro.mapreduce.chain import chain_name, run_chain, run_chain_collected
 from repro.simcluster.cluster import Cluster
 from repro.simcluster.timemodel import TimeModel
@@ -157,6 +162,115 @@ class TestSizesTravel:
         # The same between two stages of one chain.
         with pytest.raises(DataFlowError, match="InputSizeProbe.*3 records but 0"):
             run_chain([AppendsToRecords(), InputSizeProbe()], self.records, ctx)
+
+
+class RunProbe(ChainedFunction):
+    """Overrides ``run``: takes the stream whole, passes it on in bulk."""
+
+    def run(self, records, sizes, collector, ctx):
+        self.got = (records, sizes, ctx.input_bytes)
+        collector.extend(records, sizes)
+
+
+class RaisingRun(ChainedFunction):
+    def run(self, records, sizes, collector, ctx):
+        ctx.input_bytes = 7  # a stage's own loop, interrupted
+        raise RuntimeError("boom")
+
+
+class ExtendsShort(ChainedFunction):
+    def run(self, records, sizes, collector, ctx):
+        collector.extend(records, sizes[1:])
+
+
+class Streamed(StreamStage):
+    """One loop, reached through ``run`` and through ``process``."""
+
+    def start(self, ctx):
+        self.calls = []
+
+    def consume(self, records, sizes, collector, ctx):
+        self.calls.append((list(records), None if sizes is None else list(sizes)))
+        collector.extend(records, record_sizes(records, sizes, "the input"))
+
+    def finish(self, collector, ctx):
+        self.calls.append("finish")
+
+
+class TestStageTakesItsStream:
+    """``run_chain`` hands each stage its whole stream through ``run``;
+    the default ``run`` is the per-record loop the chain used to hold."""
+
+    records = TestSizesTravel.records
+
+    def test_default_run_shows_process_each_size_and_none_around(self, ctx):
+        probe, out = InputSizeProbe(), OutputCollector()
+        probe.run(self.records, [11, 22, 33], out, ctx)
+        assert probe.seen == [11, 22, 33] == out.sizes
+        assert probe.around == [None, None] and ctx.input_bytes is None
+        assert out.records == self.records
+
+        bare, out = InputSizeProbe(), OutputCollector()
+        bare.run(self.records, None, out, ctx)  # nobody has sized these
+        assert bare.seen == [None, None, None] and bare.around == [None, None]
+        assert out.sizes == [sizeof_pair(*r) for r in self.records]
+
+    def test_default_run_clears_the_size_when_process_raises(self, ctx):
+        with pytest.raises(RuntimeError):
+            Failing().run(self.records, [11, 22, 33], OutputCollector(), ctx)
+        assert ctx.input_bytes is None
+
+    def test_a_stage_overriding_run_receives_the_collectors_own_sizes(self, ctx):
+        fed = OutputCollector()
+        for key, value in self.records[:2]:
+            fed.collect(key, value)
+        first, second = RunProbe(), RunProbe()
+        out = run_chain_collected([first, Doubler(), second], fed, ctx)
+        assert first.got[0] is fed.records and first.got[1] is fed.sizes
+        records, sizes, input_bytes = second.got
+        assert records == [(k, v * 2) for k, v in self.records[:2]]
+        assert sizes == [sizeof_pair(*r) for r in records] and input_bytes is None
+        assert (out.records, out.sizes, out.bytes) == (records, sizes, sum(sizes))
+        # A bare record list arrives with no sizes at all.
+        bare = RunProbe()
+        with pytest.raises(TypeError):  # extend(records, None)
+            run_chain_collected([bare], self.records, ctx)
+        assert bare.got == (self.records, None, None)
+
+    def test_a_stream_stage_has_one_body_for_run_and_process(self, ctx):
+        """``run`` is ``start`` / ``consume`` / ``finish``; ``process``
+        is ``consume`` over a one-record stream, sized by
+        ``ctx.input_bytes``."""
+        stage, out = Streamed(), OutputCollector()
+        stage.run(self.records, [11, 22, 33], out, ctx)
+        assert stage.calls == [(self.records, [11, 22, 33]), "finish"]
+        assert (out.records, out.sizes, out.bytes) == (self.records, [11, 22, 33], 66)
+
+        by_record, twin_out = Streamed(), OutputCollector()
+        ChainedFunction.run(by_record, self.records, [11, 22, 33], twin_out, ctx)
+        assert by_record.calls == [
+            ([self.records[0]], [11]),
+            ([self.records[1]], [22]),
+            ([self.records[2]], [33]),
+            "finish",
+        ]
+        assert (twin_out.records, twin_out.sizes) == (out.records, out.sizes)
+        # Outside a chain nobody has sized the record.
+        by_record.process("k", "v", twin_out, ctx)
+        assert by_record.calls[-1] == ([("k", "v")], None)
+        assert twin_out.sizes[-1] == sizeof_pair("k", "v")
+
+    def test_a_raising_run_leaves_input_bytes_none(self, ctx):
+        with pytest.raises(RuntimeError):
+            run_chain([Doubler(), RaisingRun()], self.records[:1], ctx)
+        assert ctx.input_bytes is None
+
+    def test_bulk_emission_with_mismatched_lengths_is_refused(self, ctx):
+        fed = OutputCollector()
+        for key, value in self.records:
+            fed.collect(key, value)
+        with pytest.raises(DataFlowError, match="3 records with 2 sizes"):
+            run_chain_collected([ExtendsShort()], fed, ctx)
 
 
 class TestChainName:

@@ -168,7 +168,69 @@ class TestSizeofProperties:
         assert sizeof((Blob(123), Opaque("x" * 7))) == 4 + 123 + 7
 
 
+def ladder_stable_hash(value):
+    """``stable_hash`` as one ``isinstance`` ladder -- the whole of it
+    before it dispatched on exact types, kept here verbatim (recursing
+    into itself) as the oracle the fast path must equal."""
+    if isinstance(value, str):
+        h = 2166136261
+        for ch in value:
+            h = ((h ^ ord(ch)) * 16777619) & 0xFFFFFFFF
+        return h
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return value & 0x7FFFFFFF
+    if isinstance(value, float):
+        return ladder_stable_hash(repr(value))
+    if isinstance(value, tuple):
+        h = 1
+        for item in value:
+            h = (h * 31 + ladder_stable_hash(item)) & 0x7FFFFFFF
+        return h
+    if value is None:
+        return 0
+    return ladder_stable_hash(repr(value))
+
+
+# What exact-type dispatch could get wrong sits beside the ints and int
+# tuples it hashes inline: bool and IntEnum beside int, negative and
+# wider-than-31-bit ints, a namedtuple and a str subclass.
+hash_leaves = st.one_of(
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.sampled_from(list(Colour)),
+    st.floats(allow_nan=False),
+    st.none(),
+    any_text,
+    any_text.map(Tagged),
+)
+hash_values = st.recursive(
+    hash_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.tuples(children, children).map(lambda xy: Point(*xy)),
+        st.lists(children, max_size=3),  # the repr fallback
+    ),
+    max_leaves=12,
+)
+
+
 class TestStableHashProperties:
+    @given(hash_values)
+    def test_fast_path_equals_ladder(self, value):
+        assert stable_hash(value) == ladder_stable_hash(value)
+
+    def test_cases_exact_type_dispatch_can_get_wrong(self):
+        assert stable_hash(True) == 1 and stable_hash((True, 2)) == (31 + 1) * 31 + 2
+        assert stable_hash(Colour.BLUE) == 2 and type(stable_hash(Colour.BLUE)) is int
+        assert stable_hash(-1) == 0x7FFFFFFF and stable_hash(2**31 + 5) == 5
+        assert stable_hash((-1, 2**40)) == ladder_stable_hash((-1, 2**40))
+        assert stable_hash(Point(1, 2)) == stable_hash((1, 2))
+        assert stable_hash(Tagged("ab")) == stable_hash("ab")
+        assert stable_hash(1.0) != stable_hash(1)  # a float hashes as its repr
+
     @given(keys)
     def test_deterministic(self, key):
         assert stable_hash(key) == stable_hash(key)
