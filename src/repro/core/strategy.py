@@ -500,20 +500,21 @@ class LookupPipeline:
         n = len(fetched)
         ctx.counters.increment("lookup", "fetches", n)
         ctx.counters.increment("lookup", "fetch_seconds", ctx.charged_time - t0)
-        if ctx.trace is not None:
-            where = {"op": self.operator_id, "index": self.index_id}
+        trace = ctx.trace
+        if trace is not None:
             if records is not None:
-                ctx.trace.charged_span(
-                    "lookup.batch", "op", t0, ctx.charged_time, DEPTH_OP, **where,
+                trace.charged_span(
+                    "lookup.batch", "op", t0, ctx.charged_time, DEPTH_OP,
+                    op=self.operator_id, index=self.index_id,
                     keys=n, records=records, native=accessor.supports_batch,
                 )
             else:
                 if not self.walk_span:
-                    ctx.trace.charged_span(
+                    trace.charged_span(
                         "lookup", "op", t0, ctx.charged_time, DEPTH_OP,
-                        **where, local=local,
+                        op=self.operator_id, index=self.index_id, local=local,
                     )
-                ctx.trace.charged_span(
+                trace.charged_span(
                     "index.fetch", "op", t0, ctx.charged_time, DEPTH_DETAIL,
                     index=self.index_id, local=local,
                 )

@@ -21,11 +21,14 @@ tracks onto that as:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Tuple
+import os
+from contextlib import suppress
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.trace import Tracer
 
 _US = 1_000_000  # simulated seconds -> trace microseconds
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
 def _track_ids(tracks: Iterable[str]) -> Dict[str, Tuple[int, int]]:
@@ -47,67 +50,57 @@ def _track_ids(tracks: Iterable[str]) -> Dict[str, Tuple[int, int]]:
 ALERT_TRACK = "driver/alerts"
 
 
-def to_chrome_trace(tracer: Tracer, alerts: List[dict] = None) -> dict:
-    """Convert a tracer's spans/instants (and optionally the live SLO
-    ``alerts.jsonl`` rows) to a Chrome trace dict."""
+def _trace_events(tracer: Tracer, alerts: Optional[List[dict]]) -> Iterator[dict]:
+    """The trace's events in file order, one at a time: the writer
+    encodes each and lets it go, so an export never holds (or has the
+    garbage collector walk) a second copy of the whole trace."""
     tracks = {s.track for s in tracer.spans} | {i.track for i in tracer.instants}
     if alerts:
         tracks.add(ALERT_TRACK)
     ids = _track_ids(tracks)
 
-    events: List[dict] = []
     seen_pids: Dict[int, str] = {}
     for track, (pid, tid) in sorted(ids.items(), key=lambda kv: kv[1]):
         process = track.split("/", 1)[0]
         if pid not in seen_pids:
             seen_pids[pid] = process
-            events.append(
-                {
-                    "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                    "args": {"name": process},
-                }
-            )
-        events.append(
-            {
-                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                "args": {"name": track},
+            yield {
+                "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+                "args": {"name": process},
             }
-        )
-        events.append(
-            {
-                "ph": "M", "name": "thread_sort_index", "pid": pid, "tid": tid,
-                "args": {"sort_index": tid},
-            }
-        )
+        yield {
+            "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+            "args": {"name": track},
+        }
+        yield {
+            "ph": "M", "name": "thread_sort_index", "pid": pid, "tid": tid,
+            "args": {"sort_index": tid},
+        }
 
     for span in tracer.spans:
         pid, tid = ids[span.track]
-        events.append(
-            {
-                "ph": "X",
-                "name": span.name,
-                "cat": span.cat,
-                "pid": pid,
-                "tid": tid,
-                "ts": round(span.start * _US, 3),
-                "dur": round(max(0.0, span.duration) * _US, 3),
-                "args": dict(span.args, depth=span.depth),
-            }
-        )
+        yield {
+            "ph": "X",
+            "name": span.name,
+            "cat": span.cat,
+            "pid": pid,
+            "tid": tid,
+            "ts": round(span.start * _US, 3),
+            "dur": round(max(0.0, span.duration) * _US, 3),
+            "args": dict(span.args, depth=span.depth),
+        }
     for inst in tracer.instants:
         pid, tid = ids[inst.track]
-        events.append(
-            {
-                "ph": "i",
-                "name": inst.name,
-                "cat": inst.cat,
-                "pid": pid,
-                "tid": tid,
-                "ts": round(inst.ts * _US, 3),
-                "s": "t",
-                "args": dict(inst.args, depth=inst.depth),
-            }
-        )
+        yield {
+            "ph": "i",
+            "name": inst.name,
+            "cat": inst.cat,
+            "pid": pid,
+            "tid": tid,
+            "ts": round(inst.ts * _US, 3),
+            "s": "t",
+            "args": dict(inst.args, depth=inst.depth),
+        }
 
     if alerts:
         pid, tid = ids[ALERT_TRACK]
@@ -130,31 +123,24 @@ def to_chrome_trace(tracer: Tracer, alerts: List[dict] = None) -> dict:
                 "pid": pid,
                 "tid": tid,
             }
-            events.append(
-                dict(
-                    common,
-                    ph="b",
-                    ts=round(fired * _US, 3),
-                    args={
-                        "depth": 0,
-                        "severity": row.get("severity"),
-                        "metric": row.get("metric"),
-                        "state": row.get("state"),
-                        "peak": row.get("peak"),
-                    },
-                )
+            yield dict(
+                common,
+                ph="b",
+                ts=round(fired * _US, 3),
+                args={
+                    "depth": 0,
+                    "severity": row.get("severity"),
+                    "metric": row.get("metric"),
+                    "state": row.get("state"),
+                    "peak": row.get("peak"),
+                },
             )
-            events.append(
-                dict(
-                    common,
-                    ph="e",
-                    ts=round(ends * _US, 3),
-                    args={"depth": 0},
-                )
-            )
+            yield dict(common, ph="e", ts=round(ends * _US, 3), args={"depth": 0})
 
+
+def _trace_header(tracer: Tracer) -> dict:
+    """The trace object without its events."""
     return {
-        "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
             "clock": "simulated",
@@ -163,21 +149,42 @@ def to_chrome_trace(tracer: Tracer, alerts: List[dict] = None) -> dict:
     }
 
 
+def to_chrome_trace(tracer: Tracer, alerts: List[dict] = None) -> dict:
+    """Convert a tracer's spans/instants (and optionally the live SLO
+    ``alerts.jsonl`` rows) to a Chrome trace dict."""
+    events = list(_trace_events(tracer, alerts))
+    return dict(_trace_header(tracer), traceEvents=events)
+
+
+def _replace_with(path: str, chunks: Iterable[str]) -> None:
+    """Write beside ``path``, then rename: a run killed mid-export
+    leaves the previous artifact or none, never half of one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except BaseException:  # a row that cannot be encoded, a full disk, ^C
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def write_chrome_trace(tracer: Tracer, path: str, alerts: List[dict] = None) -> None:
-    write_json(to_chrome_trace(tracer, alerts=alerts), path)
+    """One event per line: ``json`` runs its C encoder only without
+    ``indent``, a line per event still greps and ``diff``s, and a file
+    cut at any line boundary is not JSON."""
+    head = _ENCODE(_trace_header(tracer))[:-1] + ', "traceEvents": [\n'
+    lines = ",\n".join(map(_ENCODE, _trace_events(tracer, alerts)))
+    _replace_with(path, (head, lines, "\n]}\n"))
 
 
 def write_json(payload: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _replace_with(path, (json.dumps(payload, indent=1, sort_keys=True), "\n"))
 
 
 def write_jsonl(rows: Iterable[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
+    _replace_with(path, (_ENCODE(row) + "\n" for row in rows))
 
 
 # ----------------------------------------------------------------------

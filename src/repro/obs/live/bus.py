@@ -9,19 +9,20 @@ receive plain read-only event records, and a run with a subscribed bus
 is bit-identical (simulated time, counters, outputs) to a run without
 one. The observer-effect tests pin that down.
 
-Delivery is synchronous and in publish order. The simulation itself is
-single-threaded and deterministic, so the event stream -- including the
-monotone ``seq`` stamped on every event -- is byte-reproducible across
-runs and processes. Note that publish order is *commit* order, not
-simulated-time order: a task committed later can end earlier than its
-predecessor, so consumers that need a monotone clock should track a
-watermark (see :class:`repro.obs.live.windows.LiveAggregators`).
+Delivery is synchronous and in publish order: every subscriber sees an
+event before the next one is built, and a committed task's spans and
+instants are handed over in one call (:meth:`TelemetryBus.publish_task`).
+The simulation is single-threaded and deterministic, so the event
+stream -- including the monotone ``seq`` stamped on every event -- is
+byte-reproducible across runs and processes. Publish order is
+*commit* order, not simulated-time order: a task committed later can end
+earlier than its predecessor, so consumers that need a monotone clock
+track a watermark (see :class:`repro.obs.live.windows.LiveAggregators`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, NamedTuple
 
 #: Event kinds, in the vocabulary the aggregators consume.
 KIND_SPAN = "span"
@@ -53,9 +54,8 @@ def _quantize_ts(ts: float) -> float:
     return round(ts * _US, 3) / _US
 
 
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """One bus event.
+class TelemetryEvent(NamedTuple):
+    """One bus event (immutable: assigning a field raises).
 
     ``start``/``ts`` are simulated seconds; for spans ``ts`` is the
     span's *end* (the moment the simulation learns the span existed),
@@ -70,7 +70,7 @@ class TelemetryEvent:
     track: str
     start: float
     ts: float
-    payload: Dict[str, Any] = field(default_factory=dict)
+    payload: Dict[str, Any]
 
 
 Subscriber = Callable[[TelemetryEvent], None]
@@ -86,7 +86,7 @@ class TelemetryBus:
 
     def __init__(self) -> None:
         self._subscribers: List[Subscriber] = []
-        self._seq = 0
+        #: Events published so far, which is also the next ``seq``.
         self.published = 0
 
     # ------------------------------------------------------------------
@@ -110,8 +110,7 @@ class TelemetryBus:
         ts: float,
         payload: Dict[str, Any],
     ) -> TelemetryEvent:
-        event = TelemetryEvent(self._seq, kind, name, track, start, ts, payload)
-        self._seq += 1
+        event = TelemetryEvent(self.published, kind, name, track, start, ts, payload)
         self.published += 1
         for fn in self._subscribers:
             fn(event)
@@ -148,6 +147,14 @@ class TelemetryBus:
             KIND_INSTANT, name, track, ts, ts,
             {"cat": cat, "depth": depth, "args": args},
         )
+
+    def publish_task(self, spans, instants) -> None:
+        """A committed task's spans, then its instants: one call per task,
+        each event built and delivered as the two producers above do."""
+        for s in spans:
+            self.publish_span(s.name, s.cat, s.track, s.start, s.end, s.depth, s.args)
+        for i in instants:
+            self.publish_instant(i.name, i.cat, i.track, i.ts, i.depth, i.args)
 
     def publish_counters(
         self,

@@ -11,7 +11,7 @@ formats the one-line frame the terminal renderer prints per tick.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.obs.analysis.loader import task_stage
 from repro.obs.live import bus as busmod
@@ -39,7 +39,8 @@ class LiveSnapshot:
         self.waves_done = 0
         self.crashes = 0
         self.audit_verdicts: Dict[str, int] = {}
-        self.jobs_seen: List[str] = []
+        #: Jobs in first-seen order (a dict for its O(1) membership).
+        self.jobs_seen: Dict[str, None] = {}
         if bus is not None:
             bus.subscribe(self.on_event)
 
@@ -60,8 +61,7 @@ class LiveSnapshot:
                 self.waves_done += 1
             elif event.payload.get("cat") == "job":
                 job = str(args.get("job", event.name))
-                if job not in self.jobs_seen:
-                    self.jobs_seen.append(job)
+                self.jobs_seen.setdefault(job)
         elif event.kind == busmod.KIND_AUDIT:
             self.audit_verdicts[event.name] = (
                 self.audit_verdicts.get(event.name, 0) + 1

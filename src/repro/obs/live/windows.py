@@ -126,8 +126,6 @@ class LiveAggregators:
         self._wave_tasks: Dict[Tuple[str, str, int], List[float]] = {}
         # Rolling windows keyed by input-series name.
         self._win: Dict[str, RollingWindow] = {}
-        # Cumulative totals for level metrics (build coverage).
-        self._cum: Dict[str, float] = {}
         #: Completed tasks per (stage, kind) -- progress bookkeeping
         #: shared with the snapshot API.
         self.tasks_done: Dict[Tuple[str, str], int] = {}
@@ -136,6 +134,7 @@ class LiveAggregators:
         #: same bucket edges) as the offline metrics export, so the
         #: quantiles shown live reprice exactly like the exported ones.
         self.lookup_latency = Histogram("live.lookup.latency_s")
+        self._last: Dict[str, float] = {}  # metric -> its latest sample value
         if bus is not None:
             bus.subscribe(self.on_event)
 
@@ -149,6 +148,7 @@ class LiveAggregators:
         self, metric: str, ts: float, value: float, detail: Dict[str, Any]
     ) -> None:
         self.samples.append((metric, ts, value, detail))
+        self._last[metric] = value
         for fn in self._listeners:
             fn(metric, ts, value, detail)
 
@@ -265,22 +265,15 @@ class LiveAggregators:
                 "fault_retry_rate", now, rw.rate(),
                 {"window_retries": rw.sum()},
             )
-        # Build coverage progress (a cumulative level).
+        # Build coverage progress: a cumulative level, so the last sample
+        # is the running total.
         indexed = deltas.get("build.records_indexed", 0.0)
         if indexed > 0:
-            self._cum["build.records_indexed"] = (
-                self._cum.get("build.records_indexed", 0.0) + indexed
-            )
-            self._emit(
-                "build_progress", now, self._cum["build.records_indexed"],
-                {"delta": indexed},
-            )
+            level = self._last.get("build_progress", 0.0) + indexed
+            self._emit("build_progress", now, level, {"delta": indexed})
 
     # ------------------------------------------------------------------
     def current(self, metric: str) -> Optional[float]:
         """The most recent value of one metric (None before the first
         sample)."""
-        for name, _ts, value, _detail in reversed(self.samples):
-            if name == metric:
-                return value
-        return None
+        return self._last.get(metric)

@@ -78,13 +78,19 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
-        i = bisect_left(self.buckets, value)
-        if i == len(self.buckets):
-            self.overflow += 1
-        else:
-            self.counts[i] += 1
+        self.observe_all((value,))
+
+    def observe_all(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each value, in order (``sum`` depends on it)."""
+        buckets, counts = self.buckets, self.counts
+        for value in values:
+            self.sum += value
+            i = bisect_left(buckets, value)
+            if i == len(counts):
+                self.overflow += 1
+            else:
+                counts[i] += 1
+        self.count += len(values)
 
     @property
     def mean(self) -> float:

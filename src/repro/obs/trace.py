@@ -88,9 +88,9 @@ class Tracer:
     """Collects spans and instant events in simulated time.
 
     With a :class:`~repro.obs.live.bus.TelemetryBus` attached, every
-    recorded span/instant is additionally published to the bus at the
-    moment it lands in the tracer -- so bus order *is* tracer append
-    order *is* export file order, which is what lets the live replay
+    recorded span/instant is additionally published to the bus as it
+    lands in the tracer (an absorbed task's in one call) -- so bus order
+    *is* tracer append order *is* export file order, which lets the replay
     (:mod:`repro.obs.live.replay`) reproduce the execution-time event
     stream from the exported artifacts alone. Publishing charges no
     simulated time; the observer-effect tests pin bit-identity with the
@@ -152,18 +152,21 @@ class Tracer:
         """
         if buffer is None:
             return
+        task_id = buffer.task_id
+        spans = []
         for name, cat, rel_start, rel_end, depth, args in buffer.rel_spans:
-            args.setdefault("task", buffer.task_id)
+            args.setdefault("task", task_id)
             start, end = task_start + rel_start, task_start + rel_end
-            self.spans.append(Span(name, cat, track, start, end, depth, args))
-            if self.bus is not None:
-                self.bus.publish_span(name, cat, track, start, end, depth, args)
+            spans.append(Span(name, cat, track, start, end, depth, args))
+        instants = []
         for name, cat, rel_ts, depth, args in buffer.rel_instants:
-            args.setdefault("task", buffer.task_id)
+            args.setdefault("task", task_id)
             ts = task_start + rel_ts
-            self.instants.append(Instant(name, cat, track, ts, depth, args))
-            if self.bus is not None:
-                self.bus.publish_instant(name, cat, track, ts, depth, args)
+            instants.append(Instant(name, cat, track, ts, depth, args))
+        self.spans += spans
+        self.instants += instants
+        if self.bus is not None:
+            self.bus.publish_task(spans, instants)
         self.dropped_detail += buffer.dropped
         if self.metrics is not None:
             for name, (count, total) in sorted(buffer.totals.items()):
@@ -171,8 +174,7 @@ class Tracer:
                 self.metrics.counter(f"trace.{name}.seconds").inc(total)
             for name, durations in sorted(buffer.observations.items()):
                 hist = self.metrics.histogram(f"trace.{name}.latency_s")
-                for d in durations:
-                    hist.observe(d)
+                hist.observe_all(durations)
 
     # ------------------------------------------------------------------
     def max_depth(self) -> int:
@@ -224,6 +226,34 @@ NULL_TRACER = NullTracer()
 _HISTOGRAM_NAMES = frozenset({"lookup", "lookup.batch", "index.fetch"})
 
 
+def _span_recorder(charged: bool):
+    """The body ``rel_span`` and ``charged_span`` share, so that either
+    records in one frame: count the span into the per-name aggregates,
+    keep its detail while the cap allows."""
+
+    def record(
+        self, name: str, cat: str, _start: float, _end: float, depth: int, **args: Any
+    ) -> None:  # underscored so that no span arg can collide with them
+        if charged:
+            _start += self.base_offset
+            _end += self.base_offset
+        duration = _end - _start
+        entry = self.totals.get(name)
+        if entry is None:
+            self.totals[name] = [1, duration]
+        else:
+            entry[0] += 1
+            entry[1] += duration
+        if name in _HISTOGRAM_NAMES:
+            self.observations.setdefault(name, []).append(duration)
+        if len(self.rel_spans) >= self.max_detail:
+            self.dropped += 1
+        else:
+            self.rel_spans.append((name, cat, _start, _end, depth, args))
+
+    return record
+
+
 class TaskTraceBuffer:
     """Relative-time span/event storage for one task attempt.
 
@@ -256,47 +286,23 @@ class TaskTraceBuffer:
         self.dropped = 0
 
     # ------------------------------------------------------------------
-    def rel_span(
-        self,
-        name: str,
-        cat: str,
-        rel_start: float,
-        rel_end: float,
-        depth: int,
-        **args: Any,
-    ) -> None:
-        self._count(name, rel_end - rel_start)
-        if len(self.rel_spans) >= self.max_detail:
-            self.dropped += 1
-            return
-        self.rel_spans.append((name, cat, rel_start, rel_end, depth, args))
+    rel_span = _span_recorder(charged=False)
+    charged_span = _span_recorder(charged=True)
 
     def rel_instant(
         self, name: str, cat: str, rel_ts: float, depth: int, **args: Any
     ) -> None:
-        self._count(name, 0.0)
+        entry = self.totals.get(name)
+        if entry is None:
+            self.totals[name] = [1, 0.0]
+        else:
+            entry[0] += 1
+        if name in _HISTOGRAM_NAMES:
+            self.observations.setdefault(name, []).append(0.0)
         if len(self.rel_instants) >= self.max_detail:
             self.dropped += 1
             return
         self.rel_instants.append((name, cat, rel_ts, depth, args))
-
-    def charged_span(
-        self,
-        name: str,
-        cat: str,
-        charged_start: float,
-        charged_end: float,
-        depth: int,
-        **args: Any,
-    ) -> None:
-        self.rel_span(
-            name,
-            cat,
-            self.base_offset + charged_start,
-            self.base_offset + charged_end,
-            depth,
-            **args,
-        )
 
     def charged_instant(
         self, name: str, cat: str, charged_ts: float, depth: int, **args: Any
@@ -335,16 +341,6 @@ class TaskTraceBuffer:
             name: [d * factor for d in durations]
             for name, durations in self.observations.items()
         }
-
-    def _count(self, name: str, duration: float) -> None:
-        entry = self.totals.get(name)
-        if entry is None:
-            self.totals[name] = [1, duration]
-        else:
-            entry[0] += 1
-            entry[1] += duration
-        if name in _HISTOGRAM_NAMES:
-            self.observations.setdefault(name, []).append(duration)
 
     def __len__(self) -> int:
         return len(self.rel_spans) + len(self.rel_instants)

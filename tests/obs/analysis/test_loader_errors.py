@@ -75,6 +75,21 @@ class TestLoaderErrors:
         assert artifact.spans[0]["args"]["job"] == "jj"
 
 
+    def test_indented_layout_of_older_exports_still_loads(self, tmp_path):
+        """Traces written before the one-event-per-line layout were
+        ``json.dump(..., indent=1)``: they load, and to the same thing."""
+        paths = _write_valid_export(tmp_path, base="old")
+        new_layout = load_one(paths["trace"])
+        with open(paths["trace"], encoding="utf-8") as fh:
+            payload = json.load(fh)
+        with open(paths["trace"], "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        old_layout = load_one(paths["trace"])
+        assert old_layout == new_layout
+        assert len(old_layout.spans) == 1
+
+
 class TestCliErrors:
     """Both CLIs exit non-zero with one-line reasons on bad input."""
 

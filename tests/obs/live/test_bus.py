@@ -12,6 +12,7 @@ from repro.obs.live.bus import (
     _quantize_range,
     _quantize_ts,
 )
+from repro.obs.trace import Instant, Span
 
 
 class TestBusDelivery:
@@ -70,6 +71,46 @@ class TestBusDelivery:
         bus.publish_instant("x", "c", "t", 0.0, 0, {})
         with pytest.raises(AttributeError):
             seen[0].ts = 99.0
+
+
+class TestPublishTask:
+    """A task's spans and instants are handed over in one call; the
+    events are the ones the single-event producers build, delivered one
+    at a time -- every subscriber sees an event before the next."""
+
+    SPANS = [
+        Span("lookup", "op", "n1/map0", 1 / 3, 2 / 3, 5, {"op": "head0"}),
+        Span("cache.probe", "cache", "n1/map0", 2.0, 1.0, 6, {"hit": True}),
+    ]
+    INSTANTS = [Instant("lookup.retry", "fault", "n1/map0", 1 / 7, 6, {"n": 1})]
+
+    def test_builds_the_single_event_producers_events(self):
+        one_by_one, per_task = TelemetryBus(), TelemetryBus()
+        expected, got = [], []
+        one_by_one.subscribe(expected.append)
+        per_task.subscribe(got.append)
+        for bus in (one_by_one, per_task):
+            bus.publish_audit("replan", 0.5)  # so seq does not start at 0
+        for s in self.SPANS:
+            one_by_one.publish_span(
+                s.name, s.cat, s.track, s.start, s.end, s.depth, s.args
+            )
+        for i in self.INSTANTS:
+            one_by_one.publish_instant(i.name, i.cat, i.track, i.ts, i.depth, i.args)
+        per_task.publish_task(self.SPANS, self.INSTANTS)
+        assert got == expected
+        assert [e.seq for e in got] == [0, 1, 2, 3]
+        assert per_task.published == one_by_one.published == 4
+
+    def test_delivery_stays_event_major(self):
+        bus = TelemetryBus()
+        order = []
+        bus.subscribe(lambda e: order.append(("first", e.seq, bus.published)))
+        bus.subscribe(lambda e: order.append(("second", e.seq, bus.published)))
+        bus.publish_task(self.SPANS, self.INSTANTS)
+        assert order == [
+            (who, seq, seq + 1) for seq in range(3) for who in ("first", "second")
+        ]
 
 
 class TestQuantization:

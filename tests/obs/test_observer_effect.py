@@ -82,6 +82,36 @@ class TestLiveObserverEffect:
         assert live.counters.to_dict() == plain.counters.to_dict()
         assert sorted(live.output) == sorted(plain.output)
 
+    def test_per_task_publish_is_passive_and_complete(self, efind_env):
+        """A committed task's spans reach the bus in one call. The
+        subscriber sees every recorded span and instant, in tracer
+        order, and does not move the simulation."""
+        from repro.obs.live import TelemetryBus
+
+        plain = efind_env.runner().run(
+            efind_env.make_job("oe-task-ref"), mode="dynamic"
+        )
+        bus = TelemetryBus()
+        events = []
+        bus.subscribe(events.append)
+        obs = Observability(bus=bus)
+        live = efind_env.runner(obs=obs).run(
+            efind_env.make_job("oe-task"), mode="dynamic"
+        )
+        assert live.sim_time == plain.sim_time
+        assert live.counters.to_dict() == plain.counters.to_dict()
+        assert sorted(live.output) == sorted(plain.output)
+
+        assert [event.seq for event in events] == list(range(bus.published))
+        spans = [e for e in events if e.kind == "span"]
+        assert [(e.name, e.track) for e in spans] == [
+            (s.name, s.track) for s in obs.tracer.spans
+        ]
+        instants = [e for e in events if e.kind == "instant"]
+        assert [(e.name, e.track) for e in instants] == [
+            (i.name, i.track) for i in obs.tracer.instants
+        ]
+
     def test_alert_timeline_byte_deterministic_across_processes(self, tmp_path):
         """The exported alerts.jsonl of the same run is byte-identical
         under different ``PYTHONHASHSEED`` values: no iteration-order
