@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs.analysis.loader import (
-    OP_BUCKETS,
+    Result,
     SpanNode,
     build_forest,
-    op_totals,
+    task_buckets,
 )
 from repro.obs.metrics import median
 
@@ -37,7 +37,7 @@ _EPS = 1e-9
 
 
 @dataclass
-class PathSegment:
+class PathSegment(Result):
     """One contiguous piece of a job's critical path."""
 
     kind: str  # "startup" | "task" | "task.crash" | "slot.idle" | ...
@@ -54,28 +54,15 @@ class PathSegment:
     #: overlapped this segment (empty without an alert timeline).
     alerts: List[str] = field(default_factory=list)
 
+    _derived = ("duration",)
+
     @property
     def duration(self) -> float:
         return self.end - self.start
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "duration": self.duration,
-            "stage": self.stage,
-            "phase": self.phase,
-            "wave": self.wave,
-            "track": self.track,
-            "attribution": dict(sorted(self.attribution.items())),
-            "alerts": list(self.alerts),
-        }
-
 
 @dataclass
-class PhaseSummary:
+class PhaseSummary(Result):
     """Aggregates for one phase on the critical path."""
 
     stage: str
@@ -89,6 +76,8 @@ class PhaseSummary:
     #: per wave: slowest-minus-median task duration; summed headroom.
     whatif_wave_slack: Dict[int, float]
 
+    _derived = ("duration", "whatif_total_slack")
+
     @property
     def duration(self) -> float:
         return self.end - self.start
@@ -97,26 +86,9 @@ class PhaseSummary:
     def whatif_total_slack(self) -> float:
         return sum(self.whatif_wave_slack.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "duration": self.duration,
-            "tasks_on_path": self.tasks_on_path,
-            "tasks_total": self.tasks_total,
-            "waves": self.waves,
-            "attribution": dict(sorted(self.attribution.items())),
-            "whatif_wave_slack": {
-                str(w): s for w, s in sorted(self.whatif_wave_slack.items())
-            },
-            "whatif_total_slack": self.whatif_total_slack,
-        }
-
 
 @dataclass
-class JobCriticalPath:
+class JobCriticalPath(Result):
     """The full critical path of one depth-0 EFind job span."""
 
     job: str
@@ -124,6 +96,8 @@ class JobCriticalPath:
     end: float
     segments: List[PathSegment]
     phases: List[PhaseSummary]
+
+    _derived = ("duration", "accounted", "attribution")
 
     @property
     def duration(self) -> float:
@@ -145,29 +119,16 @@ class JobCriticalPath:
                 out[seg.kind] = out.get(seg.kind, 0.0) + seg.duration
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "job": self.job,
-            "start": self.start,
-            "end": self.end,
-            "duration": self.duration,
-            "accounted": self.accounted,
-            "attribution": dict(sorted(self.attribution().items())),
-            "segments": [s.to_dict() for s in self.segments],
-            "phases": [p.to_dict() for p in self.phases],
-        }
-
 
 # ----------------------------------------------------------------------
-def _task_attribution(task: SpanNode) -> Dict[str, float]:
+def task_attribution(task: SpanNode) -> Dict[str, float]:
     """Bucketed seconds for one task node, exact via ``op_totals``;
     the uninstrumented remainder (startup, chain CPU, sort -- and, on
     the path, the build piggyback) is ``compute``."""
     out: Dict[str, float] = {}
     attributed = 0.0
-    for name, (_count, seconds) in op_totals(task).items():
-        bucket = OP_BUCKETS.get(name)
-        if bucket is None or bucket == "build":
+    for bucket, seconds in task_buckets(task):
+        if bucket == "build":
             continue
         out[bucket] = out.get(bucket, 0.0) + seconds
         attributed += seconds
@@ -218,7 +179,7 @@ def _walk_phase(
                 wave=t.args.get("wave"),
                 track=t.track,
                 attribution=(
-                    _task_attribution(t)
+                    task_attribution(t)
                     if seg_kind == "task"
                     else {seg_kind: t.dur}
                 ),

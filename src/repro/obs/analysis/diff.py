@@ -62,21 +62,24 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs.analysis.align import AlignedNode, align_forests, job_name_map
 from repro.obs.analysis.loader import (
     OP_BUCKETS,
+    Result,
     SpanNode,
     TraceArtifacts,
-    build_forest,
+    job_nodes,
     load_artifacts,
     op_totals,
+    task_buckets,
 )
 
 _EPS = 1e-9
+_NO_OP = (0.0, 0.0)  # (count, seconds) of an op a task never ran
 
 
 # ----------------------------------------------------------------------
 # Result dataclasses
 # ----------------------------------------------------------------------
 @dataclass
-class Contributor:
+class Contributor(Result):
     """One attributed piece of the simulated-time delta."""
 
     level: str  # job | stage | phase | wave | task | op
@@ -98,10 +101,6 @@ class Contributor:
     old_track: str = ""
     new_track: str = ""
 
-    @property
-    def weighted(self) -> bool:
-        return not self.kind.endswith("-offpath")
-
     def path_label(self) -> str:
         parts = [self.job]
         if self.stage:
@@ -116,27 +115,9 @@ class Contributor:
             parts.append(f"op {self.op}")
         return " / ".join(p for p in parts if p)
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "kind": self.kind,
-            "delta": self.delta,
-            "old_seconds": self.old_seconds,
-            "new_seconds": self.new_seconds,
-            "job": self.job,
-            "stage": self.stage,
-            "phase": self.phase,
-            "wave": self.wave,
-            "task": self.task,
-            "op": self.op,
-            "note": self.note,
-            "old_track": self.old_track,
-            "new_track": self.new_track,
-        }
-
 
 @dataclass
-class PhaseWorkDelta:
+class PhaseWorkDelta(Result):
     """Per-phase op_totals work deltas (task-seconds, not makespan)."""
 
     job: str
@@ -150,26 +131,23 @@ class PhaseWorkDelta:
         return {b: n - o for b, (o, n) in self.buckets.items()}
 
     def to_dict(self) -> dict:
-        return {
-            "job": self.job,
-            "stage": self.stage,
-            "phase": self.phase,
-            "tasks_old": self.tasks_old,
-            "tasks_new": self.tasks_new,
-            "buckets": {
-                b: {"old": o, "new": n, "delta": n - o}
-                for b, (o, n) in sorted(self.buckets.items())
-            },
+        out = super().to_dict()
+        out["buckets"] = {
+            b: {"old": o, "new": n, "delta": n - o}
+            for b, (o, n) in self.buckets.items()
         }
+        return out
 
 
 @dataclass
-class CounterDelta:
+class CounterDelta(Result):
     job: str
     group: str
     name: str
     old: Optional[float]
     new: Optional[float]
+
+    _derived = ("delta",)
 
     @property
     def delta(self) -> Optional[float]:
@@ -177,15 +155,9 @@ class CounterDelta:
             return None
         return self.new - self.old
 
-    def to_dict(self) -> dict:
-        return {
-            "job": self.job, "group": self.group, "name": self.name,
-            "old": self.old, "new": self.new, "delta": self.delta,
-        }
-
 
 @dataclass
-class AuditFlip:
+class AuditFlip(Result):
     """One matched Algorithm-1 evaluation whose verdict flipped."""
 
     job: str
@@ -203,30 +175,9 @@ class AuditFlip:
     #: relative move among env / sizes / Table-1 samples.
     largest_moved_term: str
 
-    def to_dict(self) -> dict:
-        return {
-            "job": self.job,
-            "phase": self.phase,
-            "index_in_phase": self.index_in_phase,
-            "old_verdict": self.old_verdict,
-            "new_verdict": self.new_verdict,
-            "old_sim_time": self.old_sim_time,
-            "new_sim_time": self.new_sim_time,
-            "old_plan": self.old_plan,
-            "new_plan": self.new_plan,
-            "cost_tables": {
-                op: {
-                    idx: {s: list(pair) for s, pair in sorted(table.items())}
-                    for idx, table in sorted(indexes.items())
-                }
-                for op, indexes in sorted(self.cost_tables.items())
-            },
-            "largest_moved_term": self.largest_moved_term,
-        }
-
 
 @dataclass
-class AuditDiff:
+class AuditDiff(Result):
     evaluations_old: int
     evaluations_new: int
     flips: List[AuditFlip] = field(default_factory=list)
@@ -239,17 +190,11 @@ class AuditDiff:
     def differs(self) -> bool:
         return bool(self.flips or self.unmatched)
 
-    def to_dict(self) -> dict:
-        return {
-            "evaluations_old": self.evaluations_old,
-            "evaluations_new": self.evaluations_new,
-            "flips": [f.to_dict() for f in self.flips],
-            "unmatched": [list(u) for u in self.unmatched],
-        }
-
 
 @dataclass
-class AlertDelta:
+class AlertDelta(Result):
+    """One SLO rule whose alert timeline differs between the runs."""
+
     rule: str
     fired_old: int
     fired_new: int
@@ -258,26 +203,9 @@ class AlertDelta:
     open_old: int
     open_new: int
 
-    @property
-    def differs(self) -> bool:
-        return (
-            self.fired_old != self.fired_new
-            or self.duration_old != self.duration_new
-            or self.open_old != self.open_new
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "fired_old": self.fired_old, "fired_new": self.fired_new,
-            "duration_old": self.duration_old,
-            "duration_new": self.duration_new,
-            "open_old": self.open_old, "open_new": self.open_new,
-        }
-
 
 @dataclass
-class ArtifactDiff:
+class ArtifactDiff(Result):
     """The full diff of one aligned artifact pair."""
 
     base_old: str
@@ -289,6 +217,10 @@ class ArtifactDiff:
     counters: List[CounterDelta]
     audit: AuditDiff
     alerts: List[AlertDelta]
+
+    _derived = (
+        "total_delta", "attributed_delta", "identical", "max_abs_by_level",
+    )
 
     @property
     def total_delta(self) -> float:
@@ -317,13 +249,18 @@ class ArtifactDiff:
             )
             and not self.counters
             and not self.audit.differs
-            and not any(a.differs for a in self.alerts)
+            and not self.alerts
         )
 
     def ranked(self, top: Optional[int] = None, coverage: float = 0.90):
         """Contributors by |delta| descending, cut at the first prefix
         covering ``coverage`` of the total absolute mass (or ``top``
         entries when given). Returns ``(shown, covered_fraction)``."""
+        shown, covered, _moved = self._ranked(top, coverage)
+        return shown, covered
+
+    def _ranked(self, top: Optional[int], coverage: float = 0.90):
+        """:meth:`ranked` plus how many contributors moved at all."""
         nonzero = [c for c in self.contributors if c.delta != 0.0]
         nonzero.sort(key=lambda c: (-abs(c.delta), c.path_label(), c.kind))
         mass = sum(abs(c.delta) for c in nonzero)
@@ -339,27 +276,10 @@ class ArtifactDiff:
         covered = (
             sum(abs(c.delta) for c in shown) / mass if mass else 1.0
         )
-        return shown, covered
+        return shown, covered, len(nonzero)
 
     def structure_changes(self) -> List[Contributor]:
         return [c for c in self.contributors if c.kind in _STRUCTURAL_KINDS]
-
-    def to_dict(self) -> dict:
-        return {
-            "base_old": self.base_old,
-            "base_new": self.base_new,
-            "total_old": self.total_old,
-            "total_new": self.total_new,
-            "total_delta": self.total_delta,
-            "attributed_delta": self.attributed_delta,
-            "identical": self.identical,
-            "max_abs_by_level": self.max_abs_by_level(),
-            "contributors": [c.to_dict() for c in self.contributors],
-            "phase_work": [p.to_dict() for p in self.phase_work],
-            "counters": [c.to_dict() for c in self.counters],
-            "audit": self.audit.to_dict(),
-            "alerts": [a.to_dict() for a in self.alerts],
-        }
 
 
 _STRUCTURAL_KINDS = frozenset(
@@ -368,13 +288,15 @@ _STRUCTURAL_KINDS = frozenset(
 
 
 @dataclass
-class TraceDiff:
+class TraceDiff(Result):
     """A diff over two artifact sets (directories or single exports)."""
 
     artifacts: List[ArtifactDiff]
     #: Bases present on only one side: (base, total job seconds).
     added_bases: List[Tuple[str, float]] = field(default_factory=list)
     removed_bases: List[Tuple[str, float]] = field(default_factory=list)
+
+    _derived = ("identical", "total_delta")
 
     @property
     def total_delta(self) -> float:
@@ -391,15 +313,6 @@ class TraceDiff:
             and not self.removed_bases
             and all(a.identical for a in self.artifacts)
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "identical": self.identical,
-            "total_delta": self.total_delta,
-            "added_bases": [list(b) for b in self.added_bases],
-            "removed_bases": [list(b) for b in self.removed_bases],
-            "artifacts": [a.to_dict() for a in self.artifacts],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -433,22 +346,22 @@ def _binding_task(wave: SpanNode) -> Optional[SpanNode]:
 
 def _window_pieces(
     phase: SpanNode, wave: SpanNode, win_start: float, win_end: float
-) -> Tuple[Dict[Tuple, Tuple[float, SpanNode, bool]], float, set]:
+) -> Tuple[Dict[Tuple, Tuple[float, SpanNode, bool]], set]:
     """Tile ``[win_start, win_end]`` along the binding slot's chain.
 
-    Returns ``(pieces, idle_seconds, used_node_ids)`` where pieces maps
-    ``(task short id, span name)`` to ``(overlap seconds, task node,
-    fully-covered)``. Seconds over the same key aggregate (crash
-    attempts re-using a slot), with ``fully-covered`` true only when
-    the key's single task lies entirely inside the window;
-    ``used_node_ids`` holds ``id()`` of every task node that tiled any
-    window time (so off-frontier reporting can skip exactly those).
+    Returns ``(pieces, used_node_ids)`` where pieces maps ``(task short
+    id, span name)`` to ``(overlap seconds, task node, fully-covered)``.
+    Seconds over the same key aggregate (crash attempts re-using a
+    slot), with ``fully-covered`` true only when the key's single task
+    lies entirely inside the window; ``used_node_ids`` holds ``id()`` of
+    every task node that tiled any window time (so off-frontier
+    reporting can skip exactly those).
     """
     if win_end - win_start <= _EPS:
-        return {}, 0.0, set()
+        return {}, set()
     binding = _binding_task(wave)
     if binding is None:
-        return {}, win_end - win_start, set()
+        return {}, set()
     track = binding.track
     chain = sorted(
         (
@@ -463,7 +376,6 @@ def _window_pieces(
     )
     pieces: Dict[Tuple, Tuple[float, SpanNode, bool]] = {}
     used: set = set()
-    covered = 0.0
     for t in chain:
         overlap = min(t.end, win_end) - max(t.start, win_start)
         if overlap <= 0.0:
@@ -480,22 +392,41 @@ def _window_pieces(
         else:
             pieces[key] = (overlap, t, full)
         used.add(id(t))
-        covered += overlap
-    return pieces, (win_end - win_start) - covered, used
-
-
-def _op_seconds(task: SpanNode) -> Dict[str, float]:
-    """Exact top-level op seconds of one task node."""
-    return {
-        name: seconds
-        for name, (_count, seconds) in op_totals(task).items()
-        if name in OP_BUCKETS
-    }
+    return pieces, used
 
 
 def _task_display(key: Tuple) -> str:
     short_id, span_name = key
     return short_id if span_name == "task" else f"{short_id} [{span_name}]"
+
+
+def _one_sided(
+    level: str, status: str, seconds: float, where: dict, track: str = "",
+    **extra,
+) -> Contributor:
+    """A span only one run has (``status``: ``added`` / ``removed``),
+    counted at its measure with that sign."""
+    removed = status == "removed"
+    return Contributor(
+        level=level, kind=status, delta=-seconds if removed else seconds,
+        old_seconds=seconds if removed else None,
+        new_seconds=None if removed else seconds,
+        old_track=track if removed else "",
+        new_track="" if removed else track,
+        **extra, **where,
+    )
+
+
+def _residual(
+    level: str, kind: str, note: str, old: float, new: float,
+    emitted: float, where: dict,
+) -> Contributor:
+    """Close one level: whatever of the parent's own delta its children
+    did not emit. Computed as a remainder, so the level sums exactly."""
+    return Contributor(
+        level=level, kind=kind, delta=(new - old) - emitted,
+        old_seconds=old, new_seconds=new, note=note, **where,
+    )
 
 
 def _wave_contributors(
@@ -509,85 +440,65 @@ def _wave_contributors(
     """Contributors of one matched wave, summing exactly to the delta
     of its frontier increment."""
     out: List[Contributor] = []
-    old_pieces, _old_idle, old_used = _window_pieces(
+    old_pieces, old_used = _window_pieces(
         old_phase, pair.old, old_inc[1], old_inc[2]
     )
-    new_pieces, _new_idle, new_used = _window_pieces(
+    new_pieces, new_used = _window_pieces(
         new_phase, pair.new, new_inc[1], new_inc[2]
     )
     emitted = 0.0
     for key in sorted(set(old_pieces) | set(new_pieces)):
         old_entry = old_pieces.get(key)
         new_entry = new_pieces.get(key)
-        task_label = _task_display(key)
-        if old_entry is not None and new_entry is not None:
-            old_sec, old_node, old_full = old_entry
-            new_sec, new_node, new_full = new_entry
-            delta = new_sec - old_sec
-            tracks = {
-                "old_track": old_node.track, "new_track": new_node.track,
-            }
-            if old_full and new_full and key[1] == "task":
-                # Fully-bound matched task: split the duration delta
-                # into per-op seconds plus the compute remainder.
-                old_ops = _op_seconds(old_node)
-                new_ops = _op_seconds(new_node)
-                op_sum = 0.0
-                for op in sorted(set(old_ops) | set(new_ops)):
-                    o = old_ops.get(op, 0.0)
-                    n = new_ops.get(op, 0.0)
-                    op_delta = n - o
-                    op_sum += op_delta
-                    out.append(
-                        Contributor(
-                            level="op", kind="op", delta=op_delta,
-                            old_seconds=o, new_seconds=n,
-                            task=task_label, op=op, **tracks, **where,
-                        )
-                    )
-                out.append(
-                    Contributor(
-                        level="task", kind="compute", delta=delta - op_sum,
-                        old_seconds=old_sec, new_seconds=new_sec,
-                        task=task_label, op="(compute)", **tracks, **where,
-                    )
-                )
-            else:
-                out.append(
-                    Contributor(
-                        level="task", kind="window", delta=delta,
-                        old_seconds=old_sec, new_seconds=new_sec,
-                        task=task_label,
-                        note="window-clipped", **tracks, **where,
-                    )
-                )
-            emitted += delta
-        elif old_entry is not None:
-            old_sec = old_entry[0]
+        where_task = dict(where, task=_task_display(key))
+        if old_entry is None or new_entry is None:
+            seconds, node, _full = old_entry or new_entry
+            backup = new_entry and node.args.get("speculative")
             out.append(
-                Contributor(
-                    level="task", kind="removed", delta=-old_sec,
-                    old_seconds=old_sec, new_seconds=None,
-                    task=task_label, old_track=old_entry[1].track, **where,
+                _one_sided(
+                    "task", "added" if new_entry else "removed", seconds,
+                    where_task, track=node.track,
+                    note="speculative backup" if backup else "",
                 )
             )
-            emitted += -old_sec
+            emitted += out[-1].delta
+            continue
+        old_sec, old_node, old_full = old_entry
+        new_sec, new_node, new_full = new_entry
+        where_task.update(old_track=old_node.track, new_track=new_node.track)
+        if old_full and new_full and key[1] == "task":
+            # Fully-bound matched task: split the duration delta into
+            # per-op seconds (top-level ops only) plus the compute
+            # remainder.
+            old_ops, new_ops = op_totals(old_node), op_totals(new_node)
+            op_sum = 0.0
+            for op in sorted((set(old_ops) | set(new_ops)) & OP_BUCKETS.keys()):
+                o = old_ops.get(op, _NO_OP)[1]
+                n = new_ops.get(op, _NO_OP)[1]
+                op_sum += n - o
+                out.append(
+                    Contributor(
+                        level="op", kind="op", delta=n - o,
+                        old_seconds=o, new_seconds=n, op=op, **where_task,
+                    )
+                )
+            out.append(
+                _residual(
+                    "task", "compute", "", old_sec, new_sec, op_sum,
+                    dict(where_task, op="(compute)"),
+                )
+            )
         else:
-            new_sec = new_entry[0]
-            note = (
-                "speculative backup"
-                if new_entry[1].args.get("speculative")
-                else ""
-            )
             out.append(
                 Contributor(
-                    level="task", kind="added", delta=new_sec,
-                    old_seconds=None, new_seconds=new_sec,
-                    task=task_label, note=note,
-                    new_track=new_entry[1].track, **where,
+                    level="task", kind="window", delta=new_sec - old_sec,
+                    old_seconds=old_sec, new_seconds=new_sec,
+                    note="window-clipped", **where_task,
                 )
             )
-            emitted += new_sec
+        # The window delta, not the sum of its op pieces: that sum
+        # rounds differently and would move the wave residual's last bits.
+        emitted += new_sec - old_sec
 
     # Off-frontier structural changes: one-sided tasks that never tiled
     # a binding window ran in parallel slack -- explicit, zero-weight.
@@ -595,149 +506,85 @@ def _wave_contributors(
     # its primary's (id, name) key but is a different span.
     tiled_nodes = old_used | new_used
     for child in pair.children:
-        if child.status == "matched":
-            continue
-        key = (child.ident[0], child.ident[1])
         node = child.old or child.new
-        if id(node) in tiled_nodes:
+        if child.status == "matched" or id(node) in tiled_nodes:
             continue
-        kind = f"{child.status}-offpath"
-        out.append(
-            Contributor(
-                level="task", kind=kind, delta=0.0,
-                old_seconds=node.duration if child.old else None,
-                new_seconds=node.duration if child.new else None,
-                task=_task_display(key),
-                old_track=node.track if child.old else "",
-                new_track=node.track if child.new else "",
-                note="off-frontier (no time impact)"
-                + (
-                    "; speculative backup"
-                    if node.args.get("speculative")
-                    else ""
-                ),
-                **where,
-            )
+        offpath = _one_sided(
+            "task", child.status, node.duration, where, track=node.track,
+            task=_task_display(child.ident[:2]),
+            note="off-frontier (no time impact)"
+            + ("; speculative backup" if node.args.get("speculative") else ""),
         )
+        offpath.kind += "-offpath"
+        offpath.delta = 0.0
+        out.append(offpath)
 
-    inc_delta = new_inc[0] - old_inc[0]
     out.append(
-        Contributor(
-            level="wave", kind="schedule", delta=inc_delta - emitted,
-            old_seconds=old_inc[0], new_seconds=new_inc[0],
-            note="scheduling slack / binding-chain idle", **where,
+        _residual(
+            "wave", "schedule", "scheduling slack / binding-chain idle",
+            old_inc[0], new_inc[0], emitted, where,
         )
     )
     return out
 
 
-def _phase_contributors(
-    pair: AlignedNode, where: dict
-) -> List[Contributor]:
-    out: List[Contributor] = []
-    old_fronts = _frontiers(pair.old)
-    new_fronts = _frontiers(pair.new)
-    emitted = 0.0
-    for wave in pair.children:
-        wave_where = dict(where, wave=wave.ident[0])
-        if wave.status == "matched":
-            contribs = _wave_contributors(
-                wave,
-                pair.old,
-                pair.new,
-                old_fronts[wave.ident],
-                new_fronts[wave.ident],
-                wave_where,
-            )
-            out.extend(contribs)
-            emitted += sum(c.delta for c in contribs)
-        else:
-            inc = (old_fronts if wave.status == "removed" else new_fronts)[
-                wave.ident
-            ][0]
-            sign = -1.0 if wave.status == "removed" else 1.0
-            out.append(
-                Contributor(
-                    level="wave", kind=wave.status, delta=sign * inc,
-                    old_seconds=inc if wave.status == "removed" else None,
-                    new_seconds=inc if wave.status == "added" else None,
-                    **wave_where,
-                )
-            )
-            emitted += sign * inc
-    phase_delta = pair.new.duration - pair.old.duration
-    out.append(
-        Contributor(
-            level="phase", kind="tail", delta=phase_delta - emitted,
-            old_seconds=pair.old.duration, new_seconds=pair.new.duration,
-            note="phase tail past the last frontier", **where,
-        )
-    )
-    return out
+#: Parent level -> (its children's ``where`` key, residual kind, note).
+#: Stages and phases are driver-sequential and tile their parent by
+#: duration; a wave's measure is its frontier increment.
+_LEVELS = {
+    "job": ("stage", "gap", "driver gap between stages"),
+    "stage": ("phase", "gap", "startup / inter-phase gap"),
+    "phase": ("wave", "tail", "phase tail past the last frontier"),
+}
 
 
-def _sequential_level(
-    pair: AlignedNode,
-    where: dict,
-    child_where_key: str,
-    recurse,
-    residual_kind: str,
-    residual_note: str,
-) -> List[Contributor]:
-    """Shared stage/job logic: children tile the parent sequentially,
-    the remainder is an explicit gap residual."""
+def _contributors(pair: AlignedNode, where: dict) -> List[Contributor]:
+    """Contributors of one matched job, stage or phase, summing exactly
+    to its duration delta: every child's (one-sided children at their
+    whole measure), then the remainder as this level's residual."""
+    child_key, residual_kind, residual_note = _LEVELS[pair.level]
+    by_wave = pair.level == "phase"
+    if by_wave:
+        old_fronts, new_fronts = _frontiers(pair.old), _frontiers(pair.new)
     out: List[Contributor] = []
     emitted = 0.0
     for child in pair.children:
-        node = child.old or child.new
-        label = child.label if child_where_key != "stage" else (
-            child.label or "(main)"
-        )
-        child_where = dict(where, **{child_where_key: label})
-        if child.status == "matched":
-            contribs = recurse(child, child_where)
-            out.extend(contribs)
-            emitted += sum(c.delta for c in contribs)
+        if by_wave:
+            label = child.ident[0]
         else:
-            sign = -1.0 if child.status == "removed" else 1.0
-            out.append(
-                Contributor(
-                    level=child.level, kind=child.status,
-                    delta=sign * node.duration,
-                    old_seconds=node.duration if child.old else None,
-                    new_seconds=node.duration if child.new else None,
-                    note=(
-                        "dynamic replan stage re-run"
-                        if child.level == "stage" and child.ident[1] > 0
-                        else ""
-                    ),
-                    **child_where,
+            label = child.label or ("(main)" if child_key == "stage" else "")
+        child_where = dict(where, **{child_key: label})
+        if child.status != "matched":
+            if by_wave:
+                fronts = old_fronts if child.old else new_fronts
+                seconds = fronts[child.ident][0]
+            else:
+                seconds = (child.old or child.new).duration
+            replan = child.level == "stage" and child.ident[1] > 0
+            contribs = [
+                _one_sided(
+                    child.level, child.status, seconds, child_where,
+                    note="dynamic replan stage re-run" if replan else "",
                 )
+            ]
+        elif by_wave:
+            contribs = _wave_contributors(
+                child, pair.old, pair.new,
+                old_fronts[child.ident], new_fronts[child.ident], child_where,
             )
-            emitted += sign * node.duration
-    delta = pair.new.duration - pair.old.duration
+        else:
+            contribs = _contributors(child, child_where)
+        out.extend(contribs)
+        # Child by child, each child's own sum: a flat sum over all
+        # descendants would associate differently and move last bits.
+        emitted += sum(c.delta for c in contribs)
     out.append(
-        Contributor(
-            level=pair.level, kind=residual_kind, delta=delta - emitted,
-            old_seconds=pair.old.duration, new_seconds=pair.new.duration,
-            note=residual_note, **where,
+        _residual(
+            pair.level, residual_kind, residual_note,
+            pair.old.duration, pair.new.duration, emitted, where,
         )
     )
     return out
-
-
-def _stage_contributors(pair: AlignedNode, where: dict) -> List[Contributor]:
-    return _sequential_level(
-        pair, where, "phase", _phase_contributors,
-        "gap", "startup / inter-phase gap",
-    )
-
-
-def _job_contributors(pair: AlignedNode, where: dict) -> List[Contributor]:
-    return _sequential_level(
-        pair, where, "stage", _stage_contributors,
-        "gap", "driver gap between stages",
-    )
 
 
 def span_contributors(aligned_jobs: List[AlignedNode]) -> List[Contributor]:
@@ -747,18 +594,10 @@ def span_contributors(aligned_jobs: List[AlignedNode]) -> List[Contributor]:
     for job in aligned_jobs:
         where = {"job": job.label}
         if job.status == "matched":
-            out.extend(_job_contributors(job, where))
+            out.extend(_contributors(job, where))
         else:
             node = job.old or job.new
-            sign = -1.0 if job.status == "removed" else 1.0
-            out.append(
-                Contributor(
-                    level="job", kind=job.status, delta=sign * node.duration,
-                    old_seconds=node.duration if job.old else None,
-                    new_seconds=node.duration if job.new else None,
-                    **where,
-                )
-            )
+            out.append(_one_sided("job", job.status, node.duration, where))
     return out
 
 
@@ -773,9 +612,10 @@ def _phase_work_sides(node: SpanNode) -> Tuple[int, Dict[str, float]]:
             if task.name != "task":
                 continue
             tasks += 1
+            # Unlike the critical path: ``build`` stays its own bucket,
+            # and compute is the unclamped remainder of ``duration``.
             attributed = 0.0
-            for op, seconds in _op_seconds(task).items():
-                bucket = OP_BUCKETS[op]
+            for bucket, seconds in task_buckets(task):
                 buckets[bucket] = buckets.get(bucket, 0.0) + seconds
                 attributed += seconds
             buckets["compute"] = (
@@ -1035,9 +875,8 @@ def alert_deltas(
     for rule in sorted(set(old_stats) | set(new_stats)):
         fo, do, oo = old_stats.get(rule, (0, 0.0, 0))
         fn, dn, on = new_stats.get(rule, (0, 0.0, 0))
-        delta = AlertDelta(rule, fo, fn, do, dn, oo, on)
-        if delta.differs:
-            out.append(delta)
+        if (fo, do, oo) != (fn, dn, on):
+            out.append(AlertDelta(rule, fo, fn, do, dn, oo, on))
     return out
 
 
@@ -1100,7 +939,7 @@ def _pair_artifact_sets(
 
 
 def _job_seconds(artifact: TraceArtifacts) -> float:
-    return sum(job.dur for job in build_forest(artifact.spans))
+    return sum(job.dur for job in job_nodes(artifact))
 
 
 def diff_sets(
@@ -1144,11 +983,10 @@ def render_artifact(
     if diff.identical:
         lines.append("  identical: zero delta at every level")
         return lines
-    shown, covered = diff.ranked(top=top)
+    shown, covered, moved = diff._ranked(top)
     if shown:
         lines.append(
-            f"top contributors ({len(shown)} of "
-            f"{len([c for c in diff.contributors if c.delta != 0.0])}, "
+            f"top contributors ({len(shown)} of {moved}, "
             f"covering {covered:.1%} of the attributed mass):"
         )
         for c in shown:
@@ -1231,10 +1069,9 @@ def render_artifact(
             lines.append(
                 f"  {side} evaluation: {job} {phase}@t={t:.3f}s ({verdict})"
             )
-    changed_alerts = [a for a in diff.alerts if a.differs]
-    if changed_alerts:
+    if diff.alerts:
         lines.append("alert timeline diff:")
-        for a in changed_alerts:
+        for a in diff.alerts:
             lines.append(
                 f"  {a.rule}: fired {a.fired_old} -> {a.fired_new}, "
                 f"duration {a.duration_old:.3f}s -> {a.duration_new:.3f}s"

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.costmodel import CostEnv, Placement, Strategy, strategy_cost
 from repro.core.statistics import IndexStats, OperatorStats
-from repro.obs.analysis.loader import TraceArtifacts, build_forest
+from repro.obs.analysis.loader import Result, TraceArtifacts, job_nodes
 from repro.obs.trace import DEPTH_DETAIL, DEPTH_OP
 
 #: Terms whose sampled value can be joined against a trace measurement.
@@ -47,13 +47,15 @@ _FORCED_MODES = ("base", "cache", "repart", "idxloc")
 
 
 @dataclass
-class TermDrift:
+class TermDrift(Result):
     operator: str
     index: str
     term: str
     sampled: float
     measured: Optional[float]
     basis: str  # where the measured value came from
+
+    _derived = ("abs_error", "rel_error")
 
     @property
     def abs_error(self) -> Optional[float]:
@@ -68,17 +70,9 @@ class TermDrift:
         scale = max(abs(self.sampled), abs(self.measured))
         return abs(self.sampled - self.measured) / scale if scale else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator, "index": self.index, "term": self.term,
-            "sampled": self.sampled, "measured": self.measured,
-            "abs_error": self.abs_error, "rel_error": self.rel_error,
-            "basis": self.basis,
-        }
-
 
 @dataclass
-class RecomputedCost:
+class RecomputedCost(Result):
     seq: int
     operator: str
     index: str
@@ -86,20 +80,15 @@ class RecomputedCost:
     recorded: float
     recomputed: float
 
+    _derived = ("abs_error",)
+
     @property
     def abs_error(self) -> float:
         return abs(self.recorded - self.recomputed)
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq, "operator": self.operator, "index": self.index,
-            "strategy": self.strategy, "recorded": self.recorded,
-            "recomputed": self.recomputed, "abs_error": self.abs_error,
-        }
-
 
 @dataclass
-class JobDrift:
+class JobDrift(Result):
     """Drift findings for one job's audit trail within one trace."""
 
     job: str
@@ -110,6 +99,8 @@ class JobDrift:
     #: term -> (first sample, last sample) over the audit trail.
     evolution: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
+    _derived = ("recompute_max_abs_error",)
+
     @property
     def recompute_max_abs_error(self) -> Optional[float]:
         if not self.recomputed:
@@ -117,22 +108,15 @@ class JobDrift:
         return max(r.abs_error for r in self.recomputed)
 
     def to_dict(self) -> dict:
-        return {
-            "job": self.job,
-            "evaluations": self.evaluations,
-            "recompute_max_abs_error": self.recompute_max_abs_error,
-            "recomputed": [r.to_dict() for r in self.recomputed],
-            "skipped": list(self.skipped),
-            "terms": [t.to_dict() for t in self.terms],
-            "evolution": {
-                k: {"first": a, "last": b}
-                for k, (a, b) in sorted(self.evolution.items())
-            },
+        out = super().to_dict()
+        out["evolution"] = {
+            k: {"first": a, "last": b} for k, (a, b) in self.evolution.items()
         }
+        return out
 
 
 @dataclass
-class ExecutedEquivalence:
+class ExecutedEquivalence(Result):
     """One figure row's measured strategy comparison."""
 
     row: str
@@ -141,14 +125,6 @@ class ExecutedEquivalence:
     cheapest_mode: str
     flagged: bool
     excess: float  # chosen time / cheapest time - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "row": self.row, "times": dict(sorted(self.times.items())),
-            "chosen_mode": self.chosen_mode,
-            "cheapest_mode": self.cheapest_mode,
-            "flagged": self.flagged, "excess": self.excess,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +371,7 @@ def _job_time(artifact: TraceArtifacts) -> Optional[float]:
     """Simulated duration of the artifact's primary job: the job node
     whose name matches the export base (the Optimized trace also
     contains the profiling job), else the last-ending one."""
-    jobs = build_forest(artifact.spans)
+    jobs = job_nodes(artifact)
     if not jobs:
         return None
     for job in jobs:

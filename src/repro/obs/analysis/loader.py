@@ -11,14 +11,17 @@ One traced run exports a set of siblings next to each other (see
 The loader finds and parses those sets, raising
 :class:`TraceArtifactError` -- with the file and the reason -- instead
 of a traceback when a directory is empty, an export was interrupted
-mid-write, or a file is not the format its name claims. Every analysis
-tool and the ``python -m repro.obs`` CLI go through it.
+mid-write, a file is not the format its name claims, or a row lacks a
+field the analyses read (named, with its event index or line). Every
+analysis tool and the ``python -m repro.obs`` CLI go through it.
 
 It also builds the one span tree every analysis walks:
 :func:`build_forest` turns a run's flat span list into identified
 job -> stage -> phase -> wave -> task :class:`SpanNode`\\ s. Nothing else
 under :mod:`repro.obs` decides which stage attempt, phase or wave a
-task span belongs to.
+task span belongs to. Two more things every analysis shares live beside
+it: :func:`task_buckets`, the one reader of a task's op seconds per
+:data:`OP_BUCKETS` bucket, and :class:`Result`, the one ``to_dict()``.
 
 ========  =====================================================
 level      identity within its parent
@@ -50,7 +53,7 @@ from __future__ import annotations
 import glob
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.trace import (
@@ -118,10 +121,18 @@ def load_json_file(path: str, kind: str) -> Any:
         ) from exc
 
 
+#: Per JSONL kind, the row fields the analyses do arithmetic on: present,
+#: they must hold a number (a ``null`` there is a malformed row).
+_NUMERIC_FIELDS = {"audit": ("sim_time",), "alerts": ("fired_at",)}
+
+
 def load_jsonl_file(path: str, kind: str) -> List[dict]:
-    """Parse one JSONL artifact; a truncated final line is an error."""
+    """Parse one JSONL artifact; a truncated final line, a row that is
+    not an object, or a non-number in one of the kind's
+    ``_NUMERIC_FIELDS`` is an error."""
     if not os.path.exists(path):
         raise TraceArtifactError(f"{path}: {kind} file does not exist")
+    numeric = _NUMERIC_FIELDS.get(kind, ())
     rows: List[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -129,12 +140,24 @@ def load_jsonl_file(path: str, kind: str) -> List[dict]:
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceArtifactError(
                     f"{path}:{lineno}: {kind} line is not valid JSON "
                     f"(truncated export?): {exc}"
                 ) from exc
+            if not isinstance(row, dict):
+                raise TraceArtifactError(
+                    f"{path}:{lineno}: {kind} row is "
+                    f"{type(row).__name__}, not an object"
+                )
+            for key in numeric:
+                if not isinstance(row.get(key, 0.0), (int, float)):
+                    raise TraceArtifactError(
+                        f"{path}:{lineno}: {kind} row has {key!r} = "
+                        f"{row[key]!r}, not a number"
+                    )
+            rows.append(row)
     return rows
 
 
@@ -143,7 +166,9 @@ def extract_spans(payload: dict) -> Tuple[List[dict], List[dict]]:
     resolved from the thread_name metadata.
 
     Returns ``(spans, instants)``. Raises :class:`TraceArtifactError`
-    when the payload is not a Chrome trace.
+    when the payload is not a Chrome trace, or one of its events lacks
+    a field the analyses read -- here, in the loops that visit every
+    event anyway, so nothing downstream meets a malformed row.
     """
     events = payload.get("traceEvents")
     if not isinstance(events, list):
@@ -152,29 +177,57 @@ def extract_spans(payload: dict) -> Tuple[List[dict], List[dict]]:
         )
     us = 1_000_000.0
     thread_names: Dict[Tuple[int, int], str] = {}
-    for ev in events:
-        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-            thread_names[(ev["pid"], ev["tid"])] = ev["args"]["name"]
     spans: List[dict] = []
     instants: List[dict] = []
-    for ev in events:
-        ph = ev.get("ph")
-        if ph not in ("X", "i"):
-            continue
-        row = {
-            "name": ev["name"],
-            "cat": ev.get("cat", ""),
-            "track": thread_names.get((ev["pid"], ev["tid"]), "?"),
-            "start": ev["ts"] / us,
-            "depth": ev.get("args", {}).get("depth", 0),
-            "args": ev.get("args", {}),
-        }
-        if ph == "X":
-            row["dur"] = ev["dur"] / us
-            spans.append(row)
-        else:
-            instants.append(row)
+    ev: Any = None
+    try:
+        for ev in events:
+            if ev.get("ph") == "M" and ev.get("name") == "thread_name":
+                thread_names[(ev["pid"], ev["tid"])] = ev["args"]["name"]
+        for ev in events:
+            ph = ev.get("ph")
+            if ph not in ("X", "i"):
+                continue
+            args = ev.get("args", {})
+            row = {
+                "name": ev["name"],
+                "cat": ev.get("cat", ""),
+                "track": thread_names.get((ev["pid"], ev["tid"]), "?"),
+                "start": ev["ts"] / us,
+                "depth": args.get("depth", 0),
+                "args": args,
+            }
+            if ph == "X":
+                row["dur"] = ev["dur"] / us
+                if row["depth"] == DEPTH_TASK:
+                    # What :func:`op_totals` will read off this span.
+                    for entry in args.get("op_totals", {}).values():
+                        float(entry[0]), float(entry[1])
+                spans.append(row)
+            else:
+                instants.append(row)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise TraceArtifactError(_event_problem(events, ev, exc)) from exc
     return spans, instants
+
+
+def _event_problem(events: list, ev: Any, exc: Exception) -> str:
+    """One line naming the event :func:`extract_spans` could not read
+    and the field at fault. Error path only: finding the event's index
+    here keeps the counting out of the loops a well-formed trace runs."""
+    index = next(i for i, other in enumerate(events) if other is ev)
+    if not isinstance(ev, dict):
+        return f"traceEvents[{index}] is {type(ev).__name__}, not an object"
+    what = f"traceEvents[{index}] ({ev.get('ph')!r} event {ev.get('name')!r})"
+    if isinstance(exc, KeyError):
+        return f"{what} has no {exc.args[0]!r}"
+    for key in ("ts", "dur"):
+        if key in ev and not isinstance(ev[key], (int, float)):
+            return f"{what} has {key!r} = {ev[key]!r}, not a number"
+    return (
+        f"{what} has malformed 'args' ({type(exc).__name__}: {exc}); "
+        f"op_totals entries are [count, seconds]"
+    )
 
 
 def extract_alerts(payload: dict) -> List[dict]:
@@ -312,6 +365,36 @@ OP_BUCKETS = {
 _INPUT_OPS = ("dfs.read", "shuffle.fetch")
 
 
+class Result:
+    """Base of every analysis result dataclass; the one serialiser.
+
+    ``to_dict()`` is the dataclass's fields, then the properties /
+    methods the class names in ``_derived``. Results nest as dicts,
+    tuples become lists and dict keys strings, so the document goes
+    straight to ``json.dumps``. A class whose JSON reshapes one field
+    overrides ``to_dict`` to patch that key, nothing more.
+    """
+
+    _derived: Tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        for name in self._derived:
+            value = getattr(self, name)
+            out[name] = _plain(value() if callable(value) else value)
+        return out
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, Result):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return value
+
+
 @dataclass
 class SpanNode:
     """One identified span in one run's hierarchy."""
@@ -345,6 +428,19 @@ def op_totals(task: SpanNode) -> Dict[str, Tuple[float, float]]:
         name: (float(entry[0]), float(entry[1]))
         for name, entry in task.args.get("op_totals", {}).items()
     }
+
+
+def task_buckets(task: SpanNode) -> List[Tuple[str, float]]:
+    """``(bucket, seconds)`` per top-level op of one task node, in
+    ``op_totals`` order; what they leave of the task's time is its
+    ``compute`` remainder. Pairs rather than per-bucket sums: callers
+    add them op by op into their own totals (a task's attributed
+    seconds, a phase's work), which keeps every float sum's order."""
+    return [
+        (OP_BUCKETS[name], seconds)
+        for name, (_count, seconds) in op_totals(task).items()
+        if name in OP_BUCKETS
+    ]
 
 
 def task_stage(task_id: str) -> str:
@@ -434,16 +530,24 @@ def build_forest(spans: List[dict]) -> List[SpanNode]:
     result does not depend on the order of ``spans``.
     """
     buckets = _Buckets(spans)
-    jobs = sorted(
-        buckets.by_depth.get(DEPTH_JOB, ()),
-        key=lambda s: (s["start"], _job_of(s)),
-    )
-    job_nodes = _with_occurrence(
+    jobs = _job_nodes(buckets.by_depth.get(DEPTH_JOB, ()))
+    for job_node in jobs:
+        job_node.children = _build_stages(job_node, buckets)
+    return jobs
+
+
+def job_nodes(artifact: TraceArtifacts) -> List[SpanNode]:
+    """One run's job nodes alone, as :func:`build_forest` orders and
+    identifies them but without their subtrees -- all a caller that
+    only reads job durations needs."""
+    return _job_nodes([s for s in artifact.spans if s["depth"] == DEPTH_JOB])
+
+
+def _job_nodes(job_spans) -> List[SpanNode]:
+    jobs = sorted(job_spans, key=lambda s: (s["start"], _job_of(s)))
+    return _with_occurrence(
         "job", [((_job_of(s),), s, _job_of(s)) for s in jobs]
     )
-    for job_node in job_nodes:
-        job_node.children = _build_stages(job_node, buckets)
-    return job_nodes
 
 
 def _build_stages(job: SpanNode, buckets: _Buckets) -> List[SpanNode]:

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs.analysis.loader import TraceArtifactError
+from repro.obs.analysis.loader import Result, TraceArtifactError
 
 #: Default gate: 5% relative or 1ms absolute slack, whichever is larger.
 DEFAULT_REL_TOL = 0.05
@@ -60,7 +60,7 @@ class Tolerances:
 
 
 @dataclass
-class Delta:
+class Delta(Result):
     """One compared quantity (a mode's time, or one counter)."""
 
     experiment: str
@@ -71,23 +71,24 @@ class Delta:
     new: Optional[float]
     status: str  # ok | regression | improvement | counter-drift | missing | added
 
+    _derived = ("change",)
+
     @property
     def change(self) -> Optional[float]:
         if self.old in (None, 0.0) or self.new is None:
             return None
         return self.new / self.old - 1.0
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "row": self.row, "mode": self.mode,
-            "quantity": self.quantity, "old": self.old, "new": self.new,
-            "change": self.change, "status": self.status,
-        }
-
 
 @dataclass
-class RegressionReport:
+class RegressionReport(Result):
     deltas: List[Delta]
+
+    _derived = ("ok", "compared", "failures", "improvements")
+
+    @property
+    def compared(self) -> int:
+        return len(self.deltas)
 
     @property
     def failures(self) -> List[Delta]:
@@ -100,15 +101,6 @@ class RegressionReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "compared": len(self.deltas),
-            "failures": [d.to_dict() for d in self.failures],
-            "improvements": [d.to_dict() for d in self.improvements],
-            "deltas": [d.to_dict() for d in self.deltas],
-        }
 
 
 def load_baseline(path: str) -> dict:

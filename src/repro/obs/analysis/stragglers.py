@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.analysis.loader import SpanNode, build_forest, op_totals
+from repro.obs.analysis.critical_path import task_attribution
+from repro.obs.analysis.loader import Result, SpanNode, build_forest, op_totals
 from repro.obs.metrics import median
 
 #: A task is flagged when its duration exceeds threshold x wave median.
@@ -76,7 +77,7 @@ def _percentile(values: List[float], q: float) -> float:
 
 
 @dataclass
-class WaveProfile:
+class WaveProfile(Result):
     wave: int
     tasks: int
     mean: float
@@ -85,16 +86,9 @@ class WaveProfile:
     max: float
     cv: float
 
-    def to_dict(self) -> dict:
-        return {
-            "wave": self.wave, "tasks": self.tasks, "mean": self.mean,
-            "median": self.median, "p95": self.p95, "max": self.max,
-            "cv": self.cv,
-        }
-
 
 @dataclass
-class Straggler:
+class Straggler(Result):
     task: str
     track: str
     wave: int
@@ -109,20 +103,16 @@ class Straggler:
     alerts: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task, "track": self.track, "wave": self.wave,
-            "duration": self.duration, "wave_median": self.wave_median,
-            "slowdown": self.slowdown, "cause": self.cause,
-            "evidence": {
-                k: {"task": a, "wave_median": b}
-                for k, (a, b) in sorted(self.evidence.items())
-            },
-            "alerts": list(self.alerts),
+        out = super().to_dict()
+        out["evidence"] = {
+            k: {"task": a, "wave_median": b}
+            for k, (a, b) in self.evidence.items()
         }
+        return out
 
 
 @dataclass
-class PhaseProfile:
+class PhaseProfile(Result):
     stage: str
     kind: str  # "map" | "reduce"
     #: The stage node's occurrence rank: 0 for a stage's only run, 1 for
@@ -133,18 +123,6 @@ class PhaseProfile:
     input_gini: float
     input_cv: float
     stragglers: List[Straggler]
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "kind": self.kind,
-            "attempt": self.attempt,
-            "tasks": self.tasks,
-            "waves": [w.to_dict() for w in self.waves],
-            "input_gini": self.input_gini,
-            "input_cv": self.input_cv,
-            "stragglers": [s.to_dict() for s in self.stragglers],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -187,18 +165,10 @@ def _attribute_cause(
     shuffle_med = med(_seconds, "shuffle.fetch") + med(_seconds, "shuffle.merge")
     read_mine = _seconds(mine, "dfs.read")
     read_med = med(_seconds, "dfs.read")
-    attributed_mine = lookup_mine + shuffle_mine + read_mine + _seconds(
-        mine, "map.spill"
-    ) + _seconds(mine, "dfs.store")
-    compute_mine = max(0.0, task.dur - attributed_mine)
-    peer_computes = []
-    for p, totals in zip(peers, peer_totals):
-        attributed = sum(
-            _seconds(totals, n)
-            for n in ("lookup", "lookup.batch", "shuffle.fetch",
-                      "shuffle.merge", "dfs.read", "map.spill", "dfs.store")
-        )
-        peer_computes.append(max(0.0, p.dur - attributed))
+    # Compute is what the critical path calls compute: the task's time
+    # past its top-level io / shuffle / lookup ops.
+    compute_mine = task_attribution(task)["compute"]
+    peer_computes = [task_attribution(p)["compute"] for p in peers]
     compute_med = median(peer_computes) if peer_computes else 0.0
 
     excesses = {
