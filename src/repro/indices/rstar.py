@@ -94,7 +94,7 @@ class _Entry:
 
 
 class _RNode:
-    __slots__ = ("entries", "leaf")
+    __slots__ = ("entries", "leaf", "rows")
 
     def __init__(self, leaf: bool):
         self.entries: List[_Entry] = []
@@ -126,6 +126,8 @@ class RStarTree:
         self.reinsert_count = max(1, int(round(max_entries * reinsert_fraction)))
         self.root = _RNode(leaf=True)
         self._size = 0
+        # Whether every node's ``rows`` mirror its entries (``_pack``).
+        self._packed = False
 
     # ------------------------------------------------------------------
     # Bulk loading (Sort-Tile-Recursive)
@@ -158,6 +160,7 @@ class RStarTree:
     # Insert
     # ------------------------------------------------------------------
     def insert(self, point: Point, payload: Any) -> None:
+        self._packed = False
         self._insert_entry(
             _Entry(Rect.of_point(point), payload=payload), level=0, reinserted=set()
         )
@@ -319,6 +322,7 @@ class RStarTree:
                 leaf.entries.pop(i)
                 break
         self._size -= 1
+        self._packed = False
         self._condense(path)
         return True
 
@@ -378,71 +382,90 @@ class RStarTree:
         met them. ``point`` must be finite (a NaN compares false with
         everything and would return arbitrary payloads).
 
-        Best-first search over node MBRs on a heap of
-        ``(dist2, seq, child, payload)``. This is the index's hot loop,
-        so ``Rect.min_dist2`` is inlined -- a leaf entry's rectangle is
-        its point, an inner one's needs two comparisons per axis -- and
-        an entry that could never be popped is not pushed: once ``k``
-        points are queued, anything at least as far as the farthest of
-        the ``k`` nearest of them has ``k`` entries with a strictly
-        smaller ``(dist2, seq)`` ahead of it, and the search stops after
-        ``k`` points. ``seq`` still advances for every entry *seen*, so
-        the pushed ones keep the tie-break rank they would have had.
+        Best-first search with two heaps: nodes wait on a min-heap of
+        ``(dist2, seq, node)``, and the ``k`` best points seen so far sit
+        on a max-heap, so a leaf entry costs one push, one replace, or
+        nothing. ``seq`` counts every entry *seen*, kept or not; the
+        answer is the ``k`` smallest ``(dist2, seq)`` among the points of
+        the nodes expanded, and a node is expanded iff fewer than ``k``
+        points seen before it sort ahead of it in that order -- which
+        no point can change for another node, so points need no place
+        on the node heap. An inner entry at least as far as the worst of
+        ``k`` held points is not queued: it could never be expanded.
         """
+        found = self._nearest(point, k)
+        return [(math.sqrt(-neg_d2), payload) for neg_d2, _, payload in found]
+
+    def _nearest(self, point: Point, k: int) -> List[Tuple[float, int, Any]]:
+        """``knn``'s search: ``(-dist2, -seq, payload)``, nearest first."""
         if self._size == 0 or k <= 0:
             return []
+        if not self._packed:
+            self._pack()
         px, py = point
-        push, pop = heapq.heappush, heapq.heappop
+        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
         seq = 0
-        heap = [(0.0, seq, self.root, None)]
-        # Max-heap (negated) of the k smallest point dist2 pushed so
-        # far; ``bound`` is the largest of them once there are k.
-        nearest: List[float] = []
-        bound = math.inf
-        out: List[Tuple[float, Any]] = []
-        while heap and len(out) < k:
-            dist2, _, node, payload = pop(heap)
-            if node is None:
-                out.append((math.sqrt(dist2), payload))
-                continue
+        nodes = [(0.0, seq, self.root)]
+        best: List[Tuple[float, int, Any]] = []
+        # Once k points are held: the largest dist2 among them.
+        full, bound = False, math.inf
+        while nodes:
+            dist2, at, node = pop(nodes)
+            if full and (dist2, at) > (bound, -best[0][1]):
+                break
             if node.leaf:
-                for e in node.entries:
+                for x, y, payload in node.rows:
                     seq += 1
-                    rect = e.rect
-                    dx = rect.xmin - px
-                    dy = rect.ymin - py
+                    dx = x - px
+                    dy = y - py
                     d2 = dx * dx + dy * dy
-                    if d2 >= bound and len(nearest) == k:
-                        continue
-                    push(heap, (d2, seq, None, e.payload))
-                    if len(nearest) < k:
-                        push(nearest, -d2)
-                        if len(nearest) == k:
-                            bound = -nearest[0]
-                    else:
-                        heapq.heapreplace(nearest, -d2)
-                        bound = -nearest[0]
+                    if not full:
+                        push(best, (-d2, -seq, payload))
+                        if len(best) == k:
+                            full, bound = True, -best[0][0]
+                    elif d2 < bound:
+                        replace(best, (-d2, -seq, payload))
+                        bound = -best[0][0]
             else:
-                for e in node.entries:
+                for xmin, ymin, xmax, ymax, child in node.rows:
                     seq += 1
-                    rect = e.rect
-                    if px < rect.xmin:
-                        dx = rect.xmin - px
-                    elif px > rect.xmax:
-                        dx = px - rect.xmax
+                    if px < xmin:
+                        dx = xmin - px
+                    elif px > xmax:
+                        dx = px - xmax
                     else:
                         dx = 0.0
-                    if py < rect.ymin:
-                        dy = rect.ymin - py
-                    elif py > rect.ymax:
-                        dy = py - rect.ymax
+                    if py < ymin:
+                        dy = ymin - py
+                    elif py > ymax:
+                        dy = py - ymax
                     else:
                         dy = 0.0
                     d2 = dx * dx + dy * dy
-                    if d2 >= bound and len(nearest) == k:
+                    if d2 >= bound and full:
                         continue
-                    push(heap, (d2, seq, e.child, None))
-        return out
+                    push(nodes, (d2, seq, child))
+        best.sort(reverse=True)
+        return best
+
+    def _pack(self) -> None:
+        """Derive every node's ``rows`` -- what ``_nearest`` reads: plain
+        ``(x, y, payload)`` per leaf entry, ``(xmin, ymin, xmax, ymax,
+        child)`` per inner one -- from its entries, which stay the truth."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.leaf:
+                node.rows = [
+                    (e.rect.xmin, e.rect.ymin, e.payload) for e in node.entries
+                ]
+            else:
+                node.rows = [
+                    (e.rect.xmin, e.rect.ymin, e.rect.xmax, e.rect.ymax, e.child)
+                    for e in node.entries
+                ]
+                stack.extend(e.child for e in node.entries)
+        self._packed = True
 
     def range_search(self, rect: Rect) -> List[Any]:
         """Payloads of all points inside ``rect``."""
@@ -537,6 +560,8 @@ class _GridScheme(PartitionScheme):
     def __init__(self, bounds: Rect, gx: int, gy: int, placements):
         self._bounds = bounds
         self._gx, self._gy = gx, gy
+        self._xspan = max(bounds.xmax - bounds.xmin, 1e-12)
+        self._yspan = max(bounds.ymax - bounds.ymin, 1e-12)
         self._placements = placements
 
     @property
@@ -544,12 +569,18 @@ class _GridScheme(PartitionScheme):
         return self._gx * self._gy
 
     def cell_of(self, p: Point) -> int:
-        b = self._bounds
-        fx = (p[0] - b.xmin) / max(b.xmax - b.xmin, 1e-12)
-        fy = (p[1] - b.ymin) / max(b.ymax - b.ymin, 1e-12)
-        cx = min(self._gx - 1, max(0, int(fx * self._gx)))
-        cy = min(self._gy - 1, max(0, int(fy * self._gy)))
-        return cy * self._gx + cx
+        b, gx, gy = self._bounds, self._gx, self._gy
+        cx = int((p[0] - b.xmin) / self._xspan * gx)
+        cy = int((p[1] - b.ymin) / self._yspan * gy)
+        if cx < 0:
+            cx = 0
+        elif cx >= gx:
+            cx = gx - 1
+        if cy < 0:
+            cy = 0
+        elif cy >= gy:
+            cy = gy - 1
+        return cy * gx + cx
 
     def partition_of(self, key: Any) -> int:
         return self.cell_of(_as_point(key))
@@ -572,7 +603,12 @@ class _GridScheme(PartitionScheme):
 
 def _as_point(key: Any) -> Point:
     if isinstance(key, tuple) and len(key) == 2:
-        point = (float(key[0]), float(key[1]))
+        try:
+            point = (float(key[0]), float(key[1]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise IndexLookupError(
+                f"malformed request: spatial index keys must be numbers, got {key!r}"
+            ) from exc
         if not (math.isfinite(point[0]) and math.isfinite(point[1])):
             # No grid cell, and no distance order, for NaN or infinity.
             raise IndexLookupError(
@@ -639,7 +675,8 @@ class GridRStarForest(IndexService):
     def _lookup(self, key: Any) -> List[Any]:
         point = _as_point(key)
         cell = self._scheme.cell_of(point)
-        return [payload for _, payload in self._trees[cell].knn(point, self.k)]
+        found = self._trees[cell]._nearest(point, self.k)
+        return [payload for _, _, payload in found]
 
     def knn_with_distances(self, key: Any) -> List[Tuple[float, Any]]:
         point = _as_point(key)

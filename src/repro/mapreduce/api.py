@@ -231,10 +231,10 @@ class Reducer:
 
 
 class IdentityMapper(Mapper):
-    """Pass records through unchanged."""
+    """Pass records through unchanged, each with the size it arrived with."""
 
     def map(self, key, value, collector, ctx):
-        collector.collect(key, value)
+        collector.collect(key, value, ctx.input_bytes)
 
 
 class IdentityReducer(Reducer):
@@ -316,11 +316,22 @@ def stable_hash(value: Any) -> int:
     kind = type(value)
     if kind is int:
         return value & 0x7FFFFFFF
+    if kind is float:
+        # The str rung over ``repr(value)``, which is ASCII.
+        h = 2166136261
+        for byte in repr(value).encode("ascii"):
+            h = ((h ^ byte) * 16777619) & 0xFFFFFFFF
+        return h
     if kind is tuple:
         h = 1
         for item in value:
             if type(item) is int:
                 h = (h * 31 + (item & 0x7FFFFFFF)) & 0x7FFFFFFF
+            elif type(item) is float:
+                f = 2166136261
+                for byte in repr(item).encode("ascii"):
+                    f = ((f ^ byte) * 16777619) & 0xFFFFFFFF
+                h = (h * 31 + f) & 0x7FFFFFFF
             else:
                 h = (h * 31 + stable_hash(item)) & 0x7FFFFFFF
         return h

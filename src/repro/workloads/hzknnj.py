@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import make_rng
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.mapreduce.api import FnPartitioner, Mapper, Reducer
+from repro.mapreduce.api import FnPartitioner, IdentityMapper, Mapper, Reducer
 from repro.mapreduce.jobconf import JobConf
 from repro.mapreduce.runtime import JobResult, JobRunner
 from repro.simcluster.cluster import Cluster
@@ -168,9 +168,8 @@ class _MergeReducer(Reducer):
         collector.collect(key, tuple(brid for brid, _d in ranked))
 
 
-class _IdentityMapper(Mapper):
-    def map(self, key, value, collector, ctx):
-        collector.collect(key, value)
+class _IdentityMapper(IdentityMapper):
+    pass
 
 
 def _tagged_copy(

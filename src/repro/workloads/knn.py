@@ -17,7 +17,7 @@ from repro.core.accessor import IndexAccessor
 from repro.core.ejobconf import IndexJobConf
 from repro.core.operator import IndexOperator
 from repro.indices.rstar import GridRStarForest
-from repro.mapreduce.api import Mapper
+from repro.mapreduce.api import IdentityMapper
 from repro.simcluster.cluster import Cluster
 
 Point = Tuple[float, float]
@@ -63,9 +63,8 @@ class KnnJoinOperator(IndexOperator):
         collector.collect(key, tuple(neighbours))
 
 
-class IdentityKnnMapper(Mapper):
-    def map(self, key, value, collector, ctx):
-        collector.collect(key, value)
+class IdentityKnnMapper(IdentityMapper):
+    pass
 
 
 def make_knnj_job(

@@ -28,7 +28,7 @@ from repro.core.ejobconf import IndexJobConf
 from repro.core.operator import IndexOperator
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.indices.cloudservice import CloudServiceIndex
-from repro.mapreduce.api import Mapper, Reducer
+from repro.mapreduce.api import IdentityMapper, Reducer
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,8 @@ class GeoLookupOperator(IndexOperator):
         collector.collect(region, url)
 
 
-class RegionUrlMapper(Mapper):
+class RegionUrlMapper(IdentityMapper):
     """Pass (region, url) through -- the group-by key is the region."""
-
-    def map(self, key, value, collector, ctx):
-        collector.collect(key, value)
 
 
 class TopKUrlsReducer(Reducer):

@@ -6,8 +6,11 @@ import random
 import pytest
 
 from repro.common.errors import IndexLookupError
-from repro.indices.rstar import GridRStarForest, Rect, RStarTree
-from repro.workloads.knn import exact_knn
+from repro.core.costmodel import Strategy
+from repro.core.runner import EFindRunner
+from repro.indices.rstar import GridRStarForest, Rect, RStarTree, _GridScheme
+from repro.workloads import osm
+from repro.workloads.knn import exact_knn, make_knnj_job
 
 
 def random_points(n, seed=0, lo=0.0, hi=1.0):
@@ -212,6 +215,78 @@ class TestGridRStarForest:
         with pytest.raises(IndexLookupError, match="malformed request"):
             forest.partition_scheme.partition_of(key)
 
+    @pytest.mark.parametrize(
+        "key", [("a", "b"), (None, 1.0), (0.5, [1.0]), (10**400, 0.5)]
+    )
+    def test_rejects_non_numeric_key(self, forest, key):
+        # The same typed error as a non-finite coordinate, not float()'s
+        # bare ValueError / TypeError / OverflowError.
+        with pytest.raises(IndexLookupError, match="malformed request"):
+            forest.lookup(key)
+        with pytest.raises(IndexLookupError, match="malformed request"):
+            forest.partition_scheme.partition_of(key)
+
+    @pytest.mark.parametrize("strategy", [Strategy.BASELINE, Strategy.IDXLOC])
+    def test_malformed_key_fails_the_job(self, forest, cluster, dfs, strategy):
+        # Through lookup (Base) and through partition_of (Idxloc's shuffle).
+        records = [(pid, point) for point, pid in self.points[:80]]
+        records[57] = (57, ("a", "b"))
+        dfs.write("/in/a", records)
+        job = make_knnj_job("bad-key", "/in/a", "/out/bad-key", forest)
+        with pytest.raises(IndexLookupError, match="malformed request"):
+            EFindRunner(cluster, dfs).run(
+                job, mode="forced", forced_strategy=strategy
+            )
+        assert not dfs.exists("/out/bad-key")
+
+    def test_lookup_is_the_payloads_of_knn_with_distances(self, cluster):
+        a = osm.generate_points(osm.OsmConfig(num_points=400, seed=3), "A")
+        b = osm.generate_points(osm.OsmConfig(num_points=400, seed=4), "B")
+        forest = GridRStarForest("osm", cluster, b, k=10, overlap=0.1)
+        for key, _rid in a:
+            found = forest.knn_with_distances(key)
+            assert forest.lookup(key) == [payload for _d, payload in found]
+            assert [d for d, _payload in found] == sorted(d for d, _payload in found)
+
     def test_rejects_empty(self, cluster):
         with pytest.raises(ValueError):
             GridRStarForest("g", cluster, [], k=5)
+
+
+class TestGridCells:
+    """``cell_of`` with the spans hoisted and the clamp as comparisons
+    against the one-line formula it replaced."""
+
+    @staticmethod
+    def old_cell_of(b, gx, gy, p):
+        fx = (p[0] - b.xmin) / max(b.xmax - b.xmin, 1e-12)
+        fy = (p[1] - b.ymin) / max(b.ymax - b.ymin, 1e-12)
+        cx = min(gx - 1, max(0, int(fx * gx)))
+        cy = min(gy - 1, max(0, int(fy * gy)))
+        return cy * gx + cx
+
+    @pytest.mark.parametrize(
+        "bounds, gx, gy",
+        [
+            (Rect(0.0, 0.0, 1.0, 1.0), 4, 8),
+            (Rect(-124.7, 24.5, -66.9, 49.4), 4, 8),
+            (Rect(0.1, -0.3, 0.7, 0.3), 3, 7),
+            (Rect(2.0, 2.0, 2.0, 5.0), 5, 1),  # zero width: the 1e-12 floor
+        ],
+    )
+    def test_equals_the_old_formula(self, bounds, gx, gy):
+        scheme = _GridScheme(bounds, gx, gy, [["h"]] * (gx * gy))
+        w, h = bounds.xmax - bounds.xmin, bounds.ymax - bounds.ymin
+        xs = [bounds.xmin + w * i / gx for i in range(gx + 1)]
+        ys = [bounds.ymin + h * j / gy for j in range(gy + 1)]
+        # Every cell edge and both sides of it, the bounds' corners, and
+        # points outside the bounds.
+        xs += [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+        ys += [math.nextafter(y, d) for y in ys for d in (-math.inf, math.inf)]
+        xs += [bounds.xmin - 3 * w - 1, bounds.xmax + 3 * w + 1, -1e150, 1e150]
+        ys += [bounds.ymin - 3 * h - 1, bounds.ymax + 3 * h + 1, -1e150, 1e150]
+        for x in xs:
+            for y in ys:
+                want = self.old_cell_of(bounds, gx, gy, (x, y))
+                assert scheme.cell_of((x, y)) == want
+                assert 0 <= want < scheme.num_partitions

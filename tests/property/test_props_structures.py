@@ -201,7 +201,7 @@ hash_leaves = st.one_of(
     st.integers(-(2**70), 2**70),
     st.booleans(),
     st.sampled_from(list(Colour)),
-    st.floats(allow_nan=False),
+    st.floats(),
     st.none(),
     any_text,
     any_text.map(Tagged),
@@ -230,6 +230,20 @@ class TestStableHashProperties:
         assert stable_hash(Point(1, 2)) == stable_hash((1, 2))
         assert stable_hash(Tagged("ab")) == stable_hash("ab")
         assert stable_hash(1.0) != stable_hash(1)  # a float hashes as its repr
+
+    @given(
+        st.one_of(
+            st.floats(),
+            st.integers(-(2**53), 2**53).map(float),
+            st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300, 1e16, 0.1]),
+        )
+    )
+    def test_float_hashes_as_its_repr(self, x):
+        # The float rungs read repr(x) as ASCII bytes; the str rung is
+        # the definition.
+        assert stable_hash(x) == stable_hash(repr(x)) == ladder_stable_hash(x)
+        mixed = (x, 7, "s", x)
+        assert stable_hash(mixed) == ladder_stable_hash(mixed)
 
     @given(keys)
     def test_deterministic(self, key):
@@ -410,12 +424,16 @@ class TestRStarProperties:
         ),
     )
 
-    @given(
-        point_sets,
-        st.one_of(st.tuples(lattice, lattice), st.tuples(coords, coords)),
-        st.sampled_from([4, 6, 16]),
-        st.booleans(),
+    # On the data's lattice, between its points, outside its bounds.
+    queries = st.one_of(
+        st.tuples(lattice, lattice),
+        st.tuples(
+            st.integers(-9, 9).map(lambda c: c / 2), st.integers(-9, 9).map(float)
+        ),
+        st.tuples(coords, coords),
     )
+
+    @given(point_sets, queries, st.sampled_from([4, 5, 6, 16]), st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_knn_equals_unpruned_best_first(self, points, query, fanout, bulk):
         pairs = [(p, i) for i, p in enumerate(points)]
@@ -426,12 +444,55 @@ class TestRStarProperties:
             tree = RStarTree(max_entries=fanout)
             for p, i in pairs:
                 tree.insert(p, i)
-        for k in (1, 10, len(points) + 3):
+        for k in (1, 10, len(points), len(points) + 3):
             got = tree.knn(query, k)
             # Same payloads in the same order (ties included) at the
             # very same doubles.
             assert got == best_first_knn(tree, query, k)
             assert len(got) == min(k, len(points))
+
+    @given(
+        st.lists(st.tuples(lattice, lattice), max_size=40),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("insert"), st.tuples(lattice, lattice)),
+                st.tuples(st.just("delete"), st.integers(0, 10**6)),
+                st.tuples(st.just("query"), queries),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([4, 5, 16]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_knn_between_inserts_and_deletes(self, points, ops, fanout, bulk):
+        """The oracle reads the entries, the kernel the rows derived from
+        them: a row left stale by an insert or a delete shows here."""
+        live = dict(enumerate(points))
+        if bulk:
+            tree = RStarTree.bulk_load([(p, i) for i, p in live.items()], fanout)
+        else:
+            tree = RStarTree(max_entries=fanout)
+            for i, p in live.items():
+                tree.insert(p, i)
+        next_id = len(points)
+        for op, arg in ops:
+            if op == "insert":
+                tree.insert(arg, next_id)
+                live[next_id] = arg
+                next_id += 1
+            elif op == "delete":
+                if live:
+                    victim = sorted(live)[arg % len(live)]
+                    assert tree.delete(live.pop(victim), victim)
+                assert not tree.delete((99.0, 99.0), -1)
+            else:
+                for k in (1, len(live), len(live) + 3):
+                    assert tree.knn(arg, k) == best_first_knn(tree, arg, k)
+        tree.check_invariants()
+        got = tree.knn((0.5, -1.5), len(live) + 3)
+        assert got == best_first_knn(tree, (0.5, -1.5), len(live) + 3)
+        assert sorted(pid for _d, pid in got) == sorted(live)
 
     @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=120))
     @settings(max_examples=25, deadline=None)
