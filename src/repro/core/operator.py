@@ -41,13 +41,16 @@ class IndexInput:
     indices are numbered from 0 here, in attachment order.
     """
 
+    __slots__ = ("_keys",)
+
     def __init__(self, num_indices: int):
         self._keys: List[List[Any]] = [[] for _ in range(num_indices)]
 
     def put(self, index_id: int, ik: Any) -> None:
-        if not 0 <= index_id < len(self._keys):
-            raise _bad_index_id(index_id, len(self._keys))
-        self._keys[index_id].append(ik)
+        keys = self._keys
+        if not 0 <= index_id < len(keys):
+            raise _bad_index_id(index_id, len(keys))
+        keys[index_id].append(ik)
 
     def keys(self, index_id: int) -> List[Any]:
         if not 0 <= index_id < len(self._keys):
@@ -71,8 +74,10 @@ class IndexValues:
     out a fresh list.
     """
 
+    __slots__ = ("_keys", "_value_lists")
+
     def __init__(self, keys: Sequence[Any], value_lists: Sequence[Sequence[Any]]):
-        self._keys = tuple(keys)
+        self._keys = keys if type(keys) is tuple else tuple(keys)
         self._value_lists = (
             value_lists
             if type(value_lists) is tuple
@@ -81,11 +86,18 @@ class IndexValues:
 
     def get_all(self) -> List[Any]:
         """Flattened values across all keys (the paper's ``getAll()``)."""
-        return [v for vs in self._value_lists for v in vs]
+        value_lists = self._value_lists
+        if len(value_lists) == 1:
+            return list(value_lists[0])
+        return [v for vs in value_lists for v in vs]
 
     def for_key(self, position: int) -> List[Any]:
         """Values for the ``position``-th key put in pre_process."""
-        return list(self._value_lists[position])
+        value_lists = self._value_lists
+        if not 0 <= position < len(value_lists):  # -1 is no key's position
+            raise IndexError(f"key position {position} is out of range for "
+                             f"{len(value_lists)} keys")
+        return list(value_lists[position])
 
     @property
     def keys(self) -> List[Any]:
@@ -97,22 +109,26 @@ class IndexValues:
 
 class IndexOutput:
     """All attached indices' results for one record: a view over the
-    carrier's key and result tuples, opened per index on request."""
+    carrier's key and result tuples (anything else is snapshotted),
+    opened per index on request."""
+
+    __slots__ = ("_iklists", "_ivlists")
 
     def __init__(
         self,
         iklists: Sequence[Sequence[Any]],
         ivlists: Sequence[Optional[Sequence[Sequence[Any]]]],
     ):
-        self._iklists = tuple(iklists)
-        self._ivlists = tuple(ivlists)
+        self._iklists = iklists if type(iklists) is tuple else tuple(iklists)
+        self._ivlists = ivlists if type(ivlists) is tuple else tuple(ivlists)
 
     def get(self, index_id: int) -> IndexValues:
-        if not 0 <= index_id < len(self._iklists):
-            raise _bad_index_id(index_id, len(self._iklists))
+        iklists = self._iklists
+        if not 0 <= index_id < len(iklists):
+            raise _bad_index_id(index_id, len(iklists))
         value_lists = self._ivlists[index_id]
         return IndexValues(
-            self._iklists[index_id], value_lists if value_lists is not None else ()
+            iklists[index_id], () if value_lists is None else value_lists
         )
 
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.mapreduce.api import stable_hash
 
@@ -43,15 +43,20 @@ class FMSketch:
         self.bitmaps: List[int] = [0] * num_buckets
 
     def add(self, key: Any) -> None:
-        h = stable_hash(key) * 2654435761 & 0xFFFFFFFFFFFF
-        bucket = h % self.num_buckets
-        h //= self.num_buckets
-        if h == 0:
-            position = self.bitmap_bits - 1
-        else:
-            position = (h & -h).bit_length() - 1  # lowest set bit of h
-            position = min(position, self.bitmap_bits - 1)
-        self.bitmaps[bucket] |= 1 << position
+        self.add_all((key,))
+
+    def add_all(self, keys: Iterable[Any]) -> None:
+        """Add every key of ``keys``. Bits are only OR-ed in, so the
+        bitmaps do not depend on the order (or the grouping) of adds."""
+        bitmaps, num_buckets, top = self.bitmaps, self.num_buckets, self.bitmap_bits - 1
+        for key in keys:
+            # stable_hash's exact-int rung, inline.
+            h = key & 0x7FFFFFFF if type(key) is int else stable_hash(key)
+            h = h * 2654435761 & 0xFFFFFFFFFFFF
+            bucket = h % num_buckets
+            h //= num_buckets
+            position = (h & -h).bit_length() - 1 if h else top  # lowest set bit
+            bitmaps[bucket] |= 1 << (position if position < top else top)
 
     def merge(self, other: "FMSketch") -> None:
         """OR another sketch in (local task sketches -> global sketch)."""
@@ -260,12 +265,7 @@ class OperatorStatsAccumulator:
             self._samples[sample.task_id] = sample
 
     def add_key_to_sketch(self, index_id: int, key: Any) -> None:
-        self.sketch_adder(index_id)(key)
-
-    def sketch_adder(self, index_id: int) -> Callable[[Any], None]:
-        """What adds a lookup key to one index's sketch, for a caller
-        with a stream of keys to add."""
-        return self.fm[index_id].add
+        self.fm[index_id].add(key)
 
     def record_map_output(self, inputs: int, output_bytes: float) -> None:
         self.smap_inputs_total += inputs

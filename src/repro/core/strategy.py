@@ -91,23 +91,28 @@ class PreProcessFn(StreamStage):
             return  # an empty split binds nothing and opens no sample
         pre_process = self.operator.pre_process
         m = self.operator.num_indices
+        new_input, no_lists = IndexInput.__new__, ((),) * m
         no_values = (None,) * m
         # All of a fresh carrier pair but (k1, v1) and the key tuples.
         fixed_bytes = _CARRIER_BYTES + _HEADER_BYTES + sizeof(no_values)
         stats = self.stats
         if stats is not None:
-            # Exact integers, summed here and added to the sample once;
-            # the sketches are OR-ed into, so they take each key as it comes.
+            # Exact integers, added to the sample once per stream. Key
+            # tuple sizes are listed per record and index, so what a
+            # record that died part-way listed is cut off at the end.
             s1_total = 0
-            nik, sik = [0] * m, [0] * m
-            add_to_sketch = [stats.sketch_adder(j) for j in range(m)]
+            key_bytes: List[int] = []
+            note_key_bytes = key_bytes.append
         out_records: List[tuple] = []
         out_sizes: List[int] = []
         try:
             for (key, value), s1 in zip(
                 records, itertools.repeat(None) if sizes is None else sizes
             ):
-                index_input = IndexInput(m)
+                # A fresh view over key lists this stage owns; no __init__.
+                lists = list(map(list, no_lists))
+                index_input = new_input(IndexInput)
+                index_input._keys = lists
                 returned = pre_process(key, value, index_input)
                 if (
                     type(returned) is not tuple
@@ -119,7 +124,7 @@ class PreProcessFn(StreamStage):
                         f"it returned {returned!r}"
                     )
                 out_key, out_value = returned
-                ikl = index_input.as_tuple()
+                ikl = tuple(map(tuple, lists))
 
                 # The carrier pair is sized from its parts: S1 stands for
                 # (k1, v1) when pre_process handed the very objects back,
@@ -131,17 +136,11 @@ class PreProcessFn(StreamStage):
                 nbytes = (
                     s1 if unchanged else sizeof_pair(out_key, out_value)
                 ) + fixed_bytes
-                for j, keys in enumerate(ikl):
-                    if not keys:
-                        nbytes += _HEADER_BYTES  # sizeof(())
-                        continue
-                    key_bytes = sizeof(keys)  # header + Sik_j
-                    nbytes += key_bytes
+                for keys in ikl:
+                    kb = sizeof(keys) if keys else _HEADER_BYTES  # header + Sik_j
+                    nbytes += kb
                     if stats is not None:
-                        nik[j] += len(keys)
-                        sik[j] += key_bytes - _HEADER_BYTES
-                        for ik in keys:
-                            add_to_sketch[j](ik)
+                        note_key_bytes(kb)
                 if stats is not None:
                     s1_total += s1
                 out_records.append(
@@ -151,14 +150,21 @@ class PreProcessFn(StreamStage):
         finally:
             collector.extend(out_records, out_sizes)
             if stats is not None and out_records:
+                n = len(out_records)
                 sample = stats.sample_for(ctx.task_id)
-                sample.n1 += len(out_records)
+                sample.n1 += n
                 sample.s1_bytes += s1_total
                 sample.spre_bytes += sum(out_sizes)
+                # Nik, Sik and the FM sketches from what was emitted: OR
+                # is order-free, so a sketch may take its keys in one go.
                 for j in range(m):
-                    if nik[j]:
-                        sample.nik[j] = sample.nik.get(j, 0) + nik[j]
-                        sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + sik[j]
+                    iks = [ik for _, carrier in out_records for ik in carrier[2][j]]
+                    if iks:
+                        stats.fm[j].add_all(iks)
+                        sample.nik[j] = sample.nik.get(j, 0) + len(iks)
+                        sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + (
+                            sum(key_bytes[j : n * m : m]) - n * _HEADER_BYTES
+                        )
 
     @property
     def name(self) -> str:
@@ -413,7 +419,8 @@ class LookupPipeline:
         t0 = ctx.charged_time
         values = tuple(accessor.lookup(ik, ctx))
         tj = accessor.service_time()
-        local = self._is_local(ik, ctx)
+        local = (self._is_local(ik, ctx) if self.assume_local
+                 else self._host in accessor.hosts_for_key(ik))
         siv = sizeof(values) if self.stats is not None or not local else 0
         if local:
             ctx.charge(ctx.time_model.local_lookup_time(tj))
@@ -448,7 +455,9 @@ class LookupPipeline:
         local_keys: List[Any] = []
         remote_keys: List[Any] = []
         for ik in keys:
-            (local_keys if self._is_local(ik, ctx) else remote_keys).append(ik)
+            local = (self._is_local(ik, ctx) if self.assume_local
+                     else self._host in accessor.hosts_for_key(ik))
+            (local_keys if local else remote_keys).append(ik)
         # Each result is sized once, for the transfer charge and the Siv
         # sample alike; without statistics only what crosses the network.
         siv = {
@@ -568,21 +577,17 @@ class LookupPipeline:
                     break
 
     def _is_local(self, ik: Any, ctx: TaskContext) -> bool:
-        local = self.assume_local or (
-            self._host in self.accessor.hosts_for_key(ik)
-        )
-        if local and self.assume_local:
-            # Index locality scheduled this task onto a replica host,
-            # but that replica may since have died: hosts_for_key only
-            # lists live hosts, so re-check and fall back to a remote
-            # lookup against a surviving replica.
-            plan = getattr(self.accessor.index, "fault_plan", None)
-            if plan is not None and plan.dead_hosts:
-                hosts = self.accessor.hosts_for_key(ik)
-                if hosts and self._host not in hosts:
-                    local = False
-                    ctx.counters.increment("fault", "locality_fallbacks")
-        return local
+        """Under index locality: is the replica this task was scheduled
+        onto still alive? ``hosts_for_key`` only lists live hosts, so a
+        task whose replica has since died falls back to a remote lookup
+        against a surviving one."""
+        plan = getattr(self.accessor.index, "fault_plan", None)
+        if plan is not None and plan.dead_hosts:
+            hosts = self.accessor.hosts_for_key(ik)
+            if hosts and self._host not in hosts:
+                ctx.counters.increment("fault", "locality_fallbacks")
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Tier plumbing: statistics, reuse probe, build gate
@@ -732,7 +737,8 @@ class LookupFn(StreamStage):
                 if not keys:
                     results = ()  # nothing to ask the pipeline
                 else:
-                    results = tuple(map(lookup, keys, ctx_per_key))
+                    results = ((lookup(keys[0], ctx),) if len(keys) == 1
+                               else tuple(map(lookup, keys, ctx_per_key)))
                     if None in results:
                         # A key waits for the next multiget: park the
                         # record, its input size with it. A drain emits,
@@ -781,13 +787,15 @@ class LookupFn(StreamStage):
         when unknown, and the pair is walked): the pair going out
         differs from it by that one slot."""
         j = self.index_id
-        carrier = (_CARRIER_TAG, v1, ikl, ivl[:j] + (results,) + ivl[j + 1 :])
+        new_ivl = (results,) if len(ivl) == 1 else ivl[:j] + (results,) + ivl[j + 1 :]
+        carrier = (_CARRIER_TAG, v1, ikl, new_ivl)
         if in_bytes is None:
             out_sizes.append(sizeof_pair(key, carrier))
         else:
             old = ivl[j]
             out_sizes.append(
-                in_bytes + sizeof(results)
+                in_bytes
+                + (sizeof(results) if results else _HEADER_BYTES)
                 - (_NONE_BYTES if old is None else sizeof(old))
             )
         out_records.append((key, carrier))

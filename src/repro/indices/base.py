@@ -78,22 +78,23 @@ class IndexService:
         ``ctx`` (a :class:`repro.mapreduce.api.TaskContext`, optional)
         is where retry backoff and timeout waits are charged as
         simulated time and where ``fault.*`` counters accumulate. With
-        no fault plan attached the call is a single attempt, exactly as
-        before the fault layer existed.
+        no fault plan attached nothing can fail: the key is served by
+        ``_lookup`` directly, in a single attempt.
         """
         self.lookups_served += 1
+        if self._fault_plan is None:
+            return self._lookup(key)
         return self._serve_with_retries(key, ctx)
 
     def _serve_with_retries(self, key: Any, ctx=None) -> List[Any]:
-        """The retry loop behind :meth:`lookup`, minus the serve count.
+        """The retry loop behind :meth:`lookup`, minus the serve count;
+        it runs only under a fault plan.
 
         Batched serves reuse this so a multiget makes exactly the same
         per-key fault/retry/failover decisions (and charges the same
         backoff and timeout waits) as a loop of single lookups would.
         """
         plan = self._fault_plan
-        if plan is None:
-            return self._attempt(key, ctx)
         policy = self._retry_policy
         trace = getattr(ctx, "trace", None)
         last_error: Optional[Exception] = None
@@ -152,9 +153,10 @@ class IndexService:
         ) from last_error
 
     def _attempt(self, key: Any, ctx=None) -> List[Any]:
-        """One fault-free serve. Subclasses with replica placement
-        override this to model failover/unavailability; raising
-        :class:`TransientLookupError` here triggers a retry."""
+        """One attempt of the retry loop (so only under a fault plan).
+        Subclasses with replica placement override this to model
+        failover/unavailability; raising :class:`TransientLookupError`
+        here triggers a retry."""
         return self._lookup(key)
 
     def _lookup(self, key: Any) -> List[Any]:
@@ -190,6 +192,8 @@ class IndexService:
         self.lookups_served += len(keys)
         self.batches_served += requests
         self.keys_batched += len(keys)
+        if self._fault_plan is None:
+            return list(map(self._lookup, keys))
         return [self._serve_with_retries(key, ctx) for key in keys]
 
     def batch_request_overhead(self) -> float:

@@ -92,7 +92,8 @@ class DistributedKVStore(IndexService):
     # IndexService contract
     # ------------------------------------------------------------------
     def _attempt(self, key: Any, ctx=None) -> List[Any]:
-        """One serve attempt with replica-liveness routing.
+        """One serve attempt with replica-liveness routing, run only
+        under a fault plan (without one, ``lookup`` serves ``_lookup``).
 
         A dead replica's partitions are served by the surviving
         replicas (counted as ``fault.failovers``); a partition with no
@@ -100,36 +101,35 @@ class DistributedKVStore(IndexService):
         transient error so the retry layer keeps probing.
         """
         plan = self.fault_plan
-        if plan is not None:
-            partition = self._scheme.partition_of(key)
-            if plan.partition_probe(self.name, partition):
-                raise TransientLookupError(
-                    f"partition {partition} of kvstore {self.name!r} is "
-                    f"unavailable"
-                )
-            replicas = self._scheme.locations(partition)
-            live = [h for h in replicas if not plan.host_down(h)]
-            if not live:
-                raise TransientLookupError(
-                    f"all replicas of partition {partition} of kvstore "
-                    f"{self.name!r} are down"
-                )
-            if len(live) < len(replicas):
-                self.failovers += 1
-                if ctx is not None:
-                    ctx.counters.increment("fault", "failovers")
-                    trace = getattr(ctx, "trace", None)
-                    if trace is not None:
-                        from repro.obs.trace import DEPTH_DETAIL
+        partition = self._scheme.partition_of(key)
+        if plan.partition_probe(self.name, partition):
+            raise TransientLookupError(
+                f"partition {partition} of kvstore {self.name!r} is "
+                f"unavailable"
+            )
+        replicas = self._scheme.locations(partition)
+        live = [h for h in replicas if not plan.host_down(h)]
+        if not live:
+            raise TransientLookupError(
+                f"all replicas of partition {partition} of kvstore "
+                f"{self.name!r} are down"
+            )
+        if len(live) < len(replicas):
+            self.failovers += 1
+            if ctx is not None:
+                ctx.counters.increment("fault", "failovers")
+                trace = getattr(ctx, "trace", None)
+                if trace is not None:
+                    from repro.obs.trace import DEPTH_DETAIL
 
-                        trace.charged_instant(
-                            "lookup.failover",
-                            "fault",
-                            ctx.charged_time,
-                            DEPTH_DETAIL,
-                            index=self.name,
-                            partition=partition,
-                        )
+                    trace.charged_instant(
+                        "lookup.failover",
+                        "fault",
+                        ctx.charged_time,
+                        DEPTH_DETAIL,
+                        index=self.name,
+                        partition=partition,
+                    )
         return self._lookup(key)
 
     def _lookup(self, key: Any) -> List[Any]:

@@ -31,7 +31,8 @@ class Counters:
         # Incrementing converts the key back to an additive counter:
         # mixed set-then-increment sequences behave like the pre-gauge
         # counters did, and only pure gauges get last-writer merges.
-        self._gauges.discard((group, name))
+        if self._gauges:
+            self._gauges.discard((group, name))
 
     def set(self, group: str, name: str, value: float) -> None:
         """Write ``value``, marking the key as a gauge: a later

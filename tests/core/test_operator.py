@@ -67,6 +67,15 @@ class TestIndexValues:
     def test_len_counts_keys(self):
         assert len(IndexValues(["a", "b"], [[1], []])) == 2
 
+    @pytest.mark.parametrize("position", [-1, -2, 2, 5])
+    def test_positions_outside_range_rejected_by_name(self, position):
+        """A negative position must not count from the end: ``for_key(-1)``
+        used to hand out the last key's values, ``for_key(2)`` to die
+        with a bare ``tuple index out of range``."""
+        iv = IndexValues((10, 20), (("a",), ("b",)))
+        with pytest.raises(IndexError, match=rf"key position {position} .* 2 keys"):
+            iv.for_key(position)
+
 
 class TestIndexOutput:
     def test_get_per_index(self):
@@ -104,6 +113,22 @@ class TestIndexOutput:
         value_lists[0].append(2)
         value_lists.append([3])
         assert (values.keys, values.get_all(), len(values)) == (["k"], [1], 1)
+
+    def test_list_carriers_are_snapshotted_and_accessors_hand_out_copies(self):
+        """Only tuples are kept as they are: an ``IndexOutput`` over a
+        caller's lists does not see them grow, and nothing a caller does
+        to what an accessor hands out reaches the view."""
+        iklists, ivlists = [["a"], ["x", "y"]], [[[1]], None]
+        out = IndexOutput(iklists, ivlists)
+        iklists.append(["z"])
+        ivlists[1] = [[9], [9]]
+        assert out.num_indices == 2
+        values = out.get(0)
+        assert values.get_all() is not values.get_all()
+        for handed_out in (values.get_all(), values.for_key(0), values.keys):
+            handed_out.append("evil")
+        assert (values.get_all(), values.for_key(0), values.keys) == ([1], [1], ["a"])
+        assert out.get(1).get_all() == [] and out.get(1).keys == ["x", "y"]
 
 
 class TestIndexOperatorDefaults:

@@ -127,6 +127,39 @@ class TestPreProcessReturnIsChecked:
         assert len(col.sizes) == 1 and col.bytes == sum(col.sizes)
         assert acc.sample_for("t0").n1 == 1
 
+    def test_a_record_that_dies_part_way_counts_none_of_its_keys(self, ctx):
+        """Nik, Sik and the sketches accrue per completed record: the
+        second record's index-0 key used to be counted although sizing
+        its index-1 key raised."""
+
+        class Unsizable:
+            def wire_size(self):
+                raise RuntimeError("cannot size")
+
+        class TwoIndices(IndexOperator):
+            def pre_process(self, key, value, index_input):
+                index_input.put(0, key)
+                index_input.put(1, Unsizable() if value == "bad" else value)
+                return key, value
+
+        def sample_after(records):
+            op = TwoIndices("two")
+            for name in ("i0", "i1"):
+                op.add_index(IndexAccessor(MappingIndex(name, {})))
+            acc = OperatorStatsAccumulator("op0", 2, 2)
+            try:
+                PreProcessFn(op, "op0", acc).run(records, None, OutputCollector(), ctx)
+            except RuntimeError:
+                pass
+            return acc.sample_for("t0"), [acc.fm[j].bitmaps for j in range(2)]
+
+        (died, died_fm), (whole, whole_fm) = (
+            sample_after([(1, 7), (2, "bad")]),
+            sample_after([(1, 7)]),
+        )
+        assert (died.n1, died.nik, died.sik_bytes) == (1, {0: 1, 1: 1}, whole.sik_bytes)
+        assert died == whole and died_fm == whole_fm
+
     def test_a_list_pair_is_still_a_pair(self, op, ctx):
         class ReturnsList(IndexOperator):
             def pre_process(self, key, value, index_input):

@@ -91,6 +91,21 @@ class TestGaugeMerge:
         assert c.get("g", "n") == 6.0
         assert not c.is_gauge("g", "n")
 
+    def test_set_then_increment_then_merge_is_additive(self):
+        """An increment turns a gauge back into an additive counter --
+        also in a set that holds other gauges, and in one whose only
+        gauge it was -- so a merge sums it."""
+        for other_gauge in (False, True):
+            a, b = Counters(), Counters()
+            a.increment("g", "n", 1)
+            b.set("g", "n", 5)
+            if other_gauge:
+                b.set("g", "hwm", 7)
+            b.increment("g", "n", 2)
+            a.merge(b)
+            assert a.get("g", "n") == 8.0 and not a.is_gauge("g", "n")
+            assert a.is_gauge("g", "hwm") == other_gauge
+
     def test_copy_preserves_gauge_values(self):
         a = Counters()
         a.set("g", "hwm", 4)
