@@ -13,7 +13,7 @@ plus :meth:`partition_scheme`.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.indices.base import IndexService
 from repro.indices.partitioning import PartitionScheme
@@ -59,6 +59,14 @@ class IndexAccessor:
         identical results and per-key fault behavior either way.
         """
         return self.index.lookup_batch(iks, ctx)
+
+    @property
+    def result_bytes(self) -> Callable[[Tuple[Any, ...]], int]:
+        """What sizes a tuple of :meth:`lookup`'s values: the index's
+        own ``result_bytes``, handed out rather than wrapped, so a
+        result costs no extra call. An accessor whose ``lookup`` changes
+        the index's values returns ``sizeof`` here instead."""
+        return self.index.result_bytes
 
     @property
     def supports_batch(self) -> bool:

@@ -239,6 +239,8 @@ class LookupPipeline:
         self.operator_id = operator_id
         self.index_id = index_id
         self.accessor: IndexAccessor = operator.accessors[index_id]
+        # What sizes this index's results, looked up once.
+        self.result_bytes = self.accessor.result_bytes
         self.stats = stats
         # The one clamp of the knob: runner and compiler pass it through.
         self.batch_size = max(1, int(settings.batch_size))
@@ -410,9 +412,10 @@ class LookupPipeline:
     def fetch_one(self, ik: Any, ctx: TaskContext) -> Tuple[Any, ...]:
         """Fetch ``ik`` with a single ``IndexAccessor.lookup``: ``T_j``
         at the index, plus the key/result transfer ``(Sik + Siv)/BW``
-        when it is served remotely. The result is sized once, for the
-        transfer charge and the Siv sample alike; without statistics
-        only when it crosses the network."""
+        when it is served remotely. The result is sized once, by its
+        index (``result_bytes``), for the transfer charge and the Siv
+        sample alike; without statistics only when it crosses the
+        network."""
         if ctx is not self._ctx:
             self._bind(ctx)
         accessor = self.accessor
@@ -421,7 +424,8 @@ class LookupPipeline:
         tj = accessor.service_time()
         local = (self._is_local(ik, ctx) if self.assume_local
                  else self._host in accessor.hosts_for_key(ik))
-        siv = sizeof(values) if self.stats is not None or not local else 0
+        siv = (self.result_bytes(values)
+               if self.stats is not None or not local else 0)
         if local:
             ctx.charge(ctx.time_model.local_lookup_time(tj))
         else:
@@ -460,8 +464,9 @@ class LookupPipeline:
             (local_keys if local else remote_keys).append(ik)
         # Each result is sized once, for the transfer charge and the Siv
         # sample alike; without statistics only what crosses the network.
+        result_bytes = self.result_bytes
         siv = {
-            ik: sizeof(results[ik])
+            ik: result_bytes(results[ik])
             for ik in (results if self.stats is not None else remote_keys)
         }
 
@@ -658,7 +663,9 @@ class LookupPipeline:
             ctx.charge(ctx.time_model.local_lookup_time(tj_scan))
         else:
             ctx.charge(
-                ctx.time_model.remote_lookup_time(sizeof(ik), sizeof(values), tj_scan)
+                ctx.time_model.remote_lookup_time(
+                    sizeof(ik), self.result_bytes(values), tj_scan
+                )
             )
         ctx.counters.increment("build", "unindexed_lookups")
         ctx.counters.increment("build", "scan_seconds", ctx.charged_time - t0)
@@ -793,9 +800,12 @@ class LookupFn(StreamStage):
             out_sizes.append(sizeof_pair(key, carrier))
         else:
             old = ivl[j]
+            result_bytes = self.pipeline.result_bytes
             out_sizes.append(
                 in_bytes
-                + (sizeof(results) if results else _HEADER_BYTES)
+                + _HEADER_BYTES
+                + (result_bytes(results[0]) if len(results) == 1
+                   else sum(map(result_bytes, results)))
                 - (_NONE_BYTES if old is None else sizeof(old))
             )
         out_records.append((key, carrier))
@@ -963,7 +973,9 @@ class GroupLookupReducer(Reducer):
         if sizes is None:
             sizes = itertools.repeat(None)
         else:
-            filled_bytes = sizeof(results)
+            filled_bytes = _HEADER_BYTES + sum(
+                map(self.pipeline.result_bytes, results)
+            )
         for (original_key, value), nbytes in zip(carriers, sizes):
             v1, ikl, ivl = open_carrier(value)
             keys = ikl[j]

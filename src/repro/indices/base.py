@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.common.errors import IndexLookupError, TransientLookupError
+from repro.common.sizing import sizeof
 from repro.indices.partitioning import PartitionScheme
 from repro.obs.trace import DEPTH_DETAIL
 from repro.simcluster.faults import FaultPlan, RetryPolicy
@@ -161,6 +162,12 @@ class IndexService:
 
     def _lookup(self, key: Any) -> List[Any]:
         raise NotImplementedError
+
+    #: ``result_bytes(values)``: wire size of ``values``, a tuple of
+    #: results this index made -- ``sizeof(values)``, called directly.
+    #: An index that sized its entries when it built them overrides it
+    #: to answer without walking them.
+    result_bytes = staticmethod(sizeof)
 
     # ------------------------------------------------------------------
     # Batched lookup

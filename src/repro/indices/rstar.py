@@ -17,11 +17,14 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.common.errors import IndexLookupError
+from repro.common.sizing import sizeof
 from repro.indices.base import IndexService
 from repro.indices.partitioning import PartitionScheme, round_robin_placements
 from repro.simcluster.cluster import Cluster
 
 Point = Tuple[float, float]
+
+_HEADER_BYTES = sizeof(())
 
 
 @dataclass(frozen=True)
@@ -671,12 +674,24 @@ class GridRStarForest(IndexService):
             RStarTree.bulk_load(cell_points, max_entries=max_entries)
             for cell_points in per_cell
         ]
+        # Every result is a tuple of payloads: when they all have one
+        # size, a result's size is a product, sized here once.
+        payload_sizes = {sizeof(payload) for _point, payload in points}
+        self._payload_bytes = (
+            payload_sizes.pop() if len(payload_sizes) == 1 else None
+        )
 
     def _lookup(self, key: Any) -> List[Any]:
         point = _as_point(key)
         cell = self._scheme.cell_of(point)
         found = self._trees[cell]._nearest(point, self.k)
         return [payload for _, _, payload in found]
+
+    def result_bytes(self, values: Tuple[Any, ...]) -> int:
+        each = self._payload_bytes
+        if each is None:
+            return sizeof(values)
+        return _HEADER_BYTES + len(values) * each
 
     def knn_with_distances(self, key: Any) -> List[Tuple[float, Any]]:
         point = _as_point(key)

@@ -25,10 +25,14 @@ This module is deliberately built on the raw MapReduce API -- it is the
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import make_rng
+from repro.common.sizing import record_sizes, sizeof
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.mapreduce.api import FnPartitioner, IdentityMapper, Mapper, Reducer
 from repro.mapreduce.jobconf import JobConf
@@ -40,26 +44,40 @@ Point = Tuple[float, float]
 
 _Z_BITS = 16
 
+#: ``_SPREAD[b]`` is byte ``b`` with bit ``i`` moved to bit ``2 * i``:
+#: a Morton code is interleaved a byte of each coordinate at a time.
+_SPREAD = tuple(sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256))
+
+# What the scan job adds to a tagged record ``((rid, tag), point)`` when
+# it re-keys it as ``((shift, partition), (z, tag, rid, point))``: the
+# new key and the z-value (rid, tag and point keep one header between
+# them). And what one ``(distance, brid)`` candidate costs besides brid.
+_ZROW_BYTES = sizeof((0, 0)) + sizeof(0)
+_CANDIDATE_BYTES = sizeof((0.0,))
+_HEADER_BYTES = sizeof(())
+
 
 def zvalue(point: Point, bounds=US_BOUNDS, bits: int = _Z_BITS) -> int:
-    """Morton code of ``point`` within ``bounds``."""
+    """Morton code of ``point`` within ``bounds``: each coordinate
+    scaled onto ``2**bits`` cells (clamped), then interleaved."""
     xmin, ymin, xmax, ymax = bounds
-    nx = _normalize(point[0], xmin, xmax, bits)
-    ny = _normalize(point[1], ymin, ymax, bits)
-    return _interleave(nx, ny, bits)
-
-
-def _normalize(v: float, lo: float, hi: float, bits: int) -> int:
-    span = max(hi - lo, 1e-12)
-    cell = int((v - lo) / span * ((1 << bits) - 1))
-    return min((1 << bits) - 1, max(0, cell))
+    top = (1 << bits) - 1
+    nx = int((point[0] - xmin) / max(xmax - xmin, 1e-12) * top)
+    ny = int((point[1] - ymin) / max(ymax - ymin, 1e-12) * top)
+    return _interleave(min(top, max(0, nx)), min(top, max(0, ny)), bits)
 
 
 def _interleave(x: int, y: int, bits: int) -> int:
+    """The low ``bits`` bits of ``x`` on the even bits of the result,
+    those of ``y`` on the odd ones."""
+    mask = (1 << bits) - 1
+    x &= mask
+    y &= mask
     z = 0
-    for b in range(bits):
-        z |= ((x >> b) & 1) << (2 * b)
-        z |= ((y >> b) & 1) << (2 * b + 1)
+    for shift in range(0, bits, 8):
+        z |= (
+            _SPREAD[(x >> shift) & 0xFF] | _SPREAD[(y >> shift) & 0xFF] << 1
+        ) << (2 * shift)
     return z
 
 
@@ -70,6 +88,15 @@ class HzknnjConfig:
     epsilon: float = 0.003
     num_partitions: int = 16
     seed: int = 2012
+
+    def __post_init__(self) -> None:
+        # Below these the pipeline would not fail but answer something
+        # else: one shift for alpha <= 0, no neighbours for k < 0.
+        for name, low in (("k", 0), ("alpha", 1), ("num_partitions", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"H-zkNNJ needs {name} >= {low}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass
@@ -91,28 +118,33 @@ class _ZEncodeMapper(Mapper):
     def map(self, key, value, collector, ctx):
         rid, tag = key
         point = value
+        # The pair going out holds the pair that came in, so its size is
+        # the recorded one plus what the re-keying adds.
+        nbytes = ctx.input_bytes
+        if nbytes is not None and type(key) is tuple:
+            nbytes += _ZROW_BYTES
+        else:
+            nbytes = None
         for i, (dx, dy) in enumerate(self.shifts):
-            shifted = (point[0] + dx, point[1] + dy)
-            z = zvalue(shifted)
-            partition = _range_partition(z, self.boundaries[i])
-            collector.collect((i, partition), (z, tag, rid, point))
+            z = zvalue((point[0] + dx, point[1] + dy))
+            boundaries = self.boundaries[i]
+            partition = _range_partition(z, boundaries)
+            row = (z, tag, rid, point)
+            collector.collect((i, partition), row, nbytes)
             if tag == "B":
                 # Pad the neighbouring partitions so boundary A points
                 # still see k candidates on each side.
                 for adjacent in (partition - 1, partition + 1):
-                    if 0 <= adjacent < len(self.boundaries[i]) + 1:
-                        collector.collect((i, adjacent), (z, tag, rid, point))
+                    if 0 <= adjacent <= len(boundaries):
+                        collector.collect((i, adjacent), row, nbytes)
 
 
 def _range_partition(z: int, boundaries: Sequence[int]) -> int:
-    lo, hi = 0, len(boundaries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if boundaries[mid] < z:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    """The z-range of ``z``: how many split points lie below it."""
+    return bisect_left(boundaries, z)
+
+
+_Z_ORDER = itemgetter(0, 1)
 
 
 class _CandidateReducer(Reducer):
@@ -123,33 +155,31 @@ class _CandidateReducer(Reducer):
         self.k = k
 
     def reduce(self, key, values, collector, ctx):
-        rows = sorted(values, key=lambda r: (r[0], r[1]))
-        b_rows = [(i, r) for i, r in enumerate(rows) if r[1] == "B"]
-        b_positions = [i for i, _ in b_rows]
-        for pos, row in enumerate(rows):
-            z, tag, rid, point = row
-            if tag != "A":
-                continue
-            # B rows with sorted position nearest to this A row.
-            idx = _bisect(b_positions, pos)
-            lo = max(0, idx - self.k)
-            hi = min(len(b_rows), idx + self.k)
-            candidates = []
-            for _, (bz, _btag, brid, bpoint) in b_rows[lo:hi]:
-                dist = math.dist(point, bpoint)
-                candidates.append((dist, brid))
-            collector.collect(rid, tuple(candidates))
-
-
-def _bisect(positions: List[int], target: int) -> int:
-    lo, hi = 0, len(positions)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if positions[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+        k, dist = self.k, math.dist
+        b_points, b_rids, a_rows = [], [], []
+        # b_bytes[i]: the wire size of the first i B rows' candidates.
+        b_bytes = [0]
+        for _z, tag, rid, point in sorted(values, key=_Z_ORDER):
+            if tag == "B":
+                b_points.append(point)
+                b_rids.append(rid)
+                b_bytes.append(b_bytes[-1] + _CANDIDATE_BYTES + sizeof(rid))
+            elif tag == "A":
+                # The B rows nearest in z: those sorted just before it
+                # (len(b_rids) of them) and just after.
+                a_rows.append((len(b_rids), rid, point))
+        num_b = len(b_rids)
+        for idx, rid, point in a_rows:
+            lo = max(0, idx - k)
+            hi = min(num_b, idx + k)
+            candidates = tuple(
+                zip(map(dist, repeat(point), b_points[lo:hi]), b_rids[lo:hi])
+            )
+            collector.collect(
+                rid,
+                candidates,
+                sizeof(rid) + _HEADER_BYTES + b_bytes[hi] - b_bytes[lo],
+            )
 
 
 class _MergeReducer(Reducer):
@@ -159,13 +189,17 @@ class _MergeReducer(Reducer):
         self.k = k
 
     def reduce(self, key, values, collector, ctx):
-        best: Dict[int, float] = {}
-        for candidates in values:
-            for dist, brid in candidates:
-                if brid not in best or dist < best[brid]:
-                    best[brid] = dist
-        ranked = sorted(best.items(), key=lambda kv: (kv[1], kv[0]))[: self.k]
-        collector.collect(key, tuple(brid for brid, _d in ranked))
+        # In (distance, brid) order a brid first appears at its smallest
+        # distance, so first appearances are the brids ranked by that.
+        nearest, seen = [], set()
+        if self.k > 0:
+            for _dist, brid in sorted(chain.from_iterable(values)):
+                if brid not in seen:
+                    seen.add(brid)
+                    nearest.append(brid)
+                    if len(nearest) == self.k:
+                        break
+        collector.collect(key, tuple(nearest))
 
 
 class _IdentityMapper(IdentityMapper):
@@ -175,8 +209,21 @@ class _IdentityMapper(IdentityMapper):
 def _tagged_copy(
     dfs: DistributedFileSystem, src: str, dst: str, tag: str
 ) -> str:
-    """Re-key ``(rid, point)`` records as ``((rid, tag), point)``."""
-    dfs.write(dst, [((rid, tag), point) for rid, point in dfs.read(src)])
+    """Re-key ``(rid, point)`` records as ``((rid, tag), point)``: each
+    grows by its new key's header and the tag, over the size its block
+    kept."""
+    grown = _HEADER_BYTES + sizeof(tag)
+    records: List[tuple] = []
+    sizes: List[int] = []
+    for block in dfs.meta(src).blocks:
+        records.extend(((rid, tag), point) for rid, point in block.records)
+        sizes.extend(
+            nbytes + grown
+            for nbytes in record_sizes(
+                block.records, block.sizes, "block %s of %s", block.index, src
+            )
+        )
+    dfs.write(dst, records, sizes=sizes)
     return dst
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.common.sizing import sizeof
 from repro.core.accessor import IndexAccessor
 from repro.core.ejobconf import IndexJobConf
 from repro.core.operator import IndexOperator
@@ -59,8 +60,12 @@ class KnnJoinOperator(IndexOperator):
         return key, value
 
     def post_process(self, key, value, index_output, collector):
-        neighbours = index_output.get(0).get_all()
-        collector.collect(key, tuple(neighbours))
+        # The neighbours are the forest's result as it made it, so the
+        # forest sizes them.
+        neighbours = tuple(index_output.get(0).get_all())
+        collector.collect(
+            key, neighbours, sizeof(key) + self.accessors[0].result_bytes(neighbours)
+        )
 
 
 class IdentityKnnMapper(IdentityMapper):

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from repro.common.errors import IndexLookupError
+from repro.common.sizing import sizeof, sizeof_pair
 from repro.core.costmodel import Strategy
 from repro.core.runner import EFindRunner
 from repro.indices.rstar import GridRStarForest, Rect, RStarTree, _GridScheme
+from repro.mapreduce.api import OutputCollector
 from repro.workloads import osm
 from repro.workloads.knn import exact_knn, make_knnj_job
 
@@ -251,6 +253,62 @@ class TestGridRStarForest:
     def test_rejects_empty(self, cluster):
         with pytest.raises(ValueError):
             GridRStarForest("g", cluster, [], k=5)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            lambda i: i,  # one size: a result's size is a product
+            lambda i: f"p{i:04d}",  # one size, not an int
+            lambda i: i if i % 7 else f"p{i}",  # sizes differ: walked
+            lambda i: True if i == 3 else i,  # True == 1 but sizes 1, not 8
+            lambda i: (i, "x" * (i % 3)),
+        ],
+    )
+    def test_result_bytes_is_the_walk(self, cluster, payload):
+        points = [(p, payload(i)) for p, i in random_points(300, seed=2)]
+        forest = GridRStarForest("g", cluster, points, k=7, grid_x=2, grid_y=2)
+        rng = random.Random(9)
+        for _ in range(60):
+            values = tuple(forest.lookup((rng.random(), rng.random())))
+            assert forest.result_bytes(values) == sizeof(values)
+        assert forest.result_bytes(()) == sizeof(())
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [Strategy.BASELINE, Strategy.CACHE, Strategy.REPART, Strategy.IDXLOC],
+    )
+    def test_knn_join_sizes_are_the_walks(self, cluster, dfs, strategy, monkeypatch):
+        # Every size handed to a collector -- filled result slots, the
+        # pairs post_process emits -- is the walk of its pair.
+        collect, extend = OutputCollector.collect, OutputCollector.extend
+        handed = []
+
+        def checked_collect(collector, key, value, nbytes=None):
+            if nbytes is not None:
+                assert nbytes == sizeof_pair(key, value), (key, value)
+                handed.append(nbytes)
+            collect(collector, key, value, nbytes)
+
+        def checked_extend(collector, records, sizes):
+            assert list(sizes) == [sizeof_pair(k, v) for k, v in records]
+            handed.extend(sizes)
+            extend(collector, records, sizes)
+
+        monkeypatch.setattr(OutputCollector, "collect", checked_collect)
+        monkeypatch.setattr(OutputCollector, "extend", checked_extend)
+        forest = GridRStarForest(
+            "g", cluster, random_points(300, seed=4), k=5, grid_x=2, grid_y=2
+        )
+        records = [(pid, point) for point, pid in random_points(120, seed=5)]
+        dfs.write("/in/a", records)
+        job = make_knnj_job(f"sizes-{strategy.name}", "/in/a", "/out/sizes", forest)
+        result = EFindRunner(cluster, dfs).run(
+            job, mode="forced", forced_strategy=strategy
+        )
+        assert handed
+        assert sorted(result.output) == sorted(
+            (pid, tuple(forest.lookup(point))) for pid, point in records
+        )
 
 
 class TestGridCells:

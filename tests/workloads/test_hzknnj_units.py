@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mapreduce.api import OutputCollector
 from repro.workloads import hzknnj
 from repro.workloads.osm import US_BOUNDS
 
@@ -53,12 +54,18 @@ class TestQuantileBoundaries:
         assert bounds == [[], []]
 
 
-class TestBisect:
-    def test_positions(self):
-        assert hzknnj._bisect([1, 4, 9], 0) == 0
-        assert hzknnj._bisect([1, 4, 9], 5) == 2
-        assert hzknnj._bisect([1, 4, 9], 100) == 3
-        assert hzknnj._bisect([], 5) == 0
+class TestCandidateScan:
+    def test_window_is_k_b_rows_each_side(self):
+        # B rows at z 1, 4, 9, 12; the A row at z 5 sorts after two of
+        # them, so with k=1 its window is the B rows at z 4 and 9.
+        rows = [(z, "B", f"b{z}", (float(z), 0.0)) for z in (1, 4, 9, 12)]
+        rows.append((5, "A", "a", (5.0, 0.0)))
+        collector = OutputCollector()
+        hzknnj._CandidateReducer(k=1).reduce((0, 0), rows, collector, None)
+        assert collector.records == [("a", ((1.0, "b4"), (4.0, "b9")))]
+        collector = OutputCollector()
+        hzknnj._CandidateReducer(k=3).reduce((0, 0), rows, collector, None)
+        assert [b for _d, b in collector.records[0][1]] == ["b1", "b4", "b9", "b12"]
 
 
 class TestZValueProperties:
@@ -94,3 +101,16 @@ class TestConfig:
         cfg = hzknnj.HzknnjConfig()
         assert cfg.alpha == 2
         assert cfg.epsilon == pytest.approx(0.003)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"alpha": 0}, "alpha"),  # used to run one shift as if alpha=1
+            ({"alpha": -3}, "alpha"),
+            ({"k": -2}, "k"),  # used to answer no neighbours
+            ({"num_partitions": 0}, "num_partitions"),  # failed in the job
+        ],
+    )
+    def test_rejects_what_it_cannot_run(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"needs {field} >="):
+            hzknnj.HzknnjConfig(**kwargs)
