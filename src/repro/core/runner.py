@@ -439,6 +439,7 @@ class EFindRunner:
         for run in first.map_runs:
             old_outputs.extend(run.output)
             old_sizes.extend(run.output_sizes)
+            run.output, run.output_sizes = [], None
 
         final_conf = stages[-1].conf
         if final_conf.reducer is not None:
@@ -492,6 +493,8 @@ class EFindRunner:
             records, sizes = self.job_runner.sized_reduce_input(first.map_runs, p)
             pending.extend(records)
             pending_sizes.extend(sizes)
+        for run in first.map_runs:
+            run.buckets, run.bucket_sizes = [], None
 
         results = self._run_stages(
             stages,
@@ -562,8 +565,22 @@ class EFindRunner:
                     conf.input_paths = [prev.conf.output_path]
             result = self.job_runner.run(conf, start_time=t, splits=splits)
             t = result.end_time
+            if results:
+                self._release_stage(stages[i - 1], results[-1])
             results.append(result)
         return results
+
+    def _release_stage(self, stage: StageSpec, result: JobResult) -> None:
+        """A non-final stage's output lives until the next stage has
+        read it; then its record lists and its ``/_efind`` file (or
+        part files) go, so a run leaves only its declared output."""
+        result.output, result.output_sizes = [], []
+        conf = stage.conf
+        if conf.output_per_partition:
+            for p in range(conf.num_reduce_tasks):
+                self.dfs.delete(JobRunner.partition_path(conf.output_path, p))
+        else:
+            self.dfs.delete(conf.output_path)
 
     def _constrained_splits(
         self, prev: StageSpec, stage: StageSpec

@@ -60,9 +60,10 @@ class TaskRun:
     ``output`` and of each of ``buckets`` -- the sizes the task's
     collector recorded, whose sum ``output_bytes`` is -- so that whoever
     takes the records next (a reduce task, the DFS, a resumed job) does
-    not walk them again. Once the job has returned they are None,
-    except where a resume of an aborted job reads them (see
-    :meth:`JobRunner._drop_consumed_sizes`).
+    not walk them again. Each list lives as long as its consumer: once
+    the job has returned the record lists are empty and the size lists
+    None, except where a resume of an aborted job reads them (see
+    :meth:`JobRunner._release_consumed`).
     """
 
     task_id: str
@@ -396,7 +397,7 @@ class JobRunner:
         result = self._run_inner(
             conf, start_time, splits, abort_check_map, abort_check_reduce
         )
-        self._drop_consumed_sizes(result)
+        self._release_consumed(result)
         if self._tracer is not None:
             self._emit_job_spans(result)
         return result
@@ -468,6 +469,10 @@ class JobRunner:
                 output_sizes=output_sizes,
             )
 
+        # Each bucket holds the same tuples as its task's output, which
+        # has no reader left once the map phase is through.
+        for run in map_runs:
+            run.output, run.output_sizes = [], None
         side_buckets, side_sizes = partition_sized(
             conf.side_reduce_inputs,
             record_sizes(
@@ -536,20 +541,23 @@ class JobRunner:
         )
 
     @staticmethod
-    def _drop_consumed_sizes(result: JobResult) -> None:
-        """Let go of the per-task sizes nobody can ask for once the job
-        has returned. ``JobResult.output_sizes`` holds what the tasks of
-        the last phase recorded, so only a resume reads a ``TaskRun``'s
-        sizes again: after a mid-map abort the finished map tasks'
-        ``output`` re-enters the new plan (Figure 10(a)), after a
-        mid-reduce abort the pending partitions' buckets do (10(b))."""
+    def _release_consumed(result: JobResult) -> None:
+        """A record list lives as long as its consumer (DESIGN.md 5.12):
+        let go of the per-task lists, and the sizes beside them, that
+        nobody can ask for once the job has returned.
+        ``JobResult.output`` holds what the tasks of the last phase
+        emitted, so only a resume reads a ``TaskRun``'s lists again:
+        after a mid-map abort the finished map tasks' ``output``
+        re-enters the new plan (Figure 10(a)), after a mid-reduce abort
+        the pending partitions' buckets do (10(b)); a partition's
+        buckets already went when its reduce task read them."""
         for run in result.map_runs:
             if result.aborted_phase != "map":
-                run.output_sizes = None
+                run.output, run.output_sizes = [], None
             if result.aborted_phase != "reduce":
-                run.bucket_sizes = None
+                run.buckets, run.bucket_sizes = [], None
         for run in result.reduce_runs:
-            run.output_sizes = None
+            run.output, run.output_sizes = [], None
 
     @staticmethod
     def _gather_output(runs: Sequence[TaskRun]) -> Tuple[List[Record], List[int]]:
@@ -832,25 +840,22 @@ class JobRunner:
         self, map_runs: Sequence[TaskRun], partition: int
     ) -> Tuple[List[Record], List[int]]:
         """All records destined to one reduce partition, and the sizes
-        their map tasks' collectors recorded for them (a bucket whose
-        sizes are gone -- its job ran to its end -- is walked)."""
+        their map tasks' collectors recorded for them. A partition
+        outside ``[0, len(buckets))`` raises; one whose reduce task has
+        read it, or whose job has returned, comes back empty."""
         records: List[Record] = []
         sizes: List[int] = []
         for run in map_runs:
             if run.buckets:
-                if partition >= len(run.buckets):
+                if not 0 <= partition < len(run.buckets):
                     raise DataFlowError(
                         f"map task {run.task_id} produced {len(run.buckets)} "
                         f"shuffle buckets but reduce partition {partition} was "
-                        f"requested; a resumed job is mixing map runs from "
-                        f"plans with different reduce-task counts"
+                        f"requested (a resumed job mixing map runs from plans "
+                        f"with different reduce-task counts asks past the end)"
                     )
-                bucket = run.buckets[partition]
-                records.extend(bucket)
-                if run.bucket_sizes is None:
-                    sizes.extend(record_sizes(bucket, None, "shuffle bucket"))
-                else:
-                    sizes.extend(run.bucket_sizes[partition])
+                records.extend(run.buckets[partition])
+                sizes.extend(run.bucket_sizes[partition])
         return records, sizes
 
     def _execute_reduce_task(
@@ -884,6 +889,13 @@ class JobRunner:
                     transfer + merge + tm.cpu_time(len(records), in_bytes)
                 )
                 raise TaskCrashError(ctx.task_id, wasted)
+        # This attempt commits (a crashed one left the buckets for its
+        # retry; a speculative backup is modelled, never re-run): bucket
+        # ``partition`` has had its one reader.
+        for run in map_runs:
+            if run.buckets:
+                run.buckets[partition] = []
+                run.bucket_sizes[partition] = []
         buffer = (
             self._tracer.task_buffer(ctx.task_id)
             if self._tracer is not None

@@ -9,6 +9,7 @@ there is nothing to deduplicate and declining to replan is correct.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -123,6 +124,22 @@ class TestMidReduceReplan:
         assert sorted(dfs.read("/out/rr4"), key=repr) == sorted(
             res.output, key=repr
         )
+
+    def test_run_leaves_only_its_output(self, env):
+        """Intermediate data dies with its consumer (DESIGN.md 5.12): the
+        resume has read the pending buckets, and no ``/_efind`` file of
+        the resumed plan outlives the run."""
+        cluster, dfs, *_ = env
+        res = dynamic_runner(env).run(make_job(env, "rr-lifetime"), mode="dynamic")
+        assert res.replanned and res.replan_phase == "reduce"
+        groups = Counter(group for _, (group, _) in dfs.read("/in/groups"))
+        expected = sorted(
+            ((f"region{int(city_of(g)[4:]) % 5}", g), n) for g, n in groups.items()
+        )
+        assert sorted(res.output) == expected
+        assert dfs.listdir("/_efind") == []
+        for run in res.stage_results[0].map_runs:
+            assert run.buckets == [] and run.bucket_sizes is None
 
     def test_resumed_stages_cover_remaining_partitions_only(self, env):
         cluster, dfs, _kv, num_records = env

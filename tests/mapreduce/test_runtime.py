@@ -1,5 +1,7 @@
 """Integration tests for the job runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import DataFlowError
@@ -34,6 +36,29 @@ def wordcount_conf(**overrides):
     for key, value in overrides.items():
         setattr(conf, key, value)
     return conf
+
+
+def as_returned(runner):
+    """Every task run as its task body returned it, lists and all: the
+    job lets go of a run's ``output`` and ``buckets`` once their
+    consumer has read them (DESIGN.md 5.12), so a test that reads them
+    after the job reads this snapshot."""
+    runs = []
+    for name in ("_execute_map_task", "_execute_reduce_task"):
+
+        def spy(*args, execute=getattr(runner, name)):
+            run = execute(*args)
+            runs.append(
+                replace(
+                    run,
+                    output=list(run.output),
+                    buckets=[list(bucket) for bucket in run.buckets],
+                )
+            )
+            return run
+
+        setattr(runner, name, spy)
+    return runs
 
 
 @pytest.fixture
@@ -110,8 +135,10 @@ class TestOutputBytes:
     walking it a second time."""
 
     def test_equals_sizing_the_output(self, loaded):
+        runs = as_returned(loaded)
         res = loaded.run(wordcount_conf())
-        for run in res.map_runs + res.reduce_runs:
+        assert len(runs) == len(res.map_runs) + len(res.reduce_runs)
+        for run in runs:
             assert run.output_bytes == sizeof_records(run.output) > 0
 
     def test_empty_map_chain_and_reduce_post_chain(self, loaded):
@@ -120,9 +147,11 @@ class TestOutputBytes:
             reducer=IdentityReducer(),
             reduce_post_chain=[IdentityMapper()],
         )
+        runs = as_returned(loaded)
         res = loaded.run(conf)
         assert sum(r.output_records for r in res.reduce_runs) == 2000
-        for run in res.map_runs + res.reduce_runs:
+        assert len(runs) == len(res.map_runs) + len(res.reduce_runs)
+        for run in runs:
             assert run.output_bytes == sizeof_records(run.output) > 0
 
     def test_sizes_reach_the_stages_of_map_and_reduce_post_chains(self, loaded):
@@ -142,11 +171,13 @@ class TestOutputBytes:
         conf = wordcount_conf()
         conf.map_chain = [Probe("map-head"), *conf.map_chain, Probe("map-tail")]
         conf.reduce_post_chain = [Probe("reduce-post")]
+        runs = as_returned(loaded)
         res = loaded.run(conf)
         assert len(seen["map-head"]) == 2000 and len(seen["map-tail"]) == 8000
         for where in ("map-head", "map-tail", "reduce-post"):
             assert seen[where] and all(known == walked for known, walked in seen[where])
-        for run in res.map_runs + res.reduce_runs:
+        assert len(runs) == len(res.map_runs) + len(res.reduce_runs)
+        for run in runs:
             assert run.output_bytes == sizeof_records(run.output) > 0
 
     def test_map_output_not_walked_again(self, cluster, dfs):
@@ -167,16 +198,20 @@ class TestOutputBytes:
             materialize_output=False,
         )
         Counted.walks = 0
-        res = JobRunner(cluster, dfs).run(conf)
+        runner = JobRunner(cluster, dfs)
+        runs = as_returned(runner)
+        res = runner.run(conf)
         assert Counted.walks == 0  # the blocks carry sizes; the mapper hands them on
-        for run in res.map_runs:
+        assert len(runs) == len(res.map_runs)
+        for run in runs:
             assert run.output_bytes == sizeof_records(run.output)
         assert sum(r.output_bytes for r in res.map_runs) == 40 * (8 + 50)
 
 
 class TestSizesOutliveTheTask:
     """A task's record lists keep the sizes its collector recorded for
-    as long as someone can still ask for them (DESIGN.md 5.12)."""
+    as long as someone can still ask for them, and go, sizes and all,
+    once no one can (DESIGN.md 5.12)."""
 
     @staticmethod
     def walked(records):
@@ -185,6 +220,7 @@ class TestSizesOutliveTheTask:
     def test_reduce_input_bytes_is_the_sum_of_the_bucket_sizes(self, loaded):
         execute = loaded._execute_reduce_task
         partitions_checked = []
+        fetched_bytes = {}
 
         def spy(conf, partition, map_runs, *rest):
             for run in map_runs:
@@ -192,24 +228,27 @@ class TestSizesOutliveTheTask:
                     run.buckets[partition]
                 )
             partitions_checked.append(partition)
+            fetched_bytes[partition] = sizeof_records(
+                loaded.reduce_input_for(map_runs, partition)
+            )
             return execute(conf, partition, map_runs, *rest)
 
         loaded._execute_reduce_task = spy
         res = loaded.run(wordcount_conf())
         assert partitions_checked == [0, 1, 2]
         for run in res.reduce_runs:
-            assert run.input_bytes == sizeof_records(
-                loaded.reduce_input_for(res.map_runs, run.partition)
-            )
+            assert run.input_bytes == fetched_bytes[run.partition]
         assert res.output_sizes == self.walked(res.output)
 
     def test_a_finished_job_drops_what_no_one_can_ask_for(self, loaded):
         res = loaded.run(wordcount_conf())
         assert res.output_sizes == self.walked(res.output)
         for run in res.map_runs:
-            assert run.buckets and run.output
+            assert run.buckets == [] and run.output == []
             assert run.output_sizes is None and run.bucket_sizes is None
-        assert all(run.output_sizes is None for run in res.reduce_runs)
+        assert all(
+            run.output == [] and run.output_sizes is None for run in res.reduce_runs
+        )
 
     def test_map_abort_keeps_output_sizes_for_the_resume(self, loaded):
         res = loaded.run(wordcount_conf(), abort_check_map=lambda runs, total: True)
@@ -304,19 +343,45 @@ class TestAbortHooks:
 
 
 class TestReduceInputFor:
+    """Read from a job stopped after its first reduce wave: the pending
+    partitions keep their buckets for the resume (Figure 10(b))."""
+
+    @staticmethod
+    def stopped(loaded):
+        res = loaded.run(
+            wordcount_conf(num_reduce_tasks=12),
+            abort_check_reduce=lambda runs, total: True,
+        )
+        assert res.aborted_phase == "reduce" and res.remaining_partitions
+        return res
+
     def test_mismatched_bucket_count_is_clear_error(self, loaded):
         # Regression: a resumed job mixing map runs from plans with
         # different reduce-task counts used to die with a bare
         # IndexError deep in the shuffle.
-        res = loaded.run(wordcount_conf(num_reduce_tasks=3))
+        res = self.stopped(loaded)
         with pytest.raises(DataFlowError, match="shuffle buckets"):
-            loaded.reduce_input_for(res.map_runs, 3)
+            loaded.reduce_input_for(res.map_runs, 12)
+
+    @pytest.mark.parametrize("partition", [-1, -12])
+    def test_negative_partition_is_clear_error(self, loaded, partition):
+        # Regression: ``buckets[-1]`` served the last partition's records
+        # to whoever asked for partition -1.
+        res = self.stopped(loaded)
+        with pytest.raises(DataFlowError, match="shuffle buckets"):
+            loaded.reduce_input_for(res.map_runs, partition)
 
     def test_valid_partition_still_served(self, loaded):
-        res = loaded.run(wordcount_conf(num_reduce_tasks=3))
-        records = loaded.reduce_input_for(res.map_runs, 2)
+        res = self.stopped(loaded)
+        records = loaded.reduce_input_for(res.map_runs, res.remaining_partitions[-1])
         assert records
         assert all(isinstance(r, tuple) for r in records)
+
+    def test_a_read_partition_is_gone(self, loaded):
+        res = self.stopped(loaded)
+        (done, *_) = sorted(run.partition for run in res.reduce_runs)
+        assert done not in res.remaining_partitions
+        assert loaded.sized_reduce_input(res.map_runs, done) == ([], [])
 
 
 class TestPerPartitionOutput:
