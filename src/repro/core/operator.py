@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.common.errors import DataFlowError
 from repro.core.accessor import IndexAccessor
 from repro.mapreduce.api import OutputCollector
 
@@ -38,7 +39,9 @@ class IndexInput:
     """Collects per-record lookup keys: one key list per attached index.
 
     ``put(j, ik)`` matches the paper's ``iklist.put(1, user)`` -- except
-    indices are numbered from 0 here, in attachment order.
+    indices are numbered from 0 here, in attachment order. A key is
+    looked up through dicts and sets under every strategy, so it must be
+    hashable: ``put`` refuses one that is not with a ``DataFlowError``.
     """
 
     __slots__ = ("_keys",)
@@ -50,6 +53,13 @@ class IndexInput:
         keys = self._keys
         if not 0 <= index_id < len(keys):
             raise _bad_index_id(index_id, len(keys))
+        try:
+            hash(ik)
+        except TypeError:
+            raise DataFlowError(
+                f"lookup key {ik!r} for index {index_id} is unhashable; "
+                f"a lookup key must be hashable (a tuple, not a list)"
+            ) from None
         keys[index_id].append(ik)
 
     def keys(self, index_id: int) -> List[Any]:
@@ -107,6 +117,9 @@ class IndexValues:
         return len(self._value_lists)
 
 
+_new_values = IndexValues.__new__
+
+
 class IndexOutput:
     """All attached indices' results for one record: a view over the
     carrier's key and result tuples (anything else is snapshotted),
@@ -126,10 +139,17 @@ class IndexOutput:
         iklists = self._iklists
         if not 0 <= index_id < len(iklists):
             raise _bad_index_id(index_id, len(iklists))
-        value_lists = self._ivlists[index_id]
-        return IndexValues(
-            iklists[index_id], () if value_lists is None else value_lists
-        )
+        keys, value_lists = iklists[index_id], self._ivlists[index_id]
+        if value_lists is None:
+            value_lists = ()
+        if type(keys) is not tuple or type(value_lists) is not tuple:
+            return IndexValues(keys, value_lists)
+        # Both parts are the carrier's own tuples: the view the
+        # constructor would build, without its frame.
+        values = _new_values(IndexValues)
+        values._keys = keys
+        values._value_lists = value_lists
+        return values
 
     @property
     def num_indices(self) -> int:

@@ -47,11 +47,15 @@ class FMSketch:
 
     def add_all(self, keys: Iterable[Any]) -> None:
         """Add every key of ``keys``. Bits are only OR-ed in, so the
-        bitmaps do not depend on the order (or the grouping) of adds."""
+        bitmaps do not depend on the order (or the grouping) of adds,
+        nor on how often a hash repeats: ``keys`` is read once into a
+        set of hashes, so each distinct exact ``int`` is hashed and
+        placed once. Every other key is hashed as it comes (``1``,
+        ``1.0`` and ``True`` stay three hashes)."""
         bitmaps, num_buckets, top = self.bitmaps, self.num_buckets, self.bitmap_bits - 1
-        for key in keys:
-            # stable_hash's exact-int rung, inline.
-            h = key & 0x7FFFFFFF if type(key) is int else stable_hash(key)
+        # stable_hash's exact-int rung, inline.
+        for h in {key & 0x7FFFFFFF if type(key) is int else stable_hash(key)
+                  for key in keys}:
             h = h * 2654435761 & 0xFFFFFFFFFFFF
             bucket = h % num_buckets
             h //= num_buckets

@@ -51,6 +51,8 @@ _CARRIER_TAG = "EFc"
 _HEADER_BYTES = sizeof(())  # an empty container
 _CARRIER_BYTES = sizeof((_CARRIER_TAG,))  # the carrier's own header + tag
 _NONE_BYTES = sizeof(None)  # a result slot no lookup has filled yet
+_ONE_NUMBER_BYTES = sizeof((0,))  # a key tuple of one exact int or float
+_NUMBERS = (int, float)  # exact types only: ``bool`` and subclasses walk
 
 
 def make_carrier(v1: Any, ikl: tuple, ivl: tuple) -> tuple:
@@ -91,6 +93,7 @@ class PreProcessFn(StreamStage):
             return  # an empty split binds nothing and opens no sample
         pre_process = self.operator.pre_process
         m = self.operator.num_indices
+        one_index = m == 1
         new_input, no_lists = IndexInput.__new__, ((),) * m
         no_values = (None,) * m
         # All of a fresh carrier pair but (k1, v1) and the key tuples.
@@ -110,7 +113,7 @@ class PreProcessFn(StreamStage):
                 records, itertools.repeat(None) if sizes is None else sizes
             ):
                 # A fresh view over key lists this stage owns; no __init__.
-                lists = list(map(list, no_lists))
+                lists = [[]] if one_index else list(map(list, no_lists))
                 index_input = new_input(IndexInput)
                 index_input._keys = lists
                 returned = pre_process(key, value, index_input)
@@ -124,7 +127,7 @@ class PreProcessFn(StreamStage):
                         f"it returned {returned!r}"
                     )
                 out_key, out_value = returned
-                ikl = tuple(map(tuple, lists))
+                ikl = (tuple(lists[0]),) if one_index else tuple(map(tuple, lists))
 
                 # The carrier pair is sized from its parts: S1 stands for
                 # (k1, v1) when pre_process handed the very objects back,
@@ -137,7 +140,13 @@ class PreProcessFn(StreamStage):
                     s1 if unchanged else sizeof_pair(out_key, out_value)
                 ) + fixed_bytes
                 for keys in ikl:
-                    kb = sizeof(keys) if keys else _HEADER_BYTES  # header + Sik_j
+                    # header + Sik_j; one number is a constant of the model.
+                    if not keys:
+                        kb = _HEADER_BYTES
+                    elif len(keys) == 1 and type(keys[0]) in _NUMBERS:
+                        kb = _ONE_NUMBER_BYTES
+                    else:
+                        kb = sizeof(keys)
                     nbytes += kb
                     if stats is not None:
                         note_key_bytes(kb)
@@ -213,6 +222,15 @@ class LookupPipeline:
        (a multiget) -- the only places a lookup is charged, and
        :meth:`_settle` behind both the only one where it is counted.
 
+    Whatever resolves a key sizes its values once, by their index
+    (``result_bytes``): a fetch, a scan or a ReuseStore hit. The size
+    then travels beside the values -- in the LRU entry, the memo and
+    :attr:`fetched_bytes` -- and :attr:`nbytes` holds it for the key
+    :meth:`lookup` (or :meth:`probe`, :meth:`fetch_one`) just resolved,
+    so a stage fills a result slot without walking the result again.
+    A carried size goes stale only if its values do, which the LRU and
+    the memo already rule out (lookups are idempotent, Section 3.2).
+
     ``batch_size`` decides only *when* the fetch is issued and whether
     it may be a multiget. At 1 each missing key is fetched at once by a
     single ``IndexAccessor.lookup``. Above 1 missing keys wait (hits
@@ -264,6 +282,11 @@ class LookupPipeline:
         crashed attempt's memo or its parked records."""
         self._memo_key: Any = _NO_MEMO
         self._memo_values: Tuple[Any, ...] = ()
+        self._memo_bytes = 0
+        #: Size of the values the last resolved key returned.
+        self.nbytes = 0
+        #: ``{ik: size}`` of the values the last :meth:`fetch` returned.
+        self.fetched_bytes: dict = {}
         self._prev_ik: Any = _NO_MEMO
         self._pending: dict = {}  # waiting keys, in arrival order
         self._parked: list = []
@@ -352,6 +375,7 @@ class LookupPipeline:
             # waiting the memo lags behind ``prev`` -- gating on ``prev``
             # keeps a stale memo key from faking adjacency.)
             if ik == self._memo_key:
+                self.nbytes = self._memo_bytes
                 return self._memo_values
             if pending:
                 # Adjacent duplicate of a waiting key: the memo would
@@ -375,7 +399,8 @@ class LookupPipeline:
             if pending:
                 return None
             if hit:
-                return self._remember(ik, tuple(cached))
+                values, nbytes = cached
+                return self._remember(ik, values, nbytes)
         elif self.shadow:
             # Baseline: the shadow estimates R (Section 4.2). The
             # post-shuffle dedup leg and the reduce side have none:
@@ -392,18 +417,21 @@ class LookupPipeline:
         values = self._reuse_probe(ik, ctx, pending)
         if values is None:
             return None
+        nbytes = self.result_bytes(values)
         if self.use_cache:
             # Insert only after a validated reuse hit (or, in fetch, a
             # *successful* fetch): a terminal lookup failure must not
             # poison the shared node-local LRU -- a retried task would
             # otherwise see the bogus entry.
-            cache.put(ik, values)
-        return self._remember(ik, values)
+            cache.put(ik, (values, nbytes))
+        return self._remember(ik, values, nbytes)
 
-    def _remember(self, ik: Any, values: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    def _remember(self, ik: Any, values: Tuple[Any, ...], nbytes: int) -> tuple:
+        self.nbytes = nbytes
         if self.dedup_adjacent:
             self._memo_key = ik
             self._memo_values = values
+            self._memo_bytes = nbytes
         return values
 
     # ------------------------------------------------------------------
@@ -413,9 +441,8 @@ class LookupPipeline:
         """Fetch ``ik`` with a single ``IndexAccessor.lookup``: ``T_j``
         at the index, plus the key/result transfer ``(Sik + Siv)/BW``
         when it is served remotely. The result is sized once, by its
-        index (``result_bytes``), for the transfer charge and the Siv
-        sample alike; without statistics only when it crosses the
-        network."""
+        index (``result_bytes``), for the transfer charge, the Siv
+        sample and the slot it fills (:attr:`nbytes`) alike."""
         if ctx is not self._ctx:
             self._bind(ctx)
         accessor = self.accessor
@@ -424,19 +451,19 @@ class LookupPipeline:
         tj = accessor.service_time()
         local = (self._is_local(ik, ctx) if self.assume_local
                  else self._host in accessor.hosts_for_key(ik))
-        siv = (self.result_bytes(values)
-               if self.stats is not None or not local else 0)
+        self.nbytes = siv = self.result_bytes(values)
         if local:
             ctx.charge(ctx.time_model.local_lookup_time(tj))
         else:
             ctx.charge(ctx.time_model.remote_lookup_time(sizeof(ik), siv, tj))
-        self._settle(ctx, t0, ((ik, values),), tj, siv, local=local)
+        self._settle(ctx, t0, ((ik, values, siv),), tj, siv, local=local)
         return values
 
     def fetch(self, keys, ctx: TaskContext, records: int = 1):
         """Fetch ``keys`` from the index with one ``lookup_batch``
         request for all of them, on behalf of ``records`` parked
-        records; returns ``{ik: values}``.
+        records; returns ``{ik: values}``, their sizes left in
+        :attr:`fetched_bytes`.
 
         Charging: keys are split into local and remote (the
         re-partitioning and index-locality legs batch within their
@@ -462,13 +489,10 @@ class LookupPipeline:
             local = (self._is_local(ik, ctx) if self.assume_local
                      else self._host in accessor.hosts_for_key(ik))
             (local_keys if local else remote_keys).append(ik)
-        # Each result is sized once, for the transfer charge and the Siv
-        # sample alike; without statistics only what crosses the network.
+        # Each result is sized once, for the transfer charge, the Siv
+        # sample and the slots it fills alike.
         result_bytes = self.result_bytes
-        siv = {
-            ik: result_bytes(results[ik])
-            for ik in (results if self.stats is not None else remote_keys)
-        }
+        self.fetched_bytes = siv = {ik: result_bytes(vs) for ik, vs in results.items()}
 
         ctx.counters.increment("batch", "batches_issued")
         ctx.counters.increment("batch", "keys_batched", len(keys))
@@ -492,8 +516,8 @@ class LookupPipeline:
             for ik in remote_keys:
                 ctx.charge(tm.remote_lookup_time(sizeof(ik), siv[ik], tj))
         self._settle(
-            ctx, t0, [(ik, results[ik]) for ik in keys], tj, sum(siv.values()),
-            records=records, groups=groups,
+            ctx, t0, [(ik, results[ik], siv[ik]) for ik in keys], tj,
+            sum(siv.values()), records=records, groups=groups,
         )
         return results
 
@@ -508,8 +532,8 @@ class LookupPipeline:
         charged as native multigets, None on an index without one):
         counters, trace spans, the Table-1 sample, reuse admission, LRU
         insert, adjacent-dedup memo. ``fetched`` holds the ``(ik,
-        values)`` pairs, ``siv_total`` the summed size of their values
-        (read with statistics attached only)."""
+        values, nbytes)`` triples, ``siv_total`` the summed size of their
+        values."""
         accessor = self.accessor
         n = len(fetched)
         ctx.counters.increment("lookup", "fetches", n)
@@ -558,7 +582,7 @@ class LookupPipeline:
             cost = tj
             if groups is not None:
                 cost = accessor.batch_request_overhead() / n + accessor.batch_key_time()
-            for ik, values in fetched:
+            for ik, values, _ in fetched:
                 admitted, evicted = self.reuse.admit(
                     self._host, accessor, ik, values, cost
                 )
@@ -569,16 +593,17 @@ class LookupPipeline:
                     ctx.counters.increment("reuse", "evicted", evicted)
         if self.use_cache:
             cache = self._cache
-            for ik, values in fetched:
-                cache.put(ik, values)
+            for ik, values, nbytes in fetched:
+                cache.put(ik, (values, nbytes))
         if self.dedup_adjacent:
             # The memo holds the *last arrival's* key. When that arrival
             # resolved at probe time the memo is already current; only a
             # last arrival that had to be fetched is installed here.
             prev = self._prev_ik
-            for ik, values in fetched:
+            for ik, values, nbytes in fetched:
                 if ik is prev or ik == prev:
                     self._memo_key, self._memo_values = prev, values
+                    self._memo_bytes = nbytes
                     break
 
     def _is_local(self, ik: Any, ctx: TaskContext) -> bool:
@@ -659,13 +684,12 @@ class LookupPipeline:
             * self.build.scan_multiplier(self.accessor.name)
         )
         local = self._host in self.accessor.hosts_for_key(ik)
+        self.nbytes = nbytes = self.result_bytes(values)
         if local:
             ctx.charge(ctx.time_model.local_lookup_time(tj_scan))
         else:
             ctx.charge(
-                ctx.time_model.remote_lookup_time(
-                    sizeof(ik), self.result_bytes(values), tj_scan
-                )
+                ctx.time_model.remote_lookup_time(sizeof(ik), nbytes, tj_scan)
             )
         ctx.counters.increment("build", "unindexed_lookups")
         ctx.counters.increment("build", "scan_seconds", ctx.charged_time - t0)
@@ -730,9 +754,10 @@ class LookupFn(StreamStage):
     def consume(self, records, sizes, collector, ctx):
         j, tag = self.index_id, _CARRIER_TAG
         pipeline = self.pipeline
-        lookup, emit, ctx_per_key = pipeline.lookup, self._emit, itertools.repeat(ctx)
+        lookup = pipeline.lookup
         out_records: List[tuple] = []
         out_sizes: List[int] = []
+        emit, emit_size = out_records.append, out_sizes.append
         try:
             for (key, value), in_bytes in zip(
                 records, itertools.repeat(None) if sizes is None else sizes
@@ -741,21 +766,49 @@ class LookupFn(StreamStage):
                     open_carrier(value)  # raises, but for a carrier-shaped subclass
                 _, v1, ikl, ivl = value
                 keys = ikl[j]
-                if not keys:
-                    results = ()  # nothing to ask the pipeline
+                # Resolve the keys; each resolved result's size is read
+                # off the pipeline (``nbytes``) as it resolves.
+                if len(keys) == 1:
+                    values = lookup(keys[0], ctx)
+                    results = (values,)
+                    waiting = values is None
+                    results_bytes = 0 if waiting else pipeline.nbytes
+                elif not keys:
+                    results, waiting, results_bytes = (), False, 0
                 else:
-                    results = ((lookup(keys[0], ctx),) if len(keys) == 1
-                               else tuple(map(lookup, keys, ctx_per_key)))
-                    if None in results:
-                        # A key waits for the next multiget: park the
-                        # record, its input size with it. A drain emits,
-                        # so what was emitted before it goes out first.
-                        if pipeline.park((key, v1, ikl, ivl, results, in_bytes)):
-                            self._hand_over(out_records, out_sizes, collector, ctx)
-                            self._drain(collector, ctx)
-                        continue
-                # Every key resolved: emit right away, no batching delay.
-                emit(out_records, out_sizes, key, v1, ikl, ivl, results, in_bytes)
+                    resolved, waiting, results_bytes = [], False, 0
+                    for ik in keys:
+                        values = lookup(ik, ctx)
+                        if values is None:
+                            waiting = True
+                        else:
+                            results_bytes += pipeline.nbytes
+                        resolved.append(values)
+                    results = tuple(resolved)
+                if waiting:
+                    # A key waits for the next multiget: park the record,
+                    # its input size and its resolved results' with it.
+                    # A drain emits, so what was emitted before it goes
+                    # out first.
+                    if pipeline.park(
+                        (key, v1, ikl, ivl, results, in_bytes, results_bytes)
+                    ):
+                        self._hand_over(out_records, out_sizes, collector, ctx)
+                        self._drain(collector, ctx)
+                    continue
+                # Every key resolved: emit right away, this slot filled.
+                # The pair going out differs from the one that came in
+                # (``in_bytes``; None when unknown, and it is walked) by
+                # that one slot.
+                old = ivl[j]
+                carrier = (tag, v1, ikl, (results,) if len(ivl) == 1
+                           else ivl[:j] + (results,) + ivl[j + 1 :])
+                emit((key, carrier))
+                emit_size(
+                    sizeof_pair(key, carrier) if in_bytes is None
+                    else in_bytes + _HEADER_BYTES + results_bytes
+                    - (_NONE_BYTES if old is None else sizeof(old))
+                )
         finally:
             self._hand_over(out_records, out_sizes, collector, ctx)
 
@@ -763,15 +816,31 @@ class LookupFn(StreamStage):
         self._drain(collector, ctx, finishing=True)
 
     def _drain(self, collector, ctx, finishing: bool = False):
-        fetched, parked = self.pipeline.drain(ctx, finishing)
+        """Fetch what the parked records wait for and emit them, in
+        arrival order, as ``consume`` emits a record that resolved."""
+        j, tag = self.index_id, _CARRIER_TAG
+        pipeline = self.pipeline
+        fetched, parked = pipeline.drain(ctx, finishing)
+        fetched_bytes = pipeline.fetched_bytes
         out_records: List[tuple] = []
         out_sizes: List[int] = []
-        for key, v1, ikl, ivl, results, in_bytes in parked:
-            filled = tuple(
-                fetched[ik] if values is None else values
-                for ik, values in zip(ikl[self.index_id], results)
+        for key, v1, ikl, ivl, results, in_bytes, results_bytes in parked:
+            filled = []
+            for ik, values in zip(ikl[j], results):
+                if values is None:
+                    values = fetched[ik]
+                    results_bytes += fetched_bytes[ik]
+                filled.append(values)
+            results = tuple(filled)
+            old = ivl[j]
+            carrier = (tag, v1, ikl, (results,) if len(ivl) == 1
+                       else ivl[:j] + (results,) + ivl[j + 1 :])
+            out_records.append((key, carrier))
+            out_sizes.append(
+                sizeof_pair(key, carrier) if in_bytes is None
+                else in_bytes + _HEADER_BYTES + results_bytes
+                - (_NONE_BYTES if old is None else sizeof(old))
             )
-            self._emit(out_records, out_sizes, key, v1, ikl, ivl, filled, in_bytes)
         self._hand_over(out_records, out_sizes, collector, ctx)
 
     def _hand_over(self, out_records, out_sizes, collector, ctx):
@@ -787,28 +856,6 @@ class LookupFn(StreamStage):
             self.pipeline.task_sample(ctx).sidx_bytes += (
                 collector.bytes - before_bytes
             )
-
-    def _emit(self, out_records, out_sizes, key, v1, ikl, ivl, results, in_bytes):
-        """Append the record with this index's slot filled, and its
-        size. ``in_bytes`` is the size the record arrived with (None
-        when unknown, and the pair is walked): the pair going out
-        differs from it by that one slot."""
-        j = self.index_id
-        new_ivl = (results,) if len(ivl) == 1 else ivl[:j] + (results,) + ivl[j + 1 :]
-        carrier = (_CARRIER_TAG, v1, ikl, new_ivl)
-        if in_bytes is None:
-            out_sizes.append(sizeof_pair(key, carrier))
-        else:
-            old = ivl[j]
-            result_bytes = self.pipeline.result_bytes
-            out_sizes.append(
-                in_bytes
-                + _HEADER_BYTES
-                + (result_bytes(results[0]) if len(results) == 1
-                   else sum(map(result_bytes, results)))
-                - (_NONE_BYTES if old is None else sizeof(old))
-            )
-        out_records.append((key, carrier))
 
     @property
     def name(self) -> str:
@@ -835,13 +882,22 @@ class PostProcessFn(StreamStage):
 
     def consume(self, records, sizes, collector, ctx):
         post_process, tag = self.operator.post_process, _CARRIER_TAG
+        new_output = IndexOutput.__new__
         before_bytes = collector.bytes
         done_bytes = None  # ``collector.bytes`` after the last whole record
         try:
             for key, value in records:
                 if type(value) is not tuple or len(value) != 4 or value[0] != tag:
                     open_carrier(value)  # raises, but for a carrier-shaped subclass
-                post_process(key, value[1], IndexOutput(value[2], value[3]), collector)
+                _, v1, ikl, ivl = value
+                if type(ikl) is tuple and type(ivl) is tuple:
+                    # A fresh view over the carrier's own tuples; no __init__.
+                    index_output = new_output(IndexOutput)
+                    index_output._iklists = ikl
+                    index_output._ivlists = ivl
+                else:
+                    index_output = IndexOutput(ikl, ivl)
+                post_process(key, v1, index_output, collector)
                 done_bytes = collector.bytes
         finally:
             if self.stats is not None and done_bytes is not None:
@@ -947,25 +1003,31 @@ class GroupLookupReducer(Reducer):
         sizes = ctx.group_bytes
         if ik is None:
             # Keyless records need no lookup: emit straight through.
-            self._emit_group(carriers, sizes, (), collector)
+            self._emit_group(carriers, sizes, (), 0, collector)
             return
-        values = self.pipeline.lookup(ik, ctx)
+        pipeline = self.pipeline
+        values = pipeline.lookup(ik, ctx)
         if values is not None:
-            self._emit_group(carriers, sizes, (values,), collector)
-        elif self.pipeline.park((ik, list(carriers), sizes)):
+            self._emit_group(carriers, sizes, (values,), pipeline.nbytes, collector)
+        elif pipeline.park((ik, list(carriers), sizes)):
             self._drain(collector, ctx)
 
     def finish(self, collector, ctx):
         self._drain(collector, ctx, finishing=True)
 
     def _drain(self, collector, ctx, finishing: bool = False):
-        results, parked = self.pipeline.drain(ctx, finishing)
+        pipeline = self.pipeline
+        results, parked = pipeline.drain(ctx, finishing)
+        fetched_bytes = pipeline.fetched_bytes
         for ik, carriers, sizes in parked:
-            self._emit_group(carriers, sizes, (results[ik],), collector)
+            self._emit_group(
+                carriers, sizes, (results[ik],), fetched_bytes[ik], collector
+            )
 
-    def _emit_group(self, carriers, sizes, results, collector):
+    def _emit_group(self, carriers, sizes, results, results_bytes, collector):
         """Emit the group's carriers under their original keys, this
-        index's slot filled. ``sizes`` are the sizes the shuffled pairs
+        index's slot filled with ``results`` (their sizes summing to
+        ``results_bytes``). ``sizes`` are the sizes the shuffled pairs
         ``(ik, (k1, carrier))`` arrived with (None when unknown): each
         pair going out is its shuffled pair less the shuffle key and the
         wrapper ``KeyByIkFn`` put around it, with that one slot changed."""
@@ -973,9 +1035,7 @@ class GroupLookupReducer(Reducer):
         if sizes is None:
             sizes = itertools.repeat(None)
         else:
-            filled_bytes = _HEADER_BYTES + sum(
-                map(self.pipeline.result_bytes, results)
-            )
+            filled_bytes = _HEADER_BYTES + results_bytes
         for (original_key, value), nbytes in zip(carriers, sizes):
             v1, ikl, ivl = open_carrier(value)
             keys = ikl[j]

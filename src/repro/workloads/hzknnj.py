@@ -227,6 +227,14 @@ def _tagged_copy(
     return dst
 
 
+def _release(dfs: DistributedFileSystem, result: JobResult, path: str) -> None:
+    """Intermediate data dies with its consumer: once the step that
+    reads a job's output is done, its record lists and its ``/_hzknnj``
+    file go, so a run leaves only the declared result."""
+    result.output, result.output_sizes = [], []
+    dfs.delete(path)
+
+
 def run_hzknnj(
     cluster: Cluster,
     dfs: DistributedFileSystem,
@@ -257,6 +265,7 @@ def run_hzknnj(
     boundaries = _quantile_boundaries(
         sample_result.output, len(shifts), cfg.num_partitions
     )
+    _release(dfs, sample_result, sample_conf.output_path)
 
     # ---- Phase 2: z-encode, range partition, per-range candidate scan.
     a_tagged = _tagged_copy(dfs, a_path, "/_hzknnj/a-tagged", "A")
@@ -274,6 +283,8 @@ def run_hzknnj(
         ),
     )
     scan_result = runner.run(scan_conf, start_time=sample_result.end_time)
+    dfs.delete(a_tagged)  # the scan was their only reader
+    dfs.delete(b_tagged)
 
     # ---- Phase 3: merge candidates across shifts, exact top-k.
     merge_conf = JobConf(
@@ -285,6 +296,7 @@ def run_hzknnj(
         num_reduce_tasks=cluster.num_nodes,
     )
     merge_result = runner.run(merge_conf, start_time=scan_result.end_time)
+    _release(dfs, scan_result, scan_conf.output_path)
 
     neighbours = {rid: tuple(bids) for rid, bids in merge_result.output}
     return HzknnjResult(

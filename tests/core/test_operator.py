@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import DataFlowError
 from repro.core.accessor import IndexAccessor
 from repro.core.operator import (
     IndexInput,
@@ -46,6 +47,16 @@ class TestIndexInput:
             ii.put(index_id, "a")
         with pytest.raises(IndexError, match=rf"index id {index_id} .* 2 attached"):
             ii.keys(index_id)
+        assert ii.as_tuple() == ((), ())
+
+
+    @pytest.mark.parametrize("ik", [[1, 2], {1: 2}, (1, [2])])
+    def test_unhashable_key_refused_by_name(self, ik):
+        """Every strategy files keys in dicts and sets: an unhashable one
+        is refused where it is put, naming the index and the key."""
+        ii = IndexInput(2)
+        with pytest.raises(DataFlowError, match=r"key .* for index 1 is unhashable"):
+            ii.put(1, ik)
         assert ii.as_tuple() == ((), ())
 
 

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.common.errors import PlanningError
+from repro.common.errors import DataFlowError, PlanningError
+from repro.core.accessor import IndexAccessor
 from repro.core.costmodel import Strategy
+from repro.core.ejobconf import IndexJobConf
+from repro.core.operator import IndexOperator
 from repro.core.optimizer import forced_plan
+from repro.core.runner import EFindRunner
+from repro.indices.kvstore import DistributedKVStore
+from repro.mapreduce.api import FnMapper, FnReducer
 
 
 class TestModes:
@@ -171,3 +177,44 @@ class TestDynamicResume:
         assert sorted(efind_env.dfs.read("/out/d3"), key=repr) == sorted(
             dyn.output, key=repr
         )
+
+
+class UnhashableKeyOperator(IndexOperator):
+    """Puts a key no dict or set can hold: a list or a dict."""
+
+    def __init__(self, bad_key):
+        super().__init__("unhashable-op")
+        self.bad_key = bad_key
+
+    def pre_process(self, key, value, index_input):
+        index_input.put(0, self.bad_key)
+        return key, value
+
+
+class TestUnhashableLookupKey:
+    """An unhashable key dies as a typed ``DataFlowError`` naming the
+    index and the key under every strategy -- not as the bare
+    ``TypeError`` the shadow cache, the LRU, the index or the shuffle
+    grouping would raise."""
+
+    @pytest.mark.parametrize("bad_key", [[1, 2], {1: 2}])
+    @pytest.mark.parametrize(
+        "mode, strategy",
+        [("forced", s) for s in (Strategy.BASELINE, Strategy.CACHE,
+                                  Strategy.REPART, Strategy.IDXLOC)]
+        + [("dynamic", None)],
+    )
+    def test_refused_by_name(self, cluster, dfs, bad_key, mode, strategy):
+        dfs.write("/in/few", [(i, f"v{i}") for i in range(20)])
+        kv = DistributedKVStore("kv", cluster)
+        kv.put_unique(1, "one")
+        job = IndexJobConf("unhashable")
+        job.set_input_paths("/in/few")
+        job.set_output_path("/out/unhashable")
+        job.set_mapper(FnMapper(lambda k, v: [(k, v)], "ident"))
+        job.set_reducer(FnReducer(lambda k, vs: [(k, len(vs))], "count"))
+        job.add_head_index_operator(
+            UnhashableKeyOperator(bad_key).add_index(IndexAccessor(kv))
+        )
+        with pytest.raises(DataFlowError, match=r"key .* for index 0 is unhashable"):
+            EFindRunner(cluster, dfs).run(job, mode=mode, forced_strategy=strategy)

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 from repro.common.errors import DataFlowError
+from repro.common.sizing import sizeof_pair
 from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
 from repro.core.statistics import OperatorStatsAccumulator
@@ -29,7 +30,7 @@ from repro.core.strategy import (
 from repro.indices.base import MappingIndex
 from repro.indices.partitioning import HashPartitionScheme, round_robin_placements
 from repro.mapreduce.api import OutputCollector, TaskContext
-from repro.mapreduce.chain import run_chain
+from repro.mapreduce.chain import run_chain, run_chain_collected
 from repro.simcluster.cluster import Cluster
 from repro.simcluster.timemodel import TimeModel
 
@@ -274,6 +275,31 @@ class TestLookupFnModes:
         carrier = make_carrier("v", ((),), (None,))
         fn.process("k", carrier, col, ctx)
         assert op.accessors[0].index.lookups_served == 0
+
+    def test_lru_hit_after_a_refetch_carries_the_refetched_size(self, ctx):
+        """The LRU holds a result's size beside its values: once ``a``
+        was evicted and fetched again, a hit on it fills the slot with
+        the size of what the re-fetch returned, not of what the evicted
+        entry held."""
+        mapping = {"a": ["x"], "b": ["y"]}
+        index = MappingIndex("m", mapping, service_time=1e-3)
+        op = IndexOperator("unit-op").add_index(IndexAccessor(index))
+        pre = PreProcessFn(op, "op0")
+        fn = LookupFn(op, "op0", 0, settings=LookupSettings(cache_capacity=1),
+                      use_cache=True)
+
+        def run(keys):
+            out = run_chain_collected([pre, fn], [(k, "v") for k in keys], ctx)
+            assert out.sizes == [sizeof_pair(k, v) for k, v in out.records]
+            return out
+
+        run(["a", "b"])  # b evicts a
+        mapping["a"] = ["a value that is longer than x", 2.5]
+        out = run(["a", "a"])  # a fetched again, then an LRU hit
+        (cache,) = fn.pipeline._node_caches.values()
+        assert (index.lookups_served, cache.hits) == (3, 1)
+        assert out.sizes[0] == out.sizes[1]
+        assert out.records[1][1][3] == ((("a value that is longer than x", 2.5),),)
 
 
 class TestPostProcessFn:

@@ -8,7 +8,10 @@ with a size computed from parts instead of walking the carrier again
 travelling and once with ``ctx.input_bytes`` held at None (the walking
 path); after every stage each recorded size must equal
 ``sizeof_pair`` of its record, and both runs must leave the same
-Table-1 sample.
+Table-1 sample. The lookup stages run behind each tier that resolves a
+key without a fetch -- the node LRU, a ReuseStore (cold, then warm), the
+build gate's scan, the adjacent-dedup memo -- and at B = 1, 7 and 64, so
+every size a tier carries beside its values is checked against a walk.
 """
 
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from repro.common.sizing import sizeof_pair
 from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
+from repro.core.reuse import ReuseSession
 from repro.core.statistics import OperatorStatsAccumulator
 from repro.core.strategy import (
     KeyByIkFn,
@@ -27,6 +31,7 @@ from repro.core.strategy import (
     RecordMeter,
 )
 from repro.indices.base import MappingIndex
+from repro.indices.build import BuildSession
 from repro.mapreduce.api import FnMapper, TaskContext
 from repro.mapreduce.chain import run_chain_collected
 from repro.simcluster.cluster import Cluster
@@ -149,14 +154,36 @@ def run_stagewise(stages, records, sized):
     return collectors
 
 
-def lookup_chain(op, acc, batch_size, use_cache, metered, body_placed):
+#: What stands in front of the index besides the LRU: nothing, a
+#: ReuseStore, the build gate, the adjacent-dedup memo.
+TIERS = ("none", "reuse", "build", "dedup")
+
+
+def tier_settings(op, tier, batch_size):
+    """One run's settings. A ``reuse`` run's store belongs to one
+    ``ReuseSession``, which every pass of the run goes through."""
+    reuse = build = None
+    if tier == "reuse":
+        reuse = ReuseSession().store
+    elif tier == "build":
+        build = BuildSession(
+            {a.name: a.index for a in op.accessors}, fraction=0.5, num_buckets=4
+        )
+        for name in build.targets:
+            build.manager.advance(name, 0.5)  # half the keys scan
+        build.begin_job()
+    return LookupSettings(
+        batch_size=batch_size, cache_capacity=4, reuse=reuse, build=build
+    )
+
+
+def lookup_chain(op, acc, settings_, use_cache, dedup, metered, body_placed):
     m = op.num_indices
-    settings_ = LookupSettings(batch_size=batch_size, cache_capacity=4)
     stages = [PreProcessFn(op, "op0", acc)]
     stages += [
         LookupFn(
-            op, "op0", j, acc, settings_,
-            use_cache=use_cache, record_sidx=(j == m - 1),
+            op, "op0", j, acc, settings_, use_cache=use_cache,
+            dedup_adjacent=dedup, record_sidx=(j == m - 1),
         )
         for j in range(m)
     ]
@@ -175,44 +202,55 @@ class TestComputedSizesEqualWalkedSizes:
     @given(
         cases(),
         st.sampled_from(PRE_MODES),
-        st.sampled_from([1, 7]),
+        st.sampled_from([1, 7, 64]),
         st.booleans(),
         st.booleans(),
+        st.sampled_from(TIERS),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_pre_lookup_post_meter(self, case, mode, batch_size, use_cache, body):
+    @settings(max_examples=200, deadline=None)
+    def test_pre_lookup_post_meter(self, case, mode, batch_size, use_cache, body, tier):
         mappings, records = case
+        dedup = tier == "dedup"
+        if dedup:
+            # Key-sorted, as a re-partitioning shuffle leaves the stream.
+            records = sorted(records, key=lambda record: repr(record[1][1]))
+        passes = 2 if tier == "reuse" else 1  # cold, then warm
         runs = []
         for sized in (True, False):
-            acc = OperatorStatsAccumulator("op0", len(mappings), 2)
-            metered = []
-            stages = lookup_chain(
-                build_operator(mappings, mode), acc, batch_size, use_cache,
-                metered, body,
-            )
-            collectors = run_stagewise(stages, records, sized)
-            runs.append(
-                (
-                    [(c.records, c.sizes) for c in collectors],
-                    acc.sample_for("t0"),  # s1/spre/sidx/spost/sik/siv, counts
-                    metered,
+            op = build_operator(mappings, mode)
+            settings_ = tier_settings(op, tier, batch_size)
+            run = []
+            for _ in range(passes):
+                acc = OperatorStatsAccumulator("op0", len(mappings), 2)
+                metered = []
+                stages = lookup_chain(
+                    op, acc, settings_, use_cache, dedup, metered, body
                 )
-            )
+                collectors = run_stagewise(stages, records, sized)
+                run.append(
+                    (
+                        [(c.records, c.sizes) for c in collectors],
+                        acc.sample_for("t0"),  # s1/spre/sidx/spost/sik/siv, counts
+                        metered,
+                    )
+                )
+            runs.append(run)
         assert runs[0] == runs[1]
-        sample = runs[0][1]
+        sample = runs[0][0][1]
         if records:
             assert sample.n1 == len(records) and sample.spre_bytes > sample.s1_bytes
 
         # The chain run whole, as a task runs it, ends where the
         # stage-at-a-time runs did.
-        acc = OperatorStatsAccumulator("op0", len(mappings), 2)
-        stages = lookup_chain(
-            build_operator(mappings, mode), acc, batch_size, use_cache, [], body
-        )
-        ctx = TaskContext(Cluster(num_nodes=2).nodes[0], TimeModel(), task_id="t0")
-        whole = run_chain_collected(stages, records, ctx)
-        assert (whole.records, whole.sizes) == runs[0][0][-1]
-        assert acc.sample_for("t0") == sample
+        op = build_operator(mappings, mode)
+        settings_ = tier_settings(op, tier, batch_size)
+        for collected, sample, _ in runs[0]:
+            acc = OperatorStatsAccumulator("op0", len(mappings), 2)
+            stages = lookup_chain(op, acc, settings_, use_cache, dedup, [], body)
+            ctx = TaskContext(Cluster(num_nodes=2).nodes[0], TimeModel(), task_id="t0")
+            whole = run_chain_collected(stages, records, ctx)
+            assert (whole.records, whole.sizes) == collected[-1]
+            assert acc.sample_for("t0") == sample
 
     @given(cases(), st.sampled_from(PRE_MODES), st.booleans())
     @settings(max_examples=60, deadline=None)

@@ -175,6 +175,27 @@ class TestHzknnj:
         assert len(res.job_results) == 3
         assert res.sim_time > 0
 
+    def test_intermediates_die_with_their_consumer(self):
+        from repro.dfs.filesystem import DistributedFileSystem
+        from repro.simcluster.cluster import Cluster
+
+        a = osm.generate_points(osm.OsmConfig(num_points=150, seed=3), "A")
+        b = osm.generate_points(osm.OsmConfig(num_points=150, seed=4), "B")
+        cluster = Cluster(num_nodes=4, map_slots_per_node=2)
+        dfs = DistributedFileSystem(cluster, block_size=2048)
+        osm.write_points(dfs, "/a", a)
+        osm.write_points(dfs, "/b", b)
+        cfg = hzknnj.HzknnjConfig(k=4, alpha=2, num_partitions=4)
+        res = hzknnj.run_hzknnj(cluster, dfs, "/a", "/b", cfg)
+        # Only the declared output is left; the sample and scan jobs'
+        # record lists are gone, the merge's is the answer.
+        assert dfs.listdir("/_hzknnj") == ["/_hzknnj/result"]
+        sample, scan, merge = res.job_results
+        assert (sample.output, sample.output_sizes) == ([], [])
+        assert (scan.output, scan.output_sizes) == ([], [])
+        assert len(merge.output) == len(a) == len(res.neighbours)
+        assert dfs.listdir() == ["/_hzknnj/result", "/a", "/b"]
+
     def test_more_shifts_improve_recall(self, points):
         from repro.dfs.filesystem import DistributedFileSystem
         from repro.simcluster.cluster import Cluster
