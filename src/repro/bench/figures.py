@@ -22,7 +22,7 @@ from repro.bench.harness import (
 )
 from repro.common.sizing import sizeof
 from repro.core.costmodel import Strategy
-from repro.core.reuse import ReuseSession
+from repro.core.reuse import ReuseStore
 from repro.core.runner import EFindRunner
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.simcluster.faults import FaultPlan, RetryPolicy
@@ -411,12 +411,12 @@ def run_reuse_q3() -> List[ExperimentRow]:
     Five phases of the same job (forced Cache strategy, overlapping --
     here identical -- key sets), one row each:
 
-    * ``disabled`` / ``disabled-2`` -- no reuse session attached. The
+    * ``disabled`` / ``disabled-2`` -- no reuse store attached. The
       repeat pins simulation determinism: identical simulated times.
-    * ``cold`` -- a fresh :class:`ReuseSession`. Probes are zero-cost
+    * ``cold`` -- a fresh :class:`ReuseStore`. Probes are zero-cost
       and every lookup misses the empty store, so the time must equal
       ``disabled`` *exactly* (reuse can never add simulated cost).
-    * ``warm`` -- the same session, now holding the previous run's
+    * ``warm`` -- the same store, now holding the previous run's
       results: repeated lookups skip their index fetches entirely, so
       simulated lookup time collapses (the experiment's headline).
     * ``invalidated`` -- the probed indices are mutated first (a
@@ -437,7 +437,7 @@ def run_reuse_q3() -> List[ExperimentRow]:
     data = tpch.generate(tpch.TpchConfig(sf=0.002))
     tpch.write_lineitem(dfs, "/in/lineitem", data)
     indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
-    session = ReuseSession()
+    reuse_store = ReuseStore()
 
     def run_phase(label, reuse):
         def job_factory(name):
@@ -457,8 +457,8 @@ def run_reuse_q3() -> List[ExperimentRow]:
     rows = [
         run_phase("disabled", None),
         run_phase("disabled-2", None),
-        run_phase("cold", session),
-        run_phase("warm", session),
+        run_phase("cold", reuse_store),
+        run_phase("warm", reuse_store),
     ]
     # Append-then-delete a sentinel in every dimension index: contents
     # (and fingerprints) end unchanged, but the epoch bumps invalidate
@@ -466,7 +466,7 @@ def run_reuse_q3() -> List[ExperimentRow]:
     for store in indexes.stores():
         store.put(-1, ("reuse-invalidation-sentinel",))
         store.delete(-1)
-    rows.append(run_phase("invalidated", session))
+    rows.append(run_phase("invalidated", reuse_store))
 
     by_label = {row.label: row for row in rows}
     disabled = by_label["disabled"].times["Cache"]

@@ -131,13 +131,12 @@ def run_all_modes(
     trace directory, and the wall-clock delta lands in
     ``row.trace_wall``.
     """
-    from repro.core.reuse import reuse_store_of
     from repro.obs.config import get_trace_dir
 
     row = ExperimentRow(label=label)
     reference: Optional[list] = None
     trace_dir = get_trace_dir()
-    reuse_store = reuse_store_of(runner_kwargs.get("reuse"))
+    reuse_store = runner_kwargs.get("reuse")
     build = runner_kwargs.get("build")
 
     def make_runner(catalog=None, obs=None) -> EFindRunner:

@@ -39,7 +39,7 @@ not worth the slots). Eviction is ``"lru"`` or ``"freq"``
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 ADMIT_ALWAYS = "always"
@@ -373,41 +373,6 @@ class ReuseStore:
         )
 
 
-@dataclass
-class ReuseSession:
-    """The handle a driver threads through runners and benches.
-
-    One session = one logical store lifetime spanning any number of
-    jobs. The indirection keeps the runner API stable if sessions later
-    grow scoping (per-user stores, TTLs) without touching the strategy
-    layer, which only ever sees the :class:`ReuseStore`.
-    """
-
-    policy: Optional[ReusePolicy] = None
-    store: ReuseStore = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.store = ReuseStore(self.policy)
-
-    @property
-    def counts(self) -> ReuseCounts:
-        return self.store.counts
-
-    def snapshot(self) -> dict:
-        return self.store.snapshot()
-
-    def restore(self, state: dict) -> None:
-        self.store.restore(state)
-
-    def invalidate(self, accessor=None) -> int:
-        return self.store.invalidate(accessor)
-
-
-def reuse_store_of(handle) -> Optional[ReuseStore]:
-    """Normalise a runner-facing handle (a :class:`ReuseSession`, a raw
-    :class:`ReuseStore`, or None) to the store the strategy layer uses."""
-    if handle is None:
-        return None
-    if isinstance(handle, ReuseSession):
-        return handle.store
-    return handle
+#: Another name for :class:`ReuseStore`, kept for drivers that construct
+#: the store by it (hostbench's workloads).
+ReuseSession = ReuseStore

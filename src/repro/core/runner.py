@@ -23,7 +23,6 @@ from repro.core.costmodel import CostEnv, Strategy
 from repro.core.ejobconf import IndexJobConf
 from repro.core.optimizer import baseline_plan, forced_plan, optimize_operator
 from repro.core.plan import AccessPlan, OperatorPlan
-from repro.core.reuse import reuse_store_of
 from repro.core.statistics import (
     IndexStats,
     OperatorStats,
@@ -119,13 +118,12 @@ class EFindRunner:
         self.dfs = dfs
         self.fault_plan = fault_plan
         # What every lookup stage of every job shares. ``reuse``: a
-        # ReuseSession (or bare ReuseStore) whose state outlives each
-        # job this runner runs. ``build``: a BuildSession
+        # ReuseStore whose state outlives each job this runner runs. ``build``: a BuildSession
         # (repro.indices.build) whose catalog outlives each job; None
         # (the default) leaves every build gate short-circuited and
         # execution bit-identical to the pre-build runner.
         self.settings = LookupSettings(
-            cache_capacity, batch_size, reuse_store_of(reuse), build
+            cache_capacity, batch_size, reuse, build
         )
         # repro.obs.Observability (or None): tracing + metrics + the
         # adaptive audit log. Purely passive -- simulated results are

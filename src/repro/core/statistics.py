@@ -18,7 +18,7 @@ Re-optimization is gated on the sample variance of per-task statistics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.mapreduce.api import stable_hash
@@ -92,8 +92,38 @@ def _lowest_zero_bit_position(bitmap: int) -> int:
 
 
 @dataclass
+class IndexSample:
+    """One task's counts for one index of its operator (Table 1:
+    Nik_j, Sik_j, Siv_j, T_j, R, and the batch / reuse / build terms).
+    Every field starts at 0, so an index a task never touched adds
+    nothing to :meth:`OperatorStatsAccumulator.aggregate`."""
+
+    nik: int = 0
+    sik_bytes: float = 0.0
+    siv_bytes: float = 0.0
+    lookups: int = 0
+    tj_total: float = 0.0
+    tj_samples: int = 0
+    cache_probes: int = 0
+    cache_misses: int = 0
+    batches: int = 0
+    batch_keys: int = 0
+    c_req_total: float = 0.0
+    c_key_total: float = 0.0
+    reuse_probes: int = 0
+    reuse_hits: int = 0
+    # Partial-index builds (indices/build/): lookups that hit the built
+    # portion vs. fell back to a scan-assisted lookup, and the summed
+    # scan service times; untouched unless a build session is attached.
+    build_covered: int = 0
+    build_scanned: int = 0
+    build_scan_tj_total: float = 0.0
+
+
+@dataclass
 class TaskSample:
-    """Per-task operator statistics; one per (task, operator)."""
+    """Per-task operator statistics; one per (task, operator), with one
+    :class:`IndexSample` per index of the operator in ``index``."""
 
     task_id: str
     n1: int = 0
@@ -101,28 +131,12 @@ class TaskSample:
     spre_bytes: float = 0.0
     sidx_bytes: float = 0.0
     spost_bytes: float = 0.0
-    nik: Dict[int, int] = field(default_factory=dict)
-    sik_bytes: Dict[int, float] = field(default_factory=dict)
-    siv_bytes: Dict[int, float] = field(default_factory=dict)
-    lookups: Dict[int, int] = field(default_factory=dict)
-    tj_total: Dict[int, float] = field(default_factory=dict)
-    tj_samples: Dict[int, int] = field(default_factory=dict)
-    cache_probes: Dict[int, int] = field(default_factory=dict)
-    cache_misses: Dict[int, int] = field(default_factory=dict)
-    batches: Dict[int, int] = field(default_factory=dict)
-    batch_keys: Dict[int, int] = field(default_factory=dict)
-    c_req_total: Dict[int, float] = field(default_factory=dict)
-    c_key_total: Dict[int, float] = field(default_factory=dict)
-    reuse_probes: Dict[int, int] = field(default_factory=dict)
-    reuse_hits: Dict[int, int] = field(default_factory=dict)
-    # Partial-index builds (indices/build/): per-index counts of lookups
-    # that hit the built portion vs. fell back to a scan-assisted
-    # lookup, and the summed scan service times. Untouched (and
-    # therefore invisible to aggregation) unless a build session is
-    # attached to the run.
-    build_covered: Dict[int, int] = field(default_factory=dict)
-    build_scanned: Dict[int, int] = field(default_factory=dict)
-    build_scan_tj_total: Dict[int, float] = field(default_factory=dict)
+    index: List[IndexSample] = field(default_factory=list)
+
+    @property
+    def looked_up(self) -> bool:
+        """Whether any index of this task fetched a key."""
+        return any(stat.lookups for stat in self.index)
 
 
 @dataclass
@@ -251,21 +265,21 @@ class OperatorStatsAccumulator:
     # ------------------------------------------------------------------
     @property
     def samples(self) -> List[TaskSample]:
-        return [
-            s for s in self._samples.values() if s.n1 > 0 or s.lookups
-        ]
+        return [s for s in self._samples.values() if s.n1 > 0 or s.looked_up]
 
     def sample_for(self, task_id: str) -> TaskSample:
         """Get-or-create the sample for one task; the EFind chained
         functions of one operator all write into the same sample."""
         sample = self._samples.get(task_id)
         if sample is None:
-            sample = TaskSample(task_id=task_id)
+            sample = TaskSample(
+                task_id, index=[IndexSample() for _ in range(self.num_indices)]
+            )
             self._samples[task_id] = sample
         return sample
 
     def add_sample(self, sample: TaskSample) -> None:
-        if sample.n1 > 0 or sample.lookups:
+        if sample.n1 > 0 or sample.looked_up:
             self._samples[sample.task_id] = sample
 
     def add_key_to_sketch(self, index_id: int, key: Any) -> None:
@@ -301,53 +315,43 @@ class OperatorStatsAccumulator:
 
         for j in range(self.num_indices):
             idx = stats.index(j)
-            total_keys = sum(s.nik.get(j, 0) for s in self.samples)
+            # One sum() per field over the tasks' samples of index j, in
+            # sample order (3.12's sum() compensates float rounding).
+            per_task = [s.index[j] for s in self.samples]
+            total_keys = sum(t.nik for t in per_task)
             idx.nik = _safe_div(total_keys, total_n1)
-            idx.sik = _safe_div(
-                sum(s.sik_bytes.get(j, 0.0) for s in self.samples), total_keys, 8.0
-            )
-            lookups = sum(s.lookups.get(j, 0) for s in self.samples)
+            idx.sik = _safe_div(sum(t.sik_bytes for t in per_task), total_keys, 8.0)
+            lookups = sum(t.lookups for t in per_task)
             idx.lookups_observed = lookups
             # Siv is the result size per *looked-up* key; deduplicated
             # runs look up fewer keys than they request.
-            idx.siv = _safe_div(
-                sum(s.siv_bytes.get(j, 0.0) for s in self.samples), lookups, 64.0
-            )
-            tj_samples = sum(s.tj_samples.get(j, 0) for s in self.samples)
+            idx.siv = _safe_div(sum(t.siv_bytes for t in per_task), lookups, 64.0)
+            tj_samples = sum(t.tj_samples for t in per_task)
             if tj_samples:
-                idx.tj = sum(s.tj_total.get(j, 0.0) for s in self.samples) / tj_samples
-            batches = sum(s.batches.get(j, 0) for s in self.samples)
+                idx.tj = sum(t.tj_total for t in per_task) / tj_samples
+            batches = sum(t.batches for t in per_task)
             idx.batches_observed = batches
             if batches:
-                batch_keys = sum(s.batch_keys.get(j, 0) for s in self.samples)
+                batch_keys = sum(t.batch_keys for t in per_task)
                 idx.batch_fill = max(1.0, batch_keys / batches)
-                idx.c_req = (
-                    sum(s.c_req_total.get(j, 0.0) for s in self.samples) / batches
-                )
+                idx.c_req = sum(t.c_req_total for t in per_task) / batches
                 if batch_keys:
-                    idx.c_key = (
-                        sum(s.c_key_total.get(j, 0.0) for s in self.samples)
-                        / batch_keys
-                    )
-            probes = sum(s.cache_probes.get(j, 0) for s in self.samples)
+                    idx.c_key = sum(t.c_key_total for t in per_task) / batch_keys
+            probes = sum(t.cache_probes for t in per_task)
             idx.probes_observed = probes
             if probes:
-                misses = sum(s.cache_misses.get(j, 0) for s in self.samples)
-                idx.miss_ratio = misses / probes
-            reuse_probes = sum(s.reuse_probes.get(j, 0) for s in self.samples)
+                idx.miss_ratio = sum(t.cache_misses for t in per_task) / probes
+            reuse_probes = sum(t.reuse_probes for t in per_task)
             idx.reuse_probes_observed = reuse_probes
             if reuse_probes:
-                reuse_hits = sum(s.reuse_hits.get(j, 0) for s in self.samples)
-                idx.reuse_hit_ratio = reuse_hits / reuse_probes
-            covered = sum(s.build_covered.get(j, 0) for s in self.samples)
-            scanned = sum(s.build_scanned.get(j, 0) for s in self.samples)
+                idx.reuse_hit_ratio = sum(t.reuse_hits for t in per_task) / reuse_probes
+            covered = sum(t.build_covered for t in per_task)
+            scanned = sum(t.build_scanned for t in per_task)
             if covered or scanned:
                 idx.build_coverage = covered / (covered + scanned)
             if scanned:
-                idx.build_scan_tj = (
-                    sum(s.build_scan_tj_total.get(j, 0.0) for s in self.samples)
-                    / scanned
-                )
+                scan_tj = sum(t.build_scan_tj_total for t in per_task)
+                idx.build_scan_tj = scan_tj / scanned
             if total_keys:
                 distinct = max(1.0, self.fm[j].estimate())
                 idx.distinct = distinct
@@ -455,39 +459,9 @@ class StatisticsCatalog:
         """A JSON-serialisable snapshot of every stored statistic."""
         out: dict = {}
         for signature, stats in self._stats.items():
-            out[signature] = {
-                "n1": stats.n1,
-                "s1": stats.s1,
-                "spre": stats.spre,
-                "sidx": stats.sidx,
-                "spost": stats.spost,
-                "smap": stats.smap,
-                "num_tasks_sampled": stats.num_tasks_sampled,
-                "per_index": {
-                    str(j): {
-                        "nik": idx.nik,
-                        "sik": idx.sik,
-                        "siv": idx.siv,
-                        "tj": idx.tj,
-                        "miss_ratio": idx.miss_ratio,
-                        "theta": idx.theta,
-                        "distinct": idx.distinct,
-                        "lookups_observed": idx.lookups_observed,
-                        "probes_observed": idx.probes_observed,
-                        "c_req": idx.c_req,
-                        "c_key": idx.c_key,
-                        "batch_fill": idx.batch_fill,
-                        "batches_observed": idx.batches_observed,
-                        "reuse_hit_ratio": idx.reuse_hit_ratio,
-                        "reuse_seed": idx.reuse_seed,
-                        "reuse_probes_observed": idx.reuse_probes_observed,
-                        "build_coverage": idx.build_coverage,
-                        "build_debt": idx.build_debt,
-                        "build_scan_tj": idx.build_scan_tj,
-                    }
-                    for j, idx in stats.per_index.items()
-                },
-            }
+            raw = out[signature] = asdict(stats)
+            # per_index last, as files have always had it, keyed by str.
+            raw["per_index"] = {str(j): idx for j, idx in raw.pop("per_index").items()}
         return out
 
     @classmethod

@@ -23,12 +23,11 @@ enable and in how they emit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.common.errors import DataFlowError
-from repro.common.sizing import record_sizes, sizeof, sizeof_pair
+from repro.common.sizing import sizeof, sizeof_pair
 from repro.core.accessor import IndexAccessor
 from repro.core.cache import LRUCache, ShadowCache
 from repro.core.operator import IndexInput, IndexOperator, IndexOutput
@@ -57,10 +56,6 @@ _NUMBERS = (int, float)  # exact types only: ``bool`` and subclasses walk
 
 def make_carrier(v1: Any, ikl: tuple, ivl: tuple) -> tuple:
     return (_CARRIER_TAG, v1, ikl, ivl)
-
-
-def is_carrier(value: Any) -> bool:
-    return isinstance(value, tuple) and len(value) == 4 and value[0] == _CARRIER_TAG
 
 
 def open_carrier(value: Any) -> Tuple[Any, tuple, tuple]:
@@ -103,15 +98,12 @@ class PreProcessFn(StreamStage):
             # Exact integers, added to the sample once per stream. Key
             # tuple sizes are listed per record and index, so what a
             # record that died part-way listed is cut off at the end.
-            s1_total = 0
             key_bytes: List[int] = []
             note_key_bytes = key_bytes.append
         out_records: List[tuple] = []
         out_sizes: List[int] = []
         try:
-            for (key, value), s1 in zip(
-                records, itertools.repeat(None) if sizes is None else sizes
-            ):
+            for (key, value), s1 in zip(records, sizes):
                 # A fresh view over key lists this stage owns; no __init__.
                 lists = [[]] if one_index else list(map(list, no_lists))
                 index_input = new_input(IndexInput)
@@ -133,11 +125,9 @@ class PreProcessFn(StreamStage):
                 # (k1, v1) when pre_process handed the very objects back,
                 # and each index's key tuple is sized once, for the
                 # carrier and for Sik alike.
-                unchanged = out_key is key and out_value is value
-                if s1 is None and (unchanged or stats is not None):
-                    s1 = sizeof_pair(key, value)
                 nbytes = (
-                    s1 if unchanged else sizeof_pair(out_key, out_value)
+                    s1 if out_key is key and out_value is value
+                    else sizeof_pair(out_key, out_value)
                 ) + fixed_bytes
                 for keys in ikl:
                     # header + Sik_j; one number is a constant of the model.
@@ -150,8 +140,6 @@ class PreProcessFn(StreamStage):
                     nbytes += kb
                     if stats is not None:
                         note_key_bytes(kb)
-                if stats is not None:
-                    s1_total += s1
                 out_records.append(
                     (out_key, (_CARRIER_TAG, out_value, ikl, no_values))
                 )
@@ -162,7 +150,7 @@ class PreProcessFn(StreamStage):
                 n = len(out_records)
                 sample = stats.sample_for(ctx.task_id)
                 sample.n1 += n
-                sample.s1_bytes += s1_total
+                sample.s1_bytes += sum(sizes[:n])  # S1 of the records emitted
                 sample.spre_bytes += sum(out_sizes)
                 # Nik, Sik and the FM sketches from what was emitted: OR
                 # is order-free, so a sketch may take its keys in one go.
@@ -170,8 +158,9 @@ class PreProcessFn(StreamStage):
                     iks = [ik for _, carrier in out_records for ik in carrier[2][j]]
                     if iks:
                         stats.fm[j].add_all(iks)
-                        sample.nik[j] = sample.nik.get(j, 0) + len(iks)
-                        sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + (
+                        stat = sample.index[j]
+                        stat.nik += len(iks)
+                        stat.sik_bytes += (
                             sum(key_bytes[j : n * m : m]) - n * _HEADER_BYTES
                         )
 
@@ -300,7 +289,7 @@ class LookupPipeline:
         node -- and ``process`` may be called without ``start``."""
         self._ctx = ctx
         self._host = host = ctx.node.hostname
-        self._sample = None
+        self._sample = self._stat = None
         self._cache = None
         if self.use_cache or self.shadow:
             cache = self._node_caches.get(host)
@@ -313,13 +302,19 @@ class LookupPipeline:
         """The running attempt's ``TaskSample`` (statistics attached
         only). It is looked up in the accumulator on the attempt's first
         statistic -- where ``sample_for`` always was called, so samples
-        are created in the order they always were -- and then kept."""
+        are created in the order they always were -- and then kept,
+        with its ``IndexSample`` for this index as ``_stat``."""
         if ctx is not self._ctx:
             self._bind(ctx)
         sample = self._sample
         if sample is None:
             sample = self._sample = self.stats.sample_for(ctx.task_id)
+            self._stat = sample.index[self.index_id]
         return sample
+
+    def _index_stat(self, ctx: TaskContext):
+        """This index's ``IndexSample`` of the running attempt."""
+        return self._stat or self.task_sample(ctx).index[self.index_id]
 
     def lookup(self, ik: Any, ctx: TaskContext) -> Optional[Tuple[Any, ...]]:
         """Resolve ``ik`` to its value tuple; None (``batch_size > 1``
@@ -558,22 +553,16 @@ class LookupPipeline:
                 )
 
         if self.stats is not None:
-            sample = self._sample or self.task_sample(ctx)
-            j = self.index_id
-            sample.lookups[j] = sample.lookups.get(j, 0) + n
-            sample.tj_total[j] = sample.tj_total.get(j, 0.0) + tj * n
-            sample.tj_samples[j] = sample.tj_samples.get(j, 0) + n
-            sample.siv_bytes[j] = sample.siv_bytes.get(j, 0.0) + siv_total
+            stat = self._index_stat(ctx)
+            stat.lookups += n
+            stat.tj_total += tj * n
+            stat.tj_samples += n
+            stat.siv_bytes += siv_total
             if groups is not None:
-                sample.batches[j] = sample.batches.get(j, 0) + groups
-                sample.batch_keys[j] = sample.batch_keys.get(j, 0) + n
-                sample.c_req_total[j] = (
-                    sample.c_req_total.get(j, 0.0)
-                    + groups * accessor.batch_request_overhead()
-                )
-                sample.c_key_total[j] = (
-                    sample.c_key_total.get(j, 0.0) + n * accessor.batch_key_time()
-                )
+                stat.batches += groups
+                stat.batch_keys += n
+                stat.c_req_total += groups * accessor.batch_request_overhead()
+                stat.c_key_total += n * accessor.batch_key_time()
 
         if self.reuse is not None:
             # Refetch-cost estimate the cost-aware admission gates on:
@@ -625,11 +614,10 @@ class LookupPipeline:
     def _record_cache_stats(self, ctx, hit: bool) -> None:
         if self.stats is None:
             return
-        sample = self._sample or self.task_sample(ctx)
-        j = self.index_id
-        sample.cache_probes[j] = sample.cache_probes.get(j, 0) + 1
+        stat = self._index_stat(ctx)
+        stat.cache_probes += 1
         if not hit:
-            sample.cache_misses[j] = sample.cache_misses.get(j, 0) + 1
+            stat.cache_misses += 1
 
     def _reuse_probe(self, ik, ctx, pending: bool = False):
         """Probe the cross-job store; the value tuple on a hit, else
@@ -648,11 +636,10 @@ class LookupPipeline:
             ctx.counters.increment("reuse", "stale_drops")
         ctx.counters.increment("reuse", "hits" if hit else "misses")
         if self.stats is not None:
-            sample = self._sample or self.task_sample(ctx)
-            j = self.index_id
-            sample.reuse_probes[j] = sample.reuse_probes.get(j, 0) + 1
+            stat = self._index_stat(ctx)
+            stat.reuse_probes += 1
             if hit:
-                sample.reuse_hits[j] = sample.reuse_hits.get(j, 0) + 1
+                stat.reuse_hits += 1
         if ctx.trace is not None:
             ctx.trace.charged_instant(
                 "reuse.probe", "cache", ctx.charged_time, DEPTH_DETAIL,
@@ -668,9 +655,7 @@ class LookupPipeline:
         if covered:
             ctx.counters.increment("build", "indexed_lookups")
             if self.stats is not None:
-                sample = self._sample or self.task_sample(ctx)
-                j = self.index_id
-                sample.build_covered[j] = sample.build_covered.get(j, 0) + 1
+                self._index_stat(ctx).build_covered += 1
         return not covered
 
     def _scan(self, ik, ctx) -> Tuple[Any, ...]:
@@ -699,12 +684,9 @@ class LookupPipeline:
                 index=self.index_id, local=local,
             )
         if self.stats is not None:
-            sample = self._sample or self.task_sample(ctx)
-            j = self.index_id
-            sample.build_scanned[j] = sample.build_scanned.get(j, 0) + 1
-            sample.build_scan_tj_total[j] = (
-                sample.build_scan_tj_total.get(j, 0.0) + tj_scan
-            )
+            stat = self._index_stat(ctx)
+            stat.build_scanned += 1
+            stat.build_scan_tj_total += tj_scan
         return values
 
 
@@ -759,9 +741,7 @@ class LookupFn(StreamStage):
         out_sizes: List[int] = []
         emit, emit_size = out_records.append, out_sizes.append
         try:
-            for (key, value), in_bytes in zip(
-                records, itertools.repeat(None) if sizes is None else sizes
-            ):
+            for (key, value), in_bytes in zip(records, sizes):
                 if type(value) is not tuple or len(value) != 4 or value[0] != tag:
                     open_carrier(value)  # raises, but for a carrier-shaped subclass
                 _, v1, ikl, ivl = value
@@ -796,17 +776,13 @@ class LookupFn(StreamStage):
                         self._hand_over(out_records, out_sizes, collector, ctx)
                         self._drain(collector, ctx)
                     continue
-                # Every key resolved: emit right away, this slot filled.
-                # The pair going out differs from the one that came in
-                # (``in_bytes``; None when unknown, and it is walked) by
-                # that one slot.
+                # Every key resolved: emit right away, this one slot filled.
                 old = ivl[j]
                 carrier = (tag, v1, ikl, (results,) if len(ivl) == 1
                            else ivl[:j] + (results,) + ivl[j + 1 :])
                 emit((key, carrier))
                 emit_size(
-                    sizeof_pair(key, carrier) if in_bytes is None
-                    else in_bytes + _HEADER_BYTES + results_bytes
+                    in_bytes + _HEADER_BYTES + results_bytes
                     - (_NONE_BYTES if old is None else sizeof(old))
                 )
         finally:
@@ -837,8 +813,7 @@ class LookupFn(StreamStage):
                        else ivl[:j] + (results,) + ivl[j + 1 :])
             out_records.append((key, carrier))
             out_sizes.append(
-                sizeof_pair(key, carrier) if in_bytes is None
-                else in_bytes + _HEADER_BYTES + results_bytes
+                in_bytes + _HEADER_BYTES + results_bytes
                 - (_NONE_BYTES if old is None else sizeof(old))
             )
         self._hand_over(out_records, out_sizes, collector, ctx)
@@ -933,9 +908,7 @@ class KeyByIkFn(StreamStage):
         out_records: List[tuple] = []
         out_sizes: List[int] = []
         try:
-            for record, nbytes in zip(
-                records, itertools.repeat(None) if sizes is None else sizes
-            ):
+            for record, nbytes in zip(records, sizes):
                 value = record[1]
                 if type(value) is not tuple or len(value) != 4 or value[0] != tag:
                     open_carrier(value)  # raises, but for a carrier-shaped subclass
@@ -951,11 +924,7 @@ class KeyByIkFn(StreamStage):
                 # header of that tuple (what ``_shuffle_wrap_bytes``
                 # takes off again).
                 out_records.append((ik, record))
-                out_sizes.append(
-                    sizeof_pair(ik, record)
-                    if nbytes is None
-                    else nbytes + sizeof(ik) + _HEADER_BYTES
-                )
+                out_sizes.append(nbytes + sizeof(ik) + _HEADER_BYTES)
         finally:
             collector.extend(out_records, out_sizes)
 
@@ -972,6 +941,20 @@ def _shuffle_wrap_bytes(keys: tuple) -> int:
     that compare equal (``True == 1``) share a group without sharing a
     size."""
     return (sizeof(keys[0]) if keys else _NONE_BYTES) + _HEADER_BYTES
+
+
+def _group_sizes(carriers, j: int, ctx: TaskContext):
+    """The sizes a shuffle-fed reducer's group arrived with:
+    ``ctx.group_bytes`` inside a reduce task. A reducer called outside
+    one is an entry seam and sizes its group here, once: each pair as
+    :class:`KeyByIkFn` shuffled it, under its carrier's own key for
+    index ``j``."""
+    if ctx.group_bytes is not None:
+        return ctx.group_bytes
+    return [
+        _shuffle_wrap_bytes(open_carrier(record[1])[1][j]) + sizeof_pair(*record)
+        for record in carriers
+    ]
 
 
 class GroupLookupReducer(Reducer):
@@ -1000,7 +983,7 @@ class GroupLookupReducer(Reducer):
         self.pipeline.reset()
 
     def reduce(self, ik, carriers, collector, ctx):
-        sizes = ctx.group_bytes
+        sizes = _group_sizes(carriers, self.index_id, ctx)
         if ik is None:
             # Keyless records need no lookup: emit straight through.
             self._emit_group(carriers, sizes, (), 0, collector)
@@ -1028,24 +1011,19 @@ class GroupLookupReducer(Reducer):
         """Emit the group's carriers under their original keys, this
         index's slot filled with ``results`` (their sizes summing to
         ``results_bytes``). ``sizes`` are the sizes the shuffled pairs
-        ``(ik, (k1, carrier))`` arrived with (None when unknown): each
-        pair going out is its shuffled pair less the shuffle key and the
-        wrapper ``KeyByIkFn`` put around it, with that one slot changed."""
+        ``(ik, (k1, carrier))`` arrived with: each pair going out is its
+        shuffled pair less the shuffle key and the wrapper ``KeyByIkFn``
+        put around it, with that one slot changed."""
         j = self.index_id
-        if sizes is None:
-            sizes = itertools.repeat(None)
-        else:
-            filled_bytes = _HEADER_BYTES + results_bytes
+        filled_bytes = _HEADER_BYTES + results_bytes
         for (original_key, value), nbytes in zip(carriers, sizes):
             v1, ikl, ivl = open_carrier(value)
-            keys = ikl[j]
-            if nbytes is not None:
-                old = ivl[j]
-                nbytes += (
-                    (filled_bytes if keys else _HEADER_BYTES)
-                    - (_NONE_BYTES if old is None else sizeof(old))
-                    - _shuffle_wrap_bytes(keys)
-                )
+            keys, old = ikl[j], ivl[j]
+            nbytes += (
+                (filled_bytes if keys else _HEADER_BYTES)
+                - (_NONE_BYTES if old is None else sizeof(old))
+                - _shuffle_wrap_bytes(keys)
+            )
             new_ivl = ivl[:j] + (results if keys else (),) + ivl[j + 1 :]
             collector.collect(original_key, make_carrier(v1, ikl, new_ivl), nbytes)
 
@@ -1066,14 +1044,14 @@ class CarrierMaterializeReducer(Reducer):
         self.index_id = index_id
 
     def reduce(self, ik, carriers, collector, ctx):
-        sizes = ctx.group_bytes
-        if sizes is None:
-            sizes = itertools.repeat(None)
-        for (original_key, value), nbytes in zip(carriers, sizes):
-            if nbytes is not None:
-                _, ikl, _ = open_carrier(value)
-                nbytes -= _shuffle_wrap_bytes(ikl[self.index_id])
-            collector.collect(original_key, value, nbytes)
+        j = self.index_id
+        for (original_key, value), nbytes in zip(
+            carriers, _group_sizes(carriers, j, ctx)
+        ):
+            _, ikl, _ = open_carrier(value)
+            collector.collect(
+                original_key, value, nbytes - _shuffle_wrap_bytes(ikl[j])
+            )
 
     @property
     def name(self) -> str:
@@ -1110,9 +1088,7 @@ class RecordMeter(StreamStage):
 
     def consume(self, records, sizes, collector, ctx):
         before_bytes = collector.bytes
-        collector.extend(
-            records, record_sizes(records, sizes, "the input of %s", self._label)
-        )
+        collector.extend(records, sizes)
         self._count += len(records)
         self._bytes += collector.bytes - before_bytes
 

@@ -39,12 +39,12 @@ class Block:
     layouts: Dict[str, str] = field(default_factory=dict)
     #: ``sizes[i]`` is the wire size of ``records[i]``: the ints
     #: ``size_bytes`` is the sum of, kept so that no job reading the
-    #: block walks its records again. None on a block built by hand.
+    #: block walks its records again. A block built by hand without
+    #: them is sized on construction, once.
     sizes: Optional[List[int]] = None
 
     def __post_init__(self) -> None:
-        if self.sizes is not None:
-            record_sizes(self.records, self.sizes, "block %s", self.index)
+        self.sizes = record_sizes(self.records, self.sizes, "block %s", self.index)
 
 
 @dataclass
@@ -252,7 +252,7 @@ def _coalesce(splits: List[InputSplit], max_splits: int) -> List[InputSplit]:
         size = 0
         for s in group:
             records.extend(s.records)
-            sizes.extend(record_sizes(s.records, s.sizes, "split %s#%s", s.path, s.index))
+            sizes.extend(s.sizes)
             size += s.size_bytes
             for h in s.hosts:
                 if h not in hosts:

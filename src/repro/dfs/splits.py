@@ -18,8 +18,8 @@ class InputSplit:
     block; the scheduler prefers to run the map task on one of them.
     ``sizes[i]`` is the wire size of ``records[i]`` -- the ints
     ``size_bytes`` is the sum of, handed over by the blocks the split
-    was cut from; None on a split built by hand from bare records,
-    whose pairs the map chain then sizes as it meets them.
+    was cut from. A split built by hand from bare records (``sizes``
+    left None) is sized on construction, once.
     """
 
     path: str
@@ -30,8 +30,9 @@ class InputSplit:
     sizes: Optional[List[int]] = None
 
     def __post_init__(self) -> None:
-        if self.sizes is not None:
-            record_sizes(self.records, self.sizes, "split %s#%s", self.path, self.index)
+        self.sizes = record_sizes(
+            self.records, self.sizes, "split %s#%s", self.path, self.index
+        )
 
     def __len__(self) -> int:
         return len(self.records)

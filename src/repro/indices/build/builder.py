@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.common.sizing import record_sizes
 from repro.indices.base import IndexService
 from repro.indices.build.manager import (
     DEFAULT_NUM_BUCKETS,
@@ -183,9 +182,7 @@ class IndexBuilderFn(StreamStage):
         self._records = 0
 
     def consume(self, records, sizes, collector, ctx) -> None:
-        collector.extend(
-            records, record_sizes(records, sizes, "the input of %s", self.name)
-        )
+        collector.extend(records, sizes)
         self._records += len(records)
 
     def finish(self, collector: OutputCollector, ctx: TaskContext) -> None:

@@ -9,7 +9,6 @@ feature the paper builds the baseline strategy on (Section 3.1).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DataFlowError
@@ -80,15 +79,14 @@ class TaskContext:
         self.charged_time: float = 0.0
         self.state: dict = {}
         # Wire size of the pair a chain stage's ``process`` is being shown
-        # by the default ``ChainedFunction.run``, when the stage before it
-        # recorded one (``OutputCollector.sizes``); None for a bare record
-        # list, outside ``run_chain``, and in a stage that overrides ``run``.
+        # by the default ``ChainedFunction.run``; None outside
+        # ``run_chain`` and in a stage that overrides ``run``.
         self.input_bytes: Optional[int] = None
         # The same for a reducer: while the reduce task runs
         # ``reduce(key, values, ...)``, ``group_bytes[i]`` is the wire
         # size of the shuffled pair ``values[i]`` arrived in -- under its
-        # own key, which equals ``key`` but need not be ``key``. None
-        # outside the reduce task's loop (in ``finish``, in a combiner).
+        # own key, which equals ``key`` but need not be ``key``. Set the
+        # same way by the combiner loop; None outside both (in ``finish``).
         self.group_bytes: Optional[List[int]] = None
         # Per-task trace buffer (repro.obs.trace.TaskTraceBuffer), set by
         # the runtime only when tracing is on; chain stages must guard
@@ -115,13 +113,13 @@ class ChainedFunction:
     def run(
         self,
         records: Sequence[Record],
-        sizes: Optional[Sequence[int]],
+        sizes: Sequence[int],
         collector: OutputCollector,
         ctx: TaskContext,
     ) -> None:
         """Consume one task attempt's stream: ``records``, with
         ``sizes[i]`` the recorded wire size of ``records[i]`` (the two
-        are equally long) or ``sizes`` None when nobody has sized them.
+        are equally long; the chain sized a bare record list on entry).
 
         The default is ``start``, ``process`` per record with that
         record's size as ``ctx.input_bytes``, ``finish``;
@@ -133,9 +131,7 @@ class ChainedFunction:
         self.start(ctx)
         process = self.process
         try:
-            for (key, value), nbytes in zip(
-                records, itertools.repeat(None) if sizes is None else sizes
-            ):
+            for (key, value), nbytes in zip(records, sizes):
                 ctx.input_bytes = nbytes
                 process(key, value, collector, ctx)
         finally:
@@ -167,13 +163,13 @@ class StreamStage(ChainedFunction):
     def consume(
         self,
         records: Sequence[Record],
-        sizes: Optional[Sequence[int]],
+        sizes: Sequence[int],
         collector: OutputCollector,
         ctx: TaskContext,
     ) -> None:
         """Process ``records`` (``sizes`` as for ``run``: one int per
-        record, or None when nobody has sized them); called between
-        ``start`` and ``finish``, any number of times."""
+        record); called between ``start`` and ``finish``, any number of
+        times."""
         raise NotImplementedError
 
     def run(self, records, sizes, collector, ctx):
@@ -183,9 +179,9 @@ class StreamStage(ChainedFunction):
 
     def process(self, key, value, collector, ctx):
         nbytes = ctx.input_bytes
-        self.consume(
-            ((key, value),), None if nbytes is None else (nbytes,), collector, ctx
-        )
+        if nbytes is None:  # called outside a chain: sized here, once
+            nbytes = sizeof_pair(key, value)
+        self.consume(((key, value),), (nbytes,), collector, ctx)
 
 
 class Mapper(ChainedFunction):

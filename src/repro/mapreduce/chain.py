@@ -52,23 +52,24 @@ def run_chain_collected(
     stage that only re-wraps its input can compute what it emits instead
     of walking it. ``records`` may itself be a collector (a reducer's,
     fed to the reduce-post chain), or a record list with the ``sizes``
-    kept beside it (a split's); a bare record list reaches the first
-    stage with ``sizes`` None.
+    kept beside it (a split's). A bare record list is an entry seam: it
+    is sized here, once, before the first stage sees it.
     """
     if isinstance(records, OutputCollector):
         collector, sizes = records, records.sizes
     else:
         collector = OutputCollector()
         collector.records = list(records)
+        sizes = record_sizes(
+            collector.records, sizes, "the input of %s", chain_name(stages)
+        )
         if not stages:
-            collector.sizes = list(
-                record_sizes(collector.records, sizes, "the input of an empty chain")
-            )
-            collector.bytes = sum(collector.sizes)
+            collector.sizes = list(sizes)
+            collector.bytes = sum(sizes)
     try:
         for stage in stages:
             current, collector = collector.records, OutputCollector()
-            if sizes is not None and len(sizes) != len(current):
+            if len(sizes) != len(current):
                 # Pairing them up would silently drop the surplus records.
                 raise DataFlowError(
                     f"the input of {stage.name} holds {len(current)} "

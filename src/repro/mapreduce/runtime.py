@@ -31,7 +31,7 @@ from repro.mapreduce.chain import run_chain_collected
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.jobconf import JobConf
 from repro.mapreduce.scheduler import SlotScheduler
-from repro.mapreduce.shuffle import group_by_key, group_sized, partition_sized
+from repro.mapreduce.shuffle import group_sized, partition_sized
 from repro.mapreduce.speculation import SpeculationConfig, SpeculationEngine
 from repro.obs.trace import (
     DEPTH_OP,
@@ -750,7 +750,7 @@ class JobRunner:
             spill = tm.disk_write_time(out_bytes) + len(output) * tm.sort_cpu_per_record
             if conf.combiner is not None:
                 buckets, bucket_sizes, combine_time = self._combine_buckets(
-                    conf, buckets, ctx, tm
+                    conf, buckets, bucket_sizes, ctx, tm
                 )
                 spill += combine_time
         else:
@@ -800,9 +800,11 @@ class JobRunner:
         run._spec_split_bytes = split.size_bytes
         return run
 
-    def _combine_buckets(self, conf, buckets, ctx, tm):
+    def _combine_buckets(self, conf, buckets, bucket_sizes, ctx, tm):
         """Run the map-side combiner on each partition bucket (Hadoop's
-        combiner: a reducer applied before the shuffle to shrink it).
+        combiner: a reducer applied before the shuffle to shrink it),
+        each group shown its sizes as ``ctx.group_bytes`` as in the
+        reduce loop.
 
         Returns the combined buckets, the sizes of their records and
         the simulated cost.
@@ -810,13 +812,16 @@ class JobRunner:
         combined: List[List[Record]] = []
         combined_sizes: List[List[int]] = []
         total_in = 0
-        for bucket in buckets:
-            groups = group_by_key(bucket)
+        combiner = conf.combiner
+        for bucket, sizes in zip(buckets, bucket_sizes):
+            groups, sizes_of = group_sized(bucket, sizes)
             collector = OutputCollector()
-            conf.combiner.start(ctx)
+            combiner.start(ctx)
             for key, values in groups:
-                conf.combiner.reduce(key, values, collector, ctx)
-            conf.combiner.finish(collector, ctx)
+                ctx.group_bytes = sizes_of[key]
+                combiner.reduce(key, values, collector, ctx)
+            ctx.group_bytes = None
+            combiner.finish(collector, ctx)
             combined.append(collector.records)
             combined_sizes.append(collector.sizes)
             total_in += len(bucket)
@@ -830,12 +835,6 @@ class JobRunner:
     # ------------------------------------------------------------------
     # Reduce tasks
     # ------------------------------------------------------------------
-    def reduce_input_for(
-        self, map_runs: Sequence[TaskRun], partition: int
-    ) -> List[Record]:
-        """All records destined to one reduce partition."""
-        return self.sized_reduce_input(map_runs, partition)[0]
-
     def sized_reduce_input(
         self, map_runs: Sequence[TaskRun], partition: int
     ) -> Tuple[List[Record], List[int]]:

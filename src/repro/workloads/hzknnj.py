@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import make_rng
-from repro.common.sizing import record_sizes, sizeof
+from repro.common.sizing import sizeof
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.mapreduce.api import FnPartitioner, IdentityMapper, Mapper, Reducer
 from repro.mapreduce.jobconf import JobConf
@@ -217,12 +217,7 @@ def _tagged_copy(
     sizes: List[int] = []
     for block in dfs.meta(src).blocks:
         records.extend(((rid, tag), point) for rid, point in block.records)
-        sizes.extend(
-            nbytes + grown
-            for nbytes in record_sizes(
-                block.records, block.sizes, "block %s of %s", block.index, src
-            )
-        )
+        sizes.extend(nbytes + grown for nbytes in block.sizes)
     dfs.write(dst, records, sizes=sizes)
     return dst
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.adaptive import evaluate_replan, relevant_operator_ids
 from repro.core.costmodel import CostEnv, Strategy
 from repro.core.optimizer import baseline_plan
-from repro.core.statistics import OperatorStatsAccumulator, TaskSample
+from repro.core.statistics import IndexSample, OperatorStatsAccumulator, TaskSample
 from repro.obs.audit import (
     VERDICT_REPLAN,
     VERDICT_VARIANCE_GATE,
@@ -20,20 +20,20 @@ def make_registry(job, num_machines=12, samples=4, n1=500, tj=5e-3, miss=1.0):
     for op_id, (_pl, m) in job.operator_specs().items():
         acc = OperatorStatsAccumulator(op_id, m, num_machines)
         for t in range(samples):
-            s = TaskSample(task_id=f"t{t}")
+            s = TaskSample(
+                task_id=f"t{t}",
+                index=[IndexSample() for _ in range(m)],
+            )
             s.n1 = n1
             s.s1_bytes = n1 * 40.0
             s.spre_bytes = n1 * 50.0
             s.sidx_bytes = n1 * 70.0
             s.spost_bytes = n1 * 30.0
-            s.nik = {0: n1}
-            s.sik_bytes = {0: n1 * 8.0}
-            s.lookups = {0: n1}
-            s.siv_bytes = {0: n1 * 10.0}
-            s.tj_total = {0: n1 * tj}
-            s.tj_samples = {0: n1}
-            s.cache_probes = {0: n1}
-            s.cache_misses = {0: int(n1 * miss)}
+            s.index[0] = IndexSample(
+                nik=n1, sik_bytes=n1 * 8.0, lookups=n1, siv_bytes=n1 * 10.0,
+                tj_total=n1 * tj, tj_samples=n1,
+                cache_probes=n1, cache_misses=int(n1 * miss),
+            )
             acc.add_sample(s)
         # many duplicate keys across tasks
         for k in range(50):
@@ -81,10 +81,9 @@ class TestEvaluateReplan:
         job = efind_env.make_job("e3")
         registry = make_registry(job, tj=5e-3, miss=0.05)
         # make one sample wildly different
-        skew = TaskSample(task_id="skew")
+        skew = registry["head0"].sample_for("skew")
         skew.n1 = 50_000
         skew.spre_bytes = 50_000 * 50.0
-        registry["head0"].add_sample(skew)
         assert (
             evaluate_replan(
                 job, baseline_plan(job.operator_specs()), registry, env, "map",
@@ -216,9 +215,7 @@ class TestVarianceGateEdges:
         for op_id, (_pl, m) in job.operator_specs().items():
             acc = OperatorStatsAccumulator(op_id, m, 12)
             for t in range(3):
-                s = TaskSample(task_id=f"z{t}")
-                s.n1 = 100  # identical across samples; all bytes zero
-                acc.add_sample(s)
+                acc.sample_for(f"z{t}").n1 = 100  # identical; all bytes zero
             registry[op_id] = acc
         assert registry["head0"].relative_deviation() == 0.0
         audit = AdaptiveAuditLog()

@@ -238,10 +238,10 @@ class TestPartialAudit:
         assert "build.*:" in text
 
     def test_rebuild_invalidates_reuse_store(self, efind_env):
-        from repro.core.reuse import ReuseSession
+        from repro.core.reuse import ReuseStore
 
         kv = efind_env.kv
-        reuse = ReuseSession()
+        reuse = ReuseStore()
         build = BuildSession({kv.name: kv})
         build.manager.complete(kv.name)
 

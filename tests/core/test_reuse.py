@@ -10,12 +10,7 @@ import pytest
 
 from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
-from repro.core.reuse import (
-    ReusePolicy,
-    ReuseSession,
-    ReuseStore,
-    reuse_store_of,
-)
+from repro.core.reuse import ReusePolicy, ReuseSession, ReuseStore
 from repro.core.strategy import (
     GroupLookupReducer,
     LookupFn,
@@ -314,21 +309,16 @@ class TestSnapshotRestore:
 
 class TestSessionHandle:
     def test_session_builds_store_and_delegates(self, accessor):
+        """``ReuseSession`` is the store itself, under its older name:
+        what a driver constructs by it is what a runner takes."""
         session = ReuseSession(ReusePolicy(eviction="freq"))
-        assert session.store.policy.eviction == "freq"
-        session.store.admit("h0", accessor, "k", (1,), 1e-3)
+        assert type(session) is ReuseStore and session.policy.eviction == "freq"
+        session.admit("h0", accessor, "k", (1,), 1e-3)
         assert session.counts.admitted == 1
         snap = session.snapshot()
         assert session.invalidate() == 1
         session.restore(snap)
-        assert len(session.store) == 1
-
-    def test_reuse_store_of_normalises(self):
-        session = ReuseSession()
-        store = ReuseStore()
-        assert reuse_store_of(None) is None
-        assert reuse_store_of(session) is session.store
-        assert reuse_store_of(store) is store
+        assert len(session) == 1
 
 
 class TestStrategyIntegration:

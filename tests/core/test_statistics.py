@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.statistics import (
     FMSketch,
+    IndexSample,
     IndexStats,
     OperatorStats,
     OperatorStatsAccumulator,
@@ -63,21 +64,17 @@ class TestFMSketch:
 
 
 def make_sample(task, n1=100, keys=100, lookups=100, siv=6400.0, probes=0, misses=0):
-    s = TaskSample(task_id=task)
+    index = IndexSample(
+        nik=keys, sik_bytes=keys * 8.0, lookups=lookups, siv_bytes=siv,
+        tj_total=lookups * 1e-3, tj_samples=lookups,
+        cache_probes=probes, cache_misses=misses,
+    )
+    s = TaskSample(task_id=task, index=[index])
     s.n1 = n1
     s.s1_bytes = n1 * 50.0
     s.spre_bytes = n1 * 60.0
     s.sidx_bytes = n1 * 120.0
     s.spost_bytes = n1 * 40.0
-    s.nik = {0: keys}
-    s.sik_bytes = {0: keys * 8.0}
-    s.lookups = {0: lookups}
-    s.siv_bytes = {0: siv}
-    s.tj_total = {0: lookups * 1e-3}
-    s.tj_samples = {0: lookups}
-    if probes:
-        s.cache_probes = {0: probes}
-        s.cache_misses = {0: misses}
     return s
 
 

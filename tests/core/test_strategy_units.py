@@ -23,7 +23,6 @@ from repro.core.strategy import (
     PreProcessFn,
     RecordMeter,
     SchemePartitioner,
-    is_carrier,
     make_carrier,
     open_carrier,
 )
@@ -50,11 +49,9 @@ def op():
 class TestCarrierFormat:
     def test_roundtrip(self):
         c = make_carrier("v", (("k",),), (None,))
-        assert is_carrier(c)
         assert open_carrier(c) == ("v", (("k",),), (None,))
 
     def test_not_a_carrier(self):
-        assert not is_carrier(("x", "y"))
         with pytest.raises(TypeError):
             open_carrier(("x", "y"))
 
@@ -79,7 +76,7 @@ class TestPreProcessFn(object):
             fn.process(f"k{i}", i, col, ctx)
         sample = acc.sample_for("t0")
         assert sample.n1 == 10
-        assert sample.nik[0] == 10
+        assert sample.index[0].nik == 10
         assert sample.spre_bytes > 0
 
 
@@ -149,7 +146,9 @@ class TestPreProcessReturnIsChecked:
                 op.add_index(IndexAccessor(MappingIndex(name, {})))
             acc = OperatorStatsAccumulator("op0", 2, 2)
             try:
-                PreProcessFn(op, "op0", acc).run(records, None, OutputCollector(), ctx)
+                PreProcessFn(op, "op0", acc).run(
+                    records, [sizeof_pair(*r) for r in records], OutputCollector(), ctx
+                )
             except RuntimeError:
                 pass
             return acc.sample_for("t0"), [acc.fm[j].bitmaps for j in range(2)]
@@ -158,7 +157,8 @@ class TestPreProcessReturnIsChecked:
             sample_after([(1, 7), (2, "bad")]),
             sample_after([(1, 7)]),
         )
-        assert (died.n1, died.nik, died.sik_bytes) == (1, {0: 1, 1: 1}, whole.sik_bytes)
+        assert [(s.nik, s.sik_bytes) for s in died.index] == [(1, 8.0), (1, 8.0)]
+        assert died.n1 == 1
         assert died == whole and died_fm == whole_fm
 
     def test_a_list_pair_is_still_a_pair(self, op, ctx):
@@ -372,8 +372,14 @@ class TestMaterializeReducer:
     def test_passthrough_preserves_grouping(self, ctx):
         red = CarrierMaterializeReducer(0)
         col = OutputCollector()
-        red.reduce("ik", [("a", 1), ("b", 2)], col, ctx)
-        assert col.records == [("a", 1), ("b", 2)]
+        group = [
+            (k1, make_carrier(v1, (("ik",),), (None,)))
+            for k1, v1 in (("a", 1), ("b", 2))
+        ]
+        red.reduce("ik", group, col, ctx)
+        assert col.records == group
+        # Called outside a reduce task, it sizes its group on entry.
+        assert col.sizes == [sizeof_pair(*r) for r in group]
 
 
 class TestSchemePartitioner:
@@ -461,7 +467,7 @@ class TestWalkBudget:
             fetched = {"k": pipeline.fetch_one("k", ctx)}
         assert fetched == {"k": (result,)}
         assert result.walks == 1
-        assert acc.sample_for("t0").siv_bytes[0] == 4 + 100
+        assert acc.sample_for("t0").index[0].siv_bytes == 4 + 100
         tm, accessor = ctx.time_model, op.accessors[0]
         assert ctx.charged_time == (
             tm.remote_batch_lookup_time(1, 104, accessor.batch_service_time(1))
@@ -568,7 +574,7 @@ class TestPerAttemptState:
         assert retry_out == first_out
         s0, s1 = acc.sample_for("t0"), acc.sample_for("t1")
         assert s0 is not s1 and s0 == dataclasses.replace(s1, task_id="t0")
-        assert (s0.n1, s0.cache_probes[0], s0.cache_misses[0]) == (3, 3, 2)
+        assert (s0.n1, s0.index[0].cache_probes, s0.index[0].cache_misses) == (3, 3, 2)
         assert s0.spost_bytes > 0 and s0.sidx_bytes > s0.spre_bytes > s0.s1_bytes
         assert first_ctx.counters.get("lookup", "fetches") == 2
         assert retry_ctx.counters.get("lookup", "fetches") == 2
@@ -579,9 +585,8 @@ class TestPerAttemptState:
             again_ctx, again_out = attempt(task_id, node, 2, via_run_chain=False)
             assert again_out == first_out
             assert again_ctx.counters.get("lookup", "fetches") == 0
-            assert (sample.n1, sample.cache_probes[0], sample.cache_misses[0]) == (
-                6, 6, 2,
-            )
+            stat = sample.index[0]
+            assert (sample.n1, stat.cache_probes, stat.cache_misses) == (6, 6, 2)
         assert s0 == dataclasses.replace(s1, task_id="t0")
         assert acc.num_samples == 2
 

@@ -196,6 +196,7 @@ class TestSizesBesideRecords:
             InputSplit("/f", 0, [(1, "a"), (2, "b")], 18, sizes=[9])
         with pytest.raises(DataFlowError, match="block 3.*1 records but 2 sizes"):
             Block(index=3, records=[(1, "a")], size_bytes=9, hosts=[], sizes=[9, 9])
-        # Bare records stay legal: the map chain sizes them as it goes.
-        assert InputSplit("/f", 0, [(1, "a")], 9).sizes is None
-        assert Block(index=0, records=[(1, "a")], size_bytes=9, hosts=[]).sizes is None
+        # Bare records stay legal: they are sized on construction, once.
+        assert InputSplit("/f", 0, [(1, "a")], 9).sizes == [sizeof_pair(1, "a")]
+        block = Block(index=0, records=[(1, "a")], size_bytes=9, hosts=[])
+        assert block.sizes == [sizeof_pair(1, "a")]

@@ -206,3 +206,46 @@ def test_batching_reduces_simulated_time(workload):
         result = run_one(workload, "Base", batch_size, fault=False)
         times.append(result.sim_time)
     assert times[0] > times[1] > times[2]
+
+
+class EchoOperator(IndexOperator):
+    """(i, value) -> (i, (value, results)): what each input value got."""
+
+    def pre_process(self, key, value, index_input):
+        index_input.put(0, value)
+        return key, value
+
+    def post_process(self, key, value, index_output, collector):
+        collector.collect(key, (value, tuple(index_output.get(0).get_all())))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="keys equal in Python but not under stable_hash: the Cache "
+    "strategy's LRU is a dict (2 == 2.0), while the KV store places "
+    "stable_hash(2.0) != stable_hash(2) apart, so under Cache key 2 gets "
+    "the empty result cached for 2.0 (and 1.0 the ('v1',) cached for 1) "
+    "where Base, Repart and Idxloc answer ('v2',) (and ())",
+)
+def test_ints_and_equal_floats_get_one_answer_under_every_strategy():
+    """Input values 1, 1.0, 2.0, 2 in one split, looked up in a KV store
+    that holds int keys 1 and 2: every strategy must answer each value
+    alike."""
+    answers = {}
+    for mode, strategy in STRATEGIES.items():
+        cluster = Cluster(num_nodes=4, map_slots_per_node=2, reduce_slots_per_node=2)
+        dfs = DistributedFileSystem(cluster)
+        dfs.write("/in/numbers", list(enumerate([1, 1.0, 2.0, 2])))
+        kv = DistributedKVStore("numbers", cluster)
+        kv.put(1, "v1")
+        kv.put(2, "v2")
+        job = IndexJobConf(f"numbers-{mode}")
+        job.set_input_paths("/in/numbers").set_output_path(f"/out/numbers-{mode}")
+        job.add_head_index_operator(EchoOperator("echo").add_index(IndexAccessor(kv)))
+        job.set_mapper(FnMapper(lambda k, v: [(k, v)], "ident"))
+        job.set_reducer(FnReducer(lambda k, vs: [(k, vs[0])], "first"), 1)
+        result = EFindRunner(cluster, dfs).run(
+            job, mode="forced", forced_strategy=strategy
+        )
+        answers[mode] = sorted(result.output)
+    assert all(answer == answers["Base"] for answer in answers.values()), answers

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import DataFlowError
-from repro.common.sizing import record_sizes, sizeof_pair
+from repro.common.sizing import sizeof_pair
 from repro.mapreduce.api import (
     ChainedFunction,
     OutputCollector,
@@ -119,10 +119,12 @@ class TestSizesTravel:
 
     records = [("a", 1), ("bcd", (2, "xy")), ("e", None)]
 
-    def test_plain_records_have_no_size_then_each_stage_sees_the_last(self, ctx):
+    def test_plain_records_are_sized_on_entry(self, ctx):
+        """A bare record list is walked once, before the first stage;
+        each later stage sees the sizes the stage before it recorded."""
         first, second = InputSizeProbe(), InputSizeProbe()
         out = run_chain_collected([first, Doubler(), second], self.records[:2], ctx)
-        assert first.seen == [None, None]
+        assert first.seen == [sizeof_pair(*r) for r in self.records[:2]]
         assert second.seen == [sizeof_pair(*r) for r in out.records] == out.sizes
         assert first.around == second.around == [None, None]
         assert ctx.input_bytes is None
@@ -190,8 +192,8 @@ class Streamed(StreamStage):
         self.calls = []
 
     def consume(self, records, sizes, collector, ctx):
-        self.calls.append((list(records), None if sizes is None else list(sizes)))
-        collector.extend(records, record_sizes(records, sizes, "the input"))
+        self.calls.append((list(records), list(sizes)))
+        collector.extend(records, sizes)
 
     def finish(self, collector, ctx):
         self.calls.append("finish")
@@ -210,11 +212,6 @@ class TestStageTakesItsStream:
         assert probe.around == [None, None] and ctx.input_bytes is None
         assert out.records == self.records
 
-        bare, out = InputSizeProbe(), OutputCollector()
-        bare.run(self.records, None, out, ctx)  # nobody has sized these
-        assert bare.seen == [None, None, None] and bare.around == [None, None]
-        assert out.sizes == [sizeof_pair(*r) for r in self.records]
-
     def test_default_run_clears_the_size_when_process_raises(self, ctx):
         with pytest.raises(RuntimeError):
             Failing().run(self.records, [11, 22, 33], OutputCollector(), ctx)
@@ -231,11 +228,11 @@ class TestStageTakesItsStream:
         assert records == [(k, v * 2) for k, v in self.records[:2]]
         assert sizes == [sizeof_pair(*r) for r in records] and input_bytes is None
         assert (out.records, out.sizes, out.bytes) == (records, sizes, sum(sizes))
-        # A bare record list arrives with no sizes at all.
+        # A bare record list arrives sized: the chain walked it on entry.
         bare = RunProbe()
-        with pytest.raises(TypeError):  # extend(records, None)
-            run_chain_collected([bare], self.records, ctx)
-        assert bare.got == (self.records, None, None)
+        run_chain_collected([bare], self.records, ctx)
+        sized = [sizeof_pair(*r) for r in self.records]
+        assert bare.got == (self.records, sized, None)
 
     def test_a_stream_stage_has_one_body_for_run_and_process(self, ctx):
         """``run`` is ``start`` / ``consume`` / ``finish``; ``process``
@@ -255,9 +252,9 @@ class TestStageTakesItsStream:
             "finish",
         ]
         assert (twin_out.records, twin_out.sizes) == (out.records, out.sizes)
-        # Outside a chain nobody has sized the record.
+        # Outside a chain ``process`` sizes the record itself, once.
         by_record.process("k", "v", twin_out, ctx)
-        assert by_record.calls[-1] == ([("k", "v")], None)
+        assert by_record.calls[-1] == ([("k", "v")], [sizeof_pair("k", "v")])
         assert twin_out.sizes[-1] == sizeof_pair("k", "v")
 
     def test_a_raising_run_leaves_input_bytes_none(self, ctx):

@@ -229,7 +229,7 @@ class TestSizesOutliveTheTask:
                 )
             partitions_checked.append(partition)
             fetched_bytes[partition] = sizeof_records(
-                loaded.reduce_input_for(map_runs, partition)
+                loaded.sized_reduce_input(map_runs, partition)[0]
             )
             return execute(conf, partition, map_runs, *rest)
 
@@ -361,7 +361,7 @@ class TestReduceInputFor:
         # IndexError deep in the shuffle.
         res = self.stopped(loaded)
         with pytest.raises(DataFlowError, match="shuffle buckets"):
-            loaded.reduce_input_for(res.map_runs, 12)
+            loaded.sized_reduce_input(res.map_runs, 12)
 
     @pytest.mark.parametrize("partition", [-1, -12])
     def test_negative_partition_is_clear_error(self, loaded, partition):
@@ -369,13 +369,16 @@ class TestReduceInputFor:
         # to whoever asked for partition -1.
         res = self.stopped(loaded)
         with pytest.raises(DataFlowError, match="shuffle buckets"):
-            loaded.reduce_input_for(res.map_runs, partition)
+            loaded.sized_reduce_input(res.map_runs, partition)
 
     def test_valid_partition_still_served(self, loaded):
         res = self.stopped(loaded)
-        records = loaded.reduce_input_for(res.map_runs, res.remaining_partitions[-1])
+        records, sizes = loaded.sized_reduce_input(
+            res.map_runs, res.remaining_partitions[-1]
+        )
         assert records
         assert all(isinstance(r, tuple) for r in records)
+        assert sizes == [sizeof_pair(*r) for r in records]
 
     def test_a_read_partition_is_gone(self, loaded):
         res = self.stopped(loaded)

@@ -20,7 +20,7 @@ from repro.core.accessor import IndexAccessor
 from repro.core.costmodel import Strategy
 from repro.core.ejobconf import IndexJobConf
 from repro.core.operator import IndexOperator
-from repro.core.reuse import ReuseSession
+from repro.core.reuse import ReuseStore
 from repro.core.runner import EFindRunner
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.indices.kvstore import DistributedKVStore
@@ -290,7 +290,7 @@ SCENARIOS = {
     "speculation": lambda: dict(faults=_slow_host(), speculation_factor=1.5),
     "detail-overflow": lambda: dict(max_task_detail=8, batch_size=16),
     "lookup-retries-reuse": lambda: dict(
-        faults=FaultPlan(seed=11, lookup_failure_rate=0.05), reuse=ReuseSession()
+        faults=FaultPlan(seed=11, lookup_failure_rate=0.05), reuse=ReuseStore()
     ),
 }
 

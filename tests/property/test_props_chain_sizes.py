@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.common.sizing import sizeof_pair
 from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
-from repro.core.reuse import ReuseSession
+from repro.core.reuse import ReuseStore
 from repro.core.statistics import OperatorStatsAccumulator
 from repro.core.strategy import (
     KeyByIkFn,
@@ -160,11 +160,11 @@ TIERS = ("none", "reuse", "build", "dedup")
 
 
 def tier_settings(op, tier, batch_size):
-    """One run's settings. A ``reuse`` run's store belongs to one
-    ``ReuseSession``, which every pass of the run goes through."""
+    """One run's settings. A ``reuse`` run has one ``ReuseStore``,
+    which every pass of the run goes through."""
     reuse = build = None
     if tier == "reuse":
-        reuse = ReuseSession().store
+        reuse = ReuseStore()
     elif tier == "build":
         build = BuildSession(
             {a.name: a.index for a in op.accessors}, fraction=0.5, num_buckets=4

@@ -150,8 +150,12 @@ class TestZEncodeMapper:
         shifts = [(0.0, 0.0), (1.5, -0.25), (-3.0, 2.0)][: len(boundaries)]
         mapper = hzknnj._ZEncodeMapper(shifts, boundaries)
         collector = OutputCollector()
-        sizes = [sizeof_pair(k, v) for k, v in records] if sized else None
-        mapper.run(records, sizes, collector, SimpleNamespace(input_bytes=None))
+        ctx = SimpleNamespace(input_bytes=None)
+        if sized:
+            mapper.run(records, [sizeof_pair(k, v) for k, v in records], collector, ctx)
+        else:  # ``map`` called outside a chain: no size came with the record
+            for key, point in records:
+                mapper.map(key, point, collector, ctx)
         expected = [
             pair for key, point in records
             for pair in oracle_map(shifts, boundaries, key, point)

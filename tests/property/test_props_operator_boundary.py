@@ -6,7 +6,7 @@ carriers it emitted; ``FMSketch.add`` is ``add_all`` over one key; an
 index with no fault plan attached serves through ``_lookup`` directly.
 The oracles below are what those replaced -- ``PreProcessFn.consume``
 and ``FMSketch.add`` as they were, verbatim but for where the sketch
-adder comes from -- and the retry path under a fault plan that injects
+adder comes from and the per-index sample it adds to -- and the retry path under a fault plan that injects
 nothing. They live here, not in ``src``.
 """
 
@@ -29,6 +29,7 @@ from repro.indices.btree import DistributedBTree
 from repro.indices.dynamic import DynamicComputedIndex
 from repro.indices.kvstore import DistributedKVStore
 from repro.mapreduce.api import OutputCollector, TaskContext, stable_hash
+from repro.mapreduce.chain import run_chain_collected
 from repro.simcluster.cluster import Cluster
 from repro.simcluster.faults import FaultPlan
 from repro.simcluster.timemodel import TimeModel
@@ -127,8 +128,8 @@ class OraclePreProcessFn(PreProcessFn):
                 sample.spre_bytes += sum(out_sizes)
                 for j in range(m):
                     if nik[j]:
-                        sample.nik[j] = sample.nik.get(j, 0) + nik[j]
-                        sample.sik_bytes[j] = sample.sik_bytes.get(j, 0.0) + sik[j]
+                        sample.index[j].nik += nik[j]
+                        sample.index[j].sik_bytes += sik[j]
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +174,12 @@ def ctx():
 
 def run_pre(cls, op, records, sizes, with_stats):
     acc = OperatorStatsAccumulator("op0", op.num_indices, 2)
-    out = OutputCollector()
-    cls(op, "op0", acc if with_stats else None).run(records, sizes, out, ctx())
+    stage = cls(op, "op0", acc if with_stats else None)
+    if sizes is None:  # a bare record list: the chain sizes it on entry
+        out = run_chain_collected([stage], records, ctx())
+    else:
+        out = OutputCollector()
+        stage.run(records, sizes, out, ctx())
     return (
         out.records,
         out.sizes,
@@ -210,7 +215,7 @@ class TestPreProcessEqualsTheOldLoop:
 
         op = Keeps("pass").add_index(IndexAccessor(MappingIndex("m", {})))
         records = [("a", ("p", ((1, 2),))), ("b", ("q", ((3,),)))]
-        PreProcessFn(op, "op0").run(records, None, OutputCollector(), ctx())
+        run_chain_collected([PreProcessFn(op, "op0")], records, ctx())
         assert kept[0] is not kept[1]
         assert [ii.keys(0) for ii in kept] == [[1, 2], [3]]
         assert [ii.as_tuple() for ii in kept] == [((1, 2),), ((3,),)]

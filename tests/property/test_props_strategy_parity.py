@@ -123,12 +123,13 @@ def assert_parity(keys, batch_size, **kwargs):
     )
 
     # IndexStats samples: per-index cache and reuse tallies.
-    assert sample_b.cache_probes == sample_u.cache_probes
-    assert sample_b.cache_misses == sample_u.cache_misses
-    assert sample_b.reuse_probes == sample_u.reuse_probes
-    assert sample_b.reuse_hits == sample_u.reuse_hits
-    assert sample_b.lookups == sample_u.lookups
-    assert sample_b.siv_bytes == sample_u.siv_bytes
+    for index_b, index_u in zip(sample_b.index, sample_u.index):
+        assert index_b.cache_probes == index_u.cache_probes
+        assert index_b.cache_misses == index_u.cache_misses
+        assert index_b.reuse_probes == index_u.reuse_probes
+        assert index_b.reuse_hits == index_u.reuse_hits
+        assert index_b.lookups == index_u.lookups
+        assert index_b.siv_bytes == index_u.siv_bytes
 
     # The ReuseStore tier itself ends up in the same state: identical
     # lifetime counts and identical occupancy.

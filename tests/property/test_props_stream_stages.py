@@ -22,7 +22,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.sizing import sizeof, sizeof_pair
+from repro.common.sizing import record_sizes, sizeof, sizeof_pair
 from repro.core.accessor import IndexAccessor
 from repro.core.statistics import OperatorStatsAccumulator
 from repro.core.strategy import (
@@ -179,9 +179,10 @@ def assert_stream_equals_by_record(
 
 
 def input_sizes(records, sized):
-    """The sizes a split brings from its blocks, or a bare record list."""
+    """The sizes a split brings from its blocks (a collector's), or those
+    the chain's entry seam walks for a bare record list."""
     if not sized:
-        return None
+        return record_sizes(records, None, "a bare record list")
     collector = OutputCollector()
     for key, value in records:
         collector.collect(key, value)
@@ -228,13 +229,13 @@ class TestStreamEqualsRecordByRecord:
         assert sample.spre_bytes == out["pre[op0]"].bytes
         assert sample.sidx_bytes == out[f"idx[op0.{m - 1}:{TIER_NAMES[tier]}]"].bytes
         assert sample.spost_bytes == out["post[op0]"].bytes
-        assert sample.nik == {
-            j: sum(map(len, key_tuples[j])) for j in range(m) if any(key_tuples[j])
-        }
-        assert sample.sik_bytes == {
-            j: sum(sizeof(keys) - sizeof(()) for keys in key_tuples[j] if keys)
-            for j in sample.nik
-        }
+        assert [stat.nik for stat in sample.index] == [
+            sum(map(len, key_tuples[j])) for j in range(m)
+        ]
+        assert [stat.sik_bytes for stat in sample.index] == [
+            sum(sizeof(keys) - sizeof(()) for keys in key_tuples[j] if keys)
+            for j in range(m)
+        ]
 
     @given(cases(), st.sampled_from(PRE_MODES), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
