@@ -313,6 +313,8 @@ def stable_hash(value: Any) -> int:
     if kind is int:
         return value & 0x7FFFFFFF
     if kind is float:
+        if value.is_integer():  # equal keys get one hash: 1.0 as 1, -0.0 as 0
+            return int(value) & 0x7FFFFFFF
         # The str rung over ``repr(value)``, which is ASCII.
         h = 2166136261
         for byte in repr(value).encode("ascii"):
@@ -324,9 +326,12 @@ def stable_hash(value: Any) -> int:
             if type(item) is int:
                 h = (h * 31 + (item & 0x7FFFFFFF)) & 0x7FFFFFFF
             elif type(item) is float:
-                f = 2166136261
-                for byte in repr(item).encode("ascii"):
-                    f = ((f ^ byte) * 16777619) & 0xFFFFFFFF
+                if item.is_integer():
+                    f = int(item) & 0x7FFFFFFF
+                else:
+                    f = 2166136261
+                    for byte in repr(item).encode("ascii"):
+                        f = ((f ^ byte) * 16777619) & 0xFFFFFFFF
                 h = (h * 31 + f) & 0x7FFFFFFF
             else:
                 h = (h * 31 + stable_hash(item)) & 0x7FFFFFFF
@@ -341,6 +346,8 @@ def stable_hash(value: Any) -> int:
     if isinstance(value, int):
         return value & 0x7FFFFFFF
     if isinstance(value, float):
+        if value.is_integer():
+            return int(value) & 0x7FFFFFFF
         return stable_hash(repr(value))
     if isinstance(value, tuple):
         h = 1

@@ -17,8 +17,10 @@ from repro.core.accessor import IndexAccessor
 from repro.core.costmodel import Strategy
 from repro.core.ejobconf import IndexJobConf
 from repro.core.operator import IndexOperator
+from repro.core.reuse import ReuseStore
 from repro.core.runner import EFindRunner
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.indices.build import BuildSession
 from repro.indices.kvstore import DistributedKVStore
 from repro.mapreduce.api import FnMapper, FnReducer
 from repro.simcluster.cluster import Cluster
@@ -219,14 +221,6 @@ class EchoOperator(IndexOperator):
         collector.collect(key, (value, tuple(index_output.get(0).get_all())))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="keys equal in Python but not under stable_hash: the Cache "
-    "strategy's LRU is a dict (2 == 2.0), while the KV store places "
-    "stable_hash(2.0) != stable_hash(2) apart, so under Cache key 2 gets "
-    "the empty result cached for 2.0 (and 1.0 the ('v1',) cached for 1) "
-    "where Base, Repart and Idxloc answer ('v2',) (and ())",
-)
 def test_ints_and_equal_floats_get_one_answer_under_every_strategy():
     """Input values 1, 1.0, 2.0, 2 in one split, looked up in a KV store
     that holds int keys 1 and 2: every strategy must answer each value
@@ -249,3 +243,37 @@ def test_ints_and_equal_floats_get_one_answer_under_every_strategy():
         )
         answers[mode] = sorted(result.output)
     assert all(answer == answers["Base"] for answer in answers.values()), answers
+
+
+def test_keys_equal_in_python_share_one_answer_with_reuse_and_build():
+    """Keys 1, 1.0 and True are equal, and so are (1,) and (1.0,): the
+    LRU, the reuse store, the build buckets and the KV store's placement
+    must each treat a group as one key. Every forced strategy answers
+    every value alike, on a cold run and on a warm one that hits the
+    reuse store and the half-built index."""
+    values = [1, 1.0, True, (1,), (1.0,)] * 2
+    expected = [("scalar",)] * 3 + [("tuple",)] * 2
+    for mode, strategy in STRATEGIES.items():
+        cluster = Cluster(num_nodes=4, map_slots_per_node=2, reduce_slots_per_node=2)
+        dfs = DistributedFileSystem(cluster)
+        dfs.write("/in/ones", list(enumerate(values)))
+        kv = DistributedKVStore("ones", cluster)
+        kv.put(1, "scalar")
+        kv.put((1,), "tuple")
+        runner = EFindRunner(
+            cluster, dfs, reuse=ReuseStore(),
+            build=BuildSession({"ones": kv}, fraction=0.5),
+        )
+        for run in ("cold", "warm"):
+            job = IndexJobConf(f"ones-{mode}-{run}")
+            job.set_input_paths("/in/ones").set_output_path(f"/out/ones-{mode}-{run}")
+            job.add_head_index_operator(
+                EchoOperator("echo").add_index(IndexAccessor(kv))
+            )
+            job.set_mapper(FnMapper(lambda k, v: [(k, v)], "ident"))
+            job.set_reducer(FnReducer(lambda k, vs: [(k, vs[0])], "first"), 1)
+            result = runner.run(job, mode="forced", forced_strategy=strategy)
+            answers = [answer for _, (_, answer) in sorted(result.output)]
+            assert answers == expected * 2, (mode, run, answers)
+        assert result.counters.get("reuse", "probes") > 0, mode
+        assert result.counters.get("build", "indexed_lookups") > 0, mode
