@@ -51,7 +51,7 @@ class FMSketch:
         nor on how often a hash repeats: ``keys`` is read once into a
         set of hashes, so each distinct exact ``int`` is hashed and
         placed once. Every other key is hashed as it comes (``1``,
-        ``1.0`` and ``True`` stay three hashes)."""
+        ``1.0`` and ``True`` are three hashes of one value)."""
         bitmaps, num_buckets, top = self.bitmaps, self.num_buckets, self.bitmap_bits - 1
         # stable_hash's exact-int rung, inline.
         for h in {key & 0x7FFFFFFF if type(key) is int else stable_hash(key)

@@ -165,10 +165,13 @@ def extract_spans(payload: dict) -> Tuple[List[dict], List[dict]]:
     """X/i events with seconds-domain ``start``/``dur`` and track names
     resolved from the thread_name metadata.
 
-    Returns ``(spans, instants)``. Raises :class:`TraceArtifactError`
-    when the payload is not a Chrome trace, or one of its events lacks
-    a field the analyses read -- here, in the loops that visit every
-    event anyway, so nothing downstream meets a malformed row.
+    Returns ``(spans, instants)``. Each X/i event becomes its row and is
+    let go at once, so a load never holds two forms of a span
+    (``traceEvents`` keeps the metadata and alert events). Raises
+    :class:`TraceArtifactError` when the payload is not a Chrome trace,
+    or one of its events lacks a field the analyses read -- here, in the
+    loops that visit every event anyway, so nothing downstream meets a
+    malformed row.
     """
     events = payload.get("traceEvents")
     if not isinstance(events, list):
@@ -179,35 +182,47 @@ def extract_spans(payload: dict) -> Tuple[List[dict], List[dict]]:
     thread_names: Dict[Tuple[int, int], str] = {}
     spans: List[dict] = []
     instants: List[dict] = []
+    others: List[Any] = []
     ev: Any = None
     try:
         for ev in events:
             if ev.get("ph") == "M" and ev.get("name") == "thread_name":
                 thread_names[(ev["pid"], ev["tid"])] = ev["args"]["name"]
-        for ev in events:
+        for i, ev in enumerate(events):
             ph = ev.get("ph")
-            if ph not in ("X", "i"):
+            if ph == "X":
+                rows = spans
+            elif ph == "i":
+                rows = instants
+            else:
+                others.append(ev)
                 continue
-            args = ev.get("args", {})
+            try:
+                args = ev["args"]
+            except KeyError:
+                args = {}
+            depth = args.get("depth", 0)
             row = {
                 "name": ev["name"],
                 "cat": ev.get("cat", ""),
                 "track": thread_names.get((ev["pid"], ev["tid"]), "?"),
                 "start": ev["ts"] / us,
-                "depth": args.get("depth", 0),
+                "depth": depth,
                 "args": args,
             }
-            if ph == "X":
+            if depth.__class__ is not int:
+                raise TypeError("args.depth is not an integer")
+            if rows is spans:
                 row["dur"] = ev["dur"] / us
-                if row["depth"] == DEPTH_TASK:
+                if depth == DEPTH_TASK:
                     # What :func:`op_totals` will read off this span.
                     for entry in args.get("op_totals", {}).values():
                         float(entry[0]), float(entry[1])
-                spans.append(row)
-            else:
-                instants.append(row)
+            rows.append(row)
+            events[i] = None
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise TraceArtifactError(_event_problem(events, ev, exc)) from exc
+    payload["traceEvents"] = others
     return spans, instants
 
 
@@ -224,6 +239,9 @@ def _event_problem(events: list, ev: Any, exc: Exception) -> str:
     for key in ("ts", "dur"):
         if key in ev and not isinstance(ev[key], (int, float)):
             return f"{what} has {key!r} = {ev[key]!r}, not a number"
+    args = ev.get("args")
+    if isinstance(args, dict) and "depth" in args and type(args["depth"]) is not int:
+        return f"{what} has 'args.depth' = {args['depth']!r}, not an integer"
     return (
         f"{what} has malformed 'args' ({type(exc).__name__}: {exc}); "
         f"op_totals entries are [count, seconds]"
@@ -312,9 +330,8 @@ def load_one(trace_path: str) -> TraceArtifacts:
         if os.path.exists(alerts_path)
         else extract_alerts(payload)
     )
-    # Everything read back from the raw event list now lives in
-    # spans/instants/alert_rows; it is the bulk of an artifact, so let it
-    # go rather than hold two copies of every run under analysis.
+    # What is left of the raw event list (metadata, alert bands) now
+    # lives in alert_rows and the rows' tracks.
     payload.pop("traceEvents")
     return TraceArtifacts(
         base=base,

@@ -31,6 +31,29 @@ _US = 1_000_000  # simulated seconds -> trace microseconds
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
+def _event_encoder():
+    """``_ENCODE`` as one C encoder for a whole export, called once per
+    event: ``JSONEncoder.encode`` builds a fresh one on every call.
+    Same output; trace events hold no reference cycles, so there is no
+    circular-reference bookkeeping either."""
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ", ", True, False, True,
+    )
+    return lambda event: "".join(encode(event, 0))
+
+
+_FLOAT_REPR = float.__repr__
+
+
+def _number(x: Any) -> str:
+    """A timestamp as ``_ENCODE`` writes it, without the encoder call
+    for a finite ``float`` (every one a simulation produces)."""
+    if x.__class__ is float and x - x == 0.0:
+        return _FLOAT_REPR(x)
+    return _ENCODE(x)
+
+
 def _track_ids(tracks: Iterable[str]) -> Dict[str, Tuple[int, int]]:
     """Deterministic (pid, tid) per track: processes sorted by name
     (driver first), threads sorted within each process."""
@@ -50,10 +73,16 @@ def _track_ids(tracks: Iterable[str]) -> Dict[str, Tuple[int, int]]:
 ALERT_TRACK = "driver/alerts"
 
 
-def _trace_events(tracer: Tracer, alerts: Optional[List[dict]]) -> Iterator[dict]:
-    """The trace's events in file order, one at a time: the writer
-    encodes each and lets it go, so an export never holds (or has the
-    garbage collector walk) a second copy of the whole trace."""
+def _trace_lines(tracer: Tracer, alerts: Optional[List[dict]]) -> Iterator[str]:
+    """The trace's events in file order, each encoded as ``_ENCODE``
+    would encode its dict (sorted keys, ASCII), one at a time: the
+    writer streams each line to the file and lets it go.
+
+    Spans -- nearly every line -- are not built as dicts: their fixed
+    keys are spelled out in sorted order around the one encoder call
+    their ``args`` needs, and each distinct name, category and track is
+    encoded once per export."""
+    encode = _event_encoder()
     tracks = {s.track for s in tracer.spans} | {i.track for i in tracer.instants}
     if alerts:
         tracks.add(ALERT_TRACK)
@@ -64,34 +93,42 @@ def _trace_events(tracer: Tracer, alerts: Optional[List[dict]]) -> Iterator[dict
         process = track.split("/", 1)[0]
         if pid not in seen_pids:
             seen_pids[pid] = process
-            yield {
+            yield encode({
                 "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
                 "args": {"name": process},
-            }
-        yield {
+            })
+        yield encode({
             "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
             "args": {"name": track},
-        }
-        yield {
+        })
+        yield encode({
             "ph": "M", "name": "thread_sort_index", "pid": pid, "tid": tid,
             "args": {"sort_index": tid},
-        }
+        })
 
+    quoted: Dict[Any, str] = {}
+
+    def quote(text: Any) -> str:
+        out = quoted.get(text)
+        if out is None:
+            out = quoted[text] = _ENCODE(text)
+        return out
+
+    x_tail = {
+        t: f', "ph": "X", "pid": {pid}, "tid": {tid}, "ts": '
+        for t, (pid, tid) in ids.items()
+    }
     for span in tracer.spans:
-        pid, tid = ids[span.track]
-        yield {
-            "ph": "X",
-            "name": span.name,
-            "cat": span.cat,
-            "pid": pid,
-            "tid": tid,
-            "ts": round(span.start * _US, 3),
-            "dur": round(max(0.0, span.duration) * _US, 3),
-            "args": dict(span.args, depth=span.depth),
-        }
+        dur = round(max(0.0, span.end - span.start) * _US, 3)
+        yield (
+            f'{{"args": {encode(dict(span.args, depth=span.depth))}, '
+            f'"cat": {quote(span.cat)}, "dur": {_number(dur)}, '
+            f'"name": {quote(span.name)}{x_tail[span.track]}'
+            f"{_number(round(span.start * _US, 3))}}}"
+        )
     for inst in tracer.instants:
         pid, tid = ids[inst.track]
-        yield {
+        yield encode({
             "ph": "i",
             "name": inst.name,
             "cat": inst.cat,
@@ -100,7 +137,7 @@ def _trace_events(tracer: Tracer, alerts: Optional[List[dict]]) -> Iterator[dict
             "ts": round(inst.ts * _US, 3),
             "s": "t",
             "args": dict(inst.args, depth=inst.depth),
-        }
+        })
 
     if alerts:
         pid, tid = ids[ALERT_TRACK]
@@ -123,7 +160,7 @@ def _trace_events(tracer: Tracer, alerts: Optional[List[dict]]) -> Iterator[dict
                 "pid": pid,
                 "tid": tid,
             }
-            yield dict(
+            yield encode(dict(
                 common,
                 ph="b",
                 ts=round(fired * _US, 3),
@@ -134,8 +171,10 @@ def _trace_events(tracer: Tracer, alerts: Optional[List[dict]]) -> Iterator[dict
                     "state": row.get("state"),
                     "peak": row.get("peak"),
                 },
+            ))
+            yield encode(
+                dict(common, ph="e", ts=round(ends * _US, 3), args={"depth": 0})
             )
-            yield dict(common, ph="e", ts=round(ends * _US, 3), args={"depth": 0})
 
 
 def _trace_header(tracer: Tracer) -> dict:
@@ -151,9 +190,9 @@ def _trace_header(tracer: Tracer) -> dict:
 
 def to_chrome_trace(tracer: Tracer, alerts: List[dict] = None) -> dict:
     """Convert a tracer's spans/instants (and optionally the live SLO
-    ``alerts.jsonl`` rows) to a Chrome trace dict."""
-    events = list(_trace_events(tracer, alerts))
-    return dict(_trace_header(tracer), traceEvents=events)
+    ``alerts.jsonl`` rows) to a Chrome trace dict: what
+    :func:`write_chrome_trace` would write, parsed."""
+    return json.loads("".join(_trace_chunks(tracer, alerts)))
 
 
 def _replace_with(path: str, chunks: Iterable[str]) -> None:
@@ -173,10 +212,18 @@ def _replace_with(path: str, chunks: Iterable[str]) -> None:
 def write_chrome_trace(tracer: Tracer, path: str, alerts: List[dict] = None) -> None:
     """One event per line: ``json`` runs its C encoder only without
     ``indent``, a line per event still greps and ``diff``s, and a file
-    cut at any line boundary is not JSON."""
-    head = _ENCODE(_trace_header(tracer))[:-1] + ', "traceEvents": [\n'
-    lines = ",\n".join(map(_ENCODE, _trace_events(tracer, alerts)))
-    _replace_with(path, (head, lines, "\n]}\n"))
+    cut at any line boundary is not JSON. Each line goes to the file as
+    it is encoded; the trace never exists as one string."""
+    _replace_with(path, _trace_chunks(tracer, alerts))
+
+
+def _trace_chunks(tracer: Tracer, alerts: Optional[List[dict]]) -> Iterator[str]:
+    yield _ENCODE(_trace_header(tracer))[:-1] + ', "traceEvents": [\n'
+    separator = ""
+    for line in _trace_lines(tracer, alerts):
+        yield separator + line
+        separator = ",\n"
+    yield "\n]}\n"
 
 
 def write_json(payload: Any, path: str) -> None:

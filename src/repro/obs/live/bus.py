@@ -32,6 +32,10 @@ KIND_AUDIT = "audit"
 
 _US = 1_000_000.0
 
+#: The per-lookup detail spans (nearly every span of a run). Consumers
+#: that ignore them settle them by name, before reading the payload.
+DETAIL_SPANS = frozenset({"lookup", "lookup.batch", "cache.probe", "index.fetch"})
+
 
 def _quantize_range(start: float, end: float) -> "tuple":
     """Snap a span's endpoints onto the Chrome-trace export grid.
@@ -74,6 +78,9 @@ class TelemetryEvent(NamedTuple):
 
 
 Subscriber = Callable[[TelemetryEvent], None]
+
+#: ``TelemetryEvent(*fields)`` without the generated ``__new__``'s frame.
+_new_event = tuple.__new__
 
 
 class TelemetryBus:
@@ -149,10 +156,23 @@ class TelemetryBus:
         )
 
     def publish_task(self, spans, instants) -> None:
-        """A committed task's spans, then its instants: one call per task,
-        each event built and delivered as the two producers above do."""
+        """A committed task's spans, then its instants: one call per task.
+        Each span's event is built straight from its record, with
+        :meth:`publish_span`'s quantisation inlined; the few instants go
+        through :meth:`publish_instant`."""
+        subscribers = self._subscribers
+        seq = self.published
         for s in spans:
-            self.publish_span(s.name, s.cat, s.track, s.start, s.end, s.depth, s.args)
+            start = round(s.start * _US, 3) / _US
+            end = start + round(max(0.0, s.end - s.start) * _US, 3) / _US
+            event = _new_event(TelemetryEvent, (
+                seq, KIND_SPAN, s.name, s.track, start, end,
+                {"cat": s.cat, "depth": s.depth, "args": s.args},
+            ))
+            seq += 1
+            self.published = seq
+            for fn in subscribers:
+                fn(event)
         for i in instants:
             self.publish_instant(i.name, i.cat, i.track, i.ts, i.depth, i.args)
 

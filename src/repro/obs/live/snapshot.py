@@ -49,20 +49,26 @@ class LiveSnapshot:
         self.events += 1
         if event.ts > self.watermark:
             self.watermark = event.ts
-        if event.kind == busmod.KIND_SPAN:
-            args = event.payload.get("args", {})
-            if event.name == "task":
+        kind = event.kind
+        if kind == busmod.KIND_SPAN:
+            name = event.name
+            if name in busmod.DETAIL_SPANS:
+                return
+            if name == "task":
+                args = event.payload.get("args", {})
                 stage = task_stage(str(args.get("task", "")))
                 key = (stage, str(args.get("kind", "?")))
                 self.tasks_done[key] = self.tasks_done.get(key, 0) + 1
-            elif event.name == "task.crash":
+            elif name == "task.crash":
                 self.crashes += 1
-            elif event.payload.get("cat") == "wave":
-                self.waves_done += 1
-            elif event.payload.get("cat") == "job":
-                job = str(args.get("job", event.name))
-                self.jobs_seen.setdefault(job)
-        elif event.kind == busmod.KIND_AUDIT:
+            else:
+                cat = event.payload.get("cat")
+                if cat == "wave":
+                    self.waves_done += 1
+                elif cat == "job":
+                    args = event.payload.get("args", {})
+                    self.jobs_seen.setdefault(str(args.get("job", name)))
+        elif kind == busmod.KIND_AUDIT:
             self.audit_verdicts[event.name] = (
                 self.audit_verdicts.get(event.name, 0) + 1
             )

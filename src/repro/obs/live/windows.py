@@ -168,21 +168,44 @@ class LiveAggregators:
         # timestamp, not original publish order -- reproduces the
         # execution-time sample stream, and hence the alert timeline,
         # byte-for-byte.
-        if event.kind not in (busmod.KIND_SPAN, busmod.KIND_COUNTERS):
-            return
-        if event.ts > self.watermark:
-            self.watermark = event.ts
-        now = self.watermark
-        if event.kind == busmod.KIND_SPAN:
-            self._on_span(event, now)
-        else:
-            self._on_counters(event, now)
+        kind = event.kind
+        if kind == busmod.KIND_SPAN:
+            ts = event.ts
+            if ts > self.watermark:
+                self.watermark = ts
+            # By name first: the per-lookup detail spans, nearly every
+            # span of a run, are settled before the payload is read.
+            name = event.name
+            if name == "cache.probe":
+                self._on_probe(event, self.watermark)
+            elif name == "lookup" or name == "lookup.batch":
+                self.lookup_latency.observe(max(0.0, ts - event.start))
+            elif name != "index.fetch":
+                self._on_span(event, self.watermark)
+        elif kind == busmod.KIND_COUNTERS:
+            if event.ts > self.watermark:
+                self.watermark = event.ts
+            self._on_counters(event, self.watermark)
 
     # ------------------------------------------------------------------
+    def _on_probe(self, event: busmod.TelemetryEvent, now: float) -> None:
+        probes = self._window("cache.probes")
+        hits = self._window("cache.hits")
+        probes.add(event.ts, 1.0)
+        if event.payload.get("args", {}).get("hit", False):
+            hits.add(event.ts, 1.0)
+        probes.prune(now)
+        hits.prune(now)
+        total = probes.sum()
+        if total > 0:
+            self._emit(
+                "cache_hit_ratio", now, hits.sum() / total, {"probes": total}
+            )
+
     def _on_span(self, event: busmod.TelemetryEvent, now: float) -> None:
-        args = event.payload.get("args", {})
         name = event.name
         if name == "task":
+            args = event.payload.get("args", {})
             kind = str(args.get("kind", "?"))
             stage = task_stage(str(args.get("task", "")))
             wave = int(args.get("wave", 0))
@@ -208,6 +231,7 @@ class LiveAggregators:
             # ends are monotone in commit order (waves in order, map
             # before reduce, jobs sequential), so the per-metric sample
             # stream the rule engine sees stays monotone.
+            args = event.payload.get("args", {})
             kind = str(args.get("kind", "?"))
             stage = str(args.get("job", "?"))
             wave = int(args.get("wave", 0))
@@ -217,23 +241,6 @@ class LiveAggregators:
                 "straggler_ratio", event.ts, ratio,
                 {"stage": stage, "kind": kind, "wave": wave, "tasks": len(durs)},
             )
-        elif name == "cache.probe":
-            hit = bool(args.get("hit", False))
-            probes = self._window("cache.probes")
-            hits = self._window("cache.hits")
-            probes.add(event.ts, 1.0)
-            if hit:
-                hits.add(event.ts, 1.0)
-            probes.prune(now)
-            hits.prune(now)
-            total = probes.sum()
-            if total > 0:
-                self._emit(
-                    "cache_hit_ratio", now, hits.sum() / total,
-                    {"probes": total},
-                )
-        elif name in ("lookup", "lookup.batch"):
-            self.lookup_latency.observe(max(0.0, event.ts - event.start))
 
     # ------------------------------------------------------------------
     def _on_counters(self, event: busmod.TelemetryEvent, now: float) -> None:

@@ -55,7 +55,7 @@ def slot_track(host: str, kind: str, slot_index: int) -> str:
     return f"{host}/{kind}{slot_index}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named interval on a track, in simulated seconds."""
 
@@ -72,7 +72,7 @@ class Span:
         return self.end - self.start
 
 
-@dataclass
+@dataclass(slots=True)
 class Instant:
     """One point event on a track."""
 
@@ -142,27 +142,26 @@ class Tracer:
     ) -> None:
         """Re-base one task's buffered spans/events onto the absolute
         timeline at ``task_start`` and fold histogram-worthy durations
-        into the metrics registry.
+        into the metrics registry. The buffer's records are the
+        tracer's: they move in place, and the buffer is spent.
 
-        Every absorbed span/instant is stamped with ``args.task`` (the
-        owning task attempt): several jobs may share a tracer with
-        overlapping simulated timelines (e.g. a profiling run and the
-        optimized run both starting at t=0), so offline analysis cannot
-        attribute in-task ops by time containment alone.
+        Every absorbed span/instant carries ``args.task`` (the owning
+        task attempt, stamped as the buffer records it): several jobs
+        may share a tracer with overlapping simulated timelines (e.g. a
+        profiling run and the optimized run both starting at t=0), so
+        offline analysis cannot attribute in-task ops by time
+        containment alone.
         """
         if buffer is None:
             return
-        task_id = buffer.task_id
-        spans = []
-        for name, cat, rel_start, rel_end, depth, args in buffer.rel_spans:
-            args.setdefault("task", task_id)
-            start, end = task_start + rel_start, task_start + rel_end
-            spans.append(Span(name, cat, track, start, end, depth, args))
-        instants = []
-        for name, cat, rel_ts, depth, args in buffer.rel_instants:
-            args.setdefault("task", task_id)
-            ts = task_start + rel_ts
-            instants.append(Instant(name, cat, track, ts, depth, args))
+        spans, instants = buffer.rel_spans, buffer.rel_instants
+        for span in spans:
+            span.track = track
+            span.start += task_start
+            span.end += task_start
+        for inst in instants:
+            inst.track = track
+            inst.ts += task_start
         self.spans += spans
         self.instants += instants
         if self.bus is not None:
@@ -249,7 +248,8 @@ def _span_recorder(charged: bool):
         if len(self.rel_spans) >= self.max_detail:
             self.dropped += 1
         else:
-            self.rel_spans.append((name, cat, _start, _end, depth, args))
+            args.setdefault("task", self.task_id)
+            self.rel_spans.append(Span(name, cat, "", _start, _end, depth, args))
 
     return record
 
@@ -269,6 +269,10 @@ class TaskTraceBuffer:
       runs (task startup + input read, or + shuffle fetch), so charged
       events land inside the task span.
 
+    Each detail item is recorded once, as the :class:`Span` /
+    :class:`Instant` the tracer will keep, on a blank track and in
+    relative time until :meth:`Tracer.absorb_task` re-bases it.
+
     Detail is capped at ``max_detail`` recorded items per task to bound
     trace size on large runs; every item still lands in the per-name
     aggregate ``totals`` (and latency ``observations``), and the number
@@ -279,8 +283,8 @@ class TaskTraceBuffer:
         self.task_id = task_id
         self.max_detail = max_detail
         self.base_offset = 0.0
-        self.rel_spans: List[tuple] = []
-        self.rel_instants: List[tuple] = []
+        self.rel_spans: List[Span] = []
+        self.rel_instants: List[Instant] = []
         self.totals: Dict[str, List[float]] = {}
         self.observations: Dict[str, List[float]] = {}
         self.dropped = 0
@@ -302,7 +306,8 @@ class TaskTraceBuffer:
         if len(self.rel_instants) >= self.max_detail:
             self.dropped += 1
             return
-        self.rel_instants.append((name, cat, rel_ts, depth, args))
+        args.setdefault("task", self.task_id)
+        self.rel_instants.append(Instant(name, cat, "", rel_ts, depth, args))
 
     def charged_instant(
         self, name: str, cat: str, charged_ts: float, depth: int, **args: Any
@@ -327,14 +332,11 @@ class TaskTraceBuffer:
         if factor < 0.0:
             raise ValueError("trace scale factor cannot be negative")
         self.base_offset *= factor
-        self.rel_spans = [
-            (name, cat, rel_start * factor, rel_end * factor, depth, args)
-            for name, cat, rel_start, rel_end, depth, args in self.rel_spans
-        ]
-        self.rel_instants = [
-            (name, cat, rel_ts * factor, depth, args)
-            for name, cat, rel_ts, depth, args in self.rel_instants
-        ]
+        for span in self.rel_spans:
+            span.start *= factor
+            span.end *= factor
+        for inst in self.rel_instants:
+            inst.ts *= factor
         for entry in self.totals.values():
             entry[1] *= factor
         self.observations = {

@@ -192,6 +192,16 @@ def _instant_without_ts(paths):
     )
 
 
+def _job_depth_as_text(paths):
+    # Skipped without a word once: no job line in ``report``, no job in
+    # ``diff``, while ``validate`` called it "missing args.depth".
+    _add_event(
+        paths,
+        {"ph": "X", "name": "efind:bad", "cat": "job", "pid": 1, "tid": 1,
+         "ts": 0.0, "dur": 1e6, "args": {"depth": "0", "job": "bad"}},
+    )
+
+
 def _audit_null_sim_time(paths):
     row = {"seq": 0, "job": "j", "phase": "map", "verdict": "replan",
            "sim_time": None}
@@ -212,6 +222,7 @@ MALFORMED_ROWS = [
     (_x_without_dur, "bad.trace.json", "'dur'"),
     (_short_op_totals_entry, "bad.trace.json", "op_totals"),
     (_instant_without_ts, "bad.trace.json", "'ts'"),
+    (_job_depth_as_text, "bad.trace.json", "'args.depth' = '0'"),
     (_audit_null_sim_time, "bad.audit.jsonl:1", "'sim_time'"),
     (_alert_text_fired_at, "bad.alerts.jsonl:1", "'fired_at'"),
 ]
