@@ -219,7 +219,7 @@ class _StageBuilder:
             # Tail operator: the dataflow up to preProcess stays in the
             # current (main-reduce) job; the shuffle is a fresh job.
             self.close_stage(label=f"main-before-{op_id}.{j}")
-        self.map_chain.append(KeyByIkFn(op, op_id, j))
+        self.map_chain.append(KeyByIkFn(op, op_id, j, strategy.value))
 
         if strategy is Strategy.IDXLOC:
             scheme = op.accessors[j].partition_scheme

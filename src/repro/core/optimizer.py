@@ -29,10 +29,6 @@ from repro.core.costmodel import (
 from repro.core.plan import AccessPlan, OperatorPlan
 from repro.core.statistics import OperatorStats
 
-#: Re-partitioning replicates a record per lookup key, so the shuffle
-#: implementation requires (close to) one key per record for that index.
-_MAX_NIK_FOR_REPART = 1.05
-
 #: Up to this many indices per operator we can afford m! enumeration
 #: (the paper: "m <= 5, m! <= 120").
 _FULL_ENUMERATE_LIMIT = 5
@@ -66,7 +62,10 @@ def eligible_strategies(
         out = [Strategy.BASELINE, Strategy.PARTIAL]
     else:
         out = [Strategy.BASELINE, Strategy.CACHE]
-    if allow_extra_job and idx.nik <= _MAX_NIK_FOR_REPART and idx.nik > 0:
+    # A shuffle strategy keys each record by its one lookup key: no
+    # sampled record may have listed more (an exact count, not the
+    # average Nik, which half keyless and half two-key records hold at 1).
+    if allow_extra_job and 0 < idx.nik <= 1 and idx.multi_key_records == 0:
         out.append(Strategy.REPART)
         if supports_locality:
             out.append(Strategy.IDXLOC)

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from repro.common.errors import DataFlowError
+from repro.common.errors import DataFlowError, PlanningError
 from repro.common.sizing import sizeof_pair
 from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
@@ -338,7 +338,7 @@ class TestKeyByIkFn:
         fn = KeyByIkFn(op, "op0", 0)
         col = OutputCollector()
         carrier = make_carrier("v", (("a", "b"),), (None,))
-        with pytest.raises(ValueError):
+        with pytest.raises(PlanningError, match="repart .* 'orig' has 2 keys for index 0 of op0"):
             fn.process("orig", carrier, col, ctx)
 
 

@@ -70,7 +70,7 @@ class OraclePreProcessFn(PreProcessFn):
             # Exact integers, summed here and added to the sample once;
             # the sketches are OR-ed into, so they take each key as it comes.
             s1_total = 0
-            nik, sik = [0] * m, [0] * m
+            nik, sik, wide = [0] * m, [0] * m, [0] * m
             add_to_sketch = [functools.partial(oracle_add, stats.fm[j]) for j in range(m)]
         out_records: List[tuple] = []
         out_sizes: List[int] = []
@@ -110,6 +110,7 @@ class OraclePreProcessFn(PreProcessFn):
                     nbytes += key_bytes
                     if stats is not None:
                         nik[j] += len(keys)
+                        wide[j] += len(keys) > 1
                         sik[j] += key_bytes - _HEADER_BYTES
                         for ik in keys:
                             add_to_sketch[j](ik)
@@ -129,6 +130,7 @@ class OraclePreProcessFn(PreProcessFn):
                 for j in range(m):
                     if nik[j]:
                         sample.index[j].nik += nik[j]
+                        sample.index[j].multi_key_records += wide[j]
                         sample.index[j].sik_bytes += sik[j]
 
 
