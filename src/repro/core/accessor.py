@@ -13,7 +13,7 @@ plus :meth:`partition_scheme`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.indices.base import IndexService
 from repro.indices.partitioning import PartitionScheme
@@ -59,6 +59,26 @@ class IndexAccessor:
         identical results and per-key fault behavior either way.
         """
         return self.index.lookup_batch(iks, ctx)
+
+    @property
+    def serve(self) -> Callable[..., Tuple[Tuple[Any, ...], Sequence[str]]]:
+        """``serve(ik, ctx)``: one fetch as the strategy layer takes it
+        -- :meth:`lookup`'s values as a tuple and the hosts
+        :meth:`hosts_for_key` lists. While this class keeps both
+        defaults and exposes its partitions, that is the index's own
+        ``serve``, handed out like :attr:`result_bytes`, which locates
+        the key once for both; otherwise the two methods answer."""
+        cls = type(self)
+        if (
+            cls.lookup is IndexAccessor.lookup
+            and cls.hosts_for_key is IndexAccessor.hosts_for_key
+            and self.exposes_partitions
+        ):
+            return self.index.serve
+        return self._serve
+
+    def _serve(self, ik: Any, ctx=None) -> Tuple[Tuple[Any, ...], Sequence[str]]:
+        return tuple(self.lookup(ik, ctx)), self.hosts_for_key(ik)
 
     @property
     def result_bytes(self) -> Callable[[Tuple[Any, ...]], int]:

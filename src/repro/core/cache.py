@@ -90,7 +90,10 @@ class ShadowCache:
     """
 
     def __init__(self, capacity: int = 1024, warmup: Optional[int] = None):
-        self._cache = LRUCache(capacity)
+        if capacity < 1:
+            raise ValueError("cache capacity must be >= 1")
+        self.capacity = capacity
+        self._keys: "OrderedDict[Hashable, bool]" = OrderedDict()
         # Capped so operators that see only a few dozen keys per node
         # (e.g. behind a selective filter) still produce an estimate.
         if warmup is None:
@@ -98,35 +101,31 @@ class ShadowCache:
         elif warmup < 0:
             raise ValueError("shadow-cache warm-up cannot be negative")
         self._warmup = warmup
-        self._seen = 0
-        self.counted_probes = 0
-        self.counted_hits = 0
+        self.clear()
 
     def probe(self, key: Hashable) -> bool:
         """Record an access; returns True on a (simulated) hit."""
-        self._seen += 1
-        hit, _ = self._cache.get(key)
-        if not hit:
-            self._cache.put(key, True)
-        if self.warmed:
+        keys = self._keys
+        self.probes += 1
+        hit = key in keys
+        if hit:
+            keys.move_to_end(key)
+        else:
+            keys[key] = True
+            if len(keys) > self.capacity:
+                keys.popitem(last=False)
+        if self.probes > self._warmup:
+            self.warmed = True
             self.counted_probes += 1
             if hit:
                 self.counted_hits += 1
         return hit
 
-    @property
-    def warmed(self) -> bool:
-        """True once the current probe is past the warm-up window.
-
-        Evaluated *after* :meth:`probe` increments the access count, so
-        with ``warmup=N`` probes 1..N are excluded and probe N+1 is the
-        first counted; ``warmup=0`` therefore counts every probe.
-        """
-        return self._seen > self._warmup
-
-    @property
-    def probes(self) -> int:
-        return self._cache.probes
+    #: True once the current probe is past the warm-up window. Set by
+    #: :meth:`probe` after it counts the access, so with ``warmup=N``
+    #: probes 1..N are excluded and probe N+1 is the first counted;
+    #: ``warmup=0`` therefore counts every probe.
+    warmed: bool
 
     @property
     def miss_ratio(self) -> float:
@@ -140,7 +139,8 @@ class ShadowCache:
         window: a cleared shadow starts cold, so counting its first
         probes would mix one window's compulsory misses into the next
         window's estimate. It must re-warm before counting again."""
-        self._cache.clear()
-        self._seen = 0
+        self._keys.clear()
+        self.probes = 0
+        self.warmed = False
         self.counted_probes = 0
         self.counted_hits = 0

@@ -13,7 +13,7 @@ The pieces of the contract the optimizer *may* use, when available:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import IndexLookupError, TransientLookupError
 from repro.common.sizing import sizeof
@@ -63,6 +63,9 @@ class IndexService:
         self._fault_plan: Optional[FaultPlan] = None
         self._retry_policy = RetryPolicy()
         self._epoch = 0
+        # partition -> its live hosts, filled as partitions are asked
+        # for; a new fault plan empties it.
+        self._partition_hosts: Dict[int, Tuple[str, ...]] = {}
         #: Optional replica-aware router consulted by routing-capable
         #: subclasses when grouping batched lookups by serving host.
         self.router = None
@@ -163,6 +166,23 @@ class IndexService:
     def _lookup(self, key: Any) -> List[Any]:
         raise NotImplementedError
 
+    def _lookup_at(self, key: Any, partition: int) -> Sequence[Any]:
+        """``_lookup`` for a key already known to live in ``partition``:
+        the values, which the caller copies. An index that locates a
+        key itself overrides this, so a fetch locates it only once."""
+        return self._lookup(key)
+
+    def serve(self, key: Any, ctx=None) -> Tuple[Tuple[Any, ...], Sequence[str]]:
+        """One lookup as the strategy layer fetches it: :meth:`lookup`'s
+        values as a tuple, and the live hosts :meth:`hosts_for_key`
+        lists, the key located once for both."""
+        scheme = self.partition_scheme
+        if scheme is None or self._fault_plan is not None:
+            return tuple(self.lookup(key, ctx)), self.hosts_for_key(key)
+        self.lookups_served += 1
+        partition = scheme.partition_of(key)
+        return tuple(self._lookup_at(key, partition)), self._live_hosts(partition)
+
     #: ``result_bytes(values)``: wire size of ``values``, a tuple of
     #: results this index made -- ``sizeof(values)``, called directly.
     #: An index that sized its entries when it built them overrides it
@@ -242,6 +262,7 @@ class IndexService:
         """Attach (or with ``None`` detach) a fault plan; optionally
         replace the retry policy in the same call."""
         self._fault_plan = plan
+        self._partition_hosts = {}
         if retry_policy is not None:
             self._retry_policy = retry_policy
         return self
@@ -306,9 +327,18 @@ class IndexService:
         scheme = self.partition_scheme
         if scheme is None:
             return []
-        hosts = scheme.locations(scheme.partition_of(key))
-        if self._fault_plan is not None:
-            hosts = [h for h in hosts if not self._fault_plan.host_down(h)]
+        return list(self._live_hosts(scheme.partition_of(key)))
+
+    def _live_hosts(self, partition: int) -> Tuple[str, ...]:
+        """The replicas of ``partition`` the fault plan leaves alive,
+        worked out once per partition and plan."""
+        hosts = self._partition_hosts.get(partition)
+        if hosts is None:
+            plan = self._fault_plan
+            hosts = self._partition_hosts[partition] = tuple(
+                h for h in self.partition_scheme.locations(partition)
+                if plan is None or not plan.host_down(h)
+            )
         return hosts
 
     def fingerprint(self) -> int:

@@ -357,7 +357,10 @@ class DistributedBTree(IndexService):
             self._trees.append(tree)
 
     def _lookup(self, key: Any) -> List[Any]:
-        return self._trees[self._scheme.partition_of(key)].search(key)
+        return self._lookup_at(key, self._scheme.partition_of(key))
+
+    def _lookup_at(self, key: Any, partition: int) -> List[Any]:
+        return self._trees[partition].search(key)
 
     def _locate(self, key: Any):
         """``(replicas, live)`` of one key's range partition."""

@@ -10,7 +10,7 @@ and an inspectable partition scheme.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import IndexLookupError, TransientLookupError
 from repro.indices.base import IndexService
@@ -133,15 +133,17 @@ class DistributedKVStore(IndexService):
         return self._lookup(key)
 
     def _lookup(self, key: Any) -> List[Any]:
-        partition = self._scheme.partition_of(key)
+        return list(self._lookup_at(key, self._scheme.partition_of(key)))
+
+    def _lookup_at(self, key: Any, partition: int) -> Sequence[Any]:
         values = self._partitions[partition].get(key)
         if values is None:
             if self._strict:
                 raise IndexLookupError(
                     f"kvstore {self.name!r} has no entry for key {key!r}"
                 )
-            return []
-        return list(values)
+            return ()
+        return values
 
     def _locate(self, key: Any):
         """``(replicas, live)`` of one key's partition: the placement-

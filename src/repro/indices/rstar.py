@@ -605,20 +605,23 @@ class _GridScheme(PartitionScheme):
 
 
 def _as_point(key: Any) -> Point:
-    if isinstance(key, tuple) and len(key) == 2:
-        try:
-            point = (float(key[0]), float(key[1]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise IndexLookupError(
-                f"malformed request: spatial index keys must be numbers, got {key!r}"
-            ) from exc
-        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
-            # No grid cell, and no distance order, for NaN or infinity.
-            raise IndexLookupError(
-                f"malformed request: spatial index keys must be finite, got {key!r}"
-            )
-        return point
-    raise TypeError(f"spatial index keys must be (x, y) tuples, got {key!r}")
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise IndexLookupError(
+            f"malformed request: spatial index keys must be (x, y) tuples, "
+            f"got {key!r}"
+        )
+    try:
+        point = (float(key[0]), float(key[1]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IndexLookupError(
+            f"malformed request: spatial index keys must be numbers, got {key!r}"
+        ) from exc
+    if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+        # No grid cell, and no distance order, for NaN or infinity.
+        raise IndexLookupError(
+            f"malformed request: spatial index keys must be finite, got {key!r}"
+        )
+    return point
 
 
 class GridRStarForest(IndexService):
@@ -683,9 +686,21 @@ class GridRStarForest(IndexService):
 
     def _lookup(self, key: Any) -> List[Any]:
         point = _as_point(key)
-        cell = self._scheme.cell_of(point)
+        return self._payloads(point, self._scheme.cell_of(point))
+
+    def _payloads(self, point: Point, cell: int) -> List[Any]:
         found = self._trees[cell]._nearest(point, self.k)
         return [payload for _, _, payload in found]
+
+    def serve(self, key: Any, ctx=None) -> Tuple[Tuple[Any, ...], Sequence[str]]:
+        """:meth:`IndexService.serve` with the key parsed once: the
+        point both finds its cell and is searched for."""
+        if self.fault_plan is not None:
+            return super().serve(key, ctx)
+        self.lookups_served += 1
+        point = _as_point(key)
+        cell = self._scheme.cell_of(point)
+        return tuple(self._payloads(point, cell)), self._live_hosts(cell)
 
     def result_bytes(self, values: Tuple[Any, ...]) -> int:
         each = self._payload_bytes

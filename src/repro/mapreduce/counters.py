@@ -34,6 +34,13 @@ class Counters:
         if self._gauges:
             self._gauges.discard((group, name))
 
+    def bucket(self, group: str) -> Dict[str, float]:
+        """The live ``name -> value`` dict of ``group`` (created if
+        new), for a caller that adds to it once per event:
+        ``bucket[name] = bucket.get(name, 0.0) + amount`` is
+        :meth:`increment` for a name nobody writes with :meth:`set`."""
+        return self._data[group]
+
     def set(self, group: str, name: str, value: float) -> None:
         """Write ``value``, marking the key as a gauge: a later
         :meth:`merge` overwrites it with the source's value rather than

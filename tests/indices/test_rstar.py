@@ -203,8 +203,15 @@ class TestGridRStarForest:
         assert len(forest) >= 600
 
     def test_rejects_bad_key(self, forest):
-        with pytest.raises(TypeError):
-            forest.lookup("not-a-point")
+        # A key that is no (x, y) pair gets the same typed error as a
+        # non-numeric pair, from the lookup and the partition scheme.
+        for key in (5, (1.0,), [1.0, 2.0], "not-a-point", (1.0, 2.0, 3.0)):
+            with pytest.raises(IndexLookupError, match="malformed request"):
+                forest.lookup(key)
+            with pytest.raises(IndexLookupError, match="malformed request"):
+                forest.partition_scheme.partition_of(key)
+            with pytest.raises(IndexLookupError, match="malformed request"):
+                forest.serve(key)
 
     @pytest.mark.parametrize(
         "key", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, math.nan)]
@@ -230,16 +237,18 @@ class TestGridRStarForest:
 
     @pytest.mark.parametrize("strategy", [Strategy.BASELINE, Strategy.IDXLOC])
     def test_malformed_key_fails_the_job(self, forest, cluster, dfs, strategy):
-        # Through lookup (Base) and through partition_of (Idxloc's shuffle).
-        records = [(pid, point) for point, pid in self.points[:80]]
-        records[57] = (57, ("a", "b"))
-        dfs.write("/in/a", records)
-        job = make_knnj_job("bad-key", "/in/a", "/out/bad-key", forest)
-        with pytest.raises(IndexLookupError, match="malformed request"):
-            EFindRunner(cluster, dfs).run(
-                job, mode="forced", forced_strategy=strategy
-            )
-        assert not dfs.exists("/out/bad-key")
+        # Through lookup (Base) and through partition_of (Idxloc's
+        # shuffle): a non-numeric pair, and a key that is no pair.
+        for bad in (("a", "b"), 5):
+            records = [(pid, point) for point, pid in self.points[:80]]
+            records[57] = (57, bad)
+            dfs.write("/in/a", records)
+            job = make_knnj_job("bad-key", "/in/a", "/out/bad-key", forest)
+            with pytest.raises(IndexLookupError, match="malformed request"):
+                EFindRunner(cluster, dfs).run(
+                    job, mode="forced", forced_strategy=strategy
+                )
+            assert not dfs.exists("/out/bad-key")
 
     def test_lookup_is_the_payloads_of_knn_with_distances(self, cluster):
         a = osm.generate_points(osm.OsmConfig(num_points=400, seed=3), "A")

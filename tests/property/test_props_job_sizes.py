@@ -108,8 +108,10 @@ class Env:
 
 
 class SeamAudit:
-    """Wraps a ``JobRunner``'s two task bodies, and ``collect``, with
-    the checks; counts what it saw so a test can tell a seam was met."""
+    """Wraps a ``JobRunner``'s two task bodies, and ``collect`` and
+    ``extend``, with the checks; counts what it saw so a test can tell a
+    seam was met (``sized_collects``: pairs handed over with a size,
+    by either)."""
 
     def __init__(self):
         self.splits = self.memory_splits = self.buckets = self.side_records = 0
@@ -121,7 +123,7 @@ class SeamAudit:
             job_runner._execute_map_task,
             job_runner._execute_reduce_task,
         )
-        collect = OutputCollector.collect
+        collect, extend = OutputCollector.collect, OutputCollector.extend
         audit = self
 
         def checked_collect(self, key, value, nbytes=None):
@@ -129,6 +131,11 @@ class SeamAudit:
                 assert nbytes == sizeof_pair(key, value), (key, value)
                 audit.sized_collects += 1
             collect(self, key, value, nbytes)
+
+        def checked_extend(self, records, sizes):
+            assert list(sizes) == walked(records), records
+            audit.sized_collects += len(records)
+            extend(self, records, sizes)
 
         def checked_map_task(conf, split, *rest):
             assert split.sizes == walked(split.records), split.path
@@ -159,10 +166,11 @@ class SeamAudit:
         job_runner._execute_map_task = checked_map_task
         job_runner._execute_reduce_task = checked_reduce_task
         OutputCollector.collect = checked_collect
+        OutputCollector.extend = checked_extend
         try:
             yield self
         finally:
-            OutputCollector.collect = collect
+            OutputCollector.collect, OutputCollector.extend = collect, extend
             del job_runner._execute_map_task, job_runner._execute_reduce_task
         for path in dfs.listdir():
             for block in dfs.meta(path).blocks:
