@@ -4,12 +4,9 @@ With 10x duplicated LineItem rows, re-partitioning removes 10x more
 redundant supplier lookups: the paper reports a 7.9x speedup over the
 baseline, and Dynamic close to Optimized because the statistics phase
 is amortised (Section 5.3). The second claim does not hold here: see
-``test_fig11e_dynamic_close_to_optimal``.
+``test_fig11e_dynamic_close_to_optimal`` in ``test_paper_claims.py``.
 """
 
-import functools
-
-import pytest
 from conftest import record_table
 
 from repro.bench.figures import SIX_MODES as MODES, run_fig11e
@@ -17,9 +14,6 @@ from repro.bench.harness import format_table
 
 
 # workload construction lives in repro.bench.figures.run_fig11e
-@functools.lru_cache(maxsize=None)
-def _rows():
-    return run_fig11e()
 
 
 def check_shape(rows):
@@ -32,7 +26,7 @@ def check_shape(rows):
 
 
 def test_fig11e_dup10_q9(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_fig11e, rounds=1, iterations=1)
     check_shape(rows)
     record_table(
         "fig11e",
@@ -41,13 +35,3 @@ def test_fig11e_dup10_q9(benchmark):
         ),
     )
 
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the paper (Section 5.3): 'dynamic close to optimal because the "
-    "statistics phase is amortised'. Measured Dyn 9.40 s against Opt 2.18 s "
-    "(4.3x): Dynamic re-plans only after the first map wave",
-)
-def test_fig11e_dynamic_close_to_optimal():
-    t = _rows()[0].times
-    assert t["Dynamic"] <= 1.5 * t["Optimized"]

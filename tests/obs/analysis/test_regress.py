@@ -255,7 +255,7 @@ class TestCommittedBaselines:
     self-consistent (regenerating them is covered by CI, which runs
     the real benches and regresses against these files)."""
 
-    @pytest.mark.parametrize("suite", ["tpch", "synthetic"])
+    @pytest.mark.parametrize("suite", ["tpch", "synthetic", "paper"])
     def test_committed_baseline_loads(self, suite):
         import os
 
@@ -276,7 +276,7 @@ class TestCommittedBaselines:
         import os
 
         root = os.path.join(os.path.dirname(__file__), "..", "..", "..")
-        for name in ("BENCH_tpch.json", "BENCH_synthetic.json"):
+        for name in ("BENCH_tpch.json", "BENCH_synthetic.json", "BENCH_paper.json"):
             path = os.path.join(root, name)
             report = compare_files(path, path)
             assert report.ok and not report.failures
