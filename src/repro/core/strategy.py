@@ -199,6 +199,14 @@ class LookupSettings:
     #: built in-job, or None.
     build: Any = None
 
+    def __post_init__(self) -> None:
+        # Checked here, before any job runs: a bad value would otherwise
+        # surface mid-job, or be silently rounded.
+        for name in ("cache_capacity", "batch_size"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
 
 class LookupPipeline:
     """The lookup path of one index, shared by every strategy.
@@ -262,8 +270,7 @@ class LookupPipeline:
         self._serve = self.accessor.serve
         self.result_bytes = self.accessor.result_bytes
         self.stats = stats
-        # The one clamp of the knob: runner and compiler pass it through.
-        self.batch_size = max(1, int(settings.batch_size))
+        self.batch_size = settings.batch_size
         self.reuse = settings.reuse
         self.build = settings.build
         self.use_cache = use_cache
