@@ -19,6 +19,7 @@ continue under a better plan.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -163,6 +164,11 @@ class JobRunner:
         self._bus = (
             getattr(obs, "bus", None) if self._tracer is not None else None
         )
+        # True while this runner's outermost ``run`` owns the collector's
+        # freeze: each task attempt then starts with everything older
+        # frozen, so a collection walks only what the attempt made
+        # (DESIGN.md 5.18).
+        self._owns_freeze = False
 
     # ------------------------------------------------------------------
     # Fault-model helpers
@@ -211,6 +217,8 @@ class JobRunner:
                 allowed_hosts=allowed_hosts,
                 avoid_hosts=failed_hosts,
             )
+            if self._owns_freeze:
+                gc.freeze()
             try:
                 run = execute(slot.node, attempt)
             except TaskCrashError as crash:
@@ -393,14 +401,30 @@ class JobRunner:
         invoked once, right after the first wave of the corresponding
         phase completes; returning True stops the phase and surfaces the
         un-started work in the result.
+
+        The outermost call owns the collector's freeze when the caller
+        froze nothing and left the collector on, and unfreezes on the
+        way out, raise or return (DESIGN.md 5.18).
         """
-        result = self._run_inner(
-            conf, start_time, splits, abort_check_map, abort_check_reduce
+        owns = (
+            not self._owns_freeze
+            and gc.isenabled()
+            and gc.get_freeze_count() == 0
         )
-        self._release_consumed(result)
-        if self._tracer is not None:
-            self._emit_job_spans(result)
-        return result
+        if owns:
+            self._owns_freeze = True
+        try:
+            result = self._run_inner(
+                conf, start_time, splits, abort_check_map, abort_check_reduce
+            )
+            self._release_consumed(result)
+            if self._tracer is not None:
+                self._emit_job_spans(result)
+            return result
+        finally:
+            if owns:
+                self._owns_freeze = False
+                gc.unfreeze()
 
     def _run_inner(
         self,
