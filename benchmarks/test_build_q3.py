@@ -13,8 +13,7 @@ Acceptance criteria for the build tier:
 
 from conftest import record_table
 
-from repro.bench.figures import BUILD_Q3_MODES, run_build_q3
-from repro.bench.harness import format_counter_table, format_table
+from repro.bench.figures import EXPERIMENTS, run_build_q3
 
 
 def check_shape(rows):
@@ -65,19 +64,4 @@ def check_shape(rows):
 def test_build_q3(benchmark):
     rows = benchmark.pedantic(run_build_q3, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "build-q3",
-        "\n\n".join(
-            [
-                format_table(
-                    "Build  TPC-H Q3 while the Orders index is built in-job",
-                    rows,
-                    modes=BUILD_Q3_MODES,
-                    x_label="build state",
-                ),
-                format_counter_table(
-                    "Build  build.* counter totals", rows, "build", BUILD_Q3_MODES
-                ),
-            ]
-        ),
-    )
+    record_table("build-q3", EXPERIMENTS["build-q3"].render(rows))

@@ -10,8 +10,12 @@ rather than the faults simply never firing.
 
 from conftest import record_table
 
-from repro.bench.figures import FAULT_MODES as MODES, FAULT_RATES, run_fault_recovery
-from repro.bench.harness import format_counter_table, format_table
+from repro.bench.figures import (
+    EXPERIMENTS,
+    FAULT_MODES as MODES,
+    FAULT_RATES,
+    run_fault_recovery,
+)
 
 
 # workload construction lives in repro.bench.figures.run_fault_recovery
@@ -44,16 +48,4 @@ def test_fault_recovery(benchmark):
     assert 0.01 in FAULT_RATES
     rows = benchmark.pedantic(run_fault_recovery, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "faults",
-        format_table(
-            "Fault recovery  TPC-H Q3: runtime vs lookup failure rate",
-            rows,
-            modes=MODES,
-            x_label="failure rate",
-        )
-        + "\n\n"
-        + format_counter_table(
-            "Fault recovery  fault.* counter totals", rows, "faults", MODES
-        ),
-    )
+    record_table("faults", EXPERIMENTS["faults"].render(rows))

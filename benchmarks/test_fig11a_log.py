@@ -9,8 +9,7 @@ baseline and optimal.
 
 from conftest import record_table
 
-from repro.bench.figures import FIG11A_MODES as MODES, run_fig11a
-from repro.bench.harness import format_table
+from repro.bench.figures import EXPERIMENTS, run_fig11a
 
 
 # workload construction lives in repro.bench.figures.run_fig11a
@@ -38,10 +37,4 @@ def check_shape(rows):
 def test_fig11a_log(benchmark):
     rows = benchmark.pedantic(run_fig11a, rounds=1, iterations=1)
     check_shape(rows)
-    table = format_table(
-        "Figure 11(a)  LOG: runtime vs extra lookup delay",
-        rows,
-        modes=MODES,
-        x_label="extra delay",
-    )
-    record_table("fig11a", table)
+    record_table("fig11a", EXPERIMENTS["fig11a"].render(rows))

@@ -9,8 +9,7 @@ Optimized picks a cache-based plan.
 
 from conftest import record_table
 
-from repro.bench.figures import SIX_MODES as MODES, run_fig11b
-from repro.bench.harness import format_table
+from repro.bench.figures import EXPERIMENTS, run_fig11b
 
 
 # workload construction lives in repro.bench.figures.run_fig11b
@@ -28,7 +27,4 @@ def check_shape(rows):
 def test_fig11b_tpch_q3(benchmark):
     rows = benchmark.pedantic(run_fig11b, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "fig11b",
-        format_table("Figure 11(b)  TPC-H Q3", rows, modes=MODES, x_label="query"),
-    )
+    record_table("fig11b", EXPERIMENTS["fig11b"].render(rows))

@@ -9,8 +9,7 @@ pays a visible statistics-collection phase but still beats baseline.
 
 from conftest import record_table
 
-from repro.bench.figures import SIX_MODES as MODES, run_fig11c
-from repro.bench.harness import format_table
+from repro.bench.figures import EXPERIMENTS, run_fig11c
 
 
 # workload construction lives in repro.bench.figures.run_fig11c
@@ -31,7 +30,4 @@ def check_shape(rows):
 def test_fig11c_tpch_q9(benchmark):
     rows = benchmark.pedantic(run_fig11c, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "fig11c",
-        format_table("Figure 11(c)  TPC-H Q9", rows, modes=MODES, x_label="query"),
-    )
+    record_table("fig11c", EXPERIMENTS["fig11c"].render(rows))

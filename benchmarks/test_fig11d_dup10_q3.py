@@ -7,8 +7,7 @@ even the lookup cache (paper: 2.1x over the cache).
 
 from conftest import record_table
 
-from repro.bench.figures import SIX_MODES as MODES, run_fig11d
-from repro.bench.harness import format_table
+from repro.bench.figures import EXPERIMENTS, run_fig11d
 
 
 # workload construction lives in repro.bench.figures.run_fig11d
@@ -27,9 +26,4 @@ def check_shape(rows):
 def test_fig11d_dup10_q3(benchmark):
     rows = benchmark.pedantic(run_fig11d, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "fig11d",
-        format_table(
-            "Figure 11(d)  TPC-H DUP10 Q3", rows, modes=MODES, x_label="query"
-        ),
-    )
+    record_table("fig11d", EXPERIMENTS["fig11d"].render(rows))

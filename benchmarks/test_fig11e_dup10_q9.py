@@ -9,8 +9,7 @@ is amortised (Section 5.3). The second claim does not hold here: see
 
 from conftest import record_table
 
-from repro.bench.figures import SIX_MODES as MODES, run_fig11e
-from repro.bench.harness import format_table
+from repro.bench.figures import EXPERIMENTS, run_fig11e
 
 
 # workload construction lives in repro.bench.figures.run_fig11e
@@ -28,10 +27,5 @@ def check_shape(rows):
 def test_fig11e_dup10_q9(benchmark):
     rows = benchmark.pedantic(run_fig11e, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "fig11e",
-        format_table(
-            "Figure 11(e)  TPC-H DUP10 Q9", rows, modes=MODES, x_label="query"
-        ),
-    )
+    record_table("fig11e", EXPERIMENTS["fig11e"].render(rows))
 

@@ -12,8 +12,7 @@ steeply with the result size.
 
 from conftest import record_table
 
-from repro.bench.figures import SIX_MODES as MODES, run_fig11f
-from repro.bench.harness import format_table
+from repro.bench.figures import EXPERIMENTS, run_fig11f
 
 
 # workload construction lives in repro.bench.figures.run_fig11f
@@ -50,12 +49,4 @@ def check_shape(rows):
 def test_fig11f_synthetic(benchmark):
     rows = benchmark.pedantic(run_fig11f, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "fig11f",
-        format_table(
-            "Figure 11(f)  Synthetic: runtime vs lookup result size",
-            rows,
-            modes=MODES,
-            x_label="result size",
-        ),
-    )
+    record_table("fig11f", EXPERIMENTS["fig11f"].render(rows))

@@ -7,14 +7,15 @@ result over the network.
 
 from conftest import record_table
 
-from repro.bench.figures import run_fig12
+from repro.bench.figures import EXPERIMENTS, run_fig12
 
 
 # workload construction lives in repro.bench.figures.run_fig12
 
 
 def check_shape(rows):
-    locals_, remotes = [r[1] for r in rows], [r[2] for r in rows]
+    locals_ = [r.times["local"] for r in rows]
+    remotes = [r.times["remote"] for r in rows]
     # Remote is never cheaper than local.
     for lo, re in zip(locals_, remotes):
         assert re >= lo
@@ -28,14 +29,4 @@ def check_shape(rows):
 def test_fig12_lookup_latency(benchmark):
     rows = benchmark.pedantic(run_fig12, rounds=1, iterations=1)
     check_shape(rows)
-    lines = [
-        "Figure 12  Index lookup latency vs result size (ms per lookup)",
-        "-" * 58,
-        f"{'result size':>12s} | {'local':>9s} | {'remote':>9s}",
-        "-" * 58,
-    ]
-    for size, lo, re in rows:
-        label = f"{size}B" if size < 1024 else f"{size // 1024}KB"
-        lines.append(f"{label:>12s} | {lo:9.3f} | {re:9.3f}")
-    lines.append("-" * 58)
-    record_table("fig12", "\n".join(lines))
+    record_table("fig12", EXPERIMENTS["fig12"].render(rows))

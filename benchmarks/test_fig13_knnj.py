@@ -8,8 +8,7 @@ the EFind interface.
 
 from conftest import record_table
 
-from repro.bench.figures import SIX_MODES as MODES, run_fig13
-from repro.bench.harness import format_table
+from repro.bench.figures import EXPERIMENTS, run_fig13
 
 
 # workload construction lives in repro.bench.figures.run_fig13
@@ -34,12 +33,4 @@ def check_shape(rows):
 def test_fig13_knnj(benchmark):
     rows = benchmark.pedantic(run_fig13, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "fig13",
-        format_table(
-            "Figure 13  kNN join: EFind variants vs hand-tuned H-zkNNJ",
-            rows,
-            modes=MODES + ("H-zkNNJ",),
-            x_label="workload",
-        ),
-    )
+    record_table("fig13", EXPERIMENTS["fig13"].render(rows))

@@ -14,8 +14,7 @@ Acceptance criteria for the reuse tier:
 
 from conftest import record_table
 
-from repro.bench.figures import REUSE_Q3_MODES, run_reuse_q3
-from repro.bench.harness import format_counter_table, format_table
+from repro.bench.figures import EXPERIMENTS, run_reuse_q3
 
 
 def check_shape(rows):
@@ -69,19 +68,4 @@ def check_shape(rows):
 def test_reuse_q3(benchmark):
     rows = benchmark.pedantic(run_reuse_q3, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "reuse-q3",
-        "\n\n".join(
-            [
-                format_table(
-                    "Reuse  TPC-H Q3 repeated against one cross-job ReuseStore",
-                    rows,
-                    modes=REUSE_Q3_MODES,
-                    x_label="store state",
-                ),
-                format_counter_table(
-                    "Reuse  reuse.* counter totals", rows, "reuse", REUSE_Q3_MODES
-                ),
-            ]
-        ),
-    )
+    record_table("reuse-q3", EXPERIMENTS["reuse-q3"].render(rows))

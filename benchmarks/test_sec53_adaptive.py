@@ -9,8 +9,7 @@ gap to Optimized shrinks as the job grows (DUP10).
 
 from conftest import record_table
 
-from repro.bench.figures import SEC53_MODES as MODES, run_sec53
-from repro.bench.harness import format_table
+from repro.bench.figures import EXPERIMENTS, run_sec53
 
 
 # workload construction lives in repro.bench.figures.run_sec53
@@ -34,12 +33,7 @@ def test_sec53_adaptive(benchmark):
     check_shape(rows)
     dyn = rows[0].details["Dynamic"]
     stats_phase = dyn.stage_results[0].sim_time if dyn.replanned else 0.0
-    table = format_table(
-        "Section 5.3  Adaptive optimization: Base vs Optimized vs Dynamic",
-        rows,
-        modes=MODES,
-        x_label="workload",
-    )
+    table = EXPERIMENTS["sec53"].render(rows)
     table += (
         f"\n(x1 dynamic: statistics phase + abort took {stats_phase:.2f}s of "
         f"{dyn.sim_time:.2f}s total; replanned={dyn.replanned})"

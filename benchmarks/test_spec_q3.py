@@ -15,8 +15,7 @@ Acceptance criteria for the speculation tier:
 
 from conftest import record_table
 
-from repro.bench.figures import SPEC_Q3_MODES, run_spec_q3
-from repro.bench.harness import format_counter_table, format_table
+from repro.bench.figures import EXPERIMENTS, run_spec_q3
 
 
 def check_shape(rows):
@@ -73,28 +72,4 @@ def check_shape(rows):
 def test_spec_q3(benchmark):
     rows = benchmark.pedantic(run_spec_q3, rounds=1, iterations=1)
     check_shape(rows)
-    record_table(
-        "spec-q3",
-        "\n\n".join(
-            [
-                format_table(
-                    "Speculation  TPC-H Q3 with one x4-slow host",
-                    rows,
-                    modes=SPEC_Q3_MODES,
-                    x_label="config",
-                ),
-                format_counter_table(
-                    "Speculation  spec.* counter totals",
-                    rows,
-                    "spec",
-                    modes=SPEC_Q3_MODES,
-                ),
-                format_counter_table(
-                    "Speculation  route.* counter totals",
-                    rows,
-                    "route",
-                    modes=SPEC_Q3_MODES,
-                ),
-            ]
-        ),
-    )
+    record_table("spec-q3", EXPERIMENTS["spec-q3"].render(rows))

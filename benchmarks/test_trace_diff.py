@@ -18,17 +18,12 @@ import itertools
 
 import pytest
 
-from repro.bench import figures
+from repro.bench.figures import EXPERIMENTS
 from repro.obs.analysis.diff import diff_artifacts, diff_paths
 from repro.obs.analysis.loader import load_artifacts
 from repro.obs.config import set_trace_dir
 
-RUNNERS = {
-    "fig11a-small": lambda: figures.run_fig11a(delays=(1.0,)),
-    "spec-q3": figures.run_spec_q3,
-    "build-q3": figures.run_build_q3,
-    "reuse-q3": figures.run_reuse_q3,
-}
+TRACED = ("build-q3", "fig11a-small", "reuse-q3", "spec-q3")
 
 _DIRS = {}
 
@@ -43,7 +38,7 @@ def traced_dir(request, tmp_path_factory):
         directory = tmp_path_factory.mktemp(f"diff-{name}")
         set_trace_dir(str(directory))
         try:
-            RUNNERS[name]()
+            EXPERIMENTS[name].run()
         finally:
             set_trace_dir(None)
         _DIRS[name] = str(directory)
@@ -51,7 +46,7 @@ def traced_dir(request, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "traced_dir", sorted(RUNNERS), indirect=True
+    "traced_dir", TRACED, indirect=True
 )
 def test_self_diff_is_exact_zero_at_every_level(traced_dir):
     name, directory = traced_dir

@@ -2,17 +2,17 @@
 workload and prints figure-shaped tables."""
 
 from repro.bench.harness import (
+    Experiment,
     ExperimentRow,
     bench_cluster,
     format_table,
     run_all_modes,
-    speedup,
 )
 
 __all__ = [
+    "Experiment",
     "ExperimentRow",
     "bench_cluster",
     "format_table",
     "run_all_modes",
-    "speedup",
 ]

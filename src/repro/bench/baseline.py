@@ -21,85 +21,25 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.bench import figures
+from repro.bench.figures import EXPERIMENTS
 from repro.bench.harness import ExperimentRow
 
 #: Bump when the baseline JSON layout changes; ``regress`` refuses to
 #: compare files with differing versions.
 SCHEMA_VERSION = 1
 
-
-def _fig12_rows() -> List[ExperimentRow]:
-    """Figure 12's (size, local ms, remote ms) tuples as rows whose
-    times are milliseconds per lookup."""
-    return [
-        ExperimentRow(
-            label=f"{size}B" if size < 1024 else f"{size // 1024}KB",
-            times={"local": local, "remote": remote},
-        )
-        for size, local, remote in figures.run_fig12()
-    ]
-
-
-#: suite -> ordered (experiment name, title, runner) entries.
-SUITES: Dict[str, Sequence[Tuple[str, str, Callable[[], List[ExperimentRow]]]]] = {
-    "tpch": (
-        ("fig11b", "TPC-H Q3 (Figure 11b)", figures.run_fig11b),
-        (
-            "reuse-q3",
-            "TPC-H Q3 repeated against one cross-job ReuseStore",
-            figures.run_reuse_q3,
-        ),
-        (
-            "spec-q3",
-            "TPC-H Q3 with one x4-slow host, speculation off/on",
-            figures.run_spec_q3,
-        ),
-        (
-            "build-q3",
-            "TPC-H Q3 while the Orders index is built in-job",
-            figures.run_build_q3,
-        ),
-    ),
-    "synthetic": (
-        (
-            "fig11f-small",
-            "Synthetic join, 1KB results (Figure 11f, single point)",
-            lambda: figures.run_fig11f(sizes=(1024,)),
-        ),
-    ),
+#: suite -> the ``figures.EXPERIMENTS`` it runs, in order.
+SUITES: Dict[str, Tuple[str, ...]] = {
+    "tpch": ("fig11b", "reuse-q3", "spec-q3", "build-q3"),
+    "synthetic": ("fig11f-small",),
     "paper": (
-        ("fig11a", "LOG: runtime vs extra lookup delay", figures.run_fig11a),
-        ("fig11b", "TPC-H Q3", figures.run_fig11b),
-        ("fig11c", "TPC-H Q9", figures.run_fig11c),
-        ("fig11d", "TPC-H DUP10 Q3", figures.run_fig11d),
-        ("fig11e", "TPC-H DUP10 Q9", figures.run_fig11e),
-        (
-            "fig11f",
-            "Synthetic: runtime vs lookup result size",
-            figures.run_fig11f,
-        ),
-        ("fig12", "Lookup latency vs result size (ms per lookup)", _fig12_rows),
-        ("fig13", "kNN join: EFind vs H-zkNNJ", figures.run_fig13),
-        ("sec53", "Adaptive optimization anatomy", figures.run_sec53),
+        "fig11a", "fig11b", "fig11c", "fig11d", "fig11e",
+        "fig11f", "fig12", "fig13", "sec53",
     ),
 }
-
-#: paper experiment -> (x label, modes, digits) of its EXPERIMENTS.md
-#: table; a mode is its own column heading unless renamed here.
-PAPER_TABLES: Dict[str, Tuple[str, Tuple[str, ...], int]] = {
-    "fig11a": ("extra delay", figures.FIG11A_MODES, 2),
-    "fig11b": ("query", figures.SIX_MODES, 2),
-    "fig11c": ("query", figures.SIX_MODES, 2),
-    "fig11d": ("query", figures.SIX_MODES, 2),
-    "fig11e": ("query", figures.SIX_MODES, 2),
-    "fig11f": ("result size", figures.SIX_MODES, 2),
-    "fig12": ("result size", ("local", "remote"), 3),
-    "fig13": ("workload", figures.SIX_MODES + ("H-zkNNJ",), 2),
-    "sec53": ("workload", figures.SEC53_MODES, 2),
-}
+#: A mode is its own column heading in EXPERIMENTS.md unless renamed here.
 _HEADINGS = {
     "Optimized": "Opt",
     "Dynamic": "Dyn",
@@ -137,13 +77,13 @@ def serialize_row(row: ExperimentRow) -> dict:
 
 def run_suite(suite: str) -> dict:
     """Run one suite's experiments and return the baseline document."""
-    experiments = {}
-    for name, title, runner in SUITES[suite]:
-        rows = runner()
-        experiments[name] = {
-            "title": title,
-            "rows": [serialize_row(row) for row in rows],
+    experiments = {
+        name: {
+            "title": EXPERIMENTS[name].title,
+            "rows": [serialize_row(row) for row in EXPERIMENTS[name].run()],
         }
+        for name in SUITES[suite]
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
@@ -164,11 +104,6 @@ def write_baselines(
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for suite in suites:
-        if suite not in SUITES:
-            raise KeyError(
-                f"unknown baseline suite {suite!r}; "
-                f"available: {', '.join(sorted(SUITES))}"
-            )
         doc = run_suite(suite)
         path = os.path.join(out_dir, baseline_filename(suite))
         with open(path, "w", encoding="utf-8") as fh:
@@ -180,15 +115,16 @@ def write_baselines(
 
 def render_table(name: str, experiment: dict) -> str:
     """One paper experiment of ``BENCH_paper.json`` as a markdown
-    table (no trailing newline)."""
-    x_label, modes, digits = PAPER_TABLES[name]
-    headings = [_HEADINGS.get(mode, mode) for mode in modes]
+    table (no trailing newline), laid out as its ``EXPERIMENTS`` record
+    says."""
+    record = EXPERIMENTS[name]
+    headings = [_HEADINGS.get(mode, mode) for mode in record.modes]
     lines = [
-        "| " + " | ".join([x_label] + headings) + " |",
-        "|" + "---|" * (len(modes) + 1),
+        "| " + " | ".join([record.x_label] + headings) + " |",
+        "|" + "---|" * (len(record.modes) + 1),
     ]
     for row in experiment["rows"]:
-        cells = [f"{row['times'][mode]:.{digits}f}" for mode in modes]
+        cells = [f"{row['times'][m]:.{record.digits}f}" for m in record.modes]
         lines.append("| " + " | ".join([row["label"]] + cells) + " |")
     return "\n".join(lines)
 
@@ -206,9 +142,9 @@ def render_experiments(text: str, paper: dict) -> str:
         return f"{marker}\n{render_table(name, paper['experiments'][name])}\n"
 
     out = _MARKED_TABLE.sub(table, text)
-    if sorted(seen) != sorted(PAPER_TABLES):
+    if sorted(seen) != sorted(SUITES["paper"]):
         raise ValueError(
             f"EXPERIMENTS.md marks {sorted(seen)}; "
-            f"want each of {sorted(PAPER_TABLES)} once"
+            f"want each of {sorted(SUITES['paper'])} once"
         )
     return out

@@ -1,10 +1,12 @@
 """The paper's experiments as importable functions.
 
 Each ``run_*`` function builds its workload, runs the solution variants,
-and returns the :class:`ExperimentRow` list (plus any extras) that the
-corresponding figure reports. The pytest-benchmark wrappers under
-``benchmarks/`` call these and assert the paper's qualitative shapes;
-``python -m repro.bench`` runs them standalone.
+and returns the :class:`ExperimentRow` list that the corresponding
+figure reports. :data:`EXPERIMENTS` at the end declares each one once
+(title, runner, modes, table layout): ``python -m repro.bench``, the
+baseline suites and the pytest-benchmark wrappers under
+``benchmarks/`` (which assert the paper's qualitative shapes) all read
+it.
 
 Workload scales and calibrations are documented in DESIGN.md §5 and
 EXPERIMENTS.md ("Known deviations").
@@ -15,20 +17,58 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.bench.harness import (
+    SIX_MODES,
+    Experiment,
     ExperimentRow,
-    _equivalent,
+    _same_output,
     bench_cluster,
     run_all_modes,
 )
 from repro.common.sizing import sizeof
-from repro.core.costmodel import Strategy
 from repro.core.reuse import ReuseStore
-from repro.core.runner import EFindRunner
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.simcluster.faults import FaultPlan, RetryPolicy
 from repro.workloads import hzknnj, knn, osm, synthetic, tpch, weblog
 
-SIX_MODES = ("Base", "Cache", "Repart", "Idxloc", "Optimized", "Dynamic")
+
+def _tpch(block_kb: int, path: str, sf: float, dup: int, q9: bool, **cluster_kw):
+    """A bench cluster (``cluster_kw`` as for :func:`bench_cluster`), its
+    DFS holding TPC-H LineItem at ``path`` (``dup`` copies of each row),
+    the dimension indexes, and a factory of the Q9 (``q9``) or Q3 job.
+
+    For Q9, supplier_scale=100 keeps SF10's defining property after the
+    downscale: far more suppliers than lookup-cache entries (a 256-entry
+    cache vs ~2000 suppliers), so Q9's unclustered supplier probes
+    thrash the cache exactly as at full scale. The Supplier index takes
+    a lookup for *every* LineItem row -- by far the hottest index in
+    Q9 -- so its effective per-lookup service time is the highest
+    (queueing on its partitions at SF10).
+    """
+    cluster = bench_cluster(**cluster_kw)
+    dfs = DistributedFileSystem(cluster, block_size=block_kb * 1024)
+    data = tpch.generate(tpch.TpchConfig(sf=sf, supplier_scale=100 if q9 else 1.0))
+    tpch.write_lineitem(dfs, path, data, dup_factor=dup)
+    indexes = tpch.build_indexes(cluster, data, service_time=1.2e-3 if q9 else 6e-3)
+    if q9:
+        indexes.supplier.set_service_time(15e-3)
+    make = tpch.make_q9_job if q9 else tpch.make_q3_job
+    return cluster, dfs, indexes, lambda name: make(name, path, f"/out/{name}", indexes)
+
+
+def _size_label(size: int) -> str:
+    return f"{size}B" if size < 1024 else f"{size // 1024}KB"
+
+
+def _same_time(what, rows, mode, reference, labels, why) -> None:
+    """Raise unless each row in ``labels`` ran ``mode`` in exactly the
+    simulated time of row ``reference``."""
+    times = {row.label: row.times[mode] for row in rows}
+    for label in labels:
+        if times[label] != times[reference]:
+            raise AssertionError(
+                f"{what} {label!r} changed the simulated time "
+                f"({times[label]!r} != {times[reference]!r}); {why}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -59,12 +99,7 @@ def run_fig11a(delays: Tuple[float, ...] = FIG11A_DELAYS_MS) -> List[ExperimentR
 
         rows.append(
             run_all_modes(
-                cluster,
-                dfs,
-                job_factory,
-                extra_job_targets=("head0",),
-                modes=FIG11A_MODES,
-                label=f"+{delay_ms:g}ms",
+                cluster, dfs, job_factory, modes=FIG11A_MODES, label=f"+{delay_ms:g}ms"
             )
         )
     return rows
@@ -74,112 +109,34 @@ def run_fig11a(delays: Tuple[float, ...] = FIG11A_DELAYS_MS) -> List[ExperimentR
 # Figure 11(b) -- TPC-H Q3
 # ----------------------------------------------------------------------
 def run_fig11b() -> List[ExperimentRow]:
-    cluster = bench_cluster()
     # ~65 splits over 24 map slots: the first map wave covers about a
     # third of the input, leaving enough remaining work for the dynamic
     # optimizer's plan change to pay off (paper Section 5.3).
-    dfs = DistributedFileSystem(cluster, block_size=12 * 1024)
-    data = tpch.generate(tpch.TpchConfig(sf=0.002))
-    tpch.write_lineitem(dfs, "/in/lineitem", data)
-    indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
-
-    def job_factory(name):
-        indexes.reset_accounting()
-        return tpch.make_q3_job(name, "/in/lineitem", f"/out/{name}", indexes)
-
-    return [
-        run_all_modes(
-            cluster,
-            dfs,
-            job_factory,
-            extra_job_targets=("head0",),  # the Orders join, as in the paper
-            modes=SIX_MODES,
-            label="Q3",
-        )
-    ]
+    cluster, dfs, _, job = _tpch(12, "/in/lineitem", 0.002, 1, False)
+    # Forced shuffles target head0, the Orders join, as in the paper.
+    return [run_all_modes(cluster, dfs, job, label="Q3")]
 
 
 # ----------------------------------------------------------------------
 # Figure 11(c) -- TPC-H Q9
 # ----------------------------------------------------------------------
 def run_fig11c() -> List[ExperimentRow]:
-    cluster = bench_cluster()
-    dfs = DistributedFileSystem(cluster, block_size=24 * 1024)
-    # supplier_scale=100 keeps SF10's defining property after the
-    # downscale: far more suppliers than lookup-cache entries (here a
-    # 256-entry cache vs ~2000 suppliers), so Q9's unclustered supplier
-    # probes thrash the cache exactly as at full scale.
-    data = tpch.generate(tpch.TpchConfig(sf=0.002, supplier_scale=100))
-    tpch.write_lineitem(dfs, "/in/lineitem", data)
-    indexes = tpch.build_indexes(cluster, data, service_time=1.2e-3)
-    # The Supplier index takes a lookup for *every* LineItem row -- by
-    # far the hottest index in Q9 -- so its effective per-lookup service
-    # time is the highest (queueing on its partitions at SF10).
-    indexes.supplier.set_service_time(15e-3)
-
-    def job_factory(name):
-        return tpch.make_q9_job(name, "/in/lineitem", f"/out/{name}", indexes)
-
-    return [
-        run_all_modes(
-            cluster,
-            dfs,
-            job_factory,
-            extra_job_targets=("head0",),  # the Supplier join, as in the paper
-            modes=SIX_MODES,
-            label="Q9",
-            cache_capacity=256,
-        )
-    ]
+    cluster, dfs, _, job = _tpch(24, "/in/lineitem", 0.002, 1, True)
+    # Forced shuffles target head0, the Supplier join, as in the paper.
+    return [run_all_modes(cluster, dfs, job, label="Q9", cache_capacity=256)]
 
 
 # ----------------------------------------------------------------------
 # Figures 11(d,e) -- DUP10
 # ----------------------------------------------------------------------
 def run_fig11d() -> List[ExperimentRow]:
-    cluster = bench_cluster()
-    dfs = DistributedFileSystem(cluster, block_size=24 * 1024)
-    data = tpch.generate(tpch.TpchConfig(sf=0.001))
-    tpch.write_lineitem(dfs, "/in/lineitem10", data, dup_factor=10)
-    indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
-
-    def job_factory(name):
-        return tpch.make_q3_job(name, "/in/lineitem10", f"/out/{name}", indexes)
-
-    return [
-        run_all_modes(
-            cluster,
-            dfs,
-            job_factory,
-            extra_job_targets=("head0",),
-            modes=SIX_MODES,
-            label="DUP10 Q3",
-        )
-    ]
+    cluster, dfs, _, job = _tpch(24, "/in/lineitem10", 0.001, 10, False)
+    return [run_all_modes(cluster, dfs, job, label="DUP10 Q3")]
 
 
 def run_fig11e() -> List[ExperimentRow]:
-    cluster = bench_cluster()
-    dfs = DistributedFileSystem(cluster, block_size=24 * 1024)
-    data = tpch.generate(tpch.TpchConfig(sf=0.001, supplier_scale=100))
-    tpch.write_lineitem(dfs, "/in/lineitem10", data, dup_factor=10)
-    indexes = tpch.build_indexes(cluster, data, service_time=1.2e-3)
-    indexes.supplier.set_service_time(15e-3)
-
-    def job_factory(name):
-        return tpch.make_q9_job(name, "/in/lineitem10", f"/out/{name}", indexes)
-
-    return [
-        run_all_modes(
-            cluster,
-            dfs,
-            job_factory,
-            extra_job_targets=("head0",),
-            modes=SIX_MODES,
-            label="DUP10 Q9",
-            cache_capacity=256,
-        )
-    ]
+    cluster, dfs, _, job = _tpch(24, "/in/lineitem10", 0.001, 10, True)
+    return [run_all_modes(cluster, dfs, job, label="DUP10 Q9", cache_capacity=256)]
 
 
 # ----------------------------------------------------------------------
@@ -209,17 +166,12 @@ def run_fig11f(
         def job_factory(name, index=index):
             return synthetic.make_join_job(name, "/in/syn", f"/out/{name}", index)
 
-        label = (
-            f"{result_size}B" if result_size < 1024 else f"{result_size // 1024}KB"
-        )
         rows.append(
             run_all_modes(
                 cluster,
                 dfs,
                 job_factory,
-                extra_job_targets=("head0",),
-                modes=SIX_MODES,
-                label=label,
+                label=_size_label(result_size),
                 forced_boundary="pre",  # never materialise the big results
             )
         )
@@ -232,8 +184,8 @@ def run_fig11f(
 FIG12_SIZES = (10, 100, 1024, 10_240, 30_720)
 
 
-def run_fig12() -> List[Tuple[int, float, float]]:
-    """Rows of (result_size, local_ms, remote_ms)."""
+def run_fig12() -> List[ExperimentRow]:
+    """One row per result size; its times are milliseconds per lookup."""
     cluster = bench_cluster()
     tm = cluster.time_model
     rows = []
@@ -249,7 +201,8 @@ def run_fig12() -> List[Tuple[int, float, float]]:
             local += tm.local_lookup_time(tj)
             remote += tm.remote_lookup_time(sizeof(key), sizeof(tuple(values)), tj)
         n = cfg.num_distinct_keys
-        rows.append((size, local / n * 1e3, remote / n * 1e3))
+        times = {"local": local / n * 1e3, "remote": remote / n * 1e3}
+        rows.append(ExperimentRow(label=_size_label(size), times=times))
     return rows
 
 
@@ -274,14 +227,7 @@ def run_fig13() -> List[ExperimentRow]:
     def job_factory(name):
         return knn.make_knnj_job(name, "/in/osm-a", f"/out/{name}", index)
 
-    row = run_all_modes(
-        cluster,
-        dfs,
-        job_factory,
-        extra_job_targets=("head0",),
-        modes=SIX_MODES,
-        label="kNNJ k=10",
-    )
+    row = run_all_modes(cluster, dfs, job_factory, label="kNNJ k=10")
 
     hz = hzknnj.run_hzknnj(
         cluster,
@@ -303,27 +249,12 @@ SEC53_MODES = ("Base", "Optimized", "Dynamic")
 def run_sec53() -> List[ExperimentRow]:
     rows = []
     for dup, label in ((1, "Q9 (x1)"), (5, "Q9 (x5)")):
-        cluster = bench_cluster()
         # small blocks -> several map waves even at x1, so the
         # statistics phase is a first *round*, not the whole map phase
-        dfs = DistributedFileSystem(cluster, block_size=8 * 1024)
-        data = tpch.generate(tpch.TpchConfig(sf=0.001, supplier_scale=100))
-        tpch.write_lineitem(dfs, "/in/li", data, dup_factor=dup)
-        indexes = tpch.build_indexes(cluster, data, service_time=1.2e-3)
-        indexes.supplier.set_service_time(15e-3)
-
-        def job_factory(name):
-            return tpch.make_q9_job(name, "/in/li", f"/out/{name}", indexes)
-
+        cluster, dfs, _, job = _tpch(8, "/in/li", 0.001, dup, True)
         rows.append(
             run_all_modes(
-                cluster,
-                dfs,
-                job_factory,
-                extra_job_targets=("head0",),
-                modes=SEC53_MODES,
-                label=label,
-                cache_capacity=256,
+                cluster, dfs, job, modes=SEC53_MODES, label=label, cache_capacity=256
             )
         )
     return rows
@@ -363,11 +294,7 @@ def run_fault_recovery() -> List[ExperimentRow]:
     """
     rows = []
     for rate in FAULT_RATES:
-        cluster = bench_cluster()
-        dfs = DistributedFileSystem(cluster, block_size=12 * 1024)
-        data = tpch.generate(tpch.TpchConfig(sf=0.002))
-        tpch.write_lineitem(dfs, "/in/lineitem", data)
-        indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
+        cluster, dfs, indexes, job = _tpch(12, "/in/lineitem", 0.002, 1, False)
         plan = None
         if rate > 0.0:
             plan = FaultPlan(
@@ -377,17 +304,11 @@ def run_fault_recovery() -> List[ExperimentRow]:
                 dead_hosts=(FAULT_DEAD_HOST,),
             )
             indexes.set_fault_plan(plan, FAULT_RETRY_POLICY)
-
-        def job_factory(name, indexes=indexes):
-            indexes.reset_accounting()
-            return tpch.make_q3_job(name, "/in/lineitem", f"/out/{name}", indexes)
-
         rows.append(
             run_all_modes(
                 cluster,
                 dfs,
-                job_factory,
-                extra_job_targets=("head0",),
+                job,
                 modes=FAULT_MODES,
                 label=f"{rate:.0%} faults",
                 fault_plan=plan,
@@ -400,9 +321,6 @@ def run_fault_recovery() -> List[ExperimentRow]:
 # Cross-job reuse -- repeated Q3 against one ReuseStore
 # ----------------------------------------------------------------------
 REUSE_Q3_MODES = ("Cache",)
-
-#: Phase labels, in execution order (these are the baseline row labels).
-REUSE_Q3_PHASES = ("disabled", "disabled-2", "cold", "warm", "invalidated")
 
 
 def run_reuse_q3() -> List[ExperimentRow]:
@@ -432,26 +350,14 @@ def run_reuse_q3() -> List[ExperimentRow]:
     exact-equality contracts are asserted here (and re-asserted with
     the warm-speedup floor by ``benchmarks/test_reuse_q3.py``).
     """
-    cluster = bench_cluster(job_startup=0.05)
-    dfs = DistributedFileSystem(cluster, block_size=12 * 1024)
-    data = tpch.generate(tpch.TpchConfig(sf=0.002))
-    tpch.write_lineitem(dfs, "/in/lineitem", data)
-    indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
+    cluster, dfs, indexes, job = _tpch(
+        12, "/in/lineitem", 0.002, 1, False, job_startup=0.05
+    )
     reuse_store = ReuseStore()
 
     def run_phase(label, reuse):
-        def job_factory(name):
-            indexes.reset_accounting()
-            return tpch.make_q3_job(name, "/in/lineitem", f"/out/{name}", indexes)
-
         return run_all_modes(
-            cluster,
-            dfs,
-            job_factory,
-            extra_job_targets=("head0",),
-            modes=REUSE_Q3_MODES,
-            label=label,
-            reuse=reuse,
+            cluster, dfs, job, modes=REUSE_Q3_MODES, label=label, reuse=reuse
         )
 
     rows = [
@@ -468,22 +374,11 @@ def run_reuse_q3() -> List[ExperimentRow]:
         store.delete(-1)
     rows.append(run_phase("invalidated", reuse_store))
 
-    by_label = {row.label: row for row in rows}
-    disabled = by_label["disabled"].times["Cache"]
-    for label in ("disabled-2", "cold", "invalidated"):
-        if by_label[label].times["Cache"] != disabled:
-            raise AssertionError(
-                f"reuse-q3 {label!r} changed the simulated time "
-                f"({by_label[label].times['Cache']!r} != {disabled!r}); "
-                f"reuse must never add simulated cost"
-            )
-    reference = sorted(by_label["disabled"].details["Cache"].output, key=repr)
-    for row in rows[1:]:
-        output = sorted(row.details["Cache"].output, key=repr)
-        if not _equivalent(output, reference):
-            raise AssertionError(
-                f"reuse-q3 {row.label!r} produced different output"
-            )
+    _same_time(
+        "reuse-q3", rows, "Cache", "disabled", ("disabled-2", "cold", "invalidated"),
+        "reuse must never add simulated cost",
+    )
+    _same_output("reuse-q3", {row.label: row.details["Cache"] for row in rows})
     return rows
 
 
@@ -529,28 +424,16 @@ def run_build_q3() -> List[ExperimentRow]:
     """
     from repro.indices.build import BuildSession
 
-    cluster = bench_cluster(job_startup=0.05)
-    dfs = DistributedFileSystem(cluster, block_size=12 * 1024)
-    data = tpch.generate(tpch.TpchConfig(sf=0.002))
-    tpch.write_lineitem(dfs, "/in/lineitem", data)
-    indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
+    cluster, dfs, indexes, job = _tpch(
+        12, "/in/lineitem", 0.002, 1, False, job_startup=0.05
+    )
     session = BuildSession(
         {indexes.orders.name: indexes.orders}, fraction=BUILD_Q3_FRACTION
     )
 
     def run_phase(label, build):
-        def job_factory(name):
-            indexes.reset_accounting()
-            return tpch.make_q3_job(name, "/in/lineitem", f"/out/{name}", indexes)
-
         return run_all_modes(
-            cluster,
-            dfs,
-            job_factory,
-            extra_job_targets=("head0",),
-            modes=BUILD_Q3_MODES,
-            label=label,
-            build=build,
+            cluster, dfs, job, modes=BUILD_Q3_MODES, label=label, build=build
         )
 
     rows = [run_phase("prebuilt", None)]
@@ -572,26 +455,18 @@ def run_build_q3() -> List[ExperimentRow]:
                 f"build-q3 warming must strictly reduce simulated time, "
                 f"got {trajectory!r}"
             )
+    _same_time(
+        "build-q3", rows, "Dynamic", "prebuilt", ("full",),
+        "a fully covered build session must cost nothing",
+    )
     prebuilt = by_label["prebuilt"].details["Dynamic"]
     full = by_label["full"].details["Dynamic"]
-    if full.sim_time != prebuilt.sim_time:
-        raise AssertionError(
-            f"build-q3 'full' must match 'prebuilt' exactly "
-            f"({full.sim_time!r} != {prebuilt.sim_time!r}); a fully "
-            f"covered build session must cost nothing"
-        )
     if full.plan.describe() != prebuilt.plan.describe():
         raise AssertionError(
             f"build-q3 'full' picked a different plan than 'prebuilt' "
             f"({full.plan.describe()} != {prebuilt.plan.describe()})"
         )
-    reference = sorted(prebuilt.output, key=repr)
-    for row in rows[1:]:
-        output = sorted(row.details["Dynamic"].output, key=repr)
-        if not _equivalent(output, reference):
-            raise AssertionError(
-                f"build-q3 {row.label!r} produced different output"
-            )
+    _same_output("build-q3", {row.label: row.details["Dynamic"] for row in rows})
     return rows
 
 
@@ -625,27 +500,20 @@ def run_spec_q3() -> List[ExperimentRow]:
     is asserted across all five rows here (and locked down by
     ``tests/mapreduce/test_spec_equivalence.py``).
     """
-    cluster = bench_cluster(job_startup=0.05)
     # Wide blocks give a single map wave (about 20 tasks on 24 slots):
     # the straggler's peers finish, their slots free up, and backups can
     # start well before the slow host would have -- the configuration
     # speculation targets.
-    dfs = DistributedFileSystem(cluster, block_size=40 * 1024)
-    data = tpch.generate(tpch.TpchConfig(sf=0.002))
-    tpch.write_lineitem(dfs, "/in/lineitem", data)
-    indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
+    cluster, dfs, indexes, job = _tpch(
+        40, "/in/lineitem", 0.002, 1, False, job_startup=0.05
+    )
     slow = FaultPlan(seed=7, straggler_factors={"node05": 4.0})
 
     def run_phase(label, fault_plan, speculation_factor, route_policy=None):
-        def job_factory(name):
-            indexes.reset_accounting()
-            return tpch.make_q3_job(name, "/in/lineitem", f"/out/{name}", indexes)
-
         return run_all_modes(
             cluster,
             dfs,
-            job_factory,
-            extra_job_targets=("head0",),
+            job,
             modes=SPEC_Q3_MODES,
             label=label,
             fault_plan=fault_plan,
@@ -669,29 +537,16 @@ def run_spec_q3() -> List[ExperimentRow]:
     for store in indexes.stores():
         store.set_router(None)
 
-    by_label = {row.label: row for row in rows}
-    if by_label["clean-on"].times["Cache"] != by_label["clean-off"].times["Cache"]:
-        raise AssertionError(
-            "spec-q3 clean-on changed the simulated time "
-            f"({by_label['clean-on'].times['Cache']!r} != "
-            f"{by_label['clean-off'].times['Cache']!r}); speculation "
-            "must never add simulated cost on a clean run"
-        )
-    if by_label["slow-on-routed"].times["Cache"] != by_label["slow-on"].times["Cache"]:
-        raise AssertionError(
-            "spec-q3 routing changed the simulated time "
-            f"({by_label['slow-on-routed'].times['Cache']!r} != "
-            f"{by_label['slow-on'].times['Cache']!r}); routing is pure "
-            "bookkeeping"
-        )
-    reference = sorted(by_label["clean-off"].details["Cache"].output, key=repr)
-    for row in rows[1:]:
-        output = sorted(row.details["Cache"].output, key=repr)
-        if not _equivalent(output, reference):
-            raise AssertionError(
-                f"spec-q3 {row.label!r} produced different output"
-            )
-    _check_spec_q3_live(by_label)
+    _same_time(
+        "spec-q3", rows, "Cache", "clean-off", ("clean-on",),
+        "speculation must never add simulated cost on a clean run",
+    )
+    _same_time(
+        "spec-q3", rows, "Cache", "slow-on", ("slow-on-routed",),
+        "routing is pure bookkeeping",
+    )
+    _same_output("spec-q3", {row.label: row.details["Cache"] for row in rows})
+    _check_spec_q3_live({row.label: row for row in rows})
     return rows
 
 
@@ -756,25 +611,120 @@ def run_batching() -> List[ExperimentRow]:
     """
     rows = []
     for batch_size in BATCH_SIZES:
-        cluster = bench_cluster()
-        dfs = DistributedFileSystem(cluster, block_size=12 * 1024)
-        data = tpch.generate(tpch.TpchConfig(sf=0.002))
-        tpch.write_lineitem(dfs, "/in/lineitem", data)
-        indexes = tpch.build_indexes(cluster, data, service_time=6e-3)
-
-        def job_factory(name, indexes=indexes):
-            indexes.reset_accounting()
-            return tpch.make_q3_job(name, "/in/lineitem", f"/out/{name}", indexes)
-
+        cluster, dfs, _, job = _tpch(12, "/in/lineitem", 0.002, 1, False)
         rows.append(
             run_all_modes(
                 cluster,
                 dfs,
-                job_factory,
-                extra_job_targets=("head0",),
+                job,
                 modes=BATCH_MODES,
                 label=f"B={batch_size}",
                 batch_size=batch_size,
             )
         )
     return rows
+
+
+# ----------------------------------------------------------------------
+# The registry: every experiment above, declared once
+# ----------------------------------------------------------------------
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig11a": Experiment(
+        "LOG: runtime vs extra lookup delay",
+        "Figure 11(a)",
+        run_fig11a,
+        FIG11A_MODES,
+        "extra delay",
+    ),
+    "fig11a-small": Experiment(
+        "LOG: runtime at +1ms lookup delay",
+        "Figure 11(a) [small]",
+        lambda: run_fig11a(delays=(1.0,)),
+        FIG11A_MODES,
+        "extra delay",
+    ),
+    "fig11b": Experiment("TPC-H Q3", "Figure 11(b)", run_fig11b, SIX_MODES, "query"),
+    "fig11c": Experiment("TPC-H Q9", "Figure 11(c)", run_fig11c, SIX_MODES, "query"),
+    "fig11d": Experiment(
+        "TPC-H DUP10 Q3", "Figure 11(d)", run_fig11d, SIX_MODES, "query"
+    ),
+    "fig11e": Experiment(
+        "TPC-H DUP10 Q9", "Figure 11(e)", run_fig11e, SIX_MODES, "query"
+    ),
+    "fig11f": Experiment(
+        "Synthetic: runtime vs lookup result size",
+        "Figure 11(f)",
+        run_fig11f,
+        SIX_MODES,
+        "result size",
+    ),
+    "fig11f-small": Experiment(
+        "Synthetic join, 1KB results (Figure 11f, single point)",
+        "Figure 11(f) [small]",
+        lambda: run_fig11f(sizes=(1024,)),
+        SIX_MODES,
+        "result size",
+    ),
+    "fig12": Experiment(
+        "Lookup latency vs result size (ms per lookup)",
+        "Figure 12",
+        run_fig12,
+        ("local", "remote"),
+        "result size",
+        digits=3,
+    ),
+    "fig13": Experiment(
+        "kNN join: EFind vs H-zkNNJ",
+        "Figure 13",
+        run_fig13,
+        SIX_MODES + ("H-zkNNJ",),
+        "workload",
+    ),
+    "sec53": Experiment(
+        "Adaptive optimization anatomy",
+        "Section 5.3",
+        run_sec53,
+        SEC53_MODES,
+        "workload",
+    ),
+    "batching": Experiment(
+        "TPC-H Q3: runtime vs multiget batch size",
+        "Batching",
+        run_batching,
+        BATCH_MODES,
+        "batch size",
+        counters=("batches",),
+    ),
+    "reuse-q3": Experiment(
+        "TPC-H Q3 repeated against one cross-job ReuseStore",
+        "Reuse",
+        run_reuse_q3,
+        REUSE_Q3_MODES,
+        "store state",
+        counters=("reuse",),
+    ),
+    "build-q3": Experiment(
+        "TPC-H Q3 while the Orders index is built in-job",
+        "Build",
+        run_build_q3,
+        BUILD_Q3_MODES,
+        "build state",
+        counters=("build",),
+    ),
+    "spec-q3": Experiment(
+        "TPC-H Q3 with one x4-slow host, speculation off/on",
+        "Speculation",
+        run_spec_q3,
+        SPEC_Q3_MODES,
+        "config",
+        counters=("spec", "route"),
+    ),
+    "faults": Experiment(
+        "TPC-H Q3: runtime vs lookup failure rate",
+        "Fault recovery",
+        run_fault_recovery,
+        FAULT_MODES,
+        "failure rate",
+        counters=("faults",),
+    ),
+}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.costmodel import Strategy
 from repro.core.ejobconf import IndexJobConf
@@ -32,7 +32,7 @@ from repro.mapreduce.counters import FEATURE_COUNTERS, feature_totals
 from repro.simcluster.cluster import Cluster
 from repro.simcluster.timemodel import TimeModel
 
-ALL_MODES = ("Base", "Cache", "Repart", "Idxloc", "Optimized", "Dynamic")
+SIX_MODES = ("Base", "Cache", "Repart", "Idxloc", "Optimized", "Dynamic")
 
 
 def bench_cluster(
@@ -64,7 +64,8 @@ def bench_cluster(
 
 @dataclass
 class ExperimentRow:
-    """One x-axis point of a figure: variant -> simulated seconds."""
+    """One x-axis point of a figure: variant -> simulated seconds
+    (milliseconds per lookup for Figure 12)."""
 
     label: str
     times: Dict[str, float] = field(default_factory=dict)
@@ -87,19 +88,14 @@ class ExperimentRow:
     populated with ``--trace`` + ``--live``; an empty list means the
     live run fired no alerts)."""
 
-    def speedup_over_base(self, mode: str) -> float:
-        return self.times["Base"] / self.times[mode]
-
 
 def run_all_modes(
     cluster: Cluster,
     dfs: DistributedFileSystem,
     job_factory: Callable[[str], IndexJobConf],
     extra_job_targets: Sequence[str] = ("head0",),
-    modes: Sequence[str] = ALL_MODES,
+    modes: Sequence[str] = SIX_MODES,
     label: str = "",
-    verify_outputs: bool = True,
-    skip: Sequence[str] = (),
     forced_boundary: Optional[str] = None,
     **runner_kwargs,
 ) -> ExperimentRow:
@@ -107,8 +103,6 @@ def run_all_modes(
 
     ``job_factory`` builds a fresh IndexJobConf per variant (operators
     hold per-run state such as caches, so they must not be shared).
-    ``skip`` lists modes that do not apply (e.g. Idxloc when the index
-    exposes no partition scheme).
 
     ``runner_kwargs`` are :class:`EFindRunner` keywords
     (``cache_capacity``, ``fault_plan``, ``batch_size``, ``reuse``,
@@ -134,7 +128,6 @@ def run_all_modes(
     from repro.obs.config import get_trace_dir
 
     row = ExperimentRow(label=label)
-    reference: Optional[list] = None
     trace_dir = get_trace_dir()
     reuse_store = runner_kwargs.get("reuse")
     build = runner_kwargs.get("build")
@@ -175,8 +168,6 @@ def run_all_modes(
         )
 
     for mode in modes:
-        if mode in skip:
-            continue
         # The reuse store and the build catalog are shared, persistent
         # state: a traced re-run must replay against the state the
         # untraced run started from, or its reuse.*/build.* counters
@@ -205,14 +196,7 @@ def run_all_modes(
                 reuse_store.restore(post_snap)
             if build is not None:
                 build.restore(build_post)
-        if verify_outputs:
-            output = sorted(result.output, key=repr)
-            if reference is None:
-                reference = output
-            elif not _equivalent(output, reference):
-                raise AssertionError(
-                    f"{mode} produced different output than the first variant"
-                )
+    _same_output(label or "job", row.details)
     return row
 
 
@@ -273,6 +257,17 @@ def _traced_rerun(
     }
 
 
+def _same_output(what: str, results: Dict[str, EFindJobResult]) -> None:
+    """Raise unless every result in ``results`` produced the first one's
+    output (compared sorted, floats within tolerance)."""
+    outputs = [(name, sorted(r.output, key=repr)) for name, r in results.items()]
+    for name, output in outputs[1:]:
+        if not _equivalent(output, outputs[0][1]):
+            raise AssertionError(
+                f"{what}: {name!r} produced different output than {outputs[0][0]!r}"
+            )
+
+
 def _equivalent(a, b) -> bool:
     """Structural equality with float tolerance (different plans sum
     floating-point aggregates in different orders)."""
@@ -285,16 +280,11 @@ def _equivalent(a, b) -> bool:
     return a == b
 
 
-def speedup(row: ExperimentRow, over: str, under: str) -> float:
-    """``time(over) / time(under)`` -- how much faster ``under`` is."""
-    return row.times[over] / row.times[under]
-
-
 def format_counter_table(
     title: str,
     rows: List[ExperimentRow],
     key: str,
-    modes: Sequence[str] = ALL_MODES,
+    modes: Sequence[str] = SIX_MODES,
 ) -> str:
     """Render one feature's counter totals (``FEATURE_COUNTERS[key]``):
     one line per (row, mode) that ran, a counter the run never touched
@@ -324,10 +314,11 @@ def format_counter_table(
 def format_table(
     title: str,
     rows: List[ExperimentRow],
-    modes: Sequence[str] = ALL_MODES,
+    modes: Sequence[str] = SIX_MODES,
     x_label: str = "config",
+    digits: int = 2,
 ) -> str:
-    """Render a figure-shaped text table (seconds, one row per x point)."""
+    """Render a figure-shaped text table (one row per x point)."""
     present = [m for m in modes if any(m in r.times for r in rows)]
     header = f"{x_label:>18s} | " + " | ".join(f"{m:>9s}" for m in present)
     lines = [title, "-" * len(header), header, "-" * len(header)]
@@ -335,9 +326,36 @@ def format_table(
         cells = []
         for mode in present:
             if mode in row.times:
-                cells.append(f"{row.times[mode]:9.2f}")
+                cells.append(f"{row.times[mode]:9.{digits}f}")
             else:
                 cells.append(f"{'n/a':>9s}")
         lines.append(f"{row.label:>18s} | " + " | ".join(cells))
     lines.append("-" * len(header))
     return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment, declared once: ``python -m repro.bench``, the
+    baseline suites, EXPERIMENTS.md's paper tables and the
+    ``benchmarks/`` wrappers all read it from ``figures.EXPERIMENTS``.
+
+    ``title`` is the baseline files' title and, after ``figure``, the
+    table's; ``counters`` are the ``FEATURE_COUNTERS`` keys printed
+    under the times; ``digits`` is the precision of a time cell."""
+
+    title: str
+    figure: str
+    run: Callable[[], List[ExperimentRow]]
+    modes: Tuple[str, ...]
+    x_label: str
+    counters: Tuple[str, ...] = ()
+    digits: int = 2
+
+    def render(self, rows: List[ExperimentRow]) -> str:
+        title = f"{self.figure}  {self.title}"
+        tables = [format_table(title, rows, self.modes, self.x_label, self.digits)]
+        for key in self.counters:
+            title = f"{self.figure}  {FEATURE_COUNTERS[key].group}.* counter totals"
+            tables.append(format_counter_table(title, rows, key, self.modes))
+        return "\n\n".join(tables)

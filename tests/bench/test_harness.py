@@ -4,13 +4,12 @@ import pytest
 
 from repro.bench.baseline import serialize_row
 from repro.bench.harness import (
+    Experiment,
     ExperimentRow,
     _equivalent,
     bench_cluster,
     format_counter_table,
-    format_table,
     run_all_modes,
-    speedup,
 )
 from repro.core.accessor import IndexAccessor
 from repro.core.ejobconf import IndexJobConf
@@ -56,7 +55,7 @@ class TestEquivalence:
 class TestFormatTable:
     def test_renders_all_modes_present(self):
         rows = [ExperimentRow("x", {"Base": 2.0, "Cache": 1.0})]
-        table = format_table("T", rows, modes=("Base", "Cache", "Idxloc"))
+        table = Experiment("T", "F", list, ("Base", "Cache", "Idxloc"), "x").render(rows)
         assert "Base" in table and "Cache" in table
         assert "Idxloc" not in table  # absent everywhere -> dropped
 
@@ -65,13 +64,20 @@ class TestFormatTable:
             ExperimentRow("a", {"Base": 2.0, "Cache": 1.0}),
             ExperimentRow("b", {"Base": 3.0}),
         ]
-        table = format_table("T", rows, modes=("Base", "Cache"))
+        table = Experiment("T", "F", list, ("Base", "Cache"), "x").render(rows)
         assert "n/a" in table
 
-    def test_speedup_helper(self):
-        row = ExperimentRow("x", {"Base": 4.0, "Cache": 2.0})
-        assert speedup(row, "Base", "Cache") == 2.0
-        assert row.speedup_over_base("Cache") == 2.0
+    def test_experiment_renders_times_then_its_counter_tables(self):
+        experiment = Experiment(
+            "T", "Fig 1", list, ("Base",), "x", counters=("faults", "reuse"), digits=3
+        )
+        tables = experiment.render([ExperimentRow("a", {"Base": 1.0})]).split("\n\n")
+        assert tables[0].splitlines()[0] == "Fig 1  T"
+        assert "1.000" in tables[0]
+        assert [t.splitlines()[0] for t in tables[1:]] == [
+            "Fig 1  fault.* counter totals",
+            "Fig 1  reuse.* counter totals",
+        ]
 
 
 @pytest.fixture
@@ -108,13 +114,6 @@ class TestRunAllModes:
         )
         assert set(row.times) == {"Base", "Cache"}
         assert all(t > 0 for t in row.times.values())
-
-    def test_skip_modes(self, env):
-        cluster, dfs, factory = env
-        row = run_all_modes(
-            cluster, dfs, factory, modes=("Base", "Idxloc"), skip=("Idxloc",)
-        )
-        assert set(row.times) == {"Base"}
 
     def test_detects_divergent_outputs(self, env):
         cluster, dfs, factory = env

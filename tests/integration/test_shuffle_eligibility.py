@@ -93,7 +93,7 @@ def test_forced_shuffle_raises_planning_error(env, strategy):
     raises=PlanningError,
     reason="Dynamic re-plans on its first wave, which holds no record with "
     "two keys, so it picks Repart; the first two-key record after the re-plan "
-    "fails the job. Which plan to pick here is a planner question (ROADMAP 4).",
+    "fails the job. A shuffle leg for records with several keys is ROADMAP item 9.",
 )
 def test_dynamic_replans_onto_a_shuffle_a_later_record_cannot_run():
     # One key per record until the last tenth, then two.

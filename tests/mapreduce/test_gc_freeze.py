@@ -18,7 +18,7 @@ from repro.core.operator import IndexOperator
 from repro.core.runner import EFindRunner
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.indices.kvstore import DistributedKVStore
-from repro.mapreduce.api import FnMapper, FnReducer
+from repro.mapreduce.api import FnMapper, FnReducer, Mapper
 from repro.mapreduce.jobconf import JobConf
 from repro.mapreduce.runtime import JobRunner
 from repro.simcluster.cluster import Cluster
@@ -80,15 +80,25 @@ def efind_job(cluster, name):
     return job.set_output_path(f"/out/{name}").add_head_index_operator(op)
 
 
+class FreezeSpy(Mapper):
+    """Pass records through; note the freeze count as each task attempt
+    starts. One read per attempt: the count walks the whole permanent
+    generation, so a read per record would dominate the test."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def start(self, ctx):
+        self.seen.append(gc.get_freeze_count())
+
+    def map(self, key, value, collector, ctx):
+        collector.collect(key, value)
+
+
 def frozen_during_attempts(cluster, dfs):
     """Run one job; return the freeze counts its map attempts saw."""
     seen = []
-
-    def spy(k, v):
-        seen.append(gc.get_freeze_count())
-        yield (k, v)
-
-    map_only = conf(FnMapper(spy), reducer=None, num_reduce_tasks=0)
+    map_only = conf(FreezeSpy(seen), reducer=None, num_reduce_tasks=0)
     JobRunner(cluster, dfs).run(map_only)
     return seen
 

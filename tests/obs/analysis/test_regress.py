@@ -267,7 +267,7 @@ class TestCommittedBaselines:
         )
         doc = load_baseline(path)
         assert doc["suite"] == suite
-        assert set(doc["experiments"]) == {name for name, _, _ in SUITES[suite]}
+        assert set(doc["experiments"]) == set(SUITES[suite])
         for experiment in doc["experiments"].values():
             for row in experiment["rows"]:
                 assert row["times"], "row without times"
