@@ -37,10 +37,7 @@ SIX_MODES = ("Base", "Cache", "Repart", "Idxloc", "Optimized", "Dynamic")
 
 def bench_cluster(
     num_nodes: int = 12,
-    map_slots: int = 2,
-    reduce_slots: int = 2,
     job_startup: float = 0.5,
-    task_startup: float = 0.03,
     network_latency: float = 0.0,
 ) -> Cluster:
     """The benchmark cluster: the paper's 12 nodes, with fixed overheads
@@ -51,13 +48,13 @@ def bench_cluster(
     every data-dependent effect the figures measure."""
     tm = TimeModel(
         job_startup_time=job_startup,
-        task_startup_time=task_startup,
+        task_startup_time=0.03,
         network_latency=network_latency,
     )
     return Cluster(
         num_nodes=num_nodes,
-        map_slots_per_node=map_slots,
-        reduce_slots_per_node=reduce_slots,
+        map_slots_per_node=2,
+        reduce_slots_per_node=2,
         time_model=tm,
     )
 
@@ -93,7 +90,6 @@ def run_all_modes(
     cluster: Cluster,
     dfs: DistributedFileSystem,
     job_factory: Callable[[str], IndexJobConf],
-    extra_job_targets: Sequence[str] = ("head0",),
     modes: Sequence[str] = SIX_MODES,
     label: str = "",
     forced_boundary: Optional[str] = None,
@@ -158,12 +154,13 @@ def run_all_modes(
             "Idxloc": Strategy.IDXLOC,
         }[mode]
         # Forced runs have no statistics to choose a job boundary
-        # from; ``forced_boundary`` supplies the sensible one.
+        # from; ``forced_boundary`` supplies the sensible one. Repart
+        # and Idxloc apply to operator ``head0`` only, the rest cache.
         return make_runner(obs=obs).run(
             job,
             mode="forced",
             forced_strategy=strategy,
-            extra_job_targets=list(extra_job_targets),
+            extra_job_targets=["head0"],
             boundary_override=forced_boundary,
         )
 

@@ -29,11 +29,8 @@ models. This makes the guarantee exact: with a cold (or invalidated)
 store, an enabled run charges precisely the same simulated time as a
 disabled run -- reuse can only remove fetches, never add cost.
 
-Policies. Admission is ``"always"`` or ``"cost-aware"`` (only admit
-results whose refetch cost -- the recorded ``T_j``, or the amortised
-``C_req/B + C_key`` of a multiget -- clears a floor: cheap lookups are
-not worth the slots). Eviction is ``"lru"`` or ``"freq"``
-(least-frequently-used, admission order as the tiebreak).
+Policy. Every fetched result is admitted; each host's sub-store holds
+:data:`CAPACITY_PER_HOST` entries and evicts the least recently used.
 """
 
 from __future__ import annotations
@@ -42,49 +39,19 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-ADMIT_ALWAYS = "always"
-ADMIT_COST_AWARE = "cost-aware"
-EVICT_LRU = "lru"
-EVICT_FREQ = "freq"
+#: Entries each host's sub-store holds: the cross-job analogue of the
+#: 1024-entry node-local cache, at 4x its size.
+CAPACITY_PER_HOST = 4096
 
 
 @dataclass(frozen=True)
-class ReusePolicy:
-    """Admission + eviction configuration of a :class:`ReuseStore`.
-
-    ``capacity_per_host`` bounds each host's sub-store (the cross-job
-    analogue of the 1024-entry node-local cache, defaulting to 4x it).
-    ``min_admit_cost`` is the cost-aware admission floor in simulated
-    seconds: a result is only admitted when refetching it would cost at
-    least this much (ignored under ``"always"`` admission).
-    """
-
-    admission: str = ADMIT_ALWAYS
-    eviction: str = EVICT_LRU
-    capacity_per_host: int = 4096
-    min_admit_cost: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if self.admission not in (ADMIT_ALWAYS, ADMIT_COST_AWARE):
-            raise ValueError(f"unknown admission policy {self.admission!r}")
-        if self.eviction not in (EVICT_LRU, EVICT_FREQ):
-            raise ValueError(f"unknown eviction policy {self.eviction!r}")
-        if self.capacity_per_host < 1:
-            raise ValueError("reuse capacity must be >= 1")
-        if self.min_admit_cost < 0:
-            raise ValueError("admission cost floor cannot be negative")
-
-
-@dataclass
 class _Entry:
-    """One persisted lookup result."""
+    """One persisted lookup result. Frozen, so a snapshot may share
+    entries with the live store."""
 
     values: Tuple[Any, ...]
     epoch: int
     fingerprint: int
-    cost: float  # refetch cost estimate at admission (seconds)
-    freq: int = 1  # probe hits + the admission itself
-    seq: int = 0  # admission sequence (freq-eviction tiebreak)
 
 
 @dataclass
@@ -97,7 +64,6 @@ class ReuseCounts:
     misses: int = 0
     stale_drops: int = 0
     admitted: int = 0
-    rejected: int = 0
     evicted: int = 0
 
     def to_dict(self) -> Dict[str, int]:
@@ -107,7 +73,6 @@ class ReuseCounts:
             "misses": self.misses,
             "stale_drops": self.stale_drops,
             "admitted": self.admitted,
-            "rejected": self.rejected,
             "evicted": self.evicted,
         }
 
@@ -127,10 +92,8 @@ class ReuseStore:
     transfer is elided that was ever paid for.
     """
 
-    def __init__(self, policy: Optional[ReusePolicy] = None):
-        self.policy = policy or ReusePolicy()
+    def __init__(self) -> None:
         self._hosts: Dict[str, "OrderedDict[Tuple[str, Hashable], _Entry]"] = {}
-        self._seq = 0
         self.counts = ReuseCounts()
 
     # ------------------------------------------------------------------
@@ -157,9 +120,7 @@ class ReuseStore:
             self.counts.stale_drops += 1
             self.counts.misses += 1
             return False, None, True
-        entry.freq += 1
-        if self.policy.eviction == EVICT_LRU:
-            store.move_to_end(key)
+        store.move_to_end(key)
         self.counts.hits += 1
         return True, entry.values, False
 
@@ -169,10 +130,7 @@ class ReuseStore:
         The lookup pipeline uses this for a key already waiting in the
         current batch: at ``batch_size=1`` the key would have been
         fetched, admitted, and then hit by now, so the deferred hit
-        keeps ``reuse.*`` counters independent of ``batch_size``
-        (exactly true under ``"always"`` admission; cost-aware rejection
-        makes the ``batch_size=1`` stream refetch instead, a divergence
-        batching inherently cannot see).
+        keeps ``reuse.*`` counters independent of ``batch_size``.
         """
         self.counts.probes += 1
         self.counts.hits += 1
@@ -183,68 +141,24 @@ class ReuseStore:
         accessor,
         ik: Hashable,
         values: Tuple[Any, ...],
-        cost: float,
-    ) -> Tuple[bool, int]:
-        """Offer one fetched result; returns ``(admitted, evictions)``.
-
-        ``cost`` is the refetch-cost estimate the cost-aware policy
-        gates on: the sampled ``T_j`` for single lookups, the amortised
-        ``C_req/B + C_key`` for keys fetched by a multiget.
-        """
-        if self.policy.admission == ADMIT_COST_AWARE and cost < self.policy.min_admit_cost:
-            self.counts.rejected += 1
-            return False, 0
+    ) -> int:
+        """Admit one fetched result; returns how many entries it evicted."""
         store = self._hosts.setdefault(host, OrderedDict())
         key = (accessor.signature(), ik)
         epoch, fingerprint = _index_version(accessor)
-        self._seq += 1
-        old = store.pop(key, None)
-        entry = _Entry(
-            values=tuple(values),
-            epoch=epoch,
-            fingerprint=fingerprint,
-            cost=cost,
-            freq=old.freq + 1 if old is not None else 1,
-            seq=self._seq,
-        )
-        # Make room BEFORE inserting so the victim is always a resident
-        # entry -- under freq eviction the newcomer (freq 1) would
-        # otherwise evict itself, turning admission into a no-op.
+        store.pop(key, None)
         evictions = 0
-        while len(store) >= self.policy.capacity_per_host:
-            self._evict_one(store)
+        while len(store) >= CAPACITY_PER_HOST:
+            store.popitem(last=False)
             evictions += 1
-        store[key] = entry
+        store[key] = _Entry(tuple(values), epoch, fingerprint)
         self.counts.admitted += 1
         self.counts.evicted += evictions
-        return True, evictions
-
-    def _evict_one(self, store: "OrderedDict[Tuple[str, Hashable], _Entry]") -> None:
-        if self.policy.eviction == EVICT_FREQ:
-            victim = min(store, key=lambda k: (store[k].freq, store[k].seq))
-            del store[victim]
-        else:
-            store.popitem(last=False)
+        return evictions
 
     # ------------------------------------------------------------------
     # Planner-facing occupancy
     # ------------------------------------------------------------------
-    def live_entries(self, accessor, host: Optional[str] = None) -> int:
-        """Count non-stale entries for one index (one host, or all)."""
-        version = _index_version(accessor)
-        signature = accessor.signature()
-        stores = (
-            [self._hosts[host]]
-            if host is not None and host in self._hosts
-            else list(self._hosts.values())
-        )
-        return sum(
-            1
-            for store in stores
-            for (sig, _), entry in store.items()
-            if sig == signature and (entry.epoch, entry.fingerprint) == version
-        )
-
     def seeded_hit_ratio(
         self, accessor, distinct: float, num_hosts: int
     ) -> float:
@@ -289,26 +203,6 @@ class ReuseStore:
             dropped += len(victims)
         return dropped
 
-    def purge_stale(self, accessor) -> int:
-        """Eagerly drop one index's stale entries (probes drop them
-        lazily anyway; this reclaims slots up front after a known
-        mutation). Returns the drop count."""
-        version = _index_version(accessor)
-        signature = accessor.signature()
-        dropped = 0
-        for store in self._hosts.values():
-            victims = [
-                k
-                for k, entry in store.items()
-                if k[0] == signature
-                and (entry.epoch, entry.fingerprint) != version
-            ]
-            for k in victims:
-                del store[k]
-            dropped += len(victims)
-        self.counts.stale_drops += dropped
-        return dropped
-
     # ------------------------------------------------------------------
     # State capture (the traced bench re-run must replay against the
     # same store state the untraced run saw)
@@ -317,20 +211,8 @@ class ReuseStore:
         """A deep copy of the store's mutable state."""
         return {
             "hosts": {
-                host: OrderedDict(
-                    (key, _Entry(
-                        values=entry.values,
-                        epoch=entry.epoch,
-                        fingerprint=entry.fingerprint,
-                        cost=entry.cost,
-                        freq=entry.freq,
-                        seq=entry.seq,
-                    ))
-                    for key, entry in store.items()
-                )
-                for host, store in self._hosts.items()
+                host: OrderedDict(store) for host, store in self._hosts.items()
             },
-            "seq": self._seq,
             "counts": ReuseCounts(**self.counts.to_dict()),
         }
 
@@ -338,20 +220,8 @@ class ReuseStore:
         """Restore a :meth:`snapshot` (same deep-copy discipline, so
         the snapshot stays reusable)."""
         self._hosts = {
-            host: OrderedDict(
-                (key, _Entry(
-                    values=entry.values,
-                    epoch=entry.epoch,
-                    fingerprint=entry.fingerprint,
-                    cost=entry.cost,
-                    freq=entry.freq,
-                    seq=entry.seq,
-                ))
-                for key, entry in store.items()
-            )
-            for host, store in state["hosts"].items()
+            host: OrderedDict(store) for host, store in state["hosts"].items()
         }
-        self._seq = state["seq"]
         self.counts = ReuseCounts(**state["counts"].to_dict())
 
     # ------------------------------------------------------------------
@@ -368,8 +238,7 @@ class ReuseStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ReuseStore({self.policy.admission}/{self.policy.eviction}, "
-            f"{len(self)} entries on {len(self._hosts)} hosts)"
+            f"ReuseStore({len(self)} entries on {len(self._hosts)} hosts)"
         )
 
 

@@ -243,19 +243,18 @@ class EFindRunner:
             self.obs.metrics.absorb_counters(
                 result.counters, prefix=f"job.{iconf.name}"
             )
-            if self.obs.tracer.enabled:
-                self.obs.tracer.span(
-                    f"efind:{iconf.name}",
-                    "job",
-                    DRIVER_TRACK,
-                    result.start_time,
-                    result.end_time,
-                    DEPTH_JOB,
-                    job=iconf.name,
-                    mode=mode,
-                    stages=result.num_stages,
-                    replanned=result.replanned,
-                )
+            self.obs.tracer.span(
+                f"efind:{iconf.name}",
+                "job",
+                DRIVER_TRACK,
+                result.start_time,
+                result.end_time,
+                DEPTH_JOB,
+                job=iconf.name,
+                mode=mode,
+                stages=result.num_stages,
+                replanned=result.replanned,
+            )
         return result
 
     def _attach_routers(self, iconf: IndexJobConf) -> None:
@@ -263,7 +262,6 @@ class EFindRunner:
         capable index, keyed by index name so load state accumulates
         across this runner's jobs (an index shared between jobs keeps
         balancing against its real cumulative load)."""
-        build = self.settings.build
         for _, _, op in iconf.placed_operators():
             for accessor in op.accessors:
                 index = getattr(accessor, "index", None)
@@ -274,10 +272,6 @@ class EFindRunner:
                 router = self._routers.setdefault(
                     index.name, ReplicaRouter(policy=self.route_policy)
                 )
-                if build is not None and index.name in getattr(build, "targets", ()):
-                    # HAIL per-replica layouts: prefer replicas whose
-                    # clustered layout covers the query key.
-                    router.set_layout_preference(build.layout_preference(index.name))
                 index.set_router(router)
 
     # ------------------------------------------------------------------

@@ -516,7 +516,7 @@ class LookupPipeline:
             stat.tj_samples += 1
             stat.siv_bytes += siv
         if self.reuse is not None:
-            self._admit(ctx, ik, values, self._tj)
+            self._admit(ctx, ik, values)
         if self.use_cache:
             self._cache.put(ik, (values, siv))
         if self.dedup_adjacent:
@@ -621,14 +621,8 @@ class LookupPipeline:
                 stat.c_req_total += groups * accessor.batch_request_overhead()
                 stat.c_key_total += n * accessor.batch_key_time()
         if self.reuse is not None:
-            # Refetch-cost estimate the cost-aware admission gates on:
-            # T_j, or the amortised C_req/B + C_key for a key fetched by
-            # a native multiget of B keys.
-            cost = self._tj
-            if groups is not None:
-                cost = accessor.batch_request_overhead() / n + accessor.batch_key_time()
             for ik in keys:
-                self._admit(ctx, ik, results[ik], cost)
+                self._admit(ctx, ik, results[ik])
         if self.use_cache:
             cache = self._cache
             for ik in keys:
@@ -642,12 +636,10 @@ class LookupPipeline:
                     self._memo_bytes = siv[ik]
                     break
 
-    def _admit(self, ctx, ik, values, cost: float) -> None:
-        """Offer one fetched result to the cross-job store."""
-        admitted, evicted = self.reuse.admit(
-            self._host, self.accessor, ik, values, cost
-        )
-        ctx.counters.increment("reuse", "admitted" if admitted else "rejected")
+    def _admit(self, ctx, ik, values) -> None:
+        """Admit one fetched result to the cross-job store."""
+        evicted = self.reuse.admit(self._host, self.accessor, ik, values)
+        ctx.counters.increment("reuse", "admitted")
         if evicted:
             ctx.counters.increment("reuse", "evicted", evicted)
 

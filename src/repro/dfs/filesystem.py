@@ -32,11 +32,6 @@ class Block:
     records: List[Record]
     size_bytes: int
     hosts: List[str]
-    #: HAIL-style per-replica layout tags (host -> layout key, e.g.
-    #: "orders/r1"): which clustered index layout each replica of this
-    #: block carries. Descriptive metadata only -- read by tests and
-    #: inspection tools, never by the time model.
-    layouts: Dict[str, str] = field(default_factory=dict)
     #: ``sizes[i]`` is the wire size of ``records[i]``: the ints
     #: ``size_bytes`` is the sum of, kept so that no job reading the
     #: block walks its records again. A block built by hand without
@@ -158,19 +153,6 @@ class DistributedFileSystem:
                 sizes=sizes,
             )
         )
-
-    def annotate_layouts(self, path: str, fn) -> None:
-        """Tag every block replica of ``path`` with a layout key.
-
-        ``fn(block_index, replica_position, host) -> str`` names the
-        clustered layout that replica carries (HAIL's per-replica
-        indexing; see ``repro.indices.build.layouts``). Pure metadata:
-        timing and contents are unaffected.
-        """
-        meta = self._require(path)
-        for block in meta.blocks:
-            for position, host in enumerate(block.hosts):
-                block.layouts[host] = fn(block.index, position, host)
 
     def read(self, path: str) -> List[Record]:
         """Return all records of ``path`` in block order."""

@@ -27,7 +27,6 @@ from repro.indices.dynamic import DynamicComputedIndex, KeywordTopicClassifier
 from repro.indices.inverted import InvertedIndex
 from repro.indices.kvstore import DistributedKVStore
 from repro.indices.partitioning import (
-    ConsistentHashRing,
     HashPartitionScheme,
     PartitionScheme,
     RangePartitionScheme,
@@ -43,7 +42,6 @@ __all__ = [
     "KeywordTopicClassifier",
     "InvertedIndex",
     "DistributedKVStore",
-    "ConsistentHashRing",
     "HashPartitionScheme",
     "PartitionScheme",
     "RangePartitionScheme",

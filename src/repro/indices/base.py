@@ -311,12 +311,6 @@ class IndexService:
         not) expose one. Non-None enables the index-locality strategy."""
         return None
 
-    @property
-    def entry_host(self) -> Optional[str]:
-        """The host a client first contacts (root node / metadata server
-        / any peer). None for purely computational indices."""
-        return None
-
     def hosts_for_key(self, key: Any) -> List[str]:
         """Hosts that can serve ``key`` locally (empty if unknown).
 

@@ -410,11 +410,6 @@ class DistributedBTree(IndexService):
     def partition_scheme(self) -> PartitionScheme:
         return self._scheme
 
-    @property
-    def entry_host(self) -> Optional[str]:
-        # "the root node in a distributed B-tree" -- first partition's host.
-        return self._scheme.locations(0)[0]
-
     def __len__(self) -> int:
         return sum(len(t) for t in self._trees)
 

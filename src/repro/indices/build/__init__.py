@@ -1,14 +1,12 @@
-"""Adaptive in-job index construction (HAIL/LIAH-style).
+"""Adaptive in-job index construction (LIAH-style).
 
 Three layers:
 
 * ``model`` -- the build cost model (per-record extract/sort/merge
   charges, scan premium for uncovered keys);
-* ``manager`` -- the build catalog (per-index coverage buckets, epochs,
-  layout widths; persists across jobs);
-* ``builder``/``bulk``/``layouts`` -- the incremental piggyback builder,
-  the offline bulk-build MapReduce job, and HAIL per-replica layouts
-  wired into the ReplicaRouter.
+* ``manager`` -- the build catalog (per-index coverage buckets and
+  epochs; persists across jobs);
+* ``builder`` -- the incremental piggyback builder.
 
 The planner sees coverage through coverage-blended cost equations and
 the PARTIAL hybrid strategy (``core/costmodel.py``); the executor sees
@@ -21,17 +19,6 @@ from repro.indices.build.builder import (
     DEFAULT_BUILD_FRACTION,
     BuildSession,
     IndexBuilderFn,
-)
-from repro.indices.build.bulk import (
-    BulkBuildResult,
-    bulk_build_job,
-    run_bulk_build,
-)
-from repro.indices.build.layouts import (
-    covering_hosts,
-    enable_layouts,
-    layout_preference,
-    replica_for_bucket,
 )
 from repro.indices.build.manager import (
     DEFAULT_NUM_BUCKETS,
@@ -46,13 +33,6 @@ __all__ = [
     "BuildCostModel",
     "BuildSession",
     "BuildState",
-    "BulkBuildResult",
     "IndexBuilderFn",
     "IndexManager",
-    "bulk_build_job",
-    "covering_hosts",
-    "enable_layouts",
-    "layout_preference",
-    "replica_for_bucket",
-    "run_bulk_build",
 ]

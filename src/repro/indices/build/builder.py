@@ -130,13 +130,6 @@ class BuildSession:
         self._job_records[name] = self._job_records.get(name, 0) + records
         self._job_seconds[name] = self._job_seconds.get(name, 0.0) + seconds
 
-    def layout_preference(self, name: str):
-        """The ReplicaRouter preference callable for ``name``'s HAIL
-        per-replica layouts (see ``layouts.py``)."""
-        from repro.indices.build.layouts import layout_preference
-
-        return layout_preference(self.manager, name)
-
     # -- rebuilds ------------------------------------------------------
     def rebuild(self, name: str) -> None:
         """Drop ``name``'s build progress and invalidate downstream

@@ -44,10 +44,6 @@ class BuildState:
     entries: int = 0
     #: Catalog estimate of the clustered-index footprint.
     bytes_built: float = 0.0
-    #: HAIL-style per-replica layouts: replica position ``r`` of a block
-    #: carries the clustered layout for buckets with
-    #: ``bucket % layout_width == r``. Width 1 = all replicas identical.
-    layout_width: int = 1
 
     @property
     def coverage(self) -> float:
@@ -68,7 +64,6 @@ class BuildState:
             "epoch": self.epoch,
             "entries": self.entries,
             "bytes_built": self.bytes_built,
-            "layout_width": self.layout_width,
         }
 
     @staticmethod
@@ -79,7 +74,6 @@ class BuildState:
             epoch=int(raw.get("epoch", 0)),
             entries=int(raw.get("entries", 0)),
             bytes_built=float(raw.get("bytes_built", 0.0)),
-            layout_width=int(raw.get("layout_width", 1)),
         )
 
 
@@ -150,7 +144,7 @@ class IndexManager:
         state.bytes_built += max(0, records) * entry_bytes
 
     def complete(self, name: str) -> None:
-        """Mark every bucket built (the bulk-build commit)."""
+        """Mark every bucket built."""
         state = self._require(name)
         state.built = set(range(state.num_buckets))
 
@@ -164,10 +158,6 @@ class IndexManager:
         state.bytes_built = 0.0
         state.epoch += 1
         return state.epoch
-
-    def set_layout_width(self, name: str, width: int) -> None:
-        state = self._require(name)
-        state.layout_width = max(1, int(width))
 
     # -- persistence --------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

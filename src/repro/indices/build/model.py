@@ -1,5 +1,5 @@
-"""The build cost model: what incremental and bulk index construction
-charge to simulated time.
+"""The build cost model: what incremental index construction charges
+to simulated time.
 
 Modelled after LIAH's per-record pipeline ("Towards Zero-Overhead
 Adaptive Indexing in Hadoop"): each record chosen for indexing is

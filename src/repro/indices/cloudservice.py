@@ -11,7 +11,7 @@ extra delay of 0-5 ms (the x-axis of Figure 11(a)).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Union
 
 from repro.indices.base import IndexService
 from repro.mapreduce.api import stable_hash
@@ -35,14 +35,12 @@ class CloudServiceIndex(IndexService):
         backend: Union[dict, Callable[[Any], Any]],
         extra_delay: float = 0.0,
         price_per_lookup: float = 0.0,
-        host: Optional[str] = None,
     ):
         super().__init__(name, service_time=self.BASE_DELAY + extra_delay)
         self._backend = backend
         self.extra_delay = extra_delay
         self.price_per_lookup = price_per_lookup
         self.total_charged = 0.0
-        self._host = host or "cloud-gateway"
 
     def _lookup(self, key: Any) -> List[Any]:
         self.total_charged += self.price_per_lookup
@@ -55,10 +53,6 @@ class CloudServiceIndex(IndexService):
         if isinstance(result, list):
             return list(result)
         return [result]
-
-    @property
-    def entry_host(self) -> Optional[str]:
-        return self._host
 
     def set_extra_delay(self, extra_delay: float) -> None:
         """Adjust the injected delay (the Figure 11(a) sweep knob)."""

@@ -199,15 +199,6 @@ class DistributedKVStore(IndexService):
     def partition_scheme(self) -> PartitionScheme:
         return self._scheme
 
-    @property
-    def entry_host(self) -> Optional[str]:
-        hosts = self._scheme.locations(0)
-        if self.fault_plan is not None:
-            live = [h for h in hosts if not self.fault_plan.host_down(h)]
-            if live:
-                return live[0]
-        return hosts[0]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ the basis of the index-locality strategy.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from repro.mapreduce.api import stable_hash
 
@@ -89,57 +89,13 @@ class RangePartitionScheme(PartitionScheme):
         return list(self._boundaries)
 
 
-class ConsistentHashRing(PartitionScheme):
-    """Cassandra-style consistent hashing with virtual nodes.
-
-    Each physical host owns ``vnodes`` points on a 2^32 ring; a key maps
-    to the first vnode clockwise from its hash, and replicas are the next
-    ``replication`` *distinct* hosts around the ring. Partition ids are
-    vnode indices in ring order.
-    """
-
-    RING_SIZE = 2**32
-
-    def __init__(self, hosts: Sequence[str], vnodes: int = 8, replication: int = 3):
-        if not hosts:
-            raise ValueError("need at least one host")
-        self._replication = min(replication, len(hosts))
-        points: List[tuple] = []
-        for host in hosts:
-            for v in range(vnodes):
-                token = stable_hash(f"{host}#vnode{v}") * 2654435761 % self.RING_SIZE
-                points.append((token, host))
-        points.sort()
-        self._tokens = [t for t, _ in points]
-        self._owners = [h for _, h in points]
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self._tokens)
-
-    def partition_of(self, key: Any) -> int:
-        token = stable_hash(key) * 2654435761 % self.RING_SIZE
-        idx = bisect.bisect_right(self._tokens, token)
-        return idx % len(self._tokens)
-
-    def locations(self, partition: int) -> List[str]:
-        hosts: List[str] = []
-        i = partition
-        while len(hosts) < self._replication:
-            host = self._owners[i % len(self._owners)]
-            if host not in hosts:
-                hosts.append(host)
-            i += 1
-            if i - partition > len(self._owners):
-                break
-        return hosts
-
-
 def round_robin_placements(
     hosts: Sequence[str], num_partitions: int, replication: int
 ) -> List[List[str]]:
     """Helper: place ``num_partitions`` partitions on ``hosts`` round
     robin with ``replication`` distinct replicas each."""
+    if replication <= 0:
+        raise ValueError("replication must be positive")
     replication = min(replication, len(hosts))
     return [
         [hosts[(p + r) % len(hosts)] for r in range(replication)]

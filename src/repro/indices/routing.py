@@ -3,10 +3,9 @@
 The paper's KV store (Section 5.1) replicates every partition to three
 data nodes but always serves a key from the partition's *first* live
 replica -- so a hot partition hammers one host while its two replicas
-idle. HAIL-style scheduling ("Only Aggressive Elephants are Fast
-Elephants") shows that choosing *which* replica answers at scheduling
-time is the cheap way to dodge hot shards. :class:`ReplicaRouter`
-reproduces that choice for batched lookups:
+idle. Choosing *which* replica answers at scheduling time is the cheap
+way to dodge hot shards. :class:`ReplicaRouter` makes that choice for
+batched lookups:
 
 * ``least-loaded``: each key goes to the live replica with the fewest
   keys routed to it so far (cumulative outstanding load, tie broken by
@@ -34,7 +33,7 @@ identical routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 #: Route every key to its partition's first live replica (the
 #: pre-routing behavior).
@@ -78,12 +77,6 @@ class ReplicaRouter:
             raise ValueError("hot_key_threshold must be >= 2")
         self.policy = policy
         self.hot_key_threshold = hot_key_threshold
-        # Optional HAIL layout preference (indices/build/layouts.py):
-        # ``fn(key, replicas) -> hosts`` whose clustered layout covers
-        # the key. None (the default) routes exactly as before.
-        self.layout_preference: Optional[
-            Callable[[Any, Sequence[str]], Sequence[str]]
-        ] = None
         self._load: Dict[str, int] = {}
         self._freq: Dict[Any, int] = {}
         self._hot_cursor: Dict[Any, int] = {}
@@ -108,15 +101,6 @@ class ReplicaRouter:
         the same algorithm without mutating the live router.
         """
         pool = list(live) if live else list(replicas)
-        if self.layout_preference is not None and len(pool) > 1:
-            # Narrow to replicas whose per-replica layout covers the
-            # key; liveness and load balancing still apply inside the
-            # preferred subset, and an empty intersection (all covering
-            # replicas dead) falls back to the full pool.
-            preferred = self.layout_preference(key, replicas)
-            narrowed = [host for host in pool if host in preferred]
-            if narrowed:
-                pool = narrowed
         count = freq.get(key, 0) + 1
         freq[key] = count
         hot = (
@@ -140,12 +124,6 @@ class ReplicaRouter:
             host = pool[0]
         load[host] = load.get(host, 0) + 1
         return host, hot
-
-    def set_layout_preference(
-        self, fn: Optional[Callable[[Any, Sequence[str]], Sequence[str]]]
-    ) -> None:
-        """Install (or clear, with None) the HAIL layout preference."""
-        self.layout_preference = fn
 
     def assign(self, keys: Sequence[Any], locate: Locate) -> RouteDecision:
         """Route one batch, mutating the router's cumulative state."""

@@ -716,10 +716,6 @@ class GridRStarForest(IndexService):
     def partition_scheme(self) -> PartitionScheme:
         return self._scheme
 
-    @property
-    def entry_host(self) -> Optional[str]:
-        return self._scheme.locations(0)[0]
-
     def __len__(self) -> int:
         return sum(len(t) for t in self._trees)
 

@@ -131,7 +131,6 @@ FEATURE_COUNTERS: Dict[str, FeatureCounters] = {
             "misses",
             "stale_drops",
             "admitted",
-            "rejected",
             "evicted",
         ),
         "g",

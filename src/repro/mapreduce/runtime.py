@@ -49,6 +49,9 @@ from repro.simcluster.faults import FaultPlan
 
 Record = Tuple[Any, Any]
 
+#: Attempts a crashing task gets before the job fails (Hadoop's 4).
+MAX_TASK_ATTEMPTS = 4
+
 AbortCheck = Callable[[List["TaskRun"], int], bool]
 
 
@@ -124,7 +127,7 @@ class JobRunner:
     ``fault_plan`` (optional) turns on the fault model: task slots on
     dead hosts disappear, per-host straggler factors stretch task
     durations, and injected task crashes are retried on another slot up
-    to ``max_task_attempts`` times (Hadoop's semantics) instead of
+    to :data:`MAX_TASK_ATTEMPTS` times (Hadoop's semantics) instead of
     failing the job. Without a plan, execution is bit-identical to the
     fault-free runner.
     """
@@ -134,7 +137,6 @@ class JobRunner:
         cluster: Cluster,
         dfs: DistributedFileSystem,
         fault_plan: Optional[FaultPlan] = None,
-        max_task_attempts: int = 4,
         obs=None,
         speculation: Optional[SpeculationConfig] = None,
         warm_hosts: Optional[Callable[[], Sequence[str]]] = None,
@@ -142,28 +144,20 @@ class JobRunner:
         self.cluster = cluster
         self.dfs = dfs
         self.fault_plan = fault_plan
-        if max_task_attempts < 1:
-            raise ValueError("max_task_attempts must be >= 1")
-        self.max_task_attempts = max_task_attempts
         # Speculative execution (see repro.mapreduce.speculation). Off by
         # default: execution is then bit-identical to the pre-speculation
         # runner. ``warm_hosts`` optionally biases backup placement
         # toward reuse-warm hosts.
         self.speculation = speculation
         self.warm_hosts = warm_hosts
-        # repro.obs.Observability (or None). The tracer is only consulted
-        # when enabled, so obs=None and a disabled obs both take the
-        # exact pre-observability code paths.
+        # repro.obs.Observability (or None): obs=None takes the exact
+        # pre-observability code paths.
         self.obs = obs
-        self._tracer = (
-            obs.tracer if obs is not None and obs.tracer.enabled else None
-        )
+        self._tracer = obs.tracer if obs is not None else None
         # Live telemetry bus (repro.obs.live): per-task counter deltas
         # are published as dedicated events (the tracer publishes spans
-        # itself). Only active alongside an enabled tracer.
-        self._bus = (
-            getattr(obs, "bus", None) if self._tracer is not None else None
-        )
+        # itself).
+        self._bus = obs.bus if obs is not None else None
         # True while this runner's outermost ``run`` owns the collector's
         # freeze: each task attempt then starts with everything older
         # frozen, so a collection walks only what the attempt made
@@ -211,7 +205,7 @@ class JobRunner:
         """
         failed_hosts: List[str] = []
         last_crash: Optional[TaskCrashError] = None
-        for attempt in range(self.max_task_attempts):
+        for attempt in range(MAX_TASK_ATTEMPTS):
             slot = scheduler.acquire(
                 preferred_hosts=preferred_hosts,
                 allowed_hosts=allowed_hosts,
@@ -258,7 +252,7 @@ class JobRunner:
             return run
         raise DataFlowError(
             f"task {last_crash.task_id if last_crash else '?'} failed "
-            f"{self.max_task_attempts} attempts; giving up"
+            f"{MAX_TASK_ATTEMPTS} attempts; giving up"
         ) from last_crash
 
     def _emit_task_trace(

@@ -35,7 +35,7 @@ from typing import Optional
 
 from repro.obs.audit import AdaptiveAuditLog, AuditRecord
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, TaskTraceBuffer, Tracer
+from repro.obs.trace import TaskTraceBuffer, Tracer
 
 __all__ = [
     "AdaptiveAuditLog",
@@ -44,7 +44,6 @@ __all__ = [
     "Observability",
     "TaskTraceBuffer",
     "Tracer",
-    "NULL_TRACER",
 ]
 
 
@@ -54,29 +53,17 @@ class Observability:
     :class:`JobRunner`) to record; pass None (the default everywhere)
     for the zero-cost path."""
 
-    def __init__(
-        self, enabled: bool = True, max_task_detail: int = 256, bus=None
-    ):
+    def __init__(self, max_task_detail: int = 256, bus=None):
         # Optional repro.obs.live.TelemetryBus: spans, counter deltas,
         # and audit verdicts stream to its subscribers while the run
         # executes. Publishing is as passive as recording -- a run with
         # a subscribed bus stays bit-identical to one without.
-        self.bus = bus if enabled else None
+        self.bus = bus
         self.metrics = MetricsRegistry()
-        self.tracer: Tracer = (
-            Tracer(
-                metrics=self.metrics,
-                max_task_detail=max_task_detail,
-                bus=self.bus,
-            )
-            if enabled
-            else NULL_TRACER
+        self.tracer = Tracer(
+            metrics=self.metrics, max_task_detail=max_task_detail, bus=bus
         )
-        self.audit = AdaptiveAuditLog(bus=self.bus)
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled
+        self.audit = AdaptiveAuditLog(bus=bus)
 
     # ------------------------------------------------------------------
     def export(self, directory: str, base: str, alerts=None) -> dict:

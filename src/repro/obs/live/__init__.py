@@ -63,10 +63,10 @@ class LiveSession:
     dicts), or None/"" for the built-in defaults.
     """
 
-    def __init__(self, rules=None, window: float = DEFAULT_WINDOW_S):
+    def __init__(self, rules=None):
         self.rules: List[SloRule] = coerce_rules(rules)
         self.bus = TelemetryBus()
-        self.aggregators = LiveAggregators(self.bus, window=window)
+        self.aggregators = LiveAggregators(self.bus)
         self.engine = SLOEngine(self.rules, self.aggregators)
         self.progress = LiveSnapshot(self.bus, self.aggregators, self.engine)
 

@@ -25,8 +25,8 @@ scheduler commits it), then re-based onto the absolute timeline.
 
 The tracer is read-only with respect to the simulation: it never
 charges time, so an attached tracer cannot perturb simulated results.
-:data:`NULL_TRACER` is the shared no-op instance; hot paths additionally
-guard on ``ctx.trace is None`` so the disabled mode costs nothing.
+Without one (``obs=None``), hot paths guard on ``ctx.trace is None``
+and the untraced mode costs nothing.
 """
 
 from __future__ import annotations
@@ -96,8 +96,6 @@ class Tracer:
     simulated time; the observer-effect tests pin bit-identity with the
     bus attached.
     """
-
-    enabled = True
 
     def __init__(self, metrics=None, max_task_detail: int = 256, bus=None):
         self.spans: List[Span] = []
@@ -190,36 +188,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.spans) + len(self.instants)
 
-
-class NullTracer(Tracer):
-    """The disabled tracer: every recording call is a no-op, and task
-    buffers do not exist (``ctx.trace`` stays None), so the hot-path
-    guards short-circuit to exactly the untraced code."""
-
-    enabled = False
-
-    def __init__(self):  # no storage at all
-        self.spans = []
-        self.instants = []
-        self.metrics = None
-        self.max_task_detail = 0
-        self.dropped_detail = 0
-        self.bus = None
-
-    def span(self, *a: Any, **kw: Any) -> None:
-        pass
-
-    def instant(self, *a: Any, **kw: Any) -> None:
-        pass
-
-    def task_buffer(self, task_id: str) -> None:  # type: ignore[override]
-        return None
-
-    def absorb_task(self, *a: Any, **kw: Any) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
 
 #: Span names whose durations feed a latency histogram on absorb.
 _HISTOGRAM_NAMES = frozenset({"lookup", "lookup.batch", "index.fetch"})

@@ -96,8 +96,9 @@ class TaskCrash:
     """Crash one task after it has processed ``after_records`` records.
 
     The crash fires on the first ``attempts`` attempts of the task, so
-    with ``attempts < JobRunner.max_task_attempts`` the re-executed task
-    eventually succeeds (Hadoop's retry-up-to-4 semantics).
+    with ``attempts < repro.mapreduce.runtime.MAX_TASK_ATTEMPTS`` the
+    re-executed task eventually succeeds (Hadoop's retry-up-to-4
+    semantics).
     """
 
     task_id: str

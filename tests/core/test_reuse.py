@@ -1,6 +1,6 @@
 """Unit and integration tests for the cross-job ReuseStore.
 
-Covers the store itself (policies, per-host isolation, versioned
+Covers the store itself (LRU eviction, per-host isolation, versioned
 invalidation, snapshot/restore, planner seeding) and its wiring into
 the strategy layer (zero-cost probes, counters, stale entries never
 served).
@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.accessor import IndexAccessor
 from repro.core.operator import IndexOperator
-from repro.core.reuse import ReusePolicy, ReuseSession, ReuseStore
+from repro.core.reuse import CAPACITY_PER_HOST, ReuseSession, ReuseStore
 from repro.core.strategy import (
     GroupLookupReducer,
     LookupFn,
@@ -47,27 +47,6 @@ def ctx_on(cluster, node=0, task_id="t0"):
     return TaskContext(cluster.nodes[node], TimeModel(), task_id=task_id)
 
 
-class TestReusePolicy:
-    def test_defaults(self):
-        p = ReusePolicy()
-        assert p.admission == "always"
-        assert p.eviction == "lru"
-        assert p.capacity_per_host == 4096
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"admission": "sometimes"},
-            {"eviction": "mru"},
-            {"capacity_per_host": 0},
-            {"min_admit_cost": -1.0},
-        ],
-    )
-    def test_rejects_bad_config(self, kwargs):
-        with pytest.raises(ValueError):
-            ReusePolicy(**kwargs)
-
-
 class TestReuseStoreBasics:
     def test_probe_empty_misses(self, accessor):
         store = ReuseStore()
@@ -77,8 +56,7 @@ class TestReuseStoreBasics:
 
     def test_admit_then_hit(self, accessor):
         store = ReuseStore()
-        admitted, evicted = store.admit("h0", accessor, "k1", (1,), 2e-3)
-        assert admitted and evicted == 0
+        assert store.admit("h0", accessor, "k1", (1,)) == 0
         hit, values, stale = store.probe("h0", accessor, "k1")
         assert hit and values == (1,) and not stale
         assert store.counts.to_dict()["hits"] == 1
@@ -87,83 +65,48 @@ class TestReuseStoreBasics:
         # A host only reuses results it fetched itself -- no simulated
         # network transfer is ever elided that was never paid for.
         store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 2e-3)
+        store.admit("h0", accessor, "k1", (1,))
         hit, _, _ = store.probe("h1", accessor, "k1")
         assert not hit
 
     def test_len_counts_all_hosts(self, accessor):
         store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 2e-3)
-        store.admit("h1", accessor, "k2", (2,), 2e-3)
+        store.admit("h0", accessor, "k1", (1,))
+        store.admit("h1", accessor, "k2", (2,))
         assert len(store) == 2
 
     def test_readmission_replaces_value(self, accessor):
         store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 2e-3)
-        store.admit("h0", accessor, "k1", (7,), 2e-3)
+        store.admit("h0", accessor, "k1", (1,))
+        store.admit("h0", accessor, "k1", (7,))
         _, values, _ = store.probe("h0", accessor, "k1")
         assert values == (7,)
         assert len(store) == 1
 
 
 class TestEviction:
-    def policy(self, eviction):
-        return ReusePolicy(eviction=eviction, capacity_per_host=2)
-
     def test_lru_evicts_least_recent(self, accessor):
-        store = ReuseStore(self.policy("lru"))
-        store.admit("h0", accessor, "a", (1,), 1.0)
-        store.admit("h0", accessor, "b", (2,), 1.0)
-        store.probe("h0", accessor, "a")  # refresh a
-        _, evicted = store.admit("h0", accessor, "c", (3,), 1.0)
-        assert evicted == 1
-        assert store.probe("h0", accessor, "a")[0]
-        assert not store.probe("h0", accessor, "b")[0]
-
-    def test_freq_evicts_least_frequent(self, accessor):
-        store = ReuseStore(self.policy("freq"))
-        store.admit("h0", accessor, "a", (1,), 1.0)
-        store.admit("h0", accessor, "b", (2,), 1.0)
-        store.probe("h0", accessor, "a")
-        store.probe("h0", accessor, "a")
-        store.probe("h0", accessor, "b")
-        # a: freq 3, b: freq 2 -> admitting c (freq 1) evicts b.
-        store.admit("h0", accessor, "c", (3,), 1.0)
-        assert store.probe("h0", accessor, "a")[0]
-        assert not store.probe("h0", accessor, "b")[0]
-
-    def test_freq_tiebreak_is_admission_order(self, accessor):
-        store = ReuseStore(self.policy("freq"))
-        store.admit("h0", accessor, "a", (1,), 1.0)
-        store.admit("h0", accessor, "b", (2,), 1.0)
-        store.admit("h0", accessor, "c", (3,), 1.0)  # all freq 1: a goes
-        assert not store.probe("h0", accessor, "a")[0]
-        assert store.probe("h0", accessor, "b")[0]
-        assert store.probe("h0", accessor, "c")[0]
-
-
-class TestCostAwareAdmission:
-    def test_floor_rejects_cheap_results(self, accessor):
-        store = ReuseStore(
-            ReusePolicy(admission="cost-aware", min_admit_cost=1e-3)
+        store = ReuseStore()
+        store.admit("h1", accessor, "other", (0,))
+        evicted = sum(
+            store.admit("h0", accessor, f"k{i}", (i,))
+            for i in range(CAPACITY_PER_HOST + 1)
         )
-        admitted, _ = store.admit("h0", accessor, "cheap", (1,), 1e-4)
-        assert not admitted
-        assert store.counts.rejected == 1
-        admitted, _ = store.admit("h0", accessor, "costly", (2,), 5e-3)
-        assert admitted
-        assert store.counts.admitted == 1
-
-    def test_always_ignores_floor(self, accessor):
-        store = ReuseStore(ReusePolicy(min_admit_cost=1e9))
-        admitted, _ = store.admit("h0", accessor, "k", (1,), 0.0)
-        assert admitted
+        assert evicted == 1 and store.counts.evicted == 1
+        assert not store.probe("h0", accessor, "k0")[0]
+        assert store.probe("h1", accessor, "other")[0]
+        assert len(store) == CAPACITY_PER_HOST + 1
+        # A hit refreshes: k1 outlives k2, the least recent now.
+        assert store.probe("h0", accessor, "k1")[0]
+        assert store.admit("h0", accessor, "new", (0,)) == 1
+        assert store.probe("h0", accessor, "k1")[0]
+        assert not store.probe("h0", accessor, "k2")[0]
 
 
 class TestVersionedInvalidation:
     def test_kvstore_write_stales_entries(self, cluster, kv, accessor):
         store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 2e-3)
+        store.admit("h0", accessor, "k1", (1,))
         kv.put("k99", "new")  # epoch bump
         hit, values, stale = store.probe("h0", accessor, "k1")
         assert not hit and stale and values is None
@@ -192,7 +135,7 @@ class TestVersionedInvalidation:
         index = DynamicComputedIndex("dyn", lambda k: [k * 2])
         accessor = IndexAccessor(index)
         store = ReuseStore()
-        store.admit("h0", accessor, 3, (6,), 2e-3)
+        store.admit("h0", accessor, 3, (6,))
         index.replace_compute(lambda k: [k * 10])
         hit, _, stale = store.probe("h0", accessor, 3)
         assert not hit and stale
@@ -208,7 +151,7 @@ class TestVersionedInvalidation:
         index._fp = 1
         accessor = IndexAccessor(index)
         store = ReuseStore()
-        store.admit("h0", accessor, "k", (1,), 1e-3)
+        store.admit("h0", accessor, "k", (1,))
         index._fp = 2
         hit, _, stale = store.probe("h0", accessor, "k")
         assert not hit and stale
@@ -218,28 +161,19 @@ class TestVersionedInvalidation:
             DistributedKVStore("other", cluster, service_time=1e-3)
         )
         store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 1e-3)
-        store.admit("h0", other, "k1", (2,), 1e-3)
+        store.admit("h0", accessor, "k1", (1,))
+        store.admit("h0", other, "k1", (2,))
         assert store.invalidate(accessor) == 1  # only that index's
         assert len(store) == 1
         assert store.invalidate() == 1  # everything
         assert len(store) == 0
-
-    def test_purge_stale_reclaims_slots(self, kv, accessor):
-        store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 1e-3)
-        store.admit("h0", accessor, "k2", (2,), 1e-3)
-        kv.put("k99", "bump")
-        assert store.purge_stale(accessor) == 2
-        assert len(store) == 0
-        assert store.counts.stale_drops == 2
 
 
 class TestPlannerSeeding:
     def test_seeded_hit_ratio_is_mean_over_hosts(self, accessor):
         store = ReuseStore()
         for i in range(10):
-            store.admit("h0", accessor, f"k{i}", (i,), 1e-3)
+            store.admit("h0", accessor, f"k{i}", (i,))
         # 10 live entries on 1 of 4 hosts, 20 distinct keys expected:
         # (10/20 + 0 + 0 + 0) / 4
         assert store.seeded_hit_ratio(accessor, 20, 4) == pytest.approx(0.125)
@@ -247,7 +181,7 @@ class TestPlannerSeeding:
     def test_seeded_hit_ratio_caps_per_host_at_one(self, accessor):
         store = ReuseStore()
         for i in range(30):
-            store.admit("h0", accessor, f"k{i}", (i,), 1e-3)
+            store.admit("h0", accessor, f"k{i}", (i,))
         assert store.seeded_hit_ratio(accessor, 10, 1) == 1.0
 
     def test_seeded_hit_ratio_ignores_stale_and_foreign(
@@ -257,8 +191,8 @@ class TestPlannerSeeding:
             DistributedKVStore("other", cluster, service_time=1e-3)
         )
         store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 1e-3)
-        store.admit("h0", other, "x", (9,), 1e-3)
+        store.admit("h0", accessor, "k1", (1,))
+        store.admit("h0", other, "x", (9,))
         kv.put("k99", "bump")  # stales accessor's entry only
         assert store.seeded_hit_ratio(accessor, 4, 1) == 0.0
         assert store.seeded_hit_ratio(other, 4, 1) == pytest.approx(0.25)
@@ -268,29 +202,20 @@ class TestPlannerSeeding:
         assert store.seeded_hit_ratio(accessor, 0, 4) == 0.0
         assert store.seeded_hit_ratio(accessor, 10, 0) == 0.0
 
-    def test_live_entries(self, kv, accessor):
-        store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 1e-3)
-        store.admit("h1", accessor, "k2", (2,), 1e-3)
-        assert store.live_entries(accessor) == 2
-        assert store.live_entries(accessor, host="h0") == 1
-        kv.put("k99", "bump")
-        assert store.live_entries(accessor) == 0
-
 
 class TestSnapshotRestore:
     def test_roundtrip_preserves_entries_and_counts(self, accessor):
         store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 1e-3)
+        store.admit("h0", accessor, "k1", (1,))
         store.probe("h0", accessor, "k1")
         snap = store.snapshot()
-        store.admit("h0", accessor, "k2", (2,), 1e-3)
+        store.admit("h0", accessor, "k2", (2,))
         store.probe("h0", accessor, "missing")
         store.restore(snap)
         assert len(store) == 1
         assert store.counts.to_dict() == {
             "probes": 1, "hits": 1, "misses": 0, "stale_drops": 0,
-            "admitted": 1, "rejected": 0, "evicted": 0,
+            "admitted": 1, "evicted": 0,
         }
 
     def test_snapshot_is_deep(self, accessor):
@@ -298,9 +223,9 @@ class TestSnapshotRestore:
         # bench harness restores the same snapshot around traced
         # re-runs).
         store = ReuseStore()
-        store.admit("h0", accessor, "k1", (1,), 1e-3)
+        store.admit("h0", accessor, "k1", (1,))
         snap = store.snapshot()
-        store.probe("h0", accessor, "k1")  # bumps the live entry's freq
+        store.probe("h0", accessor, "k1")  # moves the live entry
         store.restore(snap)
         store.restore(snap)  # restoring twice from one snapshot works
         hit, values, _ = store.probe("h0", accessor, "k1")
@@ -311,9 +236,9 @@ class TestSessionHandle:
     def test_session_builds_store_and_delegates(self, accessor):
         """``ReuseSession`` is the store itself, under its older name:
         what a driver constructs by it is what a runner takes."""
-        session = ReuseSession(ReusePolicy(eviction="freq"))
-        assert type(session) is ReuseStore and session.policy.eviction == "freq"
-        session.admit("h0", accessor, "k", (1,), 1e-3)
+        session = ReuseSession()
+        assert type(session) is ReuseStore
+        session.admit("h0", accessor, "k", (1,))
         assert session.counts.admitted == 1
         snap = session.snapshot()
         assert session.invalidate() == 1

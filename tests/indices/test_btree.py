@@ -125,9 +125,6 @@ class TestDistributedBTree:
         got = dtree.range_scan(60, 70)
         assert [k for k, _ in got] == list(range(60, 71))
 
-    def test_entry_host(self, dtree):
-        assert dtree.entry_host is not None
-
     def test_rejects_empty(self, cluster):
         with pytest.raises(ValueError):
             DistributedBTree("x", cluster, [])

@@ -1,12 +1,10 @@
 """Unit tests for the in-job index build subsystem (``indices/build/``):
-the build catalog, the incremental builder session, the offline bulk
-build, and HAIL per-replica layouts."""
+the build catalog and the incremental builder session."""
 
 import math
 
 import pytest
 
-from repro.dfs.filesystem import DistributedFileSystem
 from repro.indices.build import (
     DEFAULT_BUILD_FRACTION,
     DEFAULT_NUM_BUCKETS,
@@ -14,17 +12,10 @@ from repro.indices.build import (
     BuildSession,
     BuildState,
     IndexManager,
-    bulk_build_job,
-    covering_hosts,
-    enable_layouts,
-    layout_preference,
-    replica_for_bucket,
-    run_bulk_build,
 )
 from repro.indices.kvstore import DistributedKVStore
 from repro.mapreduce.api import OutputCollector
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.runtime import JobRunner
 from repro.simcluster.cluster import Cluster
 
 
@@ -347,86 +338,3 @@ class TestIndexBuilderFn:
         fn.finish(out, ctx)
         assert ctx.charged_time == 0.0
         assert ctx.counters.group("build") == {}
-
-
-# ----------------------------------------------------------------------
-# Bulk build
-# ----------------------------------------------------------------------
-class TestBulkBuild:
-    def test_job_requires_tracked_index(self, cluster):
-        kv = _kv(cluster)
-        session = BuildSession({kv.name: kv})
-        with pytest.raises(KeyError):
-            bulk_build_job(session, "ghost", "/in/x")
-
-    def test_run_reaches_full_coverage(self, cluster):
-        dfs = DistributedFileSystem(cluster, block_size=2 * 1024)
-        records = [(i, "x" * 40) for i in range(300)]
-        dfs.write("/in/bulk", records)
-        kv = _kv(cluster)
-        session = BuildSession({kv.name: kv})
-        runner = JobRunner(cluster, dfs)
-        result = run_bulk_build(session, kv.name, runner, "/in/bulk")
-        assert session.coverage(kv.name) == 1.0
-        assert result.coverage == 1.0
-        assert result.records_indexed == len(records)
-        assert result.sim_time > 0.0
-        assert session.manager.get(kv.name).entries == len(records)
-        assert result.job.counters.group("build")["records_indexed"] == len(
-            records
-        )
-
-
-# ----------------------------------------------------------------------
-# HAIL per-replica layouts
-# ----------------------------------------------------------------------
-class TestLayouts:
-    def test_replica_for_bucket_residue_rule(self):
-        assert replica_for_bucket(7, 3) == 1
-        assert replica_for_bucket(7, 1) == 0
-        assert replica_for_bucket(7, 0) == 0  # degenerate width clamps
-
-    def test_preference_narrows_to_covering_replicas(self):
-        mgr = IndexManager()
-        state = mgr.track("i", num_buckets=48)
-        mgr.set_layout_width("i", 3)
-        prefer = layout_preference(mgr, "i")
-        replicas = ["h0", "h1", "h2"]
-        key = "user07"
-        r = replica_for_bucket(state.bucket_of(key), 3)
-        assert prefer(key, replicas) == [replicas[r]]
-        assert covering_hosts(mgr, "i", key, replicas) == [replicas[r]]
-
-    def test_width_one_defers_to_full_set(self):
-        mgr = IndexManager()
-        mgr.track("i")
-        prefer = layout_preference(mgr, "i")
-        assert prefer("k", ["a", "b"]) == ["a", "b"]
-
-    def test_untracked_defers_to_full_set(self):
-        prefer = layout_preference(IndexManager(), "ghost")
-        assert prefer("k", ["a", "b"]) == ["a", "b"]
-
-    def test_empty_match_defers_to_full_set(self):
-        mgr = IndexManager()
-        state = mgr.track("i", num_buckets=48)
-        mgr.set_layout_width("i", 3)
-        prefer = layout_preference(mgr, "i")
-        key = "user07"
-        # Fewer replicas than the residue demands: fall back to all.
-        r = replica_for_bucket(state.bucket_of(key), 3)
-        if r > 0:
-            assert prefer(key, ["only"]) == ["only"] or r == 0
-
-    def test_enable_layouts_tags_dfs_blocks(self, cluster):
-        dfs = DistributedFileSystem(cluster, block_size=2 * 1024)
-        dfs.write("/in/data", [(i, "x" * 50) for i in range(200)])
-        mgr = IndexManager()
-        mgr.track("orders")
-        enable_layouts(mgr, "orders", replication=3, dfs=dfs, path="/in/data")
-        assert mgr.get("orders").layout_width == 3
-        for block in dfs.meta("/in/data").blocks:
-            for position, host in enumerate(block.hosts):
-                assert block.layouts[host] == (
-                    f"orders/r{replica_for_bucket(position, 3)}"
-                )

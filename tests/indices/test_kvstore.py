@@ -87,9 +87,6 @@ class TestPartitioning:
         assert len(hosts) == 3
         assert all(cluster.node_by_host(h) is not None for h in hosts)
 
-    def test_entry_host(self, kv):
-        assert kv.entry_host is not None
-
 
 class TestAccounting:
     def test_lookups_counted(self, kv):

@@ -166,5 +166,4 @@ class TestCloudServiceIndex:
     def test_single_remote_host_no_partitions(self):
         svc = CloudServiceIndex("f", {})
         assert svc.partition_scheme is None
-        assert svc.entry_host == "cloud-gateway"
         assert svc.hosts_for_key("anything") == []

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.indices.btree import DistributedBTree
+from repro.indices.kvstore import DistributedKVStore
 from repro.indices.partitioning import (
-    ConsistentHashRing,
     HashPartitionScheme,
     RangePartitionScheme,
     round_robin_placements,
 )
+from repro.indices.rstar import GridRStarForest
+from repro.simcluster.cluster import Cluster
 
 HOSTS = [f"node{i:02d}" for i in range(6)]
 
@@ -25,6 +28,24 @@ class TestRoundRobinPlacements:
     def test_replication_capped(self):
         placements = round_robin_placements(HOSTS[:2], 4, 3)
         assert all(len(p) == 2 for p in placements)
+
+    @pytest.mark.parametrize("replication", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c, r: DistributedKVStore("kv", c, replication=r),
+            lambda c, r: DistributedBTree("bt", c, [(1, "a")], replication=r),
+            lambda c, r: GridRStarForest(
+                "rs", c, [((0.0, 0.0), "a")], k=1, replication=r
+            ),
+        ],
+        ids=["kvstore", "btree", "rstar"],
+    )
+    def test_store_without_replicas_refused(self, build, replication):
+        """A partition with no host cannot be served: the store refuses
+        it at construction instead of failing mid-job."""
+        with pytest.raises(ValueError, match="replication must be positive"):
+            build(Cluster(num_nodes=3), replication)
 
 
 class TestHashPartitionScheme:
@@ -85,49 +106,3 @@ class TestRangePartitionScheme:
         """Keys in the same partition form a contiguous range."""
         parts = [scheme.partition_of(k) for k in range(50)]
         assert parts == sorted(parts)
-
-
-class TestConsistentHashRing:
-    @pytest.fixture
-    def ring(self):
-        return ConsistentHashRing(HOSTS, vnodes=16, replication=3)
-
-    def test_partition_in_range(self, ring):
-        for key in range(200):
-            assert 0 <= ring.partition_of(key) < ring.num_partitions
-
-    def test_vnode_count(self, ring):
-        assert ring.num_partitions == 6 * 16
-
-    def test_replicas_distinct_hosts(self, ring):
-        for p in range(0, ring.num_partitions, 7):
-            locs = ring.locations(p)
-            assert len(locs) == 3
-            assert len(set(locs)) == 3
-
-    def test_key_distribution_roughly_even(self, ring):
-        from collections import Counter
-
-        owners = Counter(
-            ring.locations(ring.partition_of(f"key{i}"))[0] for i in range(3000)
-        )
-        assert len(owners) == 6
-        assert max(owners.values()) < 4 * min(owners.values())
-
-    def test_stability_when_host_added(self):
-        """Adding a host moves only a fraction of the keys (the point
-        of consistent hashing)."""
-        before = ConsistentHashRing(HOSTS, vnodes=32, replication=1)
-        after = ConsistentHashRing(HOSTS + ["node99"], vnodes=32, replication=1)
-        moved = 0
-        for i in range(2000):
-            key = f"key{i}"
-            a = before.locations(before.partition_of(key))[0]
-            b = after.locations(after.partition_of(key))[0]
-            if a != b:
-                moved += 1
-        assert moved < 1200  # far fewer than all keys
-
-    def test_rejects_empty_hosts(self):
-        with pytest.raises(ValueError):
-            ConsistentHashRing([])

@@ -31,19 +31,6 @@ class TestObserverEffect:
         assert sorted(traced.output) == sorted(plain.output)
         assert len(obs.tracer) > 0  # and yet the trace is rich
 
-    def test_disabled_observability_keeps_null_trace(self, efind_env):
-        obs = Observability(enabled=False)
-        plain = efind_env.runner().run(
-            efind_env.make_job("oe-off-ref"), mode="dynamic"
-        )
-        res = efind_env.runner(obs=obs).run(
-            efind_env.make_job("oe-off"), mode="dynamic"
-        )
-        assert len(obs.tracer) == 0
-        assert res.sim_time == plain.sim_time
-        # the driver-side audit log still works without tracing
-        assert len(obs.audit) >= 1
-
     def test_forced_mode_tracing_is_also_passive(self, efind_env):
         from repro.core.costmodel import Strategy
 

@@ -10,8 +10,6 @@ from repro.obs.trace import (
     DEPTH_TASK,
     DEPTH_WAVE,
     DRIVER_TRACK,
-    NULL_TRACER,
-    NullTracer,
     TaskTraceBuffer,
     Tracer,
     slot_track,
@@ -109,17 +107,3 @@ class TestTaskTraceBuffer:
         t = Tracer()
         t.absorb_task(None, 0.0, "node00/map0")
         assert len(t) == 0
-
-
-class TestNullTracer:
-    def test_null_tracer_records_nothing(self):
-        n = NullTracer()
-        n.span("job", "job", DRIVER_TRACK, 0.0, 1.0, DEPTH_JOB)
-        n.instant("x", "c", DRIVER_TRACK, 0.0, DEPTH_JOB)
-        n.absorb_task(TaskTraceBuffer("t"), 0.0, "node00/map0")
-        assert len(n) == 0
-        assert not n.enabled
-
-    def test_null_tracer_yields_no_task_buffer(self):
-        # ctx.trace stays None -> every hot-path guard short-circuits
-        assert NULL_TRACER.task_buffer("m0001") is None
