@@ -215,9 +215,9 @@ def _traced_rerun(
     observer-effect guarantee) and raises here.
 
     With ``--live`` (``repro.obs.config.set_live_rules``) a
-    :class:`repro.obs.live.LiveSession` subscribes to the traced
-    re-run's telemetry bus; the bus is as passive as the tracer, so the
-    same bit-identity assertions cover it, and the resulting SLO alert
+    :class:`repro.obs.live.LiveSession` is attached to the traced
+    re-run and replays its recording when the run has ended; the same
+    bit-identity assertions cover the run, and the resulting SLO alert
     timeline is exported as ``<base>.alerts.jsonl`` next to the trace.
     """
     from repro.obs import Observability

@@ -154,10 +154,6 @@ class JobRunner:
         # pre-observability code paths.
         self.obs = obs
         self._tracer = obs.tracer if obs is not None else None
-        # Live telemetry bus (repro.obs.live): per-task counter deltas
-        # are published as dedicated events (the tracer publishes spans
-        # itself).
-        self._bus = obs.bus if obs is not None else None
         # True while this runner's outermost ``run`` owns the collector's
         # freeze: each task attempt then starts with everything older
         # frozen, so a collection walks only what the attempt made
@@ -296,27 +292,14 @@ class JobRunner:
         )
         if speculative:
             args["speculative"] = True
-        if self._bus is not None:
-            # Embed the deltas in the task span args (so an exported
-            # trace can replay them) and publish the counters event
-            # *before* the span -- the replay re-inserts it in exactly
-            # this position, keeping replayed and live event order
-            # identical.
-            deltas = {
+        if self.obs.bus is not None:
+            # A live session replays these deltas as the task's counters
+            # event (repro.obs.live.replay), from the recording or from
+            # an exported trace.
+            args["counters"] = {
                 f"{group}.{name}": value
                 for group, name, value in sorted(run.counters.items())
             }
-            args["counters"] = deltas
-            self._bus.publish_counters(
-                "task",
-                track,
-                run.start,
-                run.end,
-                deltas,
-                task=run.task_id,
-                kind=run.kind,
-                wave=run.wave,
-            )
         self._tracer.span(
             "task", "task", track, run.start, run.end, DEPTH_TASK, **args
         )

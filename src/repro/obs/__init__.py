@@ -25,13 +25,13 @@ Layout:
   lookups, re-plan timeline), all over one span tree
   (:func:`repro.obs.analysis.loader.build_forest`).
 * :mod:`repro.obs.live`    -- the telemetry bus, rolling aggregators and
-  SLO rule engine of a ``--live`` run.
+  SLO rule engine of a ``--live`` run, fed by a replay of the recording
+  when the run finishes.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from repro.obs.audit import AdaptiveAuditLog, AuditRecord
 from repro.obs.metrics import MetricsRegistry
@@ -54,16 +54,15 @@ class Observability:
     for the zero-cost path."""
 
     def __init__(self, max_task_detail: int = 256, bus=None):
-        # Optional repro.obs.live.TelemetryBus: spans, counter deltas,
-        # and audit verdicts stream to its subscribers while the run
-        # executes. Publishing is as passive as recording -- a run with
-        # a subscribed bus stays bit-identical to one without.
-        self.bus = bus
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(
-            metrics=self.metrics, max_task_detail=max_task_detail, bus=bus
-        )
-        self.audit = AdaptiveAuditLog(bus=bus)
+        self.tracer = Tracer(metrics=self.metrics, max_task_detail=max_task_detail)
+        self.audit = AdaptiveAuditLog()
+        # Optional repro.obs.live.TelemetryBus: its session replays this
+        # recording when it finishes. Task spans then also carry their
+        # counter deltas (args.counters), which that replay reads.
+        self.bus = bus
+        if bus is not None:
+            bus.recordings.append((self.tracer, self.audit))
 
     # ------------------------------------------------------------------
     def export(self, directory: str, base: str, alerts=None) -> dict:

@@ -199,19 +199,13 @@ def strategy_cost_table(
 
 class AdaptiveAuditLog:
     """Append-only log of Algorithm-1 evaluations for one trace session
-    (several jobs may share it; records carry the job name).
+    (several jobs may share it; records carry the job name)."""
 
-    With a :class:`~repro.obs.live.bus.TelemetryBus` attached, every
-    verdict (and note) is also published to the bus as it is recorded,
-    so live subscribers see adaptive decisions as they happen.
-    """
-
-    def __init__(self, bus=None) -> None:
+    def __init__(self) -> None:
         self.records: List[AuditRecord] = []
         #: Free-form runtime notes (``verdict == "note"`` rows in the
         #: exported jsonl), e.g. "speculation changed this wave".
         self.notes: List[dict] = []
-        self.bus = bus
 
     # ------------------------------------------------------------------
     def record_evaluation(
@@ -250,10 +244,6 @@ class AdaptiveAuditLog:
             new_plan=new_plan,
         )
         self.records.append(record)
-        if self.bus is not None:
-            self.bus.publish_audit(
-                verdict, sim_time, job=job, phase=phase, seq=record.seq
-            )
         return record
 
     def mark_applied(
@@ -287,10 +277,6 @@ class AdaptiveAuditLog:
             "note": _json_safe(payload),
         }
         self.notes.append(row)
-        if self.bus is not None:
-            self.bus.publish_audit(
-                VERDICT_NOTE, sim_time, job=job, phase=phase, note_kind=kind
-            )
         return row
 
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ def render_replay(
 ) -> List[str]:
     """The full frame-by-frame replay report for one artifact."""
     session = LiveSession(rules=rules)
-    events = events_from_artifacts(artifact)
+    events = list(events_from_artifacts(artifact))
     lines = [
         f"=== {artifact.base} ===",
         f"replaying {len(events)} event(s) over {ticks} tick(s), "

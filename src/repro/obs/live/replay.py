@@ -1,29 +1,39 @@
-"""Reconstruct a telemetry event stream from exported artifacts.
+"""Rebuild a traced run's telemetry event stream from its records.
 
-``python -m repro.obs live`` replays a traced run tick-by-tick without
-re-running the simulation: the exported trace preserves the tracer's
-append order, which is exactly the order the bus published span events
-during execution, so feeding the spans back through a fresh
-:class:`~repro.obs.live.LiveSession` reproduces the execution-time
-sample stream -- and therefore the alert timeline -- byte-for-byte.
+Nothing is published while a simulation executes: a
+:class:`~repro.obs.live.LiveSession` replays the run when it finishes.
+There are two sources, and one reconstruction (:func:`_events`) behind
+both:
 
-Counter-delta events are only reconstructible when the run was
-recorded live: the runtime then embeds each task's counter deltas in
-the task span's ``args.counters``, and the replay re-publishes the
-deltas immediately *before* the task span, matching the execution-time
-publish order. Replaying a non-live trace still works -- span-derived
-metrics (throughput, cache hit ratio, straggler ratio) are intact --
-but counter-derived metrics (reuse ratio, retry rate, build progress)
-have no events to fold.
+* :func:`events_from_recording` -- the tracer and audit log an
+  :class:`~repro.obs.Observability` kept in memory (what
+  :meth:`LiveSession.finish` replays). Their times are snapped onto
+  the Chrome-trace export grid first.
+* :func:`events_from_artifacts` -- the exported artifacts of a traced
+  run (``python -m repro.obs live``), whose rows are already on that
+  grid.
+
+The two differ only in how a span's fields are read, so the replay of
+an export reproduces the finished session's sample stream -- and
+therefore its alert timeline -- byte for byte. Spans come in the
+tracer's append order, which the export preserves.
+
+Counter-delta events exist only for a run recorded live: the runtime
+then embeds each task's counter deltas in the task span's
+``args.counters``, and :func:`_events` emits them as a counters event
+immediately *before* the task span. Replaying a non-live trace still
+works -- span-derived metrics (throughput, cache hit ratio, straggler
+ratio) are intact -- but counter-derived metrics (reuse ratio, retry
+rate, build progress) have no events to fold.
 
 Instant and audit events never influence the aggregators (they are
-display-only for the snapshot), so the replay merges them into the
-stream by timestamp purely for rendering fidelity.
+display-only for the snapshot), so :func:`_events` merges them into the
+stream by timestamp.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.obs.live import bus as busmod
 
@@ -31,98 +41,118 @@ from repro.obs.live import bus as busmod
 #: (kind, name, track, start, ts, payload)
 RawEvent = Tuple[str, str, str, float, float, Dict[str, Any]]
 
+_US = 1_000_000.0
 
-def events_from_artifacts(artifact) -> List[RawEvent]:
-    """The replayable event stream of one
-    :class:`~repro.obs.analysis.loader.TraceArtifacts`."""
-    primary: List[RawEvent] = []
-    for span in artifact.spans:
-        args = dict(span.get("args", {}))
-        depth = span.get("depth", 0)
-        start = span["start"]
-        end = start + span.get("dur", 0.0)
-        deltas = args.get("counters")
-        if span.get("name") == "task" and isinstance(deltas, dict):
-            primary.append(
-                (
-                    busmod.KIND_COUNTERS,
-                    "task",
-                    span.get("track", "?"),
-                    start,
-                    end,
-                    {
-                        "deltas": deltas,
-                        "task": args.get("task"),
-                        "kind": args.get("kind"),
-                        "wave": args.get("wave"),
-                    },
-                )
-            )
-        primary.append(
-            (
-                busmod.KIND_SPAN,
-                span.get("name", "?"),
-                span.get("track", "?"),
-                start,
-                end,
-                {"cat": span.get("cat", ""), "depth": depth, "args": args},
-            )
-        )
 
-    secondary: List[RawEvent] = []
-    for inst in artifact.instants:
-        ts = inst["start"]
-        secondary.append(
-            (
-                busmod.KIND_INSTANT,
-                inst.get("name", "?"),
-                inst.get("track", "?"),
-                ts,
-                ts,
-                {
-                    "cat": inst.get("cat", ""),
-                    "depth": inst.get("depth", 0),
-                    "args": dict(inst.get("args", {})),
-                },
-            )
-        )
-    for row in artifact.audit_rows:
+def _quantize_range(start: float, end: float) -> Tuple[float, float]:
+    """Snap a span's endpoints onto the Chrome-trace export grid.
+
+    The export stores ``ts = round(start*1e6, 3)`` and ``dur =
+    round(duration*1e6, 3)``; the loader reconstructs ``start = ts/1e6``
+    and ``end = start + dur/1e6``. This mirrors those expressions term
+    by term, because float arithmetic does not distribute.
+    """
+    start_q = round(start * _US, 3) / _US
+    end_q = start_q + round(max(0.0, end - start) * _US, 3) / _US
+    return start_q, end_q
+
+
+def _quantize_ts(ts: float) -> float:
+    """The instant-event analogue of :func:`_quantize_range`."""
+    return round(ts * _US, 3) / _US
+
+
+def _events(
+    spans: Iterable[tuple], instants: Iterable[tuple], audit_rows
+) -> Iterator[RawEvent]:
+    """The event stream of one run, one event at a time.
+
+    ``spans`` yields ``(name, cat, track, start, end, depth, args)`` in
+    append order and ``instants`` ``(name, cat, track, ts, depth,
+    args)``, both on the export grid; ``audit_rows`` are the audit
+    log's exported rows. Display-only events slot in before the first
+    span (or counters) event that ends at or after them; the span order
+    -- which determines the alert timeline -- is never perturbed.
+    """
+    secondary: List[RawEvent] = [
+        (busmod.KIND_INSTANT, name, track, ts, ts,
+         {"cat": cat, "depth": depth, "args": args})
+        for name, cat, track, ts, depth, args in instants
+    ]
+    for row in audit_rows:
         ts = float(row.get("sim_time", 0.0))
-        secondary.append(
-            (
-                busmod.KIND_AUDIT,
-                str(row.get("verdict", "?")),
-                "driver",
-                ts,
-                ts,
-                {
-                    "job": row.get("job"),
-                    "phase": row.get("phase"),
-                    "seq": row.get("seq"),
-                },
-            )
-        )
+        secondary.append((
+            busmod.KIND_AUDIT, str(row.get("verdict", "?")), "driver", ts, ts,
+            {"job": row.get("job"), "phase": row.get("phase"), "seq": row.get("seq")},
+        ))
     secondary.sort(key=lambda e: e[4])
 
-    # Stable merge: display-only events slot in before the first
-    # primary event that ends at or after them; the primary (span /
-    # counters) order -- which determines the alert timeline -- is
-    # never perturbed.
-    merged: List[RawEvent] = []
-    si = 0
-    for event in primary:
-        while si < len(secondary) and secondary[si][4] <= event[4]:
-            merged.append(secondary[si])
+    si, pending = 0, len(secondary)
+    for name, cat, track, start, end, depth, args in spans:
+        while si < pending and secondary[si][4] <= end:
+            yield secondary[si]
             si += 1
-        merged.append(event)
-    merged.extend(secondary[si:])
-    return merged
+        if name == "task" and isinstance(args.get("counters"), dict):
+            yield (
+                busmod.KIND_COUNTERS, "task", track, start, end,
+                {
+                    "deltas": args["counters"],
+                    "task": args.get("task"),
+                    "kind": args.get("kind"),
+                    "wave": args.get("wave"),
+                },
+            )
+        yield (
+            busmod.KIND_SPAN, name, track, start, end,
+            {"cat": cat, "depth": depth, "args": args},
+        )
+    yield from secondary[si:]
 
 
-def replay(session, events: List[RawEvent]) -> None:
-    """Publish every reconstructed event through ``session.bus``."""
-    for kind, name, track, start, ts, payload in events:
-        session.bus.publish(kind, name, track, start, ts, payload)
+def events_from_recording(tracer, audit) -> Iterator[RawEvent]:
+    """The replayable event stream of one in-memory recording: a
+    :class:`~repro.obs.trace.Tracer` and its
+    :class:`~repro.obs.audit.AdaptiveAuditLog`."""
+    return _events(
+        (
+            (s.name, s.cat, s.track, *_quantize_range(s.start, s.end),
+             s.depth, s.args)
+            for s in tracer.spans
+        ),
+        (
+            (i.name, i.cat, i.track, _quantize_ts(i.ts), i.depth, i.args)
+            for i in tracer.instants
+        ),
+        audit.to_dicts(),
+    )
+
+
+def events_from_artifacts(artifact) -> Iterator[RawEvent]:
+    """The replayable event stream of one
+    :class:`~repro.obs.analysis.loader.TraceArtifacts`."""
+    return _events(
+        (
+            (s["name"], s["cat"], s["track"], s["start"], s["start"] + s["dur"],
+             s["depth"], s["args"])
+            for s in artifact.spans
+        ),
+        (
+            (i["name"], i["cat"], i["track"], i["start"], i["depth"], i["args"])
+            for i in artifact.instants
+        ),
+        artifact.audit_rows,
+    )
+
+
+def publish(bus, events: Iterable[RawEvent]) -> None:
+    """Publish every reconstructed event through ``bus``."""
+    for event in events:
+        bus.publish(*event)
+
+
+def replay(session, events: Iterable[RawEvent]) -> None:
+    """Publish ``events`` through ``session.bus``, then seal the session."""
+    publish(session.bus, events)
     session.finish()
 
 
@@ -140,13 +170,9 @@ def replay_ticks(
     for tick in range(1, ticks + 1):
         horizon = end * tick / ticks
         while i < len(events) and events[i][4] <= horizon:
-            kind, name, track, start, ts, payload = events[i]
-            session.bus.publish(kind, name, track, start, ts, payload)
+            session.bus.publish(*events[i])
             i += 1
         yield horizon, i
     # Anything sitting exactly past the last horizon due to float noise.
-    while i < len(events):
-        kind, name, track, start, ts, payload = events[i]
-        session.bus.publish(kind, name, track, start, ts, payload)
-        i += 1
+    publish(session.bus, events[i:])
     session.finish()

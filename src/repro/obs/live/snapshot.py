@@ -1,7 +1,7 @@
 """The live progress snapshot API.
 
 :class:`LiveSnapshot` subscribes to the telemetry bus and keeps just
-enough state to answer "where is this run right now?" at any moment:
+enough state to answer "how far has the stream got?" after any event:
 the simulated watermark, completed tasks per (stage, phase), sealed
 waves, audit verdict counts, the aggregators' latest metric values,
 and the rule engine's active alerts. :meth:`snapshot` returns a
@@ -30,7 +30,7 @@ _FRAME_METRICS = (
 class LiveSnapshot:
     """Progress bookkeeping over the raw event stream."""
 
-    def __init__(self, bus=None, aggregators=None, engine=None):
+    def __init__(self, bus, aggregators, engine):
         self.aggregators = aggregators
         self.engine = engine
         self.watermark = 0.0
@@ -41,8 +41,7 @@ class LiveSnapshot:
         self.audit_verdicts: Dict[str, int] = {}
         #: Jobs in first-seen order (a dict for its O(1) membership).
         self.jobs_seen: Dict[str, None] = {}
-        if bus is not None:
-            bus.subscribe(self.on_event)
+        bus.subscribe(self.on_event)
 
     # ------------------------------------------------------------------
     def on_event(self, event: busmod.TelemetryEvent) -> None:
@@ -75,8 +74,6 @@ class LiveSnapshot:
 
     # ------------------------------------------------------------------
     def _metric_values(self) -> Dict[str, float]:
-        if self.aggregators is None:
-            return {}
         out: Dict[str, float] = {}
         for metric in _FRAME_METRICS + ("build_progress",):
             value = self.aggregators.current(metric)
@@ -86,10 +83,7 @@ class LiveSnapshot:
 
     def snapshot(self) -> Dict[str, Any]:
         """A deterministic point-in-time progress dict."""
-        active = self.engine.active if self.engine is not None else []
-        hist = (
-            self.aggregators.lookup_latency if self.aggregators is not None else None
-        )
+        hist = self.aggregators.lookup_latency
         return {
             "watermark": self.watermark,
             "events": self.events,
@@ -108,13 +102,11 @@ class LiveSnapshot:
                     "p50": hist.quantile(0.5),
                     "p99": hist.quantile(0.99),
                 }
-                if hist is not None and hist.count
+                if hist.count
                 else {}
             ),
-            "alerts_fired": (
-                len(self.engine.alerts) if self.engine is not None else 0
-            ),
-            "alerts_active": [a.rule for a in active],
+            "alerts_fired": len(self.engine.alerts),
+            "alerts_active": [a.rule for a in self.engine.active],
         }
 
     def render_line(self) -> str:

@@ -112,12 +112,7 @@ class LiveAggregators:
     order, so the sample stream is deterministic.
     """
 
-    def __init__(
-        self,
-        bus: Optional[busmod.TelemetryBus] = None,
-        window: float = DEFAULT_WINDOW_S,
-    ):
-        self.window = window
+    def __init__(self, bus: Optional[busmod.TelemetryBus] = None):
         self.watermark = 0.0
         self.samples: List[Sample] = []
         self._listeners: List[Callable[[str, float, float, Dict[str, Any]], None]] = []
@@ -155,7 +150,7 @@ class LiveAggregators:
     def _window(self, name: str) -> RollingWindow:
         win = self._win.get(name)
         if win is None:
-            win = self._win[name] = RollingWindow(self.window)
+            win = self._win[name] = RollingWindow(DEFAULT_WINDOW_S)
         return win
 
     # ------------------------------------------------------------------
@@ -163,11 +158,9 @@ class LiveAggregators:
         # Only span and counters events drive the watermark and the
         # sample stream; instants and audit verdicts are display-only
         # (the snapshot layer consumes them directly off the bus).
-        # Keeping them out of the aggregators means replaying an
-        # exported trace -- where display events merge back in by
-        # timestamp, not original publish order -- reproduces the
-        # execution-time sample stream, and hence the alert timeline,
-        # byte-for-byte.
+        # Keeping them out of the aggregators means the sample stream,
+        # and hence the alert timeline, depends only on the span order,
+        # not on where the replay merges display events in.
         kind = event.kind
         if kind == busmod.KIND_SPAN:
             ts = event.ts

@@ -87,23 +87,18 @@ class Instant:
 class Tracer:
     """Collects spans and instant events in simulated time.
 
-    With a :class:`~repro.obs.live.bus.TelemetryBus` attached, every
-    recorded span/instant is additionally published to the bus as it
-    lands in the tracer (an absorbed task's in one call) -- so bus order
-    *is* tracer append order *is* export file order, which lets the replay
-    (:mod:`repro.obs.live.replay`) reproduce the execution-time event
-    stream from the exported artifacts alone. Publishing charges no
-    simulated time; the observer-effect tests pin bit-identity with the
-    bus attached.
+    Append order is commit order, and the export keeps it: a live
+    session replays :attr:`spans` in this order at its end
+    (:mod:`repro.obs.live.replay`), and the replay of the exported
+    artifacts reads the same order back from the file.
     """
 
-    def __init__(self, metrics=None, max_task_detail: int = 256, bus=None):
+    def __init__(self, metrics=None, max_task_detail: int = 256):
         self.spans: List[Span] = []
         self.instants: List[Instant] = []
         self.metrics = metrics
         self.max_task_detail = max_task_detail
         self.dropped_detail = 0
-        self.bus = bus
 
     # ------------------------------------------------------------------
     def span(
@@ -117,15 +112,11 @@ class Tracer:
         **args: Any,
     ) -> None:
         self.spans.append(Span(name, cat, track, start, end, depth, args))
-        if self.bus is not None:
-            self.bus.publish_span(name, cat, track, start, end, depth, args)
 
     def instant(
         self, name: str, cat: str, track: str, ts: float, depth: int, **args: Any
     ) -> None:
         self.instants.append(Instant(name, cat, track, ts, depth, args))
-        if self.bus is not None:
-            self.bus.publish_instant(name, cat, track, ts, depth, args)
 
     # ------------------------------------------------------------------
     def task_buffer(self, task_id: str) -> "TaskTraceBuffer":
@@ -162,8 +153,6 @@ class Tracer:
             inst.ts += task_start
         self.spans += spans
         self.instants += instants
-        if self.bus is not None:
-            self.bus.publish_task(spans, instants)
         self.dropped_detail += buffer.dropped
         if self.metrics is not None:
             for name, (count, total) in sorted(buffer.totals.items()):

@@ -6,8 +6,6 @@ import math
 import pytest
 
 from repro.indices.build import (
-    DEFAULT_BUILD_FRACTION,
-    DEFAULT_NUM_BUCKETS,
     BuildCostModel,
     BuildSession,
     BuildState,
@@ -16,7 +14,6 @@ from repro.indices.build import (
 from repro.indices.kvstore import DistributedKVStore
 from repro.mapreduce.api import OutputCollector
 from repro.mapreduce.counters import Counters
-from repro.simcluster.cluster import Cluster
 
 
 class _Ctx:

@@ -1,18 +1,43 @@
-"""Tests for the telemetry event bus: ordering, helpers, and the
-export-grid timestamp quantization the replay contract rests on."""
+"""Tests for the telemetry event bus: ordering and delivery, the events
+the replay of a recording publishes, and the export-grid timestamp
+quantization the replay contract rests on."""
 
 import pytest
 
+from repro.obs.audit import AdaptiveAuditLog
 from repro.obs.live.bus import (
     KIND_AUDIT,
     KIND_COUNTERS,
     KIND_INSTANT,
     KIND_SPAN,
     TelemetryBus,
+)
+from repro.obs.live.replay import (
     _quantize_range,
     _quantize_ts,
+    events_from_recording,
+    publish,
 )
-from repro.obs.trace import Instant, Span
+from repro.obs.trace import Tracer
+
+
+def _span(bus, name, start=0.0, end=1.0, **args):
+    payload = {"cat": "op", "depth": 5, "args": args}
+    bus.publish(KIND_SPAN, name, "t", start, end, payload)
+
+
+def _recording():
+    """A tracer and audit log: a span, an instant, a note and a task
+    span carrying its counter deltas, at awkward floats."""
+    tracer, audit = Tracer(), AdaptiveAuditLog()
+    tracer.span("s", "op", "t", 0.0, 1.0, 5, op="head0")
+    tracer.instant("i", "sched", "t", 0.5, 4, wave=1)
+    audit.note("backup", job="j", phase="map", sim_time=0.7)
+    tracer.span(
+        "task", "task", "t", 0.12345678901, 1.98765432109, 4,
+        task="j-m0", kind="map", wave=0, counters={"g.n": 2.0},
+    )
+    return tracer, audit
 
 
 class TestBusDelivery:
@@ -20,9 +45,9 @@ class TestBusDelivery:
         bus = TelemetryBus()
         seen = []
         bus.subscribe(seen.append)
-        bus.publish_span("b", "task", "t0", 2.0, 3.0, 4, {"x": 1})
-        bus.publish_span("a", "task", "t0", 0.0, 1.0, 4, {})
-        bus.publish_instant("i", "sched", "t0", 0.5, 4, {})
+        _span(bus, "b", 2.0, 3.0)
+        _span(bus, "a", 0.0, 1.0)
+        bus.publish(KIND_INSTANT, "i", "t", 0.5, 0.5, {})
         assert [e.name for e in seen] == ["b", "a", "i"]
         assert [e.seq for e in seen] == [0, 1, 2]
         assert bus.published == 3
@@ -32,90 +57,63 @@ class TestBusDelivery:
         order = []
         bus.subscribe(lambda e: order.append("first"))
         bus.subscribe(lambda e: order.append("second"))
-        bus.publish_audit("replan", 1.0, job="j")
+        bus.publish(KIND_AUDIT, "replan", "driver", 1.0, 1.0, {"job": "j"})
         assert order == ["first", "second"]
 
     def test_unsubscribe(self):
         bus = TelemetryBus()
         seen = []
         fn = bus.subscribe(seen.append)
-        bus.publish_instant("x", "c", "t", 0.0, 0, {})
+        bus.publish(KIND_INSTANT, "x", "t", 0.0, 0.0, {})
         bus.unsubscribe(fn)
-        bus.publish_instant("y", "c", "t", 0.0, 0, {})
+        bus.publish(KIND_INSTANT, "y", "t", 0.0, 0.0, {})
         assert [e.name for e in seen] == ["x"]
         assert len(bus) == 0
 
     def test_event_kinds_and_payloads(self):
+        """What the replay of a recording publishes: display events by
+        timestamp before the first span that ends at or after them, a
+        task's counters event just before its span."""
         bus = TelemetryBus()
         seen = []
         bus.subscribe(seen.append)
-        bus.publish_span("s", "op", "t", 0.0, 1.0, 5, {"op": "head0"})
-        bus.publish_instant("i", "sched", "t", 0.5, 4, {"wave": 1})
-        bus.publish_counters("task", "t", 0.0, 1.0, {"g.n": 2.0}, task="j-m0")
-        bus.publish_audit("replan", 0.7, job="j", phase="map")
+        publish(bus, events_from_recording(*_recording()))
         kinds = [e.kind for e in seen]
-        assert kinds == [KIND_SPAN, KIND_INSTANT, KIND_COUNTERS, KIND_AUDIT]
-        span, inst, ctr, audit = seen
-        assert span.payload["args"] == {"op": "head0"}
+        assert kinds == [KIND_INSTANT, KIND_AUDIT, KIND_SPAN, KIND_COUNTERS, KIND_SPAN]
+        inst, audit, span, ctr, task = seen
+        assert span.payload == {"cat": "op", "depth": 5, "args": {"op": "head0"}}
         assert span.start == 0.0 and span.ts == 1.0  # span ts is its end
         assert inst.start == inst.ts == 0.5
-        assert ctr.payload["deltas"] == {"g.n": 2.0}
-        assert ctr.payload["task"] == "j-m0"
-        assert audit.name == "replan"
-        assert audit.payload == {"job": "j", "phase": "map"}
+        assert inst.payload["args"] == {"wave": 1}
+        assert audit.name == "note" and audit.ts == 0.7
+        assert audit.payload == {"job": "j", "phase": "map", "seq": 0}
+        assert ctr.payload == {
+            "deltas": {"g.n": 2.0}, "task": "j-m0", "kind": "map", "wave": 0,
+        }
+        assert task.payload["args"]["counters"] is ctr.payload["deltas"]
+
+    def test_replay_delivery_stays_event_major(self):
+        bus = TelemetryBus()
+        order = []
+        bus.subscribe(lambda e: order.append(("first", e.seq, bus.published)))
+        bus.subscribe(lambda e: order.append(("second", e.seq, bus.published)))
+        publish(bus, events_from_recording(*_recording()))
+        assert order == [
+            (who, seq, seq + 1) for seq in range(5) for who in ("first", "second")
+        ]
 
     def test_events_are_frozen(self):
         bus = TelemetryBus()
         seen = []
         bus.subscribe(seen.append)
-        bus.publish_instant("x", "c", "t", 0.0, 0, {})
+        bus.publish(KIND_INSTANT, "x", "t", 0.0, 0.0, {})
         with pytest.raises(AttributeError):
             seen[0].ts = 99.0
 
 
-class TestPublishTask:
-    """A task's spans and instants are handed over in one call; the
-    events are the ones the single-event producers build, delivered one
-    at a time -- every subscriber sees an event before the next."""
-
-    SPANS = [
-        Span("lookup", "op", "n1/map0", 1 / 3, 2 / 3, 5, {"op": "head0"}),
-        Span("cache.probe", "cache", "n1/map0", 2.0, 1.0, 6, {"hit": True}),
-    ]
-    INSTANTS = [Instant("lookup.retry", "fault", "n1/map0", 1 / 7, 6, {"n": 1})]
-
-    def test_builds_the_single_event_producers_events(self):
-        one_by_one, per_task = TelemetryBus(), TelemetryBus()
-        expected, got = [], []
-        one_by_one.subscribe(expected.append)
-        per_task.subscribe(got.append)
-        for bus in (one_by_one, per_task):
-            bus.publish_audit("replan", 0.5)  # so seq does not start at 0
-        for s in self.SPANS:
-            one_by_one.publish_span(
-                s.name, s.cat, s.track, s.start, s.end, s.depth, s.args
-            )
-        for i in self.INSTANTS:
-            one_by_one.publish_instant(i.name, i.cat, i.track, i.ts, i.depth, i.args)
-        per_task.publish_task(self.SPANS, self.INSTANTS)
-        assert got == expected
-        assert [e.seq for e in got] == [0, 1, 2, 3]
-        assert per_task.published == one_by_one.published == 4
-
-    def test_delivery_stays_event_major(self):
-        bus = TelemetryBus()
-        order = []
-        bus.subscribe(lambda e: order.append(("first", e.seq, bus.published)))
-        bus.subscribe(lambda e: order.append(("second", e.seq, bus.published)))
-        bus.publish_task(self.SPANS, self.INSTANTS)
-        assert order == [
-            (who, seq, seq + 1) for seq in range(3) for who in ("first", "second")
-        ]
-
-
 class TestQuantization:
-    """Bus timestamps snap onto the Chrome-trace export grid so replaying
-    an exported trace reproduces the execution-time stream exactly."""
+    """A recording's timestamps snap onto the Chrome-trace export grid,
+    so replaying it and replaying its export publish the same stream."""
 
     def test_matches_loader_reconstruction(self):
         # The awkward floats a simulation actually produces.
@@ -127,25 +125,22 @@ class TestQuantization:
         loader_end = loader_start + exported_dur / us
         assert _quantize_range(start, end) == (loader_start, loader_end)
 
-    def test_publish_span_quantizes(self):
-        bus = TelemetryBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.publish_span("s", "task", "t", 1 / 3, 2 / 3, 4, {})
-        (ev,) = seen
-        assert ev.start == _quantize_ts(1 / 3)
+    def test_recorded_span_lands_on_the_grid(self):
+        tracer = Tracer()
+        tracer.span("s", "task", "t", 1 / 3, 2 / 3, 4)
+        tracer.instant("i", "sched", "t", 1 / 7, 4)
+        inst, ev = events_from_recording(tracer, AdaptiveAuditLog())
+        assert ev[3] == _quantize_ts(1 / 3)
         # end = start + quantized duration, mirroring the loader.
-        assert ev.ts == ev.start + round((2 / 3 - 1 / 3) * 1e6, 3) / 1e6
+        assert ev[4] == ev[3] + round((2 / 3 - 1 / 3) * 1e6, 3) / 1e6
+        assert inst[3] == inst[4] == _quantize_ts(1 / 7)
 
-    def test_counters_quantize_like_their_span(self):
-        bus = TelemetryBus()
-        seen = []
-        bus.subscribe(seen.append)
-        start, end = 0.12345678901, 0.98765432109
-        bus.publish_counters("task", "t", start, end, {"a.b": 1.0})
-        bus.publish_span("task", "task", "t", start, end, 4, {})
-        ctr, span = seen
-        assert (ctr.start, ctr.ts) == (span.start, span.ts)
+    def test_counters_share_their_task_spans_range(self):
+        events = list(events_from_recording(*_recording()))
+        ctr, task = events[-2:]
+        assert ctr[0] == KIND_COUNTERS and task[0] == KIND_SPAN
+        assert (ctr[3], ctr[4]) == (task[3], task[4])
+        assert (task[3], task[4]) == _quantize_range(0.12345678901, 1.98765432109)
 
     def test_negative_duration_clamped(self):
         s, e = _quantize_range(2.0, 1.0)

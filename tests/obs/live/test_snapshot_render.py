@@ -6,27 +6,32 @@ import pytest
 
 from repro.obs import Observability
 from repro.obs.live import LiveSession
-from repro.obs.live.bus import TelemetryBus
+from repro.obs.live.bus import KIND_AUDIT, KIND_SPAN
 from repro.obs.live.render import render_replay
 from repro.obs.live.replay import events_from_artifacts, replay, replay_ticks
-from repro.obs.live.snapshot import LiveSnapshot
+
+
+def _span(bus, name, cat, track, start, end, depth, args):
+    bus.publish(
+        KIND_SPAN, name, track, start, end, {"cat": cat, "depth": depth, "args": args}
+    )
 
 
 class TestSnapshot:
     def test_counts_and_determinism(self):
         session = LiveSession()
         bus = session.bus
-        bus.publish_span("efind:j", "job", "driver", 0.0, 3.0, 0, {"job": "j"})
-        bus.publish_span(
-            "task", "task", "t0", 0.0, 1.0, 4,
+        _span(bus, "efind:j", "job", "driver", 0.0, 3.0, 0, {"job": "j"})
+        _span(
+            bus, "task", "task", "t0", 0.0, 1.0, 4,
             {"task": "j-m0000", "kind": "map", "wave": 0},
         )
-        bus.publish_span("task.crash", "task", "t0", 0.0, 0.5, 4, {})
-        bus.publish_span(
-            "map.wave0", "wave", "waves", 0.0, 1.0, 3,
+        _span(bus, "task.crash", "task", "t0", 0.0, 0.5, 4, {})
+        _span(
+            bus, "map.wave0", "wave", "waves", 0.0, 1.0, 3,
             {"kind": "map", "wave": 0, "job": "j"},
         )
-        bus.publish_audit("replan", 0.9, job="j")
+        bus.publish(KIND_AUDIT, "replan", "driver", 0.9, 0.9, {"job": "j"})
         snap = session.snapshot()
         assert snap["tasks_done"] == {"j/map": 1}
         assert snap["waves_done"] == 1
@@ -47,24 +52,17 @@ class TestSnapshot:
         )
         bus = session.bus
         for task, end in (("j-m0000", 0.5), ("j-m0001", 2.0)):
-            bus.publish_span(
-                "task", "task", "t0", 0.0, end, 4,
+            _span(
+                bus, "task", "task", "t0", 0.0, end, 4,
                 {"task": task, "kind": "map", "wave": 0},
             )
-        bus.publish_span(
-            "map.wave0", "wave", "waves", 0.0, 2.0, 3,
+        _span(
+            bus, "map.wave0", "wave", "waves", 0.0, 2.0, 3,
             {"kind": "map", "wave": 0, "job": "j"},
         )
         line = session.progress.render_line()
         assert "ALERT slow" in line
         assert "straggler_ratio=" in line
-
-    def test_standalone_snapshot_without_engine(self):
-        bus = TelemetryBus()
-        snap = LiveSnapshot(bus)
-        bus.publish_instant("x", "sched", "t", 1.0, 4, {})
-        assert snap.snapshot()["events"] == 1
-        assert snap.snapshot()["metrics"] == {}
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +108,7 @@ class TestReplayFidelity:
         from repro.obs.analysis.loader import load_one
 
         artifact = load_one(paths["trace"])
-        events = events_from_artifacts(artifact)
+        events = list(events_from_artifacts(artifact))
         one_shot = LiveSession()
         replay(one_shot, events)
         ticked = LiveSession()

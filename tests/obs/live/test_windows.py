@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.obs.live.bus import TelemetryBus
+from repro.obs.live.bus import (
+    KIND_AUDIT,
+    KIND_COUNTERS,
+    KIND_INSTANT,
+    KIND_SPAN,
+    TelemetryBus,
+)
 from repro.obs.live.windows import (
     DEFAULT_WINDOW_S,
     LiveAggregators,
@@ -60,16 +66,26 @@ def test_median():
     assert median([5.0, 1.0, 3.0]) == 3.0
 
 
+def _span(bus, name, cat, track, start, end, depth, args):
+    bus.publish(
+        KIND_SPAN, name, track, start, end, {"cat": cat, "depth": depth, "args": args}
+    )
+
+
+def _counters(bus, start, end, deltas):
+    bus.publish(KIND_COUNTERS, "task", "t", start, end, {"deltas": deltas})
+
+
 def _task_span(bus, task, kind, start, end, wave=0):
-    bus.publish_span(
-        "task", "task", f"node00 {kind} {task}", start, end, 4,
+    _span(
+        bus, "task", "task", f"node00 {kind} {task}", start, end, 4,
         {"task": task, "kind": kind, "wave": wave},
     )
 
 
 def _wave_span(bus, job, kind, wave, start, end, tasks):
-    bus.publish_span(
-        f"{kind}.wave{wave}", "wave", "waves", start, end, 3,
+    _span(
+        bus, f"{kind}.wave{wave}", "wave", "waves", start, end, 3,
         {"kind": kind, "wave": wave, "job": job, "tasks": tasks},
     )
 
@@ -88,7 +104,7 @@ class TestLiveAggregators:
 
     def test_throughput_window_expires(self):
         bus = TelemetryBus()
-        agg = LiveAggregators(bus, window=1.0)
+        agg = LiveAggregators(bus)
         _task_span(bus, "j-m0000", "map", 0.0, 0.1)
         _task_span(bus, "j-m0001", "map", 5.0, 5.1)
         assert agg.current("throughput.map") == 1.0
@@ -119,8 +135,8 @@ class TestLiveAggregators:
         bus = TelemetryBus()
         agg = LiveAggregators(bus)
         for i, hit in enumerate([True, True, False, True]):
-            bus.publish_span(
-                "cache.probe", "op.detail", "t", 0.1 * i, 0.1 * i + 0.01,
+            _span(
+                bus, "cache.probe", "op.detail", "t", 0.1 * i, 0.1 * i + 0.01,
                 6, {"hit": hit},
             )
         assert agg.current("cache_hit_ratio") == 0.75
@@ -128,8 +144,8 @@ class TestLiveAggregators:
     def test_counters_drive_reuse_fault_build(self):
         bus = TelemetryBus()
         agg = LiveAggregators(bus)
-        bus.publish_counters(
-            "task", "t", 0.0, 0.5,
+        _counters(
+            bus, 0.0, 0.5,
             {
                 "reuse.probes": 10.0,
                 "reuse.hits": 4.0,
@@ -138,9 +154,7 @@ class TestLiveAggregators:
                 "build.records_indexed": 100.0,
             },
         )
-        bus.publish_counters(
-            "task", "t", 0.5, 0.9, {"build.records_indexed": 50.0}
-        )
+        _counters(bus, 0.5, 0.9, {"build.records_indexed": 50.0})
         assert agg.current("reuse_hit_ratio") == 0.4
         assert agg.current("fault_retry_rate") == 4.0 / DEFAULT_WINDOW_S
         assert agg.current("build_progress") == 150.0  # cumulative level
@@ -148,14 +162,14 @@ class TestLiveAggregators:
     def test_zero_deltas_emit_nothing(self):
         bus = TelemetryBus()
         agg = LiveAggregators(bus)
-        bus.publish_counters("task", "t", 0.0, 0.5, {"reuse.probes": 0.0})
+        _counters(bus, 0.0, 0.5, {"reuse.probes": 0.0})
         assert agg.samples == []
 
     def test_display_events_never_touch_watermark_or_samples(self):
         bus = TelemetryBus()
         agg = LiveAggregators(bus)
-        bus.publish_instant("slot.commit", "sched", "t", 99.0, 4, {})
-        bus.publish_audit("replan", 123.0, job="j")
+        bus.publish(KIND_INSTANT, "slot.commit", "t", 99.0, 99.0, {"args": {}})
+        bus.publish(KIND_AUDIT, "replan", "driver", 123.0, 123.0, {"job": "j"})
         assert agg.watermark == 0.0
         assert agg.samples == []
 
@@ -171,8 +185,8 @@ class TestLiveAggregators:
     def test_lookup_latency_histogram(self):
         bus = TelemetryBus()
         agg = LiveAggregators(bus)
-        bus.publish_span("lookup", "op", "t", 0.0, 0.02, 5, {})
-        bus.publish_span("lookup.batch", "op", "t", 0.0, 0.2, 5, {})
+        _span(bus, "lookup", "op", "t", 0.0, 0.02, 5, {})
+        _span(bus, "lookup.batch", "op", "t", 0.0, 0.2, 5, {})
         assert agg.lookup_latency.count == 2
 
     def test_sample_listeners_see_emission_order(self):

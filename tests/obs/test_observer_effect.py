@@ -49,8 +49,9 @@ class TestObserverEffect:
 
 
 class TestLiveObserverEffect:
-    """The live leg: a telemetry bus with the full default rule set
-    subscribed is as passive as tracing itself."""
+    """The live leg: a session with the full default rule set replays
+    the recording when the run ends, so it is as passive as tracing
+    itself."""
 
     def test_subscribed_bus_changes_nothing_simulated(self, efind_env):
         from repro.obs.live import LiveSession
@@ -64,32 +65,34 @@ class TestLiveObserverEffect:
             efind_env.make_job("oe-live"), mode="dynamic"
         )
         session.finish()
-        assert session.bus.published > 0  # the bus really streamed
+        assert session.bus.published > 0  # the replay really published
         assert live.sim_time == plain.sim_time
         assert live.counters.to_dict() == plain.counters.to_dict()
         assert sorted(live.output) == sorted(plain.output)
 
     def test_per_task_publish_is_passive_and_complete(self, efind_env):
-        """A committed task's spans reach the bus in one call. The
-        subscriber sees every recorded span and instant, in tracer
-        order, and does not move the simulation."""
-        from repro.obs.live import TelemetryBus
+        """Nothing reaches the bus while the job runs. ``finish()``
+        publishes every recorded span and instant, spans in tracer
+        order, and the simulation is bit-identical to a run without."""
+        from repro.obs.live import LiveSession
 
         plain = efind_env.runner().run(
             efind_env.make_job("oe-task-ref"), mode="dynamic"
         )
-        bus = TelemetryBus()
+        session = LiveSession()
         events = []
-        bus.subscribe(events.append)
-        obs = Observability(bus=bus)
+        session.bus.subscribe(events.append)
+        obs = Observability(bus=session.bus)
         live = efind_env.runner(obs=obs).run(
             efind_env.make_job("oe-task"), mode="dynamic"
         )
+        assert events == []
+        session.finish()
         assert live.sim_time == plain.sim_time
         assert live.counters.to_dict() == plain.counters.to_dict()
         assert sorted(live.output) == sorted(plain.output)
 
-        assert [event.seq for event in events] == list(range(bus.published))
+        assert [event.seq for event in events] == list(range(session.bus.published))
         spans = [e for e in events if e.kind == "span"]
         assert [(e.name, e.track) for e in spans] == [
             (s.name, s.track) for s in obs.tracer.spans
@@ -98,6 +101,9 @@ class TestLiveObserverEffect:
         assert [(e.name, e.track) for e in instants] == [
             (i.name, i.track) for i in obs.tracer.instants
         ]
+        # A recording is replayed once.
+        session.finish()
+        assert session.bus.published == len(events)
 
     def test_alert_timeline_byte_deterministic_across_processes(self, tmp_path):
         """The exported alerts.jsonl of the same run is byte-identical

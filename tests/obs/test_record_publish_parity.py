@@ -1,16 +1,17 @@
-"""Round trips of the span path: record, publish, export, load, replay.
+"""Round trips of the span path: record, export, load, replay.
 
 A traced run's spans exist in three forms: the tracer's records, the
-live bus's events and the exported artifacts. Every job below runs once,
-traced and live, and the forms are held to oracles that share no code
-with the path under test:
+events a live session publishes from them at ``finish()`` and the
+exported artifacts. Every job below runs once, traced and live, and the
+forms are held to oracles that share no code with the path under test:
 
 * per span, the export grid -- plain arithmetic on the tracer's record
   (microseconds, three decimals, args through ``json``): the rows loaded
   back from the export must equal it, in tracer order;
-* per run, the replay -- :mod:`repro.obs.live.replay` over the run's own
-  exported artifacts must reproduce the live bus's span and counter
-  events, its sample stream, alert rows and progress snapshot;
+* per run, the two replays -- :mod:`repro.obs.live.replay` over the
+  run's own exported artifacts must reproduce the span and counter
+  events the session published from the in-memory recording, its
+  sample stream, alert rows and progress snapshot;
 * per run, an untraced twin of the job: same output, counters and
   simulated time.
 
@@ -114,7 +115,7 @@ RETRY = RetryPolicy(base_backoff=2e-3, max_backoff=20e-3, attempt_timeout=10e-3)
 
 def _run(traced, *, max_task_detail=256, mode="forced", faults=None, **runner_kwargs):
     """A fresh cluster, input and index per call; ``traced`` runs the job
-    with a live session and keeps every event the bus published."""
+    with a live session and keeps every event its ``finish()`` published."""
     cluster = Cluster(num_nodes=12, map_slots_per_node=2, reduce_slots_per_node=2)
     dfs = DistributedFileSystem(cluster, block_size=32 * 1024)
     rng = random.Random(13)
@@ -223,9 +224,8 @@ def _replayed(paths):
 
 def _primary(events):
     """The span and counter events -- the ones that drive the samples,
-    and that a replay puts back in their publish order -- as an export
-    carries them: a span's ``depth`` among its args, payloads through
-    ``json``."""
+    in their publish order -- as an export carries them: a span's
+    ``depth`` among its args, payloads through ``json``."""
     out = []
     for e in events:
         if e.kind not in (busmod.KIND_SPAN, busmod.KIND_COUNTERS):
@@ -286,6 +286,23 @@ class TestAgainstPerSpanOracle:
         _, replayed = _replayed(paths)
         assert _primary(replayed) == _primary(seen)
         assert len(replayed) == len(seen)
+
+    def test_counters_event_before_each_task_span(self, pair):
+        """A live run's task spans carry their counter deltas, and the
+        session publishes them as a counters event just before the span."""
+        _, (_, obs, _, seen), _, _ = pair
+        tasks = [s for s in obs.tracer.spans if s.name == "task"]
+        assert tasks and all(isinstance(s.args.get("counters"), dict) for s in tasks)
+        before = [
+            (prev, event)
+            for prev, event in zip(seen, seen[1:])
+            if event.kind == busmod.KIND_SPAN and event.name == "task"
+        ]
+        assert len(before) == len(tasks)
+        for prev, event in before:
+            assert prev.kind == busmod.KIND_COUNTERS
+            assert prev.payload["deltas"] is event.payload["args"]["counters"]
+            assert (prev.start, prev.ts) == (event.start, event.ts)
 
     def test_samples_alerts_and_snapshot(self, pair):
         _, (_, _, live, _), paths, _ = pair
