@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def make_rng(seed: int, *scope: object) -> random.Random:
@@ -25,6 +25,23 @@ def make_rng(seed: int, *scope: object) -> random.Random:
         ("|".join([str(seed)] + [str(part) for part in scope])).encode("utf-8")
     ).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def randbelow(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)`` draws what ``rng.randrange(n)`` draws, minus the wrapper
+    calls: it is CPython's ``_randbelow_with_getrandbits`` (the same on 3.10
+    to 3.13). ``randint(a, b)`` is ``a + below(b - a + 1)`` and ``choice(seq)``
+    is ``seq[below(len(seq))]``; ``below(2)`` takes 2 bits, not 1."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
 
 
 class ZipfSampler:

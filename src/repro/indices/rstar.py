@@ -662,17 +662,19 @@ class GridRStarForest(IndexService):
             grid_y,
             round_robin_placements(hosts, grid_x * grid_y, replication),
         )
-        cell_rects = [
-            self._scheme.cell_rect(p, overlap=overlap)
-            for p in range(self._scheme.num_partitions)
+        # A cell's rectangle is its column's x band times its row's y band:
+        # bin by column, then by row (``Rect.contains_point``'s comparisons).
+        row0 = [self._scheme.cell_rect(c, overlap) for c in range(grid_x)]
+        col0 = [self._scheme.cell_rect(r * grid_x, overlap) for r in range(grid_y)]
+        columns = [
+            [item for item in points if lo <= item[0][0] <= hi]
+            for lo, hi in [(rect.xmin, rect.xmax) for rect in row0]
         ]
-        per_cell: List[List[Tuple[Point, Any]]] = [
-            [] for _ in range(self._scheme.num_partitions)
+        per_cell = [  # cell r * grid_x + c
+            [item for item in column if lo <= item[0][1] <= hi]
+            for lo, hi in [(rect.ymin, rect.ymax) for rect in col0]
+            for column in columns
         ]
-        for point, payload in points:
-            for cell, rect in enumerate(cell_rects):
-                if rect.contains_point(point):
-                    per_cell[cell].append((point, payload))
         self._trees = [
             RStarTree.bulk_load(cell_points, max_entries=max_entries)
             for cell_points in per_cell

@@ -121,9 +121,6 @@ class LiveAggregators:
         self._wave_tasks: Dict[Tuple[str, str, int], List[float]] = {}
         # Rolling windows keyed by input-series name.
         self._win: Dict[str, RollingWindow] = {}
-        #: Completed tasks per (stage, kind) -- progress bookkeeping
-        #: shared with the snapshot API.
-        self.tasks_done: Dict[Tuple[str, str], int] = {}
         #: Live latency histogram over absorbed lookup spans. Uses the
         #: same :class:`~repro.obs.metrics.Histogram` (and therefore the
         #: same bucket edges) as the offline metrics export, so the
@@ -204,9 +201,6 @@ class LiveAggregators:
             wave = int(args.get("wave", 0))
             self._wave_tasks.setdefault((stage, kind, wave), []).append(
                 event.ts - event.start
-            )
-            self.tasks_done[(stage, kind)] = (
-                self.tasks_done.get((stage, kind), 0) + 1
             )
             win = self._window(f"tasks.{kind}")
             win.add(event.ts, 1.0)

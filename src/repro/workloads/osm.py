@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.common.rng import make_rng
+from repro.common.rng import make_rng, randbelow
 from repro.dfs.filesystem import DistributedFileSystem
 
 Point = Tuple[float, float]
@@ -33,19 +33,22 @@ class OsmConfig:
 def generate_points(cfg: OsmConfig, tag: str = "") -> List[Tuple[Point, int]]:
     """Generate ``(point, record_id)`` pairs."""
     rng = make_rng(cfg.seed, "osm", tag)
+    below, random, gauss = randbelow(rng), rng.random, rng.gauss
     xmin, ymin, xmax, ymax = US_BOUNDS
+    # rng.uniform(a, b) is a + (b - a) * rng.random(), without the call
+    xspan, yspan = xmax - xmin, ymax - ymin
     centers = [
-        (rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
+        (xmin + xspan * random(), ymin + yspan * random())
         for _ in range(cfg.num_clusters)
     ]
     points: List[Tuple[Point, int]] = []
     for i in range(cfg.num_points):
-        if rng.random() < cfg.cluster_fraction:
-            cx, cy = centers[rng.randrange(cfg.num_clusters)]
-            x = min(xmax, max(xmin, rng.gauss(cx, cfg.cluster_stddev)))
-            y = min(ymax, max(ymin, rng.gauss(cy, cfg.cluster_stddev)))
+        if random() < cfg.cluster_fraction:
+            cx, cy = centers[below(cfg.num_clusters)]
+            x = min(xmax, max(xmin, gauss(cx, cfg.cluster_stddev)))
+            y = min(ymax, max(ymin, gauss(cy, cfg.cluster_stddev)))
         else:
-            x, y = rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)
+            x, y = xmin + xspan * random(), ymin + yspan * random()
         points.append(((round(x, 6), round(y, 6)), i))
     return points
 

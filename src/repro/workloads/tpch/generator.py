@@ -11,6 +11,10 @@ depends on:
   lookups have *no* locality;
 * every part is supplied by a fixed small set of suppliers (dbgen's
   partsupp construction), so (partkey, suppkey) lookups always hit.
+
+Draws are ``below(n)`` (:func:`repro.common.rng.randbelow`) and
+``a + (b - a) * random()``: what ``randrange`` / ``randint`` / ``choice``
+and ``uniform`` draw, without their per-call wrappers.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.common.rng import make_rng
+from repro.common.rng import make_rng, randbelow
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.workloads.tpch import schema as sc
 
@@ -97,106 +101,89 @@ def _gen_nation(data: TpchData) -> None:
 
 def _gen_supplier(data: TpchData, cfg: TpchConfig) -> None:
     rng = make_rng(cfg.seed, "supplier")
-    for key in range(cfg.num_suppliers):
-        data.supplier.append(
-            (
-                key,
-                f"Supplier#{key:06d}",
-                rng.randrange(cfg.num_nations),
-                round(rng.uniform(-999.99, 9999.99), 2),
-            )
+    below, random = randbelow(rng), rng.random
+    data.supplier = [
+        (
+            key,
+            f"Supplier#{key:06d}",
+            below(cfg.num_nations),
+            round(-999.99 + (9999.99 - -999.99) * random(), 2),
         )
+        for key in range(cfg.num_suppliers)
+    ]
 
 
 def _gen_customer(data: TpchData, cfg: TpchConfig) -> None:
-    rng = make_rng(cfg.seed, "customer")
-    for key in range(cfg.num_customers):
-        data.customer.append(
-            (
-                key,
-                f"Customer#{key:06d}",
-                rng.randrange(cfg.num_nations),
-                rng.choice(sc.MKT_SEGMENTS),
-            )
-        )
+    below = randbelow(make_rng(cfg.seed, "customer"))
+    nations, segments = cfg.num_nations, sc.MKT_SEGMENTS
+    data.customer = [
+        (key, f"Customer#{key:06d}", below(nations), segments[below(len(segments))])
+        for key in range(cfg.num_customers)
+    ]
 
 
 def _gen_part(data: TpchData, cfg: TpchConfig) -> None:
-    rng = make_rng(cfg.seed, "part")
-    for key in range(cfg.num_parts):
-        color = sc.PART_COLORS[rng.randrange(len(sc.PART_COLORS))]
-        data.part.append(
-            (
-                key,
-                f"{color} polished part#{key:06d}",
-                f"Brand#{rng.randrange(5) + 1}{rng.randrange(5) + 1}",
-                rng.choice(("STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY")),
-                round(900 + (key % 1000) * 0.1, 2),
-            )
+    below = randbelow(make_rng(cfg.seed, "part"))
+    colors = sc.PART_COLORS
+    data.part = [
+        (
+            key,
+            f"{colors[below(len(colors))]} polished part#{key:06d}",
+            f"Brand#{below(5) + 1}{below(5) + 1}",
+            ("STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY")[below(5)],
+            round(900 + (key % 1000) * 0.1, 2),
         )
+        for key in range(cfg.num_parts)
+    ]
 
 
 def _gen_partsupp(data: TpchData, cfg: TpchConfig) -> None:
     rng = make_rng(cfg.seed, "partsupp")
+    below, random = randbelow(rng), rng.random
+    suppliers = cfg.num_suppliers
+    wanted = min(cfg.suppliers_per_part, suppliers)
     for partkey in range(cfg.num_parts):
         supps: List[int] = []
-        while len(supps) < min(cfg.suppliers_per_part, cfg.num_suppliers):
-            s = rng.randrange(cfg.num_suppliers)
+        while len(supps) < wanted:
+            s = below(suppliers)
             if s not in supps:
                 supps.append(s)
         data.part_suppliers[partkey] = supps
         for suppkey in supps:
-            data.partsupp.append(
-                (
-                    (partkey, suppkey),
-                    rng.randrange(1, 10_000),
-                    round(rng.uniform(1.0, 1000.0), 2),
-                )
-            )
+            availqty = 1 + below(9_999)
+            supplycost = round(1.0 + (1000.0 - 1.0) * random(), 2)
+            data.partsupp.append(((partkey, suppkey), availqty, supplycost))
 
 
 def _gen_orders_and_lineitem(data: TpchData, cfg: TpchConfig) -> None:
     rng = make_rng(cfg.seed, "orders")
+    below, random = randbelow(rng), rng.random
+    orders, lineitem, part_suppliers = data.orders, data.lineitem, data.part_suppliers
+    parts, lines_max = cfg.num_parts, cfg.lines_per_order_max
+    add_days = sc.add_days
     line_id = 0
     for orderkey in range(cfg.num_orders):
-        orderdate = _random_date(rng)
-        data.orders.append(
-            (
-                orderkey,
-                rng.randrange(cfg.num_customers),
-                rng.choice(("O", "F", "P")),
-                0.0,  # totalprice filled below
-                orderdate,
-                rng.randrange(2),
-            )
-        )
+        orderdate = sc.make_date(1992 + below(7), 1 + below(12), 1 + below(28))
+        custkey = below(cfg.num_customers)
+        status = ("O", "F", "P")[below(3)]
+        shippriority = below(2)
         total = 0.0
         # Line items of one order are generated (and stored) adjacently.
-        for _ in range(rng.randint(1, cfg.lines_per_order_max)):
-            partkey = rng.randrange(cfg.num_parts)
-            suppkey = rng.choice(data.part_suppliers[partkey])
-            quantity = rng.randint(1, 50)
-            extprice = round(quantity * rng.uniform(900.0, 1100.0), 2)
-            discount = round(rng.uniform(0.0, 0.1), 2)
-            shipdate = sc.add_days(orderdate, rng.randint(1, 121))
-            data.lineitem.append(
-                (
-                    line_id,
-                    (orderkey, partkey, suppkey, quantity, extprice, discount, shipdate),
-                )
-            )
+        for _ in range(1 + below(lines_max)):
+            partkey = below(parts)
+            supps = part_suppliers[partkey]
+            suppkey = supps[below(len(supps))]
+            quantity = 1 + below(50)
+            extprice = round(quantity * (900.0 + (1100.0 - 900.0) * random()), 2)
+            discount = round(0.1 * random(), 2)
+            shipdate = add_days(orderdate, 1 + below(121))
+            item = (orderkey, partkey, suppkey, quantity, extprice, discount, shipdate)
+            lineitem.append((line_id, item))
             total += extprice
             line_id += 1
-        order = list(data.orders[-1])
-        order[sc.O_TOTALPRICE] = round(total, 2)
-        data.orders[-1] = tuple(order)
-
-
-def _random_date(rng) -> int:
-    year = rng.randint(1992, 1998)
-    month = rng.randint(1, 12)
-    day = rng.randint(1, 28)
-    return sc.make_date(year, month, day)
+        orders.append(
+            (orderkey, custkey, status, round(total, 2), orderdate, shippriority)
+        )
 
 
 def write_lineitem(
@@ -208,10 +195,7 @@ def write_lineitem(
     """Write LineItem as the job's main input. ``dup_factor=10`` builds
     the paper's DUP10 variant: the table concatenated ten times (each
     copy keeps its clustered order; line ids stay unique)."""
-    records: List[Tuple[int, tuple]] = []
-    n = len(data.lineitem)
-    for copy in range(dup_factor):
-        for line_id, item in data.lineitem:
-            records.append((copy * n + line_id, item))
+    n, lineitem = len(data.lineitem), data.lineitem
+    records = [(c * n + lid, item) for c in range(dup_factor) for lid, item in lineitem]
     dfs.write(path, records)
     return path

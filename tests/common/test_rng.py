@@ -2,7 +2,9 @@
 
 from collections import Counter
 
-from repro.common.rng import ZipfSampler, make_rng, weighted_choice
+import pytest
+
+from repro.common.rng import ZipfSampler, make_rng, randbelow, weighted_choice
 
 
 class TestMakeRng:
@@ -19,6 +21,26 @@ class TestMakeRng:
         r1 = make_rng(5, "table", 3)
         r2 = make_rng(5, "table", 4)
         assert r1.random() != r2.random()
+
+
+class TestRandbelow:
+    """``randbelow(rng)`` leaves the stream where ``randrange`` would."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 25, 121, 1000, 2**40 + 3])
+    def test_same_draws_as_randrange(self, n):
+        a, b = make_rng(3, n), make_rng(3, n)
+        below = randbelow(b)
+        assert [a.randrange(n) for _ in range(200)] == [below(n) for _ in range(200)]
+        assert a.random() == b.random()
+
+    def test_randint_and_choice(self):
+        a, b = make_rng(4), make_rng(4)
+        below = randbelow(b)
+        seq = ("O", "F", "P")
+        for _ in range(200):
+            assert a.randint(1, 121) == 1 + below(121)
+            assert a.choice(seq) == seq[below(len(seq))]
+            assert a.randrange(1, 10_000) == 1 + below(9_999)
 
 
 class TestZipfSampler:

@@ -320,6 +320,45 @@ class TestGridRStarForest:
         )
 
 
+class TestForestBinning:
+    """Binning by band hands each cell's tree exactly the points its
+    ``cell_rect(p, overlap)`` contains, in point order."""
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.1, 0.5, 1.5])
+    def test_equals_brute_force(self, cluster, monkeypatch, overlap):
+        gx, gy = 4, 8
+        bounds = Rect(0.0, 0.0, 1.0, 1.0)
+        scheme = _GridScheme(bounds, gx, gy, [["h"]] * (gx * gy))
+        rects = [scheme.cell_rect(p, overlap) for p in range(gx * gy)]
+        # Every band edge inside the bounds and both sides of it; the
+        # corners pin the forest's bounds to ``bounds``.
+        xs = {v for r in rects for v in (r.xmin, r.xmax)}
+        ys = {v for r in rects for v in (r.ymin, r.ymax)}
+        xs |= {math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)}
+        ys |= {math.nextafter(y, d) for y in ys for d in (-math.inf, math.inf)}
+        xs = sorted(x for x in xs if 0.0 <= x <= 1.0)
+        ys = sorted(y for y in ys if 0.0 <= y <= 1.0)
+        coords = [(0.0, 0.0), (1.0, 1.0)] + [(x, y) for x in xs for y in ys]
+        coords += [p for p, _ in random_points(300, seed=4)]
+        points = [(p, i) for i, p in enumerate(coords)]
+
+        loaded = []
+        bulk_load = RStarTree.bulk_load.__func__
+
+        def spy(cls, cell_points, max_entries=16):
+            loaded.append(list(cell_points))
+            return bulk_load(cls, cell_points, max_entries)
+
+        monkeypatch.setattr(RStarTree, "bulk_load", classmethod(spy))
+        GridRStarForest(
+            "g", cluster, points, k=3, grid_x=gx, grid_y=gy, overlap=overlap
+        )
+        assert loaded == [
+            [item for item in points if rect.contains_point(item[0])]
+            for rect in rects
+        ]
+
+
 class TestGridCells:
     """``cell_of`` with the spans hoisted and the clamp as comparisons
     against the one-line formula it replaced."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.live import LiveSession
 from repro.obs.live.bus import (
     KIND_AUDIT,
     KIND_COUNTERS,
@@ -92,15 +93,15 @@ def _wave_span(bus, job, kind, wave, start, end, tasks):
 
 class TestLiveAggregators:
     def test_throughput_sample_per_task(self):
-        bus = TelemetryBus()
-        agg = LiveAggregators(bus)
+        session = LiveSession()
+        bus, agg = session.bus, session.aggregators
         _task_span(bus, "j-m0000", "map", 0.0, 0.4)
         _task_span(bus, "j-m0001", "map", 0.0, 0.5)
         samples = [s for s in agg.samples if s[0] == "throughput.map"]
         assert len(samples) == 2
         # Two completions inside the 1s window -> 2 tasks/s.
         assert samples[-1][2] == 2.0
-        assert agg.tasks_done[("j", "map")] == 2
+        assert session.progress.tasks_done[("j", "map")] == 2
 
     def test_throughput_window_expires(self):
         bus = TelemetryBus()

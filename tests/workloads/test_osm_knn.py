@@ -56,6 +56,22 @@ class TestOsmGenerator:
         assert back[0] == (0, a[0][0])
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="build_spatial_index drops service_time: asked for 1.5e-3 s, the "
+    "forest serves IndexService.DEFAULT_SERVICE_TIME, 0.5e-3 s; passing it on "
+    "moves fig13's and knnj-spatial's simulated times, a recalibration",
+)
+def test_build_spatial_index_passes_service_time(points):
+    from repro.simcluster.cluster import Cluster
+
+    cluster = Cluster(num_nodes=4, map_slots_per_node=2)
+    index = knn.build_spatial_index(
+        cluster, points[1], knn.KnnConfig(k=5), service_time=1.5e-3
+    )
+    assert index.service_time() == 1.5e-3
+
+
 class TestEFindKnnJoin:
     @pytest.fixture(scope="class")
     def env(self, points):
