@@ -54,29 +54,6 @@ class _Entry:
     fingerprint: int
 
 
-@dataclass
-class ReuseCounts:
-    """Store-lifetime totals (the ``reuse.*`` job counters are the
-    per-run view; these survive across jobs with the store)."""
-
-    probes: int = 0
-    hits: int = 0
-    misses: int = 0
-    stale_drops: int = 0
-    admitted: int = 0
-    evicted: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "probes": self.probes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale_drops": self.stale_drops,
-            "admitted": self.admitted,
-            "evicted": self.evicted,
-        }
-
-
 def _index_version(accessor) -> Tuple[int, int]:
     """The live ``(epoch, fingerprint)`` of an accessor's index."""
     index = accessor.index
@@ -94,7 +71,6 @@ class ReuseStore:
 
     def __init__(self) -> None:
         self._hosts: Dict[str, "OrderedDict[Tuple[str, Hashable], _Entry]"] = {}
-        self.counts = ReuseCounts()
 
     # ------------------------------------------------------------------
     # The hot path
@@ -108,32 +84,16 @@ class ReuseStore:
         live one) is dropped and reported as a miss with ``stale``
         True; callers count it but must fetch as if it never existed.
         """
-        self.counts.probes += 1
         store = self._hosts.get(host)
         key = (accessor.signature(), ik)
         entry = store.get(key) if store is not None else None
         if entry is None:
-            self.counts.misses += 1
             return False, None, False
         if (entry.epoch, entry.fingerprint) != _index_version(accessor):
             del store[key]
-            self.counts.stale_drops += 1
-            self.counts.misses += 1
             return False, None, True
         store.move_to_end(key)
-        self.counts.hits += 1
         return True, entry.values, False
-
-    def note_deferred_hit(self) -> None:
-        """Count a probe known to hit without consulting the store.
-
-        The lookup pipeline uses this for a key already waiting in the
-        current batch: at ``batch_size=1`` the key would have been
-        fetched, admitted, and then hit by now, so the deferred hit
-        keeps ``reuse.*`` counters independent of ``batch_size``.
-        """
-        self.counts.probes += 1
-        self.counts.hits += 1
 
     def admit(
         self,
@@ -152,8 +112,6 @@ class ReuseStore:
             store.popitem(last=False)
             evictions += 1
         store[key] = _Entry(tuple(values), epoch, fingerprint)
-        self.counts.admitted += 1
-        self.counts.evicted += evictions
         return evictions
 
     # ------------------------------------------------------------------
@@ -208,21 +166,13 @@ class ReuseStore:
     # same store state the untraced run saw)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """A deep copy of the store's mutable state."""
-        return {
-            "hosts": {
-                host: OrderedDict(store) for host, store in self._hosts.items()
-            },
-            "counts": ReuseCounts(**self.counts.to_dict()),
-        }
+        """A copy of the store's mutable state: each host's dict."""
+        return {host: OrderedDict(store) for host, store in self._hosts.items()}
 
     def restore(self, state: dict) -> None:
-        """Restore a :meth:`snapshot` (same deep-copy discipline, so
-        the snapshot stays reusable)."""
-        self._hosts = {
-            host: OrderedDict(store) for host, store in state["hosts"].items()
-        }
-        self.counts = ReuseCounts(**state["counts"].to_dict())
+        """Restore a :meth:`snapshot` (copying again, so the snapshot
+        stays reusable)."""
+        self._hosts = {host: OrderedDict(store) for host, store in state.items()}
 
     # ------------------------------------------------------------------
     def warm_hosts(self) -> list:

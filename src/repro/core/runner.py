@@ -32,7 +32,7 @@ from repro.core.statistics import (
 from repro.core.strategy import LookupSettings
 from repro.dfs.filesystem import DistributedFileSystem, chunk_records
 from repro.dfs.splits import InputSplit
-from repro.indices.routing import ReplicaRouter
+from repro.indices.routing import ROUTE_LEAST_LOADED, ReplicaRouter
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.runtime import JobResult, JobRunner
 from repro.mapreduce.speculation import SpeculationConfig
@@ -110,7 +110,6 @@ class EFindRunner:
         obs=None,
         reuse=None,
         speculation_factor: Optional[float] = None,
-        speculation: Optional["SpeculationConfig"] = None,
         route_policy: Optional[str] = None,
         build=None,
     ):
@@ -129,13 +128,15 @@ class EFindRunner:
         # adaptive audit log. Purely passive -- simulated results are
         # identical with or without it.
         self.obs = obs
-        # Straggler mitigation: speculative backup tasks (a config, or
-        # just a tail-threshold factor) and replica-aware lookup
-        # routing. Both default off, leaving execution bit-identical to
-        # the unmitigated runner.
-        if speculation is None and speculation_factor is not None:
-            speculation = SpeculationConfig(factor=speculation_factor)
-        self.speculation = speculation
+        # Straggler mitigation: speculative backup tasks (a tail-
+        # threshold factor) and replica-aware lookup routing
+        # ("least-loaded"). Both default off, leaving execution
+        # bit-identical to the unmitigated runner.
+        if route_policy not in (None, ROUTE_LEAST_LOADED):
+            raise ValueError(
+                f"unknown route policy {route_policy!r}; expected None or "
+                f"{ROUTE_LEAST_LOADED!r}"
+            )
         self.route_policy = route_policy
         self._routers: Dict[str, ReplicaRouter] = {}
         store = self.settings.reuse
@@ -145,7 +146,11 @@ class EFindRunner:
             dfs,
             fault_plan=fault_plan,
             obs=obs,
-            speculation=speculation,
+            speculation=(
+                None
+                if speculation_factor is None
+                else SpeculationConfig(factor=speculation_factor)
+            ),
             warm_hosts=warm_hosts,
         )
         self.catalog = catalog if catalog is not None else StatisticsCatalog()
@@ -270,7 +275,7 @@ class EFindRunner:
                 ):
                     continue
                 router = self._routers.setdefault(
-                    index.name, ReplicaRouter(policy=self.route_policy)
+                    index.name, ReplicaRouter()
                 )
                 index.set_router(router)
 

@@ -660,11 +660,10 @@ class LookupPipeline:
         """Probe the cross-job store; the value tuple on a hit, else
         None (misses and stale drops both fetch). A ``pending`` key --
         already waiting for the next drain -- would have been fetched
-        and admitted by now had it not waited: record that deferred hit
-        without touching the store's entries, and leave the key to the
-        drain."""
+        and admitted by now had it not waited: count that deferred hit
+        without touching the store, so ``reuse.*`` does not depend on
+        ``batch_size``, and leave the key to the drain."""
         if pending:
-            self.reuse.note_deferred_hit()
             hit, values, stale = True, None, False
         else:
             hit, values, stale = self.reuse.probe(self._host, self.accessor, ik)

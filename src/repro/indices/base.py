@@ -8,7 +8,10 @@ The pieces of the contract the optimizer *may* use, when available:
   adaptive runtime never reads it directly; it *samples* it, Section 4.2);
 * ``partition_scheme`` -- exposed by distributed indices that can be
   co-partitioned (the flag + partition method of Section 3.4);
-* lookup accounting, used by tests and the pay-per-use cloud service.
+* ``lookups_served`` -- how many keys the index itself served, what a
+  pay-per-use service bills for (Section 1). Retries, failovers and
+  batches are counted where they happen, in the job's ``fault.*`` and
+  ``batch.*`` counters.
 """
 
 from __future__ import annotations
@@ -53,13 +56,6 @@ class IndexService:
             self.DEFAULT_SERVICE_TIME if service_time is None else service_time
         )
         self.lookups_served = 0
-        self.lookups_retried = 0
-        self.lookups_failed = 0
-        self.failovers = 0
-        self.batches_served = 0
-        self.keys_batched = 0
-        self._batch_request_overhead: Optional[float] = None
-        self._batch_key_time: Optional[float] = None
         self._fault_plan: Optional[FaultPlan] = None
         self._retry_policy = RetryPolicy()
         self._epoch = 0
@@ -104,7 +100,6 @@ class IndexService:
         last_error: Optional[Exception] = None
         for attempt in range(policy.max_attempts):
             if attempt:
-                self.lookups_retried += 1
                 if ctx is not None:
                     ctx.charge(plan.backoff_time(policy, self.name, key, attempt))
                     ctx.counters.increment("fault", "lookups_retried")
@@ -139,7 +134,6 @@ class IndexService:
                     ctx.charge(policy.attempt_timeout)
                 last_error = exc
                 continue
-        self.lookups_failed += 1
         if ctx is not None:
             ctx.counters.increment("fault", "lookups_failed")
             if trace is not None:
@@ -204,43 +198,23 @@ class IndexService:
         """
         return [self.lookup(key, ctx) for key in keys]
 
-    def _native_lookup_batch(
-        self, keys: List[Any], ctx=None, requests: int = 1
-    ) -> List[List[Any]]:
-        """Shared body for native multiget overrides, and the one place
-        a multiget is accounted: serve every key through the same
-        per-key fault/retry path as :meth:`lookup`, but count the call
-        as ``requests`` batches (the host sub-requests it fanned out
-        to). An empty multiget serves and counts nothing. The amortised
-        *time* of a native batch is charged by the caller (the strategy
-        layer) via :meth:`batch_service_time`."""
-        if not keys:
-            return []
+    def _native_lookup_batch(self, keys: List[Any], ctx=None) -> List[List[Any]]:
+        """Shared body for native multiget overrides: serve every key
+        through the same per-key fault/retry path as :meth:`lookup`. The
+        amortised *time* of a native batch is charged by the caller (the
+        strategy layer) via :meth:`batch_service_time`."""
         self.lookups_served += len(keys)
-        self.batches_served += requests
-        self.keys_batched += len(keys)
         if self._fault_plan is None:
             return list(map(self._lookup, keys))
         return [self._serve_with_retries(key, ctx) for key in keys]
 
     def batch_request_overhead(self) -> float:
         """``C_req``: the fixed per-request cost of a multiget."""
-        if self._batch_request_overhead is not None:
-            return self._batch_request_overhead
         return self._service_time * (1.0 - self.BATCH_MARGINAL_FRACTION)
 
     def batch_key_time(self) -> float:
         """``C_key``: the marginal cost of one extra key in a multiget."""
-        if self._batch_key_time is not None:
-            return self._batch_key_time
         return self._service_time * self.BATCH_MARGINAL_FRACTION
-
-    def set_batch_costs(self, c_req: float, c_key: float) -> None:
-        """Pin the batch cost model instead of deriving it from ``T_j``."""
-        if c_req < 0 or c_key < 0:
-            raise ValueError("batch costs cannot be negative")
-        self._batch_request_overhead = c_req
-        self._batch_key_time = c_key
 
     def batch_service_time(self, batch_size: int) -> float:
         """Service time of one multiget of ``batch_size`` keys:
@@ -356,11 +330,6 @@ class IndexService:
 
     def reset_accounting(self) -> None:
         self.lookups_served = 0
-        self.lookups_retried = 0
-        self.lookups_failed = 0
-        self.failovers = 0
-        self.batches_served = 0
-        self.keys_batched = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"

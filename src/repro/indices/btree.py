@@ -10,7 +10,7 @@ B-tree describes the range partition scheme of the second level nodes"
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.indices.base import IndexService
 from repro.indices.partitioning import (
@@ -370,33 +370,17 @@ class DistributedBTree(IndexService):
             return replicas, replicas
         return replicas, [h for h in replicas if not plan.host_down(h)]
 
-    def multiget_plan(self, keys: List[Any]) -> Dict[str, List[Any]]:
-        """Group ``keys`` by the replica host each multiget sub-request
-        goes to (first live replica of each key's range partition, or
-        the attached router's side-effect-free plan)."""
-        if self.router is not None:
-            return self.router.plan(keys, self._locate)
-        groups: Dict[str, List[Any]] = {}
-        for key in keys:
-            replicas, live = self._locate(key)
-            groups.setdefault(live[0] if live else replicas[0], []).append(key)
-        return groups
-
     def lookup_batch(self, keys: List[Any], ctx=None) -> List[List[Any]]:
         """Native multiget: one descent batch against the root table.
         Per-key serves still run the fault/retry path individually.
 
         An attached :class:`~repro.indices.routing.ReplicaRouter`
         additionally picks the serving replica per key (load-balanced,
-        hot-range spreading) and counts the per-host sub-requests it
-        creates; routing never changes the values served or the time
-        charged."""
-        requests = 1
+        hot-range spreading); routing never changes the values served
+        or the time charged."""
         if self.router is not None and keys:
-            decision = self.router.assign(keys, self._locate)
-            self.router.charge(ctx, decision)
-            requests = len(decision.groups)
-        return self._native_lookup_batch(keys, ctx, requests)
+            self.router.charge(ctx, self.router.assign(keys, self._locate))
+        return self._native_lookup_batch(keys, ctx)
 
     def range_scan(self, low: Any, high: Any) -> List[Tuple[Any, Any]]:
         first = self._scheme.partition_of(low)

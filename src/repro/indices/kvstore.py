@@ -114,22 +114,20 @@ class DistributedKVStore(IndexService):
                 f"all replicas of partition {partition} of kvstore "
                 f"{self.name!r} are down"
             )
-        if len(live) < len(replicas):
-            self.failovers += 1
-            if ctx is not None:
-                ctx.counters.increment("fault", "failovers")
-                trace = getattr(ctx, "trace", None)
-                if trace is not None:
-                    from repro.obs.trace import DEPTH_DETAIL
+        if len(live) < len(replicas) and ctx is not None:
+            ctx.counters.increment("fault", "failovers")
+            trace = getattr(ctx, "trace", None)
+            if trace is not None:
+                from repro.obs.trace import DEPTH_DETAIL
 
-                    trace.charged_instant(
-                        "lookup.failover",
-                        "fault",
-                        ctx.charged_time,
-                        DEPTH_DETAIL,
-                        index=self.name,
-                        partition=partition,
-                    )
+                trace.charged_instant(
+                    "lookup.failover",
+                    "fault",
+                    ctx.charged_time,
+                    DEPTH_DETAIL,
+                    index=self.name,
+                    partition=partition,
+                )
         return self._lookup(key)
 
     def _lookup(self, key: Any) -> List[Any]:
@@ -155,45 +153,23 @@ class DistributedKVStore(IndexService):
             return replicas, replicas
         return replicas, [h for h in replicas if not plan.host_down(h)]
 
-    def multiget_plan(self, keys: List[Any]) -> Dict[str, List[Any]]:
-        """Group ``keys`` by the replica host each multiget sub-request
-        goes to. Without a router, every key's partition picks its
-        first *live* replica (falling back to the first replica when
-        none is known live, so the retry layer still sees the failure);
-        with one attached, this is the router's side-effect-free plan
-        from its current load state. Preserves first-seen key order
-        within each host group."""
-        if self.router is not None:
-            return self.router.plan(keys, self._locate)
-        groups: Dict[str, List[Any]] = {}
-        for key in keys:
-            replicas, live = self._locate(key)
-            groups.setdefault(live[0] if live else replicas[0], []).append(key)
-        return groups
-
     def lookup_batch(self, keys: List[Any], ctx=None) -> List[List[Any]]:
-        """Native multiget: one request per replica host, each key still
-        served through the per-key fault/retry path (so failover,
-        outage, and injected-error decisions match single lookups
-        exactly); ``batches_served`` counts the host sub-requests.
+        """Native multiget, each key still served through the per-key
+        fault/retry path (so failover, outage, and injected-error
+        decisions match single lookups exactly).
 
         An attached :class:`~repro.indices.routing.ReplicaRouter` picks
-        the serving replica per key instead of the fixed first-live
-        choice; routing changes only the host grouping and ``route.*``
-        counters, never the values served or the time charged.
+        the serving replica per key instead of the first live one;
+        routing changes only the ``route.*`` counters, never the values
+        served or the time charged.
         """
         if self.router is not None and keys:
-            decision = self.router.assign(keys, self._locate)
-            self.router.charge(ctx, decision)
-            groups = decision.groups
-        else:
-            groups = self.multiget_plan(keys)
+            self.router.charge(ctx, self.router.assign(keys, self._locate))
         # Keys are served in their original order regardless of the
-        # grouping: per-key fault decisions are (key, attempt)-pure and
-        # outage probes are per-partition, so this matches the grouped
-        # serve order bit-for-bit while keeping routed and unrouted
-        # paths trivially identical.
-        return self._native_lookup_batch(keys, ctx, requests=len(groups))
+        # routed grouping: per-key fault decisions are (key, attempt)-
+        # pure and outage probes are per-partition, so this matches the
+        # grouped serve order bit-for-bit.
+        return self._native_lookup_batch(keys, ctx)
 
     @property
     def partition_scheme(self) -> PartitionScheme:

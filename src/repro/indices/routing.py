@@ -9,19 +9,17 @@ batched lookups:
 
 * ``least-loaded``: each key goes to the live replica with the fewest
   keys routed to it so far (cumulative outstanding load, tie broken by
-  replica order -- so an idle store routes exactly like the fixed
-  policy's first choice);
-* hot-shard spreading: a key routed at least ``hot_key_threshold``
+  replica order -- so an idle store routes to the first live replica);
+* hot-shard spreading: a key routed at least :data:`HOT_KEY_THRESHOLD`
   times is *hot*; its requests round-robin across all live replicas of
-  its partition instead of loading one;
-* ``fixed``: the historical first-live-replica choice, for A/B runs.
+  its partition instead of loading one.
 
 Routing is pure bookkeeping over the same metadata every node already
 holds (the PropertyFileSnitch setup), so it charges no simulated time
 and never changes which values a lookup returns: keys are still served
 in their original order through the per-key fault/retry path, which
 keeps routed runs bit-identical to unrouted ones everywhere outside the
-``route.*`` counters and the per-host multiget grouping.
+``route.*`` counters.
 
 The router is deliberately *stateful across batches* (load and hot-key
 frequency accumulate for the lifetime of the attachment), which is what
@@ -35,13 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-#: Route every key to its partition's first live replica (the
-#: pre-routing behavior).
-ROUTE_FIXED = "fixed"
 #: Route each key to the least-loaded live replica; spread hot keys.
 ROUTE_LEAST_LOADED = "least-loaded"
 
-ROUTE_POLICIES = (ROUTE_FIXED, ROUTE_LEAST_LOADED)
+#: A key is hot from its HOT_KEY_THRESHOLD-th route on.
+HOT_KEY_THRESHOLD = 32
 
 #: ``locate(key) -> (replicas, live)``: the partition's replica list in
 #: placement order, and its live subset (equal when no fault plan).
@@ -63,65 +59,29 @@ class RouteDecision:
 class ReplicaRouter:
     """Deterministic per-host load balancer over partition replicas."""
 
-    def __init__(
-        self,
-        policy: str = ROUTE_LEAST_LOADED,
-        hot_key_threshold: int = 32,
-    ):
-        if policy not in ROUTE_POLICIES:
-            raise ValueError(
-                f"unknown route policy {policy!r}; expected one of "
-                f"{ROUTE_POLICIES}"
-            )
-        if hot_key_threshold < 2:
-            raise ValueError("hot_key_threshold must be >= 2")
-        self.policy = policy
-        self.hot_key_threshold = hot_key_threshold
+    def __init__(self) -> None:
         self._load: Dict[str, int] = {}
         self._freq: Dict[Any, int] = {}
         self._hot_cursor: Dict[Any, int] = {}
-        self.batches_routed = 0
-        self.keys_routed = 0
-        self.hot_keys_spread = 0
-        self.rebalanced = 0
 
     # ------------------------------------------------------------------
-    def _choose(
-        self,
-        key: Any,
-        replicas: Sequence[str],
-        live: Sequence[str],
-        load: Dict[str, int],
-        freq: Dict[Any, int],
-        hot_cursor: Dict[Any, int],
-    ) -> Tuple[str, bool]:
-        """Pick the serving host for one key; returns (host, was_hot).
-
-        Operates on the passed state dicts so :meth:`plan` can dry-run
-        the same algorithm without mutating the live router.
-        """
-        pool = list(live) if live else list(replicas)
-        count = freq.get(key, 0) + 1
-        freq[key] = count
-        hot = (
-            self.policy == ROUTE_LEAST_LOADED
-            and count >= self.hot_key_threshold
-            and len(pool) > 1
-        )
+    def _choose(self, key: Any, pool: Sequence[str]) -> Tuple[str, bool]:
+        """Pick the serving host for one key; returns (host, was_hot)."""
+        load = self._load
+        count = self._freq.get(key, 0) + 1
+        self._freq[key] = count
+        hot = count >= HOT_KEY_THRESHOLD and len(pool) > 1
         if hot:
-            cursor = hot_cursor.get(key, 0)
-            hot_cursor[key] = cursor + 1
+            cursor = self._hot_cursor.get(key, 0)
+            self._hot_cursor[key] = cursor + 1
             host = pool[cursor % len(pool)]
-        elif self.policy == ROUTE_LEAST_LOADED:
-            best = pool[0]
-            best_load = load.get(best, 0)
+        else:
+            host = pool[0]
+            best_load = load.get(host, 0)
             for candidate in pool[1:]:
                 candidate_load = load.get(candidate, 0)
                 if candidate_load < best_load:
-                    best, best_load = candidate, candidate_load
-            host = best
-        else:
-            host = pool[0]
+                    host, best_load = candidate, candidate_load
         load[host] = load.get(host, 0) + 1
         return host, hot
 
@@ -130,33 +90,14 @@ class ReplicaRouter:
         decision = RouteDecision(keys=len(keys))
         for i, key in enumerate(keys):
             replicas, live = locate(key)
-            host, hot = self._choose(
-                key, replicas, live, self._load, self._freq, self._hot_cursor
-            )
-            pool = list(live) if live else list(replicas)
+            pool = live or replicas
+            host, hot = self._choose(key, pool)
             if hot:
                 decision.hot_spread += 1
-            if pool and host != pool[0]:
+            if host != pool[0]:
                 decision.rebalanced += 1
             decision.groups.setdefault(host, []).append(i)
-        self.batches_routed += 1
-        self.keys_routed += decision.keys
-        self.hot_keys_spread += decision.hot_spread
-        self.rebalanced += decision.rebalanced
         return decision
-
-    def plan(self, keys: Sequence[Any], locate: Locate) -> Dict[str, List[Any]]:
-        """Side-effect-free preview of :meth:`assign` from the current
-        state: host -> keys (the ``multiget_plan`` shape)."""
-        load = dict(self._load)
-        freq = dict(self._freq)
-        hot_cursor = dict(self._hot_cursor)
-        groups: Dict[str, List[Any]] = {}
-        for key in keys:
-            replicas, live = locate(key)
-            host, _ = self._choose(key, replicas, live, load, freq, hot_cursor)
-            groups.setdefault(host, []).append(key)
-        return groups
 
     # ------------------------------------------------------------------
     def charge(self, ctx, decision: RouteDecision) -> None:
@@ -179,14 +120,9 @@ class ReplicaRouter:
                 "route",
                 ctx.charged_time,
                 DEPTH_DETAIL,
-                policy=self.policy,
+                policy=ROUTE_LEAST_LOADED,
                 keys=decision.keys,
                 hosts=len(decision.groups),
                 hot_spread=decision.hot_spread,
                 rebalanced=decision.rebalanced,
             )
-
-    def load_snapshot(self) -> Dict[str, int]:
-        """Cumulative keys routed per host (sorted copy, for tests and
-        bench tables)."""
-        return dict(sorted(self._load.items()))

@@ -1,20 +1,20 @@
 """Unit tests for the replica-aware lookup router.
 
-The router's contract is sharp: deterministic, side-effect-free to
-preview, zero simulated-time cost, and -- when idle -- byte-equivalent
-to the historical first-live-replica choice. Everything here exercises
-that contract directly; the end-to-end bit-identity of routed runs is
-pinned by the differential suite in tests/mapreduce.
+The router's contract is sharp: deterministic, zero simulated-time
+cost, and -- when idle -- routing to the first live replica.
+Everything here exercises that contract directly; the end-to-end
+bit-identity of routed runs is pinned by the differential suite in
+tests/mapreduce.
 """
 
 import pytest
 
+from repro.core.runner import EFindRunner
 from repro.indices.base import MappingIndex
 from repro.indices.kvstore import DistributedKVStore
 from repro.indices.routing import (
-    ROUTE_FIXED,
+    HOT_KEY_THRESHOLD,
     ROUTE_LEAST_LOADED,
-    ROUTE_POLICIES,
     ReplicaRouter,
 )
 from repro.mapreduce.counters import Counters
@@ -28,6 +28,10 @@ def locate_all(key):
     return REPLICAS, REPLICAS
 
 
+def keys_per_host(decision):
+    return {host: len(positions) for host, positions in decision.groups.items()}
+
+
 class _Ctx:
     """Minimal stand-in for TaskContext: counters + charged time."""
 
@@ -38,41 +42,37 @@ class _Ctx:
 
 
 class TestConstruction:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown route policy"):
-            ReplicaRouter(policy="random")
+    def test_unknown_policy_rejected(self, cluster, dfs):
+        for policy in ("random", "fixed"):
+            with pytest.raises(ValueError, match="unknown route policy"):
+                EFindRunner(cluster, dfs, route_policy=policy)
 
     def test_hot_threshold_floor(self):
-        with pytest.raises(ValueError, match="hot_key_threshold"):
-            ReplicaRouter(hot_key_threshold=1)
+        # A threshold of 1 would spread every key from its first route.
+        assert HOT_KEY_THRESHOLD >= 2
+        assert ReplicaRouter().assign(["k"], locate_all).hot_spread == 0
 
-    def test_policies_constant(self):
-        assert ROUTE_POLICIES == (ROUTE_FIXED, ROUTE_LEAST_LOADED)
+    def test_policies_constant(self, cluster, dfs):
+        # The one policy drivers spell as a literal.
+        assert ROUTE_LEAST_LOADED == "least-loaded"
+        for policy in (None, ROUTE_LEAST_LOADED):
+            EFindRunner(cluster, dfs, route_policy=policy)
 
 
 class TestChoice:
     def test_idle_router_matches_fixed_first_choice(self):
         # All loads zero -> the least-loaded tie breaks in replica
-        # order, i.e. exactly the fixed policy's pick.
-        ll = ReplicaRouter(policy=ROUTE_LEAST_LOADED)
-        fixed = ReplicaRouter(policy=ROUTE_FIXED)
-        assert ll.assign(["k"], locate_all).groups == {"hostA": [0]}
-        assert fixed.assign(["k"], locate_all).groups == {"hostA": [0]}
+        # order, i.e. the first live replica.
+        router = ReplicaRouter()
+        assert router.assign(["k"], locate_all).groups == {"hostA": [0]}
 
     def test_least_loaded_spreads_evenly(self):
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED)
-        router.assign([f"k{i}" for i in range(6)], locate_all)
-        assert router.load_snapshot() == {"hostA": 2, "hostB": 2, "hostC": 2}
-
-    def test_fixed_policy_never_rebalances(self):
-        router = ReplicaRouter(policy=ROUTE_FIXED)
+        router = ReplicaRouter()
         decision = router.assign([f"k{i}" for i in range(6)], locate_all)
-        assert decision.rebalanced == 0
-        assert decision.hot_spread == 0
-        assert router.load_snapshot() == {"hostA": 6}
+        assert keys_per_host(decision) == {"hostA": 2, "hostB": 2, "hostC": 2}
 
     def test_load_is_cumulative_across_batches(self):
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED)
+        router = ReplicaRouter()
         router.assign(["a"], locate_all)  # hostA takes 1
         decision = router.assign(["b"], locate_all)
         assert list(decision.groups) == ["hostB"]  # balanced across calls
@@ -81,12 +81,12 @@ class TestChoice:
         def locate(key):
             return REPLICAS, ("hostB", "hostC")
 
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED)
+        router = ReplicaRouter()
         decision = router.assign([f"k{i}" for i in range(4)], locate)
-        assert set(decision.groups) == {"hostB", "hostC"}
-        # Keys landed off the partition's *placement-order* head, so
-        # they count as rebalanced relative to the live pool head only.
-        assert router.load_snapshot() == {"hostB": 2, "hostC": 2}
+        assert keys_per_host(decision) == {"hostB": 2, "hostC": 2}
+        # Rebalancing is counted against the live pool's head (hostB),
+        # not the placement-order head.
+        assert decision.rebalanced == 2
 
     def test_no_live_replica_falls_back_to_placement_list(self):
         # The retry layer, not the router, owns failure semantics: with
@@ -95,65 +95,38 @@ class TestChoice:
         def locate(key):
             return REPLICAS, ()
 
-        router = ReplicaRouter(policy=ROUTE_FIXED)
+        router = ReplicaRouter()
         assert list(router.assign(["k"], locate).groups) == ["hostA"]
 
 
 class TestHotKeys:
     def test_hot_key_round_robins_across_pool(self):
-        router = ReplicaRouter(
-            policy=ROUTE_LEAST_LOADED, hot_key_threshold=3
-        )
-        hosts = []
-        for _ in range(7):
-            (host,) = router.assign(["hot"], locate_all).groups
-            hosts.append(host)
-        # Routes 1-2 are plain least-loaded; from the threshold-crossing
-        # 3rd route on, the key round-robins the full pool.
-        assert hosts[2:] == ["hostA", "hostB", "hostC", "hostA", "hostB"]
-        assert router.hot_keys_spread == 5
-
-    def test_fixed_policy_has_no_hot_path(self):
-        router = ReplicaRouter(policy=ROUTE_FIXED, hot_key_threshold=2)
-        for _ in range(5):
+        router = ReplicaRouter()
+        hosts, spread = [], 0
+        for _ in range(HOT_KEY_THRESHOLD + 4):
             decision = router.assign(["hot"], locate_all)
-        assert decision.hot_spread == 0
-        assert router.load_snapshot() == {"hostA": 5}
+            (host,) = decision.groups
+            hosts.append(host)
+            spread += decision.hot_spread
+        # Routes below the threshold are plain least-loaded; from the
+        # threshold-crossing route on, the key round-robins the pool.
+        assert hosts[HOT_KEY_THRESHOLD - 1:] == [
+            "hostA", "hostB", "hostC", "hostA", "hostB"
+        ]
+        assert spread == 5
 
     def test_single_replica_key_never_spreads(self):
         def locate(key):
             return ("only",), ("only",)
 
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED, hot_key_threshold=2)
-        for _ in range(5):
-            decision = router.assign(["hot"], locate)
+        router = ReplicaRouter()
+        decision = router.assign(["hot"] * (HOT_KEY_THRESHOLD + 2), locate)
         assert decision.hot_spread == 0
 
 
 class TestPlanAndAssign:
-    def test_plan_is_side_effect_free(self):
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED)
-        keys = [f"k{i}" for i in range(5)]
-        first = router.plan(keys, locate_all)
-        second = router.plan(keys, locate_all)
-        assert first == second
-        assert router.load_snapshot() == {}
-        assert router.batches_routed == 0
-
-    def test_plan_previews_the_next_assign(self):
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED, hot_key_threshold=3)
-        keys = ["a", "b", "a", "c", "a"]
-        planned = router.plan(keys, locate_all)
-        decision = router.assign(keys, locate_all)
-        # groups carry positions; re-key them to key lists to compare.
-        assigned = {
-            host: [keys[i] for i in positions]
-            for host, positions in decision.groups.items()
-        }
-        assert planned == assigned
-
     def test_assign_groups_positions_in_first_use_order(self):
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED)
+        router = ReplicaRouter()
         decision = router.assign(["a", "b", "c", "d"], locate_all)
         assert decision.keys == 4
         flat = sorted(i for pos in decision.groups.values() for i in pos)
@@ -161,24 +134,23 @@ class TestPlanAndAssign:
         assert list(decision.groups) == ["hostA", "hostB", "hostC"]
 
     def test_rebalanced_counts_off_head_routes(self):
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED)
+        router = ReplicaRouter()
         decision = router.assign(["a", "b", "c"], locate_all)
         # hostA takes the first key (head choice), B and C take the
         # next two under load balance -> 2 rebalanced.
         assert decision.rebalanced == 2
-        assert router.rebalanced == 2
 
 
 class TestCharge:
     def test_charge_fills_route_counters_and_no_time(self):
-        router = ReplicaRouter(policy=ROUTE_LEAST_LOADED, hot_key_threshold=2)
+        router = ReplicaRouter()
         ctx = _Ctx()
-        keys = ["hot", "hot", "hot", "x"]
+        keys = ["hot"] * HOT_KEY_THRESHOLD + ["x"]
         decision = router.assign(keys, locate_all)
         router.charge(ctx, decision)
         group = ctx.counters.group("route")
         assert group["batches"] == 1
-        assert group["keys"] == 4
+        assert group["keys"] == len(keys)
         assert group["hot_spread"] == decision.hot_spread > 0
         assert group["rebalanced"] == decision.rebalanced
         assert ctx.charged_time == 0.0  # routing is free
@@ -188,18 +160,11 @@ class TestCharge:
         router.charge(None, router.assign(["k"], locate_all))
 
     def test_zero_counters_stay_absent(self):
-        router = ReplicaRouter(policy=ROUTE_FIXED)
+        router = ReplicaRouter()
         ctx = _Ctx()
         router.charge(ctx, router.assign(["k"], locate_all))
         group = ctx.counters.group("route")
         assert "hot_spread" not in group and "rebalanced" not in group
-
-    def test_load_snapshot_is_a_copy(self):
-        router = ReplicaRouter()
-        router.assign(["k"], locate_all)
-        snap = router.load_snapshot()
-        snap["hostA"] = 999
-        assert router.load_snapshot()["hostA"] == 1
 
 
 class TestIndexIntegration:
@@ -217,22 +182,11 @@ class TestIndexIntegration:
         kv.load([(f"k{i}", i) for i in range(64)])
         return kv
 
-    def test_multiget_plan_delegates_to_router_plan(self, cluster):
-        kv = self._kv(cluster)
-        keys = [f"k{i}" for i in range(16)]
-        baseline = kv.multiget_plan(keys)
-        kv.set_router(ReplicaRouter(policy=ROUTE_LEAST_LOADED))
-        routed = kv.multiget_plan(keys)
-        assert routed == kv.multiget_plan(keys)  # still side-effect-free
-        assert sorted(k for g in routed.values() for k in g) == sorted(keys)
-        # Routing regroups hosts but never changes the key population.
-        assert sorted(k for g in baseline.values() for k in g) == sorted(keys)
-
     def test_routed_lookup_batch_serves_identical_values(self, cluster):
         keys = [f"k{i}" for i in range(32)] + ["missing"]
         plain = self._kv(cluster).lookup_batch(list(keys))
         routed_kv = self._kv(cluster)
-        routed_kv.set_router(ReplicaRouter(policy=ROUTE_LEAST_LOADED))
+        routed_kv.set_router(ReplicaRouter())
         ctx = _Ctx()
         assert routed_kv.lookup_batch(list(keys), ctx) == plain
         assert ctx.counters.group("route")["keys"] == len(keys)
@@ -240,6 +194,7 @@ class TestIndexIntegration:
     def test_router_avoids_dead_hosts_via_locate(self, cluster):
         kv = self._kv(cluster)
         kv.set_fault_plan(FaultPlan(seed=1, dead_hosts=("node01",)))
-        kv.set_router(ReplicaRouter(policy=ROUTE_LEAST_LOADED))
-        plan = kv.multiget_plan([f"k{i}" for i in range(32)])
-        assert plan and "node01" not in plan
+        decision = ReplicaRouter().assign(
+            [f"k{i}" for i in range(32)], kv._locate
+        )
+        assert decision.groups and "node01" not in decision.groups

@@ -234,10 +234,3 @@ def test_speculation_and_routing_compose(workload, mode):
     assert comparable_counters(on) == comparable_counters(off)
     assert on.sim_time <= off.sim_time
 
-
-def test_fixed_policy_routes_like_no_router(workload):
-    off = run_one(workload, "Cache", 64, "clean")
-    on = run_one(workload, "Cache", 64, "clean", route_policy="fixed")
-    assert list(on.output) == list(off.output)
-    assert on.sim_time == off.sim_time
-    assert comparable_counters(on) == comparable_counters(off)
