@@ -51,8 +51,8 @@ def main(argv=None) -> int:
         const="",
         default=None,
         help=(
-            "attach the live telemetry bus + SLO rule engine to the "
-            "traced re-runs (requires --trace) and export each run's "
+            "judge the traced re-runs' spans with the SLO rule engine "
+            "(requires --trace) and export each run's "
             "alert timeline as <base>.alerts.jsonl; optional RULES is "
             "an SLO rule file (default: benchmarks/slo_rules.json when "
             "present, else the built-in rule set)"

@@ -216,7 +216,7 @@ def _traced_rerun(
 
     With ``--live`` (``repro.obs.config.set_live_rules``) a
     :class:`repro.obs.live.LiveSession` is attached to the traced
-    re-run and replays its recording when the run has ended; the same
+    re-run and folds its recorded spans when the run has ended; the same
     bit-identity assertions cover the run, and the resulting SLO alert
     timeline is exported as ``<base>.alerts.jsonl`` next to the trace.
     """

@@ -293,8 +293,8 @@ class JobRunner:
         if speculative:
             args["speculative"] = True
         if self.obs.bus is not None:
-            # A live session replays these deltas as the task's counters
-            # event (repro.obs.live.replay), from the recording or from
+            # A live session folds these deltas into its counter-derived
+            # metrics (repro.obs.live.fold), from the recording or from
             # an exported trace.
             args["counters"] = {
                 f"{group}.{name}": value

@@ -24,9 +24,9 @@ Layout:
   that reads a trace (critical path, stragglers, drift, slowest
   lookups, re-plan timeline), all over one span tree
   (:func:`repro.obs.analysis.loader.build_forest`).
-* :mod:`repro.obs.live`    -- the telemetry bus, rolling aggregators and
-  SLO rule engine of a ``--live`` run, fed by a replay of the recording
-  when the run finishes.
+* :mod:`repro.obs.live`    -- the SLO alerts of a ``--live`` run: one
+  fold over the recorded spans when the run finishes, judged by the
+  rule engine.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ class Observability:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(metrics=self.metrics, max_task_detail=max_task_detail)
         self.audit = AdaptiveAuditLog()
-        # Optional repro.obs.live.TelemetryBus: its session replays this
-        # recording when it finishes. Task spans then also carry their
-        # counter deltas (args.counters), which that replay reads.
+        # Optional repro.obs.live.LiveSession.bus: the session folds this
+        # tracer's spans when it finishes. Task spans then also carry
+        # their counter deltas (args.counters), which that fold reads.
         self.bus = bus
         if bus is not None:
-            bus.recordings.append((self.tracer, self.audit))
+            bus.append(self.tracer)
 
     # ------------------------------------------------------------------
     def export(self, directory: str, base: str, alerts=None) -> dict:

@@ -1,11 +1,11 @@
 """CLI: ``python -m repro.obs {validate,live} <trace-file-or-dir>``.
 
 ``validate`` structurally checks traces (exit 1 on problems) and is
-what the CI traced-bench step runs; ``live`` replays a traced run
-tick-by-tick through the telemetry bus, printing a progress frame per
-tick and the resulting alert timeline (asserting it against the
-recorded ``alerts.jsonl`` when present). Reading a trace -- why was
-this run slow -- is ``python -m repro.obs.analysis report``.
+what the CI traced-bench step runs; ``live`` recomputes each traced
+run's SLO alerts from its exported spans, prints them, and checks them
+against the recorded ``alerts.jsonl`` when there is one (exit 1 on a
+mismatch). Reading a trace -- why was this run slow -- is ``python -m
+repro.obs.analysis report``.
 
 Artifact problems -- a missing or empty trace directory, a truncated
 or partially written export -- exit 2 with a one-line reason instead
@@ -22,9 +22,11 @@ import sys
 from repro.obs.analysis.loader import (
     TraceArtifactError,
     find_trace_files,
+    load_artifacts,
     load_json_file,
 )
 from repro.obs.export import max_event_depth, validate_chrome_trace
+from repro.obs.live.rules import RuleError
 
 
 def _trace_files(path: str) -> list:
@@ -39,6 +41,37 @@ def _trace_files(path: str) -> list:
             f"run, and with --trace pointing here?)"
         )
     return files
+
+
+def _live(path: str, rules) -> int:
+    """Print each traced run's recomputed alerts; 1 when one differs
+    from its recorded ``alerts.jsonl``."""
+    from repro.obs.live import SLOEngine, artifact_rows, coerce_rules, samples
+    from repro.obs.live.engine import summary_lines
+
+    rules = coerce_rules(rules)
+    status = 0
+    for artifact in load_artifacts(path):
+        engine = SLOEngine(rules)
+        engine.feed(samples(artifact_rows(artifact)))
+        rows = engine.alert_rows()
+        print(f"=== {artifact.base} ===")
+        for line in summary_lines(rows):
+            print(line)
+        if not os.path.exists(
+            artifact.trace_path[: -len(".trace.json")] + ".alerts.jsonl"
+        ):
+            print("no alerts.jsonl recorded: nothing to check")
+        elif rows == artifact.alert_rows:
+            print(f"recomputed alerts match alerts.jsonl ({len(rows)} row(s))")
+        else:
+            status = 1
+            print(
+                f"MISMATCH: recomputed alerts differ from alerts.jsonl "
+                f"({len(rows)} recomputed, {len(artifact.alert_rows)} recorded)"
+            )
+        print()
+    return status
 
 
 def main(argv=None) -> int:
@@ -59,7 +92,7 @@ def main(argv=None) -> int:
     )
 
     p_live = sub.add_parser(
-        "live", help="replay a traced run tick-by-tick through the live bus"
+        "live", help="recompute SLO alerts and check the recorded ones"
     )
     p_live.add_argument("path", help="a *.trace.json file or a directory")
     p_live.add_argument(
@@ -67,31 +100,15 @@ def main(argv=None) -> int:
         default=None,
         help="SLO rule file (default: the built-in rule set)",
     )
-    p_live.add_argument(
-        "--ticks",
-        type=int,
-        default=None,
-        help="progress frames to render (default 20)",
-    )
 
     args = parser.parse_args(argv)
 
     if args.command == "live":
-        from repro.obs.live.render import DEFAULT_TICKS, render_path
-        from repro.obs.live.rules import RuleError
-
         try:
-            lines = render_path(
-                args.path,
-                rules=args.rules,
-                ticks=args.ticks if args.ticks is not None else DEFAULT_TICKS,
-            )
+            return _live(args.path, args.rules)
         except (TraceArtifactError, RuleError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        for line in lines:
-            print(line)
-        return 0
 
     # validate
     try:

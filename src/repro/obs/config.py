@@ -8,8 +8,8 @@ when set, performs the traced double-run (see
 :mod:`repro.bench.harness`). ``None`` (the default) means tracing is
 fully disabled and benches take the pre-observability code paths.
 
-``--live`` is the same shape: ``None`` (default) means no telemetry
-bus is attached anywhere; ``""`` means live telemetry with the
+``--live`` is the same shape: ``None`` (default) means no SLO session
+is attached anywhere; ``""`` means live telemetry with the
 built-in SLO rule set; any other string is a rule-file path (see
 :mod:`repro.obs.live.rules`). Live mode only has an effect during the
 traced re-run, so it requires a trace directory.

@@ -1,67 +1,63 @@
-"""Live telemetry: the event bus, rolling aggregators, and SLO engine.
+"""SLO alerts of a traced run, folded from its recorded spans.
 
 The exported artifacts answer "what happened?"; this package folds a
 traced run into SLO verdicts without perturbing it. Nothing runs while
-the simulation executes: :meth:`LiveSession.finish` replays what the
+the simulation executes: :meth:`LiveSession.finish` folds what the
 attached :class:`~repro.obs.Observability` recorded, and verdicts
 exist from then on. The pieces:
 
-* :mod:`repro.obs.live.bus`      -- :class:`TelemetryBus`: hands
-  spans, counter deltas, and audit verdicts to in-process subscribers,
-  in deterministic publish order.
-* :mod:`repro.obs.live.replay`   -- rebuilds the event stream of a run,
-  from its in-memory recording or from its exported artifacts.
-* :mod:`repro.obs.live.windows`  -- :class:`LiveAggregators`: rolling
-  windows over the event stream (per-phase throughput, cache/reuse hit
-  ratios, fault-retry rate, build coverage, wave-tail straggler ratio).
-* :mod:`repro.obs.live.rules`    -- the declarative SLO rule grammar
+* :mod:`repro.obs.live.fold`   -- :func:`samples`: one fold over the
+  span rows (per-phase throughput, cache/reuse hit ratios, fault-retry
+  rate, build coverage, wave-tail straggler ratio), fed from a
+  recording or from an export.
+* :mod:`repro.obs.live.rules`  -- the declarative SLO rule grammar
   (threshold / rate-of-change / sustained-for) and
   ``benchmarks/slo_rules.json`` loading.
-* :mod:`repro.obs.live.engine`   -- :class:`SLOEngine`: evaluates
-  rules over the sample stream and emits a deterministic alert
-  timeline (exported as ``<base>.alerts.jsonl``).
-* :mod:`repro.obs.live.snapshot` -- the progress snapshot API.
-* :mod:`repro.obs.live.render`   -- the ``python -m repro.obs live``
-  tick-by-tick artifact replay.
+* :mod:`repro.obs.live.engine` -- :class:`SLOEngine`: evaluates rules
+  over the sample stream and emits a deterministic alert timeline
+  (exported as ``<base>.alerts.jsonl``).
 
-:class:`LiveSession` wires them together; the bench harness attaches
-one to the traced re-run when ``python -m repro.bench --trace DIR
---live`` is given.
+The bench harness attaches a :class:`LiveSession` to the traced re-run
+when ``python -m repro.bench --trace DIR --live`` is given; ``python -m
+repro.obs live DIR`` recomputes an export's alerts and checks them
+against the recorded ones.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.obs.live.bus import TelemetryBus, TelemetryEvent
 from repro.obs.live.engine import Alert, SLOEngine, overlapping_alerts
-from repro.obs.live.replay import events_from_recording, publish
+from repro.obs.live.fold import (
+    DEFAULT_WINDOW_S,
+    RollingWindow,
+    artifact_rows,
+    recording_rows,
+    samples,
+)
 from repro.obs.live.rules import RuleError, SloRule, coerce_rules, load_rules
-from repro.obs.live.snapshot import LiveSnapshot
-from repro.obs.live.windows import DEFAULT_WINDOW_S, LiveAggregators, RollingWindow
 
 __all__ = [
     "Alert",
     "DEFAULT_WINDOW_S",
-    "LiveAggregators",
     "LiveSession",
-    "LiveSnapshot",
     "RollingWindow",
     "RuleError",
     "SLOEngine",
     "SloRule",
-    "TelemetryBus",
-    "TelemetryEvent",
+    "artifact_rows",
     "coerce_rules",
     "load_rules",
     "overlapping_alerts",
+    "recording_rows",
+    "samples",
 ]
 
 
 class LiveSession:
-    """One live-telemetry session: bus -> aggregators -> SLO engine ->
-    snapshot, ready to hand to :class:`repro.obs.Observability` via its
-    ``bus`` parameter. The session stays empty until :meth:`finish`.
+    """One SLO session, ready to hand to
+    :class:`repro.obs.Observability` via its ``bus`` parameter. The
+    session stays empty until :meth:`finish`.
 
     ``rules`` accepts a rule-file path, a list of rules (objects or
     dicts), or None/"" for the built-in defaults.
@@ -69,20 +65,20 @@ class LiveSession:
 
     def __init__(self, rules=None):
         self.rules: List[SloRule] = coerce_rules(rules)
-        self.bus = TelemetryBus()
-        self.aggregators = LiveAggregators(self.bus)
-        self.engine = SLOEngine(self.rules, self.aggregators)
-        self.progress = LiveSnapshot(self.bus, self.aggregators, self.engine)
+        #: The tracer of every Observability built with ``bus=`` this
+        #: list, in construction order: what :meth:`finish` folds.
+        self.bus: list = []
+        self.engine = SLOEngine(self.rules)
 
-    # ------------------------------------------------------------------
     def finish(self) -> None:
-        """Publish what every attached Observability recorded, then seal
-        the session at the aggregators' watermark (alerts still firing
-        stay open). A recording is replayed once."""
-        recordings, self.bus.recordings = self.bus.recordings, []
-        for tracer, audit in recordings:
-            publish(self.bus, events_from_recording(tracer, audit))
-        self.engine.finish(self.aggregators.watermark)
+        """Fold what every attached Observability recorded, as one
+        stream, into the alert timeline (alerts still firing stay
+        open). A recording is folded once."""
+        tracers = list(self.bus)
+        self.bus.clear()
+        self.engine.feed(
+            samples(row for tracer in tracers for row in recording_rows(tracer))
+        )
 
     @property
     def alerts(self) -> List[Alert]:
@@ -90,9 +86,6 @@ class LiveSession:
 
     def alert_rows(self) -> List[dict]:
         return self.engine.alert_rows()
-
-    def snapshot(self) -> dict:
-        return self.progress.snapshot()
 
     def export_alerts(self, path: str) -> None:
         from repro.obs.live.engine import write_alerts

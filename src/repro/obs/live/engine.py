@@ -1,9 +1,9 @@
 """The SLO rule engine: metric samples in, a deterministic alert
 timeline out.
 
-:class:`SLOEngine` subscribes to a
-:class:`~repro.obs.live.windows.LiveAggregators` sample stream and
-drives one small state machine per rule:
+:class:`SLOEngine` consumes the sample stream of
+:func:`repro.obs.live.fold.samples` and drives one small state machine
+per rule:
 
 * **idle** -- the predicate is false. A tripping sample moves to
   *pending* (or straight to *firing* when ``min_count`` is 1 and, for
@@ -16,9 +16,8 @@ drives one small state machine per rule:
   evidence (capped; the peak always tracked). The first non-tripping
   sample clears the alert at its timestamp.
 
-Alerts that are still firing when the run ends stay *open*
-(``cleared_at`` is ``null`` in the export); :meth:`SLOEngine.finish`
-only records the end-of-stream watermark. The whole pipeline is plain
+Alerts that are still firing when the stream ends stay *open*
+(``cleared_at`` is ``null`` in the export). The whole pipeline is plain
 deterministic Python over a deterministic sample stream, so the
 exported ``alerts.jsonl`` is byte-identical across runs and processes
 (a test pins this under different ``PYTHONHASHSEED``).
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.live.rules import SloRule
 
@@ -58,13 +57,6 @@ class Alert:
     @property
     def open(self) -> bool:
         return self.cleared_at is None
-
-    def window(self, end_of_run: Optional[float] = None) -> Tuple[float, float]:
-        """The firing interval; an open alert extends to ``end_of_run``
-        (or +inf when unknown)."""
-        if self.cleared_at is not None:
-            return self.fired_at, self.cleared_at
-        return self.fired_at, end_of_run if end_of_run is not None else float("inf")
 
     def to_row(self, seq: int) -> dict:
         return {
@@ -99,20 +91,22 @@ class _RuleState:
 
 
 class SLOEngine:
-    """Evaluates SLO rules over a live metric sample stream."""
+    """Evaluates SLO rules over a metric sample stream."""
 
-    def __init__(self, rules: Sequence[SloRule], aggregators=None):
+    def __init__(self, rules: Sequence[SloRule]):
         self.rules = list(rules)
         self.alerts: List[Alert] = []  # firing order, fired and open
-        self.end_of_stream: Optional[float] = None
         self._states = [_RuleState(rule) for rule in self.rules]
         self._by_metric: Dict[str, List[_RuleState]] = {}
         for state in self._states:
             self._by_metric.setdefault(state.rule.metric, []).append(state)
-        if aggregators is not None:
-            aggregators.on_sample(self.on_sample)
 
     # ------------------------------------------------------------------
+    def feed(self, samples: Iterable[tuple]) -> None:
+        """Judge ``(metric, ts, value, detail)`` samples in order."""
+        for sample in samples:
+            self.on_sample(*sample)
+
     def on_sample(
         self, metric: str, ts: float, value: float, detail: Dict[str, Any]
     ) -> None:
@@ -181,16 +175,6 @@ class SLOEngine:
         self.alerts.append(alert)
 
     # ------------------------------------------------------------------
-    def finish(self, end_of_stream: float) -> None:
-        """Record the end-of-stream watermark. Alerts still firing stay
-        open (``cleared_at`` null): the condition never observably
-        recovered."""
-        self.end_of_stream = end_of_stream
-
-    @property
-    def active(self) -> List[Alert]:
-        return [a for a in self.alerts if a.open]
-
     def alert_rows(self) -> List[dict]:
         """JSON-ready rows in firing order (the ``alerts.jsonl``
         content)."""

@@ -24,10 +24,13 @@ Three predicate types:
   "for": SECONDS}``: the threshold has held continuously for at least
   ``for`` seconds of simulated time.
 
-``op`` is one of ``>`` ``>=`` ``<`` ``<=``; ``severity`` is ``info``,
-``warning``, or ``critical``; ``min_count`` (optional, default 1)
-requires that many *consecutive* tripping samples before the alert
-fires, absorbing one-sample blips. Validation errors raise
+``metric`` is one of the names :func:`repro.obs.live.fold.samples`
+emits (:data:`repro.obs.live.fold.METRICS`), so a misspelt metric is
+refused instead of silently never firing. ``op`` is one of ``>``
+``>=`` ``<`` ``<=``; ``severity`` is ``info``, ``warning``, or
+``critical``; ``min_count`` (optional, default 1) requires that many
+*consecutive* tripping samples before the alert fires, absorbing
+one-sample blips. Validation errors raise
 :class:`RuleError` naming the offending rule and field.
 """
 
@@ -37,6 +40,8 @@ import json
 import os
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Union
+
+from repro.obs.live.fold import METRICS
 
 SEVERITIES = ("info", "warning", "critical")
 OPS = (">", ">=", "<", "<=")
@@ -144,6 +149,11 @@ def parse_rule(obj: Any, where: str = "rule") -> SloRule:
     metric = obj.get("metric")
     _require(
         isinstance(metric, str) and bool(metric), where, "missing 'metric' string"
+    )
+    _require(
+        metric in METRICS,
+        where,
+        f"unknown metric {metric!r} (known: {', '.join(METRICS)})",
     )
     severity = obj.get("severity", "warning")
     _require(

@@ -88,8 +88,8 @@ class Tracer:
     """Collects spans and instant events in simulated time.
 
     Append order is commit order, and the export keeps it: a live
-    session replays :attr:`spans` in this order at its end
-    (:mod:`repro.obs.live.replay`), and the replay of the exported
+    session folds :attr:`spans` in this order at its end
+    (:mod:`repro.obs.live.fold`), and the fold over the exported
     artifacts reads the same order back from the file.
     """
 

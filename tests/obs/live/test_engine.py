@@ -17,7 +17,7 @@ from repro.obs.live.rules import parse_rule
 def threshold_rule(**overrides):
     base = {
         "name": "hot",
-        "metric": "m",
+        "metric": "straggler_ratio",
         "severity": "warning",
         "predicate": {"type": "threshold", "op": ">=", "value": 2.0},
     }
@@ -25,7 +25,7 @@ def threshold_rule(**overrides):
     return parse_rule(base)
 
 
-def feed(engine, samples, metric="m"):
+def feed(engine, samples, metric="straggler_ratio"):
     for ts, value in samples:
         engine.on_sample(metric, ts, value, {})
 
@@ -44,11 +44,10 @@ class TestThreshold:
     def test_open_at_end_of_stream(self):
         engine = SLOEngine([threshold_rule()])
         feed(engine, [(0.0, 5.0)])
-        engine.finish(9.0)
         (alert,) = engine.alerts
-        assert alert.open
-        assert alert.window(engine.end_of_stream) == (0.0, 9.0)
-        assert alert.window() == (0.0, float("inf"))
+        assert alert.open and alert.cleared_at is None
+        (row,) = engine.alert_rows()
+        assert (row["state"], row["cleared_at"]) == ("open", None)
 
     def test_refire_after_clear_is_a_new_alert(self):
         engine = SLOEngine([threshold_rule()])
@@ -143,28 +142,26 @@ class TestRateOfChange:
 
 class TestRouting:
     def test_rules_only_see_their_metric(self):
-        engine = SLOEngine([threshold_rule(metric="a")])
-        feed(engine, [(0.0, 99.0)], metric="b")
+        engine = SLOEngine([threshold_rule(metric="cache_hit_ratio")])
+        feed(engine, [(0.0, 99.0)], metric="straggler_ratio")
         assert engine.alerts == []
 
-    def test_aggregator_subscription(self):
-        class FakeAgg:
-            def __init__(self):
-                self.listeners = []
-
-            def on_sample(self, fn):
-                self.listeners.append(fn)
-
-        agg = FakeAgg()
-        engine = SLOEngine([threshold_rule()], agg)
-        assert agg.listeners == [engine.on_sample]
+    def test_feed_judges_samples_in_order(self):
+        engine = SLOEngine([threshold_rule()])
+        engine.feed([
+            ("straggler_ratio", 0.0, 3.0, {"wave": 0}),
+            ("cache_hit_ratio", 0.5, 0.0, {}),
+            ("straggler_ratio", 1.0, 1.0, {"wave": 1}),
+        ])
+        (alert,) = engine.alerts
+        assert (alert.fired_at, alert.cleared_at) == (0.0, 1.0)
+        assert alert.detail == {"wave": 0}
 
 
 class TestRowsAndJoin:
     def _rows(self):
         engine = SLOEngine([threshold_rule()])
         feed(engine, [(1.0, 3.0), (2.0, 1.0), (5.0, 3.0)])
-        engine.finish(6.0)
         return engine.alert_rows()
 
     def test_rows_are_json_ready_and_ordered(self, tmp_path):

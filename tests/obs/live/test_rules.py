@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.obs.live.fold import METRICS
 from repro.obs.live.rules import (
     DEFAULT_RULES_JSON,
     RuleError,
@@ -21,7 +22,7 @@ REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..", "..")
 def _rule(**overrides):
     base = {
         "name": "r",
-        "metric": "m",
+        "metric": "straggler_ratio",
         "severity": "warning",
         "predicate": {"type": "threshold", "op": ">=", "value": 1.0},
     }
@@ -72,13 +73,26 @@ class TestParseRule:
                 _rule(predicate={"type": "threshold", "op": "==", "value": 1})
             )
         with pytest.raises(RuleError, match="missing 'name'"):
-            parse_rule({"metric": "m"})
+            parse_rule({"metric": "straggler_ratio"})
         with pytest.raises(RuleError, match="must be a number"):
             parse_rule(
                 _rule(predicate={"type": "threshold", "op": ">", "value": True})
             )
         with pytest.raises(RuleError, match="'min_count' must be an integer"):
             parse_rule(_rule(min_count=0))
+
+    def test_unknown_metric_rejected(self):
+        """A misspelt metric would never see a sample, so the rule could
+        never fire: it is refused, naming the rule and the field."""
+        with pytest.raises(RuleError, match="rule 'r'.*unknown metric 'straggler'"):
+            parse_rule(_rule(metric="straggler"))
+        assert set(METRICS) == {
+            "throughput.map", "throughput.reduce", "cache_hit_ratio",
+            "reuse_hit_ratio", "fault_retry_rate", "build_progress",
+            "straggler_ratio",
+        }
+        for metric in METRICS:
+            assert parse_rule(_rule(metric=metric)).metric == metric
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(RuleError, match="duplicate rule name"):

@@ -203,14 +203,6 @@ class TestExportBoundaries:
             {"boundaries": [0.1, 1.0, "+Inf"], "buckets": [9.9]}
         ) == [0.1, 1.0]
 
-    def test_live_aggregator_uses_the_same_edges(self):
-        """The live lookup-latency histogram and the offline export
-        share one Histogram class, so their edges cannot drift."""
-        from repro.obs.live.windows import LiveAggregators
-
-        agg = LiveAggregators()
-        assert agg.lookup_latency.boundaries() == Histogram("h").boundaries()
-
 
 class TestToDict:
     def test_histogram_snapshot_shape(self):

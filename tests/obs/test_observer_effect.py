@@ -49,61 +49,63 @@ class TestObserverEffect:
 
 
 class TestLiveObserverEffect:
-    """The live leg: a session with the full default rule set replays
-    the recording when the run ends, so it is as passive as tracing
+    """The live leg: a session with the full default rule set folds the
+    recording when the run ends, so it is as passive as tracing
     itself."""
 
     def test_subscribed_bus_changes_nothing_simulated(self, efind_env):
-        from repro.obs.live import LiveSession
+        from repro.obs.live import LiveSession, recording_rows, samples
 
         plain = efind_env.runner().run(
             efind_env.make_job("oe-live-ref"), mode="dynamic"
         )
-        session = LiveSession()  # aggregators + engine + snapshot attached
+        session = LiveSession()
         obs = Observability(bus=session.bus)
         live = efind_env.runner(obs=obs).run(
             efind_env.make_job("oe-live"), mode="dynamic"
         )
         session.finish()
-        assert session.bus.published > 0  # the replay really published
+        assert samples(recording_rows(obs.tracer))  # the fold had input
         assert live.sim_time == plain.sim_time
         assert live.counters.to_dict() == plain.counters.to_dict()
         assert sorted(live.output) == sorted(plain.output)
 
     def test_per_task_publish_is_passive_and_complete(self, efind_env):
-        """Nothing reaches the bus while the job runs. ``finish()``
-        publishes every recorded span and instant, spans in tracer
-        order, and the simulation is bit-identical to a run without."""
+        """Nothing is judged while the job runs. ``finish()`` folds every
+        recorded task span, once, and the simulation is bit-identical to
+        a run without."""
         from repro.obs.live import LiveSession
 
         plain = efind_env.runner().run(
             efind_env.make_job("oe-task-ref"), mode="dynamic"
         )
-        session = LiveSession()
-        events = []
-        session.bus.subscribe(events.append)
+        # Fires on the first map task's sample and never clears, so its
+        # sample count is the number of map tasks the fold saw.
+        session = LiveSession(rules=[{
+            "name": "any-map", "metric": "throughput.map",
+            "predicate": {"type": "threshold", "op": ">=", "value": 0.0},
+        }])
         obs = Observability(bus=session.bus)
+        assert session.bus == [obs.tracer]
         live = efind_env.runner(obs=obs).run(
             efind_env.make_job("oe-task"), mode="dynamic"
         )
-        assert events == []
+        assert session.alerts == []
         session.finish()
         assert live.sim_time == plain.sim_time
         assert live.counters.to_dict() == plain.counters.to_dict()
         assert sorted(live.output) == sorted(plain.output)
 
-        assert [event.seq for event in events] == list(range(session.bus.published))
-        spans = [e for e in events if e.kind == "span"]
-        assert [(e.name, e.track) for e in spans] == [
-            (s.name, s.track) for s in obs.tracer.spans
+        maps = [
+            s for s in obs.tracer.spans
+            if s.name == "task" and s.args["kind"] == "map"
         ]
-        instants = [e for e in events if e.kind == "instant"]
-        assert [(e.name, e.track) for e in instants] == [
-            (i.name, i.track) for i in obs.tracer.instants
-        ]
-        # A recording is replayed once.
+        (alert,) = session.alerts
+        assert maps and alert.samples == len(maps)
+        # A recording is folded once.
+        assert session.bus == []
         session.finish()
-        assert session.bus.published == len(events)
+        assert session.alerts == [alert] and alert.samples == len(maps)
 
     def test_alert_timeline_byte_deterministic_across_processes(self, tmp_path):
         """The exported alerts.jsonl of the same run is byte-identical
