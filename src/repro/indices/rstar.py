@@ -104,10 +104,7 @@ class _RNode:
         self.leaf = leaf
 
     def mbr(self) -> Rect:
-        rect = self.entries[0].rect
-        for e in self.entries[1:]:
-            rect = rect.union(e.rect)
-        return rect
+        return _mbr_of(self.entries)
 
 
 class RStarTree:
@@ -551,10 +548,13 @@ def _str_pack(entries: List[_Entry], leaf: bool, cap: int) -> List["_RNode"]:
 
 
 def _mbr_of(entries: Sequence[_Entry]) -> Rect:
-    rect = entries[0].rect
-    for e in entries[1:]:
-        rect = rect.union(e.rect)
-    return rect
+    """The entries' minimum bounding rectangle, one ``min``/``max`` per
+    coordinate. Both keep the first of equal values (``-0.0 == 0.0``), as
+    a pairwise ``Rect.union`` fold does, so the result is that fold's."""
+    xmins, ymins, xmaxs, ymaxs = zip(
+        *[(e.rect.xmin, e.rect.ymin, e.rect.xmax, e.rect.ymax) for e in entries]
+    )
+    return Rect(min(xmins), min(ymins), max(xmaxs), max(ymaxs))
 
 
 class _GridScheme(PartitionScheme):

@@ -114,18 +114,9 @@ class RollingWindow:
     def sum(self) -> float:
         return self._sum
 
-    def count(self) -> int:
-        return len(self._heap)
-
-    def mean(self) -> float:
-        return self._sum / len(self._heap) if self._heap else 0.0
-
     def rate(self) -> float:
         """Window sum per second of window width."""
         return self._sum / self.width
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 def _quantize_range(start: float, end: float) -> Tuple[float, float]:

@@ -10,6 +10,7 @@ from repro.core.statistics import OperatorStats
 from repro.core.strategy import (
     CarrierMaterializeReducer,
     GroupLookupReducer,
+    OperatorStage,
     SchemePartitioner,
 )
 
@@ -66,17 +67,21 @@ class TestStageStructure:
         stages = compile_plan(job, plan, efind_env.cluster)
         assert len(stages) == 1
         conf = stages[0].conf
-        names = [fn.name for fn in conf.map_chain]
-        assert names[0].startswith("pre[")
-        assert any(n.startswith("idx[") for n in names)
-        assert any(n.startswith("post[") for n in names)
+        # One stage runs the whole operator: no carrier between phases.
+        stage = conf.map_chain[0]
+        assert isinstance(stage, OperatorStage)
+        assert stage.phases == ["pre[head0]", "idx[head0.0:base]", "post[head0]"]
+        assert stage.name == " -> ".join(stage.phases)
         assert conf.reducer is not None
 
     def test_cache_single_stage_with_cache_mode(self, efind_env):
         job = efind_env.make_job("c2")
         plan = forced_plan(specs_of(job), Strategy.CACHE)
         stages = compile_plan(job, plan, efind_env.cluster)
-        assert any(":cache]" in fn.name for fn in stages[0].conf.map_chain)
+        stage = stages[0].conf.map_chain[0]
+        assert stage.phases == ["pre[head0]", "idx[head0.0:cache]", "post[head0]"]
+        ((pipeline, record_sidx),) = stage.lookups
+        assert pipeline.use_cache and record_sidx
 
     def test_repart_head_two_stages(self, efind_env):
         job = efind_env.make_job("c3")

@@ -10,6 +10,7 @@ from repro.core.operator import IndexOperator
 from repro.core.optimizer import forced_plan
 from repro.core.compiler import compile_plan
 from repro.core.statistics import OperatorStatsAccumulator
+from repro.core.strategy import OperatorStage
 from repro.indices.base import MappingIndex
 from repro.mapreduce.api import FnMapper, FnReducer
 from tests.conftest import UserCityOperator
@@ -72,10 +73,15 @@ class TestMultipleOperators:
         job = self._two_head_job(efind_env, "multi1")
         plan = forced_plan(job.operator_specs(), Strategy.BASELINE)
         stages = compile_plan(job, plan, efind_env.cluster)
-        names = [fn.name for fn in stages[0].conf.map_chain]
-        first_post = names.index("post[head0]")
-        second_pre = names.index("pre[head1]")
-        assert first_post < second_pre
+        operators = [
+            fn for fn in stages[0].conf.map_chain if isinstance(fn, OperatorStage)
+        ]
+        # One stage per operator, each from its pre to its post phase:
+        # post[head0] runs before pre[head1].
+        assert [stage.phases for stage in operators] == [
+            ["pre[head0]", "idx[head0.0:base]", "post[head0]"],
+            ["pre[head1]", "idx[head1.0:base]", "post[head1]"],
+        ]
 
     def test_chained_head_ops_run(self, efind_env):
         job = self._two_head_job(efind_env, "multi2")

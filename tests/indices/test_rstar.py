@@ -9,7 +9,7 @@ from repro.common.errors import IndexLookupError
 from repro.common.sizing import sizeof, sizeof_pair
 from repro.core.costmodel import Strategy
 from repro.core.runner import EFindRunner
-from repro.indices.rstar import GridRStarForest, Rect, RStarTree, _GridScheme
+from repro.indices.rstar import GridRStarForest, Rect, RStarTree, _Entry, _GridScheme, _mbr_of
 from repro.mapreduce.api import OutputCollector
 from repro.workloads import osm
 from repro.workloads.knn import exact_knn, make_knnj_job
@@ -60,6 +60,26 @@ class TestRect:
         r = Rect(0, 0, 1, 1)
         assert r.contains_point((0.0, 1.0))
         assert not r.contains_point((1.1, 0.5))
+
+    def test_mbr_is_the_union_fold_signed_zeros_included(self):
+        """One ``min``/``max`` per coordinate keeps the first of equal
+        values, as a pairwise ``union`` fold does: ``-0.0 == 0.0``, so
+        which zero a bounding rectangle holds depends on entry order."""
+        rng = random.Random(5)
+        coords = (0.0, -0.0, 1.0, -1.0, 2.5)
+        for _ in range(2000):
+            entries = [
+                _Entry(Rect(*(rng.choice(coords) for _ in range(4))))
+                for _ in range(rng.randint(1, 6))
+            ]
+            fold = entries[0].rect
+            for e in entries[1:]:
+                fold = fold.union(e.rect)
+            mbr = _mbr_of(entries)
+            assert mbr == fold
+            assert [math.copysign(1.0, c) for c in (mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax)] == [
+                math.copysign(1.0, c) for c in (fold.xmin, fold.ymin, fold.xmax, fold.ymax)
+            ]
 
 
 class TestRStarTreeStructure:

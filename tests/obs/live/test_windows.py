@@ -16,15 +16,12 @@ from repro.obs.trace import Tracer
 
 
 class TestRollingWindow:
-    def test_sum_count_mean_rate(self):
+    def test_sum_and_rate(self):
         w = RollingWindow(2.0)
         w.add(0.0, 1.0)
         w.add(1.0, 3.0)
         assert w.sum() == 4.0
-        assert w.count() == 2
-        assert w.mean() == 2.0
         assert w.rate() == 2.0
-        assert len(w) == 2
 
     def test_prune_drops_at_or_before_horizon(self):
         w = RollingWindow(1.0)
@@ -32,7 +29,6 @@ class TestRollingWindow:
         w.add(1.0, 1.0)
         w.add(2.0, 1.0)
         w.prune(2.0)  # horizon 1.0: drops ts <= 1.0
-        assert w.count() == 1
         assert w.sum() == 1.0
 
     def test_prune_handles_out_of_order_arrival(self):
@@ -43,15 +39,13 @@ class TestRollingWindow:
         w.add(0.5, 1.0)
         w.add(4.5, 1.0)
         w.prune(5.0)  # horizon 4.0
-        assert w.count() == 2
         assert w.sum() == 2.0
 
     def test_empty_window(self):
         w = RollingWindow(1.0)
         assert w.sum() == 0.0
-        assert w.mean() == 0.0
         w.prune(100.0)
-        assert w.count() == 0
+        assert w.sum() == 0.0
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):

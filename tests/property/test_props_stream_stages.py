@@ -29,6 +29,7 @@ from repro.core.strategy import (
     KeyByIkFn,
     LookupFn,
     LookupSettings,
+    OperatorStage,
     PostProcessFn,
     PreProcessFn,
     RecordMeter,
@@ -338,3 +339,89 @@ class TestStreamEqualsRecordByRecord:
             emitted = out["post[op0]"]
             assert emitted.records[-1][1] == "half"
             assert sample.spost_bytes == emitted.bytes - emitted.sizes[-1]
+
+
+class TestOneStageEqualsItsPhasesInARow:
+    """An ``OperatorStage`` of several phases -- with or without its
+    ``pre_process``, one lookup per index, with or without its
+    ``post_process`` -- does what its phases do run as one-phase stages
+    in a row: same collector, samples, sketches, counters, charges to
+    the last bit and spans, also when a ``pre_process``, an index or a
+    ``post_process`` raises midway."""
+
+    @given(
+        cases(),
+        st.sampled_from(PRE_MODES),
+        st.sampled_from([1, 7]),
+        st.sampled_from(TIERS),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([None, "pre", "lookup", "post"]),
+        st.integers(0, 6),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stage_equals_phases_in_a_row(
+        self, case, mode, batch_size, tier, pre, post, where, fail_at, failing_index
+    ):
+        mappings, records = case
+        m = len(mappings)
+        if not pre:
+            # What a shuffle hands the stage: the carriers pre_process made.
+            carried = OutputCollector()
+            PreProcessFn(build_operator(mappings, mode), "op0").run(
+                records, input_sizes(records, True), carried, TaskContext(
+                    Cluster(num_nodes=2).nodes[0], TimeModel(), task_id="t0"
+                )
+            )
+            records, sizes = carried.records, carried.sizes
+        else:
+            sizes = input_sizes(records, True)
+        settings_ = LookupSettings(batch_size=batch_size, cache_capacity=4)
+        tiers = dict(use_cache=(tier == "cache"), dedup_adjacent=(tier == "dedup"))
+        sides = []
+        for fused in (True, False):
+            twin = Twin(mappings, mode, True, True)
+            if where == "pre":
+                twin.op.pre_process = failing(twin.op.pre_process, fail_at)
+            elif where == "post":
+                twin.op.post_process = failing(twin.op.post_process, fail_at, emit_half)
+            elif where == "lookup":
+                index = twin.op.accessors[failing_index % m].index
+                index._lookup = failing(index._lookup, fail_at)
+            if fused:
+                stage = OperatorStage(twin.op, "op0", twin.acc, pre=pre, post=post)
+                for j in range(m):
+                    stage.add_lookup(j, settings_, record_sidx=(j == m - 1), **tiers)
+                out = OutputCollector()
+                raised = raises_boom(stage.run, records, sizes, out, twin.ctx)
+                names = stage.phases
+            else:
+                stages = [PreProcessFn(twin.op, "op0", twin.acc)] if pre else []
+                stages += [
+                    LookupFn(
+                        twin.op, "op0", j, twin.acc, settings_,
+                        record_sidx=(j == m - 1), **tiers,
+                    )
+                    for j in range(m)
+                ]
+                stages += [PostProcessFn(twin.op, "op0", twin.acc)] if post else []
+                fed, raised = (records, sizes), False
+                for one in stages:
+                    # The last stage's collector is the chain's output;
+                    # after a raise, what the stages left stands.
+                    out = OutputCollector()
+                    if not raised:
+                        raised = raises_boom(one.run, *fed, out, twin.ctx)
+                        fed = (out.records, out.sizes)
+                names = [one.name for one in stages]
+            sides.append((raised, names, twin.observed(out), twin.acc))
+        (raised, names, seen, acc), (twin_raised, twin_names, twin_seen, twin_acc) = sides
+        assert raised == twin_raised
+        assert " -> ".join(names) == " -> ".join(twin_names)
+        for what in seen:
+            assert seen[what] == twin_seen[what], what
+        assert repr(seen["charged_time"]) == repr(twin_seen["charged_time"])
+        assert [acc.fm[j].bitmaps for j in acc.fm] == [
+            twin_acc.fm[j].bitmaps for j in twin_acc.fm
+        ]
