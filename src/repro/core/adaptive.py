@@ -15,7 +15,7 @@ surprising refusal to change plans) can be audited after the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.costmodel import CostEnv, Placement
@@ -30,9 +30,6 @@ from repro.obs.audit import (
     VERDICT_REPLAN,
     VERDICT_SAME_STRATEGIES,
     VERDICT_VARIANCE_GATE,
-    env_constants,
-    index_samples,
-    operator_sizes,
     strategy_cost_table,
 )
 
@@ -132,7 +129,7 @@ def evaluate_replan(
             variance_threshold=variance_threshold,
             plan_change_cost=plan_change_cost,
             scale=scale,
-            env=env_constants(env),
+            env=asdict(env),
             current_plan=current_plan.describe(),
             **kw,
         )
@@ -218,9 +215,7 @@ def evaluate_replan(
                 {
                     "operator": op_id,
                     "placement": placement.value,
-                    "n1": stats.n1,
-                    "sizes": operator_sizes(stats),
-                    "samples": index_samples(stats),
+                    "stats": stats.to_dict(),
                     "strategies": strategy_cost_table(
                         env, stats, placement, locality, idempotent
                     ),

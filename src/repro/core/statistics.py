@@ -18,7 +18,7 @@ Re-optimization is gated on the sample variance of per-task statistics:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -246,6 +246,41 @@ class OperatorStats:
     def index(self, index_id: int) -> IndexStats:
         return self.per_index.setdefault(index_id, IndexStats())
 
+    def to_dict(self) -> dict:
+        """The one serialised form of these statistics, read back by
+        :meth:`from_dict`: the catalog file and each audit record's
+        ``operators[].stats``. Every field by name, ``per_index`` last
+        and keyed by str. Derived terms (``effective_tj()``,
+        ``reuse_survival()``) are not stored; they follow from these."""
+        out = asdict(self)
+        out["per_index"] = {str(j): idx for j, idx in out.pop("per_index").items()}
+        return out
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "OperatorStats":
+        """Reverse :meth:`to_dict`. A missing or unknown field raises a
+        ``ValueError`` that names it."""
+        stats = cls(**_fields(cls, raw, "operator statistics"))
+        stats.per_index = {
+            int(j): IndexStats(**_fields(IndexStats, idx, f"per_index[{j}]"))
+            for j, idx in stats.per_index.items()
+        }
+        return stats
+
+
+def _fields(cls, raw: Any, what: str) -> dict:
+    """``raw`` when its keys are exactly the fields of dataclass ``cls``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what}: expected an object, got {type(raw).__name__}")
+    names = [f.name for f in fields(cls)]
+    for name in names:
+        if name not in raw:
+            raise ValueError(f"{what}: missing field {name!r}")
+    for name in raw:
+        if name not in names:
+            raise ValueError(f"{what}: unknown field {name!r}")
+    return raw
+
 
 class OperatorStatsAccumulator:
     """Collects task samples + FM sketches for one operator and derives
@@ -419,7 +454,10 @@ class StatisticsCatalog:
     Supports JSON round-tripping (:meth:`to_dict` / :meth:`from_dict`,
     :meth:`save` / :meth:`load`) so statistics survive process restarts
     -- the paper's "record statistics at the end of a job, and then use
-    the statistics collected from previous jobs" workflow.
+    the statistics collected from previous jobs" workflow. Each entry is
+    in :meth:`OperatorStats.to_dict`'s form, the one the audit log
+    records too; loading refuses an entry with a missing or unknown
+    field.
     """
 
     def __init__(self) -> None:
@@ -466,29 +504,13 @@ class StatisticsCatalog:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """A JSON-serialisable snapshot of every stored statistic."""
-        out: dict = {}
-        for signature, stats in self._stats.items():
-            raw = out[signature] = asdict(stats)
-            # per_index last, as files have always had it, keyed by str.
-            raw["per_index"] = {str(j): idx for j, idx in raw.pop("per_index").items()}
-        return out
+        return {signature: stats.to_dict() for signature, stats in self._stats.items()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StatisticsCatalog":
         catalog = cls()
         for signature, raw in payload.items():
-            stats = OperatorStats(
-                n1=raw["n1"],
-                s1=raw["s1"],
-                spre=raw["spre"],
-                sidx=raw["sidx"],
-                spost=raw["spost"],
-                smap=raw["smap"],
-                num_tasks_sampled=raw.get("num_tasks_sampled", 0),
-            )
-            for j, idx_raw in raw.get("per_index", {}).items():
-                stats.per_index[int(j)] = IndexStats(**idx_raw)
-            catalog._stats[signature] = stats
+            catalog._stats[signature] = OperatorStats.from_dict(raw)
         return catalog
 
     def save(self, path: str) -> None:

@@ -1090,10 +1090,7 @@ class GroupLookupReducer(Reducer):
         filled_bytes = _HEADER_BYTES + results_bytes
         out_records: List[tuple] = []
         out_sizes: List[int] = []
-        for (original_key, value), nbytes in zip(carriers, sizes):
-            if type(value) is not tuple or len(value) != 4 or value[0] != tag:
-                open_carrier(value)  # raises, but for a carrier-shaped subclass
-            _, v1, ikl, ivl = value
+        for (original_key, (_, v1, ikl, ivl)), nbytes in zip(carriers, sizes):
             keys, old = ikl[j], ivl[j]
             nbytes += (
                 (filled_bytes if keys else _HEADER_BYTES)
@@ -1123,15 +1120,12 @@ class CarrierMaterializeReducer(Reducer):
         self.index_id = index_id
 
     def reduce(self, ik, carriers, collector, ctx):
-        j, tag = self.index_id, _CARRIER_TAG
+        j = self.index_id
         out_records: List[tuple] = []
         out_sizes: List[int] = []
         for record, nbytes in zip(carriers, _group_sizes(carriers, j, ctx)):
-            _, value = record
-            if type(value) is not tuple or len(value) != 4 or value[0] != tag:
-                open_carrier(value)  # raises, but for a carrier-shaped subclass
             out_records.append(record)
-            out_sizes.append(nbytes - _shuffle_wrap_bytes(value[2][j]))
+            out_sizes.append(nbytes - _shuffle_wrap_bytes(record[1][2][j]))
         collector.extend(out_records, out_sizes)
 
     @property

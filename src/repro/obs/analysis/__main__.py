@@ -18,7 +18,8 @@ missing directory, truncated export, wrong format -- exit 2 with a
 one-line reason instead of a traceback. ``regress`` exits 1 when the
 new baseline regresses past tolerance; ``diff`` exits 1 when the two
 runs differ at all (0 only on an identical pair), so it doubles as a
-byte-semantics equality check in CI.
+byte-semantics equality check in CI; ``drift`` exits 1 when a recorded
+cost does not re-price from its record's own inputs (within 1e-9 s).
 """
 
 from __future__ import annotations
@@ -122,12 +123,14 @@ def cmd_report(args) -> int:
 
 def cmd_section(args) -> int:
     """One section on its own. ``drift`` is the cross-artifact one: it
-    also reports executed-equivalence over the whole directory."""
+    also reports executed-equivalence over the whole directory, and
+    exits 1 when a recorded cost does not re-price."""
     (section,) = [s for s in SECTIONS if s.command == args.cmd]
     across = section.command == "drift"
     artifacts = load_artifacts(args.trace)
+    computed = [(a, section.compute(a)) for a in artifacts]
     if args.json:
-        doc = {a.base: _dicts(section.compute(a)) for a in artifacts}
+        doc = {a.base: _dicts(rows) for a, rows in computed}
         if across:
             doc = {
                 "jobs": doc,
@@ -136,12 +139,14 @@ def cmd_section(args) -> int:
                 ),
             }
         _dump(doc)
-        return 0
-    for artifact in artifacts:
-        print(f"--- {artifact.base} ---" if across else f"=== {artifact.base} ===")
-        _print(section.render(section.compute(artifact)))
-    if across:
-        _print(_equivalence_lines(artifacts))
+    else:
+        for artifact, rows in computed:
+            print(f"--- {artifact.base} ---" if across else f"=== {artifact.base} ===")
+            _print(section.render(rows))
+        if across:
+            _print(_equivalence_lines(artifacts))
+    if across and any(dr.mispriced(rows) for _, rows in computed):
+        return 1
     return 0
 
 

@@ -724,8 +724,9 @@ def _eval_rows(rows: List[dict]) -> List[dict]:
 
 def _term_moves(old_row: dict, new_row: dict) -> List[Tuple[float, str, float, float]]:
     """(relative move, name, old, new) for every numeric pricing term
-    the two evaluations share: CostEnv constants, operator sizes, and
-    per-index Table-1 samples."""
+    the two evaluations share: CostEnv constants, the operator-level
+    statistics (``{op}.sizes.{term}``) and the per-index ones
+    (``{op}[{j}].{term}``) of each operator's recorded ``stats``."""
     moves: List[Tuple[float, str, float, float]] = []
 
     def consider(name: str, o: Any, n: Any) -> None:
@@ -743,16 +744,15 @@ def _term_moves(old_row: dict, new_row: dict) -> List[Tuple[float, str, float, f
     old_ops = {o.get("operator"): o for o in old_row.get("operators") or []}
     new_ops = {o.get("operator"): o for o in new_row.get("operators") or []}
     for op in sorted(set(old_ops) & set(new_ops), key=str):
-        old_op, new_op = old_ops[op], new_ops[op]
-        old_sizes = old_op.get("sizes") or {}
-        new_sizes = new_op.get("sizes") or {}
-        for key in sorted(set(old_sizes) & set(new_sizes)):
-            consider(f"{op}.sizes.{key}", old_sizes[key], new_sizes[key])
-        old_samples = old_op.get("samples") or {}
-        new_samples = new_op.get("samples") or {}
-        for idx in sorted(set(old_samples) & set(new_samples), key=str):
-            old_terms = old_samples[idx] or {}
-            new_terms = new_samples[idx] or {}
+        old_stats = old_ops[op].get("stats") or {}
+        new_stats = new_ops[op].get("stats") or {}
+        for key in sorted(set(old_stats) & set(new_stats) - {"per_index"}):
+            consider(f"{op}.sizes.{key}", old_stats[key], new_stats[key])
+        old_per_index = old_stats.get("per_index") or {}
+        new_per_index = new_stats.get("per_index") or {}
+        for idx in sorted(set(old_per_index) & set(new_per_index), key=str):
+            old_terms = old_per_index[idx] or {}
+            new_terms = new_per_index[idx] or {}
             for term in sorted(set(old_terms) & set(new_terms)):
                 consider(
                     f"{op}[{idx}].{term}", old_terms[term], new_terms[term]

@@ -3,12 +3,15 @@
 Three independent checks over one traced run (or a directory of them):
 
 * **recompute** -- every audit record carries the exact inputs its
-  evaluation priced with (CostEnv constants, Table-1 samples, operator
-  sizes), so the detector re-runs Equations 1-4 offline and compares
-  against the recorded per-strategy costs. On an undisturbed run the
-  error is pure float noise; anything larger means the recorded inputs
-  no longer reproduce the recorded outputs -- the cost model and its
-  audit trail have drifted apart.
+  evaluation priced with (``env``: the CostEnv; ``operators[].stats``:
+  the statistics in the catalog's form), so the detector decodes them
+  with ``CostEnv(**env)`` and :meth:`OperatorStats.from_dict`, re-runs
+  Equations 1-4 offline and compares against the recorded
+  per-strategy costs. On an undisturbed run they agree exactly;
+  anything larger than float noise means the recorded inputs no
+  longer reproduce the recorded outputs -- the cost model and its
+  audit trail have drifted apart. A record that does not decode or
+  price is skipped with one reason.
 * **term join** -- the sampled Table-1 terms (T_j, R) joined against
   what the trace actually measured (mean ``index.fetch`` span duration,
   fetches per lookup), plus first-vs-last sample evolution for the
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.costmodel import CostEnv, Placement, Strategy, strategy_cost
-from repro.core.statistics import IndexStats, OperatorStats
+from repro.core.statistics import OperatorStats
 from repro.obs.analysis.loader import Result, TraceArtifacts, job_nodes
 from repro.obs.trace import DEPTH_DETAIL, DEPTH_OP
 
@@ -41,6 +44,10 @@ from repro.obs.trace import DEPTH_DETAIL, DEPTH_OP
 MEASURED_TERMS = ("tj", "miss_ratio")
 #: Terms reported as first-vs-last sample evolution instead.
 EVOLUTION_TERMS = ("theta", "nik", "sik", "siv", "tj", "miss_ratio")
+
+#: Largest |recorded - recomputed| (seconds) that still counts as an
+#: exact re-pricing; ``python -m repro.obs.analysis drift`` exits 1 above.
+REPRICE_TOLERANCE = 1e-9
 
 _CHOSEN_MODES = ("dynamic", "optimized")
 _FORCED_MODES = ("base", "cache", "repart", "idxloc")
@@ -130,105 +137,65 @@ class ExecutedEquivalence(Result):
 # ----------------------------------------------------------------------
 # Recompute Equations 1-4 from the audit record's own inputs
 # ----------------------------------------------------------------------
-def _stats_from_detail(detail: dict) -> OperatorStats:
-    sizes = detail.get("sizes") or {}
-    op = OperatorStats(n1=float(detail.get("n1", 0.0)))
-    for attr in ("s1", "spre", "sidx", "spost", "smap"):
-        if attr in sizes:
-            setattr(op, attr, float(sizes[attr]))
-    for j_str, s in sorted(detail.get("samples", {}).items()):
-        idx = IndexStats(
-            nik=float(s.get("nik", 1.0)),
-            sik=float(s.get("sik", 8.0)),
-            siv=float(s.get("siv", 64.0)),
-            tj=float(s.get("tj", 0.0)),
-            miss_ratio=float(s.get("miss_ratio", 1.0)),
-            theta=float(s.get("theta", 1.0)),
-            distinct=float(s.get("distinct", 0.0)),
-            batch_fill=float(s.get("batch_fill", 1.0)),
-            c_req=float(s.get("c_req", 0.0)),
-            c_key=float(s.get("c_key", 0.0)),
-            batches_observed=int(s.get("batches_observed", 0)),
-            lookups_observed=int(s.get("lookups_observed", 0)),
-            probes_observed=int(s.get("probes_observed", 0)),
-            reuse_hit_ratio=float(s.get("reuse_hit_ratio", 0.0)),
-            reuse_seed=float(s.get("reuse_seed", 0.0)),
-            reuse_probes_observed=int(s.get("reuse_probes_observed", 0)),
-        )
-        op.per_index[int(j_str)] = idx
-    return op
-
-
 def recompute_record(row: dict) -> Tuple[List[RecomputedCost], List[str]]:
     """Re-price every recorded strategy cost of one audit record.
 
     Returns (recomputed costs, skip reasons). Records without operator
     detail (gate refusals) have nothing to recompute and produce
-    neither.
+    neither; a record that does not decode or price (an older log
+    schema, a damaged row) produces no costs and one reason.
     """
+    if not row.get("operators"):
+        return [], []
+    try:
+        return _reprice(row), []
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        why = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+        return [], [f"seq {row.get('seq')}: not re-priced: {why}"]
+
+
+def _reprice(row: dict) -> List[RecomputedCost]:
+    env = CostEnv(**row["env"])
     out: List[RecomputedCost] = []
-    skipped: List[str] = []
-    operators = row.get("operators") or []
-    if not operators:
-        return out, skipped
-    env_dict = row.get("env") or {}
-    if not env_dict:
-        skipped.append(
-            f"seq {row.get('seq')}: no CostEnv recorded (pre-analysis log "
-            f"schema); cannot recompute"
-        )
-        return out, skipped
-    env = CostEnv(
-        bw=float(env_dict["bw"]),
-        f=float(env_dict["f"]),
-        t_cache=float(env_dict["t_cache"]),
-        extra_job_overhead=float(env_dict.get("extra_job_overhead", 0.0)),
-        latency=float(env_dict.get("latency", 0.0)),
-        lookup_bw=float(env_dict.get("lookup_bw", 20 * 1024 * 1024)),
-    )
-    for detail in operators:
-        op_id = str(detail.get("operator", "?"))
-        has_sizes = bool(detail.get("sizes"))
-        stats = _stats_from_detail(detail)
-        try:
-            placement = Placement(detail.get("placement"))
-        except ValueError:
-            skipped.append(f"seq {row.get('seq')} {op_id}: unknown placement")
-            continue
-        for j_str, table in sorted((detail.get("strategies") or {}).items()):
-            idx = stats.per_index.get(int(j_str))
-            if idx is None:
-                skipped.append(
-                    f"seq {row.get('seq')} {op_id}: strategy table for "
-                    f"index {j_str} has no matching samples"
-                )
-                continue
-            for strategy_value, recorded in sorted(
-                (table.get("costs") or {}).items()
-            ):
+    for detail in row["operators"]:
+        stats = OperatorStats.from_dict(detail["stats"])
+        placement = Placement(detail["placement"])
+        for j_str, table in sorted(detail["strategies"].items()):
+            idx = stats.per_index[int(j_str)]
+            for strategy_value, recorded in sorted(table["costs"].items()):
                 if recorded is None:
                     continue  # was non-finite; nothing to compare
-                strategy = Strategy(strategy_value)
-                if not has_sizes and strategy in (
-                    Strategy.REPART, Strategy.IDXLOC
-                ):
-                    skipped.append(
-                        f"seq {row.get('seq')} {op_id}/{j_str}: operator "
-                        f"sizes not recorded; {strategy_value} not recomputed"
-                    )
-                    continue
-                recomputed = strategy_cost(strategy, env, stats, idx, placement)
+                recomputed = strategy_cost(
+                    Strategy(strategy_value), env, stats, idx, placement
+                )
                 out.append(
                     RecomputedCost(
-                        seq=int(row.get("seq", -1)),
-                        operator=op_id,
+                        seq=int(row["seq"]),
+                        operator=str(detail["operator"]),
                         index=j_str,
                         strategy=strategy_value,
                         recorded=float(recorded),
                         recomputed=recomputed,
                     )
                 )
-    return out, skipped
+    return out
+
+
+def _decoded(detail: dict) -> Optional[OperatorStats]:
+    """One operator detail's statistics, None when they do not decode
+    (:func:`recompute_record` reports why)."""
+    try:
+        return OperatorStats.from_dict(detail.get("stats"))
+    except (ValueError, AttributeError):
+        return None
+
+
+def mispriced(drifts: List[JobDrift]) -> bool:
+    """Whether any recomputed cost misses its recorded one by more than
+    :data:`REPRICE_TOLERANCE`."""
+    return any(
+        not r.abs_error <= REPRICE_TOLERANCE for d in drifts for r in d.recomputed
+    )
 
 
 # ----------------------------------------------------------------------
@@ -247,14 +214,14 @@ def _job_op_spans(artifact: TraceArtifacts, job: str) -> List[dict]:
 
 
 def measured_terms(
-    artifact: TraceArtifacts, job: str, operator: str, samples: dict
+    artifact: TraceArtifacts, job: str, operator: str, stats: OperatorStats
 ) -> List[TermDrift]:
     """Per-index sampled-vs-measured rows for one operator's final
-    audit samples."""
+    audited statistics."""
     spans = _job_op_spans(artifact, job)
     out: List[TermDrift] = []
-    for j_str, s in sorted(samples.items()):
-        j = int(j_str)
+    for j, idx in sorted(stats.per_index.items()):
+        j_str = str(j)
         fetches = [
             sp
             for sp in spans
@@ -274,7 +241,7 @@ def measured_terms(
                 operator=operator,
                 index=j_str,
                 term="tj",
-                sampled=float(s.get("tj", 0.0)),
+                sampled=idx.tj,
                 measured=measured_tj,
                 basis=(
                     f"mean of {len(fetches)} index.fetch span(s)"
@@ -295,7 +262,7 @@ def measured_terms(
                 operator=operator,
                 index=j_str,
                 term="miss_ratio",
-                sampled=float(s.get("miss_ratio", 1.0)),
+                sampled=idx.miss_ratio,
                 measured=measured_r,
                 basis=(
                     f"{len(fetches)} fetch(es) / {lookup_keys:g} looked-up "
@@ -314,12 +281,14 @@ def _sample_evolution(rows: List[dict]) -> Dict[str, Tuple[float, float]]:
     seen: Dict[str, List[float]] = {}
     for row in rows:
         for detail in row.get("operators") or []:
+            stats = _decoded(detail)
+            if stats is None:
+                continue
             op_id = str(detail.get("operator", "?"))
-            for j_str, s in sorted((detail.get("samples") or {}).items()):
+            for j, idx in sorted(stats.per_index.items()):
                 for term in EVOLUTION_TERMS:
-                    if term in s and s[term] is not None:
-                        key = f"{op_id}/{j_str}/{term}"
-                        seen.setdefault(key, []).append(float(s[term]))
+                    key = f"{op_id}/{j}/{term}"
+                    seen.setdefault(key, []).append(float(getattr(idx, term)))
     return {
         key: (values[0], values[-1])
         for key, values in sorted(seen.items())
@@ -350,14 +319,13 @@ def job_drift(artifact: TraceArtifacts) -> List[JobDrift]:
             details = row.get("operators") or []
             if details:
                 for detail in details:
-                    drift.terms.extend(
-                        measured_terms(
-                            artifact,
-                            job,
-                            str(detail.get("operator", "?")),
-                            detail.get("samples") or {},
+                    stats = _decoded(detail)
+                    if stats is not None:
+                        drift.terms.extend(
+                            measured_terms(
+                                artifact, job, str(detail.get("operator", "?")), stats
+                            )
                         )
-                    )
                 break
         drift.evolution = _sample_evolution(rows)
         out.append(drift)

@@ -1,11 +1,12 @@
 """The adaptive-decision audit log.
 
 One :class:`AuditRecord` per Algorithm-1 evaluation (PAPER §4.2): the
-variance-gate inputs and verdict, the fresh Θ/R/T_j/Nik samples per
-index, the Equation 1-4 cost estimate of *every* strategy at every
-index position, and -- when the runner applies a plan change -- the
-mid-Map/mid-Reduce reuse outcome (Figures 9-10). The log answers "why
-did (or didn't) the job re-plan here?" without re-running anything.
+variance-gate inputs and verdict, the fresh Table-1 statistics it
+priced (in the catalog's form), the Equation 1-4 cost estimate of
+*every* strategy at every index position, and -- when the runner
+applies a plan change -- the mid-Map/mid-Reduce reuse outcome (Figures
+9-10). The log answers "why did (or didn't) the job re-plan here?"
+without re-running anything.
 
 Like the rest of :mod:`repro.obs`, the log is passive: it prices
 strategies with the same cost model the optimizer already ran, in
@@ -45,13 +46,17 @@ class AuditRecord:
     variance_threshold: float
     plan_change_cost: float
     scale: float  # remaining-work extrapolation factor
-    #: The CostEnv constants the evaluation priced with, as a plain
-    #: dict. Recorded so offline tools (the drift detector) can re-run
+    #: The CostEnv the evaluation priced with, as ``asdict(env)``.
+    #: Recorded so offline tools (the drift detector) can re-run
     #: Equations 1-4 from the log alone, with no cluster object.
     env: Dict[str, float] = field(default_factory=dict)
     #: Per relevant operator: num_samples, relative_deviation, stable.
     gate: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per *stable* operator: per-index samples and per-strategy costs.
+    #: Per *stable* operator: ``operator``, ``placement``, ``stats``
+    #: (the priced statistics in :meth:`OperatorStats.to_dict` form, the
+    #: catalog's), ``strategies`` (Equation 1-4 cost of every strategy
+    #: per index, and which are eligible), the ``current`` and
+    #: ``chosen`` strategies, ``chosen_order`` and ``chosen_cost``.
     operators: List[Dict[str, Any]] = field(default_factory=list)
     current_cost: Optional[float] = None
     new_cost: Optional[float] = None
@@ -104,65 +109,6 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
-
-
-def env_constants(env) -> Dict[str, float]:
-    """A CostEnv as a plain dict (the drift detector rebuilds one from
-    this to re-price Equations 1-4 offline)."""
-    return {
-        "bw": env.bw,
-        "f": env.f,
-        "t_cache": env.t_cache,
-        "extra_job_overhead": env.extra_job_overhead,
-        "latency": env.latency,
-        "lookup_bw": env.lookup_bw,
-    }
-
-
-def operator_sizes(stats) -> Dict[str, float]:
-    """The operator-level Table-1 sizes (the S_* terms Equations 3-4
-    need beyond the per-index samples)."""
-    return {
-        "n1": stats.n1,
-        "s1": stats.s1,
-        "spre": stats.spre,
-        "sidx": stats.sidx,
-        "spost": stats.spost,
-        "smap": stats.smap,
-    }
-
-
-def index_samples(stats) -> Dict[str, Dict[str, float]]:
-    """The Table-1 sample values per index of one OperatorStats."""
-    out: Dict[str, Dict[str, float]] = {}
-    for j, idx in sorted(stats.per_index.items()):
-        out[str(j)] = {
-            "theta": idx.theta,
-            "miss_ratio": idx.miss_ratio,
-            "tj": idx.tj,
-            "effective_tj": idx.effective_tj(),
-            "nik": idx.nik,
-            "sik": idx.sik,
-            "siv": idx.siv,
-            "distinct": idx.distinct,
-            "batch_fill": idx.batch_fill,
-            "c_req": idx.c_req,
-            "c_key": idx.c_key,
-            "batches_observed": idx.batches_observed,
-            "lookups_observed": idx.lookups_observed,
-            "probes_observed": idx.probes_observed,
-            "reuse_hit_ratio": idx.reuse_hit_ratio,
-            "reuse_seed": idx.reuse_seed,
-            "reuse_survival": idx.reuse_survival(),
-            "reuse_probes_observed": idx.reuse_probes_observed,
-            # Partial-index builds: the catalog coverage the evaluation
-            # priced with, plus this job's accrued build debt (strategy
-            # invariant -- reported, never added to a cost equation).
-            "build_coverage": idx.build_coverage,
-            "build_debt": idx.build_debt,
-            "build_scan_tj": idx.build_scan_tj,
-        }
-    return out
 
 
 def strategy_cost_table(

@@ -134,8 +134,8 @@ class Histogram:
         """The JSON shape written to ``<base>.metrics.json`` (see
         :meth:`MetricsRegistry.to_dict`). ``boundaries`` makes the edge
         set explicit -- including the overflow bucket -- so offline
-        consumers reprice quantiles from exactly the edges the
-        histogram observed with, instead of assuming the defaults."""
+        consumers read exactly the edges the histogram observed with,
+        instead of assuming the defaults."""
         return {
             "buckets": self.buckets,
             "boundaries": self.boundaries(),
@@ -147,35 +147,6 @@ class Histogram:
             "p50": self.quantile(0.5),
             "p99": self.quantile(0.99),
         }
-
-    @classmethod
-    def from_export(cls, name: str, payload: dict) -> "Histogram":
-        """Rebuild a histogram from its exported dict. Quantiles
-        repriced on the rebuilt instance match the exported ones
-        exactly (same edges, same counts, same nearest-rank rule)."""
-        hist = cls(name, boundaries_from_export(payload))
-        counts = list(payload.get("counts", ()))
-        if len(counts) != len(hist.buckets):
-            raise ValueError(
-                f"{name}: {len(counts)} counts for {len(hist.buckets)} buckets"
-            )
-        hist.counts = [int(c) for c in counts]
-        hist.overflow = int(payload.get("overflow", 0))
-        hist.count = int(payload.get("count", 0))
-        hist.sum = float(payload.get("sum", 0.0))
-        return hist
-
-
-def boundaries_from_export(payload: dict) -> List[float]:
-    """The finite bucket edges of one exported histogram dict.
-
-    Prefers the explicit ``boundaries`` field (dropping the trailing
-    ``"+Inf"`` overflow marker); falls back to ``buckets`` for exports
-    predating it."""
-    edges = payload.get("boundaries")
-    if edges:
-        return [float(e) for e in edges if not isinstance(e, str)]
-    return [float(e) for e in payload.get("buckets", ())]
 
 
 class MetricsRegistry:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,3 @@ class Node:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.hostname
 
-
-@dataclass
-class NodeLoad:
-    """Mutable per-node accounting used by the scheduler."""
-
-    node: Node
-    busy_until: float = 0.0
-    tasks_run: int = 0
-    extra: dict = field(default_factory=dict)

@@ -7,7 +7,12 @@ import pytest
 from repro.core.adaptive import evaluate_replan, relevant_operator_ids
 from repro.core.costmodel import CostEnv, Strategy
 from repro.core.optimizer import baseline_plan
-from repro.core.statistics import IndexSample, OperatorStatsAccumulator, TaskSample
+from repro.core.statistics import (
+    IndexSample,
+    OperatorStats,
+    OperatorStatsAccumulator,
+    TaskSample,
+)
 from repro.obs.audit import (
     VERDICT_REPLAN,
     VERDICT_VARIANCE_GATE,
@@ -263,9 +268,10 @@ class TestAuditRecords:
                 "partial",
             }
             assert set(table["eligible"]) <= set(table["costs"])
-        for sample in detail["samples"].values():
-            for field in ("theta", "miss_ratio", "tj", "nik"):
-                assert field in sample
+        # the statistics priced, in the catalog's form
+        stats = OperatorStats.from_dict(detail["stats"])
+        assert set(detail["strategies"]) == {str(j) for j in stats.per_index}
+        assert detail["stats"]["n1"] == decision.fresh_stats["head0"].n1
         assert detail["current"] != detail["chosen"]
 
     def test_no_audit_log_records_nothing(self, efind_env, env):

@@ -1,5 +1,7 @@
 """Tests for statistics-catalog persistence."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.costmodel import Strategy
@@ -47,6 +49,59 @@ class TestRoundTrip:
         path = str(tmp_path / "empty.json")
         StatisticsCatalog().save(path)
         assert len(StatisticsCatalog.load(path)) == 0
+
+
+def _every_field_set(cls, start):
+    """An instance of dataclass ``cls`` with every scalar field off its
+    default: ints and floats counted up from ``start``."""
+    values = {}
+    for i, f in enumerate(dataclasses.fields(cls)):
+        if f.type in ("int", "float"):
+            value = start + i
+            values[f.name] = value if f.type == "int" else value + 0.25
+            assert values[f.name] != f.default, f.name
+    return cls(**values)
+
+
+class TestOperatorStatsCodec:
+    """``OperatorStats.to_dict`` / ``from_dict``: the one serialised form
+    (catalog file and audit record alike)."""
+
+    def full_stats(self):
+        stats = _every_field_set(OperatorStats, 100)
+        stats.per_index = {
+            0: _every_field_set(IndexStats, 200),
+            3: _every_field_set(IndexStats, 300),
+        }
+        return stats
+
+    def test_round_trip_keeps_every_field(self):
+        stats = self.full_stats()
+        assert stats.per_index and stats.num_tasks_sampled == 107
+        raw = stats.to_dict()
+        assert list(raw)[-1] == "per_index" and list(raw["per_index"]) == ["0", "3"]
+        assert OperatorStats.from_dict(raw) == stats
+
+    def test_missing_field_is_named(self):
+        raw = self.full_stats().to_dict()
+        del raw["num_tasks_sampled"]
+        with pytest.raises(ValueError, match="missing field 'num_tasks_sampled'"):
+            OperatorStats.from_dict(raw)
+        raw = self.full_stats().to_dict()
+        del raw["per_index"]["3"]["build_scan_tj"]
+        match = r"per_index\[3\]: missing field 'build_scan_tj'"
+        with pytest.raises(ValueError, match=match):
+            OperatorStats.from_dict(raw)
+
+    def test_unknown_field_is_named(self):
+        raw = self.full_stats().to_dict()
+        raw["effective_tj"] = 1.0
+        with pytest.raises(ValueError, match="unknown field 'effective_tj'"):
+            OperatorStats.from_dict(raw)
+        raw = self.full_stats().to_dict()
+        raw["per_index"]["0"]["reuse_survival"] = 1.0
+        with pytest.raises(ValueError, match="unknown field 'reuse_survival'"):
+            StatisticsCatalog.from_dict({"sig": raw})
 
 
 class TestAcrossProcessesWorkflow:

@@ -214,7 +214,7 @@ class TestPartialAudit:
         assert evaluated, "expected at least one stable-stats evaluation"
         for record in evaluated:
             for op in record.operators:
-                for sample in op["samples"].values():
+                for sample in op["stats"]["per_index"].values():
                     assert sample["build_coverage"] == pytest.approx(1 / 3)
                     assert "build_debt" in sample
                 for table in op["strategies"].values():

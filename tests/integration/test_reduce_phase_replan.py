@@ -183,7 +183,7 @@ class TestMidReduceReplan:
         costs = detail["strategies"]["0"]["costs"]
         assert set(costs) == {"base", "cache", "repart", "idxloc", "partial"}
         assert all(c >= 0.0 for c in costs.values())
-        samples = detail["samples"]["0"]
+        samples = detail["stats"]["per_index"]["0"]
         assert samples["theta"] > 1.0  # many groups share one city
         assert samples["tj"] > 0.0
         assert samples["lookups_observed"] > 0

@@ -165,8 +165,10 @@ class TestSideChannels:
                 "env": {"t_seek": 0.01},
                 "operators": [{
                     "operator": "op0",
-                    "sizes": {"input_records": 100},
-                    "samples": {"0": {"t_lookup": t_lookup}},
+                    "stats": {
+                        "n1": 100,
+                        "per_index": {"0": {"t_lookup": t_lookup}},
+                    },
                     "strategies": {
                         "0": {"costs": {"base": 1.0, "cache": 2.0}}
                     },

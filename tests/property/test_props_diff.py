@@ -119,8 +119,10 @@ def synth_audit(rng: random.Random):
                 "sim_time": rng.uniform(0.0, 1.0),
                 "operators": [{
                     "operator": "op0",
-                    "sizes": {"n": rng.randint(1, 100)},
-                    "samples": {"0": {"t_lookup": rng.uniform(0, 0.1)}},
+                    "stats": {
+                        "n": rng.randint(1, 100),
+                        "per_index": {"0": {"t_lookup": rng.uniform(0, 0.1)}},
+                    },
                     "strategies": {
                         "0": {"costs": {"base": rng.uniform(0, 5)}}
                     },
